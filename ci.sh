@@ -132,6 +132,16 @@ echo "== sampled Shapley (n<=16 validation + deterministic n=200 serve smoke)"
 cargo test -q -p fedval-coalition --release approx > /dev/null
 approx_tmp=$(mktemp -d)
 trap 'rm -rf "$sweep_tmp" "${smoke_tmp:-}" "${approx_tmp:-}"' EXIT
+# The sampled CLI path must print the same bytes at any thread count
+# (fixed RNG blocks folded in block order, DESIGN.md §14).
+./target/release/fedval shares --synthetic 200:7 --threads 1 > "$approx_tmp/shares_t1.txt"
+./target/release/fedval shares --synthetic 200:7 --threads 2 > "$approx_tmp/shares_t2.txt"
+if ! cmp "$approx_tmp/shares_t1.txt" "$approx_tmp/shares_t2.txt"; then
+    echo ""
+    echo "ci.sh: fedval shares --synthetic 200:7 differs between --threads 1 and 2."
+    echo "The permutation estimator leaked scheduling order into its fold."
+    exit 1
+fi
 # A 200-authority synthetic federation is far past every exact cap; the
 # daemon must answer shapley queries via the sampled path, and fedload's
 # canonical-bytes check proves every response in the run is

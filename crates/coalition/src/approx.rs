@@ -84,6 +84,30 @@ pub trait WideGame: Sync {
     /// Value `V(S)` of the coalition whose members are `members`
     /// (strictly increasing, no duplicates).
     fn value_members(&self, members: &[PlayerId]) -> f64;
+
+    /// Values of every prefix of `order` (distinct ids, any order):
+    /// element `k` is `value_members` of `order[..=k]` sorted ascending.
+    /// The permutation estimator walks each sampled ordering through this
+    /// hook once.
+    ///
+    /// The default sorts each prefix into place and calls
+    /// [`WideGame::value_members`]. A game whose value of `S ∪ {p}` can be
+    /// built from that of `S` overrides it, and the override must return
+    /// the same bits as the default: seeded estimates are byte-identical
+    /// whichever path a game takes.
+    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
+        let mut members: Vec<PlayerId> = Vec::with_capacity(order.len());
+        order
+            .iter()
+            .map(|&p| {
+                let pos = match members.binary_search(&p) {
+                    Ok(pos) | Err(pos) => pos,
+                };
+                members.insert(pos, p);
+                self.value_members(&members)
+            })
+            .collect()
+    }
 }
 
 /// Adapter giving any [`CoalitionalGame`] (including
@@ -409,18 +433,11 @@ fn permutation_block<G: WideGame + ?Sized>(
 ) {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, block as u64));
     let mut order: Vec<PlayerId> = (0..n).collect();
-    let mut members: Vec<PlayerId> = Vec::with_capacity(n);
     let v_empty = game.value_members(&[]);
     for _ in 0..count {
         order.shuffle(&mut rng);
-        members.clear();
         let mut prev = v_empty;
-        for &p in &order {
-            let pos = match members.binary_search(&p) {
-                Ok(pos) | Err(pos) => pos,
-            };
-            members.insert(pos, p);
-            let cur = game.value_members(&members);
+        for (&p, cur) in order.iter().zip(game.value_prefixes(&order)) {
             let delta = cur - prev;
             sum[p] += delta;
             sum_sq[p] += delta * delta;

@@ -73,10 +73,14 @@ pub fn shapley<G: CoalitionalGame>(game: &G) -> Vec<f64> {
 /// evaluations dominate, or when the characteristic function itself is
 /// expensive (allocation optimizer, simulation). The characteristic
 /// function must be `Sync`, which [`CoalitionalGame`] requires.
+///
+/// Records the same `coalition.shapley.exact` span as [`shapley`] (with
+/// `threads=` in its detail), so a trace names the solution concept, not
+/// the thread count it ran at.
 pub fn shapley_parallel<G: CoalitionalGame>(game: &G, threads: usize) -> Vec<f64> {
     let n = game.n_players();
     let threads = threads.clamp(1, n.max(1));
-    let _span = fedval_obs::span_with("coalition.shapley.parallel", || {
+    let _span = fedval_obs::span_with("coalition.shapley.exact", || {
         format!("n={n} threads={threads}")
     });
     let mut phi = vec![0.0; n];

@@ -10,6 +10,7 @@
 //! which the whole analytic allocation theory rests.
 
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Identifier of a geographic/network location.
@@ -181,9 +182,75 @@ impl CapacityProfile {
     }
 }
 
+/// The capacity profile of a growing coalition, built one facility offer
+/// at a time — the incremental form of
+/// [`coalition_profile`](crate::coalition_profile).
+///
+/// Holds the merged capacity of every location seen so far plus a
+/// histogram of how many locations sit at each capacity level, so an
+/// [`add`](ProfileAccumulator::add) touches only the new offer's
+/// locations. Capacities are integers, so after any sequence of adds
+/// [`profile`](ProfileAccumulator::profile) equals `coalition_profile` of
+/// the same offers exactly, in whatever order they arrived.
+#[derive(Debug, Default)]
+pub(crate) struct ProfileAccumulator {
+    capacity: BTreeMap<LocationId, u64>,
+    histogram: BTreeMap<u64, u64>,
+}
+
+impl ProfileAccumulator {
+    /// Adds one facility's offer, summing capacity where it overlaps
+    /// locations already held (zero-capacity entries add nothing, as in
+    /// [`LocationOffer::merge`]).
+    pub(crate) fn add(&mut self, offer: &LocationOffer) {
+        for (location, r) in offer.iter().filter(|&(_, r)| r > 0) {
+            let cap = self.capacity.entry(location).or_insert(0);
+            // Move the location off its old level (a new one has none).
+            if let Entry::Occupied(mut level) = self.histogram.entry(*cap) {
+                *level.get_mut() -= 1;
+                if *level.get() == 0 {
+                    level.remove();
+                }
+            }
+            *cap += r;
+            *self.histogram.entry(*cap).or_insert(0) += 1;
+        }
+    }
+
+    /// The profile of everything added so far.
+    pub(crate) fn profile(&self) -> CapacityProfile {
+        CapacityProfile::from_groups(self.histogram.iter().map(|(&c, &n)| (c, n)).collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn accumulator_matches_the_merged_profile_in_any_order() {
+        let mut offers = [
+            LocationOffer::contiguous(0, 10, 3),
+            LocationOffer::contiguous(5, 10, 2),
+            LocationOffer::contiguous(8, 4, 1),
+            LocationOffer::new(),
+        ];
+        offers[3].add(9, 6);
+        offers[3].add(40, 2);
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+            let mut acc = ProfileAccumulator::default();
+            assert_eq!(acc.profile(), CapacityProfile::empty());
+            for (k, &i) in order.iter().enumerate() {
+                acc.add(&offers[i]);
+                let merged = LocationOffer::merge(order[..=k].iter().map(|&j| &offers[j]));
+                assert_eq!(
+                    acc.profile(),
+                    CapacityProfile::from_offer(&merged),
+                    "{order:?} @ {k}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn uniform_offer_counts() {

@@ -8,6 +8,7 @@
 use crate::allocation::{solve, ProfileSolution, SolveError};
 use crate::experiment::Demand;
 use crate::facility::{coalition_profile, Facility};
+use crate::location::ProfileAccumulator;
 use fedval_coalition::approx::WideGame;
 use fedval_coalition::{Coalition, CoalitionError, CoalitionalGame, TableGame, MAX_SAMPLED_PLAYERS};
 
@@ -149,6 +150,31 @@ impl WideGame for FederationGame<'_> {
             // `# Panics` documents this, and callers validate via solve_members.
             Err(e) => panic!("FederationGame::value_members: unsupported demand: {e}"),
         }
+    }
+
+    /// Prefix values with one facility added per step: the coalition's
+    /// capacity profile is accumulated instead of re-merged from every
+    /// member, so a whole ordering costs `O(Σᵢ Lᵢ)` location updates
+    /// rather than `O(n · Σᵢ Lᵢ)`. The accumulated profile equals
+    /// `coalition_profile` of the prefix (integer capacities), so the
+    /// solver sees the same input and every value keeps its bits.
+    ///
+    /// # Panics
+    /// As [`WideGame::value_members`] on this game.
+    fn value_prefixes(&self, order: &[usize]) -> Vec<f64> {
+        let mut acc = ProfileAccumulator::default();
+        order
+            .iter()
+            .map(|&p| {
+                acc.add(&self.facilities[p].offer);
+                match solve(&acc.profile(), self.demand) {
+                    Ok(solution) => solution.total_utility,
+                    // lint: allow(no-panic-path) — the WideGame trait is infallible;
+                    // `# Panics` documents this, and callers validate via solve_members.
+                    Err(e) => panic!("FederationGame::value_prefixes: unsupported demand: {e}"),
+                }
+            })
+            .collect()
     }
 }
 

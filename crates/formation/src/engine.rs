@@ -73,6 +73,9 @@ impl WideGame for FormationGame {
     fn value_members(&self, members: &[PlayerId]) -> f64 {
         FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }
+    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
+        FederationGame::new(&self.facilities, &self.demand).value_prefixes(order)
+    }
 }
 
 /// A [`WideGame`] restricted to a subset of its players (payoff math
@@ -91,6 +94,12 @@ impl<G: WideGame + ?Sized> WideGame for RestrictedGame<'_, G> {
         // `members` is ascending and `self.members` is sorted, so the
         // mapped list is ascending too — the WideGame contract holds.
         self.game.value_members(&mapped)
+    }
+    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
+        // The mapping is increasing, so a sorted mapped prefix is the
+        // mapped sorted prefix: element k is still V(order[..=k]).
+        let mapped: Vec<PlayerId> = order.iter().map(|&i| self.members[i]).collect();
+        self.game.value_prefixes(&mapped)
     }
 }
 

@@ -37,6 +37,18 @@ use std::fmt;
 /// there is no reliable way to resynchronize mid-frame.
 pub const MAX_FRAME: usize = 16 * 1024;
 
+/// Most locations a `what-if-join` facility may bring. A join's cost
+/// grows linearly with its locations and is paid while the what-if cache
+/// is locked, so the parser bounds it: 2¹⁶ is over 80× the paper's largest
+/// facility (800 locations) and well above load generators' 100–800.
+pub const MAX_JOIN_LOCATIONS: u32 = 1 << 16;
+
+/// Largest per-location `capacity` a `what-if-join` may ask for
+/// (`u32::MAX`). With [`MAX_JOIN_LOCATIONS`] it keeps a joining
+/// facility below 2⁴⁸ slots, so even 2⁹ of them (`MAX_SAMPLED_PLAYERS`)
+/// sum inside a `u64`.
+pub const MAX_JOIN_CAPACITY: u64 = u32::MAX as u64;
+
 /// A typed protocol-level failure. Conversion to the wire code is
 /// total: see [`ProtocolError::code`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -241,24 +253,27 @@ pub fn parse_request(frame: &[u8]) -> Result<Request, ProtocolError> {
         "nucleolus" => QueryKind::Nucleolus,
         "what-if-join" => {
             let locations = take_uint(&fields, "locations")?;
-            let locations = u32::try_from(locations).map_err(|_| ProtocolError::BadField {
-                field: "locations",
-                detail: format!("{locations} exceeds u32"),
-            })?;
             if locations == 0 {
                 return Err(ProtocolError::BadField {
                     field: "locations",
                     detail: "a joining facility needs at least one location".to_string(),
                 });
             }
+            let locations = u32::try_from(locations)
+                .ok()
+                .filter(|&l| l <= MAX_JOIN_LOCATIONS)
+                .ok_or_else(|| ProtocolError::BadField {
+                    field: "locations",
+                    detail: format!("{locations} exceeds the limit of {MAX_JOIN_LOCATIONS}"),
+                })?;
             let capacity = match lookup(&fields, "capacity") {
                 None => 1,
                 Some(_) => take_uint(&fields, "capacity")?,
             };
-            if capacity == 0 {
+            if capacity == 0 || capacity > MAX_JOIN_CAPACITY {
                 return Err(ProtocolError::BadField {
                     field: "capacity",
-                    detail: "capacity must be at least 1".to_string(),
+                    detail: format!("capacity must be in 1..={MAX_JOIN_CAPACITY}, got {capacity}"),
                 });
             }
             QueryKind::WhatIfJoin {
@@ -717,6 +732,37 @@ mod tests {
             parse_request(b"{\"kind\":\"what-if-join\",\"locations\":1,\"capacity\":0}"),
             Err(ProtocolError::BadField { field: "capacity", .. })
         ));
+        for locations in ["65537", "2000000", "4294967296", "18446744073709551615"] {
+            let frame = format!("{{\"kind\":\"what-if-join\",\"locations\":{locations}}}");
+            assert!(
+                matches!(
+                    parse_request(frame.as_bytes()),
+                    Err(ProtocolError::BadField { field: "locations", .. })
+                ),
+                "{frame}"
+            );
+        }
+        for capacity in ["4294967296", "18446744073709551615"] {
+            let frame =
+                format!("{{\"kind\":\"what-if-join\",\"locations\":1,\"capacity\":{capacity}}}");
+            assert!(
+                matches!(
+                    parse_request(frame.as_bytes()),
+                    Err(ProtocolError::BadField { field: "capacity", .. })
+                ),
+                "{frame}"
+            );
+        }
+        assert_eq!(
+            parse_request(
+                b"{\"kind\":\"what-if-join\",\"locations\":65536,\"capacity\":4294967295}"
+            )
+            .map(|r| r.kind),
+            Ok(QueryKind::WhatIfJoin {
+                locations: MAX_JOIN_LOCATIONS,
+                capacity: MAX_JOIN_CAPACITY,
+            })
+        );
     }
 
     #[test]

@@ -179,6 +179,10 @@ impl WideGame for ScenarioGame {
     fn value_members(&self, members: &[usize]) -> f64 {
         FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }
+
+    fn value_prefixes(&self, order: &[usize]) -> Vec<f64> {
+        FederationGame::new(&self.facilities, &self.demand).value_prefixes(order)
+    }
 }
 
 /// Outcome of warming the state (reported by the daemon at startup).

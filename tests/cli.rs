@@ -118,6 +118,34 @@ fn trace_flag_writes_valid_jsonl_with_pipeline_spans() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The span names of a `fedval report --trace` run, one entry per span
+/// started, sorted (a multiset).
+fn report_span_names(threads: &str) -> Vec<String> {
+    let path = std::env::temp_dir().join(format!("fedval_cli_span_names_t{threads}.jsonl"));
+    let path_arg = path.to_str().expect("temp path is utf-8");
+    let (_, stderr, ok) = fedval(&["report", "--threads", threads, "--trace", path_arg]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    let mut names: Vec<String> = text
+        .lines()
+        .filter(|l| l.contains("\"type\":\"span_start\""))
+        .map(|l| {
+            let rest = &l[l.find("\"name\":\"").expect("span has a name") + 8..];
+            rest[..rest.find('"').expect("name is a closed string")].to_string()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn trace_span_names_do_not_depend_on_threads() {
+    let one = report_span_names("1");
+    assert!(one.iter().any(|n| n == "coalition.shapley.exact"), "{one:?}");
+    assert_eq!(one, report_span_names("4"));
+}
+
 #[test]
 fn metrics_flag_appends_run_report() {
     let (stdout, _, ok) = fedval(&["shares", "--metrics", "--scheme", "nucleolus"]);
