@@ -64,6 +64,15 @@ if ! diff -r "$sweep_tmp/t1" "$sweep_tmp/t4"; then
     echo "broken: results must merge in input order, independent of scheduling."
     exit 1
 fi
+# The committed figure data is the behaviour oracle: a fresh run must
+# reproduce every file in data/ byte for byte.
+if ! diff -r data "$sweep_tmp/t1"; then
+    echo ""
+    echo "ci.sh: repro all --csv no longer reproduces the committed data/."
+    echo "A change moved a paper figure. If the move is intended, regenerate"
+    echo "with:  cargo run --release -p fedval-bench --bin repro -- all --csv data --svg figures"
+    exit 1
+fi
 
 echo "== fedval-serve smoke (loopback daemon + deterministic fedload)"
 smoke_tmp=$(mktemp -d)

@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the underlying engines, including the
 //! design-choice ablations called out in DESIGN.md §5:
 //!
-//! * exact vs Monte-Carlo Shapley (error/time trade-off),
+//! * exact vs sampled (permutation) Shapley (error/time trade-off),
 //! * analytic vs exact-search allocation,
 //! * optimal vs greedy allocation (the efficiency-loss baseline),
 //! * simplex / nucleolus scaling,
@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedval_coalition::{
-    least_core, nucleolus, shapley, shapley_monte_carlo, shapley_parallel, Coalition, TableGame,
+    least_core, nucleolus, shapley, shapley_parallel, try_approx_shapley_wide, ApproxConfig,
+    Coalition, TableGame,
 };
 use fedval_core::allocation::{solve, solve_exact, solve_greedy, GreedyPolicy};
 use fedval_core::{paper_facilities, CapacityProfile, Demand, ExperimentClass, Volume};
@@ -41,8 +42,14 @@ fn bench_shapley(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("parallel4", n), &game, |b, g| {
             b.iter(|| black_box(shapley_parallel(g, 4)))
         });
-        group.bench_with_input(BenchmarkId::new("monte_carlo_1k", n), &game, |b, g| {
-            b.iter(|| black_box(shapley_monte_carlo(g, 1000, 7)))
+        let sampled = ApproxConfig {
+            samples: 1000,
+            seed: 7,
+            force: true,
+            ..ApproxConfig::default()
+        };
+        group.bench_with_input(BenchmarkId::new("permutation_1k", n), &game, |b, g| {
+            b.iter(|| black_box(try_approx_shapley_wide(g, &sampled)))
         });
     }
     group.finish();

@@ -17,7 +17,9 @@
 //! the threads=1 vs threads=N byte-equality verdict, and the sampled-
 //! Shapley error-vs-budget curve with its n=200 fingerprint); `"timing"` holds
 //! wall-clock measurements and derived rates — the sequential vs parallel
-//! sweep walls and their speedup, plus an `obs_overhead` probe timing the
+//! sweep walls and their speedup, next to the workers the parallel leg
+//! actually ran and the host's core count (`host.cores`, from
+//! `available_parallelism`), plus an `obs_overhead` probe timing the
 //! worked example enabled-into-NullSink vs fully disabled — refreshed on
 //! each write. `--check` re-runs the pipeline and fails unless the
 //! committed file contains the regenerated deterministic section byte for
@@ -25,7 +27,9 @@
 //! counts (or breaks sweep thread-invariance) is not — and additionally
 //! gates `sweep.speedup >= 1.0` whenever the parallel leg ran with at
 //! least 4 workers (the sharded-telemetry redesign is what makes the
-//! parallel sweep actually faster; this ratchet keeps it that way).
+//! parallel sweep actually faster; this ratchet keeps it that way). On a
+//! host with fewer than 4 cores the gate cannot fire, and the recorded
+//! `host.cores` says so.
 
 use fedval_bench::{set_sweep_threads, Figure};
 use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, CachedGame, Coalition};
@@ -646,6 +650,12 @@ fn timing_section(
         sweep.parallel_workers as u64,
         false,
     );
+    push_kv_u64(
+        &mut out,
+        "host.cores",
+        fedval_bench::available_threads() as u64,
+        false,
+    );
     push_kv_f64(&mut out, "sweep.speedup", sweep.speedup(), false);
     push_kv_u64(&mut out, "approx.n200_wall_ns", approx.n200_wall_ns, false);
     for case in &formation.cases {
@@ -774,8 +784,10 @@ fn main() -> ExitCode {
         }
         println!(
             "bench_pipeline --check: deterministic section matches (sweep.speedup {speedup:.2}x \
-             at {} threads)",
-            sweep.parallel_threads
+             at {} threads: {} workers on {} host cores; the speedup gate needs 4 workers)",
+            sweep.parallel_threads,
+            sweep.parallel_workers,
+            fedval_bench::available_threads()
         );
         ExitCode::SUCCESS
     } else {

@@ -109,7 +109,7 @@ pub struct WorkedExample {
 
 /// Computes the worked example.
 pub fn table_e1() -> WorkedExample {
-    use fedval_coalition::{Coalition, CoalitionalGame};
+    use fedval_coalition::{Coalition, WideGame};
     let scenario = FederationScenario::new(
         paper_facilities([1, 1, 1]),
         Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),

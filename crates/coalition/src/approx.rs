@@ -6,16 +6,17 @@
 //! federations (PlanetLab-scale, hundreds of authorities) need sharing
 //! weights anyway. This module supplies them:
 //!
-//! * [`WideGame`] — a characteristic function over **member slices** instead
-//!   of 64-bit masks, so games are not bounded by the
-//!   [`Coalition`](crate::Coalition) bitset width.
 //! * [`ApproxShapley`] — estimated ϕ with a per-player confidence interval
 //!   at a configurable level, plus the sample budget and seed that produced
 //!   it (the certificate, in the sense of arXiv:1709.04176 *"Computing the
 //!   Shapley Value in Allocation Problems: Approximations and Bounds"*).
-//! * [`shapley_auto`] / [`shapley_auto_wide`] — the solver-selection layer:
-//!   exact enumeration below [`EXACT_SHAPLEY_MAX_PLAYERS`], seeded sampling
-//!   above it (or always, under [`ApproxConfig::force`]).
+//! * [`shapley_auto_wide`] — the solver-selection layer: exact enumeration
+//!   below [`EXACT_SHAPLEY_MAX_PLAYERS`], seeded sampling above it (or
+//!   always, under [`ApproxConfig::force`]).
+//!
+//! Both run on any [`WideGame`]: the characteristic function is read over
+//! member slices, so games are not bounded by the
+//! [`Coalition`](crate::Coalition) bitset width.
 //!
 //! # Determinism contract
 //!
@@ -40,9 +41,9 @@
 //! distribution-free a-priori bound `m ≥ ln(2/δ)·Δ²/(2ε²)` from
 //! arXiv:1709.04176 for callers that need a guarantee before sampling.
 
-use crate::coalition::{Coalition, PlayerId};
+use crate::coalition::PlayerId;
 use crate::error::GameError;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 use crate::shapley::{normalize, shapley_parallel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -70,73 +71,6 @@ pub const PERMUTATION_BLOCK: usize = 16;
 /// Stream-id namespace for per-player stratified RNGs, disjoint from the
 /// block ids used by the permutation estimator.
 const STRATIFIED_STREAM: u64 = 0x5354_5241_5400_0000;
-
-/// A coalitional game over member slices — the unbounded-width counterpart
-/// of [`CoalitionalGame`].
-///
-/// Implementations must treat `members` as a set; callers always pass ids
-/// in strictly increasing order with no duplicates, and the empty slice
-/// denotes ∅. Like [`CoalitionalGame`], the characteristic function must be
-/// pure: same members, same value.
-pub trait WideGame: Sync {
-    /// Number of players `n`; members range over `0..n`.
-    fn n_players(&self) -> usize;
-    /// Value `V(S)` of the coalition whose members are `members`
-    /// (strictly increasing, no duplicates).
-    fn value_members(&self, members: &[PlayerId]) -> f64;
-
-    /// Values of every prefix of `order` (distinct ids, any order):
-    /// element `k` is `value_members` of `order[..=k]` sorted ascending.
-    /// The permutation estimator walks each sampled ordering through this
-    /// hook once.
-    ///
-    /// The default sorts each prefix into place and calls
-    /// [`WideGame::value_members`]. A game whose value of `S ∪ {p}` can be
-    /// built from that of `S` overrides it, and the override must return
-    /// the same bits as the default: seeded estimates are byte-identical
-    /// whichever path a game takes.
-    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
-        let mut members: Vec<PlayerId> = Vec::with_capacity(order.len());
-        order
-            .iter()
-            .map(|&p| {
-                let pos = match members.binary_search(&p) {
-                    Ok(pos) | Err(pos) => pos,
-                };
-                members.insert(pos, p);
-                self.value_members(&members)
-            })
-            .collect()
-    }
-}
-
-/// Adapter giving any [`CoalitionalGame`] (including
-/// [`CachedGame`](crate::CachedGame), which keeps its memoization) the
-/// [`WideGame`] interface. Only valid for `n ≤ 64`, the bitset width.
-pub struct AsWide<'g, G: CoalitionalGame>(pub &'g G);
-
-impl<G: CoalitionalGame> WideGame for AsWide<'_, G> {
-    fn n_players(&self) -> usize {
-        self.0.n_players()
-    }
-    fn value_members(&self, members: &[PlayerId]) -> f64 {
-        self.0.value(Coalition::from_players(members.iter().copied()))
-    }
-}
-
-/// Reverse adapter: views a [`WideGame`] with `n ≤ 64` as a
-/// [`CoalitionalGame`] so the exact solvers apply below the cap.
-struct AsBitset<'g, G: WideGame + ?Sized>(&'g G);
-
-impl<G: WideGame + ?Sized> CoalitionalGame for AsBitset<'_, G> {
-    fn n_players(&self) -> usize {
-        self.0.n_players()
-    }
-    fn value(&self, coalition: Coalition) -> f64 {
-        let members: Vec<PlayerId> = coalition.players().collect();
-        self.0.value_members(&members)
-    }
-}
 
 /// Which sampling estimator to run above the exact cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -663,18 +597,6 @@ pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
     })
 }
 
-/// [`try_approx_shapley_wide`] for bitset games (`n ≤ 64`), e.g. through a
-/// memoizing [`CachedGame`](crate::CachedGame).
-///
-/// # Errors
-/// As [`try_approx_shapley_wide`].
-pub fn try_approx_shapley<G: CoalitionalGame>(
-    game: &G,
-    cfg: &ApproxConfig,
-) -> Result<ApproxShapley, GameError> {
-    try_approx_shapley_wide(&AsWide(game), cfg)
-}
-
 /// The solver-selection layer over a [`WideGame`]: exact enumeration when
 /// `n ≤` [`EXACT_SHAPLEY_MAX_PLAYERS`] (and [`ApproxConfig::force`] is
 /// unset), the sampled estimator otherwise.
@@ -694,30 +616,16 @@ pub fn shapley_auto_wide<G: WideGame + ?Sized>(
     cfg.validate()?;
     if !cfg.force && n <= EXACT_SHAPLEY_MAX_PLAYERS {
         fedval_obs::counter_add("coalition.approx.exact_selected", 1);
-        return Ok(ShapleyEstimate::Exact(shapley_parallel(
-            &AsBitset(game),
-            cfg.threads,
-        )));
+        return Ok(ShapleyEstimate::Exact(shapley_parallel(game, cfg.threads)));
     }
     fedval_obs::counter_add("coalition.approx.sampled_selected", 1);
     Ok(ShapleyEstimate::Approx(try_approx_shapley_wide(game, cfg)?))
 }
 
-/// The solver-selection layer for bitset games: exact below the cap,
-/// sampled above it (or always, under [`ApproxConfig::force`]).
-///
-/// # Errors
-/// As [`shapley_auto_wide`].
-pub fn shapley_auto<G: CoalitionalGame>(
-    game: &G,
-    cfg: &ApproxConfig,
-) -> Result<ShapleyEstimate, GameError> {
-    shapley_auto_wide(&AsWide(game), cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalition::Coalition;
     use crate::game::FnGame;
     use crate::shapley::shapley;
 
@@ -787,7 +695,7 @@ mod tests {
             force: true,
             ..ApproxConfig::default()
         };
-        let est = try_approx_shapley(&g, &cfg).unwrap();
+        let est = try_approx_shapley_wide(&g, &cfg).unwrap();
         for i in 0..6 {
             let tol = 5.0 * est.std_error[i] + 1e-9;
             assert!(
@@ -815,7 +723,7 @@ mod tests {
             force: true,
             ..ApproxConfig::default()
         };
-        let est = try_approx_shapley(&g, &cfg).unwrap();
+        let est = try_approx_shapley_wide(&g, &cfg).unwrap();
         for i in 0..6 {
             let tol = 6.0 * est.std_error[i] + 1e-9;
             assert!(
@@ -841,7 +749,7 @@ mod tests {
                     force: true,
                     ..ApproxConfig::default()
                 };
-                let est = try_approx_shapley(&g, &cfg).unwrap();
+                let est = try_approx_shapley_wide(&g, &cfg).unwrap();
                 match &baseline {
                     None => baseline = Some(est),
                     Some(b) => {
@@ -866,7 +774,7 @@ mod tests {
     fn auto_selects_exact_below_cap_and_sampling_above() {
         let g = threshold_game();
         let cfg = ApproxConfig::default();
-        match shapley_auto(&g, &cfg).unwrap() {
+        match shapley_auto_wide(&g, &cfg).unwrap() {
             ShapleyEstimate::Exact(phi) => {
                 let exact = shapley(&g);
                 assert_eq!(phi, exact);
@@ -874,14 +782,7 @@ mod tests {
             ShapleyEstimate::Approx(_) => panic!("n=6 must select exact"),
         }
         // force flips the selection.
-        let forced = shapley_auto(
-            &g,
-            &ApproxConfig {
-                force: true,
-                ..cfg
-            },
-        )
-        .unwrap();
+        let forced = shapley_auto_wide(&g, &ApproxConfig { force: true, ..cfg }).unwrap();
         assert!(forced.is_approx());
         // A 200-player wide game selects sampling.
         let wide = WideAdditive(200);
@@ -896,30 +797,20 @@ mod tests {
     }
 
     #[test]
-    fn wide_adapter_round_trips_through_bitset_games() {
-        let g = threshold_game();
-        let wide = AsWide(&g);
-        assert_eq!(wide.n_players(), 6);
-        let members = [1usize, 3, 4];
-        assert_eq!(
-            wide.value_members(&members),
-            g.value(Coalition::from_players(members.iter().copied()))
-        );
-        // And back: the exact path of shapley_auto_wide runs through
-        // AsBitset and must agree with plain exact Shapley.
-        let est = shapley_auto_wide(&wide, &ApproxConfig::default()).unwrap();
-        assert_eq!(est.phi(), shapley(&g).as_slice());
-    }
-
-    #[test]
     fn malformed_configs_are_typed_errors() {
         let g = threshold_game();
         assert!(matches!(
-            try_approx_shapley(&g, &ApproxConfig { samples: 0, ..ApproxConfig::default() }),
+            try_approx_shapley_wide(
+                &g,
+                &ApproxConfig {
+                    samples: 0,
+                    ..ApproxConfig::default()
+                }
+            ),
             Err(GameError::NoSamples { .. })
         ));
         assert!(matches!(
-            try_approx_shapley(
+            try_approx_shapley_wide(
                 &g,
                 &ApproxConfig {
                     confidence: 1.5,
@@ -943,7 +834,7 @@ mod tests {
     #[test]
     fn wider_budget_tightens_the_interval() {
         let g = threshold_game();
-        let narrow = try_approx_shapley(
+        let narrow = try_approx_shapley_wide(
             &g,
             &ApproxConfig {
                 samples: 32,
@@ -953,7 +844,7 @@ mod tests {
             },
         )
         .unwrap();
-        let wide = try_approx_shapley(
+        let wide = try_approx_shapley_wide(
             &g,
             &ApproxConfig {
                 samples: 2048,
@@ -970,6 +861,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::coalition::Coalition;
     use crate::game::FnGame;
     use crate::shapley::shapley;
     use proptest::prelude::*;
@@ -1029,7 +921,7 @@ mod proptests {
                 force: true,
                 ..ApproxConfig::default()
             };
-            let est = try_approx_shapley(&g, &cfg).expect("valid config");
+            let est = try_approx_shapley_wide(&g, &cfg).expect("valid config");
             let mut sum_sq = 0.0;
             for i in 0..n {
                 let err = (est.phi[i] - exact[i]).abs();
@@ -1065,8 +957,8 @@ mod proptests {
                 force: true,
                 ..ApproxConfig::default()
             };
-            let a = try_approx_shapley(&g, &base).expect("valid config");
-            let b = try_approx_shapley(&g, &ApproxConfig { threads, ..base })
+            let a = try_approx_shapley_wide(&g, &base).expect("valid config");
+            let b = try_approx_shapley_wide(&g, &ApproxConfig { threads, ..base })
                 .expect("valid config");
             for i in 0..a.phi.len() {
                 prop_assert_eq!(a.phi[i].to_bits(), b.phi[i].to_bits());
@@ -1092,7 +984,7 @@ mod proptests {
                 force: true,
                 ..ApproxConfig::default()
             };
-            let est = try_approx_shapley(&g, &cfg).expect("valid config");
+            let est = try_approx_shapley_wide(&g, &cfg).expect("valid config");
             let total: f64 = est.phi.iter().sum();
             let scale = est.grand_value.abs().max(1.0);
             prop_assert!(

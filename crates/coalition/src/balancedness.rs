@@ -16,7 +16,7 @@
 
 use crate::coalition::Coalition;
 use crate::error::GameError;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 use fedval_simplex::{LinearProgram, Objective, Relation, Status};
 
 /// Result of the Bondareva–Shapley LP.
@@ -41,7 +41,7 @@ impl Balancedness {
 /// # Panics
 /// Panics where [`try_balancedness`] would return an error: `n == 0`,
 /// `n > 16` (the LP has `2^n − 2` variables), or an internal LP failure.
-pub fn balancedness<G: CoalitionalGame>(game: &G) -> Balancedness {
+pub fn balancedness<G: WideGame>(game: &G) -> Balancedness {
     match try_balancedness(game) {
         Ok(b) => b,
         // lint: allow(no-panic-path) — documented `# Panics` convenience
@@ -58,7 +58,7 @@ pub fn balancedness<G: CoalitionalGame>(game: &G) -> Balancedness {
 /// above 16 players (the LP has `2^n − 2` variables), or
 /// [`GameError::MalformedLp`] when the characteristic function produces NaN
 /// or infinite values.
-pub fn try_balancedness<G: CoalitionalGame>(game: &G) -> Result<Balancedness, GameError> {
+pub fn try_balancedness<G: WideGame>(game: &G) -> Result<Balancedness, GameError> {
     let n = game.n_players();
     if n == 0 {
         return Err(GameError::NoPlayers);
@@ -129,7 +129,7 @@ pub fn try_balancedness<G: CoalitionalGame>(game: &G) -> Result<Balancedness, Ga
 
 /// Core non-emptiness via Bondareva–Shapley (an independent route from
 /// [`crate::is_core_nonempty`], which uses the least-core LP).
-pub fn is_balanced<G: CoalitionalGame>(game: &G) -> bool {
+pub fn is_balanced<G: WideGame>(game: &G) -> bool {
     balancedness(game).is_balanced_for(game.grand_value(), 1e-7)
 }
 

@@ -17,7 +17,7 @@
 
 use crate::coalition::Coalition;
 use crate::error::GameError;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 use fedval_simplex::{LinearProgram, Objective, Relation, Status};
 
 /// Default numerical tolerance for core decisions.
@@ -37,7 +37,7 @@ pub struct LeastCore {
 /// Whether allocation `x` lies in the core of `game` (within `tol`).
 ///
 /// Checks efficiency and all `2^n` coalition-rationality constraints.
-pub fn is_in_core<G: CoalitionalGame>(game: &G, x: &[f64], tol: f64) -> bool {
+pub fn is_in_core<G: WideGame>(game: &G, x: &[f64], tol: f64) -> bool {
     let n = game.n_players();
     assert_eq!(x.len(), n, "allocation length must equal player count");
     let total: f64 = x.iter().sum();
@@ -52,7 +52,7 @@ pub fn is_in_core<G: CoalitionalGame>(game: &G, x: &[f64], tol: f64) -> bool {
 
 /// The excess `e(S, x) = V(S) − x(S)` of coalition `S` at allocation `x`:
 /// positive excess means `S` has a complaint.
-pub fn excess<G: CoalitionalGame>(game: &G, x: &[f64], s: Coalition) -> f64 {
+pub fn excess<G: WideGame>(game: &G, x: &[f64], s: Coalition) -> f64 {
     let xs: f64 = s.players().map(|p| x[p]).sum();
     game.value(s) - xs
 }
@@ -62,7 +62,7 @@ pub fn excess<G: CoalitionalGame>(game: &G, x: &[f64], s: Coalition) -> f64 {
 /// # Panics
 /// Panics where [`try_least_core`] would return an error: `n == 0`, `n > 16`
 /// (LP size `2^n` becomes impractical), or an internal LP failure.
-pub fn least_core<G: CoalitionalGame>(game: &G) -> LeastCore {
+pub fn least_core<G: WideGame>(game: &G) -> LeastCore {
     match try_least_core(game) {
         Ok(lc) => lc,
         // lint: allow(no-panic-path) — documented `# Panics` convenience
@@ -74,7 +74,7 @@ pub fn least_core<G: CoalitionalGame>(game: &G) -> LeastCore {
 /// Largest player count the least-core (and balancedness) LP formulations
 /// enumerate: the LP has `2^n − 2` rows, so 16 players already means 65534
 /// constraints. Above this cap use the sampled Shapley estimators
-/// ([`crate::shapley_auto`]) — core membership has no sampled analogue here.
+/// ([`crate::shapley_auto_wide`]) — core membership has no sampled analogue here.
 pub const LEAST_CORE_MAX_PLAYERS: usize = 16;
 
 /// Solves the least-core LP, reporting failures as [`GameError`] instead of
@@ -85,7 +85,7 @@ pub const LEAST_CORE_MAX_PLAYERS: usize = 16;
 /// above [`LEAST_CORE_MAX_PLAYERS`] players (`2^n` LP rows), or
 /// [`GameError::MalformedLp`] when the characteristic function produces NaN
 /// or infinite values.
-pub fn try_least_core<G: CoalitionalGame>(game: &G) -> Result<LeastCore, GameError> {
+pub fn try_least_core<G: WideGame>(game: &G) -> Result<LeastCore, GameError> {
     let n = game.n_players();
     if n == 0 {
         return Err(GameError::NoPlayers);
@@ -165,13 +165,13 @@ pub fn try_least_core<G: CoalitionalGame>(game: &G) -> Result<LeastCore, GameErr
 }
 
 /// Whether the core is non-empty (least-core ε\* ≤ tolerance).
-pub fn is_core_nonempty<G: CoalitionalGame>(game: &G) -> bool {
+pub fn is_core_nonempty<G: WideGame>(game: &G) -> bool {
     least_core(game).epsilon <= CORE_TOL
 }
 
 /// Whether allocation `x` lies in the ε-core: efficient, and no coalition's
 /// excess exceeds `epsilon`.
-pub fn is_in_epsilon_core<G: CoalitionalGame>(game: &G, x: &[f64], epsilon: f64, tol: f64) -> bool {
+pub fn is_in_epsilon_core<G: WideGame>(game: &G, x: &[f64], epsilon: f64, tol: f64) -> bool {
     let n = game.n_players();
     assert_eq!(x.len(), n);
     let total: f64 = x.iter().sum();

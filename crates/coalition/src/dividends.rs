@@ -14,12 +14,12 @@
 //! a pair of facilities means their location sets complement each other.
 
 use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 use fedval_simplex::approx::{is_zero, NOISE_EPS};
 
 /// Computes all `2^n` Harsanyi dividends with the fast in-place Möbius
 /// transform, `O(n·2^n)`.
-pub fn harsanyi_dividends<G: CoalitionalGame>(game: &G) -> Vec<f64> {
+pub fn harsanyi_dividends<G: WideGame>(game: &G) -> Vec<f64> {
     let n = game.n_players();
     let size = 1usize << n;
     let mut d: Vec<f64> = Coalition::all(n).map(|c| game.value(c)).collect();
@@ -55,7 +55,7 @@ pub fn values_from_dividends(n: usize, dividends: &[f64]) -> Vec<f64> {
 /// `O(n·2^n)` total — asymptotically the same as the direct route but with
 /// a much smaller constant when all players are needed, and a useful
 /// independent implementation for cross-checking.
-pub fn shapley_from_dividends<G: CoalitionalGame>(game: &G) -> Vec<f64> {
+pub fn shapley_from_dividends<G: WideGame>(game: &G) -> Vec<f64> {
     let n = game.n_players();
     let d = harsanyi_dividends(game);
     let mut phi = vec![0.0; n];
@@ -76,7 +76,7 @@ pub fn shapley_from_dividends<G: CoalitionalGame>(game: &G) -> Vec<f64> {
 /// decreasing absolute dividend, excluding singletons and the empty set.
 ///
 /// This is the "who complements whom" report for federation organizers.
-pub fn top_synergies<G: CoalitionalGame>(game: &G, k: usize) -> Vec<(Coalition, f64)> {
+pub fn top_synergies<G: WideGame>(game: &G, k: usize) -> Vec<(Coalition, f64)> {
     let d = harsanyi_dividends(game);
     let mut entries: Vec<(Coalition, f64)> = d
         .iter()

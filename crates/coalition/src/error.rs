@@ -34,7 +34,7 @@ pub enum GameError {
     /// | exact Shapley auto-selection | [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) = 16 | `n · 2^(n−1)` evaluations |
     ///
     /// Shapley values have no such wall: the sampled estimators
-    /// ([`shapley_auto`](crate::shapley_auto) and friends in
+    /// ([`shapley_auto_wide`](crate::shapley_auto_wide) and friends in
     /// [`approx`](crate::approx)) answer with certified confidence
     /// intervals at any `n`.
     TooManyPlayers {
@@ -93,7 +93,7 @@ impl fmt::Display for GameError {
                 write!(
                     f,
                     "{solver}: game has {n} players but exact enumeration supports at most \
-                     {max}; use the sampled Shapley estimator (shapley_auto / --approx) for \
+                     {max}; use the sampled Shapley estimator (shapley_auto_wide / --approx) for \
                      larger federations"
                 )
             }

@@ -1,4 +1,4 @@
-//! Game representations: the [`CoalitionalGame`] trait, dense tables, and
+//! Game representations: the [`WideGame`] trait, dense tables, and
 //! memoizing wrappers.
 
 use crate::coalition::{Coalition, PlayerId};
@@ -11,25 +11,47 @@ use std::sync::Condvar;
 /// A transferable-utility coalitional game `(N, V)`.
 ///
 /// Implementors provide the number of players and the characteristic
-/// function `V : 2^N → ℝ`. The convention `V(∅) = 0` is assumed by every
-/// solution concept in this crate; [`check_zero_normalized_empty`] can be
-/// used in tests to validate custom implementations.
+/// function `V : 2^N → ℝ` over **member slices**, so a game is not bounded
+/// by the 64-bit [`Coalition`] bitset. Callers always pass ids in strictly
+/// increasing order with no duplicates, and the empty slice denotes ∅. The
+/// characteristic function must be pure (same members, same value), and
+/// the convention `V(∅) = 0` is assumed by every solution concept in this
+/// crate; [`check_zero_normalized_empty`] can be used in tests to validate
+/// custom implementations.
 ///
-/// Implementations should be cheap to call repeatedly — the solution
+/// The exact solution concepts enumerate bitset coalitions through
+/// [`WideGame::value`], whose default lists the members and calls
+/// [`WideGame::value_members`]. A game with a cheaper route by mask
+/// ([`TableGame`], [`CachedGame`], [`FnGame`]) overrides it, and the
+/// override must return the same bits as `value_members` on the same
+/// members. [`WideGame::grand_value`] and [`WideGame::value_prefixes`]
+/// stay on the member path, so a game past 64 players never builds a
+/// bitset.
+///
+/// Implementations should be cheap to call repeatedly — the exact solution
 /// concepts evaluate `value` up to `O(2^n)` times. Expensive characteristic
 /// functions (e.g. ones that run an allocation optimizer or a simulation)
 /// should be wrapped in a [`CachedGame`] or materialized into a
 /// [`TableGame`] via [`TableGame::from_game`].
-pub trait CoalitionalGame: Sync {
-    /// Number of players `n = |N|`.
+pub trait WideGame: Sync {
+    /// Number of players `n = |N|`; members range over `0..n`.
     fn n_players(&self) -> usize;
 
-    /// The characteristic function `V(S)`.
-    fn value(&self, coalition: Coalition) -> f64;
+    /// Value `V(S)` of the coalition whose members are `members`
+    /// (strictly increasing, no duplicates).
+    fn value_members(&self, members: &[PlayerId]) -> f64;
+
+    /// The characteristic function `V(S)` on a bitset coalition
+    /// (`n ≤ 64`) — the exact solvers' fast path.
+    fn value(&self, coalition: Coalition) -> f64 {
+        let members: Vec<PlayerId> = coalition.players().collect();
+        self.value_members(&members)
+    }
 
     /// Value of the grand coalition `V(N)`.
     fn grand_value(&self) -> f64 {
-        self.value(Coalition::grand(self.n_players()))
+        let members: Vec<PlayerId> = (0..self.n_players()).collect();
+        self.value_members(&members)
     }
 
     /// Marginal contribution of player `i` to coalition `S` (with `i ∉ S`):
@@ -38,10 +60,34 @@ pub trait CoalitionalGame: Sync {
         debug_assert!(!coalition.contains(i));
         self.value(coalition.with(i)) - self.value(coalition)
     }
+
+    /// Values of every prefix of `order` (distinct ids, any order):
+    /// element `k` is `value_members` of `order[..=k]` sorted ascending.
+    /// The permutation estimator walks each sampled ordering through this
+    /// hook once.
+    ///
+    /// The default sorts each prefix into place and calls
+    /// [`WideGame::value_members`]. A game whose value of `S ∪ {p}` can be
+    /// built from that of `S` overrides it, and the override must return
+    /// the same bits as the default: seeded estimates are byte-identical
+    /// whichever path a game takes.
+    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
+        let mut members: Vec<PlayerId> = Vec::with_capacity(order.len());
+        order
+            .iter()
+            .map(|&p| {
+                let pos = match members.binary_search(&p) {
+                    Ok(pos) | Err(pos) => pos,
+                };
+                members.insert(pos, p);
+                self.value_members(&members)
+            })
+            .collect()
+    }
 }
 
 /// Asserts `V(∅) = 0` (within `tol`); helper for tests of custom games.
-pub fn check_zero_normalized_empty<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
+pub fn check_zero_normalized_empty<G: WideGame>(game: &G, tol: f64) -> bool {
     game.value(Coalition::EMPTY).abs() <= tol
 }
 
@@ -87,12 +133,12 @@ impl TableGame {
         Ok(TableGame { n, values })
     }
 
-    /// Materializes any [`CoalitionalGame`] into a dense table.
+    /// Materializes any [`WideGame`] into a dense table.
     ///
     /// # Errors
     /// [`GameError::TooManyPlayers`] when the game exceeds
     /// [`TableGame::MAX_PLAYERS`].
-    pub fn try_from_game<G: CoalitionalGame>(game: &G) -> Result<TableGame, GameError> {
+    pub fn try_from_game<G: WideGame>(game: &G) -> Result<TableGame, GameError> {
         TableGame::try_from_fn(game.n_players(), |c| game.value(c))
     }
 
@@ -111,11 +157,11 @@ impl TableGame {
         }
     }
 
-    /// Materializes any [`CoalitionalGame`] into a dense table.
+    /// Materializes any [`WideGame`] into a dense table.
     ///
     /// # Panics
     /// Panics where [`TableGame::try_from_game`] would return an error.
-    pub fn from_game<G: CoalitionalGame>(game: &G) -> TableGame {
+    pub fn from_game<G: WideGame>(game: &G) -> TableGame {
         match TableGame::try_from_game(game) {
             Ok(table) => table,
             // lint: allow(no-panic-path) — documented `# Panics` convenience
@@ -155,9 +201,13 @@ impl TableGame {
     }
 }
 
-impl CoalitionalGame for TableGame {
+impl WideGame for TableGame {
     fn n_players(&self) -> usize {
         self.n
+    }
+
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        self.value(Coalition::from_players(members.iter().copied()))
     }
 
     fn value(&self, coalition: Coalition) -> f64 {
@@ -207,7 +257,7 @@ pub struct CachedGame<G> {
     ready: Condvar,
 }
 
-impl<G: CoalitionalGame> CachedGame<G> {
+impl<G: WideGame> CachedGame<G> {
     /// Wraps `inner` with an empty cache.
     pub fn new(inner: G) -> CachedGame<G> {
         CachedGame {
@@ -278,12 +328,12 @@ impl<G: CoalitionalGame> CachedGame<G> {
 /// Removes the `Pending` sentinel if the inner evaluation unwinds before
 /// publishing, and wakes waiters either way — a blocked thread then finds
 /// the slot empty and retries the evaluation itself rather than hanging.
-struct EvalGuard<'a, G: CoalitionalGame> {
+struct EvalGuard<'a, G: WideGame> {
     game: &'a CachedGame<G>,
     key: u64,
 }
 
-impl<G: CoalitionalGame> Drop for EvalGuard<'_, G> {
+impl<G: WideGame> Drop for EvalGuard<'_, G> {
     fn drop(&mut self) {
         let mut cache = self.game.cache.lock();
         if matches!(cache.get(&self.key), Some(Slot::Pending)) {
@@ -294,11 +344,17 @@ impl<G: CoalitionalGame> Drop for EvalGuard<'_, G> {
     }
 }
 
-impl<G: CoalitionalGame> CoalitionalGame for CachedGame<G> {
+impl<G: WideGame> WideGame for CachedGame<G> {
     fn n_players(&self) -> usize {
         self.inner.n_players()
     }
 
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        self.value(Coalition::from_players(members.iter().copied()))
+    }
+
+    /// The memo lookup, keyed by mask; a miss evaluates the inner game's
+    /// own [`WideGame::value`].
     fn value(&self, coalition: Coalition) -> f64 {
         let key = coalition.0;
         {
@@ -356,9 +412,13 @@ impl<F: Fn(Coalition) -> f64 + Sync> FnGame<F> {
     }
 }
 
-impl<F: Fn(Coalition) -> f64 + Sync> CoalitionalGame for FnGame<F> {
+impl<F: Fn(Coalition) -> f64 + Sync> WideGame for FnGame<F> {
     fn n_players(&self) -> usize {
         self.n
+    }
+
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        self.value(Coalition::from_players(members.iter().copied()))
     }
 
     fn value(&self, coalition: Coalition) -> f64 {
@@ -551,5 +611,85 @@ mod tests {
         // The sentinel was removed on unwind: the retry evaluates afresh.
         assert_eq!(cached.value(c), 2.0);
         assert_eq!(cached.cached_len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::approx::{shapley_auto_wide, ApproxConfig, ShapleyEstimate};
+    use crate::shapley::shapley;
+    use proptest::prelude::*;
+
+    /// A pseudo-random characteristic function with `V(∅) = 0`: every
+    /// coalition gets its own value, so a wrong mask or member list shows.
+    fn hashed(c: Coalition, salt: u64) -> f64 {
+        if c.is_empty() {
+            0.0
+        } else {
+            ((c.0 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64 / 1e3
+        }
+    }
+
+    /// Answers `value_members` only, so every other method (the bitset
+    /// path the exact solvers read included) takes the trait's default.
+    struct MembersOnly<'g, G>(&'g G);
+
+    impl<G: WideGame> WideGame for MembersOnly<'_, G> {
+        fn n_players(&self) -> usize {
+            self.0.n_players()
+        }
+        fn value_members(&self, members: &[PlayerId]) -> f64 {
+            self.0.value_members(members)
+        }
+    }
+
+    /// `value` by mask and `value_members` by list must agree bit for bit.
+    fn same_bits<G: WideGame>(game: &G, members: &[PlayerId]) -> bool {
+        let by_mask = game.value(Coalition::from_players(members.iter().copied()));
+        by_mask.to_bits() == game.value_members(members).to_bits()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every game that overrides the bitset fast path answers it with
+        /// the same bits as the member path, on random member sets.
+        #[test]
+        fn bitset_fast_path_matches_the_member_path(
+            n in 1usize..=10,
+            mask in 0u64..1024,
+            salt in any::<u64>(),
+        ) {
+            let members: Vec<PlayerId> = Coalition(mask & ((1 << n) - 1)).players().collect();
+            let f = FnGame::new(n, move |c: Coalition| hashed(c, salt));
+            let table = TableGame::from_game(&f);
+            let cached = CachedGame::new(FnGame::new(n, move |c: Coalition| hashed(c, salt)));
+            prop_assert!(same_bits(&f, &members));
+            prop_assert!(same_bits(&table, &members));
+            // Cold (the first read misses), then warm (both reads hit).
+            prop_assert!(same_bits(&cached, &members));
+            prop_assert!(same_bits(&cached, &members));
+        }
+
+        /// A game that implements only `value_members` gets exact Shapley
+        /// through `shapley_auto_wide` with the same bits as `shapley` on
+        /// its materialized table.
+        #[test]
+        fn members_only_exact_shapley_matches_the_table(
+            n in 1usize..=10,
+            salt in any::<u64>(),
+        ) {
+            let f = FnGame::new(n, move |c: Coalition| hashed(c, salt));
+            let table = TableGame::from_game(&f);
+            let estimate = shapley_auto_wide(&MembersOnly(&f), &ApproxConfig::default())
+                .expect("valid config");
+            let ShapleyEstimate::Exact(phi) = estimate else {
+                panic!("n ≤ 10 must select exact enumeration");
+            };
+            let want: Vec<u64> = shapley(&table).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = phi.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The airport (runway cost-sharing) game of Littlechild & Owen (1973).
 
-use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::coalition::{Coalition, PlayerId};
+use crate::game::WideGame;
 
 /// Airport game: player `i` needs a runway of cost `cost[i]`; a coalition
 /// needs the longest runway among its members, so the *cost* game is
@@ -56,18 +56,15 @@ impl AirportGame {
     }
 }
 
-impl CoalitionalGame for AirportGame {
+impl WideGame for AirportGame {
     fn n_players(&self) -> usize {
         self.costs.len()
     }
 
     /// Savings form: `V(S) = Σ_{i∈S} costᵢ − max_{i∈S} costᵢ`.
-    fn value(&self, s: Coalition) -> f64 {
-        if s.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = s.players().map(|p| self.costs[p]).sum();
-        sum - self.cost(s)
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        let sum: f64 = members.iter().map(|&p| self.costs[p]).sum();
+        sum - self.cost(Coalition::from_players(members.iter().copied()))
     }
 }
 

@@ -1,8 +1,8 @@
 //! The bankruptcy game of O'Neill (1982) and the Talmud rule of
 //! Aumann & Maschler (1985).
 
-use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::coalition::PlayerId;
+use crate::game::WideGame;
 
 /// Bankruptcy game: an estate `E` must be divided among creditors with
 /// claims `d`. A coalition is guaranteed what the others cannot take:
@@ -45,14 +45,14 @@ impl BankruptcyGame {
     }
 }
 
-impl CoalitionalGame for BankruptcyGame {
+impl WideGame for BankruptcyGame {
     fn n_players(&self) -> usize {
         self.claims.len()
     }
 
-    fn value(&self, s: Coalition) -> f64 {
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
         let outside: f64 = (0..self.claims.len())
-            .filter(|&j| !s.contains(j))
+            .filter(|j| members.binary_search(j).is_err())
             .map(|j| self.claims[j])
             .sum();
         (self.estate - outside).max(0.0)
@@ -104,6 +104,7 @@ fn solve_cea(caps: &[f64], amount: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalition::Coalition;
     use crate::properties::{is_convex, is_superadditive};
 
     fn assert_vec_close(a: &[f64], b: &[f64], tol: f64) {

@@ -1,8 +1,8 @@
 //! The glove (market) game: value comes from matched pairs of complementary
 //! goods — the sharpest toy model of the paper's "value of diversity".
 
-use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::coalition::PlayerId;
+use crate::game::WideGame;
 
 /// Glove game: players `0..n_left` hold left gloves, the rest hold right
 /// gloves; `V(S)` = number of complete pairs `S` can assemble.
@@ -33,14 +33,14 @@ impl GloveGame {
     }
 }
 
-impl CoalitionalGame for GloveGame {
+impl WideGame for GloveGame {
     fn n_players(&self) -> usize {
         self.n_left + self.n_right
     }
 
-    fn value(&self, s: Coalition) -> f64 {
-        let left = s.players().filter(|&p| self.is_left(p)).count();
-        let right = s.len() - left;
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        let left = members.iter().filter(|&&p| self.is_left(p)).count();
+        let right = members.len() - left;
         left.min(right) as f64
     }
 }

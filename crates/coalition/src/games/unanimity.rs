@@ -1,7 +1,7 @@
 //! Unanimity games — the basis of the space of coalitional games.
 
-use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::coalition::{Coalition, PlayerId};
+use crate::game::WideGame;
 
 /// Unanimity game `u_T`: `V(S) = weight` iff `T ⊆ S`, else 0.
 ///
@@ -33,13 +33,17 @@ impl UnanimityGame {
     }
 }
 
-impl CoalitionalGame for UnanimityGame {
+impl WideGame for UnanimityGame {
     fn n_players(&self) -> usize {
         self.n
     }
 
-    fn value(&self, s: Coalition) -> f64 {
-        if self.carrier.is_subset_of(s) {
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        if self
+            .carrier
+            .players()
+            .all(|p| members.binary_search(&p).is_ok())
+        {
             self.weight
         } else {
             0.0

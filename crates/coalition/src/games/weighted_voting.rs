@@ -1,7 +1,7 @@
 //! Weighted voting (quota) games.
 
-use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::coalition::{Coalition, PlayerId};
+use crate::game::WideGame;
 
 /// Weighted voting game `[q; w₁, …, wₙ]`: `V(S) = 1` iff `Σ_{i∈S} wᵢ ≥ q`.
 ///
@@ -37,20 +37,19 @@ impl WeightedVotingGame {
     }
 }
 
-impl CoalitionalGame for WeightedVotingGame {
+impl WideGame for WeightedVotingGame {
     fn n_players(&self) -> usize {
         self.weights.len()
     }
 
-    fn value(&self, s: Coalition) -> f64 {
-        self.is_winning(s) as u64 as f64
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        self.is_winning(Coalition::from_players(members.iter().copied())) as u64 as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::banzhaf::banzhaf_normalized;
     use crate::shapley::shapley;
 
     #[test]
@@ -74,8 +73,6 @@ mod tests {
         let phi = shapley(&g);
         assert!(phi[2].abs() < 1e-12);
         assert!((phi[0] - 0.5).abs() < 1e-12);
-        let b = banzhaf_normalized(&g);
-        assert!(b[2].abs() < 1e-12);
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! diversity"* (CoNEXT 2010): the Shapley value the paper proposes as its
 //! sharing mechanism (§3.2.2), the core used to reason about federation
 //! stability (§3.2.1), and the nucleolus it compares against (§3.2.3) —
-//! plus Banzhaf indices and Harsanyi dividends as additional diagnostics.
+//! plus Harsanyi dividends as an additional diagnostic.
 //!
-//! The crate is model-agnostic: any type implementing [`CoalitionalGame`]
-//! (a player count plus a characteristic function) gets every solution
-//! concept. The federation model in `fedval-core` plugs in here; so do the
-//! classical oracle games in [`games`] used for validation.
+//! The crate is model-agnostic: any type implementing [`WideGame`] (a
+//! player count plus a characteristic function over member slices) gets
+//! every solution concept. Exact solvers enumerate bitset coalitions
+//! through [`WideGame::value`], a fast path that table and memo games
+//! override; past the exact caps, [`approx`] samples the Shapley value
+//! with a certificate. The federation model in `fedval-core` plugs in
+//! here; so do the classical oracle games in [`games`] used for
+//! validation.
 //!
 //! # Quick example
 //!
@@ -32,7 +36,6 @@
 
 pub mod approx;
 mod balancedness;
-mod banzhaf;
 mod coalition;
 mod core_solution;
 mod diagnostics;
@@ -40,23 +43,19 @@ mod dividends;
 mod error;
 mod game;
 pub mod games;
-mod interaction;
 mod nucleolus;
 mod owen;
 mod properties;
 mod shapley;
-mod stratified;
 mod tau;
 mod weighted;
 
 pub use approx::{
-    derive_seed, hoeffding_epsilon, hoeffding_samples, shapley_auto, shapley_auto_wide,
-    try_approx_shapley, try_approx_shapley_wide, z_for_confidence, ApproxConfig, ApproxMethod,
-    ApproxShapley, AsWide, ShapleyEstimate, WideGame, EXACT_SHAPLEY_MAX_PLAYERS,
-    MAX_SAMPLED_PLAYERS,
+    derive_seed, hoeffding_epsilon, hoeffding_samples, shapley_auto_wide, try_approx_shapley_wide,
+    z_for_confidence, ApproxConfig, ApproxMethod, ApproxShapley, ShapleyEstimate,
+    EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
 };
 pub use balancedness::{balancedness, is_balanced, try_balancedness, Balancedness};
-pub use banzhaf::{banzhaf, banzhaf_normalized, banzhaf_player, try_banzhaf_player};
 pub use coalition::{Coalition, PlayerId, Players, Subsets, MAX_PLAYERS};
 pub use core_solution::{
     excess, is_core_nonempty, is_in_core, is_in_epsilon_core, least_core, try_least_core,
@@ -67,17 +66,14 @@ pub use error::{CoalitionError, GameError};
 pub use dividends::{
     harsanyi_dividends, shapley_from_dividends, top_synergies, values_from_dividends,
 };
-pub use game::{check_zero_normalized_empty, CachedGame, CoalitionalGame, FnGame, TableGame};
-pub use interaction::{interaction_matrix, strongest_complements};
+pub use game::{check_zero_normalized_empty, CachedGame, FnGame, TableGame, WideGame};
 pub use nucleolus::{nucleolus, try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
 pub use owen::{owen_value, owen_value_normalized, quotient_game};
 pub use properties::{
     analyze, is_convex, is_essential, is_monotone, is_superadditive, GameProperties,
 };
 pub use shapley::{
-    shapley, shapley_monte_carlo, shapley_normalized, shapley_parallel, shapley_player,
-    try_shapley_monte_carlo, try_shapley_player, MonteCarloShapley,
+    shapley, shapley_normalized, shapley_parallel, shapley_player, try_shapley_player,
 };
-pub use stratified::{shapley_stratified, try_shapley_stratified, StratifiedShapley};
 pub use tau::{minimal_rights, tau_value, utopia_payoffs};
 pub use weighted::{weighted_shapley, weighted_shapley_normalized};

@@ -20,7 +20,7 @@
 
 use crate::coalition::Coalition;
 use crate::error::GameError;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 use fedval_simplex::{LinearProgram, Objective, Relation, Status};
 
 /// Numerical tolerance for tightness decisions between LP stages.
@@ -30,7 +30,7 @@ const TOL: f64 = 1e-7;
 /// `n` stages solves an LP over the `2^n − 2` proper coalitions, so the cap
 /// sits lower than the single-shot least-core's
 /// [`LEAST_CORE_MAX_PLAYERS`](crate::core_solution::LEAST_CORE_MAX_PLAYERS).
-/// Above it, use the sampled Shapley estimators ([`crate::shapley_auto`])
+/// Above it, use the sampled Shapley estimators ([`crate::shapley_auto_wide`])
 /// for sharing weights.
 pub const NUCLEOLUS_MAX_PLAYERS: usize = 12;
 
@@ -40,7 +40,7 @@ pub const NUCLEOLUS_MAX_PLAYERS: usize = 12;
 /// Panics where [`try_nucleolus`] would return an error: `n == 0`, `n > 12`
 /// (LP cascade becomes impractical), or an internal LP failure — which
 /// cannot happen for a well-formed finite game.
-pub fn nucleolus<G: CoalitionalGame>(game: &G) -> Vec<f64> {
+pub fn nucleolus<G: WideGame>(game: &G) -> Vec<f64> {
     match try_nucleolus(game) {
         Ok(x) => x,
         // lint: allow(no-panic-path) — documented `# Panics` convenience
@@ -57,7 +57,7 @@ pub fn nucleolus<G: CoalitionalGame>(game: &G) -> Vec<f64> {
 /// above [`NUCLEOLUS_MAX_PLAYERS`] players (the LP cascade becomes
 /// impractical), or [`GameError::MalformedLp`] when the characteristic
 /// function produces NaN or infinite values.
-pub fn try_nucleolus<G: CoalitionalGame>(game: &G) -> Result<Vec<f64>, GameError> {
+pub fn try_nucleolus<G: WideGame>(game: &G) -> Result<Vec<f64>, GameError> {
     let n = game.n_players();
     if n == 0 {
         return Err(GameError::NoPlayers);
@@ -122,7 +122,7 @@ pub fn try_nucleolus<G: CoalitionalGame>(game: &G) -> Result<Vec<f64>, GameError
 /// `x(S) + ε ≥ V(S)` for active S, `x(T) = V(T) − ε_T` for frozen (T, ε_T),
 /// and `x(N) = V(N)`. When `fix_eps` is `Some((ε*, s*))` the LP instead
 /// *maximizes* `x(s*)` with ε fixed at ε\* — used for the tightness test.
-fn solve_stage<G: CoalitionalGame>(
+fn solve_stage<G: WideGame>(
     game: &G,
     n: usize,
     frozen: &[(Coalition, f64)],
@@ -200,7 +200,7 @@ fn solve_stage<G: CoalitionalGame>(
 }
 
 /// Max of `x(s)` over the optimal face of the stage LP (ε fixed at `eps`).
-fn maximize_coalition_payoff<G: CoalitionalGame>(
+fn maximize_coalition_payoff<G: WideGame>(
     game: &G,
     n: usize,
     frozen: &[(Coalition, f64)],

@@ -22,7 +22,7 @@
 //! * Singleton unions (or one big union) recover the plain Shapley value.
 
 use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 
 /// Computes the Owen value for the given partition into unions.
 ///
@@ -30,7 +30,7 @@ use crate::game::CoalitionalGame;
 ///
 /// # Panics
 /// Panics if `unions` is not a partition of the player set.
-pub fn owen_value<G: CoalitionalGame>(game: &G, unions: &[Coalition]) -> Vec<f64> {
+pub fn owen_value<G: WideGame>(game: &G, unions: &[Coalition]) -> Vec<f64> {
     let n = game.n_players();
     validate_partition(n, unions);
 
@@ -73,13 +73,13 @@ pub fn owen_value<G: CoalitionalGame>(game: &G, unions: &[Coalition]) -> Vec<f64
 }
 
 /// Normalized Owen shares (sum to one; zeros for a valueless game).
-pub fn owen_value_normalized<G: CoalitionalGame>(game: &G, unions: &[Coalition]) -> Vec<f64> {
+pub fn owen_value_normalized<G: WideGame>(game: &G, unions: &[Coalition]) -> Vec<f64> {
     crate::shapley::normalize(owen_value(game, unions), game.grand_value())
 }
 
 /// The quotient game between unions: player `k` of the quotient is union
 /// `B_k`, and `V_Q(T) = V(⋃_{k∈T} B_k)`.
-pub fn quotient_game<G: CoalitionalGame>(game: &G, unions: &[Coalition]) -> crate::game::TableGame {
+pub fn quotient_game<G: WideGame>(game: &G, unions: &[Coalition]) -> crate::game::TableGame {
     let n = game.n_players();
     validate_partition(n, unions);
     let unions = unions.to_vec();

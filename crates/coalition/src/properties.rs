@@ -9,12 +9,12 @@
 //! claims on concrete instances.
 
 use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 
 /// Whether `V(S ∪ T) ≥ V(S) + V(T)` for all disjoint `S, T`.
 ///
 /// Enumerates all disjoint pairs in `O(3^n)`; practical for `n ≤ ~13`.
-pub fn is_superadditive<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
+pub fn is_superadditive<G: WideGame>(game: &G, tol: f64) -> bool {
     let n = game.n_players();
     for s in Coalition::all(n) {
         let complement = s.complement(n);
@@ -36,7 +36,7 @@ pub fn is_superadditive<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
 ///
 /// Uses the equivalent local condition — for all `S` and all `i ≠ j ∉ S`:
 /// `V(S∪{i,j}) + V(S) ≥ V(S∪{i}) + V(S∪{j})` — giving `O(n²·2^n)`.
-pub fn is_convex<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
+pub fn is_convex<G: WideGame>(game: &G, tol: f64) -> bool {
     let n = game.n_players();
     for s in Coalition::all(n) {
         let outside: Vec<usize> = s.complement(n).players().collect();
@@ -58,7 +58,7 @@ pub fn is_convex<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
 /// Whether `V` is monotone: `S ⊆ T ⟹ V(S) ≤ V(T)`.
 ///
 /// Uses the equivalent one-player-at-a-time condition in `O(n·2^n)`.
-pub fn is_monotone<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
+pub fn is_monotone<G: WideGame>(game: &G, tol: f64) -> bool {
     let n = game.n_players();
     for s in Coalition::all(n) {
         let vs = game.value(s);
@@ -74,7 +74,7 @@ pub fn is_monotone<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
 /// Whether the game is essential: `V(N) > Σᵢ V({i})` — cooperation creates
 /// strictly positive surplus, the precondition for federation to be
 /// "meaningful" in the paper's §2 sense.
-pub fn is_essential<G: CoalitionalGame>(game: &G, tol: f64) -> bool {
+pub fn is_essential<G: WideGame>(game: &G, tol: f64) -> bool {
     let n = game.n_players();
     let singles: f64 = (0..n).map(|i| game.value(Coalition::singleton(i))).sum();
     game.grand_value() > singles + tol
@@ -94,7 +94,7 @@ pub struct GameProperties {
 }
 
 /// Runs every property check with tolerance `tol`.
-pub fn analyze<G: CoalitionalGame>(game: &G, tol: f64) -> GameProperties {
+pub fn analyze<G: WideGame>(game: &G, tol: f64) -> GameProperties {
     GameProperties {
         superadditive: is_superadditive(game, tol),
         convex: is_convex(game, tol),

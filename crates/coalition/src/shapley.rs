@@ -1,5 +1,6 @@
-//! The Shapley value (eq. 4 of the paper) — exact, parallel, and
-//! Monte-Carlo estimators.
+//! The Shapley value (eq. 4 of the paper) — exact and parallel. The
+//! sampled estimators for games past the exact cap live in
+//! [`approx`](crate::approx).
 //!
 //! The Shapley value of player `i` is the expected marginal contribution of
 //! `i` over a uniformly random ordering of the players:
@@ -13,10 +14,7 @@
 
 use crate::coalition::{Coalition, PlayerId};
 use crate::error::GameError;
-use crate::game::CoalitionalGame;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use crate::game::WideGame;
 
 /// Exact Shapley value of a single player, by the subset-sum formula.
 ///
@@ -27,7 +25,7 @@ use rand::SeedableRng;
 /// # Panics
 /// Panics when `i ≥ n`; [`try_shapley_player`] reports that as a typed
 /// error instead.
-pub fn shapley_player<G: CoalitionalGame>(game: &G, i: PlayerId) -> f64 {
+pub fn shapley_player<G: WideGame + ?Sized>(game: &G, i: PlayerId) -> f64 {
     match try_shapley_player(game, i) {
         Ok(phi) => phi,
         // lint: allow(no-panic-path) — documented legacy wrapper; fallible
@@ -42,7 +40,7 @@ pub fn shapley_player<G: CoalitionalGame>(game: &G, i: PlayerId) -> f64 {
 /// # Errors
 /// [`GameError::PlayerOutOfRange`] when `i ≥ n` (including the `n = 0`
 /// case, where every index is out of range).
-pub fn try_shapley_player<G: CoalitionalGame>(game: &G, i: PlayerId) -> Result<f64, GameError> {
+pub fn try_shapley_player<G: WideGame + ?Sized>(game: &G, i: PlayerId) -> Result<f64, GameError> {
     let n = game.n_players();
     if i >= n {
         return Err(GameError::PlayerOutOfRange { player: i, n });
@@ -57,7 +55,7 @@ pub fn try_shapley_player<G: CoalitionalGame>(game: &G, i: PlayerId) -> Result<f
 }
 
 /// Exact Shapley values of all players (sequential).
-pub fn shapley<G: CoalitionalGame>(game: &G) -> Vec<f64> {
+pub fn shapley<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
     let _span = fedval_obs::span_with("coalition.shapley.exact", || {
         format!("n={}", game.n_players())
     });
@@ -72,12 +70,12 @@ pub fn shapley<G: CoalitionalGame>(game: &G) -> Vec<f64> {
 /// Worth it when `n` is large enough that `2^n` characteristic-function
 /// evaluations dominate, or when the characteristic function itself is
 /// expensive (allocation optimizer, simulation). The characteristic
-/// function must be `Sync`, which [`CoalitionalGame`] requires.
+/// function must be `Sync`, which [`WideGame`] requires.
 ///
 /// Records the same `coalition.shapley.exact` span as [`shapley`] (with
 /// `threads=` in its detail), so a trace names the solution concept, not
 /// the thread count it ran at.
-pub fn shapley_parallel<G: CoalitionalGame>(game: &G, threads: usize) -> Vec<f64> {
+pub fn shapley_parallel<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
     let n = game.n_players();
     let threads = threads.clamp(1, n.max(1));
     let _span = fedval_obs::span_with("coalition.shapley.exact", || {
@@ -106,107 +104,11 @@ pub fn shapley_parallel<G: CoalitionalGame>(game: &G, threads: usize) -> Vec<f64
     phi
 }
 
-/// Result of the Monte-Carlo permutation estimator.
-#[derive(Debug, Clone)]
-pub struct MonteCarloShapley {
-    /// Estimated Shapley value per player.
-    pub phi: Vec<f64>,
-    /// Standard error of the estimate per player.
-    pub std_error: Vec<f64>,
-    /// Number of sampled permutations.
-    pub samples: usize,
-}
-
-/// Monte-Carlo Shapley estimator: samples `samples` uniform player
-/// orderings and averages marginal contributions (the random-order
-/// interpretation of eq. 4).
-///
-/// Each sampled permutation costs `n` characteristic-function evaluations,
-/// so the total cost is `samples · n` — this is the estimator to use when
-/// `2^n` is out of reach. The estimate is unbiased; `std_error` is the
-/// per-player sample standard deviation divided by `√samples`.
-///
-/// # Panics
-/// Panics on an empty game or a zero sample budget;
-/// [`try_shapley_monte_carlo`] reports both as typed errors instead.
-pub fn shapley_monte_carlo<G: CoalitionalGame>(
-    game: &G,
-    samples: usize,
-    seed: u64,
-) -> MonteCarloShapley {
-    match try_shapley_monte_carlo(game, samples, seed) {
-        Ok(mc) => mc,
-        // lint: allow(no-panic-path) — documented legacy wrapper; fallible
-        // callers use try_shapley_monte_carlo.
-        Err(e) => panic!("shapley_monte_carlo: {e}"),
-    }
-}
-
-/// Monte-Carlo Shapley estimator with typed input validation — the entry
-/// point for request-driven callers (a malformed serve request must never
-/// panic a worker).
-///
-/// # Errors
-/// [`GameError::NoPlayers`] for an empty game, [`GameError::NoSamples`]
-/// when `samples == 0`.
-pub fn try_shapley_monte_carlo<G: CoalitionalGame>(
-    game: &G,
-    samples: usize,
-    seed: u64,
-) -> Result<MonteCarloShapley, GameError> {
-    let n = game.n_players();
-    if n == 0 {
-        return Err(GameError::NoPlayers);
-    }
-    if samples == 0 {
-        return Err(GameError::NoSamples {
-            solver: "shapley_monte_carlo",
-        });
-    }
-    let _span = fedval_obs::span_with("coalition.shapley.monte_carlo", || {
-        format!("n={n} samples={samples} seed={seed}")
-    });
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<PlayerId> = (0..n).collect();
-    let mut sum = vec![0.0; n];
-    let mut sum_sq = vec![0.0; n];
-    for _ in 0..samples {
-        order.shuffle(&mut rng);
-        let mut s = Coalition::EMPTY;
-        let mut prev = game.value(s);
-        for &p in &order {
-            s = s.with(p);
-            let cur = game.value(s);
-            let delta = cur - prev;
-            sum[p] += delta;
-            sum_sq[p] += delta * delta;
-            prev = cur;
-        }
-    }
-    let m = samples as f64;
-    let phi: Vec<f64> = sum.iter().map(|s| s / m).collect();
-    let std_error: Vec<f64> = (0..n)
-        .map(|p| {
-            if samples < 2 {
-                f64::INFINITY
-            } else {
-                let var = (sum_sq[p] - sum[p] * sum[p] / m) / (m - 1.0);
-                (var.max(0.0) / m).sqrt()
-            }
-        })
-        .collect();
-    Ok(MonteCarloShapley {
-        phi,
-        std_error,
-        samples,
-    })
-}
-
 /// Normalized Shapley values ϕ̂ᵢ = ϕᵢ / V(N) (eq. 5 of the paper).
 ///
 /// Returns all zeros when `V(N) = 0` (an inessential federation generates no
 /// value to share).
-pub fn shapley_normalized<G: CoalitionalGame>(game: &G) -> Vec<f64> {
+pub fn shapley_normalized<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
     normalize(shapley(game), game.grand_value())
 }
 
@@ -342,36 +244,6 @@ mod tests {
                 assert_close(par[i], seq[i], 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn monte_carlo_converges_to_exact() {
-        let g = FnGame::new(6, |c: Coalition| {
-            let s: f64 = c.players().map(|p| (p + 1) as f64).sum();
-            if s >= 8.0 {
-                s * s
-            } else {
-                0.0
-            }
-        });
-        let exact = shapley(&g);
-        let mc = shapley_monte_carlo(&g, 20_000, 42);
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..6 {
-            // Within 5 standard errors (overwhelmingly likely).
-            let tol = 5.0 * mc.std_error[i] + 1e-9;
-            assert_close(mc.phi[i], exact[i], tol);
-        }
-        // Efficiency holds exactly per-permutation, hence in the average.
-        assert_close(mc.phi.iter().sum::<f64>(), g.grand_value(), 1e-9);
-    }
-
-    #[test]
-    fn monte_carlo_is_deterministic_per_seed() {
-        let g = FnGame::new(4, |c: Coalition| c.len() as f64);
-        let a = shapley_monte_carlo(&g, 100, 7);
-        let b = shapley_monte_carlo(&g, 100, 7);
-        assert_eq!(a.phi, b.phi);
     }
 
     #[test]

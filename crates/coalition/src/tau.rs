@@ -15,10 +15,10 @@
 //! LPs — a useful middle ground for the sharing-scheme comparisons.
 
 use crate::coalition::Coalition;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 
 /// Utopia payoffs `Mᵢ = V(N) − V(N∖{i})`.
-pub fn utopia_payoffs<G: CoalitionalGame>(game: &G) -> Vec<f64> {
+pub fn utopia_payoffs<G: WideGame>(game: &G) -> Vec<f64> {
     let n = game.n_players();
     let grand = Coalition::grand(n);
     let vn = game.grand_value();
@@ -26,7 +26,7 @@ pub fn utopia_payoffs<G: CoalitionalGame>(game: &G) -> Vec<f64> {
 }
 
 /// Minimal rights `mᵢ = max_{S ∋ i} [V(S) − Σ_{j ∈ S∖{i}} Mⱼ]`.
-pub fn minimal_rights<G: CoalitionalGame>(game: &G) -> Vec<f64> {
+pub fn minimal_rights<G: WideGame>(game: &G) -> Vec<f64> {
     let n = game.n_players();
     let utopia = utopia_payoffs(game);
     (0..n)
@@ -45,7 +45,7 @@ pub fn minimal_rights<G: CoalitionalGame>(game: &G) -> Vec<f64> {
 }
 
 /// The τ-value, or `None` when the game is not quasi-balanced.
-pub fn tau_value<G: CoalitionalGame>(game: &G) -> Option<Vec<f64>> {
+pub fn tau_value<G: WideGame>(game: &G) -> Option<Vec<f64>> {
     let utopia = utopia_payoffs(game);
     let rights = minimal_rights(game);
     let tol = 1e-9;

@@ -17,7 +17,7 @@
 
 use crate::coalition::Coalition;
 use crate::dividends::harsanyi_dividends;
-use crate::game::CoalitionalGame;
+use crate::game::WideGame;
 use fedval_simplex::approx::{is_zero, NOISE_EPS};
 
 /// Weighted Shapley value with positive weights `w` (one per player).
@@ -26,7 +26,7 @@ use fedval_simplex::approx::{is_zero, NOISE_EPS};
 ///
 /// # Panics
 /// Panics unless `w.len() == n` and every weight is positive and finite.
-pub fn weighted_shapley<G: CoalitionalGame>(game: &G, w: &[f64]) -> Vec<f64> {
+pub fn weighted_shapley<G: WideGame>(game: &G, w: &[f64]) -> Vec<f64> {
     let n = game.n_players();
     assert_eq!(w.len(), n, "one weight per player");
     assert!(
@@ -50,7 +50,7 @@ pub fn weighted_shapley<G: CoalitionalGame>(game: &G, w: &[f64]) -> Vec<f64> {
 
 /// Normalized weighted Shapley shares (sum to one; zeros for a valueless
 /// game).
-pub fn weighted_shapley_normalized<G: CoalitionalGame>(game: &G, w: &[f64]) -> Vec<f64> {
+pub fn weighted_shapley_normalized<G: WideGame>(game: &G, w: &[f64]) -> Vec<f64> {
     let phi = weighted_shapley(game, w);
     crate::shapley::normalize(phi, game.grand_value())
 }

@@ -17,7 +17,7 @@
 //! [`TableGame`](fedval_coalition::TableGame)) if its characteristic
 //! function is expensive.
 
-use fedval_coalition::{Coalition, CoalitionalGame};
+use fedval_coalition::{Coalition, PlayerId, WideGame};
 use std::fmt;
 
 /// Why an availability vector was rejected.
@@ -60,7 +60,7 @@ pub struct AvailabilityGame<G> {
     availability: Vec<f64>,
 }
 
-impl<G: CoalitionalGame> AvailabilityGame<G> {
+impl<G: WideGame> AvailabilityGame<G> {
     /// Wraps `base` with per-player availabilities.
     ///
     /// # Panics
@@ -114,12 +114,13 @@ impl<G: CoalitionalGame> AvailabilityGame<G> {
     }
 }
 
-impl<G: CoalitionalGame> CoalitionalGame for AvailabilityGame<G> {
+impl<G: WideGame> WideGame for AvailabilityGame<G> {
     fn n_players(&self) -> usize {
         self.base.n_players()
     }
 
-    fn value(&self, coalition: Coalition) -> f64 {
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        let coalition = Coalition::from_players(members.iter().copied());
         let mut expected = 0.0;
         for up in coalition.subsets() {
             let mut prob = 1.0;

@@ -29,7 +29,7 @@
 
 use crate::experiment::ExperimentClass;
 use crate::facility::{coalition_profile, Facility};
-use fedval_coalition::{Coalition, CoalitionalGame};
+use fedval_coalition::{Coalition, PlayerId, WideGame};
 use fedval_desim::{erlang_fixed_point, kaufman_roberts, LossClass, Route};
 
 /// How coalition capacity is modelled in the dynamic game.
@@ -140,22 +140,23 @@ impl<'a> DynamicFederationGame<'a> {
     /// Per-class blocking probabilities for a coalition (1.0 for classes
     /// the coalition cannot serve at all).
     pub fn blocking(&self, coalition: Coalition) -> Vec<f64> {
-        self.analyze(coalition).1
+        let members: Vec<PlayerId> = coalition.players().collect();
+        self.analyze(&members).1
     }
 
-    /// `(value rate, per-class blocking)` for a coalition.
-    fn analyze(&self, coalition: Coalition) -> (f64, Vec<f64>) {
+    /// `(value rate, per-class blocking)` for the coalition of `members`.
+    fn analyze(&self, members: &[PlayerId]) -> (f64, Vec<f64>) {
+        let members: Vec<&Facility> = members.iter().map(|&p| &self.facilities[p]).collect();
         match self.mode {
-            ValueMode::SlotPool => self.analyze_slot_pool(coalition),
-            ValueMode::PerLocation => self.analyze_per_location(coalition),
+            ValueMode::SlotPool => self.analyze_slot_pool(members),
+            ValueMode::PerLocation => self.analyze_per_location(members),
         }
     }
 
     /// Per-location (loss-network) analysis: each location is a link, an
     /// admitted class-k experiment is a route over the x_k
     /// largest-capacity locations.
-    fn analyze_per_location(&self, coalition: Coalition) -> (f64, Vec<f64>) {
-        let members: Vec<&Facility> = coalition.players().map(|p| &self.facilities[p]).collect();
+    fn analyze_per_location(&self, members: Vec<&Facility>) -> (f64, Vec<f64>) {
         let n_classes = self.demand.classes.len();
         let mut blocking = vec![1.0; n_classes];
         if members.is_empty() {
@@ -202,8 +203,7 @@ impl<'a> DynamicFederationGame<'a> {
     }
 
     /// Pooled-knapsack analysis (Kaufman–Roberts).
-    fn analyze_slot_pool(&self, coalition: Coalition) -> (f64, Vec<f64>) {
-        let members: Vec<&Facility> = coalition.players().map(|p| &self.facilities[p]).collect();
+    fn analyze_slot_pool(&self, members: Vec<&Facility>) -> (f64, Vec<f64>) {
         if members.is_empty() {
             return (0.0, vec![1.0; self.demand.classes.len()]);
         }
@@ -242,13 +242,13 @@ impl<'a> DynamicFederationGame<'a> {
     }
 }
 
-impl CoalitionalGame for DynamicFederationGame<'_> {
+impl WideGame for DynamicFederationGame<'_> {
     fn n_players(&self) -> usize {
         self.facilities.len()
     }
 
-    fn value(&self, coalition: Coalition) -> f64 {
-        self.analyze(coalition).0
+    fn value_members(&self, members: &[PlayerId]) -> f64 {
+        self.analyze(members).0
     }
 }
 

@@ -6,8 +6,8 @@ use crate::facility::Facility;
 use crate::sharing;
 use crate::value::FederationGame;
 use fedval_coalition::{
-    analyze, is_core_nonempty, least_core, nucleolus, shapley_auto, shapley_auto_wide, Coalition,
-    CoalitionError, CoalitionalGame, GameProperties, ApproxConfig, ShapleyEstimate, TableGame,
+    analyze, is_core_nonempty, least_core, nucleolus, shapley_auto_wide, Coalition,
+    CoalitionError, GameProperties, ApproxConfig, ShapleyEstimate, TableGame, WideGame,
     EXACT_SHAPLEY_MAX_PLAYERS,
 };
 
@@ -162,7 +162,6 @@ impl FederationScenario {
     /// This is the hook the formation engine (`fedval-form`) prices
     /// candidate coalitions through: no `2^n` table is materialized.
     pub fn value_of_members(&self, members: &[usize]) -> f64 {
-        use fedval_coalition::WideGame as _;
         FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }
 
@@ -255,11 +254,11 @@ impl FederationScenario {
         if let Some(table) = self.table.get() {
             // Measured scenarios must answer from their table: the
             // closed-form model does not reproduce measured values.
-            return shapley_auto(table, &cfg);
+            return shapley_auto_wide(table, &cfg);
         }
         let n = self.facilities.len();
         if !cfg.force && n <= EXACT_SHAPLEY_MAX_PLAYERS {
-            return shapley_auto(self.try_game()?, &cfg);
+            return shapley_auto_wide(self.try_game()?, &cfg);
         }
         let game = FederationGame::new(&self.facilities, &self.demand);
         shapley_auto_wide(&game, &cfg)

@@ -9,7 +9,7 @@ use crate::experiment::Demand;
 use crate::facility::Facility;
 use crate::location::{CapacityProfile, LocationOffer};
 use crate::value::FederationGame;
-use fedval_coalition::{nucleolus, shapley, shapley_parallel, CoalitionalGame, TableGame};
+use fedval_coalition::{nucleolus, shapley, shapley_parallel, TableGame, WideGame};
 
 /// Normalizes a non-negative vector to sum 1 (all zeros if the sum is ~0).
 pub fn normalized(raw: Vec<f64>) -> Vec<f64> {

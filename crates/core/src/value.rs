@@ -9,8 +9,7 @@ use crate::allocation::{solve, ProfileSolution, SolveError};
 use crate::experiment::Demand;
 use crate::facility::{coalition_profile, Facility};
 use crate::location::ProfileAccumulator;
-use fedval_coalition::approx::WideGame;
-use fedval_coalition::{Coalition, CoalitionError, CoalitionalGame, TableGame, MAX_SAMPLED_PLAYERS};
+use fedval_coalition::{CoalitionError, TableGame, WideGame, MAX_SAMPLED_PLAYERS};
 
 /// The coalitional game induced by a set of facilities facing a demand
 /// profile (commercial scenario).
@@ -19,11 +18,10 @@ use fedval_coalition::{Coalition, CoalitionError, CoalitionalGame, TableGame, MA
 /// capacity profile. For repeated solution-concept computations, call
 /// [`FederationGame::table`] once and use the materialized game.
 ///
-/// The game is usable at two widths: up to 64 facilities it is a
-/// [`CoalitionalGame`] (bitset coalitions, every exact solution concept);
-/// at any size up to [`MAX_SAMPLED_PLAYERS`] it is a [`WideGame`], which is
-/// what the sampled Shapley estimators
-/// ([`fedval_coalition::shapley_auto_wide`]) consume.
+/// It is a [`WideGame`] at any size up to [`MAX_SAMPLED_PLAYERS`]: the
+/// exact solution concepts read it through bitset coalitions (up to 64
+/// facilities), and the sampled Shapley estimators
+/// ([`fedval_coalition::shapley_auto_wide`]) walk member slices.
 pub struct FederationGame<'a> {
     facilities: &'a [Facility],
     demand: &'a Demand,
@@ -34,8 +32,8 @@ impl<'a> FederationGame<'a> {
     ///
     /// # Panics
     /// Panics if there are no facilities or more than
-    /// [`MAX_SAMPLED_PLAYERS`]. (Beyond 64 facilities only the
-    /// [`WideGame`] interface applies — bitset coalitions cap at 64.)
+    /// [`MAX_SAMPLED_PLAYERS`]. (Beyond 64 facilities only the member-slice
+    /// methods of [`WideGame`] apply — bitset coalitions cap at 64.)
     pub fn new(facilities: &'a [Facility], demand: &'a Demand) -> FederationGame<'a> {
         assert!(!facilities.is_empty(), "need at least one facility");
         assert!(
@@ -55,32 +53,15 @@ impl<'a> FederationGame<'a> {
         self.demand
     }
 
-    /// Full allocation solution for a coalition (not just its value).
-    ///
-    /// # Errors
-    /// Any [`SolveError`] from the analytic optimizer when the demand profile
-    /// is outside its supported cases.
-    pub fn solve_coalition(&self, coalition: Coalition) -> Result<ProfileSolution, SolveError> {
-        self.solve_members_impl(coalition.players())
-    }
-
-    /// Full allocation solution for the coalition whose members are
-    /// `members` (player ids in `0..n`, no duplicates) — the wide-game
-    /// counterpart of [`FederationGame::solve_coalition`], not limited to
-    /// 64 facilities.
+    /// Full allocation solution (not just its value) for the coalition
+    /// whose members are `members` (player ids in `0..n`, no duplicates),
+    /// at any facility count.
     ///
     /// # Errors
     /// Any [`SolveError`] from the analytic optimizer when the demand
     /// profile is outside its supported cases.
     pub fn solve_members(&self, members: &[usize]) -> Result<ProfileSolution, SolveError> {
-        self.solve_members_impl(members.iter().copied())
-    }
-
-    fn solve_members_impl(
-        &self,
-        members: impl Iterator<Item = usize>,
-    ) -> Result<ProfileSolution, SolveError> {
-        let members: Vec<&Facility> = members.map(|p| &self.facilities[p]).collect();
+        let members: Vec<&Facility> = members.iter().map(|&p| &self.facilities[p]).collect();
         let profile = coalition_profile(members);
         solve(&profile, self.demand)
     }
@@ -110,39 +91,18 @@ impl<'a> FederationGame<'a> {
     }
 }
 
-impl CoalitionalGame for FederationGame<'_> {
-    fn n_players(&self) -> usize {
-        self.facilities.len()
-    }
-
-    /// `V(S)` — the optimal total utility of coalition `S`.
-    ///
-    /// # Panics
-    /// Panics if the demand profile is outside the analytic optimizer's
-    /// supported cases (see [`SolveError`]); validate demand up front with
-    /// [`FederationGame::solve_coalition`].
-    fn value(&self, coalition: Coalition) -> f64 {
-        match self.solve_coalition(coalition) {
-            Ok(solution) => solution.total_utility,
-            // lint: allow(no-panic-path) — the CoalitionalGame trait is infallible;
-            // `# Panics` documents this, and callers validate via solve_coalition.
-            Err(e) => panic!("FederationGame::value: unsupported demand: {e}"),
-        }
-    }
-}
-
 impl WideGame for FederationGame<'_> {
     fn n_players(&self) -> usize {
         self.facilities.len()
     }
 
-    /// `V(S)` over member slices — the entry point for the sampled Shapley
-    /// estimators at any facility count.
+    /// `V(S)` — the optimal total utility of the coalition whose members
+    /// are `members`, at any facility count.
     ///
     /// # Panics
     /// Panics if the demand profile is outside the analytic optimizer's
-    /// supported cases, exactly like the [`CoalitionalGame`] impl; validate
-    /// demand up front with [`FederationGame::solve_members`].
+    /// supported cases (see [`SolveError`]); validate demand up front with
+    /// [`FederationGame::solve_members`].
     fn value_members(&self, members: &[usize]) -> f64 {
         match self.solve_members(members) {
             Ok(solution) => solution.total_utility,

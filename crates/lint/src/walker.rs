@@ -8,7 +8,11 @@
 //! - `fixtures/` directories (lint-test corpora with *intentional*
 //!   violations),
 //! - `vendor/` (third-party API stubs, not ours to ratchet),
-//! - `target/`, hidden directories, and anything else non-source.
+//! - `target/`, hidden directories, and anything else non-source,
+//! - any directory below the root whose `Cargo.toml` declares its own
+//!   `[workspace]` (today `perfbench/`, the benchmark harness): a nested
+//!   workspace builds on its own and is not part of this one, so its
+//!   files would otherwise be mapped to the root crate's library code.
 //!
 //! Results are sorted by path so every lint run visits files in the same
 //! order — the linter holds itself to the determinism discipline it
@@ -54,7 +58,10 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name.starts_with('.') || EXCLUDED_DIRS.contains(&name.as_ref()) {
+            if name.starts_with('.')
+                || EXCLUDED_DIRS.contains(&name.as_ref())
+                || declares_workspace(&path)
+            {
                 continue;
             }
             walk(root, &path, out)?;
@@ -68,6 +75,14 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Whether `dir/Cargo.toml` opens a `[workspace]` table of its own. An
+/// unreadable or missing manifest means "no".
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .map(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+        .unwrap_or(false)
 }
 
 fn relative_slash(root: &Path, path: &Path) -> String {
@@ -120,6 +135,8 @@ mod tests {
         assert!(ra.iter().any(|r| r == "crates/lint/src/walker.rs"));
         assert!(!ra.iter().any(|r| r.contains("/tests/")));
         assert!(!ra.iter().any(|r| r.starts_with("vendor/")));
+        // perfbench/ is a Cargo workspace of its own, not a member.
+        assert!(!ra.iter().any(|r| r.starts_with("perfbench/")));
         assert!(ra.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
     }
 }

@@ -1,7 +1,7 @@
 //! Scheme comparison metrics: stability, incentive alignment, distance.
 
 use crate::scheme::SharingScheme;
-use fedval_coalition::{excess, is_in_core, Coalition, CoalitionalGame};
+use fedval_coalition::{excess, is_in_core, Coalition, WideGame};
 use fedval_core::FederationScenario;
 
 /// How one scheme behaves on one scenario.

@@ -9,9 +9,7 @@
 //! property guarantees the two levels are consistent — each authority's
 //! sites jointly receive exactly the authority's top-level Shapley share.
 
-use fedval_coalition::{
-    owen_value, quotient_game, shapley, CachedGame, Coalition, CoalitionalGame,
-};
+use fedval_coalition::{owen_value, quotient_game, shapley, CachedGame, Coalition, WideGame};
 use fedval_core::{Demand, Facility, FederationGame};
 
 /// The two-level sharing result.

@@ -3,7 +3,7 @@
 use crate::compare::{compare_schemes, SchemeAssessment};
 use crate::scheme::SharingScheme;
 use fedval_coalition::{
-    ApproxShapley, CoalitionError, CoalitionalGame, GameDiagnostics, ShapleyEstimate,
+    ApproxShapley, CoalitionError, GameDiagnostics, ShapleyEstimate, WideGame,
     NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::FederationScenario;

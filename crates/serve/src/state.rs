@@ -20,10 +20,9 @@
 
 use crate::lru::Lru;
 use crate::protocol::{render_f64_array, QueryError, QueryKind};
-use fedval_coalition::approx::WideGame;
 use fedval_coalition::{
     nucleolus, try_approx_shapley_wide, ApproxConfig, ApproxShapley, CachedGame, Coalition,
-    CoalitionalGame, TableGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_PLAYERS as BITSET_MAX_PLAYERS,
+    TableGame, WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_PLAYERS as BITSET_MAX_PLAYERS,
     MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::sharing::shapley_hat_of;
@@ -141,7 +140,7 @@ impl ScenarioSpec {
     }
 }
 
-/// An owned [`CoalitionalGame`] over a spec's facilities and demand —
+/// An owned [`WideGame`] over a spec's facilities and demand —
 /// the borrow-free form [`CachedGame`] needs to live inside shared
 /// server state.
 pub struct ScenarioGame {
@@ -159,23 +158,14 @@ impl ScenarioGame {
     }
 }
 
-impl CoalitionalGame for ScenarioGame {
-    fn n_players(&self) -> usize {
-        self.facilities.len()
-    }
-
-    fn value(&self, coalition: Coalition) -> f64 {
-        FederationGame::new(&self.facilities, &self.demand).value(coalition)
-    }
-}
-
 impl WideGame for ScenarioGame {
     fn n_players(&self) -> usize {
         self.facilities.len()
     }
 
-    /// `V(S)` over member slices — what the sampled Shapley estimator
-    /// and the wide `coalition-value` path consume past 64 players.
+    /// `V(S)` over member slices — what the coalition cache evaluates on
+    /// a miss, and what the sampled Shapley estimator and the wide
+    /// `coalition-value` path consume past 64 players.
     fn value_members(&self, members: &[usize]) -> f64 {
         FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }

@@ -104,7 +104,7 @@ pub fn synthetic_scenario(n: usize, seed: u64) -> FederationScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedval_coalition::approx::WideGame;
+    use fedval_coalition::WideGame;
     use fedval_core::FederationGame;
 
     #[test]
@@ -128,7 +128,7 @@ mod tests {
     fn n200_federation_is_wide_game_ready() {
         let (facilities, demand) = synthetic_federation(200, 42);
         let game = FederationGame::new(&facilities, &demand);
-        assert_eq!(WideGame::n_players(&game), 200);
+        assert_eq!(game.n_players(), 200);
         // The grand coalition clears the threshold; small prefixes do not.
         let all: Vec<usize> = (0..200).collect();
         assert!(game.value_members(&all) > 0.0);

@@ -798,7 +798,7 @@ fn conservative_fallback(c: Coalition, values: &[f64]) -> (f64, ValueSource) {
 mod tests {
     use super::*;
     use crate::authority::synthetic_authority;
-    use fedval_coalition::CoalitionalGame;
+    use fedval_coalition::WideGame;
     use fedval_core::ExperimentClass;
 
     fn small_federation() -> Federation {
@@ -1237,7 +1237,7 @@ mod fault_tests {
         assert!(measured.diagnostics.is_clean());
         let plain = empirical_game(&fed(), &wl(), &cfg());
         for c in Coalition::all(2) {
-            use fedval_coalition::CoalitionalGame;
+            use fedval_coalition::WideGame;
             assert_eq!(measured.game.value(c), plain.value(c));
         }
     }
@@ -1247,7 +1247,7 @@ mod fault_tests {
         // A crash with an unschedulable (NaN) time targets a node of
         // authority 0: every coalition containing 0 fails to simulate and
         // must fall back; coalitions without 0 measure normally.
-        use fedval_coalition::CoalitionalGame;
+        use fedval_coalition::WideGame;
         let poison = FaultPlan::new().node_crash(0, f64::NAN, None);
         let measured = empirical_game_diagnosed(&fed(), &wl(), &cfg(), &poison).unwrap();
         let d = &measured.diagnostics;

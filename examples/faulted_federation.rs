@@ -8,7 +8,7 @@
 //! cargo run --release --example faulted_federation
 //! ```
 
-use fedval::coalition::CoalitionalGame;
+use fedval::coalition::WideGame;
 use fedval::testbed::SimConfig;
 use fedval::{
     empirical_game_diagnosed, policy_report_measured, shapley_normalized, synthetic_authority,

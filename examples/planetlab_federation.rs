@@ -11,8 +11,8 @@
 
 use fedval::testbed::ClassLoad;
 use fedval::{
-    empirical_game, shapley_normalized, synthetic_authority, Coalition, CoalitionalGame,
-    ExperimentClass, Federation, SimConfig, Workload,
+    empirical_game, shapley_normalized, synthetic_authority, Coalition, ExperimentClass,
+    Federation, SimConfig, WideGame, Workload,
 };
 
 fn main() {

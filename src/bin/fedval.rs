@@ -15,8 +15,8 @@
 use fedval::coalition::{hoeffding_samples, NUCLEOLUS_MAX_PLAYERS};
 use fedval::policy::try_policy_report;
 use fedval::{
-    ApproxConfig, ApproxMethod, Coalition, CoalitionalGame, Demand, ExperimentClass, Facility,
-    FederationGame, FederationScenario, ShapleyEstimate, SharingScheme, Volume, WideGame,
+    ApproxConfig, ApproxMethod, Coalition, Demand, ExperimentClass, Facility, FederationGame,
+    FederationScenario, ShapleyEstimate, SharingScheme, Volume, WideGame,
     EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
 };
 use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
@@ -396,7 +396,7 @@ fn execute(opts: &Options) -> Result<(), String> {
                     let game =
                         FederationGame::new(scenario.facilities(), scenario.demand());
                     let all: Vec<usize> = (0..n).collect();
-                    let grand = WideGame::value_members(&game, &all);
+                    let grand = game.value_members(&all);
                     println!("scheme: {} — V(N) = {grand:.2}", scheme.name());
                     println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
                     for (i, s) in shares.iter().enumerate() {

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `fedval-core` | the paper's economic model: facilities, locations, diversity-aware utility, demand, allocation (eq. 2–3), value sharing (eq. 5–7) |
-//! | [`coalition`] | `fedval-coalition` | Shapley value, core, nucleolus, Banzhaf, Harsanyi dividends |
+//! | [`coalition`] | `fedval-coalition` | the `WideGame` trait; exact and sampled Shapley value, core, nucleolus, Harsanyi dividends |
 //! | [`policy`] | `fedval-policy` | scheme comparison, provision incentives, best-response equilibria, policy reports |
 //! | [`testbed`] | `fedval-testbed` | PlanetLab-style facility simulator and measured coalition values |
 //! | [`desim`] | `fedval-desim` | discrete-event simulation substrate, Erlang-B, Kaufman–Roberts loss networks |
@@ -49,10 +49,10 @@ pub use fedval_simplex as simplex;
 pub use fedval_testbed as testbed;
 
 pub use fedval_coalition::{
-    banzhaf_normalized, harsanyi_dividends, is_core_nonempty, least_core, nucleolus, shapley,
-    shapley_auto, shapley_auto_wide, shapley_monte_carlo, shapley_normalized, shapley_parallel,
-    ApproxConfig, ApproxMethod, ApproxShapley, Coalition, CoalitionalGame, ShapleyEstimate,
-    TableGame, WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
+    harsanyi_dividends, is_core_nonempty, least_core, nucleolus, shapley, shapley_auto_wide,
+    shapley_normalized, shapley_parallel, try_approx_shapley_wide, ApproxConfig, ApproxMethod,
+    ApproxShapley, Coalition, ShapleyEstimate, TableGame, WideGame, EXACT_SHAPLEY_MAX_PLAYERS,
+    MAX_SAMPLED_PLAYERS,
 };
 pub use fedval_core::{
     p2p_allocate, paper_facilities, paper_facilities_with_locations, CostModel, Demand,

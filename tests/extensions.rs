@@ -6,8 +6,8 @@ use fedval::coalition::{balancedness, is_balanced, owen_value, quotient_game, we
 use fedval::core::{block_overlap, diversity_discount, AvailabilityGame, IndependentCoverage};
 use fedval::policy::hierarchical_shapley;
 use fedval::{
-    is_core_nonempty, paper_facilities, shapley, shapley_normalized, Coalition, CoalitionalGame,
-    Demand, ExperimentClass, Facility, FederationGame, FederationScenario, TableGame,
+    is_core_nonempty, paper_facilities, shapley, shapley_normalized, Coalition, Demand,
+    ExperimentClass, Facility, FederationGame, FederationScenario, TableGame, WideGame,
 };
 
 fn worked_demand() -> Demand {

@@ -3,7 +3,7 @@
 //! report. The whole chain must complete without panicking, produce
 //! finite payoffs, and surface per-coalition measurement diagnostics.
 
-use fedval::coalition::CoalitionalGame;
+use fedval::coalition::WideGame;
 use fedval::core::ExperimentClass;
 use fedval::testbed::SimConfig;
 use fedval::{

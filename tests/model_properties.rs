@@ -1,7 +1,7 @@
 //! Property-based tests of scenario-level invariants on random federation
 //! configurations.
 
-use fedval::{Coalition, CoalitionalGame, Demand, ExperimentClass, Facility, FederationScenario, Volume};
+use fedval::{Coalition, Demand, ExperimentClass, Facility, FederationScenario, Volume, WideGame};
 use proptest::prelude::*;
 
 /// Random 3-facility configuration with disjoint location blocks.

@@ -6,7 +6,7 @@ use fedval::desim::{erlang_b, Distribution, Exponential, SimRng, Simulator};
 use fedval::testbed::ClassLoad;
 use fedval::{
     empirical_game, paper_facilities, run_coalition, shapley_normalized, synthetic_authority,
-    Coalition, CoalitionalGame, Demand, ExperimentClass, Federation, FederationScenario, SimConfig,
+    Coalition, Demand, ExperimentClass, Federation, FederationScenario, SimConfig, WideGame,
     Workload,
 };
 

@@ -56,7 +56,7 @@ struct MembersOnly<'a>(FederationGame<'a>);
 
 impl WideGame for MembersOnly<'_> {
     fn n_players(&self) -> usize {
-        WideGame::n_players(&self.0)
+        self.0.n_players()
     }
     fn value_members(&self, members: &[PlayerId]) -> f64 {
         self.0.value_members(members)

@@ -6,7 +6,8 @@ use fedval::coalition::{
     TableGame,
 };
 use fedval::{
-    is_core_nonempty, nucleolus, shapley, shapley_monte_carlo, Coalition, CoalitionalGame,
+    is_core_nonempty, nucleolus, shapley, try_approx_shapley_wide, ApproxConfig, Coalition,
+    WideGame,
 };
 use proptest::prelude::*;
 
@@ -73,7 +74,13 @@ proptest! {
     #[test]
     fn monte_carlo_tracks_exact_shapley(game in random_threshold_game()) {
         let exact = shapley(&game);
-        let mc = shapley_monte_carlo(&game, 4000, 1234);
+        let cfg = ApproxConfig {
+            samples: 4000,
+            seed: 1234,
+            force: true,
+            ..ApproxConfig::default()
+        };
+        let mc = try_approx_shapley_wide(&game, &cfg).expect("valid config");
         #[allow(clippy::needless_range_loop)]
         for i in 0..exact.len() {
             let tol = 6.0 * mc.std_error[i] + 1e-6;
