@@ -15,8 +15,11 @@
 # lint-baseline.toml, and any NEW finding fails the build.
 set -eu
 
-echo "== cargo build --release"
-cargo build --release
+echo "== cargo build --release --workspace"
+# --workspace: the smokes below run the member crates' binaries
+# (fedform, fedval-serve, fedload, fedchaos) from target/release, so they
+# must be built from this checkout, not left over from an older build.
+cargo build --release --workspace
 
 echo "== cargo test -q (workspace; dev profile arms the lock-order checker)"
 # Tests run under debug_assertions, so every OrderedMutex/OrderedRwLock
@@ -227,6 +230,24 @@ if ! grep -q "outcome fingerprint:" "$form_tmp/t4_run1.txt"; then
     echo ""
     echo "ci.sh: fedform output is missing its outcome fingerprint:"
     cat "$form_tmp/t4_run1.txt"
+    exit 1
+fi
+
+echo "== fedform exact payoffs (defaults: n=16, pinned fingerprint)"
+# Default flags keep every payoff under the exact-Shapley cap, the path
+# the n=200 run above never takes. The pinned fingerprint is the one
+# perfbench/reference.tsv records for every form-n16 input variant.
+./target/release/fedform --threads 1 > "$form_tmp/n16_t1.txt"
+./target/release/fedform --threads 4 > "$form_tmp/n16_t4.txt"
+if ! diff "$form_tmp/n16_t1.txt" "$form_tmp/n16_t4.txt"; then
+    echo ""
+    echo "ci.sh: fedform (exact payoffs) differs between --threads 1 and --threads 4."
+    exit 1
+fi
+if ! grep -q "outcome fingerprint: 1d5b40d282a3729f" "$form_tmp/n16_t1.txt"; then
+    echo ""
+    echo "ci.sh: fedform defaults no longer print the pinned outcome fingerprint:"
+    cat "$form_tmp/n16_t1.txt"
     exit 1
 fi
 

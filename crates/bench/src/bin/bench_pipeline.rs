@@ -352,9 +352,9 @@ fn run_pipeline(
             let _ = policy_report(&scenario).render();
         }
         {
-            // Exact Shapley revisits each coalition once per player, so a
-            // cache in front of the table produces a deterministic
-            // hit/miss split — the ratio BENCH_pipeline.json tracks.
+            // Exact Shapley evaluates each coalition once, so a cache in
+            // front of the table misses on all 2^n coalitions and never
+            // hits — the deterministic split BENCH_pipeline.json tracks.
             let _phase = fedval_obs::span("bench.phase.cached_shapley");
             let cached = CachedGame::new(scenario.game().clone());
             let _ = shapley(&cached);

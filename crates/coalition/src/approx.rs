@@ -50,10 +50,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Largest player count for which the solver-selection layer picks exact
-/// enumeration: `n · 2^(n−1)` characteristic-function evaluations at 16
-/// players is ~0.5M, comfortably interactive. It deliberately matches the
-/// least-core LP cap so "exact everything" and "sampled Shapley" switch at
-/// one boundary.
+/// enumeration: `2^n` characteristic-function evaluations at 16 players
+/// is ~65k, comfortably interactive, held in a 512 KiB table. It
+/// deliberately matches the least-core LP cap so "exact everything" and
+/// "sampled Shapley" switch at one boundary.
 pub const EXACT_SHAPLEY_MAX_PLAYERS: usize = 16;
 
 /// Upper bound on the player count the sampled path accepts. This is a

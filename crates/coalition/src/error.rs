@@ -31,7 +31,7 @@ pub enum GameError {
     /// | `least_core` / `balancedness` | [`LEAST_CORE_MAX_PLAYERS`](crate::LEAST_CORE_MAX_PLAYERS) = 16 | `2^n − 2` LP rows/columns |
     /// | `nucleolus` | [`NUCLEOLUS_MAX_PLAYERS`](crate::NUCLEOLUS_MAX_PLAYERS) = 12 | cascade of `2^n`-row LPs |
     /// | `TableGame` | [`TableGame::MAX_PLAYERS`](crate::TableGame::MAX_PLAYERS) = 25 | dense `2^n · f64` table |
-    /// | exact Shapley auto-selection | [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) = 16 | `n · 2^(n−1)` evaluations |
+    /// | exact Shapley auto-selection | [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) = 16 | `2^n` evaluations |
     ///
     /// Shapley values have no such wall: the sampled estimators
     /// ([`shapley_auto_wide`](crate::shapley_auto_wide) and friends in

@@ -24,9 +24,8 @@ use std::sync::Condvar;
 /// [`WideGame::value_members`]. A game with a cheaper route by mask
 /// ([`TableGame`], [`CachedGame`], [`FnGame`]) overrides it, and the
 /// override must return the same bits as `value_members` on the same
-/// members. [`WideGame::grand_value`] and [`WideGame::value_prefixes`]
-/// stay on the member path, so a game past 64 players never builds a
-/// bitset.
+/// members. [`WideGame::grand_value`] and [`WideGame::value_walk`] stay
+/// on the member path, so a game past 64 players never builds a bitset.
 ///
 /// Implementations should be cheap to call repeatedly — the exact solution
 /// concepts evaluate `value` up to `O(2^n)` times. Expensive characteristic
@@ -61,28 +60,43 @@ pub trait WideGame: Sync {
         self.value(coalition.with(i)) - self.value(coalition)
     }
 
-    /// Values of every prefix of `order` (distinct ids, any order):
-    /// element `k` is `value_members` of `order[..=k]` sorted ascending.
-    /// The permutation estimator walks each sampled ordering through this
-    /// hook once.
+    /// Values along a walk through coalitions: element `k` is
+    /// `value_members` of `start` (strictly increasing) after each of
+    /// `toggles[..=k]` has been toggled — an outsider joins, a member
+    /// leaves. Toggles may repeat, so players leave and rejoin; the value
+    /// of `start` itself is not part of the result. Exact Shapley fills
+    /// its coalition table by walking Gray-code blocks through this hook,
+    /// and the permutation estimator walks each sampled ordering through
+    /// [`WideGame::value_prefixes`], its add-only case.
     ///
-    /// The default sorts each prefix into place and calls
-    /// [`WideGame::value_members`]. A game whose value of `S ∪ {p}` can be
-    /// built from that of `S` overrides it, and the override must return
-    /// the same bits as the default: seeded estimates are byte-identical
-    /// whichever path a game takes.
-    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
-        let mut members: Vec<PlayerId> = Vec::with_capacity(order.len());
-        order
+    /// The default keeps a sorted member list and calls
+    /// [`WideGame::value_members`] at every step. A game whose value of
+    /// `S ± p` can be built from that of `S` overrides it, and the
+    /// override must return the same bits as the default: exact shares
+    /// and seeded estimates are byte-identical whichever path a game
+    /// takes.
+    fn value_walk(&self, start: &[PlayerId], toggles: &[PlayerId]) -> Vec<f64> {
+        let mut members = start.to_vec();
+        toggles
             .iter()
             .map(|&p| {
-                let pos = match members.binary_search(&p) {
-                    Ok(pos) | Err(pos) => pos,
-                };
-                members.insert(pos, p);
+                match members.binary_search(&p) {
+                    Ok(pos) => {
+                        members.remove(pos);
+                    }
+                    Err(pos) => members.insert(pos, p),
+                }
                 self.value_members(&members)
             })
             .collect()
+    }
+
+    /// Values of every prefix of `order` (distinct ids, any order):
+    /// element `k` is `value_members` of `order[..=k]` sorted ascending —
+    /// [`WideGame::value_walk`] from `∅`, where every toggle is a join.
+    /// Games override `value_walk`, not this.
+    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
+        self.value_walk(&[], order)
     }
 }
 

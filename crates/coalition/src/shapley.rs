@@ -14,7 +14,8 @@
 
 use crate::coalition::{Coalition, PlayerId};
 use crate::error::GameError;
-use crate::game::WideGame;
+use crate::game::{TableGame, WideGame};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exact Shapley value of a single player, by the subset-sum formula.
 ///
@@ -54,23 +55,33 @@ pub fn try_shapley_player<G: WideGame + ?Sized>(game: &G, i: PlayerId) -> Result
     Ok(phi)
 }
 
-/// Exact Shapley values of all players (sequential).
+/// Exact Shapley values of all players: [`shapley_parallel`] on one
+/// thread, with the same bits.
+///
+/// Evaluates the characteristic function once per coalition (`2^n`
+/// calls) into a dense table of `2^n` `f64` values — 512 KiB at
+/// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) — and
+/// then sums each player's weighted marginals from the table.
 pub fn shapley<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
     let _span = fedval_obs::span_with("coalition.shapley.exact", || {
         format!("n={}", game.n_players())
     });
-    (0..game.n_players())
-        .map(|i| shapley_player(game, i))
-        .collect()
+    exact_shapley(game, 1)
 }
 
-/// Exact Shapley values of all players, with the per-player sums computed
-/// on a crossbeam scoped-thread pool.
+/// Exact Shapley values of all players, evaluating the game on up to
+/// `threads` threads.
 ///
-/// Worth it when `n` is large enough that `2^n` characteristic-function
-/// evaluations dominate, or when the characteristic function itself is
-/// expensive (allocation optimizer, simulation). The characteristic
-/// function must be `Sync`, which [`WideGame`] requires.
+/// Every coalition is evaluated exactly once: the calling thread and
+/// `threads − 1` crossbeam scoped workers fill one dense table of `2^n`
+/// `f64` values (512 KiB at
+/// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS)), each
+/// walking a contiguous range of Gray-code ranks through
+/// [`WideGame::value_walk`] so consecutive coalitions differ by one
+/// player. The calling thread then runs each player's subset sum —
+/// [`shapley_player`] on the table — so every ϕᵢ has the same bits as
+/// [`shapley`]. The characteristic function must be `Sync`, which
+/// [`WideGame`] requires.
 ///
 /// Records the same `coalition.shapley.exact` span as [`shapley`] (with
 /// `threads=` in its detail), so a trace names the solution concept, not
@@ -81,27 +92,79 @@ pub fn shapley_parallel<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f
     let _span = fedval_obs::span_with("coalition.shapley.exact", || {
         format!("n={n} threads={threads}")
     });
-    let mut phi = vec![0.0; n];
+    exact_shapley(game, threads)
+}
+
+/// Gray-code ranks per [`WideGame::value_walk`] call while filling the
+/// exact table: bounds each call's toggle and value vectors, at the cost
+/// of re-entering the block's first coalition once per block.
+const WALK_BLOCK: usize = 256;
+
+/// The exact pass behind [`shapley`] and [`shapley_parallel`]
+/// (`1 ≤ threads ≤ n`): fill the table, then sum per player.
+fn exact_shapley<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
+    let n = game.n_players();
+    if n == 0 {
+        return Vec::new();
+    }
+    let table = coalition_table(game, threads);
+    (0..n).map(|i| shapley_player(&table, i)).collect()
+}
+
+/// `V(S)` of every coalition `S ⊆ N`, indexed by mask: the Gray-code
+/// ranks `0..2^n` split into `threads` contiguous ranges, the first
+/// walked on the calling thread and each other on a scoped worker.
+fn coalition_table<G: WideGame + ?Sized>(game: &G, threads: usize) -> TableGame {
+    let n = game.n_players();
+    let size = 1usize << n;
+    let slots: Vec<AtomicU64> = (0..size).map(|_| AtomicU64::new(0)).collect();
+    let per = size.div_ceil(threads);
+    let walk = |lo: usize| walk_ranks(game, &slots, lo, (lo + per).min(size));
+    let walk = &walk;
     let outcome = crossbeam::thread::scope(|scope| {
-        let chunks: Vec<&mut [f64]> = phi.chunks_mut(n.div_ceil(threads)).collect();
-        let mut start = 0usize;
-        for chunk in chunks {
-            let len = chunk.len();
-            let base = start;
-            scope.spawn(move |_| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = shapley_player(game, base + k);
-                }
-            });
-            start += len;
+        for lo in (per..size).step_by(per) {
+            scope.spawn(move |_| walk(lo));
         }
+        walk(0);
     });
     if let Err(payload) = outcome {
         // A worker panicked (characteristic function blew up): propagate
         // the original panic rather than masking it with a new one.
         std::panic::resume_unwind(payload);
     }
-    phi
+    let values = slots
+        .into_iter()
+        .map(|bits| f64::from_bits(bits.into_inner()))
+        .collect();
+    TableGame::from_values(n, values)
+}
+
+/// Stores `V` of the coalitions at Gray-code ranks `lo..hi` (rank `r` is
+/// mask `r ⊕ (r ≫ 1)`) into their slots, in blocks of [`WALK_BLOCK`]:
+/// rank `r` differs from rank `r − 1` in player `trailing_zeros(r)`
+/// alone, so a block is one `value_walk` from the coalition just before
+/// it. Ranges of different callers are disjoint, so every slot is
+/// written once. `Relaxed` suffices: a slot publishes only its own
+/// value, and joining the workers orders every store before the table is
+/// read.
+fn walk_ranks<G: WideGame + ?Sized>(game: &G, slots: &[AtomicU64], lo: usize, hi: usize) {
+    let gray = |rank: usize| rank ^ (rank >> 1);
+    let mut rank = lo;
+    if rank == 0 {
+        slots[0].store(game.value_members(&[]).to_bits(), Ordering::Relaxed);
+        rank = 1;
+    }
+    while rank < hi {
+        let end = (rank + WALK_BLOCK).min(hi);
+        let start: Vec<PlayerId> = Coalition(gray(rank - 1) as u64).players().collect();
+        let toggles: Vec<PlayerId> = (rank..end)
+            .map(|r| r.trailing_zeros() as PlayerId)
+            .collect();
+        for (r, v) in (rank..end).zip(game.value_walk(&start, &toggles)) {
+            slots[gray(r)].store(v.to_bits(), Ordering::Relaxed);
+        }
+        rank = end;
+    }
 }
 
 /// Normalized Shapley values ϕ̂ᵢ = ϕᵢ / V(N) (eq. 5 of the paper).
@@ -242,6 +305,59 @@ mod tests {
             let par = shapley_parallel(&g, threads);
             for i in 0..8 {
                 assert_close(par[i], seq[i], 1e-12);
+            }
+        }
+    }
+
+    /// Answers `value_members` only (so the exact pass takes the default
+    /// walk) and counts every call.
+    struct CountingGame {
+        n: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl WideGame for CountingGame {
+        fn n_players(&self) -> usize {
+            self.n
+        }
+        fn value_members(&self, members: &[PlayerId]) -> f64 {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let mask: u64 = members.iter().map(|&p| 1u64 << p).sum();
+            if mask == 0 {
+                0.0
+            } else {
+                (mask.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64 / 1e3
+            }
+        }
+    }
+
+    #[test]
+    fn exact_shapley_evaluates_each_coalition_once() {
+        use std::sync::atomic::Ordering;
+        let n = 10;
+        let game = CountingGame {
+            n,
+            calls: Default::default(),
+        };
+        let want: Vec<u64> = shapley(&TableGame::from_game(&game))
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            game.calls.store(0, Ordering::Relaxed);
+            let sequential = shapley(&game);
+            assert_eq!(game.calls.load(Ordering::Relaxed), 1 << n, "shapley");
+            game.calls.store(0, Ordering::Relaxed);
+            let parallel = shapley_parallel(&game, threads);
+            assert_eq!(
+                game.calls.load(Ordering::Relaxed),
+                1 << n,
+                "threads={threads}"
+            );
+            for phi in [sequential, parallel] {
+                let got: Vec<u64> = phi.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "threads={threads}");
             }
         }
     }

@@ -116,7 +116,13 @@ impl CapacityProfile {
                 *by_cap.entry(cap).or_insert(0) += count;
             }
         }
-        let groups: Vec<(u64, u64)> = by_cap.into_iter().collect();
+        CapacityProfile::from_histogram(&by_cap)
+    }
+
+    /// Builds from a capacity → location-count histogram whose keys and
+    /// counts are all positive (already the sorted, distinct groups).
+    fn from_histogram(histogram: &BTreeMap<u64, u64>) -> CapacityProfile {
+        let groups: Vec<(u64, u64)> = histogram.iter().map(|(&c, &n)| (c, n)).collect();
         let n_locations = groups.iter().map(|&(_, n)| n).sum();
         let total_slots = groups.iter().map(|&(c, n)| c * n).sum();
         CapacityProfile {
@@ -182,16 +188,20 @@ impl CapacityProfile {
     }
 }
 
-/// The capacity profile of a growing coalition, built one facility offer
-/// at a time — the incremental form of
+/// The capacity profile of a changing coalition, updated one facility
+/// offer at a time — the incremental form of
 /// [`coalition_profile`](crate::coalition_profile).
 ///
-/// Holds the merged capacity of every location seen so far plus a
+/// Holds the merged capacity of every location currently held plus a
 /// histogram of how many locations sit at each capacity level, so an
-/// [`add`](ProfileAccumulator::add) touches only the new offer's
-/// locations. Capacities are integers, so after any sequence of adds
-/// [`profile`](ProfileAccumulator::profile) equals `coalition_profile` of
-/// the same offers exactly, in whatever order they arrived.
+/// [`add`](ProfileAccumulator::add) or a
+/// [`remove`](ProfileAccumulator::remove) touches only that offer's
+/// locations. A location whose capacity drops to zero leaves the map, and
+/// a level that empties leaves the histogram, so both always hold exactly
+/// what a fresh merge would. Capacities are integers, so after any
+/// sequence of adds and removes [`profile`](ProfileAccumulator::profile)
+/// equals `coalition_profile` of the offers currently held exactly, in
+/// whatever order they came and went.
 #[derive(Debug, Default)]
 pub(crate) struct ProfileAccumulator {
     capacity: BTreeMap<LocationId, u64>,
@@ -206,20 +216,44 @@ impl ProfileAccumulator {
         for (location, r) in offer.iter().filter(|&(_, r)| r > 0) {
             let cap = self.capacity.entry(location).or_insert(0);
             // Move the location off its old level (a new one has none).
-            if let Entry::Occupied(mut level) = self.histogram.entry(*cap) {
-                *level.get_mut() -= 1;
-                if *level.get() == 0 {
-                    level.remove();
-                }
-            }
+            leave_level(&mut self.histogram, *cap);
             *cap += r;
             *self.histogram.entry(*cap).or_insert(0) += 1;
         }
     }
 
-    /// The profile of everything added so far.
+    /// Removes one facility's offer, previously added: the inverse of
+    /// [`add`](ProfileAccumulator::add).
+    pub(crate) fn remove(&mut self, offer: &LocationOffer) {
+        for (location, r) in offer.iter().filter(|&(_, r)| r > 0) {
+            if let Entry::Occupied(mut held) = self.capacity.entry(location) {
+                leave_level(&mut self.histogram, *held.get());
+                let left = *held.get() - r;
+                if left == 0 {
+                    held.remove();
+                } else {
+                    held.insert(left);
+                    *self.histogram.entry(left).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
+    /// The profile of everything currently held, read straight off the
+    /// histogram, which never keeps an empty level.
     pub(crate) fn profile(&self) -> CapacityProfile {
-        CapacityProfile::from_groups(self.histogram.iter().map(|(&c, &n)| (c, n)).collect())
+        CapacityProfile::from_histogram(&self.histogram)
+    }
+}
+
+/// Takes one location off capacity level `cap`, dropping the level when
+/// it empties (level 0, a location not yet held, has no entry).
+fn leave_level(histogram: &mut BTreeMap<u64, u64>, cap: u64) {
+    if let Entry::Occupied(mut level) = histogram.entry(cap) {
+        *level.get_mut() -= 1;
+        if *level.get() == 0 {
+            level.remove();
+        }
     }
 }
 
@@ -249,6 +283,49 @@ mod tests {
                     "{order:?} @ {k}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn accumulator_tracks_adds_and_removes_down_to_empty() {
+        let mut offers = [
+            LocationOffer::contiguous(0, 10, 3),
+            LocationOffer::contiguous(5, 10, 2),
+            LocationOffer::contiguous(8, 4, 1),
+            LocationOffer::new(),
+        ];
+        offers[3].add(9, 6);
+        offers[3].add(40, 2);
+        // Each step toggles one facility: a held one is removed, any
+        // other added. Every sequence ends with nothing held.
+        let sequences: [&[usize]; 3] = [
+            &[0, 1, 2, 3, 0, 2, 3, 1],
+            &[3, 2, 3, 1, 3, 2, 1, 3],
+            &[1, 0, 1, 2, 1, 0, 2, 1],
+        ];
+        for steps in sequences {
+            let mut acc = ProfileAccumulator::default();
+            let mut held: Vec<usize> = Vec::new();
+            for (k, &i) in steps.iter().enumerate() {
+                if held.contains(&i) {
+                    acc.remove(&offers[i]);
+                    held.retain(|&j| j != i);
+                } else {
+                    acc.add(&offers[i]);
+                    held.push(i);
+                }
+                let merged = LocationOffer::merge(held.iter().map(|&j| &offers[j]));
+                let want = CapacityProfile::from_offer(&merged);
+                // The profile is read off the histogram as is, so an
+                // emptied level left behind shows here.
+                assert_eq!(acc.profile(), want, "{steps:?} @ {k}");
+                // An emptied location left behind shows here.
+                let locations: Vec<(LocationId, u64)> =
+                    acc.capacity.iter().map(|(&l, &c)| (l, c)).collect();
+                let merged: Vec<(LocationId, u64)> = merged.iter().collect();
+                assert_eq!(locations, merged, "{steps:?} @ {k}");
+            }
+            assert_eq!(acc.profile(), CapacityProfile::empty());
         }
     }
 

@@ -57,10 +57,10 @@ pub fn shapley_hat_of(table: &TableGame) -> Vec<f64> {
     shapley(table).into_iter().map(|p| p / grand).collect()
 }
 
-/// Multi-threaded [`shapley_hat_of`]: shards players across `threads`
-/// workers via [`shapley_parallel`]. Bit-for-bit identical to the
-/// sequential result for every thread count (each player's value is
-/// computed by exactly one worker, with the same summation order).
+/// Multi-threaded [`shapley_hat_of`] via [`shapley_parallel`], which
+/// splits filling the coalition table across `threads` threads.
+/// Bit-for-bit identical to the sequential result for every thread count
+/// (every player's sum runs in the same order on the same values).
 pub fn shapley_hat_of_parallel(table: &TableGame, threads: usize) -> Vec<f64> {
     let grand = table.grand_value();
     if grand.abs() < 1e-12 {

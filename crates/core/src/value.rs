@@ -112,26 +112,37 @@ impl WideGame for FederationGame<'_> {
         }
     }
 
-    /// Prefix values with one facility added per step: the coalition's
-    /// capacity profile is accumulated instead of re-merged from every
-    /// member, so a whole ordering costs `O(Σᵢ Lᵢ)` location updates
-    /// rather than `O(n · Σᵢ Lᵢ)`. The accumulated profile equals
-    /// `coalition_profile` of the prefix (integer capacities), so the
-    /// solver sees the same input and every value keeps its bits.
+    /// Walk values with one facility added or removed per step: the
+    /// coalition's capacity profile is updated in place instead of
+    /// re-merged from every member, so a step costs `O(Lₚ)` location
+    /// updates rather than `O(Σ_{i∈S} Lᵢ)`. The updated profile equals
+    /// `coalition_profile` of the current members (integer capacities),
+    /// so the solver sees the same input and every value keeps its bits.
     ///
     /// # Panics
     /// As [`WideGame::value_members`] on this game.
-    fn value_prefixes(&self, order: &[usize]) -> Vec<f64> {
+    fn value_walk(&self, start: &[usize], toggles: &[usize]) -> Vec<f64> {
         let mut acc = ProfileAccumulator::default();
-        order
+        let mut held = vec![false; self.facilities.len()];
+        for &p in start {
+            acc.add(&self.facilities[p].offer);
+            held[p] = true;
+        }
+        toggles
             .iter()
             .map(|&p| {
-                acc.add(&self.facilities[p].offer);
+                let offer = &self.facilities[p].offer;
+                if held[p] {
+                    acc.remove(offer);
+                } else {
+                    acc.add(offer);
+                }
+                held[p] = !held[p];
                 match solve(&acc.profile(), self.demand) {
                     Ok(solution) => solution.total_utility,
                     // lint: allow(no-panic-path) — the WideGame trait is infallible;
                     // `# Panics` documents this, and callers validate via solve_members.
-                    Err(e) => panic!("FederationGame::value_prefixes: unsupported demand: {e}"),
+                    Err(e) => panic!("FederationGame::value_walk: unsupported demand: {e}"),
                 }
             })
             .collect()

@@ -73,8 +73,8 @@ impl WideGame for FormationGame {
     fn value_members(&self, members: &[PlayerId]) -> f64 {
         FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }
-    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
-        FederationGame::new(&self.facilities, &self.demand).value_prefixes(order)
+    fn value_walk(&self, start: &[PlayerId], toggles: &[PlayerId]) -> Vec<f64> {
+        FederationGame::new(&self.facilities, &self.demand).value_walk(start, toggles)
     }
 }
 
@@ -95,11 +95,13 @@ impl<G: WideGame + ?Sized> WideGame for RestrictedGame<'_, G> {
         // mapped list is ascending too — the WideGame contract holds.
         self.game.value_members(&mapped)
     }
-    fn value_prefixes(&self, order: &[PlayerId]) -> Vec<f64> {
-        // The mapping is increasing, so a sorted mapped prefix is the
-        // mapped sorted prefix: element k is still V(order[..=k]).
-        let mapped: Vec<PlayerId> = order.iter().map(|&i| self.members[i]).collect();
-        self.game.value_prefixes(&mapped)
+    fn value_walk(&self, start: &[PlayerId], toggles: &[PlayerId]) -> Vec<f64> {
+        // The mapping is increasing, so the mapped start stays ascending
+        // and toggling a mapped id tracks the mapped current set: element
+        // k is still V of the walk's k-th coalition.
+        let start: Vec<PlayerId> = start.iter().map(|&i| self.members[i]).collect();
+        let toggles: Vec<PlayerId> = toggles.iter().map(|&i| self.members[i]).collect();
+        self.game.value_walk(&start, &toggles)
     }
 }
 
@@ -756,7 +758,8 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
 
     /// The payoff table: promised (Shapley in the survivors' grand
     /// coalition) vs. realized (Shapley inside the actual coalition),
-    /// exact below the cap and sampled with certified CIs above it.
+    /// exact below the cap and sampled with certified CIs above it. A
+    /// block holding every survivor reuses the promised pass.
     ///
     /// # Errors
     /// Propagates [`GameError`] when the Shapley stage rejects its
@@ -796,6 +799,10 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
             let coalition_label = members.first().copied().unwrap_or(0);
             let realized_phi: Vec<f64> = if members.len() == 1 {
                 vec![self.oracle.value(members)]
+            } else if members == grand.as_slice() {
+                // Every survivor sits in this block: it is the promised
+                // game itself, so its shares are the promised bits.
+                promised_phi.clone()
             } else {
                 let block_game = RestrictedGame {
                     game: self.oracle.game(),
@@ -939,6 +946,39 @@ mod tests {
         for row in &out.payoffs {
             assert!(row.regret.abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn a_block_of_every_survivor_is_priced_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counting {
+            inner: QuadGame,
+            calls: AtomicUsize,
+        }
+        impl WideGame for Counting {
+            fn n_players(&self) -> usize {
+                self.inner.n_players()
+            }
+            fn value_members(&self, members: &[PlayerId]) -> f64 {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                self.inner.value_members(members)
+            }
+        }
+        let game = Counting {
+            inner: quad(8),
+            calls: AtomicUsize::new(0),
+        };
+        let engine = FormationEngine::new(&game, FormationConfig::default());
+        let out = engine.run(&ChurnSchedule::all_at_start(8));
+        assert_eq!(out.final_partition.n_blocks(), 1);
+        // One thread: every oracle miss is one call, so the rest are the
+        // payoff stage's — one exact pass over 2^8 coalitions.
+        let (_, misses) = engine.cache_stats();
+        let payoff_calls = game.calls.load(Ordering::Relaxed) as u64 - misses;
+        assert!(
+            payoff_calls <= 1 << 8,
+            "payoff stage made {payoff_calls} calls"
+        );
     }
 
     #[test]

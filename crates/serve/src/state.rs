@@ -170,8 +170,8 @@ impl WideGame for ScenarioGame {
         FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }
 
-    fn value_prefixes(&self, order: &[usize]) -> Vec<f64> {
-        FederationGame::new(&self.facilities, &self.demand).value_prefixes(order)
+    fn value_walk(&self, start: &[usize], toggles: &[usize]) -> Vec<f64> {
+        FederationGame::new(&self.facilities, &self.demand).value_walk(start, toggles)
     }
 }
 

@@ -1,12 +1,14 @@
-//! Equivalence guards for `FederationGame`'s prefix walk (DESIGN.md §14).
+//! Equivalence guards for `FederationGame`'s walks (DESIGN.md §14).
 //!
-//! The permutation estimator evaluates every prefix of each sampled
-//! ordering through `WideGame::value_prefixes`. `FederationGame`
-//! overrides it with a capacity profile accumulated one facility at a
-//! time; the contract is bit equality with `value_members` on the sorted
-//! prefix. The synthetic federations give every facility its own
-//! location range, so the generated facilities here overlap on purpose:
-//! shared locations are where accumulated capacities must add up.
+//! Exact Shapley fills its coalition table through `WideGame::value_walk`
+//! and the permutation estimator evaluates every prefix of each sampled
+//! ordering through `WideGame::value_prefixes`, its add-only case.
+//! `FederationGame` overrides the walk with a capacity profile updated
+//! one facility at a time, added or removed; the contract is bit
+//! equality with `value_members` on the current sorted member set. The
+//! synthetic federations give every facility its own location range, so
+//! the generated facilities here overlap on purpose: shared locations are
+//! where accumulated capacities must add up and come back down.
 
 use fedval::coalition::{try_approx_shapley_wide, ApproxConfig, ApproxShapley, PlayerId};
 use fedval::core::LocationOffer;
@@ -98,6 +100,40 @@ proptest! {
                 v.to_bits(),
                 game.value_members(&prefix).to_bits(),
                 "prefix {:?}", prefix
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn walk_with_leaves_and_rejoins_matches_value_members_bit_for_bit(
+        specs in prop::collection::vec(facility_strategy(), 1..=12),
+        threshold in 0.0f64..60.0,
+        volume in 0u8..3,
+        shape in 0usize..3,
+        start_mask in any::<u64>(),
+        toggle_draws in prop::collection::vec(any::<usize>(), 1..=40),
+    ) {
+        let facilities = build_facilities(&specs);
+        let n = facilities.len();
+        let demand = build_demand(volume, threshold, [0.5, 1.0, 2.0][shape]);
+        let game = FederationGame::new(&facilities, &demand);
+        let start: Vec<PlayerId> = (0..n).filter(|&p| start_mask >> p & 1 == 1).collect();
+        // Draws repeat players, so members leave and rejoin mid-walk.
+        let toggles: Vec<PlayerId> = toggle_draws.iter().map(|&d| d % n).collect();
+        let walked = game.value_walk(&start, &toggles);
+        prop_assert_eq!(walked.len(), toggles.len());
+        let mut held: Vec<bool> = (0..n).map(|p| start_mask >> p & 1 == 1).collect();
+        for (v, &p) in walked.iter().zip(&toggles) {
+            held[p] = !held[p];
+            let current: Vec<PlayerId> = (0..n).filter(|&q| held[q]).collect();
+            prop_assert_eq!(
+                v.to_bits(),
+                game.value_members(&current).to_bits(),
+                "start {:?}, toggles {:?}, at {:?}", start, toggles, current
             );
         }
     }
