@@ -30,6 +30,12 @@
 //! parallel sweep actually faster; this ratchet keeps it that way). On a
 //! host with fewer than 4 cores the gate cannot fire, and the recorded
 //! `host.cores` says so.
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods,
+    reason = "a command-line tool reports on stdout and stderr, and this benchmark times its phases with Instant::now"
+)]
 
 use fedval_bench::{set_sweep_threads, Figure};
 use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, CachedGame, Coalition};
@@ -81,7 +87,7 @@ impl SweepSummary {
 /// One point on the sampled-Shapley error-vs-budget curve.
 struct ApproxPoint {
     /// Permutation budget fed to the estimator.
-    samples: u64,
+    samples: usize,
     /// `max_i |phi_exact_i - phi_sampled_i|` against the 2^n solver.
     max_abs_error: f64,
     /// True iff every exact `phi_i` lies inside the sampled CI for
@@ -120,11 +126,11 @@ fn run_approx(parallel_threads: usize) -> ApproxSummary {
     let (facilities, demand) = synthetic_federation(VALIDATION_N, 42);
     let game = FederationGame::new(&facilities, &demand);
     let exact = shapley(&game);
-    let curve = [32u64, 128, 512]
+    let curve = [32usize, 128, 512]
         .into_iter()
         .map(|samples| {
             let config = ApproxConfig {
-                samples: samples as usize,
+                samples,
                 seed: 42,
                 threads: parallel_threads,
                 ..ApproxConfig::default()
@@ -132,7 +138,7 @@ fn run_approx(parallel_threads: usize) -> ApproxSummary {
             // The config is valid by construction (samples ≥ 32, default
             // confidence) and n=12 is far under the sampled cap; a panic
             // here means the benchmark itself is broken.
-            // lint: allow(no-panic-path) — valid-by-construction config.
+            #[expect(clippy::expect_used, reason = "valid-by-construction config")]
             let approx = try_approx_shapley_wide(&game, &config).expect("estimate");
             let max_abs_error = exact
                 .iter()
@@ -156,9 +162,9 @@ fn run_approx(parallel_threads: usize) -> ApproxSummary {
         ..ApproxConfig::default()
     };
     let start = std::time::Instant::now();
-    // lint: allow(no-panic-path) — same valid-by-construction config.
+    #[expect(clippy::expect_used, reason = "same valid-by-construction config")]
     let approx = try_approx_shapley_wide(&game, &config).expect("estimate");
-    let n200_wall_ns = start.elapsed().as_nanos() as u64;
+    let n200_wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     ApproxSummary {
         validation_n: VALIDATION_N,
         curve,
@@ -225,7 +231,7 @@ fn run_formation(parallel_threads: usize) -> FormationSummary {
         let schedule = ChurnSchedule::all_at_start(n);
         let start = std::time::Instant::now();
         let baseline = FormationEngine::new(&game, config(1)).run(&schedule);
-        let wall_ns = start.elapsed().as_nanos() as u64;
+        let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let parallel = FormationEngine::new(&game, config(parallel_threads)).run(&schedule);
         thread_invariant &= baseline.render() == parallel.render();
         total_rounds += baseline.rounds.len() as u64;
@@ -295,7 +301,7 @@ fn run_sweep_legs(parallel_threads: usize) -> SweepSummary {
             let _leg = fedval_obs::span(span);
             let start = std::time::Instant::now();
             figures = sweep_figures();
-            best_ns = best_ns.min(start.elapsed().as_nanos() as u64);
+            best_ns = best_ns.min(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         (figures, best_ns)
     };
@@ -438,13 +444,13 @@ fn measure_obs_overhead() -> ObsOverhead {
     overhead_workload();
     let start = std::time::Instant::now();
     overhead_workload();
-    let enabled_wall_ns = start.elapsed().as_nanos() as u64;
+    let enabled_wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     fedval_obs::shutdown();
 
     overhead_workload();
     let start = std::time::Instant::now();
     overhead_workload();
-    let disabled_wall_ns = start.elapsed().as_nanos() as u64;
+    let disabled_wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     ObsOverhead {
         enabled_wall_ns,
         disabled_wall_ns,

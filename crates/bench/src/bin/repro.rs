@@ -11,6 +11,11 @@
 //! parallelism); every N produces byte-identical figure data.
 //!
 //! Exit code 0 iff every check passes.
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on stdout and stderr"
+)]
 
 use fedval_bench::{all_figures, check_all, table_e1};
 use std::process::ExitCode;

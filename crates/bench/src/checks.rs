@@ -9,7 +9,8 @@
 //!
 //! Every check is panic-free: a missing series or sample point records a
 //! failed assertion instead of unwinding, so one malformed figure cannot
-//! take down the whole acceptance run (fedval-lint rule `no-panic-path`).
+//! take down the whole acceptance run (`clippy::panic` and friends are
+//! denied workspace-wide).
 
 use crate::figures::*;
 use crate::series::{Figure, Series};

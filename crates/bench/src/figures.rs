@@ -238,6 +238,11 @@ pub fn fig7_mixture() -> Figure {
 /// `l = 250`, `R = (80, 60, 20)`.
 pub fn fig8_volume() -> Figure {
     let xs: Vec<f64> = (0..=20).map(|k| (k * 5) as f64).collect();
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "every K in xs is a whole number in [0, 100]"
+    )]
     let series = share_sweep(
         &xs,
         |k| {

@@ -20,26 +20,24 @@
 //!
 //! # Determinism contract
 //!
-//! Both estimators are **byte-identical for a fixed `(seed, samples,
-//! method)` at any thread count**. The permutation estimator draws whole
-//! player orderings in fixed-size blocks of [`PERMUTATION_BLOCK`]; block
-//! `b` owns the RNG stream `derive_seed(seed, b)` and its partial sums are
-//! folded in block order after the workers join, so the f64 addition order
-//! never depends on scheduling. The stratified estimator gives player `i`
-//! the stream `derive_seed(seed, STRATIFIED_STREAM ^ i)` and writes into a
-//! disjoint output slot, which is order-free by construction. This mirrors
-//! the sweep engine's capture/replay model (DESIGN.md §9); obs counters are
-//! folded by the sharded registry and never feed back into results.
+//! The permutation estimator is **byte-identical for a fixed `(seed,
+//! samples)` at any thread count**. It draws whole player orderings in
+//! fixed-size blocks of [`PERMUTATION_BLOCK`]; block `b` owns the RNG
+//! stream `derive_seed(seed, b)` and its partial sums are folded in block
+//! order after the workers join, so the f64 addition order never depends
+//! on scheduling. This mirrors the sweep engine's capture/replay model
+//! (DESIGN.md §9); obs counters are folded by the sharded registry and
+//! never feed back into results.
 //!
 //! # Error bounds
 //!
 //! `std_error[i]` is the sample standard deviation of player `i`'s marginal
-//! contributions divided by `√samples` (for stratified: combined across
-//! strata). `ci_half_width[i] = z · std_error[i]` where `z` is the
-//! two-sided normal quantile for the configured confidence level — the CLT
-//! interval. [`hoeffding_samples`] / [`hoeffding_epsilon`] expose the
-//! distribution-free a-priori bound `m ≥ ln(2/δ)·Δ²/(2ε²)` from
-//! arXiv:1709.04176 for callers that need a guarantee before sampling.
+//! contributions divided by `√samples`. `ci_half_width[i] = z ·
+//! std_error[i]` where `z` is the two-sided normal quantile for the
+//! configured confidence level — the CLT interval. [`hoeffding_samples`] /
+//! [`hoeffding_epsilon`] expose the distribution-free a-priori bound
+//! `m ≥ ln(2/δ)·Δ²/(2ε²)` from arXiv:1709.04176 for callers that need a
+//! guarantee before sampling.
 
 use crate::coalition::PlayerId;
 use crate::error::GameError;
@@ -68,54 +66,16 @@ pub const MAX_SAMPLED_PLAYERS: usize = 512;
 /// estimate independent of the thread count.
 pub const PERMUTATION_BLOCK: usize = 16;
 
-/// Stream-id namespace for per-player stratified RNGs, disjoint from the
-/// block ids used by the permutation estimator.
-const STRATIFIED_STREAM: u64 = 0x5354_5241_5400_0000;
-
-/// Which sampling estimator to run above the exact cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApproxMethod {
-    /// Whole-permutation sampling: `samples · n` evaluations, efficiency
-    /// (Σϕ̂ = V(N)) holds exactly in every sample. The default.
-    Permutation,
-    /// Per-(player, position) stratified sampling: `2 · n² · samples`
-    /// evaluations; lower variance on position-driven games, but quadratic
-    /// in `n` — prefer it for moderate player counts.
-    Stratified,
-}
-
-impl ApproxMethod {
-    /// Stable lower-case name, used in payloads and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ApproxMethod::Permutation => "permutation",
-            ApproxMethod::Stratified => "stratified",
-        }
-    }
-
-    /// Parses the name accepted by `--approx-method`.
-    pub fn parse(s: &str) -> Option<ApproxMethod> {
-        match s {
-            "permutation" => Some(ApproxMethod::Permutation),
-            "stratified" => Some(ApproxMethod::Stratified),
-            _ => None,
-        }
-    }
-}
-
-/// Budget, seed, and confidence level for the sampled estimators, plus the
-/// solver-selection override.
+/// Budget, seed, and confidence level for the permutation estimator, plus
+/// the solver-selection override.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxConfig {
-    /// Sample budget: permutations for [`ApproxMethod::Permutation`],
-    /// draws per (player, position) stratum for [`ApproxMethod::Stratified`].
+    /// Sample budget: sampled permutations.
     pub samples: usize,
-    /// RNG seed; fixes the result bytes together with `samples`/`method`.
+    /// RNG seed; fixes the result bytes together with `samples`.
     pub seed: u64,
     /// Two-sided confidence level for the reported intervals, in (0, 1).
     pub confidence: f64,
-    /// Which estimator to run above the cap.
-    pub method: ApproxMethod,
     /// Worker threads for sampling (results are thread-count invariant).
     pub threads: usize,
     /// When set, sample even below [`EXACT_SHAPLEY_MAX_PLAYERS`] — the
@@ -129,7 +89,6 @@ impl Default for ApproxConfig {
             samples: 256,
             seed: 42,
             confidence: 0.95,
-            method: ApproxMethod::Permutation,
             threads: 1,
             force: false,
         }
@@ -165,12 +124,10 @@ pub struct ApproxShapley {
     pub ci_half_width: Vec<f64>,
     /// Confidence level the half-widths certify.
     pub confidence: f64,
-    /// Sample budget actually drawn (permutations or per-stratum draws).
+    /// Sample budget actually drawn (permutations).
     pub samples: usize,
     /// Seed that reproduces these exact bytes.
     pub seed: u64,
-    /// Estimator that produced the values.
-    pub method: ApproxMethod,
     /// `V(N)`, evaluated exactly once — the normalization denominator.
     pub grand_value: f64,
 }
@@ -277,6 +234,10 @@ pub fn z_for_confidence(confidence: f64) -> Result<f64, GameError> {
 
 /// Acklam's inverse normal CDF approximation; `p` must be in (0, 1).
 fn inverse_normal_cdf(p: f64) -> f64 {
+    #[expect(
+        clippy::excessive_precision,
+        reason = "Acklam's published coefficients, kept digit for digit"
+    )]
     const A: [f64; 6] = [
         -3.969683028665376e+01,
         2.209460984245205e+02,
@@ -331,8 +292,15 @@ fn inverse_normal_cdf(p: f64) -> f64 {
 /// degenerate inputs (`epsilon ≤ 0`, `delta` outside (0, 1), non-positive
 /// `range`) yield `usize::MAX` as an explicit "no finite budget certifies
 /// this" sentinel.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "m is a positive ceil() checked below usize::MAX before the cast"
+)]
 pub fn hoeffding_samples(range: f64, epsilon: f64, delta: f64) -> usize {
-    if !(range > 0.0) || !(epsilon > 0.0) || !(delta > 0.0 && delta < 1.0) {
+    // Every comparison with NaN is false, so NaN inputs get the sentinel.
+    let certifiable = range > 0.0 && epsilon > 0.0 && delta > 0.0 && delta < 1.0;
+    if !certifiable {
         return usize::MAX;
     }
     let m = ((2.0 / delta).ln() * range * range / (2.0 * epsilon * epsilon)).ceil();
@@ -347,7 +315,9 @@ pub fn hoeffding_samples(range: f64, epsilon: f64, delta: f64) -> usize {
 /// `ε = range·√(ln(2/δ)/(2m))` certified by `m` sampled permutations at
 /// failure probability `delta`. Degenerate inputs yield `f64::INFINITY`.
 pub fn hoeffding_epsilon(range: f64, samples: usize, delta: f64) -> f64 {
-    if !(range > 0.0) || samples == 0 || !(delta > 0.0 && delta < 1.0) {
+    // Every comparison with NaN is false, so NaN inputs get the sentinel.
+    let certifiable = range > 0.0 && samples > 0 && delta > 0.0 && delta < 1.0;
+    if !certifiable {
         return f64::INFINITY;
     }
     range * ((2.0 / delta).ln() / (2.0 * samples as f64)).sqrt()
@@ -460,113 +430,11 @@ fn permutation_estimate<G: WideGame + ?Sized>(
         confidence: cfg.confidence,
         samples,
         seed: cfg.seed,
-        method: ApproxMethod::Permutation,
         grand_value: game.value_members(&members),
     }
 }
 
-/// Runs all `n` strata of one player from the player's own RNG stream.
-/// Returns `(ϕᵢ, Var(ϕᵢ))`.
-fn stratified_player<G: WideGame + ?Sized>(
-    game: &G,
-    n: usize,
-    i: PlayerId,
-    samples: usize,
-    seed: u64,
-) -> (f64, f64) {
-    let mut rng = StdRng::seed_from_u64(derive_seed(seed, STRATIFIED_STREAM ^ i as u64));
-    let mut pool: Vec<PlayerId> = (0..n).filter(|&p| p != i).collect();
-    let mut subset: Vec<PlayerId> = Vec::with_capacity(n);
-    let m = samples as f64;
-    let mut phi_i = 0.0;
-    let mut var_i = 0.0;
-    for k in 0..n {
-        // Stratum (i, k): S is a uniform k-subset of the others.
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        for _ in 0..samples {
-            pool.shuffle(&mut rng);
-            subset.clear();
-            subset.extend_from_slice(&pool[..k]);
-            subset.sort_unstable();
-            let without = game.value_members(&subset);
-            let pos = match subset.binary_search(&i) {
-                Ok(pos) | Err(pos) => pos,
-            };
-            subset.insert(pos, i);
-            let delta = game.value_members(&subset) - without;
-            sum += delta;
-            sum_sq += delta * delta;
-        }
-        phi_i += sum / m / n as f64;
-        if samples > 1 {
-            let var = (sum_sq - sum * sum / m) / (m - 1.0);
-            // Contribution of this stratum to Var(ϕᵢ): (1/n)²·var/m.
-            var_i += var.max(0.0) / (m * (n as f64) * (n as f64));
-        }
-    }
-    fedval_obs::counter_add("coalition.approx.evals", (2 * n * samples) as u64);
-    (phi_i, var_i)
-}
-
-/// Stratified estimator over a [`WideGame`], player-parallel and
-/// thread-count invariant (each player owns a derived RNG stream and a
-/// disjoint output slot).
-fn stratified_estimate<G: WideGame + ?Sized>(
-    game: &G,
-    cfg: &ApproxConfig,
-    z: f64,
-) -> ApproxShapley {
-    let n = game.n_players();
-    let samples = cfg.samples;
-    let threads = cfg.threads.clamp(1, n);
-    let _span = fedval_obs::span_with("coalition.shapley.approx", || {
-        format!(
-            "method=stratified n={n} samples={samples} seed={} threads={threads}",
-            cfg.seed
-        )
-    });
-    let mut results = vec![(0.0f64, 0.0f64); n];
-    let outcome = crossbeam::thread::scope(|scope| {
-        let per = n.div_ceil(threads);
-        let mut base = 0usize;
-        for chunk in results.chunks_mut(per) {
-            let start = base;
-            base += chunk.len();
-            scope.spawn(move |_| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = stratified_player(game, n, start + k, samples, cfg.seed);
-                }
-            });
-        }
-    });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
-    let std_error: Vec<f64> = results
-        .iter()
-        .map(|&(_, var)| {
-            if samples < 2 {
-                f64::INFINITY
-            } else {
-                var.sqrt()
-            }
-        })
-        .collect();
-    let members: Vec<PlayerId> = (0..n).collect();
-    ApproxShapley {
-        phi: results.iter().map(|&(phi, _)| phi).collect(),
-        ci_half_width: std_error.iter().map(|e| z * e).collect(),
-        std_error,
-        confidence: cfg.confidence,
-        samples,
-        seed: cfg.seed,
-        method: ApproxMethod::Stratified,
-        grand_value: game.value_members(&members),
-    }
-}
-
-/// Runs the configured sampling estimator on a [`WideGame`],
+/// Runs the permutation estimator on a [`WideGame`],
 /// unconditionally (no exact fallback — see [`shapley_auto_wide`] for the
 /// selection layer).
 ///
@@ -591,10 +459,7 @@ pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
     }
     cfg.validate()?;
     let z = z_for_confidence(cfg.confidence)?;
-    Ok(match cfg.method {
-        ApproxMethod::Permutation => permutation_estimate(game, cfg, z),
-        ApproxMethod::Stratified => stratified_estimate(game, cfg, z),
-    })
+    Ok(permutation_estimate(game, cfg, z))
 }
 
 /// The solver-selection layer over a [`WideGame`]: exact enumeration when
@@ -683,6 +548,12 @@ mod tests {
         // Degenerate inputs are sentinels, not panics.
         assert_eq!(hoeffding_samples(10.0, 0.0, 0.05), usize::MAX);
         assert_eq!(hoeffding_epsilon(0.0, 100, 0.05), f64::INFINITY);
+        // NaN in any argument is rejected, not propagated.
+        assert_eq!(hoeffding_samples(f64::NAN, 0.5, 0.05), usize::MAX);
+        assert_eq!(hoeffding_samples(10.0, f64::NAN, 0.05), usize::MAX);
+        assert_eq!(hoeffding_samples(10.0, 0.5, f64::NAN), usize::MAX);
+        assert_eq!(hoeffding_epsilon(f64::NAN, 100, 0.05), f64::INFINITY);
+        assert_eq!(hoeffding_epsilon(10.0, 100, f64::NAN), f64::INFINITY);
     }
 
     #[test]
@@ -713,58 +584,32 @@ mod tests {
     }
 
     #[test]
-    fn stratified_estimate_is_accurate() {
-        let g = threshold_game();
-        let exact = shapley(&g);
-        let cfg = ApproxConfig {
-            samples: 400,
-            seed: 11,
-            method: ApproxMethod::Stratified,
-            force: true,
-            ..ApproxConfig::default()
-        };
-        let est = try_approx_shapley_wide(&g, &cfg).unwrap();
-        for i in 0..6 {
-            let tol = 6.0 * est.std_error[i] + 1e-9;
-            assert!(
-                (est.phi[i] - exact[i]).abs() < tol,
-                "player {i}: {} vs {}",
-                est.phi[i],
-                exact[i]
-            );
-        }
-    }
-
-    #[test]
     fn thread_count_never_changes_bytes() {
         let g = threshold_game();
-        for method in [ApproxMethod::Permutation, ApproxMethod::Stratified] {
-            let mut baseline: Option<ApproxShapley> = None;
-            for threads in [1usize, 2, 3, 8, 64] {
-                let cfg = ApproxConfig {
-                    samples: 100,
-                    seed: 31,
-                    method,
-                    threads,
-                    force: true,
-                    ..ApproxConfig::default()
-                };
-                let est = try_approx_shapley_wide(&g, &cfg).unwrap();
-                match &baseline {
-                    None => baseline = Some(est),
-                    Some(b) => {
-                        // Bit-exact, not approximately equal.
-                        let same = b
-                            .phi
+        let mut baseline: Option<ApproxShapley> = None;
+        for threads in [1usize, 2, 3, 8, 64] {
+            let cfg = ApproxConfig {
+                samples: 100,
+                seed: 31,
+                threads,
+                force: true,
+                ..ApproxConfig::default()
+            };
+            let est = try_approx_shapley_wide(&g, &cfg).unwrap();
+            match &baseline {
+                None => baseline = Some(est),
+                Some(b) => {
+                    // Bit-exact, not approximately equal.
+                    let same = b
+                        .phi
+                        .iter()
+                        .zip(&est.phi)
+                        .all(|(a, c)| a.to_bits() == c.to_bits())
+                        && b.std_error
                             .iter()
-                            .zip(&est.phi)
-                            .all(|(a, c)| a.to_bits() == c.to_bits())
-                            && b.std_error
-                                .iter()
-                                .zip(&est.std_error)
-                                .all(|(a, c)| a.to_bits() == c.to_bits());
-                        assert!(same, "{method:?} at {threads} threads diverged");
-                    }
+                            .zip(&est.std_error)
+                            .all(|(a, c)| a.to_bits() == c.to_bits());
+                    assert!(same, "{threads} threads diverged");
                 }
             }
         }
@@ -888,14 +733,6 @@ mod proptests {
         })
     }
 
-    fn method_of(stratified: bool) -> ApproxMethod {
-        if stratified {
-            ApproxMethod::Stratified
-        } else {
-            ApproxMethod::Permutation
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -909,7 +746,6 @@ mod proptests {
         fn sampled_phi_tracks_exact_within_certified_error(
             (contrib, threshold) in game_strategy(),
             seed in 0u64..1024,
-            stratified in any::<bool>(),
         ) {
             let n = contrib.len();
             let g = build(contrib, threshold);
@@ -917,7 +753,6 @@ mod proptests {
             let cfg = ApproxConfig {
                 samples: 512,
                 seed,
-                method: method_of(stratified),
                 force: true,
                 ..ApproxConfig::default()
             };
@@ -946,14 +781,12 @@ mod proptests {
             seed in any::<u64>(),
             samples in 1usize..200,
             threads in 2usize..16,
-            stratified in any::<bool>(),
         ) {
             let g = build(contrib, threshold);
             let base = ApproxConfig {
                 samples,
                 seed,
                 threads: 1,
-                method: method_of(stratified),
                 force: true,
                 ..ApproxConfig::default()
             };

@@ -44,8 +44,10 @@ impl Balancedness {
 pub fn balancedness<G: WideGame>(game: &G) -> Balancedness {
     match try_balancedness(game) {
         Ok(b) => b,
-        // lint: allow(no-panic-path) — documented `# Panics` convenience
-        // wrapper; fallible callers use the try_ variant instead.
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
+        )]
         Err(e) => panic!("balancedness: {e}"),
     }
 }

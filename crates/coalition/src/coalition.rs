@@ -127,6 +127,10 @@ impl Coalition {
     }
 
     /// Dense table index of this coalition (the raw mask).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path; dense tables stop at 2^16 coalitions, so the mask fits any usize"
+    )]
     pub fn index(self) -> usize {
         self.0 as usize
     }

@@ -65,8 +65,10 @@ pub fn excess<G: WideGame>(game: &G, x: &[f64], s: Coalition) -> f64 {
 pub fn least_core<G: WideGame>(game: &G) -> LeastCore {
     match try_least_core(game) {
         Ok(lc) => lc,
-        // lint: allow(no-panic-path) — documented `# Panics` convenience
-        // wrapper; fallible callers use the try_ variant instead.
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
+        )]
         Err(e) => panic!("least_core: {e}"),
     }
 }

@@ -164,9 +164,10 @@ impl TableGame {
     pub fn from_fn(n: usize, f: impl Fn(Coalition) -> f64) -> TableGame {
         match TableGame::try_from_fn(n, f) {
             Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper for the paper's small scenarios; fallible callers use
-            // try_from_fn.
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` convenience wrapper for the paper's small scenarios; fallible callers use try_from_fn"
+            )]
             Err(e) => panic!("TableGame::from_fn: {e}"),
         }
     }
@@ -178,8 +179,10 @@ impl TableGame {
     pub fn from_game<G: WideGame>(game: &G) -> TableGame {
         match TableGame::try_from_game(game) {
             Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper mirroring from_fn.
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` convenience wrapper mirroring from_fn"
+            )]
             Err(e) => panic!("TableGame::from_game: {e}"),
         }
     }
@@ -259,7 +262,7 @@ enum Slot {
 /// The memo table is a `BTreeMap` keyed by coalition mask: iteration (and
 /// any future snapshot/export of the cache) visits coalitions in ascending
 /// mask order, so nothing downstream can ever observe hash-seed-dependent
-/// ordering (fedval-lint rule `nondeterministic-iteration`).
+/// ordering (`HashMap` is banned workspace-wide by `clippy.toml`).
 pub struct CachedGame<G> {
     inner: G,
     /// An [`OrderedMutex`] so every test run validates the workspace

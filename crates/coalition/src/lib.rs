@@ -52,8 +52,8 @@ mod weighted;
 
 pub use approx::{
     derive_seed, hoeffding_epsilon, hoeffding_samples, shapley_auto_wide, try_approx_shapley_wide,
-    z_for_confidence, ApproxConfig, ApproxMethod, ApproxShapley, ShapleyEstimate,
-    EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
+    z_for_confidence, ApproxConfig, ApproxShapley, ShapleyEstimate, EXACT_SHAPLEY_MAX_PLAYERS,
+    MAX_SAMPLED_PLAYERS,
 };
 pub use balancedness::{balancedness, is_balanced, try_balancedness, Balancedness};
 pub use coalition::{Coalition, PlayerId, Players, Subsets, MAX_PLAYERS};

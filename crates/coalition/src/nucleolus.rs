@@ -43,8 +43,10 @@ pub const NUCLEOLUS_MAX_PLAYERS: usize = 12;
 pub fn nucleolus<G: WideGame>(game: &G) -> Vec<f64> {
     match try_nucleolus(game) {
         Ok(x) => x,
-        // lint: allow(no-panic-path) — documented `# Panics` convenience
-        // wrapper; fallible callers use the try_ variant instead.
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
+        )]
         Err(e) => panic!("nucleolus: {e}"),
     }
 }
@@ -231,9 +233,10 @@ fn equality_rank(n: usize, frozen: &[(Coalition, f64)]) -> usize {
         for r in 0..rows.len() {
             if r != rank && rows[r][col].abs() > 1e-12 {
                 let f = rows[r][col] / pivot_val;
-                // why: Gaussian elimination reads row/col indices off the
-                // math; a zip over two mutable row slices would not.
-                #[allow(clippy::needless_range_loop)]
+                #[expect(
+                    clippy::needless_range_loop,
+                    reason = "Gaussian elimination reads row/col indices off the math; a zip over two mutable row slices would not"
+                )]
                 for c in col..n {
                     let delta = f * rows[rank][c];
                     rows[r][c] -= delta;

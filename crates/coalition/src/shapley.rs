@@ -29,8 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub fn shapley_player<G: WideGame + ?Sized>(game: &G, i: PlayerId) -> f64 {
     match try_shapley_player(game, i) {
         Ok(phi) => phi,
-        // lint: allow(no-panic-path) — documented legacy wrapper; fallible
-        // callers use try_shapley_player.
+        #[expect(
+            clippy::panic,
+            reason = "documented legacy wrapper; fallible callers use try_shapley_player"
+        )]
         Err(e) => panic!("shapley_player: {e}"),
     }
 }
@@ -213,7 +215,10 @@ mod tests {
             let w = subset_weights(n);
             let mut total = 0.0;
             let mut binom = 1.0f64;
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "the loop reads w[s] beside the running binomial C(n-1, s)"
+            )]
             for s in 0..n {
                 total += binom * w[s];
                 binom *= (n - 1 - s) as f64 / (s + 1) as f64;

@@ -267,6 +267,10 @@ fn solve_single_experiment(profile: &CapacityProfile, demand: &Demand) -> Profil
 ///   is optimal (Schur-convexity); its construction is O(m²), so the scan
 ///   is capped — convex utility favors few large experiments, so small `m`
 ///   dominates and the cap is immaterial in practice.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "hot path; the spread scan stops at m = SPREAD_SCAN_MAX = 512"
+)]
 fn solve_single_class(
     profile: &CapacityProfile,
     demand: &Demand,

@@ -169,6 +169,10 @@ pub fn balanced_partition(total: u64, m: u64) -> Vec<u64> {
     }
     let q = total / m;
     let r = total % m;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path; m counts experiments, far below 2^32"
+    )]
     let mut parts = Vec::with_capacity(m as usize);
     for j in 0..m {
         parts.push(if j < r { q + 1 } else { q });
@@ -182,6 +186,10 @@ pub fn balanced_partition(total: u64, m: u64) -> Vec<u64> {
 ///
 /// Returns per-location usage keyed by location id, plus per-experiment
 /// location lists. Panics (debug) if the vector is infeasible.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "hot path; an experiment size x never exceeds the location count, a usize"
+)]
 pub fn realize_assignment(offer: &LocationOffer, sizes_desc: &[u64]) -> Option<Assignment> {
     let mut residual: Vec<(LocationId, u64)> = offer.iter().collect();
     let mut experiments = Vec::with_capacity(sizes_desc.len());

@@ -70,8 +70,10 @@ impl<G: WideGame> AvailabilityGame<G> {
     pub fn new(base: G, availability: Vec<f64>) -> AvailabilityGame<G> {
         match AvailabilityGame::try_new(base, availability) {
             Ok(g) => g,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper; fallible callers use the try_ variant instead.
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
+            )]
             Err(e) => panic!("AvailabilityGame::new: {e}"),
         }
     }

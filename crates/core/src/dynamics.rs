@@ -156,6 +156,10 @@ impl<'a> DynamicFederationGame<'a> {
     /// Per-location (loss-network) analysis: each location is a link, an
     /// admitted class-k experiment is a route over the x_k
     /// largest-capacity locations.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "location counts and route sizes are asserted <= 512 below"
+    )]
     fn analyze_per_location(&self, members: Vec<&Facility>) -> (f64, Vec<f64>) {
         let n_classes = self.demand.classes.len();
         let mut blocking = vec![1.0; n_classes];

@@ -165,6 +165,11 @@ impl Demand {
         sigma: f64,
     ) -> Demand {
         assert!((0.0..=1.0).contains(&sigma), "sigma must lie in [0, 1]");
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "sigma is asserted in [0, 1], so the rounded product lies in [0, k_total]"
+        )]
         let k2 = (sigma * k_total as f64).round() as u64;
         let k1 = k_total - k2.min(k_total);
         Demand {

@@ -112,8 +112,10 @@ impl FederationScenario {
     ) -> FederationScenario {
         match FederationScenario::try_from_measured(facilities, demand, game) {
             Ok(s) => s,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper; fallible callers use the try_ variant instead.
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
+            )]
             Err(e) => panic!("FederationScenario::from_measured: {e}"),
         }
     }
@@ -178,9 +180,10 @@ impl FederationScenario {
     pub fn game(&self) -> &TableGame {
         match self.try_game() {
             Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // accessor for the paper's n ≤ 3 scenarios; fallible callers use
-            // try_game.
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` convenience accessor for the paper's n ≤ 3 scenarios; fallible callers use try_game"
+            )]
             Err(e) => panic!("FederationScenario::game: {e}"),
         }
     }

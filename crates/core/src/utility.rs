@@ -55,6 +55,11 @@ impl ThresholdPower {
 
     /// The smallest *integer* number of locations with positive utility:
     /// `min { x ∈ ℕ : x > l }`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the threshold is asserted finite and non-negative in new(); `as` saturates"
+    )]
     pub fn min_admissible(&self) -> u64 {
         (self.threshold.floor() as u64) + 1
     }

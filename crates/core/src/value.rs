@@ -74,9 +74,10 @@ impl<'a> FederationGame<'a> {
     pub fn table(&self) -> TableGame {
         match self.try_table() {
             Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper for the paper's n ≤ 3 scenarios; fallible callers use
-            // try_table.
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` convenience wrapper for the paper's n ≤ 3 scenarios; fallible callers use try_table"
+            )]
             Err(e) => panic!("FederationGame::table: {e}"),
         }
     }
@@ -106,8 +107,10 @@ impl WideGame for FederationGame<'_> {
     fn value_members(&self, members: &[usize]) -> f64 {
         match self.solve_members(members) {
             Ok(solution) => solution.total_utility,
-            // lint: allow(no-panic-path) — the WideGame trait is infallible;
-            // `# Panics` documents this, and callers validate via solve_members.
+            #[expect(
+                clippy::panic,
+                reason = "the WideGame trait is infallible; `# Panics` documents this, and callers validate via solve_members"
+            )]
             Err(e) => panic!("FederationGame::value_members: unsupported demand: {e}"),
         }
     }
@@ -140,8 +143,10 @@ impl WideGame for FederationGame<'_> {
                 held[p] = !held[p];
                 match solve(&acc.profile(), self.demand) {
                     Ok(solution) => solution.total_utility,
-                    // lint: allow(no-panic-path) — the WideGame trait is infallible;
-                    // `# Panics` documents this, and callers validate via solve_members.
+                    #[expect(
+                        clippy::panic,
+                        reason = "the WideGame trait is infallible; `# Panics` documents this, and callers validate via solve_members"
+                    )]
                     Err(e) => panic!("FederationGame::value_walk: unsupported demand: {e}"),
                 }
             })

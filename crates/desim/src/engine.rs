@@ -125,10 +125,12 @@ impl<E> Simulator<E> {
     /// # Panics
     /// Panics if `at` is non-finite or in the past. Use
     /// [`Simulator::try_schedule_at`] on paths that must not panic.
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` convenience wrapper; fallible callers use try_schedule_at"
+    )]
     pub fn schedule_at(&mut self, at: f64, payload: E) {
         if let Err(e) = self.try_schedule_at(at, payload) {
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper; fallible callers use try_schedule_at instead.
             panic!("schedule_at: {e}");
         }
     }
@@ -160,10 +162,12 @@ impl<E> Simulator<E> {
     /// # Panics
     /// Panics if `delay` is negative or non-finite. Use
     /// [`Simulator::try_schedule`] on paths that must not panic.
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` convenience wrapper; fallible callers use try_schedule"
+    )]
     pub fn schedule(&mut self, delay: f64, payload: E) {
         if let Err(e) = self.try_schedule(delay, payload) {
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper; fallible callers use try_schedule instead.
             panic!("schedule: {e}");
         }
     }

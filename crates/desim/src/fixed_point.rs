@@ -98,6 +98,10 @@ pub fn erlang_fixed_point(capacities: &[u64], routes: &[Route]) -> FixedPoint {
                     .product();
                 a += r.offered_load * thinned;
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a link capacity counts servers, far below 2^32"
+            )]
             let target = erlang_b(a, capacities[l] as usize);
             let next = 0.5 * blocking[l] + 0.5 * target;
             max_delta = max_delta.max((next - blocking[l]).abs());

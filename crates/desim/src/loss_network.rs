@@ -77,6 +77,10 @@ impl LossAnalysis {
 }
 
 /// Runs the Kaufman–Roberts recursion for `capacity` resource units.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "capacity and class sizes count resource units; the occupancy vector already needs capacity + 1 slots"
+)]
 pub fn kaufman_roberts(capacity: u64, classes: &[LossClass]) -> LossAnalysis {
     let c = capacity as usize;
     // Unnormalized occupancy: g(0) = 1; j·g(j) = Σ a_k b_k g(j − b_k).

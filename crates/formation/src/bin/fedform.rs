@@ -5,6 +5,11 @@
 //! verdict, and promised-vs-realized payoff table. All stdout is a pure
 //! function of the flags (no wall-clock, no thread-count artifacts), so
 //! two runs — at any `--threads` — diff clean; CI relies on that.
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on stdout and stderr"
+)]
 
 use fedval_coalition::ApproxConfig;
 use fedval_form::{ChurnSchedule, FormationConfig, FormationEngine, FormationGame};

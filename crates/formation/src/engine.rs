@@ -901,6 +901,10 @@ fn sample_prefix<T>(items: &mut Vec<T>, k: usize, rng: &mut SimRng) {
         return;
     }
     for i in 0..k {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "below(n) < n, and n came from a usize"
+        )]
         let j = i + rng.below((len - i) as u64) as usize;
         items.swap(i, j);
     }

@@ -1,7 +1,7 @@
-//! `fedval-analyze`: the cross-file concurrency & determinism pass.
+//! `fedval-analyze`: the cross-file concurrency pass.
 //!
 //! Consumes the per-file [`crate::model::FileModel`]s and implements the
-//! four workspace-level rules:
+//! three workspace-level rules:
 //!
 //! * **`lock-order-cycle`** — builds the workspace lock-acquisition-order
 //!   graph (edge `A → B` when a guard of `A` is live while `B` is
@@ -13,9 +13,6 @@
 //!   `thread::sleep`, channel `recv`, `join`, or a `Condvar` wait that
 //!   releases a *different* lock. Such a hold turns one slow peer into a
 //!   pile-up on the lock (`DESIGN.md` §11's stalled-reader scenario).
-//! * **`wall-clock-in-deterministic-path`** — `Instant::now`/`SystemTime`
-//!   inside the crates feeding seeded pipelines. ϕ̂ must be a function of
-//!   `(scenario, seed)` alone; the sanctioned clock lives in `fedval-obs`.
 //! * **`atomic-ordering-audit`** — `Ordering::Relaxed` on `AtomicBool`
 //!   cross-thread flags (a flag usually *publishes* other writes) and
 //!   `SeqCst` RMWs on plain counters (a full fence on the hot path).
@@ -29,12 +26,6 @@ use crate::model::{FileModel, FnModel, LockKind};
 use crate::rules::{self, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Crates whose code must never read wall clocks (seeded pipelines).
-pub const WALL_CLOCK_CRATES: [&str; 5] = ["coalition", "desim", "simplex", "core", "formation"];
-
-/// Individual files outside those crates that also feed seeded output.
-pub const WALL_CLOCK_FILES: [&str; 1] = ["crates/bench/src/sweep.rs"];
-
 /// Runs the cross-file pass over every parsed model. Findings come back
 /// marker-filtered, id-assigned, and sorted by `(file, line, rule)`.
 pub fn analyze(models: &[FileModel]) -> Vec<Finding> {
@@ -42,7 +33,6 @@ pub fn analyze(models: &[FileModel]) -> Vec<Finding> {
     let mut findings = Vec::new();
     ws.lock_order_cycles(&mut findings);
     ws.guard_across_blocking(&mut findings);
-    wall_clock(models, &mut findings);
     atomic_ordering(models, &mut findings);
 
     // Marker suppression + stable ids, per file.
@@ -442,33 +432,6 @@ fn shortest_cycle<'a>(
     None
 }
 
-fn wall_clock(models: &[FileModel], out: &mut Vec<Finding>) {
-    for m in models {
-        let in_scope = WALL_CLOCK_CRATES.contains(&m.krate.as_str())
-            || WALL_CLOCK_FILES.contains(&m.file.as_str());
-        if !in_scope {
-            continue;
-        }
-        for c in &m.clocks {
-            if c.in_test {
-                continue;
-            }
-            out.push(Finding::new(
-                "wall-clock-in-deterministic-path",
-                &m.file,
-                c.line,
-                &m.krate,
-                format!(
-                    "`{}` in a seeded-pipeline crate — ϕ̂ must be a function of (scenario, \
-                     seed) alone; route timing through fedval-obs (`now_ns`) or justify \
-                     with a lint marker",
-                    c.what
-                ),
-            ));
-        }
-    }
-}
-
 fn atomic_ordering(models: &[FileModel], out: &mut Vec<Finding>) {
     // Workspace-wide AtomicBool names; ambiguous names (also declared as
     // a counter somewhere) resolve to "not a flag" to avoid inventing
@@ -674,20 +637,6 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 1, "{fs:?}");
         assert!(hits[0].message.contains("x::queue"));
-    }
-
-    #[test]
-    fn wall_clock_scoped_to_deterministic_crates() {
-        let src = "fn f() { let t = Instant::now(); }";
-        let fs = run(&[(src, "crates/coalition/src/x.rs", "coalition")]);
-        assert_eq!(rules_of(&fs), vec!["wall-clock-in-deterministic-path"]);
-        let fs = run(&[(src, "crates/serve/src/x.rs", "serve")]);
-        assert!(fs.is_empty());
-        let fs = run(&[(src, "crates/bench/src/sweep.rs", "bench")]);
-        assert_eq!(rules_of(&fs), vec!["wall-clock-in-deterministic-path"]);
-        // The formation engine feeds committed fingerprints: in scope.
-        let fs = run(&[(src, "crates/formation/src/engine.rs", "formation")]);
-        assert_eq!(rules_of(&fs), vec!["wall-clock-in-deterministic-path"]);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! the rules in [`crate::rules`] reason about real code without being
 //! fooled by the classic static-analysis traps:
 //!
-//! - string/char literals (`"x.unwrap()"` is not a panic path),
+//! - string/char literals (`"x == 0.0"` is not a float comparison),
 //! - raw strings with arbitrary `#` fencing,
 //! - nested block comments,
 //! - float literals vs. tuple indexing (`0.5` vs. `t.0`),
 //! - lifetimes vs. char literals (`'a` vs. `'a'`),
 //! - raw identifiers (`r#type`).
 //!
-//! Comments are kept as tokens (they carry lint markers and doc text);
+//! Comments are kept as tokens (they carry lint markers);
 //! [`test_mask`] layers `#[cfg(test)]` / `mod tests` scope tracking on top.
 
 /// Token category.
@@ -45,8 +45,6 @@ pub struct Tok {
     pub text: String,
     /// 1-based line of the token's first character.
     pub line: u32,
-    /// For comments: `true` for doc comments (`///`, `//!`, `/**`, `/*!`).
-    pub doc: bool,
 }
 
 impl Tok {
@@ -55,7 +53,6 @@ impl Tok {
             kind,
             text: text.into(),
             line,
-            doc: false,
         }
     }
 
@@ -98,7 +95,7 @@ pub fn lex(source: &str) -> Vec<Tok> {
             continue;
         }
 
-        // Line comments (and doc line comments).
+        // Line comments (doc comments included).
         if c == '/' && i + 1 < n && b[i + 1] == '/' {
             let start = i;
             let start_line = line;
@@ -106,10 +103,7 @@ pub fn lex(source: &str) -> Vec<Tok> {
                 i += 1;
             }
             let text: String = b[start..i].iter().collect();
-            let doc = text.starts_with("///") && !text.starts_with("////") || text.starts_with("//!");
-            let mut t = Tok::new(TokKind::Comment, text, start_line);
-            t.doc = doc;
-            toks.push(t);
+            toks.push(Tok::new(TokKind::Comment, text, start_line));
             continue;
         }
 
@@ -134,11 +128,7 @@ pub fn lex(source: &str) -> Vec<Tok> {
                 }
             }
             let text: String = b[start..i].iter().collect();
-            let doc = (text.starts_with("/**") && !text.starts_with("/**/"))
-                || text.starts_with("/*!");
-            let mut t = Tok::new(TokKind::Comment, text, start_line);
-            t.doc = doc;
-            toks.push(t);
+            toks.push(Tok::new(TokKind::Comment, text, start_line));
             continue;
         }
 
@@ -577,15 +567,6 @@ mod tests {
     fn raw_identifiers() {
         let toks = kinds("let r#type = 1;");
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "type"));
-    }
-
-    #[test]
-    fn doc_comments_flagged() {
-        let toks = lex("/// # Errors\n//! inner\n// plain\nfn f() {}");
-        let docs: Vec<_> = toks.iter().filter(|t| t.kind == TokKind::Comment).collect();
-        assert!(docs[0].doc && docs[0].text.contains("# Errors"));
-        assert!(docs[1].doc);
-        assert!(!docs[2].doc);
     }
 
     #[test]

@@ -4,66 +4,45 @@
 //! workspace.
 //!
 //! The paper's "compute ϕ̂ᵢ off-line" policy loop is only trustworthy if
-//! every coalition value is reproducible and panic-free. Generic tooling
-//! cannot express those invariants, so this crate ships a lightweight
-//! Rust lexer ([`lexer`]), eight per-file rules ([`rules`]), and the
-//! cross-file `fedval-analyze` concurrency pass ([`model`] + [`analyze`]):
+//! every coalition value is reproducible and panic-free. Most of that
+//! discipline is clippy's: the workspace `[lints]` table and `clippy.toml`
+//! deny panic paths, lossy casts, hash-ordered collections, wall clocks,
+//! undocumented `Result`s, printing from libraries and unjustified
+//! suppressions. This crate keeps the checks clippy cannot make. It ships
+//! a lightweight Rust lexer ([`lexer`]), two per-file rules ([`rules`]),
+//! and the cross-file `fedval-analyze` concurrency pass ([`model`] +
+//! [`analyze`]):
 //!
 //! | rule | discipline |
 //! |------|------------|
-//! | `no-panic-path` | no `unwrap`/`expect`/`panic!`-family outside tests |
-//! | `float-eq` | no raw `==`/`!=` against float literals |
-//! | `lossy-cast` | narrowing `as` casts need `try_from` or a marker |
-//! | `nondeterministic-iteration` | no `HashMap`/`HashSet` in value-affecting crates |
-//! | `errors-doc` | `pub fn … -> Result` documents `# Errors` |
-//! | `println-in-lib` | no `print!`-family macros in lib code (bins/examples exempt) |
+//! | `float-eq` | no raw `==`/`!=` against float literals, `0.0` included |
 //! | `socket-timeouts` | every `TcpStream` file sets both socket deadlines |
-//! | `allow-audit` | every suppression carries a justification |
 //! | `lock-order-cycle` | one global lock-acquisition order, no cycles |
 //! | `guard-across-blocking` | no guard held across blocking calls |
-//! | `wall-clock-in-deterministic-path` | no `Instant::now`/`SystemTime` in seeded crates |
 //! | `atomic-ordering-audit` | `Relaxed` flags / `SeqCst` counters need review |
 //!
-//! Findings are diffed against a committed [`baseline`]
-//! (`lint-baseline.toml`): pre-existing debt warns, *new* debt fails.
-//! See `DESIGN.md` §7 and §12 for the full workflow.
+//! Any finding fails the run. See `DESIGN.md` §7 and §12 for the full
+//! workflow.
 
 pub mod analyze;
-pub mod baseline;
 pub mod lexer;
 pub mod model;
 pub mod report;
 pub mod rules;
 pub mod walker;
 
-use baseline::{Baseline, Delta};
 use rules::Finding;
 use std::io;
 use std::path::Path;
 
-/// Outcome of linting a whole workspace.
-#[derive(Debug, Clone)]
-pub struct WorkspaceReport {
-    /// All findings, sorted by `(file, line, rule)`.
-    pub findings: Vec<Finding>,
-    /// Per-`(rule, file)` comparison against the baseline.
-    pub deltas: Vec<Delta>,
-}
-
-impl WorkspaceReport {
-    /// Total findings beyond the baseline's budgets.
-    pub fn new_findings(&self) -> usize {
-        self.deltas.iter().map(Delta::over).sum()
-    }
-}
-
-/// Lints every source file under `root` and diffs against `baseline`.
+/// Lints every source file under `root`. Findings come back sorted by
+/// `(file, line, rule)`.
 ///
 /// # Errors
 /// Propagates [`io::Error`] from directory traversal or file reads; an
 /// unreadable workspace is a lint-infrastructure failure, never a silent
 /// pass.
-pub fn lint_workspace(root: &Path, baseline: &Baseline) -> io::Result<WorkspaceReport> {
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut models = Vec::new();
     for src in walker::collect_sources(root)? {
@@ -75,6 +54,5 @@ pub fn lint_workspace(root: &Path, baseline: &Baseline) -> io::Result<WorkspaceR
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
-    let deltas = baseline.diff(&findings);
-    Ok(WorkspaceReport { findings, deltas })
+    Ok(findings)
 }

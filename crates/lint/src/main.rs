@@ -1,10 +1,13 @@
 //! `fedval-lint` CLI driver.
 //!
-//! Exit codes: `0` — no findings above the baseline; `2` — new findings
-//! above the baseline (CI should fail); `1` — the linter itself could not
-//! run (bad flags, unreadable workspace, corrupt baseline).
+//! Exit codes: `0` — no findings; `2` — at least one finding (CI should
+//! fail); `1` — the linter itself could not run (bad flags, unreadable
+//! workspace).
+#![expect(
+    clippy::print_stderr,
+    reason = "a CLI reports its own failure on stderr"
+)]
 
-use fedval_lint::baseline::Baseline;
 use fedval_lint::{lint_workspace, report};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -17,45 +20,38 @@ fn emit(text: &str) {
 }
 
 const USAGE: &str = "\
-fedval-lint: workspace static-analysis pass with a ratcheted baseline.
+fedval-lint: the workspace checks clippy cannot make.
 
 USAGE:
     fedval-lint [OPTIONS]
 
 OPTIONS:
     --json               emit machine-readable JSON instead of the report
-    --update-baseline    rewrite the baseline to exactly cover current findings
     --explain <RULE>     print the rationale behind a rule and exit
     --root <PATH>        workspace root (default: autodetected from cwd)
-    --baseline <PATH>    baseline file (default: <root>/lint-baseline.toml)
     --help               print this help
 
 EXIT CODES:
-    0    clean (no findings above baseline)
-    2    new findings above baseline
-    1    linter failure (bad flags, unreadable workspace, corrupt baseline)";
+    0    clean (no findings)
+    2    at least one finding
+    1    linter failure (bad flags, unreadable workspace)";
 
 struct Options {
     json: bool,
-    update_baseline: bool,
     explain: Option<String>,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut opts = Options {
         json: false,
-        update_baseline: false,
         explain: None,
         root: None,
-        baseline: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--update-baseline" => opts.update_baseline = true,
             "--explain" => {
                 let v = it.next().ok_or("--explain requires a rule name argument")?;
                 opts.explain = Some(v.clone());
@@ -63,10 +59,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--root" => {
                 let v = it.next().ok_or("--root requires a path argument")?;
                 opts.root = Some(PathBuf::from(v));
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline requires a path argument")?;
-                opts.baseline = Some(PathBuf::from(v));
             }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag `{other}` (try --help)")),
@@ -120,42 +112,18 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or("no [workspace] Cargo.toml found above the working directory; pass --root")?
         }
     };
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| root.join("lint-baseline.toml"));
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(format!("{}: {e}", baseline_path.display())),
-    };
-
-    let ws = lint_workspace(&root, &baseline)
-        .map_err(|e| format!("linting {}: {e}", root.display()))?;
-
-    if opts.update_baseline {
-        let fresh = Baseline::from_findings(&ws.findings);
-        std::fs::write(&baseline_path, fresh.render())
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        emit(&format!(
-            "fedval-lint: baseline rewritten to {} ({} finding(s) across {} rule(s))\n",
-            baseline_path.display(),
-            ws.findings.len(),
-            fresh.budgets.values().filter(|f| !f.is_empty()).count()
-        ));
-        return Ok(ExitCode::SUCCESS);
-    }
+    let findings =
+        lint_workspace(&root).map_err(|e| format!("linting {}: {e}", root.display()))?;
 
     if opts.json {
-        emit(&report::json(&ws.findings, &ws.deltas));
+        emit(&report::json(&findings));
     } else {
-        emit(&report::human(&ws.findings, &ws.deltas));
+        emit(&report::human(&findings));
     }
-    if ws.new_findings() > 0 {
-        Ok(ExitCode::from(2))
-    } else {
+    if findings.is_empty() {
         Ok(ExitCode::SUCCESS)
+    } else {
+        Ok(ExitCode::from(2))
     }
 }
 

@@ -5,7 +5,7 @@
 //! matching), lock declarations (struct fields, statics, `let` locals,
 //! and `&Mutex<_>`-style parameters), lock-acquisition sites with an
 //! approximate guard-liveness span, blocking-call sites, an intra-crate
-//! call-site list, and wall-clock / atomic-ordering observation points.
+//! call-site list, and atomic-ordering observation points.
 //! [`crate::analyze`] stitches the per-file models into a workspace
 //! lock-order graph.
 //!
@@ -150,17 +150,6 @@ pub struct BlockingSite {
     pub args: Vec<String>,
 }
 
-/// A wall-clock observation point (`Instant::now`, `SystemTime`).
-#[derive(Debug, Clone)]
-pub struct ClockSite {
-    /// What was referenced.
-    pub what: &'static str,
-    /// 1-based source line.
-    pub line: u32,
-    /// Whether the site is inside test-only code.
-    pub in_test: bool,
-}
-
 /// An atomic-memory-ordering observation point.
 #[derive(Debug, Clone)]
 pub struct AtomicSite {
@@ -212,8 +201,6 @@ pub struct FileModel {
     pub atomics: Vec<AtomicDecl>,
     /// Function items, in source order.
     pub fns: Vec<FnModel>,
-    /// Wall-clock observation points.
-    pub clocks: Vec<ClockSite>,
     /// Atomic-ordering observation points.
     pub atomic_sites: Vec<AtomicSite>,
     /// Suppression markers, shared with the per-file rules.
@@ -365,7 +352,6 @@ impl FileModel {
             locks,
             atomics,
             fns,
-            clocks: collect_clocks(&s),
             atomic_sites: collect_atomic_sites(&s),
             markers,
             source: source.to_string(),
@@ -799,34 +785,6 @@ fn guard_span(s: &Scan, site: usize, close: usize) -> (usize, Option<String>) {
     }
 }
 
-fn collect_clocks(s: &Scan) -> Vec<ClockSite> {
-    let mut out = Vec::new();
-    for ci in 0..s.len() {
-        let t = s.t(ci);
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "Instant"
-            && ci + 2 < s.len()
-            && s.t(ci + 1).is_punct("::")
-            && s.t(ci + 2).is_ident("now")
-        {
-            out.push(ClockSite {
-                what: "Instant::now",
-                line: t.line,
-                in_test: s.is_test(ci),
-            });
-        } else if t.text == "SystemTime" {
-            out.push(ClockSite {
-                what: "SystemTime",
-                line: t.line,
-                in_test: s.is_test(ci),
-            });
-        }
-    }
-    out
-}
-
 fn collect_atomic_sites(s: &Scan) -> Vec<AtomicSite> {
     const OPS: [&str; 4] = ["load", "store", "fetch_add", "fetch_sub"];
     const ORDERINGS: [&str; 5] = ["Relaxed", "SeqCst", "Acquire", "Release", "AcqRel"];
@@ -1028,16 +986,13 @@ mod tests {
     }
 
     #[test]
-    fn clock_and_atomic_sites() {
+    fn atomic_sites() {
         let m = model(
-            "fn f() { let t = Instant::now(); let s = SystemTime::now(); }\n\
-             fn g(n: &AtomicUsize, b: &AtomicBool) {\n\
+            "fn g(n: &AtomicUsize, b: &AtomicBool) {\n\
                n.fetch_add(1, Ordering::SeqCst); b.load(Ordering::Relaxed);\n\
                b.store(true, Ordering::SeqCst);\n\
              }",
         );
-        assert_eq!(m.clocks.len(), 2);
-        assert_eq!(m.clocks[0].what, "Instant::now");
         let ops: Vec<(&str, Option<&str>)> = m
             .atomic_sites
             .iter()
@@ -1051,11 +1006,11 @@ mod tests {
     #[test]
     fn test_code_is_marked() {
         let m = model(
-            "fn live() {}\n#[cfg(test)]\nmod tests { fn t() { let x = Instant::now(); } }",
+            "fn live() {}\n#[cfg(test)]\nmod tests { fn t() { X.load(Ordering::Relaxed); } }",
         );
         let t = m.fns.iter().find(|f| f.name == "t").expect("t");
         assert!(t.in_test);
-        assert!(m.clocks.iter().all(|c| c.in_test));
+        assert!(m.atomic_sites.iter().all(|a| a.in_test));
     }
 
     #[test]

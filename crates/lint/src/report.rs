@@ -1,23 +1,19 @@
 //! Finding presentation: the human report (rule × crate groups with
-//! file:line anchors, new-vs-baseline delta) and the `--json` machine
-//! format.
+//! file:line anchors) and the `--json` machine format.
 //!
 //! Both renderings are fully deterministic: findings arrive pre-sorted
 //! from the driver and all grouping uses ordered maps.
 
-use crate::baseline::Delta;
 use crate::rules::{Finding, RULE_NAMES};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders the grouped human-readable report.
-pub fn human(findings: &[Finding], deltas: &[Delta]) -> String {
+pub fn human(findings: &[Finding]) -> String {
     let mut out = String::new();
-    let over_total: usize = deltas.iter().map(Delta::over).sum();
-    let slack_total: usize = deltas.iter().map(Delta::slack).sum();
-
     if findings.is_empty() {
         out.push_str("fedval-lint: no findings — the workspace is clean.\n");
+        return out;
     }
     for rule in RULE_NAMES {
         let of_rule: Vec<&Finding> = findings.iter().filter(|f| f.rule == rule).collect();
@@ -38,35 +34,16 @@ pub fn human(findings: &[Finding], deltas: &[Delta]) -> String {
         out.push('\n');
     }
 
-    if over_total > 0 {
-        let _ = writeln!(
-            out,
-            "NEW findings above baseline: {over_total} (budget exceeded — fix them or justify with an inline marker):"
-        );
-        for d in deltas.iter().filter(|d| d.over() > 0) {
-            let _ = writeln!(
-                out,
-                "  {}: {} at {} (baseline allows {})",
-                d.rule,
-                d.current,
-                d.file,
-                d.allowed
-            );
-        }
-    } else {
-        let _ = writeln!(out, "No findings above baseline.");
-    }
-    if slack_total > 0 {
-        let _ = writeln!(
-            out,
-            "Ratchet opportunity: {slack_total} baseline slot(s) no longer needed — run with --update-baseline to shrink the debt."
-        );
-    }
+    let _ = writeln!(
+        out,
+        "{} finding(s) — fix each one or justify it with an inline marker.",
+        findings.len()
+    );
     out
 }
 
-/// Renders findings and deltas as deterministic JSON.
-pub fn json(findings: &[Finding], deltas: &[Delta]) -> String {
+/// Renders findings as deterministic JSON.
+pub fn json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         let _ = write!(
@@ -83,31 +60,7 @@ pub fn json(findings: &[Finding], deltas: &[Delta]) -> String {
         );
     }
     out.push_str(if findings.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"deltas\": [");
-    let interesting: Vec<&Delta> = deltas
-        .iter()
-        .filter(|d| d.over() > 0 || d.slack() > 0)
-        .collect();
-    for (i, d) in interesting.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}\n    {{\"rule\": {}, \"file\": {}, \"current\": {}, \"allowed\": {}, \"new\": {}}}",
-            if i == 0 { "" } else { "," },
-            escape(&d.rule),
-            escape(&d.file),
-            d.current,
-            d.allowed,
-            d.over()
-        );
-    }
-    out.push_str(if interesting.is_empty() { "],\n" } else { "\n  ],\n" });
-    let total_new: usize = deltas.iter().map(Delta::over).sum();
-    let _ = write!(
-        out,
-        "  \"summary\": {{\"total\": {}, \"new\": {}}}\n}}\n",
-        findings.len(),
-        total_new
-    );
+    let _ = write!(out, "  \"summary\": {{\"total\": {}}}\n}}\n", findings.len());
     out
 }
 
@@ -123,7 +76,6 @@ fn escape(s: &str) -> String {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if c < ' ' => {
-                // lint: allow(lossy-cast) — char → u32 widens; never lossy.
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -154,12 +106,13 @@ mod tests {
         let fs = vec![
             finding("float-eq", "crates/core/src/a.rs", 1),
             finding("float-eq", "crates/desim/src/b.rs", 2),
-            finding("no-panic-path", "src/lib.rs", 3),
+            finding("socket-timeouts", "src/lib.rs", 3),
         ];
-        let r = human(&fs, &[]);
-        let np = r.find("rule no-panic-path");
+        let r = human(&fs);
         let fe = r.find("rule float-eq");
-        assert!(np < fe, "rules in RULE_NAMES order");
+        let st = r.find("rule socket-timeouts");
+        assert!(fe < st, "rules in RULE_NAMES order");
+        assert!(r.contains("3 finding(s)"));
         assert!(r.contains("crates/core/src/a.rs:1"));
         assert!(r.contains("crate desim:"));
     }
@@ -168,20 +121,19 @@ mod tests {
     fn json_escapes_and_counts() {
         let mut f = finding("float-eq", "a\"b.rs", 1);
         f.message = "uses `==`\non floats".to_string();
-        let j = json(&[f], &[]);
+        let j = json(&[f]);
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("\\n"));
         assert!(j.contains("\"total\": 1"));
-        assert!(j.contains("\"new\": 0"));
         assert!(j.contains("\"severity\": \"error\""));
         assert!(j.contains("\"id\": \"float-eq:"));
     }
 
     #[test]
     fn empty_report_is_clean() {
-        let r = human(&[], &[]);
+        let r = human(&[]);
         assert!(r.contains("clean"));
-        let j = json(&[], &[]);
+        let j = json(&[]);
         assert!(j.contains("\"findings\": []"));
     }
 }

@@ -10,27 +10,25 @@
 //! ```
 //!
 //! placed on the offending line or on a comment line directly above it.
-//! Unjustified markers and bare `#[allow(..)]` attributes are themselves
-//! findings (rule `allow-audit`), so every suppression leaves an audit
-//! trail.
+//! A marker with a hollow reason or an unknown rule name suppresses
+//! nothing.
+//!
+//! Everything clippy can check with types (panic paths, lossy casts,
+//! hash-ordered collections, wall clocks, `# Errors` docs, printing from
+//! libraries, suppression hygiene) is enforced by the workspace
+//! `[lints]` table and `clippy.toml` instead; these rules cover what it
+//! cannot.
 
 use crate::lexer::{test_mask, Tok, TokKind};
 
-/// Rule identifiers, in reporting order. The first eight are per-file
-/// token rules; the last four are the cross-file `fedval-analyze` pass
+/// Rule identifiers, in reporting order. The first two are per-file
+/// token rules; the last three are the cross-file `fedval-analyze` pass
 /// (see [`crate::analyze`]).
-pub const RULE_NAMES: [&str; 12] = [
-    "no-panic-path",
+pub const RULE_NAMES: [&str; 5] = [
     "float-eq",
-    "lossy-cast",
-    "nondeterministic-iteration",
-    "errors-doc",
-    "println-in-lib",
     "socket-timeouts",
-    "allow-audit",
     "lock-order-cycle",
     "guard-across-blocking",
-    "wall-clock-in-deterministic-path",
     "atomic-ordering-audit",
 ];
 
@@ -38,44 +36,16 @@ pub const RULE_NAMES: [&str; 12] = [
 /// CI failure messages. Returns `None` for unknown rule names.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "no-panic-path" => {
-            "unwrap()/expect() and panic-family macros abort the value pipeline mid-run. \
-             Library code must propagate failures as FedError so degraded scenarios produce \
-             diagnostics instead of a dead process. Suppress only for a documented invariant: \
-             // lint: allow(no-panic-path) — <why it cannot fail>."
-        }
         "float-eq" => {
             "Comparing floats with ==/!= against a literal is seed-fragile: two pipelines \
              that differ by one rounding step diverge silently. Use is_zero/approx_eq from \
-             fedval_core::approx with an explicit tolerance."
-        }
-        "lossy-cast" => {
-            "`as` casts to sub-64-bit targets (and float→int truncations) wrap or truncate \
-             silently. Coalition masks and player counts have overflowed this way before; \
-             use try_from or justify the bound with a lint marker."
-        }
-        "nondeterministic-iteration" => {
-            "HashMap/HashSet iteration order depends on the hash seed, so any fold over it \
-             perturbs published ϕ̂ numbers between runs. Value-affecting crates use \
-             BTreeMap/BTreeSet or sorted Vecs."
-        }
-        "errors-doc" => {
-            "A pub fn returning Result is API surface: callers need the failure modes in a \
-             `# Errors` doc section to decide what to catch versus propagate."
-        }
-        "println-in-lib" => {
-            "Libraries writing to stdout corrupt machine-read output (CSV, JSONL traces) and \
-             cannot be silenced by callers. Report through return values or a fedval-obs sink."
+             fedval_core::approx with an explicit tolerance. clippy's float_cmp exempts \
+             comparisons against 0.0 and infinities; this rule does not."
         }
         "socket-timeouts" => {
             "Every TcpStream needs both set_read_timeout and set_write_timeout (DESIGN.md \
              §11): without deadlines one stalled peer pins a thread forever. Applies to \
              client bins (fedload, fedchaos) as much as to the daemon."
-        }
-        "allow-audit" => {
-            "Every suppression leaves an audit trail: #[allow(..)] needs an adjacent \
-             justifying comment, and lint markers need a known rule name plus a reason of \
-             at least 8 characters. Hollow markers suppress nothing."
         }
         "lock-order-cycle" => {
             "Two threads taking the same locks in opposite orders is the canonical deadlock. \
@@ -91,11 +61,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              stalled-reader scenario). Drop the guard before blocking, or justify the hold \
              with a lint marker when the lock exists precisely to serialize that I/O."
         }
-        "wall-clock-in-deterministic-path" => {
-            "ϕ̂ must be a function of (scenario, seed) alone. Instant::now/SystemTime inside \
-             coalition/desim/simplex/core or the bench sweep leaks wall-clock into seeded \
-             pipelines; route timing through fedval-obs or justify with a marker."
-        }
         "atomic-ordering-audit" => {
             "Ordering::Relaxed on an AtomicBool cross-thread flag usually fails to publish \
              the writes the flag guards (use Acquire/Release); SeqCst on a plain counter RMW \
@@ -105,12 +70,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         _ => return None,
     })
 }
-
-/// Crates whose outputs feed Shapley/nucleolus/policy pipelines: any
-/// nondeterminism here (e.g. `HashMap` iteration order) can perturb
-/// published numbers, so the `nondeterministic-iteration` rule is scoped
-/// to them.
-pub const VALUE_AFFECTING_CRATES: [&str; 4] = ["core", "coalition", "desim", "simplex"];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,7 +128,7 @@ impl Finding {
 }
 
 /// FNV-1a 64-bit, the id hash. Stable by construction (no seed), short
-/// enough to read in a baseline diff.
+/// enough to read in a report.
 fn fnv64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
@@ -206,30 +165,21 @@ pub(crate) fn assign_ids(findings: &mut [Finding], source: &str) {
 pub(crate) struct Marker {
     rule: String,
     reason: String,
-    /// Line of the marker comment itself.
-    line: u32,
     /// Line the marker suppresses (first code line at/after the marker).
     target: u32,
 }
 
 /// Applies justified markers: a finding is suppressed when a marker for
 /// its rule targets its line. Markers with hollow reasons suppress
-/// nothing (they are themselves `allow-audit` findings).
+/// nothing.
 pub(crate) fn apply_markers(findings: &mut Vec<Finding>, markers: &[Marker]) {
     findings.retain(|f| {
-        f.rule == "allow-audit"
-            || !markers.iter().any(|m| {
-                m.rule == f.rule && m.target == f.line && m.reason.len() >= MIN_REASON_LEN
-            })
+        !markers.iter().any(|m| {
+            m.rule == f.rule && m.target == f.line && m.reason.len() >= MIN_REASON_LEN
+        })
     });
 }
 
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
-const NARROW_CAST_TARGETS: [&str; 7] = ["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-const INT_CAST_TARGETS: [&str; 4] = ["usize", "u64", "i64", "isize"];
-const HASH_COLLECTIONS: [&str; 2] = ["HashMap", "HashSet"];
-const PRINT_MACROS: [&str; 5] = ["println", "print", "eprintln", "eprint", "dbg"];
 const MIN_REASON_LEN: usize = 8;
 
 /// Lints one file's source text. `file` must be the workspace-relative
@@ -239,17 +189,9 @@ pub fn lint_file(source: &str, file: &str, krate: &str) -> Vec<Finding> {
     let markers = collect_markers(&toks.tokens);
     let mut findings = Vec::new();
 
-    no_panic_path(&toks, file, krate, &mut findings);
     float_eq(&toks, file, krate, &mut findings);
-    lossy_cast(&toks, file, krate, &mut findings);
-    nondeterministic_iteration(&toks, file, krate, &mut findings);
-    errors_doc(&toks, file, krate, &mut findings);
-    println_in_lib(&toks, file, krate, &mut findings);
     socket_timeouts(&toks, file, krate, &mut findings);
-    allow_audit(&toks, &markers, file, krate, &mut findings);
 
-    // Apply justified markers; hollow-reason markers suppress nothing
-    // (and were flagged by allow_audit above).
     apply_markers(&mut findings, &markers);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     assign_ids(&mut findings, source);
@@ -300,48 +242,6 @@ fn finding(
     Finding::new(rule, file, line, krate, message)
 }
 
-/// `unwrap()`/`expect()` calls and panic-family macros in non-test code.
-fn no_panic_path(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) {
-    for ci in 0..lx.code.len() {
-        if lx.code_in_test(ci) {
-            continue;
-        }
-        let t = lx.code_tok(ci);
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev = ci.checked_sub(1).map(|p| lx.code_tok(p));
-        let next = lx.code.get(ci + 1).map(|&i| &lx.tokens[i]);
-        if PANIC_METHODS.contains(&t.text.as_str())
-            && prev.is_some_and(|p| p.is_punct("."))
-            && next.is_some_and(|n| n.is_punct("("))
-        {
-            out.push(finding(
-                "no-panic-path",
-                file,
-                krate,
-                t.line,
-                format!(
-                    ".{}() can panic — propagate with `?` and a FedError variant instead",
-                    t.text
-                ),
-            ));
-        }
-        if PANIC_MACROS.contains(&t.text.as_str()) && next.is_some_and(|n| n.is_punct("!")) {
-            out.push(finding(
-                "no-panic-path",
-                file,
-                krate,
-                t.line,
-                format!(
-                    "{}! aborts the value pipeline — return a FedError instead",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
 /// `==`/`!=` with a float literal on either side.
 fn float_eq(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) {
     for ci in 0..lx.code.len() {
@@ -372,241 +272,6 @@ fn float_eq(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) {
                 t.line,
                 format!(
                     "raw float `{}` comparison — use is_zero/approx_eq from fedval_core::approx with an explicit tolerance",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-/// Narrowing `as` casts: any cast to a sub-64-bit numeric type, and
-/// float-literal `as` integer truncations.
-fn lossy_cast(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) {
-    for ci in 0..lx.code.len() {
-        if lx.code_in_test(ci) {
-            continue;
-        }
-        let t = lx.code_tok(ci);
-        if !t.is_ident("as") {
-            continue;
-        }
-        let Some(&target_i) = lx.code.get(ci + 1) else {
-            continue;
-        };
-        let target = &lx.tokens[target_i];
-        if target.kind != TokKind::Ident {
-            continue;
-        }
-        let narrow = NARROW_CAST_TARGETS.contains(&target.text.as_str());
-        let float_to_int = INT_CAST_TARGETS.contains(&target.text.as_str())
-            && ci
-                .checked_sub(1)
-                .is_some_and(|p| lx.code_tok(p).kind == TokKind::Float);
-        if narrow || float_to_int {
-            out.push(finding(
-                "lossy-cast",
-                file,
-                krate,
-                t.line,
-                format!(
-                    "narrowing `as {}` cast — use try_from or justify with a lint marker",
-                    target.text
-                ),
-            ));
-        }
-    }
-}
-
-/// `HashMap`/`HashSet` mentions in value-affecting crates.
-fn nondeterministic_iteration(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) {
-    if !VALUE_AFFECTING_CRATES.contains(&krate) {
-        return;
-    }
-    for ci in 0..lx.code.len() {
-        if lx.code_in_test(ci) {
-            continue;
-        }
-        let t = lx.code_tok(ci);
-        if t.kind == TokKind::Ident && HASH_COLLECTIONS.contains(&t.text.as_str()) {
-            out.push(finding(
-                "nondeterministic-iteration",
-                file,
-                krate,
-                t.line,
-                format!(
-                    "{} iteration order is hash-seed dependent — use BTreeMap/BTreeSet or a sorted Vec in value-affecting crates",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-/// `pub fn … -> Result<..>` must document failure modes under `# Errors`.
-fn errors_doc(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) {
-    // Walk raw tokens so doc comments can be associated with items: a doc
-    // block belongs to the next item unless interrupted by non-attribute
-    // code.
-    let mut docs_have_errors = false;
-    let mut docs_pending = false;
-    let mut i = 0usize;
-    let toks = &lx.tokens;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Comment {
-            if t.doc {
-                if !docs_pending {
-                    docs_pending = true;
-                    docs_have_errors = false;
-                }
-                if t.text.contains("# Errors") {
-                    docs_have_errors = true;
-                }
-            }
-            i += 1;
-            continue;
-        }
-        // Attributes between docs and item do not break the association.
-        if t.is_punct("#") {
-            let mut j = i + 1;
-            if j < toks.len() && toks[j].is_punct("!") {
-                j += 1;
-            }
-            if j < toks.len() && toks[j].is_punct("[") {
-                let mut depth = 0u32;
-                while j < toks.len() {
-                    if toks[j].is_punct("[") {
-                        depth += 1;
-                    } else if toks[j].is_punct("]") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-                continue;
-            }
-        }
-        if t.is_ident("pub") && !lx.in_test[i] {
-            if let Some((name, line, sig_end)) = parse_pub_fn(toks, i) {
-                if returns_result(toks, i, sig_end) && !(docs_pending && docs_have_errors) {
-                    out.push(finding(
-                        "errors-doc",
-                        file,
-                        krate,
-                        line,
-                        format!("pub fn {name} returns Result but documents no `# Errors` section"),
-                    ));
-                }
-                docs_pending = false;
-                i = sig_end;
-                continue;
-            }
-        }
-        docs_pending = false;
-        i += 1;
-    }
-}
-
-/// If `toks[i]` starts `pub [ (vis) ] [const|async|unsafe]* fn name`,
-/// returns `(name, line_of_fn, index_of_body_open_or_semicolon)`.
-fn parse_pub_fn(toks: &[Tok], i: usize) -> Option<(String, u32, usize)> {
-    let mut j = i + 1;
-    let code_at = |j: &mut usize| -> Option<usize> {
-        while *j < toks.len() && toks[*j].kind == TokKind::Comment {
-            *j += 1;
-        }
-        (*j < toks.len()).then_some(*j)
-    };
-    // Visibility qualifier `pub(crate)` etc. — restricted visibility is
-    // not public API, so skip the whole item.
-    if code_at(&mut j).is_some_and(|k| toks[k].is_punct("(")) {
-        return None;
-    }
-    while code_at(&mut j)
-        .is_some_and(|k| ["const", "async", "unsafe", "extern"].iter().any(|q| toks[k].is_ident(q)))
-    {
-        j += 1;
-    }
-    let k = code_at(&mut j)?;
-    if !toks[k].is_ident("fn") {
-        return None;
-    }
-    j = k + 1;
-    let k = code_at(&mut j)?;
-    if toks[k].kind != TokKind::Ident {
-        return None;
-    }
-    let name = toks[k].text.clone();
-    let line = toks[k].line;
-    // Scan to the body `{` or a trailing `;` at brace depth 0. Generic
-    // angle brackets need no special casing: no `{`/`;` can occur inside
-    // them in a signature.
-    let mut depth = 0u32;
-    let mut m = k + 1;
-    while m < toks.len() {
-        let t = &toks[m];
-        if t.is_punct("(") || t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && (t.is_punct("{") || t.is_punct(";")) {
-            return Some((name, line, m));
-        }
-        m += 1;
-    }
-    Some((name, line, toks.len()))
-}
-
-/// Whether the signature tokens in `[start, end)` mention `Result` after
-/// the `->` return arrow.
-fn returns_result(toks: &[Tok], start: usize, end: usize) -> bool {
-    let mut seen_arrow = false;
-    for t in &toks[start..end.min(toks.len())] {
-        if t.is_punct("->") {
-            seen_arrow = true;
-        } else if seen_arrow && t.is_ident("Result") {
-            return true;
-        }
-    }
-    false
-}
-
-/// Whether `file` is a place where printing to stdout/stderr is the
-/// program's actual job: binary entry points (`main.rs`, `src/bin/`) and
-/// examples. Integration tests and benches never reach the linter (the
-/// walker excludes those directories), and `#[cfg(test)]` code is exempt
-/// via the test mask.
-fn printing_allowed(file: &str) -> bool {
-    file.ends_with("main.rs") || file.contains("/bin/") || file.contains("examples/")
-}
-
-/// `println!`-family macros in library code. Libraries must report
-/// through return values or the `fedval-obs` layer — writing to stdout
-/// from a lib corrupts machine-read output (CSV, JSONL traces) and
-/// cannot be silenced by callers.
-fn println_in_lib(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) {
-    if printing_allowed(file) {
-        return;
-    }
-    for ci in 0..lx.code.len() {
-        if lx.code_in_test(ci) {
-            continue;
-        }
-        let t = lx.code_tok(ci);
-        if t.kind != TokKind::Ident || !PRINT_MACROS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if lx.code.get(ci + 1).is_some_and(|&i| lx.tokens[i].is_punct("!")) {
-            out.push(finding(
-                "println-in-lib",
-                file,
-                krate,
-                t.line,
-                format!(
-                    "{}! in library code — report through return values or a fedval-obs sink, not stdout",
                     t.text
                 ),
             ));
@@ -731,76 +396,10 @@ pub(crate) fn collect_markers(toks: &[Tok]) -> Vec<Marker> {
         markers.push(Marker {
             rule,
             reason,
-            line: t.line,
             target: if trailing { t.line } else { target },
         });
     }
     markers
-}
-
-/// Audits suppressions: `#[allow(..)]` attributes need an adjacent
-/// justifying comment; lint markers need a non-hollow reason and a known
-/// rule name.
-fn allow_audit(
-    lx: &Lexed,
-    markers: &[Marker],
-    file: &str,
-    krate: &str,
-    out: &mut Vec<Finding>,
-) {
-    for m in markers {
-        if !RULE_NAMES.contains(&m.rule.as_str()) {
-            out.push(finding(
-                "allow-audit",
-                file,
-                krate,
-                m.line,
-                format!("lint marker names unknown rule `{}`", m.rule),
-            ));
-        } else if m.reason.len() < MIN_REASON_LEN {
-            out.push(finding(
-                "allow-audit",
-                file,
-                krate,
-                m.line,
-                format!(
-                    "lint marker for `{}` lacks a justification (≥ {MIN_REASON_LEN} chars after the rule)",
-                    m.rule
-                ),
-            ));
-        }
-    }
-    // #[allow(..)] attributes outside test code.
-    let toks = &lx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_punct("#") || lx.in_test[i] {
-            continue;
-        }
-        let mut j = i + 1;
-        if j < toks.len() && toks[j].is_punct("!") {
-            j += 1;
-        }
-        if !(j + 1 < toks.len() && toks[j].is_punct("[") && toks[j + 1].is_ident("allow")) {
-            continue;
-        }
-        let line = t.line;
-        let justified = toks.iter().any(|c| {
-            c.kind == TokKind::Comment
-                && !c.doc
-                && (c.line == line || c.line + 1 == line)
-                && c.text.trim_start_matches('/').trim().len() >= MIN_REASON_LEN
-        });
-        if !justified {
-            out.push(finding(
-                "allow-audit",
-                file,
-                krate,
-                line,
-                "#[allow(..)] without an adjacent justifying comment (same line or line above)"
-                    .to_string(),
-            ));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -815,24 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_flagged_outside_tests_only() {
-        let src = "fn f() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { y.unwrap(); } }";
-        assert_eq!(rules_of(src, "core"), vec![("no-panic-path", 1)]);
-    }
-
-    #[test]
-    fn panic_macros_flagged_strings_ignored() {
-        let src = "fn f() { let s = \"panic!(no)\"; todo!(); }";
-        assert_eq!(rules_of(src, "core"), vec![("no-panic-path", 1)]);
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let src = "fn f() { x.unwrap_or(0); y.expect_err(\"e\"); }";
-        assert!(rules_of(src, "core").is_empty());
-    }
-
-    #[test]
     fn float_eq_adjacent_literal() {
         let src = "fn f(x: f64) -> bool { x == 0.0 }\nfn g(x: f64) -> bool { 1.5 != x }";
         assert_eq!(
@@ -842,85 +423,17 @@ mod tests {
     }
 
     #[test]
+    fn float_eq_outside_tests_only() {
+        let src = "fn f(x: f64) -> bool { x == -1.0 }\n#[cfg(test)]\nmod tests { fn t(y: f64) -> bool { y == 2.0 } }";
+        assert_eq!(rules_of(src, "core"), vec![("float-eq", 1)]);
+        let in_string = "fn f() { let s = \"x == 0.0\"; }";
+        assert!(rules_of(in_string, "core").is_empty());
+    }
+
+    #[test]
     fn int_eq_not_flagged() {
         let src = "fn f(x: usize) -> bool { x == 0 && x != 3 }";
         assert!(rules_of(src, "core").is_empty());
-    }
-
-    #[test]
-    fn lossy_cast_narrow_target() {
-        let src = "fn f(x: usize) -> u32 { x as u32 }\nfn g(x: usize) -> f64 { x as f64 }";
-        assert_eq!(rules_of(src, "core"), vec![("lossy-cast", 1)]);
-    }
-
-    #[test]
-    fn float_literal_truncation_flagged() {
-        let src = "fn f() -> usize { 2.5 as usize }";
-        assert_eq!(rules_of(src, "core"), vec![("lossy-cast", 1)]);
-    }
-
-    #[test]
-    fn hash_map_only_in_value_affecting_crates() {
-        let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, f64> = HashMap::new(); }";
-        assert_eq!(rules_of(src, "testbed"), vec![]);
-        let hits = rules_of(src, "coalition");
-        assert_eq!(hits.len(), 3);
-        assert!(hits.iter().all(|(r, _)| *r == "nondeterministic-iteration"));
-    }
-
-    #[test]
-    fn errors_doc_required_for_pub_result_fns() {
-        let src = "/// Does things.\npub fn f() -> Result<(), E> { Ok(()) }";
-        assert_eq!(rules_of(src, "core"), vec![("errors-doc", 2)]);
-        let ok = "/// Does things.\n///\n/// # Errors\n/// When e.\npub fn f() -> Result<(), E> { Ok(()) }";
-        assert!(rules_of(ok, "core").is_empty());
-    }
-
-    #[test]
-    fn errors_doc_ignores_private_and_non_result() {
-        let src = "fn f() -> Result<(), E> { Ok(()) }\npub(crate) fn g() -> Result<(), E> { Ok(()) }\npub fn h() -> u32 { 3 }";
-        assert!(rules_of(src, "core").is_empty());
-    }
-
-    #[test]
-    fn errors_doc_sees_through_attributes() {
-        let src = "/// Doc.\n///\n/// # Errors\n/// When e.\n#[inline]\n#[must_use]\npub fn f() -> Result<(), E> { Ok(()) }";
-        assert!(rules_of(src, "core").is_empty());
-    }
-
-    #[test]
-    fn result_in_argument_position_is_not_a_result_return() {
-        let src = "pub fn f(r: Result<u32, E>) -> u32 { 0 }";
-        assert!(rules_of(src, "core").is_empty());
-    }
-
-    #[test]
-    fn println_flagged_in_lib_code_only() {
-        let src = "fn f() { println!(\"x\"); }\nfn g() { eprintln!(\"y\"); dbg!(3); }";
-        assert_eq!(
-            rules_of(src, "core"),
-            vec![
-                ("println-in-lib", 1),
-                ("println-in-lib", 2),
-                ("println-in-lib", 2)
-            ]
-        );
-        // Entry points and examples print by design.
-        assert!(lint_file(src, "src/main.rs", "fedval").is_empty());
-        assert!(lint_file(src, "crates/bench/src/bin/repro.rs", "bench").is_empty());
-        assert!(lint_file(src, "examples/quickstart.rs", "fedval").is_empty());
-        // Test code may print freely.
-        let in_test = "#[cfg(test)]\nmod tests { fn t() { println!(\"dbg\"); } }";
-        assert!(rules_of(in_test, "core").is_empty());
-    }
-
-    #[test]
-    fn println_ident_without_bang_not_flagged() {
-        let src = "fn f() { let println = 3; let _ = println; }";
-        assert!(rules_of(src, "core").is_empty());
-        let justified =
-            "fn f() {\n    // lint: allow(println-in-lib) — progress line wanted by operators\n    println!(\"x\");\n}";
-        assert!(rules_of(justified, "core").is_empty());
     }
 
     #[test]
@@ -949,48 +462,28 @@ mod tests {
 
     #[test]
     fn marker_suppresses_with_justification() {
-        let src = "fn f() {\n    // lint: allow(no-panic-path) — documented invariant, cannot fail\n    x.unwrap();\n}";
+        let src = "fn f(x: f64) -> bool {\n    // lint: allow(float-eq) — exact sentinel written by the caller\n    x == 0.5\n}";
         assert!(rules_of(src, "core").is_empty());
     }
 
     #[test]
     fn marker_with_continuation_comment_still_targets_code() {
-        let src = "fn f() {\n    // lint: allow(no-panic-path) — documented invariant\n    // spanning two comment lines.\n    x.unwrap();\n}";
+        let src = "fn f(x: f64) -> bool {\n    // lint: allow(float-eq) — exact sentinel written\n    // by the caller, never computed.\n    x == 0.5\n}";
         assert!(rules_of(src, "core").is_empty());
     }
 
     #[test]
-    fn hollow_marker_suppresses_nothing_and_is_flagged() {
-        let src = "fn f() {\n    // lint: allow(no-panic-path)\n    x.unwrap();\n}";
-        let hits = rules_of(src, "core");
-        assert!(hits.contains(&("allow-audit", 2)));
-        assert!(hits.contains(&("no-panic-path", 3)));
-    }
-
-    #[test]
-    fn unknown_rule_marker_flagged() {
-        let src = "// lint: allow(no-such-rule) — because reasons galore\nfn f() {}";
-        assert_eq!(rules_of(src, "core"), vec![("allow-audit", 1)]);
+    fn hollow_or_misspelled_marker_suppresses_nothing() {
+        let hollow = "fn f(x: f64) -> bool {\n    // lint: allow(float-eq)\n    x == 0.5\n}";
+        assert_eq!(rules_of(hollow, "core"), vec![("float-eq", 3)]);
+        let misspelled = "fn f(x: f64) -> bool {\n    // lint: allow(float_eq) — exact sentinel written by the caller\n    x == 0.5\n}";
+        assert_eq!(rules_of(misspelled, "core"), vec![("float-eq", 3)]);
     }
 
     #[test]
     fn trailing_marker_targets_its_own_line() {
-        let src = "fn f() { x.unwrap(); } // lint: allow(no-panic-path) — prototype shim, tracked in #42\nfn g() { y.unwrap(); }";
-        assert_eq!(rules_of(src, "core"), vec![("no-panic-path", 2)]);
-    }
-
-    #[test]
-    fn bare_allow_attribute_flagged_justified_one_passes() {
-        let bare = "#[allow(dead_code)]\nfn f() {}";
-        assert_eq!(rules_of(bare, "core"), vec![("allow-audit", 1)]);
-        let justified = "// why: staged API, used by the next PR in the stack\n#[allow(dead_code)]\nfn f() {}";
-        assert!(rules_of(justified, "core").is_empty());
-    }
-
-    #[test]
-    fn allow_in_test_code_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    #[allow(dead_code)]\n    fn t() {}\n}";
-        assert!(rules_of(src, "core").is_empty());
+        let src = "fn f(x: f64) -> bool { x == 0.5 } // lint: allow(float-eq) — exact sentinel value\nfn g(y: f64) -> bool { y == 0.5 }";
+        assert_eq!(rules_of(src, "core"), vec![("float-eq", 2)]);
     }
 
     #[test]
@@ -1004,20 +497,20 @@ mod tests {
 
     #[test]
     fn ids_survive_pure_line_drift() {
-        let a = "fn f() { x.unwrap(); }";
-        let b = "// an unrelated new comment line\nfn f() { x.unwrap(); }";
+        let a = "fn f(x: f64) -> bool { x == 0.5 }";
+        let b = "// an unrelated new comment line\nfn f(x: f64) -> bool { x == 0.5 }";
         let fa = lint_file(a, "x.rs", "core");
         let fb = lint_file(b, "x.rs", "core");
         assert_eq!(fa.len(), 1);
         assert_eq!(fa[0].id, fb[0].id);
         assert_ne!(fa[0].line, fb[0].line);
-        assert!(fa[0].id.starts_with("no-panic-path:x.rs:"));
+        assert!(fa[0].id.starts_with("float-eq:x.rs:"));
         assert_eq!(fa[0].severity, "error");
     }
 
     #[test]
     fn duplicate_snippets_get_ordinal_ids() {
-        let src = "fn f() {\n    x.unwrap();\n    x.unwrap();\n}";
+        let src = "fn f(x: f64) {\n    x == 0.5;\n    x == 0.5;\n}";
         let fs = lint_file(src, "x.rs", "core");
         assert_eq!(fs.len(), 2);
         assert_ne!(fs[0].id, fs[1].id);

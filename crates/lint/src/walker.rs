@@ -7,7 +7,7 @@
 //! - `benches/` directories (measurement harnesses),
 //! - `fixtures/` directories (lint-test corpora with *intentional*
 //!   violations),
-//! - `vendor/` (third-party API stubs, not ours to ratchet),
+//! - `vendor/` (third-party API stubs, not ours to lint),
 //! - `target/`, hidden directories, and anything else non-source,
 //! - any directory below the root whose `Cargo.toml` declares its own
 //!   `[workspace]` (today `perfbench/`, the benchmark harness): a nested
@@ -30,7 +30,7 @@ const EXCLUDED_DIRS: [&str; 6] = ["tests", "benches", "fixtures", "vendor", "tar
 pub struct SourceFile {
     /// Absolute path on disk.
     pub path: PathBuf,
-    /// Workspace-relative path with forward slashes (baseline key).
+    /// Workspace-relative path with forward slashes (finding-id key).
     pub rel: String,
     /// Owning crate: the directory name under `crates/`, or `fedval` for
     /// the root package's `src/` and `examples/`.

@@ -2,45 +2,29 @@
 //! never compiled; it exists to pin fedval-lint's behavior in the golden
 //! test.
 
-use std::collections::HashMap;
-
-pub struct Registry {
-    pub entries: HashMap<String, f64>,
-}
-
-pub fn lookup(r: &Registry, key: &str) -> f64 {
-    *r.entries.get(key).unwrap()
-}
-
-pub fn sanctioned_lookup(r: &Registry) -> f64 {
-    // lint: allow(no-panic-path) — fixture: justified markers suppress.
-    *r.entries.get("pinned").unwrap()
-}
-
 pub fn near_half(x: f64) -> bool {
     x == 0.5
 }
 
-pub fn shrink(x: u64) -> u32 {
-    x as u32
+pub fn is_unset(x: f64) -> bool {
+    // clippy's float_cmp exempts comparisons against zero; float-eq does not.
+    x == 0.0
 }
 
-pub fn parse_level(s: &str) -> Result<f64, String> {
-    s.parse().map_err(|_| "bad level".to_string())
+pub fn sanctioned_sentinel(x: f64) -> bool {
+    // lint: allow(float-eq) — fixture: justified markers suppress.
+    x == -1.0
 }
 
-#[allow(dead_code)]
-fn unjustified() {}
-
-pub fn narrate(r: &Registry) {
-    println!("registry holds {} entries", r.entries.len());
+pub fn hollow_marker(x: f64) -> bool {
+    // lint: allow(float-eq)
+    x != 2.5
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_is_fine_in_tests() {
-        let v: Option<u8> = Some(1);
-        let _ = v.unwrap();
+    fn float_eq_is_fine_in_tests() {
+        assert!(0.5 == 0.5);
     }
 }

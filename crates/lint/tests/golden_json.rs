@@ -6,11 +6,9 @@
 //! ```sh
 //! cargo run -p fedval-lint -- \
 //!     --root crates/lint/tests/fixtures/sample \
-//!     --baseline crates/lint/tests/fixtures/sample/sample-baseline.toml \
 //!     --json > crates/lint/tests/golden/sample.json
 //! ```
 
-use fedval_lint::baseline::Baseline;
 use fedval_lint::{lint_workspace, report};
 use std::path::PathBuf;
 
@@ -20,12 +18,8 @@ fn fixture_root() -> PathBuf {
 
 #[test]
 fn json_output_matches_golden_file() {
-    let root = fixture_root();
-    let baseline_text = std::fs::read_to_string(root.join("sample-baseline.toml"))
-        .expect("fixture baseline readable");
-    let baseline = Baseline::parse(&baseline_text).expect("fixture baseline parses");
-    let ws = lint_workspace(&root, &baseline).expect("fixture lints");
-    let got = report::json(&ws.findings, &ws.deltas);
+    let findings = lint_workspace(&fixture_root()).expect("fixture lints");
+    let got = report::json(&findings);
 
     let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sample.json");
     let want = std::fs::read_to_string(&golden_path).expect("golden file readable");
@@ -38,11 +32,10 @@ fn json_output_matches_golden_file() {
 
 #[test]
 fn fixture_exercises_every_rule() {
-    let root = fixture_root();
-    let ws = lint_workspace(&root, &Baseline::default()).expect("fixture lints");
+    let findings = lint_workspace(&fixture_root()).expect("fixture lints");
     for rule in fedval_lint::rules::RULE_NAMES {
         assert!(
-            ws.findings.iter().any(|f| f.rule == rule),
+            findings.iter().any(|f| f.rule == rule),
             "fixture corpus produces no `{rule}` finding — the golden test \
              would not catch a regression in that rule"
         );
@@ -50,33 +43,13 @@ fn fixture_exercises_every_rule() {
 }
 
 #[test]
-fn fixture_baseline_splits_old_from_new() {
-    let root = fixture_root();
-    let baseline_text = std::fs::read_to_string(root.join("sample-baseline.toml"))
-        .expect("fixture baseline readable");
-    let baseline = Baseline::parse(&baseline_text).expect("fixture baseline parses");
-    let ws = lint_workspace(&root, &baseline).expect("fixture lints");
-
-    // Budgeted findings don't count as new; unbudgeted ones do.
-    assert!(ws.new_findings() > 0, "fixture must have above-baseline debt");
-    assert!(
-        ws.new_findings() < ws.findings.len(),
-        "fixture must also have budgeted (pre-existing) debt"
-    );
-    // float-eq is over-budgeted (2 allowed, 1 present): slack, not new.
-    let slack: usize = ws
-        .deltas
+fn justified_marker_suppresses_and_hollow_marker_does_not() {
+    let findings = lint_workspace(&fixture_root()).expect("fixture lints");
+    let float_lines: Vec<u32> = findings
         .iter()
-        .filter(|d| d.rule == "float-eq")
-        .map(|d| d.slack())
-        .sum();
-    assert_eq!(slack, 1, "float-eq budget of 2 vs 1 finding leaves slack 1");
-
-    // The justified marker in the fixture suppresses its unwrap.
-    assert!(
-        !ws.findings
-            .iter()
-            .any(|f| f.rule == "no-panic-path" && f.line == 17),
-        "marker-suppressed unwrap must not surface"
-    );
+        .filter(|f| f.rule == "float-eq")
+        .map(|f| f.line)
+        .collect();
+    // Line 16 sits under a justified marker; line 21 under a hollow one.
+    assert_eq!(float_lines, vec![6, 11, 21]);
 }

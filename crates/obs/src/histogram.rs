@@ -146,6 +146,11 @@ impl Histogram {
     /// to the exactly-tracked `[min_ns, max_ns]` envelope, so
     /// single-observation histograms report that observation exactly
     /// and no percentile can leave the observed range.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "rank lies in [1, count] and the in-bucket offset in [0, upper - lower]"
+    )]
     pub fn percentile_ns(&self, p: f64) -> u64 {
         if self.count == 0 || !p.is_finite() || p <= 0.0 {
             return 0;

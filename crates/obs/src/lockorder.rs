@@ -73,6 +73,10 @@ fn path_between(
 /// Records `held → name` edges and panics if the acquisition closes a
 /// cycle. Must run *before* the underlying lock is taken so the test
 /// dies instead of deadlocking. No-op without `debug_assertions`.
+#[expect(
+    clippy::panic,
+    reason = "the checker's contract is to abort the test on witnessed deadlock risk"
+)]
 fn on_acquire(name: &'static str) {
     if !cfg!(debug_assertions) {
         return;
@@ -85,7 +89,6 @@ fn on_acquire(name: &'static str) {
         .try_with(|h| h.borrow().clone())
         .unwrap_or_default();
     if held.contains(&name) {
-        // lint: allow(no-panic-path) — the checker's contract is to abort the test on witnessed deadlock risk
         panic!("lock-order: thread re-acquiring `{name}` while already holding it");
     }
     let mut graph = graph_guard();
@@ -98,7 +101,6 @@ fn on_acquire(name: &'static str) {
         if let Some(path) = path_between(&graph, name, h) {
             let witness = path.join(" → ");
             drop(graph);
-            // lint: allow(no-panic-path) — the checker's contract is to abort the test on witnessed deadlock risk
             panic!(
                 "lock-order cycle witnessed: acquiring `{name}` while holding `{h}`, \
                  but recorded acquisitions already order {witness}; pick one global \
@@ -215,21 +217,23 @@ pub struct OrderedMutexGuard<'a, T> {
 
 impl<T> Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
-    // why: `inner` is `Some` at every reachable deref — only `wait()`
-    // vacates it, and `wait()` owns the guard for that whole window.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "`inner` is `Some` at every reachable deref: only `wait()` vacates it, and \
+                  `wait()` owns the guard for that whole window"
+    )]
     fn deref(&self) -> &T {
-        // lint: allow(no-panic-path) — inner is invariantly Some outside wait(), which owns the guard
         self.inner.as_ref().expect("guard present")
     }
 }
 
 impl<T> DerefMut for OrderedMutexGuard<'_, T> {
-    // why: `inner` is `Some` at every reachable deref — only `wait()`
-    // vacates it, and `wait()` owns the guard for that whole window.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "`inner` is `Some` at every reachable deref: only `wait()` vacates it, and \
+                  `wait()` owns the guard for that whole window"
+    )]
     fn deref_mut(&mut self) -> &mut T {
-        // lint: allow(no-panic-path) — inner is invariantly Some outside wait(), which owns the guard
         self.inner.as_mut().expect("guard present")
     }
 }

@@ -176,10 +176,7 @@ pub fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            // lint: allow(lossy-cast) — char to u32 is exact (chars are
-            // scalar values below 2^21); both casts here are lossless.
             c if (c as u32) < 0x20 => {
-                // lint: allow(lossy-cast) — same exact char-to-u32 widening.
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),

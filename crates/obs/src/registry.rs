@@ -27,6 +27,10 @@
 //! every span exactly once, only the trace records are elided; this is
 //! what lets the parallel sweep sample span traces without perturbing
 //! deterministic span counts.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the registry owns the sanctioned monotonic clock behind now_ns"
+)]
 
 use crate::lockorder::OrderedRwLock;
 use crate::record::Record;
@@ -70,9 +74,9 @@ thread_local! {
 /// process, so early records start near zero.
 pub fn now_ns() -> u64 {
     let origin = ORIGIN.get_or_init(Instant::now);
-    // Truncation is unreachable in practice: u64 nanoseconds cover ~584
+    // Saturation is unreachable in practice: u64 nanoseconds cover ~584
     // years of process uptime.
-    origin.elapsed().as_nanos() as u64
+    u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// True iff a sink is installed and records are being collected.

@@ -72,6 +72,11 @@ pub fn classify_requests(observed_locations: &[u64], categories: &[Category]) ->
 
 /// Builds the model demand corresponding to an estimated mixture, scaled
 /// to `total_volume` expected experiments.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "each fraction lies in [0, 1], so every rounded count lies in [0, total_volume]"
+)]
 pub fn demand_from_mixture(
     categories: &[Category],
     estimate: &MixtureEstimate,

@@ -279,8 +279,7 @@ impl PolicyReport {
             let max_ci = a.ci_shares().into_iter().fold(0.0f64, f64::max);
             let _ = writeln!(
                 out,
-                "shapley: sampled ({}, {} samples, seed {}); {:.0}% CI half-width ≤ {:.4} of V(N)",
-                a.method.as_str(),
+                "shapley: sampled (permutation, {} samples, seed {}); {:.0}% CI half-width ≤ {:.4} of V(N)",
                 a.samples,
                 a.seed,
                 a.confidence * 100.0,

@@ -18,6 +18,11 @@
 //! invocation (the CI chaos stage and the acceptance bar's ≥ 20-seed
 //! sweep); the run stops at the first failing seed so the failure is
 //! attributable and reproducible with `--seed <that seed>`.
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on stdout and stderr"
+)]
 
 use fedval_serve::chaos::{self, ChaosConfig};
 use std::process::ExitCode;

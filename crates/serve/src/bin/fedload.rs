@@ -35,6 +35,12 @@
 //!         --kind shapley --seed 42 --retry 3 --out BENCH_serve.json
 //! fedload --addr 127.0.0.1:7411 --open-loop --rate 54000 --requests 20000
 //! ```
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods,
+    reason = "a command-line tool reports on stdout and stderr, and this load generator paces and times requests with Instant::now"
+)]
 
 use fedval_obs::Histogram;
 use fedval_serve::chaos::ChaosRng;
@@ -188,7 +194,7 @@ fn request_line(kind: &str, id: u64, rng: &mut ChaosRng) -> String {
         }
         "what-if" => {
             // A small rotating pool so the bounded LRU sees hits.
-            if rng.next_u64() % 2 == 0 {
+            if rng.next_u64().is_multiple_of(2) {
                 let locations = 100 * (1 + rng.next_u64() % 8);
                 format!(
                     "{{\"id\":{id},\"kind\":\"what-if-join\",\"locations\":{locations},\"capacity\":1}}"

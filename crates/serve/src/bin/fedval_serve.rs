@@ -14,8 +14,13 @@
 //! The daemon prints `listening on ADDR` once it is ready (with the
 //! real port when `:0` was requested — scripts parse this line), and a
 //! drain summary when it exits. Exit code 0 means a clean drain.
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on stdout and stderr"
+)]
 
-use fedval_coalition::{ApproxConfig, ApproxMethod, MAX_SAMPLED_PLAYERS};
+use fedval_coalition::{ApproxConfig, MAX_SAMPLED_PLAYERS};
 use fedval_serve::state::ScenarioSpec;
 use fedval_serve::{Server, ServerConfig, ServeState};
 use std::io::Write;
@@ -87,8 +92,6 @@ fn usage() -> &'static str {
                                 exact cap\n\
        --approx-samples N       sampling budget          (default 256)\n\
        --approx-seed S          RNG seed; same seed, same bytes (default 42)\n\
-       --approx-method M        'permutation' or 'stratified'\n\
-                                (default permutation)\n\
        --confidence C           CI confidence level in (0,1) (default 0.95)\n"
 }
 
@@ -245,11 +248,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
             "--approx-seed" => {
                 opts.approx.seed = value.parse().map_err(|e| format!("--approx-seed: {e}"))?;
-            }
-            "--approx-method" => {
-                opts.approx.method = ApproxMethod::parse(value).ok_or_else(|| {
-                    format!("--approx-method: '{value}' is not 'permutation' or 'stratified'")
-                })?;
             }
             "--confidence" => {
                 opts.approx.confidence =
@@ -458,7 +456,6 @@ mod tests {
         assert!(parse(&args(&["--frobnicate", "1"])).is_err());
         assert!(parse(&args(&["--addr"])).is_err());
         assert!(parse(&args(&["--approx-samples", "0"])).is_err());
-        assert!(parse(&args(&["--approx-method", "magic"])).is_err());
         assert!(parse(&args(&["--confidence", "1.5"])).is_err());
         assert!(parse(&args(&["--confidence", "0"])).is_err());
         assert!(parse(&args(&["--synthetic", "0"])).is_err());
@@ -474,8 +471,6 @@ mod tests {
             "128",
             "--approx-seed",
             "9",
-            "--approx-method",
-            "stratified",
             "--confidence",
             "0.99",
         ]))
@@ -483,7 +478,6 @@ mod tests {
         assert!(opts.approx.force);
         assert_eq!(opts.approx.samples, 128);
         assert_eq!(opts.approx.seed, 9);
-        assert_eq!(opts.approx.method, ApproxMethod::Stratified);
         assert!((opts.approx.confidence - 0.99).abs() < 1e-12);
         // Approx is opt-in; defaults match the library's.
         let plain = parse(&args(&[])).unwrap();

@@ -421,6 +421,10 @@ fn inject_truncate(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report:
     };
     let id = rng.below(1000);
     let frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}");
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "below(n) < n, and n came from a usize"
+    )]
     let cut = 1 + (rng.below(frame.len() as u64 - 1) as usize);
     if stream.write_all(&frame.as_bytes()[..cut]).is_err() {
         return;
@@ -464,6 +468,10 @@ fn inject_mangle(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &
     let id = rng.below(1000);
     let mut frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}").into_bytes();
     // Corrupt one byte strictly inside the frame (never the newline).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "below(n) < n, and n came from a usize"
+    )]
     let at = 1 + (rng.below(frame.len() as u64 - 2) as usize);
     frame[at] = b'#';
     frame.push(b'\n');
@@ -593,6 +601,10 @@ pub fn run(addr: &str, config: &ChaosConfig) -> ChaosReport {
     }
 
     for round in 0..config.rounds {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "below(n) < n, and n came from a usize"
+        )]
         let kind = menu[rng.below(menu.len() as u64) as usize];
         report.injected[fault_index(kind)] += 1;
         match kind {

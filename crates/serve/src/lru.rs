@@ -6,6 +6,7 @@
 //! O(capacity) — fine at the tens-of-entries scale the what-if cache
 //! runs at, and fully deterministic (no hash-seed-dependent choices).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Bounded least-recently-used map.
@@ -60,27 +61,27 @@ impl<K: Ord + Clone, V> Lru<K, V> {
     /// any.
     pub fn insert(&mut self, key: K, value: V) -> Option<K> {
         self.tick += 1;
-        let tick = self.tick;
-        if self.map.contains_key(&key) {
-            self.map.insert(key, (tick, value));
-            return None;
-        }
-        let mut evicted = None;
-        if self.map.len() >= self.capacity {
-            // Oldest tick = least recently used. Ties are impossible:
-            // ticks are unique.
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&oldest);
-                evicted = Some(oldest);
+        match self.map.entry(key) {
+            Entry::Occupied(mut slot) => {
+                slot.insert((self.tick, value));
+                return None;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((self.tick, value));
             }
         }
-        self.map.insert(key, (tick, value));
-        evicted
+        if self.map.len() <= self.capacity {
+            return None;
+        }
+        // Oldest tick = least recently used. Ties are impossible: ticks
+        // are unique, and the entry just inserted holds the newest one.
+        let oldest = self
+            .map
+            .iter()
+            .min_by_key(|(_, (t, _))| *t)
+            .map(|(k, _)| k.clone())?;
+        self.map.remove(&oldest);
+        Some(oldest)
     }
 }
 

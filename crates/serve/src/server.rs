@@ -34,6 +34,10 @@
 //! responses still go out), lets the workers finish every job already
 //! queued, and joins all threads. Requests arriving mid-drain get
 //! `SHUTTING_DOWN`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the daemon enforces socket deadlines and times request phases with Instant::now"
+)]
 
 use crate::metrics::{render_metrics_payload, MetricsRing};
 use crate::protocol::{
@@ -998,8 +1002,7 @@ fn stats_payload(shared: &Shared) -> String {
     let approx = if shared.state.approx_active() {
         let config = shared.state.approx_config();
         format!(
-            ",\"approx\":true,\"approx_method\":\"{}\",\"approx_samples\":{},\"approx_confidence\":{},\"approx_seed\":{}",
-            config.method.as_str(),
+            ",\"approx\":true,\"approx_method\":\"permutation\",\"approx_samples\":{},\"approx_confidence\":{},\"approx_seed\":{}",
             config.samples,
             fedval_obs::json_f64(config.confidence),
             config.seed,

@@ -307,6 +307,10 @@ impl ServeState {
             QueryKind::WhatIfLeave { player } => {
                 self.what_if(WhatIfKey::Leave { player: *player })
             }
+            #[expect(
+                clippy::panic,
+                reason = "chaos harness: this panic is the fault being injected"
+            )]
             QueryKind::ChaosPanic => {
                 // Deliberate fault injection: the server only routes
                 // this kind here when started with `--chaos-harness`,
@@ -314,7 +318,6 @@ impl ServeState {
                 // typed INTERNAL response. This is how the fedchaos
                 // suite proves worker supervision end to end.
                 fedval_obs::counter_add("serve.chaos.panic_injected", 1);
-                // lint: allow(no-panic-path) — chaos harness: this panic is the fault being injected
                 panic!("chaos-panic: deliberate injected worker panic");
             }
             // Health / stats / shutdown are answered by the server
@@ -511,11 +514,10 @@ fn render_shares_payload(
 fn render_approx_payload(kind: &str, n: usize, approx: &ApproxShapley) -> String {
     format!(
         "\"kind\":\"{kind}\",\"n\":{n},\"grand_value\":{},\"shares\":{},\
-         \"approx\":true,\"method\":\"{}\",\"samples\":{},\"confidence\":{},\
+         \"approx\":true,\"method\":\"permutation\",\"samples\":{},\"confidence\":{},\
          \"seed\":{},\"ci\":{}",
         fedval_obs::json_f64(approx.grand_value),
         render_f64_array(&approx.shares()),
-        approx.method.as_str(),
         approx.samples,
         fedval_obs::json_f64(approx.confidence),
         approx.seed,

@@ -167,9 +167,10 @@ impl LinearProgram {
         // --- Phase 1: minimize the sum of artificials. ---
         if n_artificial > 0 {
             let mut cost = vec![0.0; n_cols];
-            // why: the artificial-column range (n + n_slack)..n_cols is the
-            // point; an iterator over a subslice would hide the offsets.
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "the artificial-column range (n + n_slack)..n_cols is the point; an iterator over a subslice would hide the offsets"
+            )]
             for j in (n + n_slack)..n_cols {
                 cost[j] = 1.0;
             }
@@ -218,9 +219,10 @@ impl LinearProgram {
             Objective::Maximize => -1.0,
         };
         let mut cost = vec![0.0; n_cols];
-        // why: only the first n of n_cols entries are structural; the
-        // explicit bound documents that slack/artificial costs stay zero.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "only the first n of n_cols entries are structural; the explicit bound documents that slack/artificial costs stay zero"
+        )]
         for j in 0..n {
             cost[j] = sign * self.objective[j];
         }

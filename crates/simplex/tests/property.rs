@@ -69,7 +69,10 @@ fn brute_force_max(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Option<f64> {
             for r in 0..n {
                 if r != col {
                     let f = mat[r][col] / pv;
-                    #[allow(clippy::needless_range_loop)]
+                    #[expect(
+                        clippy::needless_range_loop,
+                        reason = "Gauss-Jordan elimination reads row/col indices off the math"
+                    )]
                     for cc in col..=n {
                         let delta = f * mat[col][cc];
                         mat[r][cc] -= delta;

@@ -266,6 +266,10 @@ impl FaultPlan {
         let mut rng = SimRng::seed_from(seed);
         let repair = Exponential::with_mean(mean_repair);
         for _ in 0..count {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "below(n) < n, and n came from a usize"
+            )]
             let node = rng.below(n_nodes as u64) as usize;
             let at = rng.uniform01() * horizon;
             let after = repair.sample(&mut rng);
@@ -297,6 +301,10 @@ impl FaultPlan {
         let mut rng = SimRng::seed_from(seed);
         let mut remaining: Vec<usize> = (0..n_authorities).collect();
         for _ in 0..count.min(n_authorities) {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "below(n) < n, and n came from a usize"
+            )]
             let pick = rng.below(remaining.len() as u64) as usize;
             let authority = remaining.swap_remove(pick);
             let at = horizon * (0.3 + 0.7 * rng.uniform01());

@@ -106,9 +106,11 @@ impl Federation {
         for (ai, a) in self.authorities.iter().enumerate() {
             for site in &a.sites {
                 for node in &site.nodes {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "authority count is config-bounded far below u32::MAX"
+                    )]
                     out.push(NodeRecord {
-                        // lint: allow(lossy-cast) — authority count is
-                        // config-bounded far below u32::MAX.
                         authority: ai as u32,
                         site: site.name.clone(),
                         location: site.location,
@@ -124,14 +126,18 @@ impl Federation {
     pub fn encode_registry(&self) -> Bytes {
         let records = self.registry();
         let mut buf = BytesMut::with_capacity(records.len() * 32);
-        // lint: allow(lossy-cast) — the wire format caps the registry at
-        // u32::MAX records; emulated federations hold a few hundred.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the wire format caps the registry at u32::MAX records; emulated federations hold a few hundred"
+        )]
         buf.put_u32(records.len() as u32);
         for r in &records {
             buf.put_u32(r.authority);
             let site = r.site.as_bytes();
-            // lint: allow(lossy-cast) — site names come from config and are
-            // far shorter than the u16 length prefix allows.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "site names come from config and are far shorter than the u16 length prefix allows"
+            )]
             buf.put_u16(site.len() as u16);
             buf.put_slice(site);
             buf.put_u32(r.location);

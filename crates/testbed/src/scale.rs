@@ -46,11 +46,8 @@ pub fn synthetic_profile(n: usize, seed: u64) -> (Vec<(u32, u64)>, f64) {
         // 1-in-8 authorities are "large" (up to ~64 locations); the rest
         // draw uniformly from the small range.
         let locations = if roll & 7 == 0 {
-            // lint: allow(lossy-cast) — the modulus bounds the value below
-            // 48 before the cast; exact.
             MIN_LOCATIONS + 16 + ((roll >> 8) % 48) as u32
         } else {
-            // lint: allow(lossy-cast) — bounded below 16 by the modulus.
             MIN_LOCATIONS + ((roll >> 8) % 16) as u32
         };
         let capacity = 1 + (splitmix64(&mut rng) % 4);

@@ -262,8 +262,10 @@ pub fn run_coalition(
 ) -> SimReport {
     match run_coalition_faulted(federation, coalition, workload, config, &FaultPlan::new()) {
         Ok(run) => run.report,
-        // lint: allow(no-panic-path) — documented `# Panics` convenience
-        // wrapper; fallible callers use run_coalition_faulted instead.
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` convenience wrapper; fallible callers use run_coalition_faulted instead"
+        )]
         Err(e) => panic!("run_coalition: {e}"),
     }
 }
@@ -422,7 +424,7 @@ pub fn run_coalition_faulted(
                 }
                 // Prefer the least-loaded locations when trimming to l̄.
                 chosen.sort_by_key(|&i| (nodes[i].used * 1000) / nodes[i].capacity.max(1));
-                chosen.truncate(want as usize);
+                chosen.truncate(usize::try_from(want).unwrap_or(usize::MAX));
                 for &i in &chosen {
                     nodes[i].used += r;
                 }
@@ -660,8 +662,10 @@ pub fn empirical_game(
 ) -> TableGame {
     match empirical_game_diagnosed(federation, workload, config, &FaultPlan::new()) {
         Ok(measured) => measured.game,
-        // lint: allow(no-panic-path) — documented `# Panics` convenience
-        // wrapper; fallible callers use empirical_game_diagnosed instead.
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` convenience wrapper; fallible callers use empirical_game_diagnosed instead"
+        )]
         Err(e) => panic!("empirical_game: {e}"),
     }
 }

@@ -188,7 +188,7 @@ impl SliceManager {
         }
         let mut chosen: Vec<usize> = per_location.into_values().collect();
         chosen.sort_by_key(|&i| (self.nodes[i].used, i));
-        chosen.truncate(want as usize);
+        chosen.truncate(usize::try_from(want).unwrap_or(usize::MAX));
 
         let slivers: Vec<Sliver> = chosen
             .iter()

@@ -12,6 +12,10 @@
 //! ```text
 //! cargo run --release --example demand_simulation
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::desim::{erlang_b, offered_load};
 use fedval::{
@@ -25,8 +29,8 @@ fn main() {
     // this is two M/M/c/c systems vs one pooled M/M/2c/2c.
     println!("== multiplexing gain: separate vs federated (capacity workload) ==");
     let site_count = 4u32;
-    let capacity_per_site = 2u64; // 2 nodes × 1 sliver
-    let servers_each = site_count as u64 * capacity_per_site;
+    let capacity_per_site = 2usize; // 2 nodes × 1 sliver
+    let servers_each = site_count as usize * capacity_per_site;
     let federation = Federation::new(vec![
         synthetic_authority("A", 0, site_count, 2, 1, 50),
         synthetic_authority("B", site_count, site_count, 2, 1, 50),
@@ -49,8 +53,8 @@ fn main() {
     let pooled = run_coalition(&federation, Coalition::grand(2), &pooled_wl, &config);
 
     let a_each = offered_load(lambda / 2.0, holding);
-    let b_alone = erlang_b(a_each, servers_each as usize);
-    let b_pooled = erlang_b(2.0 * a_each, 2 * servers_each as usize);
+    let b_alone = erlang_b(a_each, servers_each);
+    let b_pooled = erlang_b(2.0 * a_each, 2 * servers_each);
     println!("servers per authority: {servers_each}, offered load each: {a_each:.1} Erlang");
     println!(
         "blocking alone   : simulated {:>6.4}  erlang-B {:>6.4}",

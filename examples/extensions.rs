@@ -5,6 +5,10 @@
 //! ```text
 //! cargo run --release --example extensions
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::core::{block_overlap, diversity_discount, AvailabilityGame};
 use fedval::policy::hierarchical_shapley;

@@ -7,6 +7,10 @@
 //! ```text
 //! cargo run --release --example faulted_federation
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::coalition::WideGame;
 use fedval::testbed::SimConfig;

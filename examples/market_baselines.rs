@@ -10,6 +10,10 @@
 //! ```text
 //! cargo run --release --example market_baselines
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::market::{clear_double_auction, run_combinatorial_auction, Ask, Bid, Order};
 use fedval::{

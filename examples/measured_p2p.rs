@@ -6,6 +6,10 @@
 //! ```text
 //! cargo run --release --example measured_p2p
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::testbed::{ClassLoad, Churn};
 use fedval::{

@@ -8,6 +8,10 @@
 //! ```text
 //! cargo run --release --example planetlab_federation
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::testbed::ClassLoad;
 use fedval::{

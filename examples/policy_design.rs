@@ -6,6 +6,10 @@
 //! ```text
 //! cargo run --release --example policy_design
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::core::LocationOffer;
 use fedval::policy::{best_response_dynamics, incentive_curve, peak_marginal};
@@ -71,7 +75,10 @@ fn main() {
     println!("== provision-game equilibrium (best-response dynamics) ==");
     let grid = vec![vec![50u32, 100, 200, 400]; 3];
     let make_facility = |i: usize, l: u32| -> Facility {
-        // lint: allow(lossy-cast) — i indexes the 3-facility grid above.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "i indexes the 3-facility grid above"
+        )]
         let base = i as u32 * 10_000;
         Facility::new(format!("f{i}"), LocationOffer::contiguous(base, l, 1))
     };

@@ -7,6 +7,10 @@
 //! ```text
 //! cargo run --example quickstart
 //! ```
+#![expect(
+    clippy::print_stdout,
+    reason = "an example narrates its walkthrough on stdout"
+)]
 
 use fedval::{
     is_core_nonempty, paper_facilities, policy_report, Demand, ExperimentClass, FederationScenario,

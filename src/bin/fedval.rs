@@ -11,11 +11,16 @@
 //! ```
 //!
 //! Defaults reproduce the paper's §4.1 worked example.
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on stdout and stderr"
+)]
 
 use fedval::coalition::{hoeffding_samples, NUCLEOLUS_MAX_PLAYERS};
 use fedval::policy::try_policy_report;
 use fedval::{
-    ApproxConfig, ApproxMethod, Coalition, Demand, ExperimentClass, Facility, FederationGame,
+    ApproxConfig, Coalition, Demand, ExperimentClass, Facility, FederationGame,
     FederationScenario, ShapleyEstimate, SharingScheme, Volume, WideGame,
     EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
 };
@@ -68,7 +73,6 @@ fn usage() -> &'static str {
                                 the sampling budget is Hoeffding-planned\n\
                                 from E and --confidence\n\
        --approx-seed    S       RNG seed; same seed, same output (default 42)\n\
-       --approx-method  M       permutation|stratified  (default permutation)\n\
        --confidence     C       CI confidence level in (0,1) (default 0.95)\n\
      \n\
      expert overrides (instead of --epsilon):\n\
@@ -205,11 +209,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--approx-seed" => {
                 opts.approx.seed = value.parse().map_err(|e| format!("--approx-seed: {e}"))?;
             }
-            "--approx-method" => {
-                opts.approx.method = ApproxMethod::parse(value).ok_or_else(|| {
-                    format!("--approx-method: '{value}' is not 'permutation' or 'stratified'")
-                })?;
-            }
             "--confidence" => {
                 opts.approx.confidence =
                     value.parse().map_err(|e| format!("--confidence: {e}"))?;
@@ -294,8 +293,7 @@ fn print_sampled_shapley(scenario: &FederationScenario, n: usize) -> Result<(), 
     let shares = approx.shares();
     let ci = approx.ci_shares();
     println!(
-        "scheme: shapley (sampled: {}, {} samples, seed {}, {:.0}% CI) — V(N) = {:.2}",
-        approx.method.as_str(),
+        "scheme: shapley (sampled: permutation, {} samples, seed {}, {:.0}% CI) — V(N) = {:.2}",
         approx.samples,
         approx.seed,
         approx.confidence * 100.0,
@@ -422,8 +420,10 @@ fn execute(opts: &Options) -> Result<(), String> {
             let report = try_policy_report(&scenario).map_err(|e| e.to_string())?;
             print!("{}", report.render());
         }
-        // lint: allow(no-panic-path) — parse() rejects unknown commands before
-        // dispatch, so this arm is dead by construction.
+        #[expect(
+            clippy::unreachable,
+            reason = "parse() rejects unknown commands before dispatch, so this arm is dead by construction"
+        )]
         _ => unreachable!("validated in parse"),
     }
     Ok(())
@@ -556,8 +556,6 @@ mod tests {
             "64",
             "--approx-seed",
             "5",
-            "--approx-method",
-            "stratified",
             "--confidence",
             "0.9",
         ]))
@@ -565,11 +563,9 @@ mod tests {
         assert!(opts.approx.force);
         assert_eq!(opts.approx.samples, 64);
         assert_eq!(opts.approx.seed, 5);
-        assert_eq!(opts.approx.method, ApproxMethod::Stratified);
         assert!((opts.approx.confidence - 0.9).abs() < 1e-12);
         assert!(parse(&args(&["shares", "--approx-samples", "0"])).is_err());
         assert!(parse(&args(&["shares", "--confidence", "1"])).is_err());
-        assert!(parse(&args(&["shares", "--approx-method", "x"])).is_err());
 
         let syn = parse(&args(&["report", "--synthetic", "40:7"])).unwrap();
         assert_eq!(syn.locations.len(), 40);

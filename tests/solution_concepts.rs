@@ -81,7 +81,10 @@ proptest! {
             ..ApproxConfig::default()
         };
         let mc = try_approx_shapley_wide(&game, &cfg).expect("valid config");
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "i indexes three parallel vectors: exact, phi and std_error"
+        )]
         for i in 0..exact.len() {
             let tol = 6.0 * mc.std_error[i] + 1e-6;
             prop_assert!(
