@@ -5,13 +5,13 @@
 #                      invariance, serve smoke, sampled-Shapley smoke,
 #                      fedchaos, fedval-lint
 #
-# The clippy stage lints every package's lib, bin and example targets
-# (tests are exempt) under the lint levels declared once in the root
-# Cargo.toml's [workspace.lints] table plus clippy.toml: panic paths,
-# lossy casts, HashMap/HashSet, wall clocks, undocumented Results,
-# printing from libraries, unjustified suppressions and clippy's default
-# set are all denied (DESIGN.md §7). No -D flags here: command-line flags
-# would also reach the vendored path dependencies.
+# The clippy stage lints every target of every package (tests, benches
+# and examples included) under the lint levels declared once in the root
+# Cargo.toml's [workspace.lints] table plus clippy.toml: panic paths
+# outside tests, lossy casts, HashMap/HashSet, wall clocks, undocumented
+# Results, printing from libraries, unjustified suppressions and clippy's
+# default set are all denied (DESIGN.md §7). -D warnings makes any other
+# warning fatal too, in the vendored path dependencies as well.
 #
 # The fedval-lint stage runs the checks clippy cannot make (float-literal
 # equality, socket deadlines, lock order, guards across blocking calls,
@@ -30,8 +30,8 @@ echo "== cargo test -q (workspace; dev profile arms the lock-order checker)"
 # witnessed cycle panics with its path (DESIGN.md §12).
 cargo test -q --workspace
 
-echo "== clippy (workspace lint policy: lib, bin and example targets)"
-cargo clippy --workspace --lib --bins --examples --release
+echo "== clippy (workspace lint policy: every target, warnings denied)"
+cargo clippy --workspace --all-targets --release -- -D warnings
 
 echo "== bench_pipeline --check (deterministic section + sweep speedup gate)"
 # --threads 4 arms the ratcheted sweep.speedup floor: at >= 4 requested
@@ -42,7 +42,7 @@ if ! cargo run -q -p fedval-bench --release --bin bench_pipeline -- --check --th
     echo ""
     echo "ci.sh: BENCH_pipeline.json is stale or the sweep speedup regressed —"
     echo "either a change shifted a deterministic pipeline count (pivots, LP"
-    echo "solves, cache ratio, simulation totals), or sweep.speedup fell below"
+    echo "solves, coalition evaluations, simulation totals), or sweep.speedup fell below"
     echo "the ratcheted floor at 4 threads."
     echo "Regenerate with:  cargo run --release -p fedval-bench --bin bench_pipeline -- --threads 4"
     exit 1

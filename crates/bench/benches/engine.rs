@@ -73,6 +73,10 @@ fn bench_core_concepts(c: &mut Criterion) {
     group.finish();
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a benchmarked LP that fails to solve has no time worth reporting"
+)]
 fn bench_simplex(c: &mut Criterion) {
     let mut group = c.benchmark_group("simplex");
     group
@@ -101,6 +105,10 @@ fn bench_simplex(c: &mut Criterion) {
     group.finish();
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a benchmarked allocation that fails to solve has no time worth reporting"
+)]
 fn bench_allocation(c: &mut Criterion) {
     let mut group = c.benchmark_group("allocation");
     group

@@ -1,10 +1,10 @@
 //! End-to-end observed pipeline benchmark feeding `BENCH_pipeline.json`.
 //!
 //! Runs the paper's §4.1 worked example (scenario build → Shapley →
-//! nucleolus → policy report), a cached-Shapley pass for the coalition
-//! cache ratio, a seeded demand simulation for the desim event rate, and
-//! the full Fig. 4–9 sweep twice (threads=1 vs `--threads N`) — all under
-//! a [`RecordingSink`] — then writes the aggregate as JSON.
+//! nucleolus → policy report), a seeded demand simulation for the desim
+//! event rate, and the full Fig. 4–9 sweep twice (threads=1 vs
+//! `--threads N`) — all under a [`RecordingSink`] — then writes the
+//! aggregate as JSON.
 //!
 //! ```text
 //! cargo run --release -p fedval-bench --bin bench_pipeline             # write
@@ -13,7 +13,7 @@
 //!
 //! The JSON has two sections. `"deterministic"` holds counts that must be
 //! byte-identical on every machine and every run (pivot counts, LP solves,
-//! cache ratios, seeded simulation totals, per-figure sweep totals,
+//! coalition evaluations, seeded simulation totals, per-figure sweep totals,
 //! the threads=1 vs threads=N byte-equality verdict, and the sampled-
 //! Shapley error-vs-budget curve with its n=200 fingerprint); `"timing"` holds
 //! wall-clock measurements and derived rates — the sequential vs parallel
@@ -38,7 +38,7 @@
 )]
 
 use fedval_bench::{set_sweep_threads, Figure};
-use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, CachedGame, Coalition};
+use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, Coalition};
 use fedval_core::{paper_facilities, Demand, ExperimentClass, FederationGame, FederationScenario};
 use fedval_obs::{RecordingSink, RunReport};
 use fedval_policy::policy_report;
@@ -358,14 +358,6 @@ fn run_pipeline(
             let _ = policy_report(&scenario).render();
         }
         {
-            // Exact Shapley evaluates each coalition once, so a cache in
-            // front of the table misses on all 2^n coalitions and never
-            // hits — the deterministic split BENCH_pipeline.json tracks.
-            let _phase = fedval_obs::span("bench.phase.cached_shapley");
-            let cached = CachedGame::new(scenario.game().clone());
-            let _ = shapley(&cached);
-        }
-        {
             // Seeded statistical-multiplexing run (the demand-simulation
             // example's pooled case): drives the desim event counters.
             let _phase = fedval_obs::span("bench.phase.demand_sim");
@@ -413,8 +405,8 @@ fn run_pipeline(
 }
 
 /// Wall-clock cost of the telemetry layer itself, measured on the §4.1
-/// worked example (scenario build + exact Shapley through the coalition
-/// cache): once with observability enabled into a [`fedval_obs::NullSink`]
+/// worked example (scenario build + exact Shapley on its coalition
+/// table): once with observability enabled into a [`fedval_obs::NullSink`]
 /// (the full enabled path — shard bumps, span guards, sink dispatch) and
 /// once fully disabled (the `is_enabled()` fast path short-circuits
 /// everything).
@@ -425,15 +417,14 @@ struct ObsOverhead {
     disabled_wall_ns: u64,
 }
 
-/// The probe workload: heavy enough to exercise spans, counters, and the
-/// coalition cache, light enough to run twice more per benchmark.
+/// The probe workload: heavy enough to exercise spans and counters,
+/// light enough to run twice more per benchmark.
 fn overhead_workload() {
     let scenario = FederationScenario::new(
         paper_facilities([1, 1, 1]),
         Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
     );
-    let cached = CachedGame::new(scenario.game().clone());
-    let _ = shapley(&cached);
+    let _ = shapley(scenario.game());
 }
 
 /// Times [`overhead_workload`] enabled-with-NullSink vs disabled (one
@@ -479,20 +470,6 @@ fn deterministic_section(
     formation: &FormationSummary,
 ) -> String {
     let mut out = String::from("  \"deterministic\": {\n");
-    let ratio = report.cache_ratio("coalition.cache").unwrap_or(0.0);
-    push_kv_f64(&mut out, "coalition.cache.hit_ratio", ratio, false);
-    push_kv_u64(
-        &mut out,
-        "coalition.cache.hits",
-        report.counter("coalition.cache.hits"),
-        false,
-    );
-    push_kv_u64(
-        &mut out,
-        "coalition.cache.misses",
-        report.counter("coalition.cache.misses"),
-        false,
-    );
     let evals = report
         .spans
         .get("coalition.game.eval")
@@ -620,7 +597,6 @@ fn timing_section(
         "shapley",
         "nucleolus",
         "report",
-        "cached_shapley",
         "demand_sim",
         "sweep",
         "approx",

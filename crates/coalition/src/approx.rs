@@ -567,6 +567,10 @@ mod tests {
             ..ApproxConfig::default()
         };
         let est = try_approx_shapley_wide(&g, &cfg).unwrap();
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the loop reads three per-player vectors (phi, std_error, exact) at i"
+        )]
         for i in 0..6 {
             let tol = 5.0 * est.std_error[i] + 1e-9;
             assert!(
@@ -758,6 +762,10 @@ mod proptests {
             };
             let est = try_approx_shapley_wide(&g, &cfg).expect("valid config");
             let mut sum_sq = 0.0;
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "the loop reads three per-player vectors (phi, std_error, exact) at i"
+            )]
             for i in 0..n {
                 let err = (est.phi[i] - exact[i]).abs();
                 prop_assert!(

@@ -1,12 +1,10 @@
-//! Game representations: the [`WideGame`] trait, dense tables, and
-//! memoizing wrappers.
+//! Game representations: the [`WideGame`] trait, the dense
+//! [`TableGame`] and the closure-backed [`FnGame`].
 
 use crate::coalition::{Coalition, PlayerId};
 use crate::error::GameError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use fedval_obs::OrderedMutex;
-use std::sync::Condvar;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A transferable-utility coalitional game `(N, V)`.
 ///
@@ -22,7 +20,7 @@ use std::sync::Condvar;
 /// The exact solution concepts enumerate bitset coalitions through
 /// [`WideGame::value`], whose default lists the members and calls
 /// [`WideGame::value_members`]. A game with a cheaper route by mask
-/// ([`TableGame`], [`CachedGame`], [`FnGame`]) overrides it, and the
+/// ([`TableGame`], [`FnGame`]) overrides it, and the
 /// override must return the same bits as `value_members` on the same
 /// members. [`WideGame::grand_value`] and [`WideGame::value_walk`] stay
 /// on the member path, so a game past 64 players never builds a bitset.
@@ -30,8 +28,8 @@ use std::sync::Condvar;
 /// Implementations should be cheap to call repeatedly — the exact solution
 /// concepts evaluate `value` up to `O(2^n)` times. Expensive characteristic
 /// functions (e.g. ones that run an allocation optimizer or a simulation)
-/// should be wrapped in a [`CachedGame`] or materialized into a
-/// [`TableGame`] via [`TableGame::from_game`].
+/// should be materialized once into a [`TableGame`] with
+/// [`TableGame::try_from_walk`].
 pub trait WideGame: Sync {
     /// Number of players `n = |N|`; members range over `0..n`.
     fn n_players(&self) -> usize;
@@ -118,15 +116,13 @@ pub struct TableGame {
 
 impl TableGame {
     /// Largest player count a dense table supports: `2^25` f64 values is
-    /// 256 MiB; anything bigger must stay lazy (see [`CachedGame`]).
+    /// 256 MiB. A bigger game stays lazy: callers evaluate
+    /// [`WideGame::value_members`] per coalition, or sample its Shapley
+    /// value with [`shapley_auto_wide`](crate::shapley_auto_wide).
     pub const MAX_PLAYERS: usize = 25;
 
-    /// Builds a table game by evaluating `f` on every coalition.
-    ///
-    /// # Errors
-    /// [`GameError::TooManyPlayers`] when `n > TableGame::MAX_PLAYERS` —
-    /// materialize lazily with [`CachedGame`] instead.
-    pub fn try_from_fn(n: usize, f: impl Fn(Coalition) -> f64) -> Result<TableGame, GameError> {
+    /// [`GameError::TooManyPlayers`] past [`TableGame::MAX_PLAYERS`].
+    fn check_size(n: usize) -> Result<(), GameError> {
         if n > TableGame::MAX_PLAYERS {
             return Err(GameError::TooManyPlayers {
                 n,
@@ -134,6 +130,15 @@ impl TableGame {
                 solver: "table_game",
             });
         }
+        Ok(())
+    }
+
+    /// Builds a table game by evaluating `f` on every coalition.
+    ///
+    /// # Errors
+    /// [`GameError::TooManyPlayers`] when `n > TableGame::MAX_PLAYERS`.
+    pub fn try_from_fn(n: usize, f: impl Fn(Coalition) -> f64) -> Result<TableGame, GameError> {
+        TableGame::check_size(n)?;
         let values = Coalition::all(n)
             .map(|c| {
                 // One span per coalition evaluation: with the scenario
@@ -154,6 +159,46 @@ impl TableGame {
     /// [`TableGame::MAX_PLAYERS`].
     pub fn try_from_game<G: WideGame>(game: &G) -> Result<TableGame, GameError> {
         TableGame::try_from_fn(game.n_players(), |c| game.value(c))
+    }
+
+    /// Materializes any [`WideGame`] on up to `threads` threads (clamped
+    /// to `1..=n`), evaluating every coalition once along a Gray-code
+    /// walk: the ranks `0..2^n` split into contiguous ranges, the first
+    /// walked on the calling thread and each other on a crossbeam scoped
+    /// worker, each through [`WideGame::value_walk`] so consecutive
+    /// coalitions differ by one player. The table has the same bits as
+    /// [`TableGame::try_from_game`] at every thread count.
+    ///
+    /// # Errors
+    /// [`GameError::TooManyPlayers`] when the game exceeds
+    /// [`TableGame::MAX_PLAYERS`], before anything is allocated.
+    pub fn try_from_walk<G: WideGame + ?Sized>(
+        game: &G,
+        threads: usize,
+    ) -> Result<TableGame, GameError> {
+        let n = game.n_players();
+        TableGame::check_size(n)?;
+        let size = 1usize << n;
+        let slots: Vec<AtomicU64> = (0..size).map(|_| AtomicU64::new(0)).collect();
+        let per = size.div_ceil(threads.clamp(1, n.max(1)));
+        let walk = |lo: usize| walk_ranks(game, &slots, lo, (lo + per).min(size));
+        let walk = &walk;
+        let outcome = crossbeam::thread::scope(|scope| {
+            for lo in (per..size).step_by(per) {
+                scope.spawn(move |_| walk(lo));
+            }
+            walk(0);
+        });
+        if let Err(payload) = outcome {
+            // A worker panicked (characteristic function blew up): propagate
+            // the original panic rather than masking it with a new one.
+            std::panic::resume_unwind(payload);
+        }
+        let values = slots
+            .into_iter()
+            .map(|bits| f64::from_bits(bits.into_inner()))
+            .collect();
+        Ok(TableGame { n, values })
     }
 
     /// Builds a table game by evaluating `f` on every coalition.
@@ -232,187 +277,37 @@ impl WideGame for TableGame {
     }
 }
 
-/// One memo-table entry: a finished value, or a marker that some thread is
-/// currently evaluating this coalition (single-flight).
-enum Slot {
-    /// The characteristic function finished; the value is cached.
-    Ready(f64),
-    /// A thread is evaluating this coalition right now; wait, don't re-run.
-    Pending,
-}
+/// Gray-code ranks per [`WideGame::value_walk`] call in
+/// [`TableGame::try_from_walk`]: bounds each call's toggle and value
+/// vectors, at the cost of re-entering the block's first coalition once
+/// per block.
+const WALK_BLOCK: usize = 256;
 
-/// Memoizing wrapper for games with expensive characteristic functions
-/// (allocation optimizers, simulations).
-///
-/// Thread-safe *and single-flight*: concurrent solution-concept code (e.g.
-/// the parallel Shapley pass or the sweep engine) may share one
-/// `CachedGame` across threads, and concurrent misses on the *same*
-/// coalition run the inner evaluation exactly once — the losers of the
-/// race block on a condvar until the winner publishes, instead of
-/// silently re-running an expensive LP solve. Misses on *different*
-/// coalitions still evaluate in parallel (the inner call runs outside the
-/// map lock).
-///
-/// Counters: `coalition.cache.hits` / `coalition.cache.misses` count
-/// served-from-cache vs evaluated-by-this-call; `coalition.cache.duplicate_evals`
-/// counts races where a second thread missed on an in-flight coalition —
-/// each of those was a duplicated inner evaluation before the fix, and is
-/// a blocked wait after it.
-///
-/// The memo table is a `BTreeMap` keyed by coalition mask: iteration (and
-/// any future snapshot/export of the cache) visits coalitions in ascending
-/// mask order, so nothing downstream can ever observe hash-seed-dependent
-/// ordering (`HashMap` is banned workspace-wide by `clippy.toml`).
-pub struct CachedGame<G> {
-    inner: G,
-    /// An [`OrderedMutex`] so every test run validates the workspace
-    /// lock-acquisition order dynamically (DESIGN.md §12). Poison
-    /// recovery lives inside the wrapper: the map only ever holds
-    /// coherent Ready/Pending entries (a panicking inner evaluation
-    /// cleans its sentinel up via `EvalGuard` before the lock drops).
-    cache: OrderedMutex<BTreeMap<u64, Slot>>,
-    ready: Condvar,
-}
-
-impl<G: WideGame> CachedGame<G> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: G) -> CachedGame<G> {
-        CachedGame {
-            inner,
-            cache: OrderedMutex::new("coalition.cache", BTreeMap::new()),
-            ready: Condvar::new(),
+/// Stores `V` of the coalitions at Gray-code ranks `lo..hi` (rank `r` is
+/// mask `r ⊕ (r ≫ 1)`) into their slots, in blocks of [`WALK_BLOCK`]:
+/// rank `r` differs from rank `r − 1` in player `trailing_zeros(r)`
+/// alone, so a block is one `value_walk` from the coalition just before
+/// it. Ranges of different callers are disjoint, so every slot is
+/// written once. `Relaxed` suffices: a slot publishes only its own
+/// value, and joining the workers orders every store before the table is
+/// read.
+fn walk_ranks<G: WideGame + ?Sized>(game: &G, slots: &[AtomicU64], lo: usize, hi: usize) {
+    let gray = |rank: usize| rank ^ (rank >> 1);
+    let mut rank = lo;
+    if rank == 0 {
+        slots[0].store(game.value_members(&[]).to_bits(), Ordering::Relaxed);
+        rank = 1;
+    }
+    while rank < hi {
+        let end = (rank + WALK_BLOCK).min(hi);
+        let start: Vec<PlayerId> = Coalition(gray(rank - 1) as u64).players().collect();
+        let toggles: Vec<PlayerId> = (rank..end)
+            .map(|r| r.trailing_zeros() as PlayerId)
+            .collect();
+        for (r, v) in (rank..end).zip(game.value_walk(&start, &toggles)) {
+            slots[gray(r)].store(v.to_bits(), Ordering::Relaxed);
         }
-    }
-
-    /// Number of memoized (finished) coalition values.
-    pub fn cached_len(&self) -> usize {
-        self.cache
-            .lock()
-            .values()
-            .filter(|slot| matches!(slot, Slot::Ready(_)))
-            .count()
-    }
-
-    /// Consumes the wrapper, returning the inner game.
-    pub fn into_inner(self) -> G {
-        self.inner
-    }
-
-    /// Evaluates **every** coalition of the game, populating the memo
-    /// table so later callers always hit. `threads > 1` shards the
-    /// `2^n` evaluations across scoped workers; the single-flight
-    /// machinery already makes concurrent misses safe, so workers need
-    /// no extra coordination. Returns the number of coalitions cached
-    /// afterwards (always `2^n`).
-    ///
-    /// This is the warm-up path of long-lived services (`fedval-serve`
-    /// pre-warms its scenario cache at startup so the first client
-    /// request is as fast as the millionth).
-    pub fn prewarm(&self, threads: usize) -> usize {
-        let n = self.inner.n_players();
-        let total: u64 = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let threads = threads.max(1).min(n.max(1) * 8);
-        let _span = fedval_obs::span_with("coalition.cache.prewarm", || {
-            format!("n={n} threads={threads}")
-        });
-        if threads == 1 {
-            for c in Coalition::all(n) {
-                let _ = self.value(c);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    scope.spawn(move || {
-                        // Strided sharding: worker t evaluates masks
-                        // t, t+threads, t+2·threads, …
-                        let mut mask = t as u64;
-                        while mask <= total {
-                            let _ = self.value(Coalition(mask));
-                            match mask.checked_add(threads as u64) {
-                                Some(next) => mask = next,
-                                None => break,
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        self.cached_len()
-    }
-
-}
-
-/// Removes the `Pending` sentinel if the inner evaluation unwinds before
-/// publishing, and wakes waiters either way — a blocked thread then finds
-/// the slot empty and retries the evaluation itself rather than hanging.
-struct EvalGuard<'a, G: WideGame> {
-    game: &'a CachedGame<G>,
-    key: u64,
-}
-
-impl<G: WideGame> Drop for EvalGuard<'_, G> {
-    fn drop(&mut self) {
-        let mut cache = self.game.cache.lock();
-        if matches!(cache.get(&self.key), Some(Slot::Pending)) {
-            cache.remove(&self.key);
-        }
-        drop(cache);
-        self.game.ready.notify_all();
-    }
-}
-
-impl<G: WideGame> WideGame for CachedGame<G> {
-    fn n_players(&self) -> usize {
-        self.inner.n_players()
-    }
-
-    fn value_members(&self, members: &[PlayerId]) -> f64 {
-        self.value(Coalition::from_players(members.iter().copied()))
-    }
-
-    /// The memo lookup, keyed by mask; a miss evaluates the inner game's
-    /// own [`WideGame::value`].
-    fn value(&self, coalition: Coalition) -> f64 {
-        let key = coalition.0;
-        {
-            let mut cache = self.cache.lock();
-            let mut raced = false;
-            loop {
-                match cache.get(&key) {
-                    Some(Slot::Ready(v)) => {
-                        let v = *v;
-                        drop(cache);
-                        fedval_obs::counter_add("coalition.cache.hits", 1);
-                        return v;
-                    }
-                    Some(Slot::Pending) => {
-                        if !raced {
-                            raced = true;
-                            // A concurrent miss on an in-flight coalition:
-                            // before the single-flight fix this re-ran the
-                            // inner evaluation.
-                            fedval_obs::counter_add("coalition.cache.duplicate_evals", 1);
-                        }
-                        cache = self.cache.wait(&self.ready, cache);
-                    }
-                    None => {
-                        cache.insert(key, Slot::Pending);
-                        break;
-                    }
-                }
-            }
-        }
-        fedval_obs::counter_add("coalition.cache.misses", 1);
-        let guard = EvalGuard { game: self, key };
-        let v = self.inner.value(coalition);
-        {
-            let mut cache = self.cache.lock();
-            cache.insert(key, Slot::Ready(v));
-        }
-        // The guard finds the slot Ready (nothing to clean up) and
-        // notifies the waiters blocked on this coalition.
-        drop(guard);
-        v
+        rank = end;
     }
 }
 
@@ -489,22 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_game_memoizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let g = FnGame::new(3, |c: Coalition| {
-            CALLS.fetch_add(1, Ordering::SeqCst);
-            c.len() as f64
-        });
-        let cached = CachedGame::new(g);
-        let c = Coalition::from_players([0, 1]);
-        assert_eq!(cached.value(c), 2.0);
-        assert_eq!(cached.value(c), 2.0);
-        assert_eq!(CALLS.load(Ordering::SeqCst), 1);
-        assert_eq!(cached.cached_len(), 1);
-    }
-
-    #[test]
     fn table_clone_preserves_values() {
         let g = cardinality_game(3);
         let g2 = g.clone();
@@ -540,94 +419,31 @@ mod tests {
         let _ = TableGame::from_fn(TableGame::MAX_PLAYERS + 1, |_| 0.0);
     }
 
-    /// Regression test for the concurrent-miss race: before the
-    /// single-flight fix, threads missing on the same coalition all ran
-    /// the inner evaluation. With the fix, inner evals must equal the
-    /// number of distinct coalitions no matter how many threads race.
+    /// A members-only game past the table cap is refused before the 2ⁿ
+    /// slots are allocated or any coalition is evaluated.
     #[test]
-    fn cached_game_single_flight_under_contention() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Barrier;
-
-        const N: usize = 5; // 32 distinct coalitions
-        const THREADS: usize = 8;
-        const ROUNDS: usize = 3;
-
-        let evals = AtomicUsize::new(0);
-        let cached = CachedGame::new(FnGame::new(N, |c: Coalition| {
-            evals.fetch_add(1, Ordering::SeqCst);
-            // Widen the race window so concurrent misses overlap.
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            c.len() as f64
-        }));
-        let barrier = Barrier::new(THREADS);
-
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let cached = &cached;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    for round in 0..ROUNDS {
-                        for c in Coalition::all(N) {
-                            // Stagger start offsets so threads collide on
-                            // different keys, not just in lockstep.
-                            let mask = (c.0 + (t + round) as u64) % (1 << N);
-                            let shifted = Coalition(mask);
-                            assert_eq!(cached.value(shifted), shifted.len() as f64);
-                        }
-                    }
-                });
+    fn try_from_walk_rejects_oversized_games_at_once() {
+        struct Untouchable(usize);
+        impl WideGame for Untouchable {
+            fn n_players(&self) -> usize {
+                self.0
             }
-        });
-
-        assert_eq!(
-            evals.load(Ordering::SeqCst),
-            1 << N,
-            "inner evaluations must equal distinct coalitions (single-flight)"
-        );
-        assert_eq!(cached.cached_len(), 1 << N);
-    }
-
-    /// Pre-warming fills the cache completely (sequential and sharded
-    /// paths agree), and warm lookups never re-enter the inner game.
-    #[test]
-    fn prewarm_fills_the_cache_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for threads in [1, 4] {
-            let evals = AtomicUsize::new(0);
-            let cached = CachedGame::new(FnGame::new(6, |c: Coalition| {
-                evals.fetch_add(1, Ordering::SeqCst);
-                c.len() as f64
-            }));
-            assert_eq!(cached.prewarm(threads), 1 << 6, "threads={threads}");
-            assert_eq!(evals.load(Ordering::SeqCst), 1 << 6);
-            // Every post-warm read is a pure cache hit.
-            for c in Coalition::all(6) {
-                assert_eq!(cached.value(c), c.len() as f64);
+            fn value_members(&self, _: &[PlayerId]) -> f64 {
+                panic!("an oversized table must not evaluate any coalition")
             }
-            assert_eq!(evals.load(Ordering::SeqCst), 1 << 6);
         }
-    }
-
-    /// A panicking inner evaluation must clean up its Pending sentinel so
-    /// waiters retry instead of hanging, and later calls succeed.
-    #[test]
-    fn cached_game_recovers_from_panicking_eval() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        let cached = CachedGame::new(FnGame::new(2, |c: Coalition| {
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("first evaluation fails");
-            }
-            c.len() as f64
-        }));
-        let c = Coalition::from_players([0, 1]);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cached.value(c)));
-        assert!(unwound.is_err());
-        // The sentinel was removed on unwind: the retry evaluates afresh.
-        assert_eq!(cached.value(c), 2.0);
-        assert_eq!(cached.cached_len(), 1);
+        for n in [TableGame::MAX_PLAYERS + 1, 64, 200] {
+            let err = TableGame::try_from_walk(&Untouchable(n), 4)
+                .expect_err("past MAX_PLAYERS must not materialize");
+            assert_eq!(
+                err,
+                GameError::TooManyPlayers {
+                    n,
+                    max: TableGame::MAX_PLAYERS,
+                    solver: "table_game",
+                }
+            );
+        }
     }
 }
 
@@ -681,12 +497,18 @@ mod proptests {
             let members: Vec<PlayerId> = Coalition(mask & ((1 << n) - 1)).players().collect();
             let f = FnGame::new(n, move |c: Coalition| hashed(c, salt));
             let table = TableGame::from_game(&f);
-            let cached = CachedGame::new(FnGame::new(n, move |c: Coalition| hashed(c, salt)));
             prop_assert!(same_bits(&f, &members));
             prop_assert!(same_bits(&table, &members));
-            // Cold (the first read misses), then warm (both reads hit).
-            prop_assert!(same_bits(&cached, &members));
-            prop_assert!(same_bits(&cached, &members));
+            // The walk-filled table equals the per-coalition fill bit for
+            // bit at every thread count, including uneven splits.
+            let want: Vec<u64> = table.values().iter().map(|v| v.to_bits()).collect();
+            for threads in 1..=3 {
+                let walked = TableGame::try_from_walk(&MembersOnly(&f), threads)
+                    .expect("n ≤ 10 fits a table");
+                prop_assert!(same_bits(&walked, &members));
+                let got: Vec<u64> = walked.values().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want.clone(), "threads={}", threads);
+            }
         }
 
         /// A game that implements only `value_members` gets exact Shapley

@@ -12,7 +12,7 @@
 //! The crate is model-agnostic: any type implementing [`WideGame`] (a
 //! player count plus a characteristic function over member slices) gets
 //! every solution concept. Exact solvers enumerate bitset coalitions
-//! through [`WideGame::value`], a fast path that table and memo games
+//! through [`WideGame::value`], a fast path that table and closure games
 //! override; past the exact caps, [`approx`] samples the Shapley value
 //! with a certificate. The federation model in `fedval-core` plugs in
 //! here; so do the classical oracle games in [`games`] used for
@@ -66,7 +66,7 @@ pub use error::{CoalitionError, GameError};
 pub use dividends::{
     harsanyi_dividends, shapley_from_dividends, top_synergies, values_from_dividends,
 };
-pub use game::{check_zero_normalized_empty, CachedGame, FnGame, TableGame, WideGame};
+pub use game::{check_zero_normalized_empty, FnGame, TableGame, WideGame};
 pub use nucleolus::{nucleolus, try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
 pub use owen::{owen_value, owen_value_normalized, quotient_game};
 pub use properties::{

@@ -15,7 +15,6 @@
 use crate::coalition::{Coalition, PlayerId};
 use crate::error::GameError;
 use crate::game::{TableGame, WideGame};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exact Shapley value of a single player, by the subset-sum formula.
 ///
@@ -64,6 +63,11 @@ pub fn try_shapley_player<G: WideGame + ?Sized>(game: &G, i: PlayerId) -> Result
 /// calls) into a dense table of `2^n` `f64` values — 512 KiB at
 /// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) — and
 /// then sums each player's weighted marginals from the table.
+///
+/// # Panics
+/// Panics past [`TableGame::MAX_PLAYERS`] players, where the table does
+/// not fit; [`shapley_auto_wide`](crate::shapley_auto_wide) samples such
+/// games instead.
 pub fn shapley<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
     let _span = fedval_obs::span_with("coalition.shapley.exact", || {
         format!("n={}", game.n_players())
@@ -74,20 +78,19 @@ pub fn shapley<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
 /// Exact Shapley values of all players, evaluating the game on up to
 /// `threads` threads.
 ///
-/// Every coalition is evaluated exactly once: the calling thread and
-/// `threads − 1` crossbeam scoped workers fill one dense table of `2^n`
-/// `f64` values (512 KiB at
-/// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS)), each
-/// walking a contiguous range of Gray-code ranks through
-/// [`WideGame::value_walk`] so consecutive coalitions differ by one
-/// player. The calling thread then runs each player's subset sum —
-/// [`shapley_player`] on the table — so every ϕᵢ has the same bits as
-/// [`shapley`]. The characteristic function must be `Sync`, which
-/// [`WideGame`] requires.
+/// Every coalition is evaluated exactly once: [`TableGame::try_from_walk`]
+/// fills one dense table of `2^n` `f64` values (512 KiB at
+/// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS)) on the
+/// calling thread and `threads − 1` scoped workers. The calling thread
+/// then runs each player's subset sum — [`shapley_player`] on the table —
+/// so every ϕᵢ has the same bits as [`shapley`].
 ///
 /// Records the same `coalition.shapley.exact` span as [`shapley`] (with
 /// `threads=` in its detail), so a trace names the solution concept, not
 /// the thread count it ran at.
+///
+/// # Panics
+/// Panics where [`shapley`] does.
 pub fn shapley_parallel<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
     let n = game.n_players();
     let threads = threads.clamp(1, n.max(1));
@@ -97,11 +100,6 @@ pub fn shapley_parallel<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f
     exact_shapley(game, threads)
 }
 
-/// Gray-code ranks per [`WideGame::value_walk`] call while filling the
-/// exact table: bounds each call's toggle and value vectors, at the cost
-/// of re-entering the block's first coalition once per block.
-const WALK_BLOCK: usize = 256;
-
 /// The exact pass behind [`shapley`] and [`shapley_parallel`]
 /// (`1 ≤ threads ≤ n`): fill the table, then sum per player.
 fn exact_shapley<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
@@ -109,63 +107,13 @@ fn exact_shapley<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }
-    let table = coalition_table(game, threads);
-    (0..n).map(|i| shapley_player(&table, i)).collect()
-}
-
-/// `V(S)` of every coalition `S ⊆ N`, indexed by mask: the Gray-code
-/// ranks `0..2^n` split into `threads` contiguous ranges, the first
-/// walked on the calling thread and each other on a scoped worker.
-fn coalition_table<G: WideGame + ?Sized>(game: &G, threads: usize) -> TableGame {
-    let n = game.n_players();
-    let size = 1usize << n;
-    let slots: Vec<AtomicU64> = (0..size).map(|_| AtomicU64::new(0)).collect();
-    let per = size.div_ceil(threads);
-    let walk = |lo: usize| walk_ranks(game, &slots, lo, (lo + per).min(size));
-    let walk = &walk;
-    let outcome = crossbeam::thread::scope(|scope| {
-        for lo in (per..size).step_by(per) {
-            scope.spawn(move |_| walk(lo));
-        }
-        walk(0);
-    });
-    if let Err(payload) = outcome {
-        // A worker panicked (characteristic function blew up): propagate
-        // the original panic rather than masking it with a new one.
-        std::panic::resume_unwind(payload);
-    }
-    let values = slots
-        .into_iter()
-        .map(|bits| f64::from_bits(bits.into_inner()))
-        .collect();
-    TableGame::from_values(n, values)
-}
-
-/// Stores `V` of the coalitions at Gray-code ranks `lo..hi` (rank `r` is
-/// mask `r ⊕ (r ≫ 1)`) into their slots, in blocks of [`WALK_BLOCK`]:
-/// rank `r` differs from rank `r − 1` in player `trailing_zeros(r)`
-/// alone, so a block is one `value_walk` from the coalition just before
-/// it. Ranges of different callers are disjoint, so every slot is
-/// written once. `Relaxed` suffices: a slot publishes only its own
-/// value, and joining the workers orders every store before the table is
-/// read.
-fn walk_ranks<G: WideGame + ?Sized>(game: &G, slots: &[AtomicU64], lo: usize, hi: usize) {
-    let gray = |rank: usize| rank ^ (rank >> 1);
-    let mut rank = lo;
-    if rank == 0 {
-        slots[0].store(game.value_members(&[]).to_bits(), Ordering::Relaxed);
-        rank = 1;
-    }
-    while rank < hi {
-        let end = (rank + WALK_BLOCK).min(hi);
-        let start: Vec<PlayerId> = Coalition(gray(rank - 1) as u64).players().collect();
-        let toggles: Vec<PlayerId> = (rank..end)
-            .map(|r| r.trailing_zeros() as PlayerId)
-            .collect();
-        for (r, v) in (rank..end).zip(game.value_walk(&start, &toggles)) {
-            slots[gray(r)].store(v.to_bits(), Ordering::Relaxed);
-        }
-        rank = end;
+    match TableGame::try_from_walk(game, threads) {
+        Ok(table) => (0..n).map(|i| shapley_player(&table, i)).collect(),
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics`: past the table cap the exact pass cannot run; shapley_auto_wide samples those games"
+        )]
+        Err(e) => panic!("shapley: {e}"),
     }
 }
 

@@ -362,8 +362,8 @@ mod property_tests {
     fn offer_strategy() -> impl Strategy<Value = LocationOffer> {
         prop::collection::vec(1u64..=4, 1..=8).prop_map(|caps| {
             let mut offer = LocationOffer::new();
-            for (i, c) in caps.into_iter().enumerate() {
-                offer.add(i as u32, c);
+            for (i, c) in (0u32..).zip(caps) {
+                offer.add(i, c);
             }
             offer
         })

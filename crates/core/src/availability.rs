@@ -12,10 +12,9 @@
 //!
 //! [`AvailabilityGame`] wraps any base game with this expectation. One
 //! evaluation costs `O(2^|S|)` base evaluations, so materializing a full
-//! table costs `O(3^n)` — fine for the paper's federation sizes. Wrap the
-//! base game in a [`CachedGame`](fedval_coalition::CachedGame) (or use a
-//! [`TableGame`](fedval_coalition::TableGame)) if its characteristic
-//! function is expensive.
+//! table costs `O(3^n)` — fine for the paper's federation sizes. If the
+//! base game's characteristic function is expensive, materialize it first
+//! with [`TableGame::try_from_walk`](fedval_coalition::TableGame::try_from_walk).
 
 use fedval_coalition::{Coalition, PlayerId, WideGame};
 use std::fmt;

@@ -131,7 +131,7 @@ mod tests {
     fn single_unit_class_reduces_to_erlang_b() {
         for (a, c) in [(2.0, 4u64), (5.0, 5), (0.5, 10)] {
             let analysis = kaufman_roberts(c, &[LossClass::new(a, 1.0, 1)]);
-            let expect = erlang_b(a, c as usize);
+            let expect = erlang_b(a, usize::try_from(c).unwrap());
             assert!(
                 (analysis.blocking[0] - expect).abs() < 1e-12,
                 "a={a} c={c}: {} vs {expect}",

@@ -6,6 +6,10 @@
 use fedval_lint::lint_workspace;
 use std::path::{Path, PathBuf};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a crate outside the workspace layout fails the calling test"
+)]
 fn workspace_root() -> PathBuf {
     // The lint crate lives at <root>/crates/lint.
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -15,6 +19,10 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: an unreadable workspace file fails the calling test"
+)]
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }

@@ -31,7 +31,7 @@
 //! ## Naming convention
 //!
 //! Metric and span names are `crate.subsystem.name`, e.g.
-//! `simplex.solver.pivots`, `coalition.cache.hits`,
+//! `simplex.solver.pivots`, `serve.whatif.hits`,
 //! `testbed.simulate.run`. Latency observation names end in `_ns`.
 //!
 //! ## Example

@@ -22,7 +22,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Deref, DerefMut};
-use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Process-global acquisition-order graph: `from → to` means some thread
 /// acquired `to` while holding `from`.
@@ -152,7 +152,7 @@ pub struct OrderedMutex<T> {
 
 impl<T> OrderedMutex<T> {
     /// Wraps `value` under the global order name `name` (use the
-    /// `crate.subsystem` metric convention, e.g. `"coalition.cache"`).
+    /// `crate.subsystem` metric convention, e.g. `"serve.whatif"`).
     pub const fn new(name: &'static str, value: T) -> OrderedMutex<T> {
         OrderedMutex {
             name,
@@ -171,30 +171,9 @@ impl<T> OrderedMutex<T> {
         };
         push_held(self.name);
         OrderedMutexGuard {
-            inner: Some(inner),
+            inner,
             name: self.name,
         }
-    }
-
-    /// `Condvar::wait` for ordered guards: releases the lock (popping it
-    /// from the held set), waits, and re-records the reacquisition so
-    /// order violations during wakeup are caught too.
-    pub fn wait<'a>(
-        &self,
-        cv: &Condvar,
-        mut guard: OrderedMutexGuard<'a, T>,
-    ) -> OrderedMutexGuard<'a, T> {
-        if let Some(inner) = guard.inner.take() {
-            pop_held(guard.name);
-            let reacquired = match cv.wait(inner) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            on_acquire(guard.name);
-            push_held(guard.name);
-            guard.inner = Some(reacquired);
-        }
-        guard
     }
 }
 
@@ -209,40 +188,26 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OrderedMutex<T> {
 
 /// Guard returned by [`OrderedMutex::lock`].
 pub struct OrderedMutexGuard<'a, T> {
-    /// `Some` except transiently inside [`OrderedMutex::wait`], which
-    /// owns the guard while the inner guard travels through the condvar.
-    inner: Option<MutexGuard<'a, T>>,
+    inner: MutexGuard<'a, T>,
     name: &'static str,
 }
 
 impl<T> Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
-    #[expect(
-        clippy::expect_used,
-        reason = "`inner` is `Some` at every reachable deref: only `wait()` vacates it, and \
-                  `wait()` owns the guard for that whole window"
-    )]
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T> DerefMut for OrderedMutexGuard<'_, T> {
-    #[expect(
-        clippy::expect_used,
-        reason = "`inner` is `Some` at every reachable deref: only `wait()` vacates it, and \
-                  `wait()` owns the guard for that whole window"
-    )]
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
+        &mut self.inner
     }
 }
 
 impl<T> Drop for OrderedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        if self.inner.is_some() {
-            pop_held(self.name);
-        }
+        pop_held(self.name);
     }
 }
 
@@ -349,7 +314,6 @@ impl<T> Drop for OrderedWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     // Test locks use unique names so the intentional-cycle tests cannot
     // pollute the order graph other tests (or adopted production locks)
@@ -448,29 +412,6 @@ mod tests {
         let _ga = a.lock();
         assert!(edges().contains(&("t5.beta", "t5.alpha")));
         assert!(!edges().contains(&("t5.alpha", "t5.beta")));
-    }
-
-    #[test]
-    fn condvar_wait_round_trips_guard() {
-        let m = Arc::new(OrderedMutex::new("t6.slot", false));
-        let cv = Arc::new(Condvar::new());
-        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
-        let setter = std::thread::spawn(move || {
-            let mut g = m2.lock();
-            *g = true;
-            drop(g);
-            cv2.notify_all();
-        });
-        let mut g = m.lock();
-        while !*g {
-            g = m.wait(&cv, g);
-        }
-        assert!(*g);
-        drop(g);
-        setter.join().expect("setter thread");
-        // After wait() the guard was reacquired and is tracked: dropping
-        // it above must have popped the held slot, so relocking works.
-        let _again = m.lock();
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// One observability record.
 ///
 /// Metric names follow the `crate.subsystem.name` convention (see
-/// DESIGN.md §8), e.g. `simplex.solver.pivots` or `coalition.cache.hits`.
+/// DESIGN.md §8), e.g. `simplex.solver.pivots` or `serve.whatif.hits`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// A span opened. `t_ns` is nanoseconds since the process-wide

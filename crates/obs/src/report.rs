@@ -2,8 +2,8 @@
 //!
 //! Where [`MetricsSnapshot`](crate::MetricsSnapshot) deliberately drops
 //! timing for determinism, [`RunReport`] keeps it: per-span wall time,
-//! latency histograms, and derived rates (cache hit ratio, events per
-//! second). This is what `fedval --metrics` prints after a run.
+//! latency histograms, and derived rates (events per second). This is
+//! what `fedval --metrics` prints after a run.
 
 use crate::histogram::Histogram;
 use crate::record::Record;
@@ -113,20 +113,6 @@ impl RunReport {
         self.spans.get(name).map(|s| s.total_ns).unwrap_or(0)
     }
 
-    /// Hit ratio for a `<prefix>.hits` / `<prefix>.misses` counter pair,
-    /// e.g. `cache_ratio("coalition.cache")`. `None` when neither
-    /// counter fired.
-    pub fn cache_ratio(&self, prefix: &str) -> Option<f64> {
-        let hits = self.counter(&format!("{prefix}.hits"));
-        let misses = self.counter(&format!("{prefix}.misses"));
-        let total = hits + misses;
-        if total == 0 {
-            None
-        } else {
-            Some(hits as f64 / total as f64)
-        }
-    }
-
     /// Rate of `counter_name` per second of `span_name` wall time, e.g.
     /// desim events/sec over the simulation span. `None` when the span
     /// never completed or took no measurable time.
@@ -194,9 +180,6 @@ impl RunReport {
                 let _ = writeln!(out, "{name:width$}  {count}");
             }
         }
-        if let Some(ratio) = self.cache_ratio("coalition.cache") {
-            let _ = writeln!(out, "-- derived --\ncoalition.cache hit ratio  {ratio:.4}");
-        }
         out
     }
 }
@@ -234,12 +217,8 @@ mod tests {
                 dur_ns: 60,
             },
             Record::Counter {
-                name: "coalition.cache.hits".into(),
+                name: "form.value.hit".into(),
                 delta: 30,
-            },
-            Record::Counter {
-                name: "coalition.cache.misses".into(),
-                delta: 10,
             },
             Record::Counter {
                 name: "desim.engine.delivered".into(),
@@ -275,8 +254,8 @@ mod tests {
     #[test]
     fn derived_metrics() {
         let report = RunReport::from_records(&records());
-        assert_eq!(report.cache_ratio("coalition.cache"), Some(0.75));
-        assert_eq!(report.cache_ratio("no.such"), None);
+        assert_eq!(report.counter("form.value.hit"), 30);
+        assert_eq!(report.counter("no.such"), 0);
         let rate = report
             .rate_per_sec("desim.engine.delivered", "testbed.simulate.run")
             .unwrap();
@@ -299,6 +278,5 @@ mod tests {
         assert!(text.contains("-- counters --"));
         assert!(text.contains("-- latency histograms --"));
         assert!(text.contains("-- events --"));
-        assert!(text.contains("coalition.cache hit ratio  0.7500"));
     }
 }

@@ -15,7 +15,7 @@ use fedval_obs::{MetricsSnapshot, Record, RunReport};
 use std::path::PathBuf;
 
 /// A synthetic record stream with fixed timestamps: every section of the
-/// report is exercised, including the derived cache-ratio line.
+/// report is exercised.
 fn fixture_records() -> Vec<Record> {
     vec![
         Record::SpanStart {
@@ -66,11 +66,11 @@ fn fixture_records() -> Vec<Record> {
             delta: 9,
         },
         Record::Counter {
-            name: "coalition.cache.hits".into(),
+            name: "form.value.hit".into(),
             delta: 12,
         },
         Record::Counter {
-            name: "coalition.cache.misses".into(),
+            name: "form.value.miss".into(),
             delta: 4,
         },
         Record::Gauge {
@@ -128,7 +128,10 @@ fn snapshot_of_fixture_is_stable() {
     let report = RunReport::from_records(&records);
     assert_eq!(snap.counter("simplex.solver.pivots"), report.counter("simplex.solver.pivots"));
     assert_eq!(snap.spans("coalition.game.eval"), 2);
-    assert_eq!(report.cache_ratio("coalition.cache"), Some(0.75));
+    assert_eq!(
+        snap.counter("form.value.hit"),
+        report.counter("form.value.hit")
+    );
 }
 
 #[test]

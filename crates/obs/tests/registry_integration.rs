@@ -40,25 +40,25 @@ fn nesting_links_parents() {
         let _inner = fedval_obs::span_with("t.nest.inner", || "detail".to_string());
         fedval_obs::counter_add("t.nest.count", 1);
     });
-    let starts: Vec<&Record> = records
+    let starts: Vec<(u64, Option<u64>, Option<&str>)> = records
         .iter()
-        .filter(|r| matches!(r, Record::SpanStart { .. }))
+        .filter_map(|r| match r {
+            Record::SpanStart {
+                id, parent, detail, ..
+            } => Some((*id, *parent, detail.as_deref())),
+            _ => None,
+        })
         .collect();
     assert_eq!(starts.len(), 2);
-    let (outer_id, outer_parent) = match starts[0] {
-        Record::SpanStart { id, parent, .. } => (*id, *parent),
-        _ => unreachable!(),
-    };
+    let (outer_id, outer_parent, _) = starts[0];
     assert_eq!(outer_parent, None);
-    match starts[1] {
-        Record::SpanStart {
-            parent, detail, ..
-        } => {
-            assert_eq!(*parent, Some(outer_id), "inner span must link to outer");
-            assert_eq!(detail.as_deref(), Some("detail"));
-        }
-        _ => unreachable!(),
-    }
+    let (_, inner_parent, inner_detail) = starts[1];
+    assert_eq!(
+        inner_parent,
+        Some(outer_id),
+        "inner span must link to outer"
+    );
+    assert_eq!(inner_detail, Some("detail"));
     // Inner closes before outer (LIFO drop order).
     let ends: Vec<&str> = records
         .iter()
@@ -70,6 +70,7 @@ fn nesting_links_parents() {
     assert_eq!(ends, vec!["t.nest.inner", "t.nest.outer"]);
 }
 
+#[expect(clippy::panic, reason = "the scenario panics inside a span on purpose")]
 fn panic_inside_span_still_closes_it_and_does_not_poison() {
     let records = with_fresh_sink(|| {
         let result = std::panic::catch_unwind(|| {
@@ -111,6 +112,10 @@ fn disabled_paths_emit_nothing() {
     assert!(sink.is_empty());
 }
 
+#[expect(
+    clippy::panic,
+    reason = "each closure panics if it runs, which is what the scenario rules out"
+)]
 fn lazy_closures_not_invoked_when_disabled() {
     assert!(!fedval_obs::is_enabled());
     let _g: SpanGuard = fedval_obs::span_with("t.lazy.span", || {
@@ -147,9 +152,9 @@ fn capture_diverts_this_thread_only_and_replay_forwards() {
             // Counters bypass the record stream entirely now: they land
             // in this thread's metric shard even inside a capture.
             fedval_obs::counter_add("t.capture.diverted", 2);
-            std::thread::spawn(|| fedval_obs::counter_add("t.capture.other_thread", 1))
-                .join()
-                .expect("emitting thread panicked");
+            let emitter =
+                std::thread::spawn(|| fedval_obs::counter_add("t.capture.other_thread", 1));
+            assert!(emitter.join().is_ok(), "emitting thread panicked");
         });
         // Only the span records were buffered; counters went to shards.
         assert_eq!(captured.len(), 2, "span start+end only: {captured:?}");
@@ -173,6 +178,10 @@ fn capture_diverts_this_thread_only_and_replay_forwards() {
     );
 }
 
+#[expect(
+    clippy::panic,
+    reason = "the scenario panics inside a capture on purpose"
+)]
 fn capture_scopes_nest_and_survive_unwind() {
     let records = with_fresh_sink(|| {
         // Events still travel as records, so they exercise the nesting.
@@ -229,21 +238,25 @@ fn sharded_fold_merges_threads_and_flushes_exits() {
             })
             .collect();
         for w in workers {
-            w.join().expect("worker thread panicked");
+            assert!(w.join().is_ok(), "worker thread panicked");
         }
         // The workers have exited, so their shards were drained into the
         // retired accumulator — the fold must still see every increment.
         let fold = fedval_obs::metrics_fold();
         assert_eq!(fold.counter("t.fold.hits"), 14);
         assert_eq!(fold.gauge("t.fold.depth"), Some(4.0));
-        let h = fold.histogram("t.fold.lat_ns").expect("histogram exists");
-        assert_eq!(h.count, 5);
-        assert_eq!(h.sum_ns, 1_500 + 4 * 2_500);
-        assert_eq!(h.min_ns, 1_500);
-        assert_eq!(h.max_ns, 2_500);
+        let h = fold.histogram("t.fold.lat_ns");
+        assert_eq!(h.map(|h| h.count), Some(5));
+        assert_eq!(h.map(|h| h.sum_ns), Some(1_500 + 4 * 2_500));
+        assert_eq!(h.map(|h| h.min_ns), Some(1_500));
+        assert_eq!(h.map(|h| h.max_ns), Some(2_500));
     });
 }
 
+#[expect(
+    clippy::panic,
+    reason = "the detail closure panics if it runs, which is what the scenario rules out"
+)]
 fn suppressed_spans_count_without_records() {
     let records = with_fresh_sink(|| {
         fedval_obs::with_span_records_suppressed(|| {
@@ -288,7 +301,7 @@ fn threads_get_independent_span_stacks() {
         let handle = std::thread::spawn(|| {
             let _worker = fedval_obs::span("t.threads.worker");
         });
-        handle.join().expect("worker thread panicked");
+        assert!(handle.join().is_ok(), "worker thread panicked");
     });
     for r in &records {
         if let Record::SpanStart { name, parent, .. } = r {

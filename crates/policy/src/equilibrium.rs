@@ -96,7 +96,7 @@ mod tests {
 
     /// Facilities choose L ∈ {10, 20, 40} at distinct location ranges.
     fn make_facility(i: usize, l: u32) -> Facility {
-        let start = (i as u32) * 1000;
+        let start = u32::try_from(i).unwrap() * 1000;
         Facility::new(format!("f{i}"), LocationOffer::contiguous(start, l, 1))
     }
 

@@ -9,7 +9,7 @@
 //! property guarantees the two levels are consistent — each authority's
 //! sites jointly receive exactly the authority's top-level Shapley share.
 
-use fedval_coalition::{owen_value, quotient_game, shapley, CachedGame, Coalition, WideGame};
+use fedval_coalition::{owen_value, quotient_game, shapley, Coalition, TableGame, WideGame};
 use fedval_core::{Demand, Facility, FederationGame};
 
 /// The two-level sharing result.
@@ -57,7 +57,16 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
         next += group.len();
     }
 
-    let game = CachedGame::new(FederationGame::new(&flat, demand));
+    // The Owen value reads every coalition many times over: fill the 2ⁿ
+    // table once, then each read is an array lookup.
+    let game = match TableGame::try_from_walk(&FederationGame::new(&flat, demand), 1) {
+        Ok(table) => table,
+        #[expect(
+            clippy::panic,
+            reason = "unreachable: n ≤ 16 is asserted above, inside TableGame::MAX_PLAYERS"
+        )]
+        Err(e) => panic!("hierarchical_shapley: {e}"),
+    };
     let grand_value = game.grand_value();
 
     let owen = owen_value(&game, &unions);

@@ -1,9 +1,8 @@
 //! `fedval-serve` — the online policy-query daemon.
 //!
-//! Loads a federation scenario, optionally pre-warms every cache layer
-//! (all `2^n` coalition values plus the ϕ̂ and nucleolus share
-//! payloads), then serves newline-framed queries over TCP until a
-//! `shutdown` query arrives:
+//! Loads a federation scenario, optionally fills its `2^n` coalition
+//! table and the ϕ̂ and nucleolus share payloads, then serves
+//! newline-framed queries over TCP until a `shutdown` query arrives:
 //!
 //! ```text
 //! fedval-serve --addr 127.0.0.1:7411 --warm
@@ -66,7 +65,7 @@ fn usage() -> &'static str {
                                 long (default 60000)\n\
        --chaos-harness          honour the chaos-panic query (fedchaos runs;\n\
                                 never enable in production)\n\
-       --warm                   pre-warm all 2^n coalition values and the\n\
+       --warm                   fill the 2^n coalition table (n <= 16) and the\n\
                                 shapley/nucleolus payloads before listening\n\
        --whatif-cache N         bounded LRU of derived what-if scenarios\n\
                                 (default 64)\n\

@@ -8,18 +8,17 @@
 //! worth?", "what is provider 3's Shapley share?", "what happens if a
 //! fourth provider joins?". This crate keeps one
 //! [`FederationScenario`-derived game][crate::state::ScenarioGame]
-//! resident behind the single-flight
-//! [`CachedGame`](fedval_coalition::CachedGame), pre-warms every
-//! coalition value plus the ϕ̂ and nucleolus share tables at startup,
-//! and answers queries over a newline-framed JSON-ish TCP protocol —
-//! std-only, no external dependencies.
+//! resident, fills its `2^n` coalition
+//! [`TableGame`](fedval_coalition::TableGame) plus the ϕ̂ and nucleolus
+//! share payloads at startup, and answers queries over a newline-framed
+//! JSON-ish TCP protocol — std-only, no external dependencies.
 //!
 //! Layout:
 //!
 //! * [`protocol`] — wire framing, request parsing (total and
 //!   panic-free over arbitrary bytes), response rendering.
-//! * [`state`] — scenario specification, warm caches, query
-//!   execution, the bounded what-if LRU.
+//! * [`state`] — scenario specification, the base coalition table and
+//!   rendered payloads, query execution, the bounded what-if LRU.
 //! * [`lru`] — the deterministic bounded LRU map backing what-ifs.
 //! * [`metrics`] — the per-second time-series ring buffer and the
 //!   `metrics` query payload (JSON-escaped Prometheus-style exposition

@@ -1,18 +1,21 @@
-//! Warm query state: the scenario, its single-flight coalition cache,
-//! pre-rendered share payloads, and the bounded what-if LRU.
+//! Warm query state: the scenario, its coalition table, pre-rendered
+//! share payloads, and the bounded what-if LRU.
 //!
 //! The serving model is the paper's policy loop (§4.3): the expensive
 //! coalitional solve happens once (at warm-up or on first demand), and
 //! every subsequent query is a lookup against immutable pre-rendered
-//! bytes. Three cache layers, coarsest first:
+//! bytes. Three layers, coarsest first:
 //!
-//! 1. **Payload cache** — `shapley` / `nucleolus` responses for the
-//!    base scenario are rendered exactly once (`OnceLock`) and reused
+//! 1. **Payloads** — `shapley` / `nucleolus` responses for the base
+//!    scenario are rendered exactly once (`OnceLock`) and reused
 //!    byte-for-byte. This is what makes identical queries return
 //!    byte-identical responses.
-//! 2. **Coalition cache** — `coalition-value` queries go through one
-//!    shared [`CachedGame`]: single-flight across worker threads, warm
-//!    across requests. `--warm` pre-populates all `2^n` entries.
+//! 2. **Base table** — up to [`EXACT_SHAPLEY_MAX_PLAYERS`] players, the
+//!    base scenario's `2^n` coalition values are filled once into a
+//!    [`TableGame`] along a Gray-code walk (`OnceLock`): by `--warm` on
+//!    its threads, or else by the first query that needs it, on one.
+//!    The payloads and `coalition-value` read it; past the cap,
+//!    `coalition-value` evaluates the one coalition it names.
 //! 3. **What-if LRU** — derived scenarios (`what-if-join` /
 //!    `what-if-leave`) are re-solved once and the rendered payload kept
 //!    in a bounded [`Lru`]; the bound caps both memory and the blast
@@ -21,9 +24,8 @@
 use crate::lru::Lru;
 use crate::protocol::{render_f64_array, QueryError, QueryKind};
 use fedval_coalition::{
-    nucleolus, try_approx_shapley_wide, ApproxConfig, ApproxShapley, CachedGame, Coalition,
-    TableGame, WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_PLAYERS as BITSET_MAX_PLAYERS,
-    MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
+    nucleolus, try_approx_shapley_wide, ApproxConfig, ApproxShapley, TableGame, WideGame,
+    EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::sharing::shapley_hat_of;
 use fedval_core::{Demand, ExperimentClass, Facility, FederationGame, Volume};
@@ -140,9 +142,8 @@ impl ScenarioSpec {
     }
 }
 
-/// An owned [`WideGame`] over a spec's facilities and demand —
-/// the borrow-free form [`CachedGame`] needs to live inside shared
-/// server state.
+/// An owned [`WideGame`] over a spec's facilities and demand — the
+/// borrow-free form that lives inside shared server state.
 pub struct ScenarioGame {
     facilities: Vec<Facility>,
     demand: Demand,
@@ -163,9 +164,8 @@ impl WideGame for ScenarioGame {
         self.facilities.len()
     }
 
-    /// `V(S)` over member slices — what the coalition cache evaluates on
-    /// a miss, and what the sampled Shapley estimator and the wide
-    /// `coalition-value` path consume past 64 players.
+    /// `V(S)` over member slices — what the sampled Shapley estimator
+    /// and `coalition-value` past [`EXACT_SHAPLEY_MAX_PLAYERS`] consume.
     fn value_members(&self, members: &[usize]) -> f64 {
         FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }
@@ -178,7 +178,7 @@ impl WideGame for ScenarioGame {
 /// Outcome of warming the state (reported by the daemon at startup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmReport {
-    /// Coalition values now memoized (2^n).
+    /// Coalition values in the base table (`2^n`; 0 past the exact cap).
     pub coalitions: usize,
     /// Whether the ϕ̂ payload rendered cleanly.
     pub shapley_ok: bool,
@@ -189,7 +189,9 @@ pub struct WarmReport {
 /// Shared, thread-safe query state. One instance serves every worker.
 pub struct ServeState {
     spec: ScenarioSpec,
-    cached: CachedGame<ScenarioGame>,
+    game: ScenarioGame,
+    /// The base scenario's `2^n` coalition values, filled once.
+    table: OnceLock<Result<TableGame, QueryError>>,
     /// Sampled-Shapley parameters: budget, seed, confidence, method,
     /// threads, and the `--approx` force flag. Per-seed deterministic,
     /// so the pre-rendered payloads stay byte-identical.
@@ -213,10 +215,10 @@ impl ServeState {
     /// Creates cold state for a spec; `whatif_capacity` bounds the
     /// derived-scenario LRU.
     pub fn new(spec: ScenarioSpec, whatif_capacity: usize) -> ServeState {
-        let cached = CachedGame::new(ScenarioGame::new(&spec));
         ServeState {
+            game: ScenarioGame::new(&spec),
             spec,
-            cached,
+            table: OnceLock::new(),
             approx: ApproxConfig::default(),
             shapley: OnceLock::new(),
             nucleolus: OnceLock::new(),
@@ -255,28 +257,32 @@ impl ServeState {
         self.spec.n()
     }
 
-    /// Coalition values currently memoized in the single-flight cache.
+    /// Coalition values held in the base table: `2^n` once it is
+    /// filled, 0 before.
     pub fn coalitions_cached(&self) -> usize {
-        self.cached.cached_len()
+        match self.table.get() {
+            Some(Ok(table)) => table.values().len(),
+            _ => 0,
+        }
     }
 
-    /// Pre-warms every cache layer: all `2^n` coalition values, the ϕ̂
-    /// payload, and the nucleolus payload. `threads` shards the
-    /// coalition sweep.
+    /// Fills every layer: the base table of all `2^n` coalition values
+    /// (walked on `threads` threads), the ϕ̂ payload, and the nucleolus
+    /// payload.
     ///
-    /// Past [`EXACT_SHAPLEY_MAX_PLAYERS`] the `2^n` coalition sweep is
-    /// skipped (it would never finish); only the payloads are rendered,
-    /// which on that path means one sampled-estimator run.
+    /// Past [`EXACT_SHAPLEY_MAX_PLAYERS`] the table is skipped (it would
+    /// never finish); only the payloads are rendered, which on that path
+    /// means one sampled-estimator run.
     pub fn warm(&self, threads: usize) -> WarmReport {
         let _span = fedval_obs::span_with("serve.state.warm", || {
             format!("n={} threads={threads}", self.n())
         });
-        let coalitions = if self.n() <= EXACT_SHAPLEY_MAX_PLAYERS {
-            self.cached.prewarm(threads)
+        if self.n() <= EXACT_SHAPLEY_MAX_PLAYERS {
+            let _ = self.base_table(threads);
         } else {
             fedval_obs::counter_add("serve.warm.prewarm_skipped", 1);
-            0
-        };
+        }
+        let coalitions = self.coalitions_cached();
         let shapley_ok = self.shapley_payload().is_ok();
         let nucleolus_ok = self.nucleolus_payload().is_ok();
         WarmReport {
@@ -331,36 +337,27 @@ impl ServeState {
 
     fn coalition_value(&self, players: &[usize]) -> Result<String, QueryError> {
         let n = self.n();
-        for &p in players {
-            if p >= n {
-                return Err(QueryError::new(
-                    "BAD_REQUEST",
-                    format!("player {p} out of range (n={n})"),
-                ));
-            }
-        }
-        if n > BITSET_MAX_PLAYERS {
-            // Wide federations have no bitset form: canonicalize the
-            // member list and evaluate through the wide game, uncached
-            // (these are rare, explicitly-targeted probes).
-            let mut members = players.to_vec();
-            members.sort_unstable();
-            members.dedup();
-            fedval_obs::counter_add("serve.coalition.wide_evals", 1);
-            let value = ScenarioGame::new(&self.spec).value_members(&members);
-            let members: Vec<String> = members.iter().map(|p| p.to_string()).collect();
-            return Ok(format!(
-                "\"kind\":\"coalition-value\",\"coalition\":[{}],\"value\":{}",
-                members.join(","),
-                fedval_obs::json_f64(value)
+        if let Some(p) = players.iter().find(|&&p| p >= n) {
+            return Err(QueryError::new(
+                "BAD_REQUEST",
+                format!("player {p} out of range (n={n})"),
             ));
         }
-        let mut mask = Coalition::EMPTY;
-        for &p in players {
-            mask = mask.with(p);
-        }
-        let value = self.cached.value(mask);
-        let members: Vec<String> = mask.players().map(|p| p.to_string()).collect();
+        let mut members = players.to_vec();
+        members.sort_unstable();
+        members.dedup();
+        let value = if n <= EXACT_SHAPLEY_MAX_PLAYERS {
+            self.base_table(1)
+                .as_ref()
+                .map_err(QueryError::clone)?
+                .value_members(&members)
+        } else {
+            // Past the exact cap no table is built: evaluate the one
+            // coalition asked for.
+            fedval_obs::counter_add("serve.coalition.wide_evals", 1);
+            self.game.value_members(&members)
+        };
+        let members: Vec<String> = members.iter().map(|p| p.to_string()).collect();
         Ok(format!(
             "\"kind\":\"coalition-value\",\"coalition\":[{}],\"value\":{}",
             members.join(","),
@@ -380,11 +377,10 @@ impl ServeState {
             .get_or_init(|| self.solve_shares("nucleolus", &self.spec, SolveWhich::Nucleolus))
     }
 
-    /// Materializes the base table through the shared coalition cache,
-    /// so a pre-warmed cache makes this pure lookups.
-    fn base_table(&self) -> Result<TableGame, QueryError> {
-        TableGame::try_from_game(&self.cached)
-            .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))
+    /// The base scenario's table, walked on `threads` threads by the
+    /// first caller; later callers share its result.
+    fn base_table(&self, threads: usize) -> &Result<TableGame, QueryError> {
+        self.table.get_or_init(|| fill_table(&self.game, threads))
     }
 
     fn solve_shares(
@@ -416,14 +412,13 @@ impl ServeState {
             }
             _ => {}
         }
-        let table = if spec == &self.spec {
-            self.base_table()?
+        if spec == &self.spec {
+            let table = self.base_table(1).as_ref().map_err(QueryError::clone)?;
+            Ok(render_shares_payload(kind, table, which))
         } else {
-            let game = ScenarioGame::new(spec);
-            TableGame::try_from_game(&game)
-                .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))?
-        };
-        render_shares_payload(kind, &table, which)
+            let table = fill_table(&ScenarioGame::new(spec), 1)?;
+            Ok(render_shares_payload(kind, &table, which))
+        }
     }
 
     /// Runs the seeded sampled-Shapley estimator on `spec` and renders
@@ -483,11 +478,13 @@ enum SolveWhich {
     Nucleolus,
 }
 
-fn render_shares_payload(
-    kind: &str,
-    table: &TableGame,
-    which: SolveWhich,
-) -> Result<String, QueryError> {
+/// `game`'s `2^n` coalition table, walked on `threads` threads.
+fn fill_table(game: &ScenarioGame, threads: usize) -> Result<TableGame, QueryError> {
+    TableGame::try_from_walk(game, threads)
+        .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))
+}
+
+fn render_shares_payload(kind: &str, table: &TableGame, which: SolveWhich) -> String {
     let grand = table.grand_value();
     let shares = match which {
         SolveWhich::Shapley => shapley_hat_of(table),
@@ -499,12 +496,12 @@ fn render_shares_payload(
             }
         }
     };
-    Ok(format!(
+    format!(
         "\"kind\":\"{kind}\",\"n\":{},\"grand_value\":{},\"shares\":{}",
         table.n_players(),
         fedval_obs::json_f64(grand),
         render_f64_array(&shares)
-    ))
+    )
 }
 
 /// Renders the sampled-estimator payload: the exact payload's prefix
@@ -538,6 +535,8 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosRng;
+    use fedval_coalition::Coalition;
 
     fn state() -> ServeState {
         ServeState::new(ScenarioSpec::paper_4_1(), 4)
@@ -620,6 +619,7 @@ mod tests {
     #[test]
     fn warm_fills_every_layer() {
         let s = state();
+        assert_eq!(s.coalitions_cached(), 0, "a cold state has no table");
         let report = s.warm(2);
         assert_eq!(report.coalitions, 8);
         assert!(report.shapley_ok && report.nucleolus_ok);
@@ -784,7 +784,7 @@ mod tests {
             seed: 7,
             ..ApproxConfig::default()
         };
-        let one_thread = ServeState::new(spec.clone(), 4).with_approx(approx.clone());
+        let one_thread = ServeState::new(spec.clone(), 4).with_approx(approx);
         let four_threads = ServeState::new(spec, 4).with_approx(ApproxConfig {
             threads: 4,
             ..approx
@@ -831,6 +831,60 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.code, "BAD_REQUEST");
+    }
+
+    /// `coalition-value` renders `value_members` of the sorted,
+    /// deduplicated members, with the same bytes cold and warm: read from
+    /// the base table up to the exact cap, evaluated directly past it.
+    #[test]
+    fn coalition_value_is_value_members_cold_and_warm() {
+        let every: Vec<Vec<usize>> = Coalition::all(3).map(|c| c.players().collect()).collect();
+        let wide = ScenarioSpec {
+            locations: (0..20).map(|i| 3 + i % 7).collect(),
+            capacities: vec![1; 20],
+            threshold: 30.0,
+            shape: 1.0,
+            volume: Some(1),
+        };
+        let mut rng = ChaosRng::new(20);
+        let sampled: Vec<Vec<usize>> = (0..64)
+            .map(|_| {
+                let k = rng.below(25);
+                (0..k)
+                    .map(|_| usize::try_from(rng.below(20)).unwrap())
+                    .collect()
+            })
+            .collect();
+        assert!(sampled.iter().any(|q| q.windows(2).any(|w| w[0] > w[1])));
+        assert!(sampled.iter().any(|q| {
+            let mut sorted = q.clone();
+            sorted.sort_unstable();
+            sorted.windows(2).any(|w| w[0] == w[1])
+        }));
+        for (spec, queries) in [(ScenarioSpec::paper_4_1(), every), (wide, sampled)] {
+            let approx = ApproxConfig {
+                samples: 8,
+                ..ApproxConfig::default()
+            };
+            let cold = ServeState::new(spec.clone(), 4).with_approx(approx);
+            let warm = ServeState::new(spec.clone(), 4).with_approx(approx);
+            let _ = warm.warm(2);
+            let game = ScenarioGame::new(&spec);
+            for players in queries {
+                let mut members = players.clone();
+                members.sort_unstable();
+                members.dedup();
+                let ids: Vec<String> = members.iter().map(|p| p.to_string()).collect();
+                let want = format!(
+                    "\"kind\":\"coalition-value\",\"coalition\":[{}],\"value\":{}",
+                    ids.join(","),
+                    fedval_obs::json_f64(game.value_members(&members))
+                );
+                let kind = QueryKind::CoalitionValue { coalition: players };
+                assert_eq!(cold.execute(&kind).unwrap(), want, "n={}", spec.n());
+                assert_eq!(warm.execute(&kind).unwrap(), want, "n={}", spec.n());
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,10 @@ fn tight_config() -> ServerConfig {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a server that cannot bind loopback fails the calling test"
+)]
 fn start_server(config: ServerConfig) -> Server {
     let state = ServeState::new(ScenarioSpec::paper_4_1(), 8);
     state.warm(1);
@@ -64,6 +68,10 @@ fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").map(|d| d.count()).unwrap_or(0)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed connect, send or receive fails the calling test"
+)]
 fn connect(server: &Server) -> (BufReader<TcpStream>, TcpStream) {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
@@ -76,6 +84,10 @@ fn connect(server: &Server) -> (BufReader<TcpStream>, TcpStream) {
     (reader, stream)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed connect, send or receive fails the calling test"
+)]
 fn ask(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, line: &str) -> String {
     stream
         .write_all(format!("{line}\n").as_bytes())

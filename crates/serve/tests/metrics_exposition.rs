@@ -14,6 +14,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed connect, send or receive fails the calling test"
+)]
 fn roundtrip(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, request: &str) -> String {
     stream
         .write_all(format!("{request}\n").as_bytes())
@@ -25,6 +29,10 @@ fn roundtrip(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, request:
 
 /// Pulls the JSON-escaped exposition text out of a metrics response and
 /// un-escapes the newlines.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a metrics response without an exposition fails the calling test"
+)]
 fn exposition_of(metrics_line: &str) -> String {
     metrics_line
         .split("\"exposition\":\"")

@@ -96,7 +96,7 @@ fn oversized_input_never_panics_the_parser() {
     // A structurally valid but oversized request: the parser enforces
     // the frame bound itself, independently of the framing layer.
     let mut frame = b"{\"id\":1,\"kind\":\"".to_vec();
-    frame.extend(std::iter::repeat(b'a').take(MAX_FRAME * 2));
+    frame.extend(std::iter::repeat_n(b'a', MAX_FRAME * 2));
     frame.extend_from_slice(b"\"}");
     let err = parse_request(&frame).expect_err("oversized");
     assert_eq!(err.code(), "FRAME_TOO_LARGE");

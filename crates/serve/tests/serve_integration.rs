@@ -7,6 +7,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed connect, send or receive fails the calling test"
+)]
 fn connect(server: &Server) -> (BufReader<TcpStream>, TcpStream) {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
@@ -16,6 +20,10 @@ fn connect(server: &Server) -> (BufReader<TcpStream>, TcpStream) {
     (reader, stream)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed connect, send or receive fails the calling test"
+)]
 fn ask(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, line: &str) -> String {
     stream
         .write_all(format!("{line}\n").as_bytes())

@@ -51,12 +51,9 @@ fn brute_force_max(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Option<f64> {
             .collect();
         let mut singular = false;
         for col in 0..n {
-            let Some(pivot) = (col..n).max_by(|&r1, &r2| {
-                mat[r1][col]
-                    .abs()
-                    .partial_cmp(&mat[r2][col].abs())
-                    .unwrap()
-            }) else {
+            let Some(pivot) =
+                (col..n).max_by(|&r1, &r2| mat[r1][col].abs().total_cmp(&mat[r2][col].abs()))
+            else {
                 singular = true;
                 break;
             };

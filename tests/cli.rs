@@ -3,6 +3,10 @@
 
 use std::process::Command;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a binary that cannot be spawned fails the calling test"
+)]
 fn fedval(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
         .args(args)
@@ -120,6 +124,10 @@ fn trace_flag_writes_valid_jsonl_with_pipeline_spans() {
 
 /// The span names of a `fedval report --trace` run, one entry per span
 /// started, sorted (a multiset).
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a missing or malformed trace file fails the calling test"
+)]
 fn report_span_names(threads: &str) -> Vec<String> {
     let path = std::env::temp_dir().join(format!("fedval_cli_span_names_t{threads}.jsonl"));
     let path_arg = path.to_str().expect("temp path is utf-8");

@@ -20,6 +20,10 @@ use fedval_obs::{MetricsSnapshot, RecordingSink};
 use std::sync::Arc;
 
 /// One full observed pipeline run; returns the deterministic snapshot text.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a 2-authority game that cannot be measured fails the calling test"
+)]
 fn traced_run() -> String {
     let sink = RecordingSink::new();
     fedval_obs::install(Arc::new(sink.clone()));

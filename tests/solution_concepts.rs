@@ -110,7 +110,7 @@ proptest! {
         threshold in 0u32..1600,
     ) {
         let game = TableGame::from_fn(3, move |c: Coalition| {
-            let total = contrib * c.len() as u32;
+            let total = contrib * u32::try_from(c.len()).unwrap();
             if total > threshold { f64::from(total) } else { 0.0 }
         });
         let phi = shapley(&game);
