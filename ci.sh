@@ -3,7 +3,7 @@
 #
 #   ./ci.sh            build, test, clippy, bench --check, sweep
 #                      invariance, serve smoke, sampled-Shapley smoke,
-#                      fedchaos, fedval-lint
+#                      fedchaos, perfbench smoke, fedval-lint
 #
 # The clippy stage lints every target of every package (tests, benches
 # and examples included) under the lint levels declared once in the root
@@ -329,6 +329,53 @@ if ! grep -q "worker_restarts=" "$chaos_tmp/serve.log"; then
     echo ""
     echo "ci.sh: drain summary no longer reports worker_restarts:"
     cat "$chaos_tmp/serve.log"
+    exit 1
+fi
+
+echo "== perfbench smoke (the benchmark builds against this tree; every workload correct)"
+# perfbench/ is a nested Cargo workspace compiled against the crates'
+# public API, so a change that breaks that API only shows here. One short
+# run per workload also checks every answer against the fingerprints in
+# perfbench/reference.tsv: each workload's last stdout line is its JSON
+# result, which must say "correct": true with no failed operations.
+perf_tmp=$(mktemp -d)
+trap 'rm -rf "$sweep_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}" "${chaos_tmp:-}" "${perf_tmp:-}"' EXIT
+if ! python3 perfbench/run.py --workload all --seed 0 --seconds 1 --trace 0 \
+        > "$perf_tmp/perfbench.txt"; then
+    echo ""
+    echo "ci.sh: perfbench did not build or a workload exited nonzero:"
+    cat "$perf_tmp/perfbench.txt"
+    exit 1
+fi
+if ! python3 - "$perf_tmp/perfbench.txt" <<'PY'
+import json
+import sys
+
+results = {}
+workload = None
+for line in open(sys.argv[1]):
+    line = line.strip()
+    if line.startswith("== "):
+        workload = line[3:]
+        results[workload] = None
+    elif workload is not None and line:
+        results[workload] = line
+ok = bool(results)
+for workload, last in results.items():
+    try:
+        result = json.loads(last or "")
+    except ValueError:
+        result = {}
+    good = isinstance(result, dict) and result.get("correct") is True and result.get("failed") == 0
+    print(f"perfbench {workload}: {'correct' if good else 'NOT CORRECT'}")
+    ok = ok and good
+sys.exit(0 if ok else 1)
+PY
+then
+    echo ""
+    echo "ci.sh: a perfbench workload's result is not correct with 0 failed"
+    echo "operations (or no workload ran):"
+    cat "$perf_tmp/perfbench.txt"
     exit 1
 fi
 

@@ -9,23 +9,27 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedval_coalition::{
-    least_core, nucleolus, shapley, shapley_parallel, try_approx_shapley_wide, ApproxConfig,
-    Coalition, TableGame,
+    shapley, shapley_parallel, try_approx_shapley_wide, try_least_core, try_nucleolus,
+    ApproxConfig, Coalition, TableGame,
 };
 use fedval_core::allocation::{solve, solve_exact, solve_greedy, GreedyPolicy};
 use fedval_core::{paper_facilities, CapacityProfile, Demand, ExperimentClass, Volume};
 use fedval_simplex::{LinearProgram, Objective, Relation};
-use fedval_testbed::{run_coalition, synthetic_authority, Federation, SimConfig, Workload};
+use fedval_testbed::{
+    run_coalition_faulted, synthetic_authority, FaultPlan, Federation, SimConfig, Workload,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
 /// A deterministic synthetic superadditive game for scaling benches.
+#[expect(clippy::expect_used, reason = "the benches ask for at most 16 players")]
 fn synthetic_game(n: usize) -> TableGame {
-    TableGame::from_fn(n, |c: Coalition| {
+    TableGame::try_from_fn(n, |c: Coalition| {
         let s = c.len() as f64;
         let spice = (c.0.wrapping_mul(0x9E3779B97F4A7C15) >> 48) as f64 / 65536.0;
         s * s + spice
     })
+    .expect("fits a table")
 }
 
 fn bench_shapley(c: &mut Criterion) {
@@ -64,10 +68,10 @@ fn bench_core_concepts(c: &mut Criterion) {
     for n in [4usize, 6] {
         let game = synthetic_game(n);
         group.bench_with_input(BenchmarkId::new("least_core", n), &game, |b, g| {
-            b.iter(|| black_box(least_core(g)))
+            b.iter(|| black_box(try_least_core(g)))
         });
         group.bench_with_input(BenchmarkId::new("nucleolus", n), &game, |b, g| {
-            b.iter(|| black_box(nucleolus(g)))
+            b.iter(|| black_box(try_nucleolus(g)))
         });
     }
     group.finish();
@@ -171,11 +175,12 @@ fn bench_testbed(c: &mut Criterion) {
     };
     group.bench_function("slice_sim_grand_coalition", |b| {
         b.iter(|| {
-            black_box(run_coalition(
+            black_box(run_coalition_faulted(
                 &federation,
                 Coalition::grand(3),
                 &workload,
                 &config,
+                &FaultPlan::new(),
             ))
         })
     });
@@ -195,7 +200,7 @@ fn bench_static_vs_measured(c: &mut Criterion) {
             let facilities = paper_facilities([80, 60, 20]);
             let demand = Demand::capacity_filling(ExperimentClass::simple("e", 250.0, 1.0));
             let game = fedval_core::FederationGame::new(&facilities, &demand);
-            black_box(game.table())
+            black_box(TableGame::try_from_game(&game))
         })
     });
     let federation = Federation::new(vec![
@@ -212,10 +217,11 @@ fn bench_static_vs_measured(c: &mut Criterion) {
     };
     group.bench_function("measured_table", |b| {
         b.iter(|| {
-            black_box(fedval_testbed::empirical_game(
+            black_box(fedval_testbed::empirical_game_diagnosed(
                 &federation,
                 &workload,
                 &config,
+                &FaultPlan::new(),
             ))
         })
     });
@@ -223,7 +229,7 @@ fn bench_static_vs_measured(c: &mut Criterion) {
 }
 
 fn bench_extended_values(c: &mut Criterion) {
-    use fedval_coalition::{balancedness, owen_value, weighted_shapley};
+    use fedval_coalition::{owen_value, try_balancedness, weighted_shapley};
     let mut group = c.benchmark_group("extended_values");
     group
         .sample_size(10)
@@ -245,7 +251,7 @@ fn bench_extended_values(c: &mut Criterion) {
     }
     let game6 = synthetic_game(6);
     group.bench_function("balancedness_6", |b| {
-        b.iter(|| black_box(balancedness(&game6)))
+        b.iter(|| black_box(try_balancedness(&game6)))
     });
     group.finish();
 }

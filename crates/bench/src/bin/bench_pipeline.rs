@@ -41,9 +41,10 @@ use fedval_bench::{set_sweep_threads, Figure};
 use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, Coalition};
 use fedval_core::{paper_facilities, Demand, ExperimentClass, FederationGame, FederationScenario};
 use fedval_obs::{RecordingSink, RunReport};
-use fedval_policy::policy_report;
+use fedval_policy::try_policy_report;
 use fedval_testbed::{
-    run_coalition, synthetic_authority, synthetic_federation, Federation, SimConfig, Workload,
+    run_coalition_faulted, synthetic_authority, synthetic_federation, FaultPlan, Federation,
+    SimConfig, Workload,
 };
 use std::process::ExitCode;
 
@@ -324,10 +325,11 @@ fn run_sweep_legs(parallel_threads: usize) -> SweepSummary {
     }
 }
 
+/// The aggregate of one pipeline run.
+type PipelineRun = (RunReport, SweepSummary, ApproxSummary, FormationSummary);
+
 /// Runs every phase under the installed sink and returns the aggregate.
-fn run_pipeline(
-    parallel_threads: usize,
-) -> (RunReport, SweepSummary, ApproxSummary, FormationSummary) {
+fn run_pipeline(parallel_threads: usize) -> Result<PipelineRun, Box<dyn std::error::Error>> {
     let recording = RecordingSink::new();
     fedval_obs::install(std::sync::Arc::new(recording.clone()));
 
@@ -355,7 +357,7 @@ fn run_pipeline(
         }
         {
             let _phase = fedval_obs::span("bench.phase.report");
-            let _ = policy_report(&scenario).render();
+            let _ = try_policy_report(&scenario)?.render();
         }
         {
             // Seeded statistical-multiplexing run (the demand-simulation
@@ -373,7 +375,8 @@ fn run_pipeline(
                 seed: 99,
                 churn: None,
             };
-            let _ = run_coalition(&federation, Coalition::grand(2), &workload, &config);
+            let plan = FaultPlan::new();
+            run_coalition_faulted(&federation, Coalition::grand(2), &workload, &config, &plan)?;
         }
         let sweep = {
             // Fig. 4–9 twice: sequential baseline, then the parallel
@@ -396,12 +399,12 @@ fn run_pipeline(
     // counting the shutdown dump.
     let fold = fedval_obs::metrics_fold();
     fedval_obs::shutdown();
-    (
+    Ok((
         RunReport::from_parts(&fold, &recording.records()),
         sweep,
         approx,
         formation,
-    )
+    ))
 }
 
 /// Wall-clock cost of the telemetry layer itself, measured on the §4.1
@@ -709,7 +712,13 @@ fn main() -> ExitCode {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
     };
-    let (report, sweep, approx, formation) = run_pipeline(threads);
+    let (report, sweep, approx, formation) = match run_pipeline(threads) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("bench_pipeline: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let path = bench_path();
 
     if !sweep.thread_invariant {

@@ -50,15 +50,22 @@ pub fn ext1_overlap() -> Figure {
 
 /// Ext. 2 — availability sweep: facility 2's `T₂ ∈ [0.1, 1.0]` on the
 /// worked example; its normalized Shapley share degrades with it.
+#[expect(
+    clippy::expect_used,
+    reason = "3 facilities fit a table; T₂ ∈ [0.1, 1] is valid"
+)]
 pub fn ext2_availability() -> Figure {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0));
-    let base = TableGame::from_game(&FederationGame::new(&facilities, &demand));
+    let base =
+        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
     let mut share2 = Series::new("phi_hat_2");
     let mut grand = Series::new("V_T(N)");
     for step in 1..=10 {
         let t2 = step as f64 / 10.0;
-        let game = TableGame::from_game(&AvailabilityGame::new(base.clone(), vec![1.0, t2, 1.0]));
+        let flaky = AvailabilityGame::try_new(base.clone(), vec![1.0, t2, 1.0])
+            .expect("availabilities in (0, 1]");
+        let game = TableGame::try_from_game(&flaky).expect("3 facilities");
         share2.push(t2, shapley_normalized(&game)[1]);
         grand.push(t2, game.values()[7]);
     }
@@ -73,6 +80,7 @@ pub fn ext2_availability() -> Figure {
 /// Ext. 3 — static vs dynamic shares as the holding-time scale shrinks
 /// (more statistical multiplexing). The static model is insensitive; the
 /// loss-network model rewards multiplexability.
+#[expect(clippy::expect_used, reason = "3 facilities fit a table")]
 pub fn ext3_dynamic_multiplexing() -> Figure {
     let facilities = paper_facilities([1, 1, 1]);
     let mut value_rate = Series::new("dynamic V(N) rate");
@@ -86,7 +94,7 @@ pub fn ext3_dynamic_multiplexing() -> Figure {
         )
         .with_holding_scale(scale);
         let game = DynamicFederationGame::new(&facilities, &demand);
-        let table = TableGame::from_game(&game);
+        let table = TableGame::try_from_game(&game).expect("3 facilities");
         let shares = shapley_normalized(&table);
         value_rate.push(scale, table.values()[7]);
         phi3.push(scale, shares[2]);
@@ -140,8 +148,14 @@ pub fn ext4_greedy_loss() -> Figure {
 /// shares on the same 3-authority geometry, across workload seeds: the
 /// two routes must tell the same story for the paper's off-line policy
 /// pipeline to be trustworthy.
+#[expect(
+    clippy::expect_used,
+    reason = "3 authorities are inside the measurement cap"
+)]
 pub fn ext5_static_vs_measured() -> Figure {
-    use fedval_testbed::{empirical_game, synthetic_authority, Federation, SimConfig, Workload};
+    use fedval_testbed::{
+        empirical_game_diagnosed, synthetic_authority, FaultPlan, Federation, SimConfig, Workload,
+    };
 
     // Geometry: 8/5/3 sites with *different* node depths (3/2/1 slivers),
     // class needs > 7 locations. Coalitions differ in both diversity and
@@ -181,7 +195,9 @@ pub fn ext5_static_vs_measured() -> Figure {
             seed,
             churn: None,
         };
-        let game = empirical_game(&federation, &workload, &config);
+        let game = empirical_game_diagnosed(&federation, &workload, &config, &FaultPlan::new())
+            .expect("3 authorities")
+            .game;
         let measured = shapley_normalized(&game);
         for i in 0..3 {
             series[i].push(seed as f64, measured[i]);

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! has optimum ≤ V(N). This is the LP-dual of the least-core feasibility
-//! problem solved in [`crate::least_core`], so the two must agree — an
+//! problem solved in [`crate::try_least_core`], so the two must agree — an
 //! executable strong-duality check that doubles as a cross-validation of
 //! the simplex solver on every game we throw at it.
 
@@ -37,23 +37,6 @@ impl Balancedness {
 }
 
 /// Solves the Bondareva–Shapley LP.
-///
-/// # Panics
-/// Panics where [`try_balancedness`] would return an error: `n == 0`,
-/// `n > 16` (the LP has `2^n − 2` variables), or an internal LP failure.
-pub fn balancedness<G: WideGame>(game: &G) -> Balancedness {
-    match try_balancedness(game) {
-        Ok(b) => b,
-        #[expect(
-            clippy::panic,
-            reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
-        )]
-        Err(e) => panic!("balancedness: {e}"),
-    }
-}
-
-/// Solves the Bondareva–Shapley LP, reporting failures as [`GameError`]
-/// instead of panicking.
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::TooManyPlayers`]
@@ -131,13 +114,18 @@ pub fn try_balancedness<G: WideGame>(game: &G) -> Result<Balancedness, GameError
 
 /// Core non-emptiness via Bondareva–Shapley (an independent route from
 /// [`crate::is_core_nonempty`], which uses the least-core LP).
-pub fn is_balanced<G: WideGame>(game: &G) -> bool {
-    balancedness(game).is_balanced_for(game.grand_value(), 1e-7)
+///
+/// # Errors
+/// As [`try_balancedness`]; past 16 players the game is not evaluated at
+/// all.
+pub fn is_balanced<G: WideGame>(game: &G) -> Result<bool, GameError> {
+    Ok(try_balancedness(game)?.is_balanced_for(game.grand_value(), 1e-7))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalition::PlayerId;
     use crate::core_solution::is_core_nonempty;
     use crate::game::{FnGame, TableGame};
 
@@ -146,13 +134,13 @@ mod tests {
         // The balanced collection {{1,2},{1,3},{2,3}} with λ = 1/2 covers
         // everyone and is worth 3/2 > V(N) = 1.
         let g = FnGame::new(3, |c: Coalition| (c.len() >= 2) as u64 as f64);
-        let b = balancedness(&g);
+        let b = try_balancedness(&g).expect("3 players");
         assert!(
             (b.best_cover_value - 1.5).abs() < 1e-7,
             "{}",
             b.best_cover_value
         );
-        assert!(!is_balanced(&g));
+        assert!(!is_balanced(&g).expect("3 players"));
         // The certificate weights must form a fractional partition.
         for i in 0..3 {
             let cover: f64 = b
@@ -168,7 +156,7 @@ mod tests {
     #[test]
     fn convex_game_is_balanced() {
         let g = FnGame::new(4, |c: Coalition| (c.len() as f64).powi(2));
-        assert!(is_balanced(&g));
+        assert!(is_balanced(&g).expect("4 players"));
     }
 
     #[test]
@@ -178,7 +166,7 @@ mod tests {
         // games spanning both outcomes.
         for threshold in (0..=1500).step_by(125) {
             let t = threshold as f64;
-            let game = TableGame::from_fn(3, move |c: Coalition| {
+            let game = TableGame::try_from_fn(3, move |c: Coalition| {
                 let contrib = [100.0, 400.0, 800.0];
                 let total: f64 = c.players().map(|p| contrib[p]).sum();
                 if total > t {
@@ -186,10 +174,11 @@ mod tests {
                 } else {
                     0.0
                 }
-            });
+            })
+            .expect("3 players");
             assert_eq!(
-                is_balanced(&game),
-                is_core_nonempty(&game),
+                is_balanced(&game).expect("3 players"),
+                is_core_nonempty(&game).expect("3 players"),
                 "duality mismatch at threshold {threshold}"
             );
         }
@@ -198,6 +187,28 @@ mod tests {
     #[test]
     fn single_player_is_balanced() {
         let g = FnGame::new(1, |c: Coalition| c.len() as f64);
-        assert!(is_balanced(&g));
+        assert!(is_balanced(&g).expect("1 player"));
+    }
+
+    /// Both core tests refuse a game past the LP cap before evaluating
+    /// any coalition.
+    #[test]
+    fn core_tests_reject_oversized_games_unevaluated() {
+        struct Untouchable;
+        impl WideGame for Untouchable {
+            fn n_players(&self) -> usize {
+                17
+            }
+            fn value_members(&self, _: &[PlayerId]) -> f64 {
+                panic!("an oversized core test must not evaluate any coalition")
+            }
+        }
+        let too_many = |solver| GameError::TooManyPlayers {
+            n: 17,
+            max: crate::core_solution::LEAST_CORE_MAX_PLAYERS,
+            solver,
+        };
+        assert_eq!(is_core_nonempty(&Untouchable), Err(too_many("least_core")));
+        assert_eq!(is_balanced(&Untouchable), Err(too_many("balancedness")));
     }
 }

@@ -57,30 +57,13 @@ pub fn excess<G: WideGame>(game: &G, x: &[f64], s: Coalition) -> f64 {
     game.value(s) - xs
 }
 
-/// Solves the least-core LP.
-///
-/// # Panics
-/// Panics where [`try_least_core`] would return an error: `n == 0`, `n > 16`
-/// (LP size `2^n` becomes impractical), or an internal LP failure.
-pub fn least_core<G: WideGame>(game: &G) -> LeastCore {
-    match try_least_core(game) {
-        Ok(lc) => lc,
-        #[expect(
-            clippy::panic,
-            reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
-        )]
-        Err(e) => panic!("least_core: {e}"),
-    }
-}
-
 /// Largest player count the least-core (and balancedness) LP formulations
 /// enumerate: the LP has `2^n − 2` rows, so 16 players already means 65534
 /// constraints. Above this cap use the sampled Shapley estimators
 /// ([`crate::shapley_auto_wide`]) — core membership has no sampled analogue here.
 pub const LEAST_CORE_MAX_PLAYERS: usize = 16;
 
-/// Solves the least-core LP, reporting failures as [`GameError`] instead of
-/// panicking — the entry point for degraded-mode pipelines.
+/// Solves the least-core LP.
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::TooManyPlayers`]
@@ -167,8 +150,12 @@ pub fn try_least_core<G: WideGame>(game: &G) -> Result<LeastCore, GameError> {
 }
 
 /// Whether the core is non-empty (least-core ε\* ≤ tolerance).
-pub fn is_core_nonempty<G: WideGame>(game: &G) -> bool {
-    least_core(game).epsilon <= CORE_TOL
+///
+/// # Errors
+/// As [`try_least_core`]; past [`LEAST_CORE_MAX_PLAYERS`] the game is
+/// not evaluated at all.
+pub fn is_core_nonempty<G: WideGame>(game: &G) -> Result<bool, GameError> {
+    Ok(try_least_core(game)?.epsilon <= CORE_TOL)
 }
 
 /// Whether allocation `x` lies in the ε-core: efficient, and no coalition's
@@ -206,10 +193,10 @@ mod tests {
     #[test]
     fn majority_game_core_is_empty() {
         let g = majority();
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("3 players");
         // Known: least-core ε* = 1/3 for the 3-player majority game.
         assert!((lc.epsilon - 1.0 / 3.0).abs() < 1e-6, "ε* = {}", lc.epsilon);
-        assert!(!is_core_nonempty(&g));
+        assert!(!is_core_nonempty(&g).expect("3 players"));
         // The least-core allocation is the symmetric (1/3, 1/3, 1/3).
         for v in &lc.allocation {
             assert!((v - 1.0 / 3.0).abs() < 1e-6);
@@ -219,7 +206,7 @@ mod tests {
     #[test]
     fn additive_game_core_contains_singleton_vector() {
         let g = additive();
-        assert!(is_core_nonempty(&g));
+        assert!(is_core_nonempty(&g).expect("3 players"));
         assert!(is_in_core(&g, &[1.0, 2.0, 3.0], 1e-9));
         assert!(!is_in_core(&g, &[0.5, 2.0, 3.5], 1e-9)); // player 0 blocks
         assert!(!is_in_core(&g, &[2.0, 2.0, 3.0], 1e-9)); // inefficient
@@ -228,7 +215,7 @@ mod tests {
     #[test]
     fn least_core_allocation_is_in_epsilon_core() {
         let g = majority();
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("3 players");
         assert!(is_in_epsilon_core(&g, &lc.allocation, lc.epsilon, 1e-6));
         // ...but not in any tighter core.
         assert!(!is_in_epsilon_core(
@@ -248,10 +235,10 @@ mod tests {
             let right = c.contains(1) as usize + c.contains(2) as usize;
             left.min(right) as f64
         });
-        assert!(is_core_nonempty(&g));
+        assert!(is_core_nonempty(&g).expect("3 players"));
         assert!(is_in_core(&g, &[1.0, 0.0, 0.0], 1e-9));
         assert!(!is_in_core(&g, &[0.8, 0.1, 0.1], 1e-9));
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("3 players");
         assert!(lc.epsilon <= 1e-7);
     }
 
@@ -283,7 +270,7 @@ mod tests {
     #[test]
     fn single_player_least_core() {
         let g = FnGame::new(1, |c: Coalition| if c.is_empty() { 0.0 } else { 7.0 });
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("1 player");
         assert_eq!(lc.allocation, vec![7.0]);
         assert!(is_in_core(&g, &lc.allocation, 1e-9));
     }
@@ -302,7 +289,7 @@ mod tests {
                 0.0
             }
         });
-        assert!(is_core_nonempty(&g));
+        assert!(is_core_nonempty(&g).expect("3 players"));
         // Equal split is in the core: no proper coalition has any value.
         let equal = vec![1300.0 / 3.0; 3];
         assert!(is_in_core(&g, &equal, 1e-9));
@@ -317,6 +304,6 @@ mod tests {
             let total: f64 = c.players().map(|p| l_contrib[p]).sum();
             total.powf(0.5)
         });
-        assert!(!is_core_nonempty(&g));
+        assert!(!is_core_nonempty(&g).expect("3 players"));
     }
 }

@@ -1,9 +1,9 @@
 //! Provenance for empirically measured games.
 //!
 //! When a characteristic function is *measured* — by running a testbed
-//! simulation per coalition, as `fedval-testbed::empirical_game` does — any
-//! individual measurement can fail: injected faults can wedge a run, an LP
-//! can stall, a credential exchange can be refused. A robust pipeline
+//! simulation per coalition, as `fedval-testbed::empirical_game_diagnosed`
+//! does — any individual measurement can fail: injected faults can wedge a
+//! run, an LP can stall, a credential exchange can be refused. A robust pipeline
 //! substitutes a conservative fallback value and keeps going, but the
 //! substitution must be *visible* downstream so a policy report can say how
 //! much of the game it reasons about was actually observed.

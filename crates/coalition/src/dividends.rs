@@ -127,7 +127,8 @@ mod tests {
 
     #[test]
     fn zeta_inverts_moebius() {
-        let g = TableGame::from_fn(5, |c| ((c.0 * 2654435761) % 1000) as f64);
+        let g =
+            TableGame::try_from_fn(5, |c| ((c.0 * 2654435761) % 1000) as f64).expect("5 players");
         let d = harsanyi_dividends(&g);
         let v = values_from_dividends(5, &d);
         for c in Coalition::all(5) {
@@ -137,10 +138,11 @@ mod tests {
 
     #[test]
     fn shapley_via_dividends_matches_direct() {
-        let g = TableGame::from_fn(7, |c| {
+        let g = TableGame::try_from_fn(7, |c| {
             let s = c.len() as f64;
             s * s + (c.0 % 13) as f64
-        });
+        })
+        .expect("7 players");
         let mut g = g;
         g.set(Coalition::EMPTY, 0.0);
         let a = shapley(&g);

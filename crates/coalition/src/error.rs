@@ -1,11 +1,13 @@
 //! Typed failures for the coalition solution concepts.
 //!
-//! Every LP-backed concept (`least_core`, `nucleolus`, `balancedness`) has a
-//! `try_*` entry point returning [`GameError`] instead of panicking, so the
-//! federation pipeline can degrade gracefully when a characteristic function
-//! is numerically hostile (NaN values from a faulted simulation, degenerate
-//! stage LPs, ...). The original panicking names remain as thin wrappers for
-//! callers that prefer the old contract.
+//! Every LP-backed concept ([`try_least_core`](crate::try_least_core),
+//! [`try_nucleolus`](crate::try_nucleolus),
+//! [`try_balancedness`](crate::try_balancedness)) and every dense table
+//! builder (`TableGame::try_from_*`) returns [`GameError`] instead of
+//! panicking, so the federation pipeline can degrade gracefully when a
+//! characteristic function is numerically hostile (NaN values from a
+//! faulted simulation, degenerate stage LPs, ...) or too wide to
+//! enumerate. There is no panicking form beside them.
 
 use fedval_simplex::{ProblemError, Status};
 use std::fmt;
@@ -28,9 +30,9 @@ pub enum GameError {
     ///
     /// | solver | cap | why |
     /// |---|---|---|
-    /// | `least_core` / `balancedness` | [`LEAST_CORE_MAX_PLAYERS`](crate::LEAST_CORE_MAX_PLAYERS) = 16 | `2^n − 2` LP rows/columns |
-    /// | `nucleolus` | [`NUCLEOLUS_MAX_PLAYERS`](crate::NUCLEOLUS_MAX_PLAYERS) = 12 | cascade of `2^n`-row LPs |
-    /// | `TableGame` | [`TableGame::MAX_PLAYERS`](crate::TableGame::MAX_PLAYERS) = 25 | dense `2^n · f64` table |
+    /// | `try_least_core` / `try_balancedness` (and `is_core_nonempty` / `is_balanced`) | [`LEAST_CORE_MAX_PLAYERS`](crate::LEAST_CORE_MAX_PLAYERS) = 16 | `2^n − 2` LP rows/columns |
+    /// | `try_nucleolus` | [`NUCLEOLUS_MAX_PLAYERS`](crate::NUCLEOLUS_MAX_PLAYERS) = 12 | cascade of `2^n`-row LPs |
+    /// | `TableGame::try_from_*`, `quotient_game` | [`TableGame::MAX_PLAYERS`](crate::TableGame::MAX_PLAYERS) = 25 | dense `2^n · f64` table |
     /// | exact Shapley auto-selection | [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) = 16 | `2^n` evaluations |
     ///
     /// Shapley values have no such wall: the sampled estimators

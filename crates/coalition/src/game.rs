@@ -201,37 +201,6 @@ impl TableGame {
         Ok(TableGame { n, values })
     }
 
-    /// Builds a table game by evaluating `f` on every coalition.
-    ///
-    /// # Panics
-    /// Panics where [`TableGame::try_from_fn`] would return an error
-    /// (`n > TableGame::MAX_PLAYERS`).
-    pub fn from_fn(n: usize, f: impl Fn(Coalition) -> f64) -> TableGame {
-        match TableGame::try_from_fn(n, f) {
-            Ok(table) => table,
-            #[expect(
-                clippy::panic,
-                reason = "documented `# Panics` convenience wrapper for the paper's small scenarios; fallible callers use try_from_fn"
-            )]
-            Err(e) => panic!("TableGame::from_fn: {e}"),
-        }
-    }
-
-    /// Materializes any [`WideGame`] into a dense table.
-    ///
-    /// # Panics
-    /// Panics where [`TableGame::try_from_game`] would return an error.
-    pub fn from_game<G: WideGame>(game: &G) -> TableGame {
-        match TableGame::try_from_game(game) {
-            Ok(table) => table,
-            #[expect(
-                clippy::panic,
-                reason = "documented `# Panics` convenience wrapper mirroring from_fn"
-            )]
-            Err(e) => panic!("TableGame::from_game: {e}"),
-        }
-    }
-
     /// Builds directly from a value vector indexed by coalition mask.
     ///
     /// # Panics
@@ -257,9 +226,10 @@ impl TableGame {
         let singles: Vec<f64> = (0..self.n)
             .map(|i| self.values[Coalition::singleton(i).index()])
             .collect();
-        TableGame::from_fn(self.n, |c| {
-            self.values[c.index()] - c.players().map(|p| singles[p]).sum::<f64>()
-        })
+        let values = Coalition::all(self.n)
+            .map(|c| self.values[c.index()] - c.players().map(|p| singles[p]).sum::<f64>())
+            .collect();
+        TableGame { n: self.n, values }
     }
 }
 
@@ -343,7 +313,7 @@ mod tests {
     use super::*;
 
     fn cardinality_game(n: usize) -> TableGame {
-        TableGame::from_fn(n, |c| c.len() as f64)
+        TableGame::try_from_fn(n, |c| c.len() as f64).expect("test games fit a table")
     }
 
     #[test]
@@ -358,14 +328,15 @@ mod tests {
 
     #[test]
     fn marginal_contribution() {
-        let g = TableGame::from_fn(3, |c| (c.len() * c.len()) as f64);
+        let g = TableGame::try_from_fn(3, |c| (c.len() * c.len()) as f64).expect("3 players");
         // Δ_0({1}) = V({0,1}) − V({1}) = 4 − 1 = 3.
         assert_eq!(g.marginal(0, Coalition::singleton(1)), 3.0);
     }
 
     #[test]
     fn zero_normalization_subtracts_singletons() {
-        let g = TableGame::from_fn(3, |c| if c.is_empty() { 0.0 } else { 10.0 });
+        let g = TableGame::try_from_fn(3, |c| if c.is_empty() { 0.0 } else { 10.0 })
+            .expect("3 players");
         let z = g.zero_normalized();
         assert_eq!(z.value(Coalition::singleton(0)), 0.0);
         assert_eq!(z.value(Coalition::grand(3)), 10.0 - 30.0);
@@ -404,19 +375,6 @@ mod tests {
         }
         let msg = err.to_string();
         assert!(msg.contains("26"), "error must name the player count: {msg}");
-    }
-
-    #[test]
-    fn try_from_game_matches_from_game() {
-        let g = FnGame::new(3, |c: Coalition| (c.len() * 2) as f64);
-        let table = TableGame::try_from_game(&g).expect("3 players fit");
-        assert_eq!(table.values(), TableGame::from_game(&g).values());
-    }
-
-    #[test]
-    #[should_panic(expected = "supports at most")]
-    fn from_fn_panics_past_max_players() {
-        let _ = TableGame::from_fn(TableGame::MAX_PLAYERS + 1, |_| 0.0);
     }
 
     /// A members-only game past the table cap is refused before the 2ⁿ
@@ -496,7 +454,7 @@ mod proptests {
         ) {
             let members: Vec<PlayerId> = Coalition(mask & ((1 << n) - 1)).players().collect();
             let f = FnGame::new(n, move |c: Coalition| hashed(c, salt));
-            let table = TableGame::from_game(&f);
+            let table = TableGame::try_from_game(&f).expect("n ≤ 10 fits a table");
             prop_assert!(same_bits(&f, &members));
             prop_assert!(same_bits(&table, &members));
             // The walk-filled table equals the per-coalition fill bit for
@@ -520,7 +478,7 @@ mod proptests {
             salt in any::<u64>(),
         ) {
             let f = FnGame::new(n, move |c: Coalition| hashed(c, salt));
-            let table = TableGame::from_game(&f);
+            let table = TableGame::try_from_game(&f).expect("n ≤ 10 fits a table");
             let estimate = shapley_auto_wide(&MembersOnly(&f), &ApproxConfig::default())
                 .expect("valid config");
             let ShapleyEstimate::Exact(phi) = estimate else {

@@ -162,7 +162,7 @@ mod tests {
         let claims = vec![60.0, 90.0, 150.0];
         let estate = 120.0;
         let g = BankruptcyGame::new(estate, claims.clone());
-        let nuc = crate::nucleolus::nucleolus(&g);
+        let nuc = crate::nucleolus::try_nucleolus(&g).expect("3 players");
         let talmud = talmud_rule(estate, &claims);
         assert_vec_close(&nuc, &talmud, 1e-5);
     }

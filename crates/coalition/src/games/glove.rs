@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn scarce_side_takes_all_in_core() {
         let g = GloveGame::new(1, 3);
-        assert!(is_core_nonempty(&g));
+        assert!(is_core_nonempty(&g).expect("4 players"));
         assert!(is_in_core(&g, &[1.0, 0.0, 0.0, 0.0], 1e-9));
         assert!(!is_in_core(&g, &[0.7, 0.1, 0.1, 0.1], 1e-9));
     }

@@ -55,11 +55,11 @@ pub use approx::{
     z_for_confidence, ApproxConfig, ApproxShapley, ShapleyEstimate, EXACT_SHAPLEY_MAX_PLAYERS,
     MAX_SAMPLED_PLAYERS,
 };
-pub use balancedness::{balancedness, is_balanced, try_balancedness, Balancedness};
+pub use balancedness::{is_balanced, try_balancedness, Balancedness};
 pub use coalition::{Coalition, PlayerId, Players, Subsets, MAX_PLAYERS};
 pub use core_solution::{
-    excess, is_core_nonempty, is_in_core, is_in_epsilon_core, least_core, try_least_core,
-    LeastCore, CORE_TOL, LEAST_CORE_MAX_PLAYERS,
+    excess, is_core_nonempty, is_in_core, is_in_epsilon_core, try_least_core, LeastCore,
+    CORE_TOL, LEAST_CORE_MAX_PLAYERS,
 };
 pub use diagnostics::{CoalitionDiagnostics, GameDiagnostics, ValueSource};
 pub use error::{CoalitionError, GameError};
@@ -67,13 +67,11 @@ pub use dividends::{
     harsanyi_dividends, shapley_from_dividends, top_synergies, values_from_dividends,
 };
 pub use game::{check_zero_normalized_empty, FnGame, TableGame, WideGame};
-pub use nucleolus::{nucleolus, try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
+pub use nucleolus::{try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
 pub use owen::{owen_value, owen_value_normalized, quotient_game};
 pub use properties::{
     analyze, is_convex, is_essential, is_monotone, is_superadditive, GameProperties,
 };
-pub use shapley::{
-    shapley, shapley_normalized, shapley_parallel, shapley_player, try_shapley_player,
-};
+pub use shapley::{shapley, shapley_normalized, shapley_parallel};
 pub use tau::{minimal_rights, tau_value, utopia_payoffs};
 pub use weighted::{weighted_shapley, weighted_shapley_normalized};

@@ -36,29 +36,13 @@ pub const NUCLEOLUS_MAX_PLAYERS: usize = 12;
 
 /// Computes the nucleolus allocation.
 ///
-/// # Panics
-/// Panics where [`try_nucleolus`] would return an error: `n == 0`, `n > 12`
-/// (LP cascade becomes impractical), or an internal LP failure — which
-/// cannot happen for a well-formed finite game.
-pub fn nucleolus<G: WideGame>(game: &G) -> Vec<f64> {
-    match try_nucleolus(game) {
-        Ok(x) => x,
-        #[expect(
-            clippy::panic,
-            reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
-        )]
-        Err(e) => panic!("nucleolus: {e}"),
-    }
-}
-
-/// Computes the nucleolus allocation, reporting failures as [`GameError`]
-/// instead of panicking — the entry point for degraded-mode pipelines.
-///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::TooManyPlayers`]
 /// above [`NUCLEOLUS_MAX_PLAYERS`] players (the LP cascade becomes
-/// impractical), or [`GameError::MalformedLp`] when the characteristic
-/// function produces NaN or infinite values.
+/// impractical), [`GameError::MalformedLp`] when the characteristic
+/// function produces NaN or infinite values, or
+/// [`GameError::LpNotOptimal`] / [`GameError::NumericallyStuck`] when a
+/// stage LP fails numerically.
 pub fn try_nucleolus<G: WideGame>(game: &G) -> Result<Vec<f64>, GameError> {
     let n = game.n_players();
     if n == 0 {
@@ -278,19 +262,19 @@ mod tests {
 
     #[test]
     fn talmud_estate_100() {
-        let x = nucleolus(&bankruptcy(100.0, vec![100.0, 200.0, 300.0]));
+        let x = try_nucleolus(&bankruptcy(100.0, vec![100.0, 200.0, 300.0])).expect("3 players");
         assert_vec_close(&x, &[100.0 / 3.0, 100.0 / 3.0, 100.0 / 3.0], 1e-6);
     }
 
     #[test]
     fn talmud_estate_200() {
-        let x = nucleolus(&bankruptcy(200.0, vec![100.0, 200.0, 300.0]));
+        let x = try_nucleolus(&bankruptcy(200.0, vec![100.0, 200.0, 300.0])).expect("3 players");
         assert_vec_close(&x, &[50.0, 75.0, 75.0], 1e-6);
     }
 
     #[test]
     fn talmud_estate_300() {
-        let x = nucleolus(&bankruptcy(300.0, vec![100.0, 200.0, 300.0]));
+        let x = try_nucleolus(&bankruptcy(300.0, vec![100.0, 200.0, 300.0])).expect("3 players");
         assert_vec_close(&x, &[50.0, 100.0, 150.0], 1e-6);
     }
 
@@ -304,14 +288,14 @@ mod tests {
             (false, true) => 4.0,
             (false, false) => 0.0,
         });
-        let x = nucleolus(&g);
+        let x = try_nucleolus(&g).expect("nucleolus solves");
         assert_vec_close(&x, &[4.0, 6.0], 1e-7);
     }
 
     #[test]
     fn symmetric_game_equal_split() {
         let g = FnGame::new(4, |c: Coalition| (c.len() as f64).powi(2));
-        let x = nucleolus(&g);
+        let x = try_nucleolus(&g).expect("nucleolus solves");
         assert_vec_close(&x, &[4.0; 4], 1e-6);
     }
 
@@ -319,8 +303,8 @@ mod tests {
     fn nucleolus_is_efficient_and_in_nonempty_core() {
         // Convex game ⇒ non-empty core containing the nucleolus.
         let g = FnGame::new(4, |c: Coalition| (c.len() as f64).powi(2));
-        assert!(is_core_nonempty(&g));
-        let x = nucleolus(&g);
+        assert!(is_core_nonempty(&g).expect("4 players"));
+        let x = try_nucleolus(&g).expect("nucleolus solves");
         assert!((x.iter().sum::<f64>() - g.grand_value()).abs() < 1e-6);
         assert!(is_in_core(&g, &x, 1e-6));
     }
@@ -329,7 +313,7 @@ mod tests {
     fn majority_game_nucleolus_is_symmetric() {
         // Empty-core games still have a nucleolus (it is always defined).
         let g = FnGame::new(3, |c: Coalition| (c.len() >= 2) as u64 as f64);
-        let x = nucleolus(&g);
+        let x = try_nucleolus(&g).expect("nucleolus solves");
         assert_vec_close(&x, &[1.0 / 3.0; 3], 1e-6);
     }
 
@@ -368,7 +352,7 @@ mod tests {
                 0.0
             }
         });
-        let x = nucleolus(&g);
+        let x = try_nucleolus(&g).expect("nucleolus solves");
         // Efficiency plus: nucleolus must dominate each singleton value.
         assert!((x.iter().sum::<f64>() - 1300.0).abs() < 1e-6);
         assert!(x[2] >= 800.0 - 1e-6);

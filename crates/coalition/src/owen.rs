@@ -22,7 +22,8 @@
 //! * Singleton unions (or one big union) recover the plain Shapley value.
 
 use crate::coalition::Coalition;
-use crate::game::WideGame;
+use crate::error::GameError;
+use crate::game::{TableGame, WideGame};
 
 /// Computes the Owen value for the given partition into unions.
 ///
@@ -79,11 +80,14 @@ pub fn owen_value_normalized<G: WideGame>(game: &G, unions: &[Coalition]) -> Vec
 
 /// The quotient game between unions: player `k` of the quotient is union
 /// `B_k`, and `V_Q(T) = V(⋃_{k∈T} B_k)`.
-pub fn quotient_game<G: WideGame>(game: &G, unions: &[Coalition]) -> crate::game::TableGame {
+///
+/// # Errors
+/// [`GameError::TooManyPlayers`] past [`TableGame::MAX_PLAYERS`] unions.
+pub fn quotient_game<G: WideGame>(game: &G, unions: &[Coalition]) -> Result<TableGame, GameError> {
     let n = game.n_players();
     validate_partition(n, unions);
     let unions = unions.to_vec();
-    crate::game::TableGame::from_fn(unions.len(), move |t: Coalition| {
+    TableGame::try_from_fn(unions.len(), move |t: Coalition| {
         let merged = t
             .players()
             .fold(Coalition::EMPTY, |acc, k| acc.union(unions[k]));
@@ -203,7 +207,7 @@ mod tests {
             Coalition::singleton(3),
         ];
         let owen = owen_value(&g, &unions);
-        let quotient = quotient_game(&g, &unions);
+        let quotient = quotient_game(&g, &unions).expect("3 unions");
         let quotient_shapley = shapley(&quotient);
         for (k, &block) in unions.iter().enumerate() {
             let block_total: f64 = block.players().map(|i| owen[i]).sum();

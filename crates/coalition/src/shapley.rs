@@ -13,48 +13,7 @@
 //! profit-sharing weights `sᵢ`.
 
 use crate::coalition::{Coalition, PlayerId};
-use crate::error::GameError;
 use crate::game::{TableGame, WideGame};
-
-/// Exact Shapley value of a single player, by the subset-sum formula.
-///
-/// Runs in `O(2^(n−1))` evaluations of the characteristic function. The
-/// combinatorial weight `|S|!·(n−1−|S|)!/n!` is computed as
-/// `1 / (n · C(n−1, |S|))`, which stays in `f64` range for any `n ≤ 64`.
-///
-/// # Panics
-/// Panics when `i ≥ n`; [`try_shapley_player`] reports that as a typed
-/// error instead.
-pub fn shapley_player<G: WideGame + ?Sized>(game: &G, i: PlayerId) -> f64 {
-    match try_shapley_player(game, i) {
-        Ok(phi) => phi,
-        #[expect(
-            clippy::panic,
-            reason = "documented legacy wrapper; fallible callers use try_shapley_player"
-        )]
-        Err(e) => panic!("shapley_player: {e}"),
-    }
-}
-
-/// Exact Shapley value of a single player, reporting a bad player index as
-/// [`GameError::PlayerOutOfRange`] instead of panicking.
-///
-/// # Errors
-/// [`GameError::PlayerOutOfRange`] when `i ≥ n` (including the `n = 0`
-/// case, where every index is out of range).
-pub fn try_shapley_player<G: WideGame + ?Sized>(game: &G, i: PlayerId) -> Result<f64, GameError> {
-    let n = game.n_players();
-    if i >= n {
-        return Err(GameError::PlayerOutOfRange { player: i, n });
-    }
-    let weights = subset_weights(n);
-    let others = Coalition::grand(n).without(i);
-    let mut phi = 0.0;
-    for s in others.subsets() {
-        phi += weights[s.len()] * game.marginal(i, s);
-    }
-    Ok(phi)
-}
 
 /// Exact Shapley values of all players: [`shapley_parallel`] on one
 /// thread, with the same bits.
@@ -82,8 +41,8 @@ pub fn shapley<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
 /// fills one dense table of `2^n` `f64` values (512 KiB at
 /// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS)) on the
 /// calling thread and `threads − 1` scoped workers. The calling thread
-/// then runs each player's subset sum — [`shapley_player`] on the table —
-/// so every ϕᵢ has the same bits as [`shapley`].
+/// then runs each player's subset sum on the table, so every ϕᵢ has the
+/// same bits as [`shapley`].
 ///
 /// Records the same `coalition.shapley.exact` span as [`shapley`] (with
 /// `threads=` in its detail), so a trace names the solution concept, not
@@ -108,13 +67,27 @@ fn exact_shapley<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
         return Vec::new();
     }
     match TableGame::try_from_walk(game, threads) {
-        Ok(table) => (0..n).map(|i| shapley_player(&table, i)).collect(),
+        Ok(table) => {
+            let weights = subset_weights(n);
+            (0..n).map(|i| player_sum(&table, &weights, i)).collect()
+        }
         #[expect(
             clippy::panic,
             reason = "documented `# Panics`: past the table cap the exact pass cannot run; shapley_auto_wide samples those games"
         )]
         Err(e) => panic!("shapley: {e}"),
     }
+}
+
+/// Player `i`'s subset sum `Σ_{S ⊆ N∖{i}} w(|S|)·[V(S ∪ {i}) − V(S)]`
+/// over the filled table, with `weights` from [`subset_weights`].
+fn player_sum(table: &TableGame, weights: &[f64], i: PlayerId) -> f64 {
+    let others = Coalition::grand(table.n_players()).without(i);
+    let mut phi = 0.0;
+    for s in others.subsets() {
+        phi += weights[s.len()] * table.marginal(i, s);
+    }
+    phi
 }
 
 /// Normalized Shapley values ϕ̂ᵢ = ϕᵢ / V(N) (eq. 5 of the paper).
@@ -134,7 +107,8 @@ pub(crate) fn normalize(phi: Vec<f64>, total: f64) -> Vec<f64> {
 }
 
 /// Weight `w[s] = s!·(n−1−s)!/n! = 1/(n·C(n−1,s))` for each predecessor-set
-/// size `s ∈ 0..n`.
+/// size `s ∈ 0..n`: `1 / (n · C(n−1, s))` stays in `f64` range for any
+/// `n ≤ 64`.
 fn subset_weights(n: usize) -> Vec<f64> {
     assert!(n >= 1);
     let mut w = Vec::with_capacity(n);
@@ -238,11 +212,12 @@ mod tests {
 
     #[test]
     fn efficiency_axiom_on_random_table() {
-        let g = TableGame::from_fn(6, |c| {
+        let g = TableGame::try_from_fn(6, |c| {
             // Deterministic pseudo-random values.
             let x = c.0.wrapping_mul(0x9E3779B97F4A7C15);
             (x >> 40) as f64 / 1e3
-        });
+        })
+        .expect("6 players");
         // Force V(∅)=0 for the axiom.
         let mut g = g;
         g.set(Coalition::EMPTY, 0.0);
@@ -252,7 +227,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let g = TableGame::from_fn(8, |c| (c.len() as f64).sqrt() * c.0 as f64 % 17.0);
+        let g = TableGame::try_from_fn(8, |c| (c.len() as f64).sqrt() * c.0 as f64 % 17.0)
+            .expect("8 players");
         let seq = shapley(&g);
         for threads in [1, 2, 3, 8, 64] {
             let par = shapley_parallel(&g, threads);
@@ -293,7 +269,7 @@ mod tests {
             n,
             calls: Default::default(),
         };
-        let want: Vec<u64> = shapley(&TableGame::from_game(&game))
+        let want: Vec<u64> = shapley(&TableGame::try_from_game(&game).expect("10 players"))
             .iter()
             .map(|v| v.to_bits())
             .collect();

@@ -62,24 +62,6 @@ pub struct AvailabilityGame<G> {
 impl<G: WideGame> AvailabilityGame<G> {
     /// Wraps `base` with per-player availabilities.
     ///
-    /// # Panics
-    /// Panics where [`AvailabilityGame::try_new`] would return an error:
-    /// the availability vector length differs from the player count or any
-    /// value is outside `(0, 1]`.
-    pub fn new(base: G, availability: Vec<f64>) -> AvailabilityGame<G> {
-        match AvailabilityGame::try_new(base, availability) {
-            Ok(g) => g,
-            #[expect(
-                clippy::panic,
-                reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
-            )]
-            Err(e) => panic!("AvailabilityGame::new: {e}"),
-        }
-    }
-
-    /// Wraps `base` with per-player availabilities, rejecting malformed
-    /// vectors as an [`AvailabilityError`] instead of panicking.
-    ///
     /// # Errors
     /// [`AvailabilityError::LengthMismatch`] when the vector length differs
     /// from the base game's player count; [`AvailabilityError::OutOfRange`]
@@ -159,7 +141,7 @@ mod tests {
 
     #[test]
     fn full_availability_recovers_base_game() {
-        let g = AvailabilityGame::new(threshold_game(), vec![1.0; 3]);
+        let g = AvailabilityGame::try_new(threshold_game(), vec![1.0; 3]).expect("valid");
         for c in Coalition::all(3) {
             assert!((g.value(c) - g.base().value(c)).abs() < 1e-12);
         }
@@ -171,7 +153,7 @@ mod tests {
         let base = FnGame::new(2, |c: Coalition| {
             c.players().map(|p| (p + 1) as f64 * 10.0).sum::<f64>()
         });
-        let g = AvailabilityGame::new(base, vec![0.5, 0.25]);
+        let g = AvailabilityGame::try_new(base, vec![0.5, 0.25]).expect("valid");
         assert!((g.value(Coalition::singleton(0)) - 5.0).abs() < 1e-12);
         assert!((g.value(Coalition::singleton(1)) - 5.0).abs() < 1e-12);
         // Independence: E[V({0,1})] = 0.5·10 + 0.25·20.
@@ -182,7 +164,7 @@ mod tests {
     fn expectation_is_hand_checkable_on_threshold_game() {
         // S = {2,3} with T = (·, 0.5, 0.5): states
         //   both up (.25): V = 1200; only 3 up (.25): V = 800; else 0.
-        let g = AvailabilityGame::new(threshold_game(), vec![1.0, 0.5, 0.5]);
+        let g = AvailabilityGame::try_new(threshold_game(), vec![1.0, 0.5, 0.5]).expect("valid");
         let v = g.value(Coalition::from_players([1, 2]));
         assert!((v - (0.25 * 1200.0 + 0.25 * 800.0)).abs() < 1e-12);
     }
@@ -194,14 +176,12 @@ mod tests {
         // unchanged — so the interesting case is a flaky facility 2.
         // Hand-computed: V_T({2,3}) = 1000, V_T(N) = 1100 ⇒
         // ϕ₂ = (200 + 200 + 200)/6 = 100 ⇒ ϕ̂₂ = 1/11 < 2/13.
-        let reliable = TableGame::from_game(&AvailabilityGame::new(
-            threshold_game(),
-            vec![1.0, 1.0, 1.0],
-        ));
-        let flaky2 = TableGame::from_game(&AvailabilityGame::new(
-            threshold_game(),
-            vec![1.0, 0.5, 1.0],
-        ));
+        let table = |availability| {
+            let game = AvailabilityGame::try_new(threshold_game(), availability).expect("valid");
+            TableGame::try_from_game(&game).expect("3 players")
+        };
+        let reliable = table(vec![1.0, 1.0, 1.0]);
+        let flaky2 = table(vec![1.0, 0.5, 1.0]);
         let phi_reliable = shapley_normalized(&reliable);
         let phi_flaky = shapley_normalized(&flaky2);
         assert!((phi_flaky[1] - 1.0 / 11.0).abs() < 1e-12);
@@ -215,16 +195,18 @@ mod tests {
 
     #[test]
     fn availability_lowers_every_coalition_value_of_monotone_games() {
-        let g = AvailabilityGame::new(threshold_game(), vec![0.9, 0.8, 0.7]);
+        let g = AvailabilityGame::try_new(threshold_game(), vec![0.9, 0.8, 0.7]).expect("valid");
         for c in Coalition::all(3) {
             assert!(g.value(c) <= g.base().value(c) + 1e-12);
         }
     }
 
     #[test]
-    #[should_panic]
     fn rejects_zero_availability() {
-        let _ = AvailabilityGame::new(threshold_game(), vec![1.0, 1.0, 0.0]);
+        assert!(matches!(
+            AvailabilityGame::try_new(threshold_game(), vec![1.0, 1.0, 0.0]),
+            Err(AvailabilityError::OutOfRange { .. })
+        ));
     }
 
     #[test]

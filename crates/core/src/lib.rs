@@ -18,7 +18,8 @@
 //! * The optimum defines the **federation game** ([`FederationGame`]),
 //!   whose Shapley value (via `fedval-coalition`) is the paper's proposed
 //!   sharing rule; [`sharing`] also provides the proportional (eq. 6),
-//!   consumption-based (eq. 7), equal, and nucleolus alternatives.
+//!   consumption-based (eq. 7) and equal alternatives, and
+//!   [`FederationScenario`] the Shapley and nucleolus shares.
 //! * The **P2P scenario** ([`p2p_allocate`]) shares value through allocation under
 //!   individual-rationality constraints (eq. 3).
 //!

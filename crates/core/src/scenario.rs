@@ -6,8 +6,8 @@ use crate::facility::Facility;
 use crate::sharing;
 use crate::value::FederationGame;
 use fedval_coalition::{
-    analyze, is_core_nonempty, least_core, nucleolus, shapley_auto_wide, Coalition,
-    CoalitionError, GameProperties, ApproxConfig, ShapleyEstimate, TableGame, WideGame,
+    analyze, is_core_nonempty, shapley, shapley_auto_wide, shapley_parallel, try_nucleolus,
+    ApproxConfig, Coalition, CoalitionError, GameProperties, ShapleyEstimate, TableGame, WideGame,
     EXACT_SHAPLEY_MAX_PLAYERS,
 };
 
@@ -43,6 +43,14 @@ impl std::error::Error for PlayerCountMismatch {}
 /// [`with_threads`](FederationScenario::with_threads) knob instead
 /// parallelizes *within* one scenario's Shapley computation — useful for
 /// larger player counts where the `O(2^n)` pass dominates.
+///
+/// The infallible accessors (`game`, `value`, `grand_value`,
+/// `shapley_shares`, `nucleolus_shares`, `core_nonempty`, `properties`,
+/// `payoffs`) serve scenarios inside the exact caps — the coalition table
+/// holds 25 facilities, the least-core LP 16, the nucleolus 12 — and panic
+/// past them; [`try_game`](FederationScenario::try_game),
+/// [`shapley_estimate`](FederationScenario::shapley_estimate) and
+/// `fedval_policy::try_policy_report` check the caps first.
 pub struct FederationScenario {
     facilities: Vec<Facility>,
     demand: Demand,
@@ -102,26 +110,6 @@ impl FederationScenario {
     /// closed-form model. The facilities still drive the proportional and
     /// consumption benchmarks; the game queries use `game` as-is.
     ///
-    /// # Panics
-    /// Panics where [`FederationScenario::try_from_measured`] would return
-    /// an error: the table's player count differs from the facility count.
-    pub fn from_measured(
-        facilities: Vec<Facility>,
-        demand: Demand,
-        game: TableGame,
-    ) -> FederationScenario {
-        match FederationScenario::try_from_measured(facilities, demand, game) {
-            Ok(s) => s,
-            #[expect(
-                clippy::panic,
-                reason = "documented `# Panics` convenience wrapper; fallible callers use the try_ variant instead"
-            )]
-            Err(e) => panic!("FederationScenario::from_measured: {e}"),
-        }
-    }
-
-    /// Fallible form of [`FederationScenario::from_measured`].
-    ///
     /// # Errors
     /// [`PlayerCountMismatch`] when the measured table's player count differs
     /// from the facility count.
@@ -178,18 +166,10 @@ impl FederationScenario {
     /// Panics where [`FederationScenario::try_game`] would return an error
     /// (more facilities than a dense table supports).
     pub fn game(&self) -> &TableGame {
-        match self.try_game() {
-            Ok(table) => table,
-            #[expect(
-                clippy::panic,
-                reason = "documented `# Panics` convenience accessor for the paper's n ≤ 3 scenarios; fallible callers use try_game"
-            )]
-            Err(e) => panic!("FederationScenario::game: {e}"),
-        }
+        solved("game", self.try_game())
     }
 
-    /// Fallible form of [`FederationScenario::game`]: materializes the
-    /// coalition-value table on first call and caches it.
+    /// Materializes the coalition-value table on first call and caches it.
     ///
     /// # Errors
     /// [`CoalitionError::TooManyPlayers`] when the facility count exceeds
@@ -204,7 +184,7 @@ impl FederationScenario {
             let _span = fedval_obs::span_with("core.scenario.table_build", || {
                 format!("n={}", self.facilities.len())
             });
-            FederationGame::new(&self.facilities, &self.demand).try_table()?
+            TableGame::try_from_game(&FederationGame::new(&self.facilities, &self.demand))?
         };
         Ok(self.table.get_or_init(|| built))
     }
@@ -224,11 +204,17 @@ impl FederationScenario {
     /// Runs on [`threads`](FederationScenario::threads) workers; the
     /// result is bit-identical for every thread count.
     pub fn shapley_shares(&self) -> Vec<f64> {
-        if self.threads > 1 {
-            sharing::shapley_hat_of_parallel(self.game(), self.threads)
-        } else {
-            sharing::shapley_hat_of(self.game())
+        let table = self.game();
+        let grand = table.grand_value();
+        if grand.abs() < 1e-12 {
+            return vec![0.0; table.n_players()];
         }
+        let phi = if self.threads > 1 {
+            shapley_parallel(table, self.threads)
+        } else {
+            shapley(table)
+        };
+        phi.into_iter().map(|p| p / grand).collect()
     }
 
     /// Shapley values through the solver-selection layer: exact below
@@ -238,7 +224,7 @@ impl FederationScenario {
     /// of a `TooManyPlayers` error.
     ///
     /// Uses the measured table when one was supplied
-    /// ([`from_measured`](FederationScenario::from_measured)), the lazily
+    /// ([`try_from_measured`](FederationScenario::try_from_measured)), the lazily
     /// cached closed-form table below the cap, and the un-materialized
     /// wide federation game above it. Sampling parameters come from
     /// [`with_approx`](FederationScenario::with_approx); results are
@@ -302,7 +288,7 @@ impl FederationScenario {
         if grand.abs() < 1e-12 {
             return vec![0.0; self.facilities.len()];
         }
-        nucleolus(self.game())
+        solved("nucleolus_shares", try_nucleolus(self.game()))
             .into_iter()
             .map(|v| v / grand)
             .collect()
@@ -316,18 +302,26 @@ impl FederationScenario {
 
     /// Whether the core is non-empty.
     pub fn core_nonempty(&self) -> bool {
-        is_core_nonempty(self.game())
-    }
-
-    /// Least-core relaxation ε\* and one least-core allocation.
-    pub fn least_core(&self) -> fedval_coalition::LeastCore {
-        least_core(self.game())
+        solved("core_nonempty", is_core_nonempty(self.game()))
     }
 
     /// Monetary payoff vector for a normalized share vector.
     pub fn payoffs(&self, shares: &[f64]) -> Vec<f64> {
         let v = self.grand_value();
         shares.iter().map(|s| s * v).collect()
+    }
+}
+
+/// The one panic point of the scenario's infallible accessors: their
+/// callers stay inside the exact caps named on [`FederationScenario`].
+fn solved<T>(accessor: &str, result: Result<T, CoalitionError>) -> T {
+    match result {
+        Ok(value) => value,
+        #[expect(
+            clippy::panic,
+            reason = "documented convenience accessors for scenarios inside the exact caps; fallible callers use try_game, shapley_estimate or try_policy_report"
+        )]
+        Err(e) => panic!("FederationScenario::{accessor}: {e}"),
     }
 }
 
@@ -350,10 +344,29 @@ mod tests {
         assert_eq!(s.grand_value(), 1300.0);
         let phi = s.shapley_shares();
         assert!((phi[1] - 2.0 / 13.0).abs() < 1e-12);
+        assert!((phi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let pi = s.proportional_shares();
         assert!((pi[1] - 4.0 / 13.0).abs() < 1e-12);
         let payoffs = s.payoffs(&phi);
         assert!((payoffs.iter().sum::<f64>() - 1300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nucleolus_shares_equal_when_only_grand_coalition_works() {
+        // l = 1250: only the grand coalition can serve; the nucleolus (like
+        // Shapley) splits equally — the paper's "in the grand coalition all
+        // facilities receive an equal share even if their resource
+        // contributions are very different!".
+        let s = FederationScenario::new(
+            paper_facilities([1, 1, 1]),
+            Demand::one_experiment(ExperimentClass::simple("e", 1250.0, 1.0)),
+        );
+        for v in s.nucleolus_shares() {
+            assert!((v - 1.0 / 3.0).abs() < 1e-9, "{v}");
+        }
+        for v in s.shapley_shares() {
+            assert!((v - 1.0 / 3.0).abs() < 1e-9, "{v}");
+        }
     }
 
     #[test]
@@ -369,18 +382,19 @@ mod tests {
     fn measured_scenarios_use_the_supplied_table() {
         let closed_form = worked_example();
         let table = closed_form.game().clone();
-        let measured = FederationScenario::from_measured(
+        let measured = FederationScenario::try_from_measured(
             paper_facilities([1, 1, 1]),
             Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
             table,
-        );
+        )
+        .expect("3 players for 3 facilities");
         assert_eq!(measured.grand_value(), 1300.0);
         assert_eq!(measured.shapley_shares(), closed_form.shapley_shares());
         // Mismatched player counts are rejected, not ground through.
         let bad = FederationScenario::try_from_measured(
             paper_facilities([1, 1, 1]),
             Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
-            TableGame::from_fn(2, |_| 0.0),
+            TableGame::from_values(2, vec![0.0; 4]),
         );
         assert_eq!(
             bad.err(),

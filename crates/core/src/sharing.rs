@@ -2,14 +2,14 @@
 //!
 //! All schemes return a vector of *normalized shares* `sᵢ` with
 //! `Σ sᵢ = 1` (or all zeros for a valueless federation); monetary payoffs
-//! are `vᵢ = sᵢ·V(N)`.
+//! are `vᵢ = sᵢ·V(N)`. The game-theoretic schemes — normalized Shapley
+//! (eq. 5) and nucleolus shares — need the coalition table and live on
+//! [`FederationScenario`](crate::FederationScenario).
 
 use crate::allocation::{realize_assignment, solve};
 use crate::experiment::Demand;
 use crate::facility::Facility;
 use crate::location::{CapacityProfile, LocationOffer};
-use crate::value::FederationGame;
-use fedval_coalition::{nucleolus, shapley, shapley_parallel, TableGame, WideGame};
 
 /// Normalizes a non-negative vector to sum 1 (all zeros if the sum is ~0).
 pub fn normalized(raw: Vec<f64>) -> Vec<f64> {
@@ -36,52 +36,6 @@ pub fn equal_shares(n: usize) -> Vec<f64> {
     } else {
         vec![1.0 / n as f64; n]
     }
-}
-
-/// Eq. 5 — normalized Shapley value ϕ̂ᵢ of the federation game.
-///
-/// Materializes the game table once (2ⁿ allocation solves) and runs the
-/// exact Shapley computation.
-pub fn shapley_shares(facilities: &[Facility], demand: &Demand) -> Vec<f64> {
-    let game = FederationGame::new(facilities, demand);
-    let table = game.table();
-    shapley_hat_of(&table)
-}
-
-/// Normalized Shapley of an already-materialized game.
-pub fn shapley_hat_of(table: &TableGame) -> Vec<f64> {
-    let grand = table.grand_value();
-    if grand.abs() < 1e-12 {
-        return vec![0.0; table.n_players()];
-    }
-    shapley(table).into_iter().map(|p| p / grand).collect()
-}
-
-/// Multi-threaded [`shapley_hat_of`] via [`shapley_parallel`], which
-/// splits filling the coalition table across `threads` threads.
-/// Bit-for-bit identical to the sequential result for every thread count
-/// (every player's sum runs in the same order on the same values).
-pub fn shapley_hat_of_parallel(table: &TableGame, threads: usize) -> Vec<f64> {
-    let grand = table.grand_value();
-    if grand.abs() < 1e-12 {
-        return vec![0.0; table.n_players()];
-    }
-    shapley_parallel(table, threads)
-        .into_iter()
-        .map(|p| p / grand)
-        .collect()
-}
-
-/// Nucleolus-based shares (the §3.2.3 alternative): the nucleolus
-/// allocation normalized by `V(N)`.
-pub fn nucleolus_shares(facilities: &[Facility], demand: &Demand) -> Vec<f64> {
-    let game = FederationGame::new(facilities, demand);
-    let table = game.table();
-    let grand = table.grand_value();
-    if grand.abs() < 1e-12 {
-        return vec![0.0; table.n_players()];
-    }
-    nucleolus(&table).into_iter().map(|v| v / grand).collect()
 }
 
 /// Eq. 7 — proportionally fair shares by *consumed* resources ρ̂ᵢ: solve
@@ -168,15 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn shapley_shares_worked_example() {
-        let f = paper_facilities([1, 1, 1]);
-        let demand = Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0));
-        let phi = shapley_shares(&f, &demand);
-        assert_close(phi[1], 2.0 / 13.0);
-        assert_close(phi.iter().sum::<f64>(), 1.0);
-    }
-
-    #[test]
     fn consumption_at_low_demand_follows_locations() {
         // Fig. 8: for K ≤ min Rᵢ every location serves K experiments, so
         // ρ̂ᵢ = Lᵢ / ΣL — different from π̂ᵢ.
@@ -205,24 +150,6 @@ mod tests {
         let e = equal_shares(3);
         assert_close(e.iter().sum::<f64>(), 1.0);
         assert!(equal_shares(0).is_empty());
-    }
-
-    #[test]
-    fn nucleolus_shares_equal_when_only_grand_coalition_works() {
-        // l = 1250: only the grand coalition can serve; the nucleolus (like
-        // Shapley) splits equally — the paper's "in the grand coalition all
-        // facilities receive an equal share even if their resource
-        // contributions are very different!".
-        let f = paper_facilities([1, 1, 1]);
-        let demand = Demand::one_experiment(ExperimentClass::simple("e", 1250.0, 1.0));
-        let nu = nucleolus_shares(&f, &demand);
-        for v in &nu {
-            assert_close(*v, 1.0 / 3.0);
-        }
-        let phi = shapley_shares(&f, &demand);
-        for v in &phi {
-            assert_close(*v, 1.0 / 3.0);
-        }
     }
 
     #[test]

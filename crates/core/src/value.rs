@@ -9,14 +9,16 @@ use crate::allocation::{solve, ProfileSolution, SolveError};
 use crate::experiment::Demand;
 use crate::facility::{coalition_profile, Facility};
 use crate::location::ProfileAccumulator;
-use fedval_coalition::{CoalitionError, TableGame, WideGame, MAX_SAMPLED_PLAYERS};
+use fedval_coalition::{WideGame, MAX_SAMPLED_PLAYERS};
 
 /// The coalitional game induced by a set of facilities facing a demand
 /// profile (commercial scenario).
 ///
 /// `value(S)` runs the allocation optimizer on the coalition's merged
-/// capacity profile. For repeated solution-concept computations, call
-/// [`FederationGame::table`] once and use the materialized game.
+/// capacity profile. For repeated solution-concept computations,
+/// materialize it once with
+/// [`TableGame::try_from_game`](fedval_coalition::TableGame::try_from_game)
+/// and use the table.
 ///
 /// It is a [`WideGame`] at any size up to [`MAX_SAMPLED_PLAYERS`]: the
 /// exact solution concepts read it through bitset coalitions (up to 64
@@ -64,31 +66,6 @@ impl<'a> FederationGame<'a> {
         let members: Vec<&Facility> = members.iter().map(|&p| &self.facilities[p]).collect();
         let profile = coalition_profile(members);
         solve(&profile, self.demand)
-    }
-
-    /// Materializes all `2^n` coalition values into a [`TableGame`].
-    ///
-    /// # Panics
-    /// Panics where [`FederationGame::try_table`] would return an error
-    /// (more than [`TableGame::MAX_PLAYERS`] facilities).
-    pub fn table(&self) -> TableGame {
-        match self.try_table() {
-            Ok(table) => table,
-            #[expect(
-                clippy::panic,
-                reason = "documented `# Panics` convenience wrapper for the paper's n ≤ 3 scenarios; fallible callers use try_table"
-            )]
-            Err(e) => panic!("FederationGame::table: {e}"),
-        }
-    }
-
-    /// Fallible form of [`FederationGame::table`].
-    ///
-    /// # Errors
-    /// [`CoalitionError::TooManyPlayers`](fedval_coalition::CoalitionError)
-    /// when the facility count exceeds what a dense table supports.
-    pub fn try_table(&self) -> Result<TableGame, CoalitionError> {
-        TableGame::try_from_game(self)
     }
 }
 
@@ -159,7 +136,7 @@ mod tests {
     use super::*;
     use crate::experiment::ExperimentClass;
     use crate::facility::paper_facilities;
-    use fedval_coalition::{shapley_normalized, Coalition};
+    use fedval_coalition::{shapley_normalized, Coalition, TableGame};
 
     #[test]
     fn worked_example_values_and_shapley() {
@@ -176,7 +153,7 @@ mod tests {
         assert_eq!(game.value(Coalition::from_players([1, 2])), 1200.0);
         assert_eq!(game.grand_value(), 1300.0);
 
-        let table = game.table();
+        let table = TableGame::try_from_game(&game).expect("3 facilities");
         let phi_hat = shapley_normalized(&table);
         assert!((phi_hat[1] - 2.0 / 13.0).abs() < 1e-12);
     }
@@ -187,7 +164,7 @@ mod tests {
         let facilities = paper_facilities([1, 1, 1]);
         let demand = Demand::one_experiment(ExperimentClass::simple("e", 0.0, 1.0));
         let game = FederationGame::new(&facilities, &demand);
-        let phi_hat = shapley_normalized(&game.table());
+        let phi_hat = shapley_normalized(&TableGame::try_from_game(&game).expect("3 facilities"));
         assert!((phi_hat[0] - 100.0 / 1300.0).abs() < 1e-9);
         assert!((phi_hat[1] - 400.0 / 1300.0).abs() < 1e-9);
         assert!((phi_hat[2] - 800.0 / 1300.0).abs() < 1e-9);

@@ -78,7 +78,8 @@ impl<E> PartialOrd for Scheduled<E> {
 
 /// A deterministic discrete-event simulator.
 ///
-/// Caller-driven: `schedule` events, then drain them in time order with
+/// Caller-driven: schedule events with [`Simulator::try_schedule`] or
+/// [`Simulator::try_schedule_at`], then drain them in time order with
 /// [`Simulator::next_event`], scheduling follow-ups as you go. Same-time
 /// events fire in scheduling order, making runs reproducible.
 pub struct Simulator<E> {
@@ -122,22 +123,6 @@ impl<E> Simulator<E> {
 
     /// Schedules `payload` at absolute time `at`.
     ///
-    /// # Panics
-    /// Panics if `at` is non-finite or in the past. Use
-    /// [`Simulator::try_schedule_at`] on paths that must not panic.
-    #[expect(
-        clippy::panic,
-        reason = "documented `# Panics` convenience wrapper; fallible callers use try_schedule_at"
-    )]
-    pub fn schedule_at(&mut self, at: f64, payload: E) {
-        if let Err(e) = self.try_schedule_at(at, payload) {
-            panic!("schedule_at: {e}");
-        }
-    }
-
-    /// Schedules `payload` at absolute time `at`, rejecting non-finite or
-    /// past times as a [`ScheduleError`] instead of panicking.
-    ///
     /// # Errors
     /// [`ScheduleError::NonFiniteTime`] for NaN or infinite `at`;
     /// [`ScheduleError::TimeInPast`] when `at` precedes the current clock.
@@ -158,22 +143,6 @@ impl<E> Simulator<E> {
     }
 
     /// Schedules `payload` after a `delay` from the current time.
-    ///
-    /// # Panics
-    /// Panics if `delay` is negative or non-finite. Use
-    /// [`Simulator::try_schedule`] on paths that must not panic.
-    #[expect(
-        clippy::panic,
-        reason = "documented `# Panics` convenience wrapper; fallible callers use try_schedule"
-    )]
-    pub fn schedule(&mut self, delay: f64, payload: E) {
-        if let Err(e) = self.try_schedule(delay, payload) {
-            panic!("schedule: {e}");
-        }
-    }
-
-    /// Schedules `payload` after a `delay` from the current time, rejecting
-    /// negative or non-finite delays as a [`ScheduleError`].
     ///
     /// # Errors
     /// [`ScheduleError::NegativeDelay`] for NaN or negative `delay`; otherwise
@@ -219,9 +188,9 @@ mod tests {
     #[test]
     fn events_fire_in_time_order() {
         let mut sim = Simulator::new();
-        sim.schedule_at(3.0, "c");
-        sim.schedule_at(1.0, "a");
-        sim.schedule_at(2.0, "b");
+        sim.try_schedule_at(3.0, "c").expect("finite, not past");
+        sim.try_schedule_at(1.0, "a").expect("finite, not past");
+        sim.try_schedule_at(2.0, "b").expect("finite, not past");
         let order: Vec<&str> = std::iter::from_fn(|| sim.next_event().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
@@ -230,7 +199,7 @@ mod tests {
     fn ties_fire_in_scheduling_order() {
         let mut sim = Simulator::new();
         for i in 0..10 {
-            sim.schedule_at(5.0, i);
+            sim.try_schedule_at(5.0, i).expect("finite, not past");
         }
         let order: Vec<i32> = std::iter::from_fn(|| sim.next_event().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
@@ -239,25 +208,27 @@ mod tests {
     #[test]
     fn clock_advances_with_events() {
         let mut sim = Simulator::new();
-        sim.schedule(2.5, ());
+        sim.try_schedule(2.5, ()).expect("finite, non-negative");
         assert_eq!(sim.now(), 0.0);
         assert_eq!(sim.peek_time(), Some(2.5));
         let (t, _) = sim.next_event().unwrap();
         assert_eq!(t, 2.5);
         assert_eq!(sim.now(), 2.5);
-        sim.schedule(1.0, ());
+        sim.try_schedule(1.0, ()).expect("finite, non-negative");
         let (t2, _) = sim.next_event().unwrap();
         assert_eq!(t2, 3.5);
         assert_eq!(sim.processed(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "clock is already at")]
     fn rejects_past_events() {
         let mut sim = Simulator::new();
-        sim.schedule_at(2.0, ());
+        sim.try_schedule_at(2.0, ()).expect("finite, not past");
         sim.next_event();
-        sim.schedule_at(1.0, ());
+        assert!(matches!(
+            sim.try_schedule_at(1.0, ()),
+            Err(ScheduleError::TimeInPast { .. })
+        ));
     }
 
     #[test]
@@ -274,7 +245,7 @@ mod tests {
             sim.try_schedule_at(f64::NAN, ()),
             Err(ScheduleError::NonFiniteTime { .. })
         ));
-        sim.schedule_at(2.0, ());
+        sim.try_schedule_at(2.0, ()).expect("finite, not past");
         sim.next_event();
         assert_eq!(
             sim.try_schedule_at(1.0, ()),

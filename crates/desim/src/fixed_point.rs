@@ -197,7 +197,8 @@ mod tests {
         }
         for (k, r) in routes.iter().enumerate() {
             let gap = Exponential::with_rate(r.offered_load); // t̄ = 1
-            sim.schedule(gap.sample(&mut rng), Ev::Arrival(k));
+            sim.try_schedule(gap.sample(&mut rng), Ev::Arrival(k))
+                .expect("exponential gaps are finite");
         }
         let mut free = capacities.to_vec();
         let mut arrivals = [0u64; 2];
@@ -215,15 +216,17 @@ mod tests {
                         for &l in links {
                             free[l] -= 1;
                         }
-                        sim.schedule_at(
+                        sim.try_schedule_at(
                             now + hold.sample(&mut rng),
                             Ev::Departure(links.clone()),
-                        );
+                        )
+                        .expect("holding times are finite");
                     } else {
                         blocked[k] += 1;
                     }
                     let gap = Exponential::with_rate(routes[k].offered_load);
-                    sim.schedule_at(now + gap.sample(&mut rng), Ev::Arrival(k));
+                    sim.try_schedule_at(now + gap.sample(&mut rng), Ev::Arrival(k))
+                        .expect("exponential gaps are finite");
                 }
                 Ev::Departure(links) => {
                     for l in links {

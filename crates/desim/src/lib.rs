@@ -26,7 +26,7 @@
 //!
 //! #[derive(Debug)]
 //! enum Ev { Arrival, Departure }
-//! sim.schedule(arrival.sample(&mut rng), Ev::Arrival);
+//! sim.try_schedule(arrival.sample(&mut rng), Ev::Arrival)?;
 //! let (mut busy, mut arrivals, mut blocked) = (0usize, 0u64, 0u64);
 //! while let Some((now, ev)) = sim.next_event() {
 //!     if now > 10_000.0 { break; }
@@ -35,11 +35,11 @@
 //!             arrivals += 1;
 //!             if busy < servers {
 //!                 busy += 1;
-//!                 sim.schedule_at(now + service.sample(&mut rng), Ev::Departure);
+//!                 sim.try_schedule_at(now + service.sample(&mut rng), Ev::Departure)?;
 //!             } else {
 //!                 blocked += 1;
 //!             }
-//!             sim.schedule_at(now + arrival.sample(&mut rng), Ev::Arrival);
+//!             sim.try_schedule_at(now + arrival.sample(&mut rng), Ev::Arrival)?;
 //!         }
 //!         Ev::Departure => busy -= 1,
 //!     }
@@ -47,6 +47,7 @@
 //! let simulated = blocked as f64 / arrivals as f64;
 //! let analytic = erlang_b(2.0, 4);
 //! assert!((simulated - analytic).abs() < 0.02);
+//! # Ok::<(), fedval_desim::ScheduleError>(())
 //! ```
 
 mod engine;

@@ -203,7 +203,8 @@ mod tests {
         }
         for (k, class) in classes.iter().enumerate() {
             let gap = Exponential::with_rate(class.rate);
-            sim.schedule(gap.sample(&mut rng), Ev::Arrival(k));
+            sim.try_schedule(gap.sample(&mut rng), Ev::Arrival(k))
+                .expect("exponential gaps are finite");
         }
         let mut busy = 0u64;
         let mut arrivals = [0u64; 2];
@@ -219,12 +220,14 @@ mod tests {
                     if busy + class.size <= capacity {
                         busy += class.size;
                         let hold = Exponential::with_mean(class.mean_holding);
-                        sim.schedule_at(now + hold.sample(&mut rng), Ev::Departure(class.size));
+                        sim.try_schedule_at(now + hold.sample(&mut rng), Ev::Departure(class.size))
+                            .expect("holding times are finite");
                     } else {
                         blocked[k] += 1;
                     }
                     let gap = Exponential::with_rate(class.rate);
-                    sim.schedule_at(now + gap.sample(&mut rng), Ev::Arrival(k));
+                    sim.try_schedule_at(now + gap.sample(&mut rng), Ev::Arrival(k))
+                        .expect("exponential gaps are finite");
                 }
                 Ev::Departure(size) => busy -= size,
             }

@@ -5,7 +5,7 @@ use crate::rng::{Distribution, Exponential, SimRng};
 /// A homogeneous Poisson arrival process of rate λ.
 ///
 /// Generates successive interarrival gaps; pair with
-/// [`Simulator::schedule`](crate::Simulator::schedule) to drive workloads.
+/// [`Simulator::try_schedule`](crate::Simulator::try_schedule) to drive workloads.
 #[derive(Debug, Clone, Copy)]
 pub struct PoissonProcess {
     interarrival: Exponential,

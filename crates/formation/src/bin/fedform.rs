@@ -168,6 +168,12 @@ fn parse(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
+    if !(opts.round_dt.is_finite() && opts.round_dt >= 0.0) {
+        return Err("--round-dt must be finite and at least 0".to_string());
+    }
+    if !(opts.rounds as f64 * opts.round_dt).is_finite() {
+        return Err("--rounds × --round-dt overflows the simulated clock".to_string());
+    }
     Ok(opts)
 }
 
@@ -271,6 +277,43 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("{message}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parses_flags() {
+        let defaults = parse(&args("")).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((defaults.n, defaults.round_dt), (16, 10.0));
+        let opts = parse(&args(
+            "--synthetic 200:7 --seed 3 --rounds 12 --round-dt 0 --report",
+        ))
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((opts.n, opts.scenario_seed, opts.seed), (200, 7, 3));
+        assert_eq!((opts.rounds, opts.round_dt), (12, 0.0));
+        assert!(opts.report);
+    }
+
+    #[test]
+    fn rejects_bad_input() {
+        for bad in [
+            "--round-dt nan",
+            "--round-dt inf",
+            "--round-dt -5",
+            "--round-dt 1e308 --rounds 32",
+            "--synthetic 0",
+            "--threads 0",
+            "--frobnicate 1",
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad} must be a usage error");
         }
     }
 }

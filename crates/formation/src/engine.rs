@@ -112,7 +112,8 @@ pub struct FormationConfig {
     pub seed: u64,
     /// Hard cap on rounds (the engine may stop earlier on convergence).
     pub max_rounds: usize,
-    /// Simulated time between rounds.
+    /// Simulated time between rounds; must be finite and at least 0
+    /// ([`FormationEngine::run`] panics otherwise).
     pub round_dt: f64,
     /// Max merge candidate pairs examined per round (lexicographic
     /// enumeration below the budget, seeded sampling above it).
@@ -414,25 +415,36 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
 
     /// Runs the merge/split dynamics over `schedule` to completion
     /// (convergence with no pending lifecycle events, or the round cap).
+    ///
+    /// # Panics
+    /// Panics when an event would fall at a non-finite time: `cfg.round_dt`
+    /// must be finite and at least 0, and no churn event time infinite.
     pub fn run(&self, schedule: &ChurnSchedule) -> FormationOutcome {
         let n = self.oracle.n_players();
         let mut states = vec![LifecycleState::Candidate; n];
         let mut partition = Partition::new();
         let mut sim: Simulator<FormEvent> = Simulator::new();
 
-        let mut lifecycle_pending = 0usize;
-        for &(at, ev) in schedule.events() {
-            let id = match ev {
-                LifeEvent::Arrive(a) | LifeEvent::Depart(a) => a,
-            };
-            if id < n {
-                sim.schedule_at(at.max(0.0), FormEvent::Life(ev));
-                lifecycle_pending += 1;
-            }
-        }
+        let lifecycle: Vec<(f64, FormEvent)> = schedule
+            .events()
+            .iter()
+            .filter(|(_, ev)| match *ev {
+                LifeEvent::Arrive(a) | LifeEvent::Depart(a) => a < n,
+            })
+            .map(|&(at, ev)| (at.max(0.0), FormEvent::Life(ev)))
+            .collect();
+        let mut lifecycle_pending = lifecycle.len();
         let max_rounds = self.cfg.max_rounds.max(1);
-        for k in 1..=max_rounds {
-            sim.schedule_at(k as f64 * self.cfg.round_dt, FormEvent::Round);
+        let rounds = (1..=max_rounds).map(|k| (k as f64 * self.cfg.round_dt, FormEvent::Round));
+        for (at, event) in lifecycle.into_iter().chain(rounds) {
+            match sim.try_schedule_at(at, event) {
+                Ok(()) => {}
+                #[expect(
+                    clippy::panic,
+                    reason = "documented `# Panics`: finite event times are the caller's precondition; fedform checks --round-dt while parsing"
+                )]
+                Err(e) => panic!("FormationEngine::run: {e}"),
+            }
         }
 
         let mut rounds: Vec<RoundRecord> = Vec::new();

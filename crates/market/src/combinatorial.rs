@@ -188,7 +188,7 @@ mod tests {
         // The paper's critique, executable: a diversity-pivotal small
         // facility earns only its slot share from the market, while its
         // Shapley share is far larger.
-        use fedval_coalition::shapley_normalized;
+        use fedval_coalition::{shapley_normalized, TableGame};
         use fedval_core::{Demand, ExperimentClass, FederationGame};
 
         let facilities = paper_facilities([1, 1, 1]);
@@ -199,7 +199,8 @@ mod tests {
         let market = out.revenue_shares();
 
         let demand = Demand::one_experiment(ExperimentClass::simple("e", 1249.0, 1.0));
-        let game = FederationGame::new(&facilities, &demand).table();
+        let game = TableGame::try_from_game(&FederationGame::new(&facilities, &demand))
+            .expect("3 facilities");
         let shapley = shapley_normalized(&game);
 
         // Shapley: equal thirds (all pivotal). Market: slot-proportional.

@@ -59,8 +59,10 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
 
     // The Owen value reads every coalition many times over: fill the 2ⁿ
     // table once, then each read is an array lookup.
-    let game = match TableGame::try_from_walk(&FederationGame::new(&flat, demand), 1) {
-        Ok(table) => table,
+    let tables = TableGame::try_from_walk(&FederationGame::new(&flat, demand), 1)
+        .and_then(|game| quotient_game(&game, &unions).map(|quotient| (quotient, game)));
+    let (quotient, game) = match tables {
+        Ok(tables) => tables,
         #[expect(
             clippy::panic,
             reason = "unreachable: n ≤ 16 is asserted above, inside TableGame::MAX_PLAYERS"
@@ -70,7 +72,6 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
     let grand_value = game.grand_value();
 
     let owen = owen_value(&game, &unions);
-    let quotient = quotient_game(&game, &unions);
     let authority_raw = shapley(&quotient);
 
     let normalize = |v: Vec<f64>| -> Vec<f64> {
@@ -170,9 +171,9 @@ mod tests {
         let h = hierarchical_shapley(&groups, &d);
         assert!((h.authority_shares[0] - 1.0).abs() < 1e-9);
         let flat: Vec<Facility> = groups.concat();
-        let plain = fedval_coalition::shapley_normalized(&fedval_coalition::TableGame::from_game(
-            &FederationGame::new(&flat, &d),
-        ));
+        let plain = fedval_coalition::shapley_normalized(
+            &TableGame::try_from_game(&FederationGame::new(&flat, &d)).expect("2 sites"),
+        );
         for (a, b) in h.site_shares[0].iter().zip(&plain) {
             assert!((a - b).abs() < 1e-9);
         }

@@ -10,16 +10,17 @@
 //!
 //! ```
 //! use fedval_core::{paper_facilities, Demand, ExperimentClass, FederationScenario};
-//! use fedval_policy::{policy_report, SharingScheme};
+//! use fedval_policy::{try_policy_report, SharingScheme};
 //!
 //! let scenario = FederationScenario::new(
 //!     paper_facilities([1, 1, 1]),
 //!     Demand::one_experiment(ExperimentClass::simple("meas", 500.0, 1.0)),
 //! );
-//! let report = policy_report(&scenario);
+//! let report = try_policy_report(&scenario)?;
 //! println!("{}", report.render());
 //! let phi = SharingScheme::Shapley.shares(&scenario);
 //! assert!((phi[1] - 2.0 / 13.0).abs() < 1e-12);
+//! # Ok::<(), fedval_coalition::CoalitionError>(())
 //! ```
 
 mod compare;
@@ -40,10 +41,7 @@ pub use incentives::{incentive_curve, marginal_payoffs, peak_marginal, Incentive
 pub use mixture::{
     classify_requests, demand_from_mixture, fitted_policy, Category, MixtureEstimate,
 };
-pub use report::{
-    policy_report, policy_report_measured, try_policy_report, try_policy_report_measured,
-    FormationSection, PolicyReport,
-};
+pub use report::{try_policy_report, try_policy_report_measured, FormationSection, PolicyReport};
 pub use scheme::SharingScheme;
 pub use smoothing::{
     max_jump, smoothed_incentive_curve, smoothing_benefit, threshold_smoothed_shares,

@@ -73,8 +73,9 @@ pub struct FormationSection {
     pub fingerprint: u64,
 }
 
-/// Builds the report for all built-in schemes.
-pub fn policy_report(scenario: &FederationScenario) -> PolicyReport {
+/// The exact report for all built-in schemes, behind
+/// [`try_policy_report`]'s cap check.
+fn exact_report(scenario: &FederationScenario) -> PolicyReport {
     let _report_span = fedval_obs::span("policy.report.build");
     let (props, core_nonempty) = {
         let _span = fedval_obs::span("policy.report.properties");
@@ -97,22 +98,10 @@ pub fn policy_report(scenario: &FederationScenario) -> PolicyReport {
     }
 }
 
-/// Builds the report for a scenario whose game was *measured* (e.g. by
-/// `fedval-testbed`'s fault-injected empirical pipeline), attaching the
-/// measurement diagnostics so the rendered report discloses how much of
-/// the game was actually observed versus substituted by fallbacks.
-pub fn policy_report_measured(
-    scenario: &FederationScenario,
-    diagnostics: GameDiagnostics,
-) -> PolicyReport {
-    let mut report = policy_report(scenario);
-    report.measurement = Some(diagnostics);
-    report
-}
-
-/// [`policy_report`] behind the solver-selection layer: full exact reports
-/// below the enumeration caps, a degraded sampled-Shapley report above
-/// them (or when `--approx` forces sampling).
+/// Builds the report for all built-in schemes behind the
+/// solver-selection layer: full exact reports below the enumeration caps,
+/// a degraded sampled-Shapley report above them (or when `--approx` forces
+/// sampling).
 ///
 /// The degraded report keeps every column that does not require `2^n`
 /// enumeration — Shapley (sampled, with its confidence-interval
@@ -127,13 +116,15 @@ pub fn policy_report_measured(
 pub fn try_policy_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
     let n = scenario.facilities().len();
     if !scenario.approx_config().force && n <= NUCLEOLUS_MAX_PLAYERS {
-        return Ok(policy_report(scenario));
+        return Ok(exact_report(scenario));
     }
     approx_report(scenario)
 }
 
-/// [`try_policy_report`] with measurement diagnostics attached, the
-/// large-`n`-safe counterpart of [`policy_report_measured`].
+/// [`try_policy_report`] for a scenario whose game was *measured* (e.g. by
+/// `fedval-testbed`'s fault-injected empirical pipeline), attaching the
+/// measurement diagnostics so the rendered report discloses how much of
+/// the game was actually observed versus substituted by fallbacks.
 ///
 /// # Errors
 /// Same as [`try_policy_report`].
@@ -342,7 +333,7 @@ mod tests {
 
     #[test]
     fn report_contains_all_schemes() {
-        let r = policy_report(&scenario(500.0));
+        let r = exact_report(&scenario(500.0));
         assert_eq!(r.assessments.len(), 5);
         let text = r.render();
         for name in [
@@ -361,7 +352,7 @@ mod tests {
         // l = 1250: only grand coalition works, everything proportional-ish
         // is out of core except symmetric allocations; equal split IS the
         // core here, and it's also closest-to-pi among in-core schemes.
-        let r = policy_report(&scenario(1250.0));
+        let r = exact_report(&scenario(1250.0));
         assert!(r.core_nonempty);
         let rec = r.recommended();
         let rec_entry = r.assessments.iter().find(|a| a.scheme == rec).unwrap();
@@ -378,18 +369,19 @@ mod tests {
         records[7].source = ValueSource::SubCoalitionFallback(Coalition(3));
         records[7].error = Some("simulation wedged".into());
         records[5].faults_injected = 3;
-        let r = policy_report_measured(
+        let r = try_policy_report_measured(
             &s,
             GameDiagnostics {
                 per_coalition: records,
             },
-        );
+        )
+        .expect("3 facilities");
         let text = r.render();
         assert!(text.contains("measurement:"), "{text}");
         assert!(text.contains("1 fallbacks"), "{text}");
         assert!(text.contains("warning:"), "{text}");
         // Closed-form reports stay silent about measurement.
-        let clean = policy_report(&s);
+        let clean = exact_report(&s);
         assert!(!clean.render().contains("measurement:"));
     }
 
@@ -400,7 +392,7 @@ mod tests {
         assert!(r.structure_known);
         assert!(r.approx.is_none());
         assert_eq!(r.assessments.len(), 5);
-        assert_eq!(r.render(), policy_report(&s).render());
+        assert_eq!(r.render(), exact_report(&s).render());
     }
 
     #[test]
@@ -496,7 +488,7 @@ mod tests {
             Demand::one_experiment(ExperimentClass::simple("e", 0.0, 0.5)),
         );
         if !s.core_nonempty() {
-            let r = policy_report(&s);
+            let r = exact_report(&s);
             assert_eq!(r.recommended(), "shapley");
         }
     }

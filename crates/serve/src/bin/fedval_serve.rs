@@ -270,6 +270,15 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if opts.spec.capacities.len() != opts.spec.locations.len() {
         return Err("--capacities must match --locations in length".to_string());
     }
+    if opts.spec.capacities.contains(&0) {
+        return Err("--capacities must each be at least 1".to_string());
+    }
+    if !(opts.spec.threshold.is_finite() && opts.spec.threshold >= 0.0) {
+        return Err("--threshold must be finite and at least 0".to_string());
+    }
+    if !(opts.spec.shape.is_finite() && opts.spec.shape > 0.0) {
+        return Err("--shape must be finite and positive".to_string());
+    }
     Ok(opts)
 }
 
@@ -460,6 +469,24 @@ mod tests {
         assert!(parse(&args(&["--synthetic", "0"])).is_err());
         assert!(parse(&args(&["--synthetic", "513"])).is_err());
         assert!(parse(&args(&["--synthetic", "8:x"])).is_err());
+    }
+
+    #[test]
+    fn rejects_hostile_scenario_numbers() {
+        for bad in [
+            &["--threshold", "nan"][..],
+            &["--threshold", "inf"],
+            &["--threshold", "-5"],
+            &["--shape", "-1"],
+            &["--shape", "0"],
+            &["--shape", "nan"],
+            &["--capacities", "0,1,1"],
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad:?} must be a usage error");
+        }
+        // The edge values stay valid.
+        let opts = parse(&args(&["--threshold", "0", "--capacities", "1,1,1"])).unwrap();
+        assert_eq!(opts.spec.threshold, 0.0);
     }
 
     #[test]

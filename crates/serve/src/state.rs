@@ -24,10 +24,9 @@
 use crate::lru::Lru;
 use crate::protocol::{render_f64_array, QueryError, QueryKind};
 use fedval_coalition::{
-    nucleolus, try_approx_shapley_wide, ApproxConfig, ApproxShapley, TableGame, WideGame,
-    EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
+    shapley, try_approx_shapley_wide, try_nucleolus, ApproxConfig, ApproxShapley, TableGame,
+    WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
 };
-use fedval_core::sharing::shapley_hat_of;
 use fedval_core::{Demand, ExperimentClass, Facility, FederationGame, Volume};
 use fedval_obs::OrderedMutex;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -414,10 +413,10 @@ impl ServeState {
         }
         if spec == &self.spec {
             let table = self.base_table(1).as_ref().map_err(QueryError::clone)?;
-            Ok(render_shares_payload(kind, table, which))
+            render_shares_payload(kind, table, which)
         } else {
             let table = fill_table(&ScenarioGame::new(spec), 1)?;
-            Ok(render_shares_payload(kind, &table, which))
+            render_shares_payload(kind, &table, which)
         }
     }
 
@@ -484,24 +483,31 @@ fn fill_table(game: &ScenarioGame, threads: usize) -> Result<TableGame, QueryErr
         .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))
 }
 
-fn render_shares_payload(kind: &str, table: &TableGame, which: SolveWhich) -> String {
+/// Renders `which`'s normalized shares on `table` (zeros, unsolved, for a
+/// valueless game); `SOLVE_FAILED` when the nucleolus LP cascade fails.
+fn render_shares_payload(
+    kind: &str,
+    table: &TableGame,
+    which: SolveWhich,
+) -> Result<String, QueryError> {
     let grand = table.grand_value();
-    let shares = match which {
-        SolveWhich::Shapley => shapley_hat_of(table),
-        SolveWhich::Nucleolus => {
-            if grand.abs() < 1e-12 {
-                vec![0.0; table.n_players()]
-            } else {
-                nucleolus(table).into_iter().map(|v| v / grand).collect()
+    let shares = if grand.abs() < 1e-12 {
+        vec![0.0; table.n_players()]
+    } else {
+        let raw = match which {
+            SolveWhich::Shapley => shapley(table),
+            SolveWhich::Nucleolus => {
+                try_nucleolus(table).map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))?
             }
-        }
+        };
+        raw.into_iter().map(|v| v / grand).collect()
     };
-    format!(
+    Ok(format!(
         "\"kind\":\"{kind}\",\"n\":{},\"grand_value\":{},\"shares\":{}",
         table.n_players(),
         fedval_obs::json_f64(grand),
         render_f64_array(&shares)
-    )
+    ))
 }
 
 /// Renders the sampled-estimator payload: the exact payload's prefix
@@ -803,6 +809,17 @@ mod tests {
         assert_eq!(report.coalitions, 0);
         assert!(report.shapley_ok);
         assert!(!report.nucleolus_ok);
+    }
+
+    #[test]
+    fn nucleolus_lp_failure_is_solve_failed() {
+        // A NaN coalition value makes the nucleolus LP malformed: the
+        // request gets a typed SOLVE_FAILED, not a worker panic.
+        let table = TableGame::from_values(2, vec![0.0, f64::NAN, 1.0, 3.0]);
+        let err = render_shares_payload("nucleolus", &table, SolveWhich::Nucleolus)
+            .expect_err("malformed LP");
+        assert_eq!(err.code, "SOLVE_FAILED");
+        assert!(err.detail.contains("nucleolus"), "{}", err.detail);
     }
 
     #[test]

@@ -13,12 +13,15 @@
 //!   onto the economic model as a [`fedval_core::Facility`].
 //! * [`Federation`] peers authorities SFA-style: node-registry exchange
 //!   (with a compact wire format) and user [`Credential`]s.
-//! * [`run_coalition`] replays a slice [`Workload`] against any coalition
-//!   of authorities; [`empirical_game`] measures the full characteristic
+//! * [`run_coalition_faulted`] replays a slice [`Workload`] against any
+//!   coalition of authorities under a [`FaultPlan`] (empty for a clean
+//!   run); [`empirical_game_diagnosed`] measures the full characteristic
 //!   function, ready for `fedval_coalition::shapley`.
 //!
 //! ```
-//! use fedval_testbed::{synthetic_authority, Federation, Workload, SimConfig, empirical_game};
+//! use fedval_testbed::{
+//!     empirical_game_diagnosed, synthetic_authority, FaultPlan, Federation, SimConfig, Workload,
+//! };
 //! use fedval_coalition::shapley_normalized;
 //! use fedval_core::ExperimentClass;
 //!
@@ -27,9 +30,11 @@
 //!     synthetic_authority("PLE", 6, 4, 2, 2, 80),
 //! ]);
 //! let workload = Workload::single(ExperimentClass::simple("exp", 8.0, 1.0), 0.5, 1.0);
-//! let game = empirical_game(&federation, &workload, &SimConfig::default());
-//! let shares = shapley_normalized(&game);
+//! let measured =
+//!     empirical_game_diagnosed(&federation, &workload, &SimConfig::default(), &FaultPlan::new())?;
+//! let shares = shapley_normalized(&measured.game);
 //! assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+//! # Ok::<(), fedval_testbed::SimError>(())
 //! ```
 
 mod authority;
@@ -48,7 +53,7 @@ pub use federation::{Credential, Federation, NodeRecord};
 pub use scale::{synthetic_federation, synthetic_profile, synthetic_scenario};
 pub use selection::{satisfies_diversity, select, NodeQuery, Selection};
 pub use simulate::{
-    empirical_game, empirical_game_diagnosed, run_coalition, run_coalition_faulted, Churn,
+    empirical_game_diagnosed, run_coalition_faulted, Churn,
     FaultedRun, MeasuredGame, SimConfig, SimError, SimReport,
 };
 pub use site::{Node, Site};

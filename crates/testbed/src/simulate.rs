@@ -11,7 +11,7 @@
 //! time, and contributes `u(x)` on admission.
 //!
 //! Running this for every coalition yields a **measured** coalitional game
-//! ([`empirical_game`]) on which the Shapley machinery runs unchanged —
+//! ([`empirical_game_diagnosed`]) on which the Shapley machinery runs unchanged —
 //! the paper's proposed off-line policy-design pipeline, with simulation
 //! standing in for the closed-form model.
 //!
@@ -209,7 +209,7 @@ impl SimReport {
 /// fault-layer counters.
 #[derive(Debug, Clone)]
 pub struct FaultedRun {
-    /// The measured report (same semantics as [`run_coalition`]).
+    /// The measured report.
     pub report: SimReport,
     /// Fault-plan events that applied to this coalition (events targeting
     /// non-members do not count).
@@ -248,31 +248,8 @@ enum Event {
     Depart(usize),
 }
 
-/// Runs the slice simulation for the authorities in `coalition`.
-///
-/// # Panics
-/// Panics where [`run_coalition_faulted`] would return an error — with an
-/// empty fault plan that is only a malformed workload (non-finite arrival
-/// or holding times).
-pub fn run_coalition(
-    federation: &Federation,
-    coalition: Coalition,
-    workload: &Workload,
-    config: &SimConfig,
-) -> SimReport {
-    match run_coalition_faulted(federation, coalition, workload, config, &FaultPlan::new()) {
-        Ok(run) => run.report,
-        #[expect(
-            clippy::panic,
-            reason = "documented `# Panics` convenience wrapper; fallible callers use run_coalition_faulted instead"
-        )]
-        Err(e) => panic!("run_coalition: {e}"),
-    }
-}
-
-/// Runs the slice simulation for `coalition` under an injected
-/// [`FaultPlan`], reporting failures as [`SimError`] instead of
-/// panicking.
+/// Runs the slice simulation for the authorities in `coalition` under an
+/// injected [`FaultPlan`] (empty for a clean run).
 ///
 /// Fault events targeting authorities or nodes outside the coalition are
 /// validated but otherwise ignored, so one plan can be replayed against
@@ -650,26 +627,6 @@ fn schedule_faults(
     Ok(applied)
 }
 
-/// Measures the full characteristic function by simulation: one run per
-/// coalition, identical workload (same seed) across coalitions.
-///
-/// # Panics
-/// Panics when the federation exceeds 16 authorities (`2^n` runs).
-pub fn empirical_game(
-    federation: &Federation,
-    workload: &Workload,
-    config: &SimConfig,
-) -> TableGame {
-    match empirical_game_diagnosed(federation, workload, config, &FaultPlan::new()) {
-        Ok(measured) => measured.game,
-        #[expect(
-            clippy::panic,
-            reason = "documented `# Panics` convenience wrapper; fallible callers use empirical_game_diagnosed instead"
-        )]
-        Err(e) => panic!("empirical_game: {e}"),
-    }
-}
-
 /// An empirically measured game together with per-coalition provenance.
 #[derive(Debug, Clone)]
 pub struct MeasuredGame {
@@ -679,8 +636,10 @@ pub struct MeasuredGame {
     pub diagnostics: GameDiagnostics,
 }
 
-/// Measures the characteristic function under a [`FaultPlan`], degrading
-/// gracefully instead of failing outright.
+/// Measures the full characteristic function by simulation — one run per
+/// coalition, identical workload (same seed) across coalitions — under a
+/// [`FaultPlan`] (empty for a clean measurement), degrading gracefully
+/// instead of failing outright.
 ///
 /// Coalitions are visited in ascending mask order. When a run fails — an
 /// unschedulable fault time, a malformed workload, a non-finite measured
@@ -798,6 +757,20 @@ fn conservative_fallback(c: Coalition, values: &[f64]) -> (f64, ValueSource) {
     (best, source)
 }
 
+/// [`run_coalition_faulted`] under an empty fault plan: the clean run the
+/// tests compare fault-injected runs against.
+#[cfg(test)]
+fn run_clean(
+    federation: &Federation,
+    coalition: Coalition,
+    workload: &Workload,
+    config: &SimConfig,
+) -> SimReport {
+    run_coalition_faulted(federation, coalition, workload, config, &FaultPlan::new())
+        .expect("a well-formed workload runs without faults")
+        .report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -827,10 +800,10 @@ mod tests {
         // only the federation (10) can serve.
         let fed = small_federation();
         let wl = Workload::single(ExperimentClass::simple("big", 8.0, 1.0), 0.5, 1.0);
-        let alone = run_coalition(&fed, Coalition::singleton(0), &wl, &config());
+        let alone = run_clean(&fed, Coalition::singleton(0), &wl, &config());
         assert_eq!(alone.total_utility, 0.0);
         assert!(alone.blocked.iter().sum::<u64>() > 0);
-        let together = run_coalition(&fed, Coalition::grand(2), &wl, &config());
+        let together = run_clean(&fed, Coalition::grand(2), &wl, &config());
         assert!(together.total_utility > 0.0);
     }
 
@@ -838,7 +811,9 @@ mod tests {
     fn empirical_game_is_monotone_ish_and_zero_on_empty() {
         let fed = small_federation();
         let wl = Workload::single(ExperimentClass::simple("small", 2.0, 1.0), 1.0, 0.5);
-        let game = empirical_game(&fed, &wl, &config());
+        let game = empirical_game_diagnosed(&fed, &wl, &config(), &FaultPlan::new())
+            .expect("2 authorities")
+            .game;
         assert_eq!(game.value(Coalition::EMPTY), 0.0);
         let v1 = game.value(Coalition::singleton(0));
         let vn = game.value(Coalition::grand(2));
@@ -850,8 +825,8 @@ mod tests {
         let fed = small_federation();
         let wl = Workload::planetlab_mix(1.0, 1.0);
         let cfg = config();
-        let a = run_coalition(&fed, Coalition::grand(2), &wl, &cfg);
-        let b = run_coalition(&fed, Coalition::grand(2), &wl, &cfg);
+        let a = run_clean(&fed, Coalition::grand(2), &wl, &cfg);
+        let b = run_clean(&fed, Coalition::grand(2), &wl, &cfg);
         assert_eq!(a.total_utility, b.total_utility);
         assert_eq!(a.admitted, b.admitted);
     }
@@ -860,7 +835,7 @@ mod tests {
     fn consumption_tracks_members_only() {
         let fed = small_federation();
         let wl = Workload::single(ExperimentClass::simple("c", 1.0, 1.0), 1.0, 0.5);
-        let r = run_coalition(&fed, Coalition::singleton(1), &wl, &config());
+        let r = run_clean(&fed, Coalition::singleton(1), &wl, &config());
         assert_eq!(r.consumption[0], 0.0, "non-member consumed nothing");
         assert!(r.consumption[1] > 0.0);
     }
@@ -870,7 +845,7 @@ mod tests {
         let fed = small_federation();
         // Overload: high arrival rate, long holding.
         let wl = Workload::single(ExperimentClass::simple("c", 1.0, 1.0), 20.0, 5.0);
-        let r = run_coalition(&fed, Coalition::grand(2), &wl, &config());
+        let r = run_clean(&fed, Coalition::grand(2), &wl, &config());
         assert!(r.mean_utilization > 0.3 && r.mean_utilization <= 1.0);
         assert!(r.blocking_probability(0) > 0.0);
         assert!(r.blocking_probability(0) <= 1.0);
@@ -901,7 +876,7 @@ mod resource_tests {
             seed: 3,
             churn: None,
         };
-        let r = run_coalition(&fed, Coalition::grand(1), &wl, &cfg);
+        let r = run_clean(&fed, Coalition::grand(1), &wl, &cfg);
         // Capacity: 6 nodes × 4 units = 24 units; each slice takes up to
         // 3 locations × 4 units = 12 ⇒ heavy blocking at load 4 Erlang.
         assert!(r.blocking_probability(0) > 0.1);
@@ -934,7 +909,7 @@ mod resource_tests {
             seed: 13,
             churn: None,
         };
-        let r = run_coalition(&fed, Coalition::grand(1), &wl, &cfg);
+        let r = run_clean(&fed, Coalition::grand(1), &wl, &cfg);
         assert!(
             r.blocking_probability(1) > r.blocking_probability(0),
             "heavy {} vs light {}",
@@ -975,8 +950,8 @@ mod churn_tests {
     #[test]
     fn churn_reduces_delivered_utility() {
         let wl = Workload::single(ExperimentClass::simple("e", 2.0, 1.0), 2.0, 1.0);
-        let reliable = run_coalition(&fed(), Coalition::grand(1), &wl, &config(None));
-        let flaky = run_coalition(
+        let reliable = run_clean(&fed(), Coalition::grand(1), &wl, &config(None));
+        let flaky = run_clean(
             &fed(),
             Coalition::grand(1),
             &wl,
@@ -993,8 +968,8 @@ mod churn_tests {
     #[test]
     fn mild_churn_is_mild() {
         let wl = Workload::single(ExperimentClass::simple("e", 2.0, 1.0), 1.0, 0.5);
-        let reliable = run_coalition(&fed(), Coalition::grand(1), &wl, &config(None));
-        let mild = run_coalition(
+        let reliable = run_clean(&fed(), Coalition::grand(1), &wl, &config(None));
+        let mild = run_clean(
             &fed(),
             Coalition::grand(1),
             &wl,
@@ -1015,8 +990,8 @@ mod churn_tests {
             mtbf: 10.0,
             mttr: 2.0,
         }));
-        let a = run_coalition(&fed(), Coalition::grand(1), &wl, &cfg);
-        let b = run_coalition(&fed(), Coalition::grand(1), &wl, &cfg);
+        let a = run_clean(&fed(), Coalition::grand(1), &wl, &cfg);
+        let b = run_clean(&fed(), Coalition::grand(1), &wl, &cfg);
         assert_eq!(a.total_utility, b.total_utility);
         assert_eq!(a.disrupted_slivers, b.disrupted_slivers);
     }
@@ -1050,10 +1025,10 @@ mod p2p_measured_tests {
             churn: None,
         };
         // A alone: 4 locations < 7 needed ⇒ its users get nothing.
-        let alone = run_coalition(&fed, Coalition::singleton(0), &wl, &cfg);
+        let alone = run_clean(&fed, Coalition::singleton(0), &wl, &cfg);
         assert_eq!(alone.per_authority_utility[0], 0.0);
         // Federated: A's users are served.
-        let grand = run_coalition(&fed, Coalition::grand(2), &wl, &cfg);
+        let grand = run_clean(&fed, Coalition::grand(2), &wl, &cfg);
         assert!(grand.per_authority_utility[0] > 0.0);
         assert!(grand.per_authority_utility[1] > 0.0);
         // Per-authority utilities add up to total for fully-owned loads.
@@ -1071,7 +1046,7 @@ mod p2p_measured_tests {
             seed: 5,
             churn: None,
         };
-        let r = run_coalition(&fed, Coalition::grand(1), &wl, &cfg);
+        let r = run_clean(&fed, Coalition::grand(1), &wl, &cfg);
         assert!(r.total_utility > 0.0);
         assert_eq!(r.per_authority_utility[0], 0.0);
     }
@@ -1105,7 +1080,7 @@ mod fault_tests {
 
     #[test]
     fn empty_plan_matches_plain_run() {
-        let plain = run_coalition(&fed(), Coalition::grand(2), &wl(), &cfg());
+        let plain = run_clean(&fed(), Coalition::grand(2), &wl(), &cfg());
         let faulted =
             run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &FaultPlan::new())
                 .unwrap();
@@ -1154,7 +1129,7 @@ mod fault_tests {
         let plan = FaultPlan::new().authority_departure(1, 0.0);
         let departed =
             run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &plan).unwrap();
-        let without = run_coalition(&fed(), Coalition::singleton(0), &wl(), &cfg());
+        let without = run_clean(&fed(), Coalition::singleton(0), &wl(), &cfg());
         assert_eq!(departed.report.total_utility, without.total_utility);
         assert_eq!(departed.report.admitted, without.admitted);
     }
@@ -1191,7 +1166,7 @@ mod fault_tests {
             .retry_policy(0, 1.0);
         let denied =
             run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &stubborn).unwrap();
-        let without = run_coalition(&fed(), Coalition::singleton(0), &wl(), &cfg());
+        let without = run_clean(&fed(), Coalition::singleton(0), &wl(), &cfg());
         assert_eq!(denied.report.total_utility, without.total_utility);
         assert_eq!(denied.credential_retries, 0);
 
@@ -1202,7 +1177,7 @@ mod fault_tests {
             .retry_policy(3, 2.0); // retries at +2, +4, +8 — past any point of the window
         let retried =
             run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &transient).unwrap();
-        let clean = run_coalition(&fed(), Coalition::grand(2), &wl(), &cfg());
+        let clean = run_clean(&fed(), Coalition::grand(2), &wl(), &cfg());
         assert_eq!(retried.report.total_utility, clean.total_utility);
         assert!(retried.credential_retries > 0);
     }
@@ -1239,10 +1214,10 @@ mod fault_tests {
         let measured =
             empirical_game_diagnosed(&fed(), &wl(), &cfg(), &FaultPlan::new()).unwrap();
         assert!(measured.diagnostics.is_clean());
-        let plain = empirical_game(&fed(), &wl(), &cfg());
-        for c in Coalition::all(2) {
+        for c in Coalition::all(2).filter(|c| !c.is_empty()) {
             use fedval_coalition::WideGame;
-            assert_eq!(measured.game.value(c), plain.value(c));
+            let plain = run_clean(&fed(), c, &wl(), &cfg());
+            assert_eq!(measured.game.value(c), plain.total_utility);
         }
     }
 

@@ -1,11 +1,11 @@
 //! The user-facing slice API: create, inspect, and delete slices against
 //! a live federation state.
 //!
-//! The batch simulator ([`crate::run_coalition`]) replays workloads; this
-//! module is the *interactive* counterpart — the operations PlanetLab
-//! exposes to researchers (§1.2: "a slice consists of one virtual machine
-//! on each of a set of nodes"), with SFA-style credential checks and
-//! MySlice-style node selection.
+//! The batch simulator ([`crate::run_coalition_faulted`]) replays
+//! workloads; this module is the *interactive* counterpart — the
+//! operations PlanetLab exposes to researchers (§1.2: "a slice consists of
+//! one virtual machine on each of a set of nodes"), with SFA-style
+//! credential checks and MySlice-style node selection.
 
 use crate::federation::{Credential, Federation};
 use crate::selection::{select, NodeQuery};

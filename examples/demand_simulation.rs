@@ -19,10 +19,11 @@
 
 use fedval::desim::{erlang_b, offered_load};
 use fedval::{
-    run_coalition, synthetic_authority, Coalition, ExperimentClass, Federation, SimConfig, Workload,
+    run_coalition_faulted, synthetic_authority, Coalition, ExperimentClass, FaultPlan, Federation,
+    SimConfig, Workload,
 };
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Pooling gain on a capacity workload --------------------------
     // Two identical authorities; a slice needs exactly one location
     // (threshold 0, max 1 location) so each sliver is one "server":
@@ -45,12 +46,16 @@ fn main() {
         churn: None,
     };
 
+    let clean = FaultPlan::new();
+    let run = |coalition, workload: &Workload| {
+        run_coalition_faulted(&federation, coalition, workload, &config, &clean)
+    };
     // Each authority alone faces half the arrivals.
     let alone_wl = Workload::single(single_location.clone(), lambda / 2.0, holding);
-    let alone = run_coalition(&federation, Coalition::singleton(0), &alone_wl, &config);
+    let alone = run(Coalition::singleton(0), &alone_wl)?.report;
     // The federation faces the combined stream.
     let pooled_wl = Workload::single(single_location, lambda, holding);
-    let pooled = run_coalition(&federation, Coalition::grand(2), &pooled_wl, &config);
+    let pooled = run(Coalition::grand(2), &pooled_wl)?.report;
 
     let a_each = offered_load(lambda / 2.0, holding);
     let b_alone = erlang_b(a_each, servers_each);
@@ -80,7 +85,7 @@ fn main() {
     );
     for hold in [0.25, 0.5, 1.0, 2.0, 4.0] {
         let wl = Workload::single(diversity_class.clone(), 2.0, hold);
-        let r = run_coalition(&federation, Coalition::grand(2), &wl, &config);
+        let r = run(Coalition::grand(2), &wl)?.report;
         println!(
             "{hold:>12.2} {:>14.0} {:>10.4}",
             r.total_utility,
@@ -91,4 +96,5 @@ fn main() {
     println!("Shorter holding times (the paper's small t) let the same nodes host");
     println!("many more diversity-hungry experiments: the multiplexing dimension");
     println!("that makes federation super-additive (§3.2.1).");
+    Ok(())
 }

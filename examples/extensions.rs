@@ -17,7 +17,7 @@ use fedval::{
     FederationScenario, TableGame,
 };
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Overlap: shared locations add capacity, not diversity -------
     println!("== overlap discounts diversity ==");
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0));
@@ -42,13 +42,11 @@ fn main() {
     println!("== availability discounts shares ==");
     let facilities = paper_facilities([1, 1, 1]);
     let base = FederationGame::new(&facilities, &demand);
-    let base_table = TableGame::from_game(&base);
+    let base_table = TableGame::try_from_game(&base)?;
     println!("{:>18} {:>26}", "T = (1, 1, 1)", "T = (1, 0.5, 1)");
     let reliable = shapley_normalized(&base_table);
-    let flaky = shapley_normalized(&TableGame::from_game(&AvailabilityGame::new(
-        base_table.clone(),
-        vec![1.0, 0.5, 1.0],
-    )));
+    let flaky_game = AvailabilityGame::try_new(base_table.clone(), vec![1.0, 0.5, 1.0])?;
+    let flaky = shapley_normalized(&TableGame::try_from_game(&flaky_game)?);
     for i in 0..3 {
         println!(
             "facility {}: {:>7.4} {:>26.4}",
@@ -94,6 +92,7 @@ fn main() {
     println!("The Owen quotient property makes the two levels consistent: each");
     println!("authority's sites jointly receive exactly its top-level share, so");
     println!("local and global federation policies cannot contradict each other.");
+    Ok(())
 }
 
 fn rounded(v: &[f64]) -> Vec<f64> {

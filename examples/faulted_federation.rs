@@ -15,7 +15,7 @@
 use fedval::coalition::WideGame;
 use fedval::testbed::SimConfig;
 use fedval::{
-    empirical_game_diagnosed, policy_report_measured, shapley_normalized, synthetic_authority,
+    empirical_game_diagnosed, shapley_normalized, synthetic_authority, try_policy_report_measured,
     Coalition, Demand, ExperimentClass, FaultPlan, Federation, FederationScenario, Workload,
 };
 
@@ -71,12 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {name}: {share:.4}");
     }
 
-    let scenario = FederationScenario::from_measured(
+    let scenario = FederationScenario::try_from_measured(
         federation.facilities(),
         Demand::one_experiment(ExperimentClass::simple("exp", 3.0, 1.0)),
         measured.game.clone(),
-    );
-    let report = policy_report_measured(&scenario, measured.diagnostics.clone());
+    )?;
+    let report = try_policy_report_measured(&scenario, measured.diagnostics.clone())?;
     println!("\n{}", report.render());
     Ok(())
 }

@@ -13,11 +13,11 @@
 
 use fedval::testbed::{ClassLoad, Churn};
 use fedval::{
-    run_coalition, synthetic_authority, Coalition, ExperimentClass, Federation, SimConfig,
-    Workload,
+    run_coalition_faulted, synthetic_authority, Coalition, ExperimentClass, FaultPlan, Federation,
+    SimConfig, Workload,
 };
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // PLE researchers run wide measurement overlays; PLC users mostly run
     // small P2P experiments; PLJ users run mid-size CDN-ish slices.
     let federation = Federation::new(vec![
@@ -41,9 +41,13 @@ fn main() {
 
     println!("== utility delivered to each authority's users ==");
     println!("{:>6} {:>12} {:>12} {:>10}", "", "alone", "federated", "gain");
-    let grand = run_coalition(&federation, Coalition::grand(3), &workload, &config);
+    let clean = FaultPlan::new();
+    let run = |coalition, config: &SimConfig| {
+        run_coalition_faulted(&federation, coalition, &workload, config, &clean)
+    };
+    let grand = run(Coalition::grand(3), &config)?.report;
     for (i, a) in federation.authorities().iter().enumerate() {
-        let alone = run_coalition(&federation, Coalition::singleton(i), &workload, &config);
+        let alone = run(Coalition::singleton(i), &config)?.report;
         let own = alone.per_authority_utility[i];
         let fed = grand.per_authority_utility[i];
         let gain = if own > 0.0 {
@@ -71,11 +75,12 @@ fn main() {
         }),
         ..config
     };
-    let grand_flaky = run_coalition(&federation, Coalition::grand(3), &workload, &flaky);
+    let grand_flaky = run(Coalition::grand(3), &flaky)?.report;
     println!(
         "federated utility: {:.0} (reliable) vs {:.0} (flaky), {} slivers disrupted",
         grand.total_utility, grand_flaky.total_utility, grand_flaky.disrupted_slivers
     );
     println!("Unreliable nodes shave delivered utility — the §2.1 availability");
     println!("attribute Tᵢ, observed rather than assumed.");
+    Ok(())
 }

@@ -15,11 +15,11 @@
 
 use fedval::testbed::ClassLoad;
 use fedval::{
-    empirical_game, shapley_normalized, synthetic_authority, Coalition, ExperimentClass,
-    Federation, SimConfig, WideGame, Workload,
+    empirical_game_diagnosed, shapley_normalized, synthetic_authority, Coalition, ExperimentClass,
+    FaultPlan, Federation, SimConfig, WideGame, Workload,
 };
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three top-level authorities, deliberately asymmetric in geography:
     // PLC has many sites; PLE fewer but denser; PLJ is small.
     let federation = Federation::new(vec![
@@ -78,7 +78,7 @@ fn main() {
         seed: 2010,
         churn: None,
     };
-    let game = empirical_game(&federation, &workload, &config);
+    let game = empirical_game_diagnosed(&federation, &workload, &config, &FaultPlan::new())?.game;
     for c in Coalition::all(3).filter(|c| !c.is_empty()) {
         let members: Vec<&str> = c
             .players()
@@ -114,4 +114,5 @@ fn main() {
     println!("at least one partner — so the smaller authorities' *locations* are");
     println!("worth more than their raw capacity share, which is exactly the");
     println!("\"value of diversity\" the Shapley decomposition surfaces.");
+    Ok(())
 }

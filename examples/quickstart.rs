@@ -13,10 +13,11 @@
 )]
 
 use fedval::{
-    is_core_nonempty, paper_facilities, policy_report, Demand, ExperimentClass, FederationScenario,
+    is_core_nonempty, paper_facilities, try_policy_report, Demand, ExperimentClass,
+    FederationScenario,
 };
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The federation: L = (100, 400, 800) locations, one unit of capacity
     // per location (R = 1).
     let facilities = paper_facilities([1, 1, 1]);
@@ -50,9 +51,10 @@ fn main() {
     println!("under proportional sharing: proportional over-rewards raw volume");
     println!("and ignores that facility 2 cannot serve the customer without help.\n");
 
-    println!("core non-empty: {}", is_core_nonempty(scenario.game()));
+    println!("core non-empty: {}", is_core_nonempty(scenario.game())?);
     println!();
 
     println!("== full policy report ==");
-    println!("{}", policy_report(&scenario).render());
+    println!("{}", try_policy_report(&scenario)?.render());
+    Ok(())
 }

@@ -228,6 +228,15 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if opts.capacities.len() != opts.locations.len() {
         return Err("--capacities must match --locations in length".to_string());
     }
+    if opts.capacities.contains(&0) {
+        return Err("--capacities must each be at least 1".to_string());
+    }
+    if !(opts.threshold.is_finite() && opts.threshold >= 0.0) {
+        return Err("--threshold must be finite and at least 0".to_string());
+    }
+    if !(opts.shape.is_finite() && opts.shape > 0.0) {
+        return Err("--shape must be finite and positive".to_string());
+    }
     if let Some(epsilon) = epsilon {
         if !samples_overridden {
             // Normalized shares live in [0, 1], so `range = 1`; the

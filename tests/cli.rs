@@ -68,6 +68,26 @@ fn bad_input_fails_with_usage() {
 }
 
 #[test]
+fn hostile_numbers_are_usage_errors() {
+    for (args, flag) in [
+        (&["shares", "--threshold", "nan"][..], "--threshold"),
+        (&["shares", "--threshold", "-5"], "--threshold"),
+        (&["report", "--threshold", "inf"], "--threshold"),
+        (&["shares", "--shape", "-1"], "--shape"),
+        (&["values", "--capacities", "0,1,1"], "--capacities"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn nucleolus_scheme_via_cli() {
     let (stdout, _, ok) = fedval(&["shares", "--scheme", "nucleolus"]);
     assert!(ok);

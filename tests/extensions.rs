@@ -2,7 +2,9 @@
 //! availability (§2.1 `Tᵢ`), weighted Shapley (user-base weights), the
 //! Bondareva–Shapley duality, and hierarchical (Owen) sharing.
 
-use fedval::coalition::{balancedness, is_balanced, owen_value, quotient_game, weighted_shapley};
+use fedval::coalition::{
+    is_balanced, owen_value, quotient_game, try_balancedness, weighted_shapley,
+};
 use fedval::core::{block_overlap, diversity_discount, AvailabilityGame, IndependentCoverage};
 use fedval::policy::hierarchical_shapley;
 use fedval::{
@@ -49,11 +51,12 @@ fn sampled_overlap_model_tracks_expectations() {
 fn availability_game_matches_hand_expectation_on_worked_example() {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = worked_demand();
-    let base = TableGame::from_game(&FederationGame::new(&facilities, &demand));
-    let game = AvailabilityGame::new(base, vec![1.0, 0.5, 1.0]);
+    let base =
+        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
+    let game = AvailabilityGame::try_new(base, vec![1.0, 0.5, 1.0]).expect("valid");
     // V_T(N) = .5·V({1,2,3}) + .5·V({1,3}) = 650 + 450 = 1100.
     assert!((game.grand_value() - 1100.0).abs() < 1e-9);
-    let phi_hat = shapley_normalized(&TableGame::from_game(&game));
+    let phi_hat = shapley_normalized(&TableGame::try_from_game(&game).expect("3 facilities"));
     assert!((phi_hat[1] - 1.0 / 11.0).abs() < 1e-9);
 }
 
@@ -61,7 +64,8 @@ fn availability_game_matches_hand_expectation_on_worked_example() {
 fn weighted_shapley_biases_toward_user_heavy_facilities() {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = worked_demand();
-    let game = TableGame::from_game(&FederationGame::new(&facilities, &demand));
+    let game =
+        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
     let unweighted = shapley(&game);
     // Facility 1 carries 10× the users of the others (the Uᵢ dimension).
     let weighted = weighted_shapley(&game, &[10.0, 1.0, 1.0]);
@@ -80,12 +84,12 @@ fn bondareva_duality_agrees_with_least_core_on_federation_games() {
         );
         let game = scenario.game();
         assert_eq!(
-            is_balanced(game),
-            is_core_nonempty(game),
+            is_balanced(game).expect("3 facilities"),
+            is_core_nonempty(game).expect("3 facilities"),
             "duality mismatch at l = {l}"
         );
         // The balanced-cover certificate really covers every player once.
-        let b = balancedness(game);
+        let b = try_balancedness(game).expect("3 facilities");
         for i in 0..3 {
             let cover: f64 = b
                 .weights
@@ -132,10 +136,11 @@ fn owen_on_federation_game_respects_union_structure() {
         Facility::uniform("c", 8, 6, 1),
     ];
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 9.0, 1.0));
-    let game = TableGame::from_game(&FederationGame::new(&facilities, &demand));
+    let game =
+        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
     let unions = [Coalition::from_players([0, 1]), Coalition::singleton(2)];
     let owen = owen_value(&game, &unions);
-    let quotient = quotient_game(&game, &unions);
+    let quotient = quotient_game(&game, &unions).expect("2 unions");
     let quotient_phi = shapley(&quotient);
     assert!((owen[0] + owen[1] - quotient_phi[0]).abs() < 1e-9);
     assert!((owen[2] - quotient_phi[1]).abs() < 1e-9);

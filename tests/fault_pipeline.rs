@@ -7,7 +7,7 @@ use fedval::coalition::WideGame;
 use fedval::core::ExperimentClass;
 use fedval::testbed::SimConfig;
 use fedval::{
-    empirical_game_diagnosed, policy_report_measured, shapley_normalized, synthetic_authority,
+    empirical_game_diagnosed, shapley_normalized, synthetic_authority, try_policy_report_measured,
     Coalition, Demand, FaultPlan, Federation, FederationScenario, Workload,
 };
 
@@ -65,12 +65,14 @@ fn faulted_pipeline_completes_with_finite_payoffs_and_diagnostics() {
     assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 
     // Policy report over the measured scenario, with diagnostics attached.
-    let scenario = FederationScenario::from_measured(
+    let scenario = FederationScenario::try_from_measured(
         fed.facilities(),
         Demand::one_experiment(ExperimentClass::simple("exp", 3.0, 1.0)),
         measured.game.clone(),
-    );
-    let report = policy_report_measured(&scenario, measured.diagnostics.clone());
+    )
+    .expect("3 players for 3 facilities");
+    let report =
+        try_policy_report_measured(&scenario, measured.diagnostics.clone()).expect("3 facilities");
     let payoffs = scenario.payoffs(&shares);
     assert!(payoffs.iter().all(|p| p.is_finite()));
     assert!((payoffs.iter().sum::<f64>() - scenario.grand_value()).abs() < 1e-9);
@@ -103,12 +105,14 @@ fn degraded_pipeline_survives_a_poisoned_plan() {
     // The fallback game is still superadditive enough to report on.
     let shares = shapley_normalized(&measured.game);
     assert!(shares.iter().all(|s| s.is_finite()));
-    let scenario = FederationScenario::from_measured(
+    let scenario = FederationScenario::try_from_measured(
         fed.facilities(),
         Demand::one_experiment(ExperimentClass::simple("exp", 2.0, 1.0)),
         measured.game.clone(),
-    );
-    let report = policy_report_measured(&scenario, measured.diagnostics.clone());
+    )
+    .expect("3 players for 3 facilities");
+    let report =
+        try_policy_report_measured(&scenario, measured.diagnostics.clone()).expect("3 facilities");
     let text = report.render();
     assert!(text.contains("warning:"), "fallbacks are disclosed: {text}");
 }

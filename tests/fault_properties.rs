@@ -3,7 +3,7 @@
 //! authority departure must never increase any coalition's measured
 //! value (monotone degradation).
 
-use fedval::testbed::{run_coalition, run_coalition_faulted, Churn, SimConfig};
+use fedval::testbed::{run_coalition_faulted, Churn, SimConfig};
 use fedval::{synthetic_authority, Coalition, ExperimentClass, FaultPlan, Federation, Workload};
 use fedval_desim::{Distribution, Exponential, SimRng};
 use proptest::prelude::*;
@@ -63,7 +63,9 @@ proptest! {
         let plan = FaultPlan::new().authority_departure(1, depart_at);
         for mask in 1u64..4 {
             let c = Coalition(mask);
-            let clean = run_coalition(&fed, c, &wl, &cfg);
+            let clean = run_coalition_faulted(&fed, c, &wl, &cfg, &FaultPlan::new())
+                .expect("a clean run always runs")
+                .report;
             let faulted = run_coalition_faulted(&fed, c, &wl, &cfg, &plan)
                 .expect("valid plan always runs");
             prop_assert!(

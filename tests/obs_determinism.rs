@@ -13,7 +13,7 @@
 //! process-global: parallel test threads would interleave their records.
 
 use fedval::{
-    empirical_game_diagnosed, paper_facilities, policy_report, synthetic_authority, Demand,
+    empirical_game_diagnosed, paper_facilities, synthetic_authority, try_policy_report, Demand,
     ExperimentClass, FaultPlan, Federation, FederationScenario, SimConfig, Workload,
 };
 use fedval_obs::{MetricsSnapshot, RecordingSink};
@@ -35,7 +35,7 @@ fn traced_run() -> String {
     );
     let _ = scenario.shapley_shares();
     let _ = scenario.nucleolus_shares();
-    let _ = policy_report(&scenario).render();
+    let _ = try_policy_report(&scenario).expect("3 facilities").render();
 
     // Seeded faulted measurement: exercises the testbed counters, fault
     // events, and the desim engine counters.

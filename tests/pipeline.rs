@@ -5,9 +5,9 @@
 use fedval::desim::{erlang_b, Distribution, Exponential, SimRng, Simulator};
 use fedval::testbed::ClassLoad;
 use fedval::{
-    empirical_game, paper_facilities, run_coalition, shapley_normalized, synthetic_authority,
-    Coalition, Demand, ExperimentClass, Federation, FederationScenario, SimConfig, WideGame,
-    Workload,
+    empirical_game_diagnosed, paper_facilities, run_coalition_faulted, shapley_normalized,
+    synthetic_authority, Coalition, Demand, ExperimentClass, FaultPlan, Federation,
+    FederationScenario, SimConfig, WideGame, Workload,
 };
 
 #[test]
@@ -37,7 +37,9 @@ fn measured_shapley_shares_are_a_probability_vector() {
         seed: 5,
         churn: None,
     };
-    let game = empirical_game(&federation, &workload, &config);
+    let game = empirical_game_diagnosed(&federation, &workload, &config, &FaultPlan::new())
+        .expect("at most 16 authorities")
+        .game;
     let shares = shapley_normalized(&game);
     assert_eq!(shares.len(), 3);
     assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -76,7 +78,9 @@ fn diversity_premium_appears_in_both_routes() {
         seed: 17,
         churn: None,
     };
-    let game = empirical_game(&federation, &workload, &config);
+    let game = empirical_game_diagnosed(&federation, &workload, &config, &FaultPlan::new())
+        .expect("at most 16 authorities")
+        .game;
     let measured_phi = shapley_normalized(&game);
     let capacity: Vec<f64> = federation
         .authorities()
@@ -105,7 +109,9 @@ fn federation_never_hurts_in_the_measured_game() {
         seed: 23,
         churn: None,
     };
-    let game = empirical_game(&federation, &workload, &config);
+    let game = empirical_game_diagnosed(&federation, &workload, &config, &FaultPlan::new())
+        .expect("at most 16 authorities")
+        .game;
     let grand = game.grand_value();
     for c in Coalition::all(2) {
         assert!(game.value(c) <= grand + 1e-9);
@@ -124,7 +130,8 @@ fn des_blocking_matches_erlang_b() {
         Arrival,
         Departure,
     }
-    sim.schedule(arrival.sample(&mut rng), Ev::Arrival);
+    sim.try_schedule(arrival.sample(&mut rng), Ev::Arrival)
+        .expect("exponential gaps are finite");
     let (mut busy, mut arrivals, mut blocked) = (0usize, 0u64, 0u64);
     while let Some((now, ev)) = sim.next_event() {
         if now > 50_000.0 {
@@ -135,11 +142,13 @@ fn des_blocking_matches_erlang_b() {
                 arrivals += 1;
                 if busy < servers {
                     busy += 1;
-                    sim.schedule_at(now + service.sample(&mut rng), Ev::Departure);
+                    sim.try_schedule_at(now + service.sample(&mut rng), Ev::Departure)
+                        .expect("service times are finite");
                 } else {
                     blocked += 1;
                 }
-                sim.schedule_at(now + arrival.sample(&mut rng), Ev::Arrival);
+                sim.try_schedule_at(now + arrival.sample(&mut rng), Ev::Arrival)
+                    .expect("exponential gaps are finite");
             }
             Ev::Departure => busy -= 1,
         }
@@ -167,7 +176,10 @@ fn testbed_sim_agrees_with_erlang_on_single_location_class() {
         seed: 41,
         churn: None,
     };
-    let report = run_coalition(&federation, Coalition::grand(1), &workload, &config);
+    let plan = FaultPlan::new();
+    let report = run_coalition_faulted(&federation, Coalition::grand(1), &workload, &config, &plan)
+        .expect("a well-formed workload runs")
+        .report;
     let analytic = erlang_b(lambda, servers);
     assert!(
         (report.blocking_probability(0) - analytic).abs() < 0.02,

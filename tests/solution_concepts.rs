@@ -6,7 +6,7 @@ use fedval::coalition::{
     TableGame,
 };
 use fedval::{
-    is_core_nonempty, nucleolus, shapley, try_approx_shapley_wide, ApproxConfig, Coalition,
+    is_core_nonempty, shapley, try_approx_shapley_wide, try_nucleolus, ApproxConfig, Coalition,
     WideGame,
 };
 use proptest::prelude::*;
@@ -25,14 +25,17 @@ fn random_positive_game(n: usize) -> impl Strategy<Value = TableGame> {
 fn random_threshold_game() -> impl Strategy<Value = TableGame> {
     (prop::collection::vec(1u32..1000, 3..=4), 0u32..2500).prop_map(|(contribs, threshold)| {
         let n = contribs.len();
-        TableGame::from_fn(n, move |c: Coalition| {
-            let total: u32 = c.players().map(|p| contribs[p]).sum();
-            if total > threshold {
-                f64::from(total)
-            } else {
-                0.0
-            }
-        })
+        let values = Coalition::all(n)
+            .map(|c| {
+                let total: u32 = c.players().map(|p| contribs[p]).sum();
+                if total > threshold {
+                    f64::from(total)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        TableGame::from_values(n, values)
     })
 }
 
@@ -57,16 +60,16 @@ proptest! {
         let props = analyze(&game, 1e-7);
         prop_assert!(props.convex);
         prop_assert!(props.superadditive);
-        prop_assert!(is_core_nonempty(&game));
+        prop_assert!(is_core_nonempty(&game).expect("4 players"));
         let phi = shapley(&game);
         prop_assert!(is_in_core(&game, &phi, 1e-6));
     }
 
     #[test]
     fn nucleolus_is_efficient_and_in_core_when_nonempty(game in random_threshold_game()) {
-        let nu = nucleolus(&game);
+        let nu = try_nucleolus(&game).expect("3–4 players");
         prop_assert!((nu.iter().sum::<f64>() - game.grand_value()).abs() < 1e-5);
-        if is_core_nonempty(&game) {
+        if is_core_nonempty(&game).expect("3–4 players") {
             prop_assert!(is_in_core(&game, &nu, 1e-5));
         }
     }
@@ -109,10 +112,11 @@ proptest! {
         contrib in 1u32..500,
         threshold in 0u32..1600,
     ) {
-        let game = TableGame::from_fn(3, move |c: Coalition| {
+        let game = TableGame::try_from_fn(3, move |c: Coalition| {
             let total = contrib * u32::try_from(c.len()).unwrap();
             if total > threshold { f64::from(total) } else { 0.0 }
-        });
+        })
+        .expect("3 players");
         let phi = shapley(&game);
         prop_assert!((phi[0] - phi[1]).abs() < 1e-9);
         prop_assert!((phi[1] - phi[2]).abs() < 1e-9);

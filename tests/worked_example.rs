@@ -3,8 +3,8 @@
 //! across crates.
 
 use fedval::{
-    is_core_nonempty, least_core, nucleolus, paper_facilities, shapley_normalized, Coalition,
-    Demand, ExperimentClass, FederationScenario, SharingScheme,
+    is_core_nonempty, paper_facilities, shapley_normalized, try_least_core, try_nucleolus,
+    Coalition, Demand, ExperimentClass, FederationScenario, SharingScheme,
 };
 
 fn scenario(l: f64) -> FederationScenario {
@@ -71,13 +71,16 @@ fn solution_concepts_are_consistent_on_the_worked_example() {
     }
 
     // Nucleolus is efficient and individually rational here.
-    let nu = nucleolus(game);
+    let nu = try_nucleolus(game).expect("3 facilities");
     assert!((nu.iter().sum::<f64>() - 1300.0).abs() < 1e-6);
     assert!(nu[2] >= 800.0 - 1e-6, "facility 3 can claim 800 alone");
 
     // The least-core ε and core emptiness agree.
-    let lc = least_core(game);
-    assert_eq!(lc.epsilon <= 1e-7, is_core_nonempty(game));
+    let lc = try_least_core(game).expect("3 facilities");
+    assert_eq!(
+        lc.epsilon <= 1e-7,
+        is_core_nonempty(game).expect("3 facilities")
+    );
 }
 
 #[test]
