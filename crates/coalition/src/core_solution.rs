@@ -7,13 +7,17 @@
 //! C = { v : Σᵢ vᵢ = V(N)  and  Σ_{i∈S} vᵢ ≥ V(S)  ∀ S ⊆ N }
 //! ```
 //!
-//! Emptiness is decided by solving the *least-core* LP — minimize the
-//! uniform relaxation ε such that `x(S) ≥ V(S) − ε` for every proper
-//! non-empty coalition. The core is non-empty iff the optimum ε\* ≤ 0.
+//! Emptiness is decided by the *least core*: the smallest uniform
+//! relaxation ε such that `x(S) ≥ V(S) − ε` for every proper non-empty
+//! coalition. The core is non-empty iff the optimum ε\* ≤ 0.
 //!
-//! The LP has `2^n − 2` constraints, so exact core computations are
-//! practical for `n ≤ ~12` players — far beyond the paper's top-level
-//! PlanetLab federations (PLC, PLE, PLJ, plus a few joining testbeds).
+//! The least-core LP is solved in column form (its dual): `n + 1` rows and
+//! one column per proper coalition, with the allocation read off the row
+//! duals. The nucleolus ([`crate::try_nucleolus`]) runs the same stage LP
+//! repeatedly. With `2^n − 2` columns, exact core computations stay
+//! practical up to [`LEAST_CORE_MAX_PLAYERS`] players — far beyond the
+//! paper's top-level PlanetLab federations (PLC, PLE, PLJ, plus a few
+//! joining testbeds).
 
 use crate::coalition::Coalition;
 use crate::error::GameError;
@@ -58,16 +62,17 @@ pub fn excess<G: WideGame>(game: &G, x: &[f64], s: Coalition) -> f64 {
 }
 
 /// Largest player count the least-core (and balancedness) LP formulations
-/// enumerate: the LP has `2^n − 2` rows, so 16 players already means 65534
-/// constraints. Above this cap use the sampled Shapley estimators
-/// ([`crate::shapley_auto_wide`]) — core membership has no sampled analogue here.
+/// enumerate: the LP has a column per proper coalition, so 16 players
+/// already means 65534 columns. Above this cap use the sampled Shapley
+/// estimators ([`crate::shapley_auto_wide`]) — core membership has no
+/// sampled analogue here.
 pub const LEAST_CORE_MAX_PLAYERS: usize = 16;
 
 /// Solves the least-core LP.
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::TooManyPlayers`]
-/// above [`LEAST_CORE_MAX_PLAYERS`] players (`2^n` LP rows), or
+/// above [`LEAST_CORE_MAX_PLAYERS`] players (`2^n` LP columns), or
 /// [`GameError::MalformedLp`] when the characteristic function produces NaN
 /// or infinite values.
 pub fn try_least_core<G: WideGame>(game: &G) -> Result<LeastCore, GameError> {
@@ -90,62 +95,104 @@ pub fn try_least_core<G: WideGame>(game: &G) -> Result<LeastCore, GameError> {
         });
     }
 
-    // Variables: free xᵢ (as plus/minus pairs) and free ε.
-    let mut lp = LinearProgram::new(0, Objective::Minimize);
-    let x_pairs: Vec<(usize, usize)> = (0..n).map(|_| lp.add_free_variable_pair()).collect();
-    let eps_pair = lp.add_free_variable_pair();
-    lp.set_objective_coefficient(eps_pair.0, 1.0);
-    lp.set_objective_coefficient(eps_pair.1, -1.0);
-
-    let n_vars = lp.n_vars();
-    let coalition_row = |s: Coalition, with_eps: bool| -> Vec<f64> {
-        let mut row = vec![0.0; n_vars];
-        for p in s.players() {
-            row[x_pairs[p].0] = 1.0;
-            row[x_pairs[p].1] = -1.0;
-        }
-        if with_eps {
-            row[eps_pair.0] = 1.0;
-            row[eps_pair.1] = -1.0;
-        }
-        row
-    };
-
-    // x(S) + ε ≥ V(S) for all proper non-empty S.
     let grand = Coalition::grand(n);
-    for s in Coalition::all(n) {
-        if s.is_empty() || s == grand {
-            continue;
-        }
-        lp.add_constraint(coalition_row(s, true), Relation::Ge, game.value(s));
-    }
-    // Efficiency: x(N) = V(N).
-    lp.add_constraint(
-        coalition_row(grand, false),
-        Relation::Eq,
-        game.grand_value(),
-    );
+    let proper: Vec<Coalition> = Coalition::all(n)
+        .filter(|&s| !s.is_empty() && s != grand)
+        .collect();
+    let stage = solve_stage(game, &proper, &[(grand, game.grand_value())], "least core")?;
+    Ok(LeastCore {
+        epsilon: stage.epsilon,
+        allocation: stage.allocation,
+    })
+}
 
-    let sol = lp.solve().map_err(|source| GameError::MalformedLp {
-        context: "least core",
-        source,
-    })?;
-    // The LP is always feasible (spread V(N) evenly, take ε large) and
-    // bounded (ε ≥ max excess at any efficient point), so anything but
-    // Optimal is a numerical failure worth surfacing.
+/// The optimum of one least-core stage LP.
+pub(crate) struct Stage {
+    /// The smallest achievable largest excess over the active coalitions.
+    pub epsilon: f64,
+    /// An allocation attaining it.
+    pub allocation: Vec<f64>,
+    /// The optimal dual weight `y_S` of each active coalition, in order.
+    pub weights: Vec<f64>,
+}
+
+/// Minimizes the largest excess over the `active` coalitions while every
+/// `frozen` pair `(T, v)` keeps `x(T) = v`; the grand coalition must be
+/// among them, at `V(N)`.
+///
+/// The stage LP `min ε s.t. x(S) + ε ≥ V(S) (S active), x(T) = v (T
+/// frozen)` has a row per coalition, so it is solved in column form, as
+/// its dual:
+///
+/// ```text
+/// maximize   Σ_S y_S·V(S) + Σ_T z_T·v_T
+/// subject to Σ_{S∋i} y_S + Σ_{T∋i} z_T = 0   for every player i
+///            Σ_S y_S = 1,   y ≥ 0,   z free
+/// ```
+///
+/// That LP has `n + 1` rows. Its optimum is ε, and its row duals on the
+/// player rows are an optimal allocation. The weights `y` certify which
+/// coalitions are tight: by complementary slackness, `y_S > 0` means
+/// `x(S) + ε = V(S)` at every optimum of the stage.
+///
+/// The LP is feasible and bounded whenever `active` is closed under
+/// complements, as it is for both callers: a proper `S` and `N \ S` cannot
+/// both gain from the same move of an efficient `x`.
+pub(crate) fn solve_stage<G: WideGame>(
+    game: &G,
+    active: &[Coalition],
+    frozen: &[(Coalition, f64)],
+    context: &'static str,
+) -> Result<Stage, GameError> {
+    let n = game.n_players();
+    let mut lp = LinearProgram::new(active.len(), Objective::Maximize);
+    for (k, &s) in active.iter().enumerate() {
+        lp.set_objective_coefficient(k, game.value(s));
+    }
+    let pairs: Vec<(usize, usize)> = frozen
+        .iter()
+        .map(|&(_, v)| {
+            let pair = lp.add_free_variable_pair();
+            lp.set_objective_coefficient(pair.0, v);
+            lp.set_objective_coefficient(pair.1, -v);
+            pair
+        })
+        .collect();
+    let n_vars = lp.n_vars();
+    for i in 0..n {
+        let mut row = vec![0.0; n_vars];
+        for (k, s) in active.iter().enumerate() {
+            if s.contains(i) {
+                row[k] = 1.0;
+            }
+        }
+        for (&(t, _), &(plus, minus)) in frozen.iter().zip(&pairs) {
+            if t.contains(i) {
+                row[plus] = 1.0;
+                row[minus] = -1.0;
+            }
+        }
+        lp.add_constraint(row, Relation::Eq, 0.0);
+    }
+    let mut total = vec![0.0; n_vars];
+    total[..active.len()].fill(1.0);
+    lp.add_constraint(total, Relation::Eq, 1.0);
+
+    let sol = lp
+        .solve()
+        .map_err(|source| GameError::MalformedLp { context, source })?;
+    // Feasible and bounded (see above), so anything but Optimal is a
+    // numerical failure worth surfacing.
     if sol.status != Status::Optimal {
         return Err(GameError::LpNotOptimal {
-            context: "least core",
+            context,
             status: sol.status,
         });
     }
-    let allocation = x_pairs
-        .iter()
-        .map(|&pair| LinearProgram::free_value(&sol.x, pair))
-        .collect();
-    Ok(LeastCore {
-        epsilon: LinearProgram::free_value(&sol.x, eps_pair),
-        allocation,
+    Ok(Stage {
+        epsilon: sol.objective,
+        allocation: sol.duals[..n].to_vec(),
+        weights: sol.x[..active.len()].to_vec(),
     })
 }
 

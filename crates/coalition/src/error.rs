@@ -30,8 +30,8 @@ pub enum GameError {
     ///
     /// | solver | cap | why |
     /// |---|---|---|
-    /// | `try_least_core` / `try_balancedness` (and `is_core_nonempty` / `is_balanced`) | [`LEAST_CORE_MAX_PLAYERS`](crate::LEAST_CORE_MAX_PLAYERS) = 16 | `2^n − 2` LP rows/columns |
-    /// | `try_nucleolus` | [`NUCLEOLUS_MAX_PLAYERS`](crate::NUCLEOLUS_MAX_PLAYERS) = 12 | cascade of `2^n`-row LPs |
+    /// | `try_least_core` / `try_balancedness` (and `is_core_nonempty` / `is_balanced`) | [`LEAST_CORE_MAX_PLAYERS`](crate::LEAST_CORE_MAX_PLAYERS) = 16 | `2^n − 2` LP columns |
+    /// | `try_nucleolus` | [`NUCLEOLUS_MAX_PLAYERS`](crate::NUCLEOLUS_MAX_PLAYERS) = 12 | up to `n − 1` LPs of `2^n` columns |
     /// | `TableGame::try_from_*`, `quotient_game` | [`TableGame::MAX_PLAYERS`](crate::TableGame::MAX_PLAYERS) = 25 | dense `2^n · f64` table |
     /// | exact Shapley auto-selection | [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) = 16 | `2^n` evaluations |
     ///

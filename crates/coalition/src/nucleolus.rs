@@ -1,5 +1,5 @@
-//! The nucleolus (Schmeidler 1969), computed with the classical successive
-//! linear-programming scheme.
+//! The nucleolus (Schmeidler 1969), computed with successive linear
+//! programs in column form.
 //!
 //! The nucleolus is the unique allocation that lexicographically minimizes
 //! the sorted vector of coalition excesses — "max-min fairness over
@@ -11,24 +11,34 @@
 //!
 //! # Algorithm
 //!
-//! Kopelowitz's successive LPs: minimize the maximal excess ε; among the
-//! optima, freeze the coalitions whose excess is ε in *every* optimum
-//! (detected with one auxiliary LP per candidate coalition); recurse on the
-//! remaining coalitions until the allocation is pinned down (the frozen
-//! equality system reaches rank `n`). Each LP has `O(2^n)` rows, so this is
-//! practical for the `n ≤ ~10` federations the paper targets.
+//! Kopelowitz's successive LPs: minimize the largest excess ε over the
+//! active coalitions; freeze coalitions whose excess is ε in *every*
+//! optimum; recurse on the rest until the frozen equalities pin the
+//! allocation down (their incidence vectors reach rank `n`).
+//!
+//! Each stage is the least-core LP over the active coalitions, solved in
+//! column form (`n + 1` rows, one column per active coalition; see the
+//! crate's least-core stage builder). Its optimal dual weights name the
+//! coalitions to freeze: by complementary slackness a coalition with
+//! positive weight is tight at every optimum (Kohlberg 1971; Benedek,
+//! Fliege & Nguyen, *Finding and verifying the nucleolus of cooperative
+//! games*, Math. Programming 2021), so no per-coalition test LP is needed.
+//! A stage freezes only coalitions independent of the frozen span, and the
+//! weights sum to 1 over active coalitions outside that span, so every
+//! stage raises the rank: at most `n − 1` stage LPs in all. Active
+//! coalitions that fall into the span have a fixed excess and are dropped.
 
 use crate::coalition::Coalition;
+use crate::core_solution::{excess, solve_stage};
 use crate::error::GameError;
 use crate::game::WideGame;
-use fedval_simplex::{LinearProgram, Objective, Relation, Status};
 
 /// Numerical tolerance for tightness decisions between LP stages.
 const TOL: f64 = 1e-7;
 
-/// Largest player count the nucleolus LP cascade enumerates: each of up to
-/// `n` stages solves an LP over the `2^n − 2` proper coalitions, so the cap
-/// sits lower than the single-shot least-core's
+/// Largest player count the nucleolus enumerates: each of up to `n − 1`
+/// stages solves an LP with a column per active coalition (up to
+/// `2^n − 2`), so the cap sits lower than the single-shot least-core's
 /// [`LEAST_CORE_MAX_PLAYERS`](crate::core_solution::LEAST_CORE_MAX_PLAYERS).
 /// Above it, use the sampled Shapley estimators ([`crate::shapley_auto_wide`])
 /// for sharing weights.
@@ -38,9 +48,8 @@ pub const NUCLEOLUS_MAX_PLAYERS: usize = 12;
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::TooManyPlayers`]
-/// above [`NUCLEOLUS_MAX_PLAYERS`] players (the LP cascade becomes
-/// impractical), [`GameError::MalformedLp`] when the characteristic
-/// function produces NaN or infinite values, or
+/// above [`NUCLEOLUS_MAX_PLAYERS`] players, [`GameError::MalformedLp`]
+/// when the characteristic function produces NaN or infinite values, or
 /// [`GameError::LpNotOptimal`] / [`GameError::NumericallyStuck`] when a
 /// stage LP fails numerically.
 pub fn try_nucleolus<G: WideGame>(game: &G) -> Result<Vec<f64>, GameError> {
@@ -61,178 +70,94 @@ pub fn try_nucleolus<G: WideGame>(game: &G) -> Result<Vec<f64>, GameError> {
     let _span = fedval_obs::span_with("coalition.nucleolus.solve", || format!("n={n}"));
 
     let grand = Coalition::grand(n);
-    let proper: Vec<Coalition> = Coalition::all(n)
+    let mut span = FrozenSpan::default();
+    span.insert(n, grand);
+    // Frozen coalitions with the payoff `x(T) = V(T) − ε_T` they keep.
+    let mut frozen = vec![(grand, game.grand_value())];
+    let mut active: Vec<Coalition> = Coalition::all(n)
         .filter(|&s| !s.is_empty() && s != grand)
         .collect();
-
-    // Frozen coalitions and the excess level they were frozen at.
-    let mut frozen: Vec<(Coalition, f64)> = Vec::new();
-    let mut active: Vec<Coalition> = proper.clone();
+    let tight = TOL * game.grand_value().abs().max(1.0);
 
     loop {
         fedval_obs::counter_add("coalition.nucleolus.stages", 1);
-        let (eps, x) = solve_stage(game, n, &frozen, &active, None)?;
+        fedval_obs::counter_add("coalition.nucleolus.lp_solves", 1);
+        let stage = solve_stage(game, &active, &frozen, "nucleolus stage")?;
+        let x = stage.allocation;
 
-        // Which active coalitions are tight at *every* optimum? Coalition S
-        // is frozen iff max x(S) over the optimal face equals V(S) − ε.
-        let mut still_active = Vec::new();
         let mut newly_frozen = 0usize;
-        for &s in &active {
-            let max_xs = maximize_coalition_payoff(game, n, &frozen, &active, eps, s)?;
-            if max_xs <= game.value(s) - eps + TOL {
-                frozen.push((s, eps));
+        for (&s, &y) in active.iter().zip(&stage.weights) {
+            if y > TOL && (excess(game, &x, s) - stage.epsilon).abs() <= tight && span.insert(n, s)
+            {
+                frozen.push((s, game.value(s) - stage.epsilon));
                 newly_frozen += 1;
-            } else {
-                still_active.push(s);
             }
         }
         if newly_frozen == 0 {
-            // Every stage must freeze at least one coalition; a stage that
-            // freezes none would loop forever on the same LP.
+            // The weights sum to 1 over coalitions outside the span, so only
+            // numerical trouble leaves a stage with nothing to freeze; the
+            // next stage would repeat this one.
             return Err(GameError::NumericallyStuck {
                 context: "nucleolus",
             });
         }
-        active = still_active;
-
-        if active.is_empty() || equality_rank(n, &frozen) >= n {
-            // x from the last stage is the nucleolus (unique at this point).
+        if span.rank() == n {
+            // The frozen equalities pin x down: it is the nucleolus.
             return Ok(x);
         }
+        active.retain(|&s| !span.contains(n, s));
     }
 }
 
-/// Solves one stage LP.
-///
-/// Minimizes ε subject to
-/// `x(S) + ε ≥ V(S)` for active S, `x(T) = V(T) − ε_T` for frozen (T, ε_T),
-/// and `x(N) = V(N)`. When `fix_eps` is `Some((ε*, s*))` the LP instead
-/// *maximizes* `x(s*)` with ε fixed at ε\* — used for the tightness test.
-fn solve_stage<G: WideGame>(
-    game: &G,
-    n: usize,
-    frozen: &[(Coalition, f64)],
-    active: &[Coalition],
-    fix_eps: Option<(f64, Coalition)>,
-) -> Result<(f64, Vec<f64>), GameError> {
-    let mut lp = LinearProgram::new(
-        0,
-        if fix_eps.is_some() {
-            Objective::Maximize
-        } else {
-            Objective::Minimize
-        },
-    );
-    let x_pairs: Vec<(usize, usize)> = (0..n).map(|_| lp.add_free_variable_pair()).collect();
-    let eps_pair = lp.add_free_variable_pair();
-    let n_vars = lp.n_vars();
+/// The span of the frozen coalitions' incidence vectors, kept in echelon
+/// form: each row is 1 at its pivot column and 0 at the pivots of the rows
+/// before it, so reducing a vector by the rows in order leaves its
+/// component outside the span.
+#[derive(Default)]
+struct FrozenSpan {
+    rows: Vec<(usize, Vec<f64>)>,
+}
 
-    match fix_eps {
-        None => {
-            lp.set_objective_coefficient(eps_pair.0, 1.0);
-            lp.set_objective_coefficient(eps_pair.1, -1.0);
-        }
-        Some((_, target)) => {
-            for p in target.players() {
-                lp.set_objective_coefficient(x_pairs[p].0, 1.0);
-                lp.set_objective_coefficient(x_pairs[p].1, -1.0);
+impl FrozenSpan {
+    /// Entries below this magnitude count as zero; incidence vectors have
+    /// 0/1 entries, so real residuals sit far above it.
+    const ZERO: f64 = 1e-9;
+
+    fn residual(&self, n: usize, s: Coalition) -> Vec<f64> {
+        let mut v: Vec<f64> = (0..n).map(|p| f64::from(u8::from(s.contains(p)))).collect();
+        for (pivot, row) in &self.rows {
+            let f = v[*pivot];
+            for (a, b) in v.iter_mut().zip(row) {
+                *a -= f * b;
             }
         }
+        v
     }
 
-    let row = |s: Coalition, eps_coeff: f64| -> Vec<f64> {
-        let mut r = vec![0.0; n_vars];
-        for p in s.players() {
-            r[x_pairs[p].0] = 1.0;
-            r[x_pairs[p].1] = -1.0;
-        }
-        r[eps_pair.0] = eps_coeff;
-        r[eps_pair.1] = -eps_coeff;
-        r
-    };
-
-    for &s in active {
-        lp.add_constraint(row(s, 1.0), Relation::Ge, game.value(s));
-    }
-    for &(t, eps_t) in frozen {
-        lp.add_constraint(row(t, 0.0), Relation::Eq, game.value(t) - eps_t);
-    }
-    lp.add_constraint(
-        row(Coalition::grand(n), 0.0),
-        Relation::Eq,
-        game.grand_value(),
-    );
-    if let Some((eps_star, _)) = fix_eps {
-        lp.add_constraint(row(Coalition::EMPTY, 1.0), Relation::Eq, eps_star);
+    fn contains(&self, n: usize, s: Coalition) -> bool {
+        self.residual(n, s).iter().all(|v| v.abs() <= Self::ZERO)
     }
 
-    fedval_obs::counter_add("coalition.nucleolus.lp_solves", 1);
-    let sol = lp.solve().map_err(|source| GameError::MalformedLp {
-        context: "nucleolus stage",
-        source,
-    })?;
-    if sol.status != Status::Optimal {
-        return Err(GameError::LpNotOptimal {
-            context: "nucleolus stage",
-            status: sol.status,
-        });
-    }
-    let x: Vec<f64> = x_pairs
-        .iter()
-        .map(|&pair| LinearProgram::free_value(&sol.x, pair))
-        .collect();
-    let eps = LinearProgram::free_value(&sol.x, eps_pair);
-    Ok((eps, x))
-}
-
-/// Max of `x(s)` over the optimal face of the stage LP (ε fixed at `eps`).
-fn maximize_coalition_payoff<G: WideGame>(
-    game: &G,
-    n: usize,
-    frozen: &[(Coalition, f64)],
-    active: &[Coalition],
-    eps: f64,
-    s: Coalition,
-) -> Result<f64, GameError> {
-    let (_, x) = solve_stage(game, n, frozen, active, Some((eps, s)))?;
-    Ok(s.players().map(|p| x[p]).sum())
-}
-
-/// Rank of the incidence vectors of the frozen coalitions plus the grand
-/// coalition (Gaussian elimination over ℝ).
-fn equality_rank(n: usize, frozen: &[(Coalition, f64)]) -> usize {
-    let mut rows: Vec<Vec<f64>> = frozen
-        .iter()
-        .map(|&(s, _)| (0..n).map(|p| s.contains(p) as u64 as f64).collect())
-        .collect();
-    rows.push(vec![1.0; n]); // efficiency row
-
-    let mut rank = 0;
-    for col in 0..n {
-        let Some(pivot) = (rank..rows.len()).find(|&r| rows[r][col].abs() > 1e-9) else {
-            continue;
+    /// Adds `s` to the span; false (and no change) when it is already in it.
+    fn insert(&mut self, n: usize, s: Coalition) -> bool {
+        let mut v = self.residual(n, s);
+        let Some(pivot) = (0..n)
+            .filter(|&p| v[p].abs() > Self::ZERO)
+            .max_by(|&a, &b| v[a].abs().total_cmp(&v[b].abs()))
+        else {
+            return false;
         };
-        rows.swap(rank, pivot);
-        let pivot_val = rows[rank][col];
-        for r in 0..rows.len() {
-            if r != rank && rows[r][col].abs() > 1e-12 {
-                let f = rows[r][col] / pivot_val;
-                #[expect(
-                    clippy::needless_range_loop,
-                    reason = "Gaussian elimination reads row/col indices off the math; a zip over two mutable row slices would not"
-                )]
-                for c in col..n {
-                    let delta = f * rows[rank][c];
-                    rows[r][c] -= delta;
-                }
-            }
+        let scale = v[pivot];
+        for a in &mut v {
+            *a /= scale;
         }
-        rank += 1;
-        if rank == rows.len() {
-            break;
-        }
+        self.rows.push((pivot, v));
+        true
     }
-    rank
+
+    fn rank(&self) -> usize {
+        self.rows.len()
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::compare::{compare_schemes, SchemeAssessment};
 use crate::scheme::SharingScheme;
 use fedval_coalition::{
-    ApproxShapley, CoalitionError, GameDiagnostics, ShapleyEstimate, WideGame,
+    is_core_nonempty, ApproxShapley, CoalitionError, GameDiagnostics, ShapleyEstimate, WideGame,
     NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::FederationScenario;
@@ -73,19 +73,28 @@ pub struct FormationSection {
     pub fingerprint: u64,
 }
 
+/// Distances from proportionality closer than this count as tied, so
+/// float noise in the shares cannot pick the recommendation.
+const DISTANCE_TIE: f64 = 1e-9;
+
 /// The exact report for all built-in schemes, behind
 /// [`try_policy_report`]'s cap check.
-fn exact_report(scenario: &FederationScenario) -> PolicyReport {
+///
+/// The least core runs first, through the fallible calls: a game with
+/// non-finite values fails it with [`CoalitionError::MalformedLp`] before
+/// any of the scenario's infallible accessors could panic on it.
+fn exact_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
     let _report_span = fedval_obs::span("policy.report.build");
     let (props, core_nonempty) = {
         let _span = fedval_obs::span("policy.report.properties");
-        (scenario.properties(), scenario.core_nonempty())
+        let core_nonempty = is_core_nonempty(scenario.try_game()?)?;
+        (scenario.properties(), core_nonempty)
     };
     let assessments = {
         let _span = fedval_obs::span("policy.report.schemes");
         compare_schemes(scenario, &SharingScheme::all_builtin())
     };
-    PolicyReport {
+    Ok(PolicyReport {
         grand_value: scenario.grand_value(),
         core_nonempty,
         superadditive: props.superadditive,
@@ -95,7 +104,7 @@ fn exact_report(scenario: &FederationScenario) -> PolicyReport {
         approx: None,
         measurement: None,
         formation: None,
-    }
+    })
 }
 
 /// Builds the report for all built-in schemes behind the
@@ -112,11 +121,13 @@ fn exact_report(scenario: &FederationScenario) -> PolicyReport {
 ///
 /// # Errors
 /// Propagates [`CoalitionError`]s from the estimator (malformed sampling
-/// configuration, or more players than even the sampled path supports).
+/// configuration, or more players than even the sampled path supports),
+/// and [`CoalitionError::MalformedLp`] from the exact path's least core
+/// when a coalition value is NaN or infinite.
 pub fn try_policy_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
     let n = scenario.facilities().len();
     if !scenario.approx_config().force && n <= NUCLEOLUS_MAX_PLAYERS {
-        return Ok(exact_report(scenario));
+        return exact_report(scenario);
     }
     approx_report(scenario)
 }
@@ -199,17 +210,16 @@ impl PolicyReport {
     /// The scheme the report recommends: the in-core scheme closest to
     /// contribution-proportionality, falling back to Shapley (the paper's
     /// default recommendation) when the core is empty or nothing lands in
-    /// it.
+    /// it. Schemes within 1e-9 of the closest tie, and the first of them
+    /// in table order (`SharingScheme::all_builtin`) wins.
     pub fn recommended(&self) -> &str {
-        self.assessments
-            .iter()
-            .filter(|a| a.in_core == Some(true))
-            .min_by(|a, b| {
-                a.distance_from_proportional
-                    .total_cmp(&b.distance_from_proportional)
-            })
-            .map(|a| a.scheme.as_str())
-            .unwrap_or("shapley")
+        let in_core = || self.assessments.iter().filter(|a| a.in_core == Some(true));
+        let closest = in_core()
+            .map(|a| a.distance_from_proportional)
+            .fold(f64::INFINITY, f64::min);
+        in_core()
+            .find(|a| a.distance_from_proportional <= closest + DISTANCE_TIE)
+            .map_or("shapley", |a| a.scheme.as_str())
     }
 
     /// Renders a fixed-width text table.
@@ -333,7 +343,7 @@ mod tests {
 
     #[test]
     fn report_contains_all_schemes() {
-        let r = exact_report(&scenario(500.0));
+        let r = exact_report(&scenario(500.0)).expect("3 facilities");
         assert_eq!(r.assessments.len(), 5);
         let text = r.render();
         for name in [
@@ -352,7 +362,7 @@ mod tests {
         // l = 1250: only grand coalition works, everything proportional-ish
         // is out of core except symmetric allocations; equal split IS the
         // core here, and it's also closest-to-pi among in-core schemes.
-        let r = exact_report(&scenario(1250.0));
+        let r = exact_report(&scenario(1250.0)).expect("3 facilities");
         assert!(r.core_nonempty);
         let rec = r.recommended();
         let rec_entry = r.assessments.iter().find(|a| a.scheme == rec).unwrap();
@@ -381,7 +391,7 @@ mod tests {
         assert!(text.contains("1 fallbacks"), "{text}");
         assert!(text.contains("warning:"), "{text}");
         // Closed-form reports stay silent about measurement.
-        let clean = exact_report(&s);
+        let clean = exact_report(&s).expect("3 facilities");
         assert!(!clean.render().contains("measurement:"));
     }
 
@@ -392,7 +402,7 @@ mod tests {
         assert!(r.structure_known);
         assert!(r.approx.is_none());
         assert_eq!(r.assessments.len(), 5);
-        assert_eq!(r.render(), exact_report(&s).render());
+        assert_eq!(r.render(), exact_report(&s).expect("3 facilities").render());
     }
 
     #[test]
@@ -488,8 +498,61 @@ mod tests {
             Demand::one_experiment(ExperimentClass::simple("e", 0.0, 0.5)),
         );
         if !s.core_nonempty() {
-            let r = exact_report(&s);
+            let r = exact_report(&s).expect("3 facilities");
             assert_eq!(r.recommended(), "shapley");
         }
+    }
+
+    fn in_core(scheme: &str, distance: f64) -> SchemeAssessment {
+        SchemeAssessment {
+            scheme: scheme.to_string(),
+            shares: vec![0.5, 0.5],
+            in_core: Some(true),
+            max_excess: 0.0,
+            distance_from_proportional: distance,
+        }
+    }
+
+    #[test]
+    fn recommendation_ignores_float_noise_between_tied_schemes() {
+        let mut r = exact_report(&scenario(500.0)).expect("3 facilities");
+        let d: f64 = 0.4469;
+        let one_ulp_closer = f64::from_bits(d.to_bits() - 1);
+        // The later scheme is closer by one ulp: a tie, so the earlier wins.
+        r.assessments = vec![
+            in_core("consumption", d),
+            in_core("nucleolus", one_ulp_closer),
+        ];
+        assert_eq!(r.recommended(), "consumption");
+        r.assessments = vec![
+            in_core("consumption", one_ulp_closer),
+            in_core("nucleolus", d),
+        ];
+        assert_eq!(r.recommended(), "consumption");
+        // A real gap still decides.
+        r.assessments = vec![in_core("consumption", d), in_core("nucleolus", d - 1e-6)];
+        assert_eq!(r.recommended(), "nucleolus");
+    }
+
+    #[test]
+    fn non_finite_measured_values_fail_the_report() {
+        use fedval_coalition::{GameError, TableGame};
+        // Every non-empty coalition is worth +inf: the least core's LP
+        // rejects the values instead of a later accessor panicking.
+        let table =
+            TableGame::from_values(3, [0.0].into_iter().chain([f64::INFINITY; 7]).collect());
+        let s = FederationScenario::try_from_measured(
+            paper_facilities([1, 1, 1]),
+            Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
+            table,
+        )
+        .expect("3 facilities, 3 players");
+        assert!(matches!(
+            try_policy_report(&s),
+            Err(GameError::MalformedLp {
+                context: "least core",
+                ..
+            })
+        ));
     }
 }

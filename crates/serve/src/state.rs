@@ -633,6 +633,23 @@ mod tests {
     }
 
     #[test]
+    fn warm_solves_the_nucleolus_at_its_cap() {
+        // The 12-player synthetic federation sits exactly at
+        // NUCLEOLUS_MAX_PLAYERS: warm-up must finish its nucleolus.
+        let (draws, threshold) = fedval_testbed::synthetic_profile(NUCLEOLUS_MAX_PLAYERS, 42);
+        let spec = ScenarioSpec {
+            locations: draws.iter().map(|&(l, _)| l).collect(),
+            capacities: draws.iter().map(|&(_, r)| r).collect(),
+            threshold,
+            shape: 1.0,
+            volume: Some(1),
+        };
+        let report = ServeState::new(spec, 4).warm(1);
+        assert_eq!(report.coalitions, 1 << NUCLEOLUS_MAX_PLAYERS);
+        assert!(report.shapley_ok && report.nucleolus_ok);
+    }
+
+    #[test]
     fn what_if_join_adds_a_player_and_caches() {
         let s = state();
         let kind = QueryKind::WhatIfJoin {

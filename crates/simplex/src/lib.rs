@@ -7,8 +7,10 @@
 //! core emptiness (balancedness), the least core, and the nucleolus — all
 //! reduce to sequences of small, dense LPs, so a compact tableau simplex
 //! with Bland's anti-cycling rule is the right tool: exact enough at these
-//! sizes (tens of variables, up to a few thousand constraints for `n ≤ 12`
-//! player games), with no external dependencies.
+//! sizes (at most `n + 1` rows and one column per coalition, a few thousand
+//! for `n ≤ 12` player games), with no external dependencies. The least
+//! core and the nucleolus read their allocations from the row duals of an
+//! optimal [`Solution`].
 //!
 //! # Problem form
 //!

@@ -87,10 +87,6 @@ pub struct LinearProgram {
     pub(crate) objective: Vec<f64>,
     pub(crate) sense: Objective,
     pub(crate) constraints: Vec<Constraint>,
-    /// Pairs `(plus, minus)` registered through
-    /// [`LinearProgram::add_free_variable_pair`]; used only by accessors that
-    /// reconstruct the free value.
-    free_pairs: Vec<(usize, usize)>,
 }
 
 impl LinearProgram {
@@ -102,7 +98,6 @@ impl LinearProgram {
             objective: vec![0.0; n_vars],
             sense,
             constraints: Vec::new(),
-            free_pairs: Vec::new(),
         }
     }
 
@@ -150,8 +145,8 @@ impl LinearProgram {
     }
 
     /// Adds two fresh non-negative variables `(plus, minus)` whose difference
-    /// `plus − minus` models one *free* (sign-unrestricted) variable, and
-    /// returns their indices.
+    /// `x[plus] − x[minus]` models one *free* (sign-unrestricted) variable,
+    /// and returns their indices.
     ///
     /// Existing constraints are padded with zero coefficients for the new
     /// variables, so the helper may be called after constraints were added.
@@ -163,14 +158,7 @@ impl LinearProgram {
         for c in &mut self.constraints {
             c.coeffs.extend_from_slice(&[0.0, 0.0]);
         }
-        self.free_pairs.push((plus, minus));
         (plus, minus)
-    }
-
-    /// Value of the free variable registered as `(plus, minus)` in a solution
-    /// vector `x`.
-    pub fn free_value(x: &[f64], pair: (usize, usize)) -> f64 {
-        x[pair.0] - x[pair.1]
     }
 
     /// Validates dimensions and finiteness of all inputs.
@@ -261,8 +249,8 @@ mod tests {
         let (p, m) = lp.add_free_variable_pair();
         assert_eq!((p, m), (1, 2));
         assert_eq!(lp.constraints[0].coeffs.len(), 3);
-        let x = vec![0.0, 2.0, 5.0];
-        assert!((LinearProgram::free_value(&x, (p, m)) + 3.0).abs() < 1e-12);
+        let x: Vec<f64> = vec![0.0, 2.0, 5.0];
+        assert!((x[p] - x[m] + 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -29,6 +29,11 @@ pub struct Solution {
     pub objective: f64,
     /// Optimal values of the decision variables (zeros unless `Optimal`).
     pub x: Vec<f64>,
+    /// One dual value per constraint, in the caller's sense and row order:
+    /// at the optimum `objective = Σ duals[r] · rhs[r]` (strong duality),
+    /// and a row with slack has dual 0 (complementary slackness). Empty
+    /// unless `Optimal`.
+    pub duals: Vec<f64>,
 }
 
 impl LinearProgram {
@@ -88,6 +93,7 @@ impl LinearProgram {
         struct RowPlan {
             coeffs: Vec<f64>,
             rhs: f64,
+            negated: bool,
             slack: Option<(usize, f64)>, // (column offset among slacks, sign)
             basis: BasisSource,
         }
@@ -97,7 +103,8 @@ impl LinearProgram {
             let mut coeffs = c.coeffs.clone();
             let mut rhs = c.rhs;
             let mut relation = c.relation;
-            if rhs < 0.0 {
+            let negated = rhs < 0.0;
+            if negated {
                 for v in &mut coeffs {
                     *v = -*v;
                 }
@@ -124,6 +131,7 @@ impl LinearProgram {
             plans.push(RowPlan {
                 coeffs,
                 rhs,
+                negated,
                 slack,
                 basis,
             });
@@ -155,11 +163,16 @@ impl LinearProgram {
             }
             rows.push(row);
         }
+        // Each row's initial basic column is a unit column, so its reduced
+        // cost at the optimum is minus the row's dual (of the normalized,
+        // minimizing program).
+        let initial_basis = basis.clone();
         let max_iters = Tableau::iteration_cap(m, n_cols);
         let stalled = |n: usize| Solution {
             status: Status::Stalled,
             objective: 0.0,
             x: vec![0.0; n],
+            duals: Vec::new(),
         };
 
         let mut phase1_pivots = 0usize;
@@ -193,6 +206,7 @@ impl LinearProgram {
                         status: Status::Infeasible,
                         objective: 0.0,
                         x: vec![0.0; n],
+                        duals: Vec::new(),
                     },
                     t.pivots,
                 ));
@@ -235,16 +249,26 @@ impl LinearProgram {
             PivotOutcome::Optimal => {
                 let x: Vec<f64> = (0..n).map(|j| t.value_of(j)).collect();
                 let objective = self.objective_value(&x);
+                let duals = plans
+                    .iter()
+                    .zip(&initial_basis)
+                    .map(|(p, &col)| {
+                        let row_sign = if p.negated { -1.0 } else { 1.0 };
+                        -sign * row_sign * t.cost[col]
+                    })
+                    .collect();
                 Solution {
                     status: Status::Optimal,
                     objective,
                     x,
+                    duals,
                 }
             }
             PivotOutcome::Unbounded => Solution {
                 status: Status::Unbounded,
                 objective: 0.0,
                 x: vec![0.0; n],
+                duals: Vec::new(),
             },
             PivotOutcome::Stalled => stalled(n),
         };
@@ -261,6 +285,44 @@ mod tests {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
     }
 
+    /// Strong duality (`objective = Σ dualᵣ·rhsᵣ`), complementary
+    /// slackness (a row with slack has dual 0) and the dual's sign for
+    /// each inequality, all within 1e-9.
+    fn assert_duality(lp: &LinearProgram, s: &Solution) {
+        assert_eq!(s.duals.len(), lp.constraints.len());
+        let dual_objective: f64 = lp
+            .constraints
+            .iter()
+            .zip(&s.duals)
+            .map(|(c, d)| c.rhs * d)
+            .sum();
+        assert!(
+            (dual_objective - s.objective).abs() < 1e-9,
+            "Σ dual·rhs = {dual_objective}, objective {}",
+            s.objective
+        );
+        // A binding ≤ row raises a maximum (dual ≥ 0) and lowers a minimum.
+        let sense = match lp.sense {
+            Objective::Maximize => 1.0,
+            Objective::Minimize => -1.0,
+        };
+        for (c, &d) in lp.constraints.iter().zip(&s.duals) {
+            let lhs: f64 = c.coeffs.iter().zip(&s.x).map(|(a, v)| a * v).sum();
+            if (lhs - c.rhs).abs() > 1e-9 {
+                assert!(
+                    d.abs() < 1e-9,
+                    "row with slack {} has dual {d}",
+                    lhs - c.rhs
+                );
+            }
+            match c.relation {
+                Relation::Le => assert!(sense * d > -1e-9, "≤ row dual {d}"),
+                Relation::Ge => assert!(sense * d < 1e-9, "≥ row dual {d}"),
+                Relation::Eq => {}
+            }
+        }
+    }
+
     #[test]
     fn maximize_with_le_constraints() {
         let mut lp = LinearProgram::new(2, Objective::Maximize);
@@ -273,6 +335,11 @@ mod tests {
         assert_close(s.objective, 36.0);
         assert_close(s.x[0], 2.0);
         assert_close(s.x[1], 6.0);
+        assert_duality(&lp, &s);
+        // The textbook shadow prices of the three rows.
+        assert_close(s.duals[0], 0.0);
+        assert_close(s.duals[1], 1.5);
+        assert_close(s.duals[2], 1.0);
     }
 
     #[test]
@@ -288,6 +355,7 @@ mod tests {
         assert_close(s.objective, 2.0);
         assert_close(s.x[0], 10.0);
         assert_close(s.x[1], 0.0);
+        assert_duality(&lp, &s);
     }
 
     #[test]
@@ -302,6 +370,7 @@ mod tests {
         assert_close(s.objective, 4.0);
         assert_close(s.x[0], 2.0);
         assert_close(s.x[1], 1.0);
+        assert_duality(&lp, &s);
     }
 
     #[test]
@@ -312,6 +381,7 @@ mod tests {
         lp.add_constraint(vec![1.0], Relation::Le, 3.0);
         let s = lp.solve().unwrap();
         assert_eq!(s.status, Status::Infeasible);
+        assert!(s.duals.is_empty());
     }
 
     #[test]
@@ -321,6 +391,7 @@ mod tests {
         lp.add_constraint(vec![-1.0, 1.0], Relation::Le, 1.0);
         let s = lp.solve().unwrap();
         assert_eq!(s.status, Status::Unbounded);
+        assert!(s.duals.is_empty());
     }
 
     #[test]
@@ -338,6 +409,7 @@ mod tests {
         let s = lp.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 5.0);
+        assert_duality(&lp, &s);
     }
 
     #[test]
@@ -352,6 +424,7 @@ mod tests {
         let s = lp.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 0.0);
+        assert_duality(&lp, &s);
     }
 
     #[test]
@@ -366,6 +439,7 @@ mod tests {
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 2.0);
         assert_close(s.x[0], 2.0);
+        assert_duality(&lp, &s);
     }
 
     #[test]
@@ -380,7 +454,8 @@ mod tests {
         lp.add_constraint(vec![-1.0, 1.0, -1.0], Relation::Le, -1.0);
         let s = lp.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
-        assert_close(LinearProgram::free_value(&s.x, (tp, tm)), 1.0);
+        assert_close(s.x[tp] - s.x[tm], 1.0);
+        assert_duality(&lp, &s);
     }
 
     #[test]
@@ -393,5 +468,6 @@ mod tests {
         let s = lp.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert!(lp.is_feasible(&s.x, 1e-7));
+        assert_duality(&lp, &s);
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the simplex solver: feasibility of returned points,
-//! and optimality against brute-force vertex enumeration on random small
-//! LPs.
+//! optimality against brute-force vertex enumeration on random small
+//! LPs, and row duals that certify the optimum.
 
 use fedval_simplex::{LinearProgram, Objective, Relation, Status};
 use proptest::prelude::*;
@@ -204,6 +204,76 @@ proptest! {
                     "could cheapen x[{j}] at {:?}",
                     sol.x
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn duals_certify_optimality(
+        n in 1usize..=4,
+        m in 1usize..=5,
+        coeffs in prop::collection::vec(coeff(), 20),
+        point in prop::collection::vec(0i32..=5, 4),
+        gaps in prop::collection::vec(0i32..=3, 5),
+        relations in prop::collection::vec(0u8..3, 5),
+        obj in prop::collection::vec(-5i32..=5, 4),
+        maximize in prop::bool::ANY,
+    ) {
+        // Every row passes through or around `point` ≥ 0, so the program is
+        // feasible; one more row Σx ≤ Σpoint + 5 bounds it.
+        let point: Vec<f64> = point[..n].iter().map(|&v| f64::from(v)).collect();
+        let mut rows: Vec<(Vec<f64>, Relation, f64)> = (0..m)
+            .map(|r| {
+                let row = coeffs[r * 4..r * 4 + n].to_vec();
+                let at: f64 = row.iter().zip(&point).map(|(a, x)| a * x).sum();
+                let gap = f64::from(gaps[r]);
+                match relations[r] {
+                    0 => (row, Relation::Le, at + gap),
+                    1 => (row, Relation::Ge, at - gap),
+                    _ => (row, Relation::Eq, at),
+                }
+            })
+            .collect();
+        rows.push((vec![1.0; n], Relation::Le, point.iter().sum::<f64>() + 5.0));
+        let c: Vec<f64> = obj[..n].iter().map(|&v| f64::from(v)).collect();
+        let sense = if maximize { Objective::Maximize } else { Objective::Minimize };
+        let mut lp = LinearProgram::new(n, sense);
+        lp.set_objective(c.clone());
+        for (row, relation, rhs) in &rows {
+            lp.add_constraint(row.clone(), *relation, *rhs);
+        }
+        let sol = lp.solve().unwrap();
+        prop_assert_eq!(sol.status, Status::Optimal);
+        prop_assert_eq!(sol.duals.len(), rows.len());
+
+        // Strong duality.
+        let dual_objective: f64 = rows.iter().zip(&sol.duals).map(|((_, _, b), d)| b * d).sum();
+        prop_assert!(
+            (dual_objective - sol.objective).abs() < 1e-6,
+            "Σ dual·rhs = {} but objective = {}", dual_objective, sol.objective
+        );
+        // Complementary slackness and sign on the rows: in a maximum a
+        // binding ≤ row has dual ≥ 0 and a binding ≥ row dual ≤ 0.
+        let up = if maximize { 1.0 } else { -1.0 };
+        for ((row, relation, rhs), &d) in rows.iter().zip(&sol.duals) {
+            let lhs: f64 = row.iter().zip(&sol.x).map(|(a, x)| a * x).sum();
+            if (lhs - rhs).abs() > 1e-6 {
+                prop_assert!(d.abs() < 1e-6, "row with slack {} has dual {}", lhs - rhs, d);
+            }
+            match relation {
+                Relation::Le => prop_assert!(up * d > -1e-6, "≤ row dual {}", d),
+                Relation::Ge => prop_assert!(up * d < 1e-6, "≥ row dual {}", d),
+                Relation::Eq => {}
+            }
+        }
+        // Dual feasibility: no variable's reduced cost improves the
+        // objective, and a positive variable's reduced cost is 0.
+        for j in 0..n {
+            let priced: f64 = rows.iter().zip(&sol.duals).map(|((row, _, _), d)| row[j] * d).sum();
+            let reduced = up * (c[j] - priced);
+            prop_assert!(reduced < 1e-6, "x{} could still improve: reduced cost {}", j, reduced);
+            if sol.x[j] > 1e-6 {
+                prop_assert!(reduced.abs() < 1e-6, "basic x{} has reduced cost {}", j, reduced);
             }
         }
     }

@@ -190,6 +190,42 @@ fn metrics_flag_appends_run_report() {
 }
 
 #[test]
+fn exact_report_runs_at_the_nucleolus_cap() {
+    // n = 12 is NUCLEOLUS_MAX_PLAYERS; the nucleolus needs at most n − 1
+    // stage LPs.
+    let (stdout, stderr, ok) = fedval(&["report", "--synthetic", "12", "--metrics"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("nucleolus "), "{stdout}");
+    let lp_solves: u64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("coalition.nucleolus.lp_solves"))
+        .and_then(|rest| rest.trim().parse().ok())
+        .expect("lp_solves counter in the run report");
+    assert!((1..=11).contains(&lp_solves), "{lp_solves} stage LPs");
+}
+
+#[test]
+fn non_finite_coalition_values_fail_the_report_cleanly() {
+    // d = 400 over 30 locations overflows every coalition value to inf.
+    let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
+        .args([
+            "report",
+            "--shape",
+            "400",
+            "--locations",
+            "10,20",
+            "--threshold",
+            "1",
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("least core"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn trace_to_unwritable_path_fails_cleanly() {
     let (_, stderr, ok) = fedval(&["report", "--trace", "/nonexistent-dir/out.jsonl"]);
     assert!(!ok);

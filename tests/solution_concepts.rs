@@ -2,9 +2,10 @@
 //! generated federation-style games.
 
 use fedval::coalition::{
-    analyze, harsanyi_dividends, is_in_core, shapley_from_dividends, values_from_dividends,
+    analyze, excess, harsanyi_dividends, is_in_core, shapley_from_dividends, values_from_dividends,
     TableGame,
 };
+use fedval::simplex::{LinearProgram, Objective, Relation, Status};
 use fedval::{
     is_core_nonempty, shapley, try_approx_shapley_wide, try_nucleolus, ApproxConfig, Coalition,
     WideGame,
@@ -39,8 +40,72 @@ fn random_threshold_game() -> impl Strategy<Value = TableGame> {
     })
 }
 
+/// Random game with 2..=6 players and values in [0, 20): integers (many
+/// tied excesses, degenerate stage LPs) or continuous.
+fn random_game() -> impl Strategy<Value = TableGame> {
+    (
+        2usize..=6,
+        prop::collection::vec(0u32..20_000, 64),
+        prop::bool::ANY,
+    )
+        .prop_map(|(n, draws, integer)| {
+            let values = (0..1usize << n)
+                .map(|m| match (m, integer) {
+                    (0, _) => 0.0,
+                    (_, true) => f64::from(draws[m] / 1000),
+                    (_, false) => f64::from(draws[m]) / 1000.0,
+                })
+                .collect();
+            TableGame::from_values(n, values)
+        })
+}
+
+/// Whether `collection` is balanced: weights λ_S ≥ 1 exist with
+/// Σ_{S∋i} λ_S the same for every player i. Decided by a feasibility LP
+/// over μ_S = λ_S − 1 ≥ 0 and the common sum t ≥ 0.
+fn is_balanced_collection(n: usize, collection: &[Coalition]) -> bool {
+    let k = collection.len();
+    let mut lp = LinearProgram::new(k + 1, Objective::Minimize);
+    for i in 0..n {
+        let mut row: Vec<f64> = collection
+            .iter()
+            .map(|s| f64::from(u8::from(s.contains(i))))
+            .collect();
+        let ones: f64 = row.iter().sum();
+        row.push(-1.0);
+        lp.add_constraint(row, Relation::Eq, -ones);
+    }
+    matches!(lp.solve(), Ok(sol) if sol.status == Status::Optimal)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn nucleolus_satisfies_kohlbergs_criterion(game in random_game()) {
+        // Kohlberg (1971): x is the (pre)nucleolus iff it is efficient and,
+        // at every excess level α, the coalitions with excess ≥ α form a
+        // balanced collection. The check shares no LP with the nucleolus.
+        let n = game.n_players();
+        let x = try_nucleolus(&game).expect("at most 6 players");
+        prop_assert!((x.iter().sum::<f64>() - game.grand_value()).abs() < 1e-7);
+        let grand = Coalition::grand(n);
+        let proper: Vec<(Coalition, f64)> = Coalition::all(n)
+            .filter(|&s| !s.is_empty() && s != grand)
+            .map(|s| (s, excess(&game, &x, s)))
+            .collect();
+        for &(_, alpha) in &proper {
+            let top: Vec<Coalition> = proper
+                .iter()
+                .filter(|&&(_, e)| e >= alpha - 1e-7)
+                .map(|&(s, _)| s)
+                .collect();
+            prop_assert!(
+                is_balanced_collection(n, &top),
+                "excess ≥ {} is not balanced at x = {:?}: {:?}", alpha, x, top
+            );
+        }
+    }
 
     #[test]
     fn shapley_is_efficient_and_matches_dividend_route(game in random_positive_game(5)) {
