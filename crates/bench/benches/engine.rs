@@ -9,8 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedval_coalition::{
-    shapley, shapley_parallel, try_approx_shapley_wide, try_least_core, try_nucleolus,
-    ApproxConfig, Coalition, TableGame,
+    shapley, try_approx_shapley_wide, try_least_core, try_nucleolus, ApproxConfig, Coalition,
+    FnGame, TableGame,
 };
 use fedval_core::allocation::{solve, solve_exact, solve_greedy, GreedyPolicy};
 use fedval_core::{paper_facilities, CapacityProfile, Demand, ExperimentClass, Volume};
@@ -24,12 +24,12 @@ use std::time::Duration;
 /// A deterministic synthetic superadditive game for scaling benches.
 #[expect(clippy::expect_used, reason = "the benches ask for at most 16 players")]
 fn synthetic_game(n: usize) -> TableGame {
-    TableGame::try_from_fn(n, |c: Coalition| {
+    let game = FnGame::new(n, |c: Coalition| {
         let s = c.len() as f64;
         let spice = (c.0.wrapping_mul(0x9E3779B97F4A7C15) >> 48) as f64 / 65536.0;
         s * s + spice
-    })
-    .expect("fits a table")
+    });
+    TableGame::try_from_walk(&game, 1).expect("fits a table")
 }
 
 fn bench_shapley(c: &mut Criterion) {
@@ -42,9 +42,6 @@ fn bench_shapley(c: &mut Criterion) {
         let game = synthetic_game(n);
         group.bench_with_input(BenchmarkId::new("exact", n), &game, |b, g| {
             b.iter(|| black_box(shapley(g)))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel4", n), &game, |b, g| {
-            b.iter(|| black_box(shapley_parallel(g, 4)))
         });
         let sampled = ApproxConfig {
             samples: 1000,
@@ -200,7 +197,7 @@ fn bench_static_vs_measured(c: &mut Criterion) {
             let facilities = paper_facilities([80, 60, 20]);
             let demand = Demand::capacity_filling(ExperimentClass::simple("e", 250.0, 1.0));
             let game = fedval_core::FederationGame::new(&facilities, &demand);
-            black_box(TableGame::try_from_game(&game))
+            black_box(TableGame::try_from_walk(&game, 1))
         })
     });
     let federation = Federation::new(vec![

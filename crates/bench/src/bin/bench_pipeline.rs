@@ -38,7 +38,7 @@
 )]
 
 use fedval_bench::{set_sweep_threads, Figure};
-use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, Coalition};
+use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, Coalition, TableGame};
 use fedval_core::{paper_facilities, Demand, ExperimentClass, FederationGame, FederationScenario};
 use fedval_obs::{RecordingSink, RunReport};
 use fedval_policy::try_policy_report;
@@ -126,7 +126,11 @@ fn run_approx(parallel_threads: usize) -> ApproxSummary {
     const N_LARGE: usize = 200;
     let (facilities, demand) = synthetic_federation(VALIDATION_N, 42);
     let game = FederationGame::new(&facilities, &demand);
-    let exact = shapley(&game);
+    #[expect(
+        clippy::expect_used,
+        reason = "12 authorities fit a table and the synthetic federation's values are finite"
+    )]
+    let exact = shapley(&TableGame::try_from_walk(&game, 1).expect("exact table"));
     let curve = [32usize, 128, 512]
         .into_iter()
         .map(|samples| {
@@ -473,13 +477,8 @@ fn deterministic_section(
     formation: &FormationSummary,
 ) -> String {
     let mut out = String::from("  \"deterministic\": {\n");
-    let evals = report
-        .spans
-        .get("coalition.game.eval")
-        .map(|s| s.count)
-        .unwrap_or(0);
-    push_kv_u64(&mut out, "coalition.game.evals", evals, false);
     for key in [
+        "coalition.game.evals",
         "coalition.nucleolus.lp_solves",
         "coalition.nucleolus.stages",
         "desim.engine.delivered",

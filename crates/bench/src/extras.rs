@@ -57,15 +57,15 @@ pub fn ext1_overlap() -> Figure {
 pub fn ext2_availability() -> Figure {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0));
-    let base =
-        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
+    let base = TableGame::try_from_walk(&FederationGame::new(&facilities, &demand), 1)
+        .expect("3 facilities");
     let mut share2 = Series::new("phi_hat_2");
     let mut grand = Series::new("V_T(N)");
     for step in 1..=10 {
         let t2 = step as f64 / 10.0;
         let flaky = AvailabilityGame::try_new(base.clone(), vec![1.0, t2, 1.0])
             .expect("availabilities in (0, 1]");
-        let game = TableGame::try_from_game(&flaky).expect("3 facilities");
+        let game = TableGame::try_from_walk(&flaky, 1).expect("3 facilities");
         share2.push(t2, shapley_normalized(&game)[1]);
         grand.push(t2, game.values()[7]);
     }
@@ -94,7 +94,7 @@ pub fn ext3_dynamic_multiplexing() -> Figure {
         )
         .with_holding_scale(scale);
         let game = DynamicFederationGame::new(&facilities, &demand);
-        let table = TableGame::try_from_game(&game).expect("3 facilities");
+        let table = TableGame::try_from_walk(&game, 1).expect("3 facilities");
         let shares = shapley_normalized(&table);
         value_rate.push(scale, table.values()[7]);
         phi3.push(scale, shares[2]);

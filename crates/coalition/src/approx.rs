@@ -41,8 +41,8 @@
 
 use crate::coalition::PlayerId;
 use crate::error::GameError;
-use crate::game::WideGame;
-use crate::shapley::{normalize, shapley_parallel};
+use crate::game::{TableGame, WideGame};
+use crate::shapley::{normalize, player_sums};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -110,6 +110,13 @@ impl ApproxConfig {
         }
         z_for_confidence(self.confidence)?;
         Ok(())
+    }
+
+    /// The solver-selection rule: an `n`-player game is sampled when it
+    /// is past [`EXACT_SHAPLEY_MAX_PLAYERS`] or [`ApproxConfig::force`]
+    /// is set, and enumerated exactly otherwise.
+    pub fn selects_sampling(&self, n: usize) -> bool {
+        self.force || n > EXACT_SHAPLEY_MAX_PLAYERS
     }
 }
 
@@ -462,14 +469,18 @@ pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
     Ok(permutation_estimate(game, cfg, z))
 }
 
-/// The solver-selection layer over a [`WideGame`]: exact enumeration when
-/// `n ≤` [`EXACT_SHAPLEY_MAX_PLAYERS`] (and [`ApproxConfig::force`] is
-/// unset), the sampled estimator otherwise.
+/// The solver-selection layer over a [`WideGame`], by
+/// [`ApproxConfig::selects_sampling`]: the sampled estimator, or exact
+/// enumeration — the game's table filled by [`TableGame::try_from_walk`]
+/// on `cfg.threads` walkers, then each player's sum, all under one
+/// `coalition.shapley.exact` span.
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::NoSamples`] /
-/// [`GameError::BadConfidence`] for a malformed config, and
-/// [`GameError::TooManyPlayers`] above [`MAX_SAMPLED_PLAYERS`].
+/// [`GameError::BadConfidence`] for a malformed config,
+/// [`GameError::TooManyPlayers`] above [`MAX_SAMPLED_PLAYERS`], and
+/// [`GameError::NonFiniteValue`] when an enumerated coalition value is
+/// NaN or infinite.
 pub fn shapley_auto_wide<G: WideGame + ?Sized>(
     game: &G,
     cfg: &ApproxConfig,
@@ -479,18 +490,23 @@ pub fn shapley_auto_wide<G: WideGame + ?Sized>(
         return Err(GameError::NoPlayers);
     }
     cfg.validate()?;
-    if !cfg.force && n <= EXACT_SHAPLEY_MAX_PLAYERS {
-        fedval_obs::counter_add("coalition.approx.exact_selected", 1);
-        return Ok(ShapleyEstimate::Exact(shapley_parallel(game, cfg.threads)));
+    if cfg.selects_sampling(n) {
+        fedval_obs::counter_add("coalition.approx.sampled_selected", 1);
+        return Ok(ShapleyEstimate::Approx(try_approx_shapley_wide(game, cfg)?));
     }
-    fedval_obs::counter_add("coalition.approx.sampled_selected", 1);
-    Ok(ShapleyEstimate::Approx(try_approx_shapley_wide(game, cfg)?))
+    fedval_obs::counter_add("coalition.approx.exact_selected", 1);
+    let _span = fedval_obs::span_with("coalition.shapley.exact", || {
+        format!("n={n} threads={}", cfg.threads)
+    });
+    let table = TableGame::try_from_walk(game, cfg.threads)?;
+    Ok(ShapleyEstimate::Exact(player_sums(&table)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coalition::Coalition;
+    use crate::game::tests::table_of;
     use crate::game::FnGame;
     use crate::shapley::shapley;
 
@@ -559,7 +575,7 @@ mod tests {
     #[test]
     fn permutation_estimate_is_unbiased_on_threshold_game() {
         let g = threshold_game();
-        let exact = shapley(&g);
+        let exact = shapley(&table_of(&g));
         let cfg = ApproxConfig {
             samples: 4000,
             seed: 9,
@@ -625,7 +641,7 @@ mod tests {
         let cfg = ApproxConfig::default();
         match shapley_auto_wide(&g, &cfg).unwrap() {
             ShapleyEstimate::Exact(phi) => {
-                let exact = shapley(&g);
+                let exact = shapley(&table_of(&g));
                 assert_eq!(phi, exact);
             }
             ShapleyEstimate::Approx(_) => panic!("n=6 must select exact"),
@@ -633,6 +649,9 @@ mod tests {
         // force flips the selection.
         let forced = shapley_auto_wide(&g, &ApproxConfig { force: true, ..cfg }).unwrap();
         assert!(forced.is_approx());
+        assert!(!cfg.selects_sampling(EXACT_SHAPLEY_MAX_PLAYERS));
+        assert!(cfg.selects_sampling(EXACT_SHAPLEY_MAX_PLAYERS + 1));
+        assert!(ApproxConfig { force: true, ..cfg }.selects_sampling(1));
         // A 200-player wide game selects sampling.
         let wide = WideAdditive(200);
         let est = shapley_auto_wide(&wide, &cfg).unwrap();
@@ -711,6 +730,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::coalition::Coalition;
+    use crate::game::tests::table_of;
     use crate::game::FnGame;
     use crate::shapley::shapley;
     use proptest::prelude::*;
@@ -753,7 +773,7 @@ mod proptests {
         ) {
             let n = contrib.len();
             let g = build(contrib, threshold);
-            let exact = shapley(&g);
+            let exact = shapley(&table_of(&g));
             let cfg = ApproxConfig {
                 samples: 512,
                 seed,

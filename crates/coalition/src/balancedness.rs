@@ -127,7 +127,8 @@ mod tests {
     use super::*;
     use crate::coalition::PlayerId;
     use crate::core_solution::is_core_nonempty;
-    use crate::game::{FnGame, TableGame};
+    use crate::game::tests::table_of;
+    use crate::game::FnGame;
 
     #[test]
     fn majority_game_is_not_balanced() {
@@ -166,7 +167,7 @@ mod tests {
         // games spanning both outcomes.
         for threshold in (0..=1500).step_by(125) {
             let t = threshold as f64;
-            let game = TableGame::try_from_fn(3, move |c: Coalition| {
+            let game = table_of(&FnGame::new(3, move |c: Coalition| {
                 let contrib = [100.0, 400.0, 800.0];
                 let total: f64 = c.players().map(|p| contrib[p]).sum();
                 if total > t {
@@ -174,8 +175,7 @@ mod tests {
                 } else {
                     0.0
                 }
-            })
-            .expect("3 players");
+            }));
             assert_eq!(
                 is_balanced(&game).expect("3 players"),
                 is_core_nonempty(&game).expect("3 players"),

@@ -92,7 +92,8 @@ pub fn top_synergies<G: WideGame>(game: &G, k: usize) -> Vec<(Coalition, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::{FnGame, TableGame};
+    use crate::game::tests::table_of;
+    use crate::game::FnGame;
     use crate::shapley::shapley;
 
     #[test]
@@ -127,8 +128,9 @@ mod tests {
 
     #[test]
     fn zeta_inverts_moebius() {
-        let g =
-            TableGame::try_from_fn(5, |c| ((c.0 * 2654435761) % 1000) as f64).expect("5 players");
+        let g = table_of(&FnGame::new(5, |c: Coalition| {
+            ((c.0 * 2654435761) % 1000) as f64
+        }));
         let d = harsanyi_dividends(&g);
         let v = values_from_dividends(5, &d);
         for c in Coalition::all(5) {
@@ -138,12 +140,10 @@ mod tests {
 
     #[test]
     fn shapley_via_dividends_matches_direct() {
-        let g = TableGame::try_from_fn(7, |c| {
+        let mut g = table_of(&FnGame::new(7, |c: Coalition| {
             let s = c.len() as f64;
             s * s + (c.0 % 13) as f64
-        })
-        .expect("7 players");
-        let mut g = g;
+        }));
         g.set(Coalition::EMPTY, 0.0);
         let a = shapley(&g);
         let b = shapley_from_dividends(&g);

@@ -2,18 +2,19 @@
 //!
 //! Every LP-backed concept ([`try_least_core`](crate::try_least_core),
 //! [`try_nucleolus`](crate::try_nucleolus),
-//! [`try_balancedness`](crate::try_balancedness)) and every dense table
-//! builder (`TableGame::try_from_*`) returns [`GameError`] instead of
-//! panicking, so the federation pipeline can degrade gracefully when a
+//! [`try_balancedness`](crate::try_balancedness)) and the dense table
+//! builder ([`TableGame::try_from_walk`](crate::TableGame::try_from_walk))
+//! returns [`GameError`] instead of panicking, so the federation pipeline can degrade gracefully when a
 //! characteristic function is numerically hostile (NaN values from a
 //! faulted simulation, degenerate stage LPs, ...) or too wide to
 //! enumerate. There is no panicking form beside them.
 
+use crate::coalition::Coalition;
 use fedval_simplex::{ProblemError, Status};
 use std::fmt;
 
 /// Alias for [`GameError`] emphasizing its role as the crate-wide error
-/// type — construction failures (`TableGame::try_from_fn`) and solution
+/// type — construction failures (`TableGame::try_from_walk`) and solution
 /// concepts share the same variants.
 pub type CoalitionError = GameError;
 
@@ -32,7 +33,7 @@ pub enum GameError {
     /// |---|---|---|
     /// | `try_least_core` / `try_balancedness` (and `is_core_nonempty` / `is_balanced`) | [`LEAST_CORE_MAX_PLAYERS`](crate::LEAST_CORE_MAX_PLAYERS) = 16 | `2^n − 2` LP columns |
     /// | `try_nucleolus` | [`NUCLEOLUS_MAX_PLAYERS`](crate::NUCLEOLUS_MAX_PLAYERS) = 12 | up to `n − 1` LPs of `2^n` columns |
-    /// | `TableGame::try_from_*`, `quotient_game` | [`TableGame::MAX_PLAYERS`](crate::TableGame::MAX_PLAYERS) = 25 | dense `2^n · f64` table |
+    /// | `TableGame::try_from_walk`, `quotient_game` | [`TableGame::MAX_PLAYERS`](crate::TableGame::MAX_PLAYERS) = 25 | dense `2^n · f64` table |
     /// | exact Shapley auto-selection | [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) = 16 | `2^n` evaluations |
     ///
     /// Shapley values have no such wall: the sampled estimators
@@ -62,6 +63,15 @@ pub enum GameError {
     /// A confidence level outside the open interval (0, 1) was requested.
     BadConfidence {
         /// The rejected level.
+        value: f64,
+    },
+    /// A coalition value is NaN or infinite (an overflowing or failed
+    /// characteristic function); the table builder rejects it before any
+    /// solution concept reads it.
+    NonFiniteValue {
+        /// The first such coalition, by mask.
+        coalition: Coalition,
+        /// Its value.
         value: f64,
     },
     /// An internal LP was rejected as malformed — in practice this means the
@@ -109,6 +119,13 @@ impl fmt::Display for GameError {
                 write!(
                     f,
                     "confidence level must lie strictly between 0 and 1, got {value}"
+                )
+            }
+            GameError::NonFiniteValue { coalition, value } => {
+                write!(
+                    f,
+                    "table_game: coalition {coalition} (player ids from 0) has the non-finite \
+                     value {value}; every coalition value must be a finite number"
                 )
             }
             GameError::MalformedLp { context, source } => {

@@ -62,9 +62,10 @@ pub trait WideGame: Sync {
     /// `value_members` of `start` (strictly increasing) after each of
     /// `toggles[..=k]` has been toggled — an outsider joins, a member
     /// leaves. Toggles may repeat, so players leave and rejoin; the value
-    /// of `start` itself is not part of the result. Exact Shapley fills
-    /// its coalition table by walking Gray-code blocks through this hook,
-    /// and the permutation estimator walks each sampled ordering through
+    /// of `start` itself is not part of the result.
+    /// [`TableGame::try_from_walk`] fills every `2^n` table by walking
+    /// Gray-code blocks through this hook, and the permutation estimator
+    /// walks each sampled ordering through
     /// [`WideGame::value_prefixes`], its add-only case.
     ///
     /// The default keeps a sorted member list and calls
@@ -121,8 +122,27 @@ impl TableGame {
     /// value with [`shapley_auto_wide`](crate::shapley_auto_wide).
     pub const MAX_PLAYERS: usize = 25;
 
-    /// [`GameError::TooManyPlayers`] past [`TableGame::MAX_PLAYERS`].
-    fn check_size(n: usize) -> Result<(), GameError> {
+    /// Materializes any [`WideGame`] into a dense table — the one `2^n`
+    /// builder. Every coalition is evaluated once along a Gray-code walk:
+    /// the ranks `0..2^n` split into contiguous ranges, the first walked
+    /// on the calling thread and each other on a crossbeam scoped worker,
+    /// each through [`WideGame::value_walk`] so consecutive coalitions
+    /// differ by one player. `threads` is clamped to `1..=n` and to one
+    /// walker per 256 ranks, so a table of at most 256 coalitions never
+    /// spawns. Each slot holds `value_members`' bits for its coalition at
+    /// every thread count. Adds `2^n` to the `coalition.game.evals`
+    /// counter.
+    ///
+    /// # Errors
+    /// [`GameError::TooManyPlayers`] when the game exceeds
+    /// [`TableGame::MAX_PLAYERS`], before anything is allocated;
+    /// [`GameError::NonFiniteValue`] naming the first coalition (by mask)
+    /// whose value is NaN or infinite.
+    pub fn try_from_walk<G: WideGame + ?Sized>(
+        game: &G,
+        threads: usize,
+    ) -> Result<TableGame, GameError> {
+        let n = game.n_players();
         if n > TableGame::MAX_PLAYERS {
             return Err(GameError::TooManyPlayers {
                 n,
@@ -130,57 +150,10 @@ impl TableGame {
                 solver: "table_game",
             });
         }
-        Ok(())
-    }
-
-    /// Builds a table game by evaluating `f` on every coalition.
-    ///
-    /// # Errors
-    /// [`GameError::TooManyPlayers`] when `n > TableGame::MAX_PLAYERS`.
-    pub fn try_from_fn(n: usize, f: impl Fn(Coalition) -> f64) -> Result<TableGame, GameError> {
-        TableGame::check_size(n)?;
-        let values = Coalition::all(n)
-            .map(|c| {
-                // One span per coalition evaluation: with the scenario
-                // characteristic function each of these is one LP solve,
-                // which is exactly the per-coalition cost the trace exists
-                // to expose.
-                let _eval = fedval_obs::span_with("coalition.game.eval", || format!("mask={}", c.0));
-                f(c)
-            })
-            .collect();
-        Ok(TableGame { n, values })
-    }
-
-    /// Materializes any [`WideGame`] into a dense table.
-    ///
-    /// # Errors
-    /// [`GameError::TooManyPlayers`] when the game exceeds
-    /// [`TableGame::MAX_PLAYERS`].
-    pub fn try_from_game<G: WideGame>(game: &G) -> Result<TableGame, GameError> {
-        TableGame::try_from_fn(game.n_players(), |c| game.value(c))
-    }
-
-    /// Materializes any [`WideGame`] on up to `threads` threads (clamped
-    /// to `1..=n`), evaluating every coalition once along a Gray-code
-    /// walk: the ranks `0..2^n` split into contiguous ranges, the first
-    /// walked on the calling thread and each other on a crossbeam scoped
-    /// worker, each through [`WideGame::value_walk`] so consecutive
-    /// coalitions differ by one player. The table has the same bits as
-    /// [`TableGame::try_from_game`] at every thread count.
-    ///
-    /// # Errors
-    /// [`GameError::TooManyPlayers`] when the game exceeds
-    /// [`TableGame::MAX_PLAYERS`], before anything is allocated.
-    pub fn try_from_walk<G: WideGame + ?Sized>(
-        game: &G,
-        threads: usize,
-    ) -> Result<TableGame, GameError> {
-        let n = game.n_players();
-        TableGame::check_size(n)?;
         let size = 1usize << n;
         let slots: Vec<AtomicU64> = (0..size).map(|_| AtomicU64::new(0)).collect();
-        let per = size.div_ceil(threads.clamp(1, n.max(1)));
+        let walkers = threads.clamp(1, n.max(1)).min(size.div_ceil(WALK_BLOCK));
+        let per = size.div_ceil(walkers);
         let walk = |lo: usize| walk_ranks(game, &slots, lo, (lo + per).min(size));
         let walk = &walk;
         let outcome = crossbeam::thread::scope(|scope| {
@@ -194,10 +167,17 @@ impl TableGame {
             // the original panic rather than masking it with a new one.
             std::panic::resume_unwind(payload);
         }
-        let values = slots
+        fedval_obs::counter_add("coalition.game.evals", size as u64);
+        let values: Vec<f64> = slots
             .into_iter()
             .map(|bits| f64::from_bits(bits.into_inner()))
             .collect();
+        if let Some((mask, &value)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+            return Err(GameError::NonFiniteValue {
+                coalition: Coalition(mask as u64),
+                value,
+            });
+        }
         Ok(TableGame { n, values })
     }
 
@@ -309,11 +289,17 @@ impl<F: Fn(Coalition) -> f64 + Sync> WideGame for FnGame<F> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// `game`'s table, walked on the calling thread — the unit tests'
+    /// way from a closure or oracle game to the exact solvers.
+    pub(crate) fn table_of<G: WideGame + ?Sized>(game: &G) -> TableGame {
+        TableGame::try_from_walk(game, 1).expect("test games fit a table")
+    }
+
     fn cardinality_game(n: usize) -> TableGame {
-        TableGame::try_from_fn(n, |c| c.len() as f64).expect("test games fit a table")
+        table_of(&FnGame::new(n, |c: Coalition| c.len() as f64))
     }
 
     #[test]
@@ -328,15 +314,17 @@ mod tests {
 
     #[test]
     fn marginal_contribution() {
-        let g = TableGame::try_from_fn(3, |c| (c.len() * c.len()) as f64).expect("3 players");
+        let g = table_of(&FnGame::new(3, |c: Coalition| (c.len() * c.len()) as f64));
         // Δ_0({1}) = V({0,1}) − V({1}) = 4 − 1 = 3.
         assert_eq!(g.marginal(0, Coalition::singleton(1)), 3.0);
     }
 
     #[test]
     fn zero_normalization_subtracts_singletons() {
-        let g = TableGame::try_from_fn(3, |c| if c.is_empty() { 0.0 } else { 10.0 })
-            .expect("3 players");
+        let g = table_of(&FnGame::new(
+            3,
+            |c: Coalition| if c.is_empty() { 0.0 } else { 10.0 },
+        ));
         let z = g.zero_normalized();
         assert_eq!(z.value(Coalition::singleton(0)), 0.0);
         assert_eq!(z.value(Coalition::grand(3)), 10.0 - 30.0);
@@ -359,22 +347,6 @@ mod tests {
         let g = cardinality_game(3);
         let g2 = g.clone();
         assert_eq!(g.values(), g2.values());
-    }
-
-    #[test]
-    fn try_from_fn_rejects_oversized_games() {
-        let err = TableGame::try_from_fn(TableGame::MAX_PLAYERS + 1, |c| c.len() as f64)
-            .expect_err("26 players must not materialize");
-        match &err {
-            GameError::TooManyPlayers { n, max, solver } => {
-                assert_eq!(*n, TableGame::MAX_PLAYERS + 1);
-                assert_eq!(*max, TableGame::MAX_PLAYERS);
-                assert_eq!(*solver, "table_game");
-            }
-            other => panic!("wrong error variant: {other:?}"),
-        }
-        let msg = err.to_string();
-        assert!(msg.contains("26"), "error must name the player count: {msg}");
     }
 
     /// A members-only game past the table cap is refused before the 2ⁿ
@@ -401,6 +373,39 @@ mod tests {
                     solver: "table_game",
                 }
             );
+            assert!(err.to_string().contains(&n.to_string()), "{err}");
+        }
+    }
+
+    /// A NaN or infinite coalition value fails the fill, naming the
+    /// lowest such mask, at every walker count.
+    #[test]
+    fn try_from_walk_rejects_non_finite_values() {
+        for (bad, value) in [
+            (5u64, f64::INFINITY),
+            (6, f64::NAN),
+            (1000, f64::NEG_INFINITY),
+        ] {
+            let game = FnGame::new(10, move |c: Coalition| {
+                if c.0 == bad || c.0 == 1020 {
+                    value
+                } else {
+                    c.len() as f64
+                }
+            });
+            for threads in [1, 3] {
+                let err = TableGame::try_from_walk(&game, threads)
+                    .expect_err("a non-finite value must not make a table");
+                let GameError::NonFiniteValue {
+                    coalition,
+                    value: got,
+                } = err
+                else {
+                    panic!("wrong error variant: {err:?}");
+                };
+                assert_eq!(coalition, Coalition(bad), "threads={threads}");
+                assert_eq!(got.to_bits(), value.to_bits());
+            }
         }
     }
 }
@@ -441,28 +446,34 @@ mod proptests {
         by_mask.to_bits() == game.value_members(members).to_bits()
     }
 
+    /// The per-coalition reference fill: `V(S)` by mask for every `S`.
+    fn per_coalition<G: WideGame>(game: &G) -> TableGame {
+        let n = game.n_players();
+        TableGame::from_values(n, Coalition::all(n).map(|c| game.value(c)).collect())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Every game that overrides the bitset fast path answers it with
-        /// the same bits as the member path, on random member sets.
+        /// the same bits as the member path, on random member sets, and
+        /// the walk fills the per-coalition table bit for bit at 1–3
+        /// walkers (n ≥ 10 at 3 threads splits the ranks unevenly).
         #[test]
         fn bitset_fast_path_matches_the_member_path(
-            n in 1usize..=10,
-            mask in 0u64..1024,
+            n in 1usize..=11,
+            mask in 0u64..2048,
             salt in any::<u64>(),
         ) {
             let members: Vec<PlayerId> = Coalition(mask & ((1 << n) - 1)).players().collect();
             let f = FnGame::new(n, move |c: Coalition| hashed(c, salt));
-            let table = TableGame::try_from_game(&f).expect("n ≤ 10 fits a table");
+            let table = per_coalition(&f);
             prop_assert!(same_bits(&f, &members));
             prop_assert!(same_bits(&table, &members));
-            // The walk-filled table equals the per-coalition fill bit for
-            // bit at every thread count, including uneven splits.
             let want: Vec<u64> = table.values().iter().map(|v| v.to_bits()).collect();
             for threads in 1..=3 {
                 let walked = TableGame::try_from_walk(&MembersOnly(&f), threads)
-                    .expect("n ≤ 10 fits a table");
+                    .expect("n ≤ 11 fits a table");
                 prop_assert!(same_bits(&walked, &members));
                 let got: Vec<u64> = walked.values().iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(got, want.clone(), "threads={}", threads);
@@ -471,20 +482,19 @@ mod proptests {
 
         /// A game that implements only `value_members` gets exact Shapley
         /// through `shapley_auto_wide` with the same bits as `shapley` on
-        /// its materialized table.
+        /// its per-coalition table.
         #[test]
         fn members_only_exact_shapley_matches_the_table(
             n in 1usize..=10,
             salt in any::<u64>(),
         ) {
             let f = FnGame::new(n, move |c: Coalition| hashed(c, salt));
-            let table = TableGame::try_from_game(&f).expect("n ≤ 10 fits a table");
             let estimate = shapley_auto_wide(&MembersOnly(&f), &ApproxConfig::default())
                 .expect("valid config");
             let ShapleyEstimate::Exact(phi) = estimate else {
                 panic!("n ≤ 10 must select exact enumeration");
             };
-            let want: Vec<u64> = shapley(&table).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = shapley(&per_coalition(&f)).iter().map(|v| v.to_bits()).collect();
             let got: Vec<u64> = phi.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(got, want);
         }

@@ -71,6 +71,7 @@ impl WideGame for AirportGame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::tests::table_of;
     use crate::properties::is_convex;
     use crate::shapley::shapley;
 
@@ -87,7 +88,7 @@ mod tests {
         let cost_phi = g.shapley_costs();
         // Cost-game Shapley via savings game: ϕᶜᵢ = costᵢ − ϕˢᵢ
         // (cost game c(S) = Σ costᵢ − V(S); Shapley is linear).
-        let savings_phi = shapley(&g);
+        let savings_phi = shapley(&table_of(&g));
         for i in 0..3 {
             let via_savings = g.costs[i] - savings_phi[i];
             assert!(

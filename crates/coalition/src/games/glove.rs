@@ -49,12 +49,13 @@ impl WideGame for GloveGame {
 mod tests {
     use super::*;
     use crate::core_solution::{is_core_nonempty, is_in_core};
+    use crate::game::tests::table_of;
     use crate::shapley::shapley;
 
     #[test]
     fn one_left_two_right_shapley() {
         let g = GloveGame::new(1, 2);
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         assert!((phi[0] - 2.0 / 3.0).abs() < 1e-12);
         assert!((phi[1] - 1.0 / 6.0).abs() < 1e-12);
         assert!((phi[2] - 1.0 / 6.0).abs() < 1e-12);
@@ -63,7 +64,7 @@ mod tests {
     #[test]
     fn balanced_market_splits_evenly() {
         let g = GloveGame::new(2, 2);
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         let total: f64 = phi.iter().sum();
         assert!((total - 2.0).abs() < 1e-9);
         assert!((phi[0] - phi[1]).abs() < 1e-12);
@@ -85,7 +86,7 @@ mod tests {
         // Shapley tempers the winner-take-all core outcome — the property
         // the paper relies on for "fair" federation sharing.
         let g = GloveGame::new(1, 3);
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         assert!(phi[0] < 1.0 && phi[0] > 0.5);
         assert!(phi[1] > 0.0);
     }

@@ -54,6 +54,7 @@ impl WideGame for UnanimityGame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::tests::table_of;
     use crate::nucleolus::try_nucleolus;
     use crate::shapley::shapley;
 
@@ -61,7 +62,7 @@ mod tests {
     fn shapley_splits_weight_over_carrier() {
         let t = Coalition::from_players([1, 3]);
         let g = UnanimityGame::new(4, t, 6.0);
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         assert_eq!(phi[0], 0.0);
         assert!((phi[1] - 3.0).abs() < 1e-12);
         assert_eq!(phi[2], 0.0);
@@ -81,7 +82,7 @@ mod tests {
     #[test]
     fn grand_carrier_means_equal_split() {
         let g = UnanimityGame::new(5, Coalition::grand(5), 5.0);
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         for v in phi {
             assert!((v - 1.0).abs() < 1e-12);
         }

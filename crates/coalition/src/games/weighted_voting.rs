@@ -50,6 +50,7 @@ impl WideGame for WeightedVotingGame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::tests::table_of;
     use crate::shapley::shapley;
 
     #[test]
@@ -58,7 +59,7 @@ mod tests {
         let g = WeightedVotingGame::new(3.0, vec![2.0, 1.0, 1.0]);
         assert!(!g.is_winning(Coalition::from_players([1, 2])));
         assert!(g.is_winning(Coalition::from_players([0, 1])));
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         // Orders where 0 pivots: all where 0 arrives second or third =
         // 4 of 6 ⇒ ϕ₀ = 2/3; symmetry gives 1/6 each to the others.
         assert!((phi[0] - 2.0 / 3.0).abs() < 1e-12);
@@ -70,7 +71,7 @@ mod tests {
         // [5; 3, 3, 1]: player 2 never pivots (3 < 5, 3+1 < 5... actually
         // 3+3 ≥ 5 without them and 3+1 < 5): dummy.
         let g = WeightedVotingGame::new(5.0, vec![3.0, 3.0, 1.0]);
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         assert!(phi[2].abs() < 1e-12);
         assert!((phi[0] - 0.5).abs() < 1e-12);
     }

@@ -11,8 +11,10 @@
 //!
 //! The crate is model-agnostic: any type implementing [`WideGame`] (a
 //! player count plus a characteristic function over member slices) gets
-//! every solution concept. Exact solvers enumerate bitset coalitions
-//! through [`WideGame::value`], a fast path that table and closure games
+//! every solution concept. [`TableGame::try_from_walk`] fills a game's
+//! `2^n` coalition values once, exact Shapley reads that table, and the
+//! other exact solvers enumerate bitset coalitions through
+//! [`WideGame::value`], a fast path that table and closure games
 //! override; past the exact caps, [`approx`] samples the Shapley value
 //! with a certificate. The federation model in `fedval-core` plugs in
 //! here; so do the classical oracle games in [`games`] used for
@@ -21,7 +23,7 @@
 //! # Quick example
 //!
 //! ```
-//! use fedval_coalition::{Coalition, FnGame, shapley_normalized};
+//! use fedval_coalition::{Coalition, FnGame, TableGame, shapley_normalized};
 //!
 //! // The paper's §4.1 worked example: L = (100, 400, 800), threshold 500
 //! // (eq. 1's threshold is strict: utility is x^d only when x > l).
@@ -30,8 +32,11 @@
 //!     let total: f64 = c.players().map(|p| contrib[p]).sum();
 //!     if total > 500.0 { total } else { 0.0 }
 //! });
-//! let shares = shapley_normalized(&game);
+//! // Evaluate every coalition once, on one thread, then share.
+//! let table = TableGame::try_from_walk(&game, 1)?;
+//! let shares = shapley_normalized(&table);
 //! assert!((shares[1] - 2.0 / 13.0).abs() < 1e-12);
+//! # Ok::<(), fedval_coalition::GameError>(())
 //! ```
 
 pub mod approx;
@@ -72,6 +77,6 @@ pub use owen::{owen_value, owen_value_normalized, quotient_game};
 pub use properties::{
     analyze, is_convex, is_essential, is_monotone, is_superadditive, GameProperties,
 };
-pub use shapley::{shapley, shapley_normalized, shapley_parallel};
+pub use shapley::{shapley, shapley_normalized};
 pub use tau::{minimal_rights, tau_value, utopia_payoffs};
 pub use weighted::{weighted_shapley, weighted_shapley_normalized};

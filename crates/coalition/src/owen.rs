@@ -23,7 +23,7 @@
 
 use crate::coalition::Coalition;
 use crate::error::GameError;
-use crate::game::{TableGame, WideGame};
+use crate::game::{FnGame, TableGame, WideGame};
 
 /// Computes the Owen value for the given partition into unions.
 ///
@@ -79,20 +79,23 @@ pub fn owen_value_normalized<G: WideGame>(game: &G, unions: &[Coalition]) -> Vec
 }
 
 /// The quotient game between unions: player `k` of the quotient is union
-/// `B_k`, and `V_Q(T) = V(⋃_{k∈T} B_k)`.
+/// `B_k`, and `V_Q(T) = V(⋃_{k∈T} B_k)`, walked into a table on the
+/// calling thread.
 ///
 /// # Errors
-/// [`GameError::TooManyPlayers`] past [`TableGame::MAX_PLAYERS`] unions.
+/// [`GameError::TooManyPlayers`] past [`TableGame::MAX_PLAYERS`] unions,
+/// [`GameError::NonFiniteValue`] when a merged coalition's value is NaN or
+/// infinite.
 pub fn quotient_game<G: WideGame>(game: &G, unions: &[Coalition]) -> Result<TableGame, GameError> {
     let n = game.n_players();
     validate_partition(n, unions);
-    let unions = unions.to_vec();
-    TableGame::try_from_fn(unions.len(), move |t: Coalition| {
+    let quotient = FnGame::new(unions.len(), |t: Coalition| {
         let merged = t
             .players()
             .fold(Coalition::EMPTY, |acc, k| acc.union(unions[k]));
         game.value(merged)
-    })
+    });
+    TableGame::try_from_walk(&quotient, 1)
 }
 
 /// `w(s, m) = s!·(m−s)!/(m+1)!` for `s ∈ 0..=m`, computed via
@@ -127,7 +130,7 @@ fn validate_partition(n: usize, unions: &[Coalition]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::FnGame;
+    use crate::game::tests::table_of;
     use crate::shapley::shapley;
 
     fn majority3() -> FnGame<impl Fn(Coalition) -> f64 + Sync> {
@@ -139,7 +142,7 @@ mod tests {
         let g = FnGame::new(4, |c: Coalition| (c.len() as f64).powi(2));
         let unions: Vec<Coalition> = (0..4).map(Coalition::singleton).collect();
         let owen = owen_value(&g, &unions);
-        let plain = shapley(&g);
+        let plain = shapley(&table_of(&g));
         for (a, b) in owen.iter().zip(&plain) {
             assert!((a - b).abs() < 1e-9, "{owen:?} vs {plain:?}");
         }
@@ -156,7 +159,7 @@ mod tests {
             }
         });
         let owen = owen_value(&g, &[Coalition::grand(4)]);
-        let plain = shapley(&g);
+        let plain = shapley(&table_of(&g));
         for (a, b) in owen.iter().zip(&plain) {
             assert!((a - b).abs() < 1e-9);
         }

@@ -1,6 +1,6 @@
-//! The Shapley value (eq. 4 of the paper) — exact and parallel. The
-//! sampled estimators for games past the exact cap live in
-//! [`approx`](crate::approx).
+//! The Shapley value (eq. 4 of the paper) — exact, from a filled
+//! coalition table. The sampled estimators for games past the exact cap
+//! live in [`approx`](crate::approx).
 //!
 //! The Shapley value of player `i` is the expected marginal contribution of
 //! `i` over a uniformly random ordering of the players:
@@ -15,68 +15,27 @@
 use crate::coalition::{Coalition, PlayerId};
 use crate::game::{TableGame, WideGame};
 
-/// Exact Shapley values of all players: [`shapley_parallel`] on one
-/// thread, with the same bits.
-///
-/// Evaluates the characteristic function once per coalition (`2^n`
-/// calls) into a dense table of `2^n` `f64` values — 512 KiB at
-/// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) — and
-/// then sums each player's weighted marginals from the table.
-///
-/// # Panics
-/// Panics past [`TableGame::MAX_PLAYERS`] players, where the table does
-/// not fit; [`shapley_auto_wide`](crate::shapley_auto_wide) samples such
-/// games instead.
-pub fn shapley<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
+/// Exact Shapley values of all players, read from `table`: each player's
+/// weighted marginals summed over the `2^(n−1)` coalitions without it,
+/// in subset order. Fill the table with [`TableGame::try_from_walk`]
+/// (every coalition evaluated once, on as many threads as asked); the
+/// sums are the same bits at any fill thread count.
+pub fn shapley(table: &TableGame) -> Vec<f64> {
     let _span = fedval_obs::span_with("coalition.shapley.exact", || {
-        format!("n={}", game.n_players())
+        format!("n={}", table.n_players())
     });
-    exact_shapley(game, 1)
+    player_sums(table)
 }
 
-/// Exact Shapley values of all players, evaluating the game on up to
-/// `threads` threads.
-///
-/// Every coalition is evaluated exactly once: [`TableGame::try_from_walk`]
-/// fills one dense table of `2^n` `f64` values (512 KiB at
-/// [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS)) on the
-/// calling thread and `threads − 1` scoped workers. The calling thread
-/// then runs each player's subset sum on the table, so every ϕᵢ has the
-/// same bits as [`shapley`].
-///
-/// Records the same `coalition.shapley.exact` span as [`shapley`] (with
-/// `threads=` in its detail), so a trace names the solution concept, not
-/// the thread count it ran at.
-///
-/// # Panics
-/// Panics where [`shapley`] does.
-pub fn shapley_parallel<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
-    let n = game.n_players();
-    let threads = threads.clamp(1, n.max(1));
-    let _span = fedval_obs::span_with("coalition.shapley.exact", || {
-        format!("n={n} threads={threads}")
-    });
-    exact_shapley(game, threads)
-}
-
-/// The exact pass behind [`shapley`] and [`shapley_parallel`]
-/// (`1 ≤ threads ≤ n`): fill the table, then sum per player.
-fn exact_shapley<G: WideGame + ?Sized>(game: &G, threads: usize) -> Vec<f64> {
-    let n = game.n_players();
+/// The sums behind [`shapley`], without its span — for callers that open
+/// `coalition.shapley.exact` around the fill as well.
+pub(crate) fn player_sums(table: &TableGame) -> Vec<f64> {
+    let n = table.n_players();
     if n == 0 {
         return Vec::new();
     }
-    match TableGame::try_from_walk(game, threads) {
-        Ok(table) => {
-            let weights = subset_weights(n);
-            (0..n).map(|i| player_sum(&table, &weights, i)).collect()
-        }
-        #[expect(
-            clippy::panic,
-            reason = "documented `# Panics`: past the table cap the exact pass cannot run; shapley_auto_wide samples those games"
-        )]
-        Err(e) => panic!("shapley: {e}"),
-    }
+    let weights = subset_weights(n);
+    (0..n).map(|i| player_sum(table, &weights, i)).collect()
 }
 
 /// Player `i`'s subset sum `Σ_{S ⊆ N∖{i}} w(|S|)·[V(S ∪ {i}) − V(S)]`
@@ -94,8 +53,8 @@ fn player_sum(table: &TableGame, weights: &[f64], i: PlayerId) -> f64 {
 ///
 /// Returns all zeros when `V(N) = 0` (an inessential federation generates no
 /// value to share).
-pub fn shapley_normalized<G: WideGame + ?Sized>(game: &G) -> Vec<f64> {
-    normalize(shapley(game), game.grand_value())
+pub fn shapley_normalized(table: &TableGame) -> Vec<f64> {
+    normalize(shapley(table), table.grand_value())
 }
 
 pub(crate) fn normalize(phi: Vec<f64>, total: f64) -> Vec<f64> {
@@ -124,7 +83,8 @@ fn subset_weights(n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::{FnGame, TableGame};
+    use crate::game::tests::table_of;
+    use crate::game::FnGame;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
@@ -156,7 +116,7 @@ mod tests {
         let g = FnGame::new(4, move |c: Coalition| {
             c.players().map(|p| a[p]).sum::<f64>()
         });
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         for (i, &ai) in a.iter().enumerate() {
             assert_close(phi[i], ai, 1e-12);
         }
@@ -165,7 +125,7 @@ mod tests {
     #[test]
     fn symmetric_players_get_equal_shares() {
         let g = FnGame::new(5, |c: Coalition| (c.len() as f64).powi(2));
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         for i in 1..5 {
             assert_close(phi[i], phi[0], 1e-12);
         }
@@ -181,7 +141,7 @@ mod tests {
             let right = c.contains(1) as usize + c.contains(2) as usize;
             left.min(right) as f64
         });
-        let phi = shapley(&g);
+        let phi = shapley(&table_of(&g));
         assert_close(phi[0], 2.0 / 3.0, 1e-12);
         assert_close(phi[1], 1.0 / 6.0, 1e-12);
         assert_close(phi[2], 1.0 / 6.0, 1e-12);
@@ -205,41 +165,26 @@ mod tests {
                 0.0
             }
         });
-        let phi_hat = shapley_normalized(&g);
+        let phi_hat = shapley_normalized(&table_of(&g));
         assert_close(phi_hat[1], 2.0 / 13.0, 1e-12);
         assert_close(phi_hat.iter().sum::<f64>(), 1.0, 1e-12);
     }
 
     #[test]
     fn efficiency_axiom_on_random_table() {
-        let g = TableGame::try_from_fn(6, |c| {
+        let mut g = table_of(&FnGame::new(6, |c: Coalition| {
             // Deterministic pseudo-random values.
             let x = c.0.wrapping_mul(0x9E3779B97F4A7C15);
             (x >> 40) as f64 / 1e3
-        })
-        .expect("6 players");
+        }));
         // Force V(∅)=0 for the axiom.
-        let mut g = g;
         g.set(Coalition::EMPTY, 0.0);
         let phi = shapley(&g);
         assert_close(phi.iter().sum::<f64>(), g.grand_value(), 1e-9);
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = TableGame::try_from_fn(8, |c| (c.len() as f64).sqrt() * c.0 as f64 % 17.0)
-            .expect("8 players");
-        let seq = shapley(&g);
-        for threads in [1, 2, 3, 8, 64] {
-            let par = shapley_parallel(&g, threads);
-            for i in 0..8 {
-                assert_close(par[i], seq[i], 1e-12);
-            }
-        }
-    }
-
-    /// Answers `value_members` only (so the exact pass takes the default
-    /// walk) and counts every call.
+    /// Answers `value_members` only (so the fill takes the default walk)
+    /// and counts every call.
     struct CountingGame {
         n: usize,
         calls: std::sync::atomic::AtomicUsize,
@@ -261,6 +206,10 @@ mod tests {
         }
     }
 
+    /// The walk fill evaluates each of the `2^n` coalitions exactly once
+    /// at every walker count (n = 10 at 3 threads splits the ranks
+    /// unevenly), and exact Shapley on it has the per-coalition table's
+    /// bits.
     #[test]
     fn exact_shapley_evaluates_each_coalition_once() {
         use std::sync::atomic::Ordering;
@@ -269,31 +218,25 @@ mod tests {
             n,
             calls: Default::default(),
         };
-        let want: Vec<u64> = shapley(&TableGame::try_from_game(&game).expect("10 players"))
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let reference =
+            TableGame::from_values(n, Coalition::all(n).map(|c| game.value(c)).collect());
+        let want: Vec<u64> = shapley(&reference).iter().map(|v| v.to_bits()).collect();
         for threads in [1, 2, 3, 8] {
             game.calls.store(0, Ordering::Relaxed);
-            let sequential = shapley(&game);
-            assert_eq!(game.calls.load(Ordering::Relaxed), 1 << n, "shapley");
-            game.calls.store(0, Ordering::Relaxed);
-            let parallel = shapley_parallel(&game, threads);
+            let table = TableGame::try_from_walk(&game, threads).expect("10 players");
             assert_eq!(
                 game.calls.load(Ordering::Relaxed),
                 1 << n,
                 "threads={threads}"
             );
-            for phi in [sequential, parallel] {
-                let got: Vec<u64> = phi.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "threads={threads}");
-            }
+            let got: Vec<u64> = shapley(&table).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "threads={threads}");
         }
     }
 
     #[test]
     fn normalization_handles_zero_grand_value() {
         let g = FnGame::new(3, |_| 0.0);
-        assert_eq!(shapley_normalized(&g), vec![0.0; 3]);
+        assert_eq!(shapley_normalized(&table_of(&g)), vec![0.0; 3]);
     }
 }

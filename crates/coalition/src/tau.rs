@@ -157,7 +157,7 @@ mod tests {
             (false, false) => 0.0,
         });
         let tau = tau_value(&g).unwrap();
-        let phi = crate::shapley::shapley(&g);
+        let phi = crate::shapley::shapley(&crate::game::tests::table_of(&g));
         for (t, p) in tau.iter().zip(&phi) {
             assert!((t - p).abs() < 1e-9);
         }

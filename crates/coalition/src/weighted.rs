@@ -58,6 +58,7 @@ pub fn weighted_shapley_normalized<G: WideGame>(game: &G, w: &[f64]) -> Vec<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::tests::table_of;
     use crate::game::FnGame;
     use crate::shapley::shapley;
 
@@ -71,7 +72,7 @@ mod tests {
                 0.0
             }
         });
-        let sym = shapley(&g);
+        let sym = shapley(&table_of(&g));
         let wtd = weighted_shapley(&g, &[3.0; 4]);
         for (a, b) in sym.iter().zip(&wtd) {
             assert!((a - b).abs() < 1e-9, "{sym:?} vs {wtd:?}");

@@ -178,7 +178,7 @@ mod tests {
         // ϕ₂ = (200 + 200 + 200)/6 = 100 ⇒ ϕ̂₂ = 1/11 < 2/13.
         let table = |availability| {
             let game = AvailabilityGame::try_new(threshold_game(), availability).expect("valid");
-            TableGame::try_from_game(&game).expect("3 players")
+            TableGame::try_from_walk(&game, 1).expect("3 players")
         };
         let reliable = table(vec![1.0, 1.0, 1.0]);
         let flaky2 = table(vec![1.0, 0.5, 1.0]);

@@ -306,7 +306,7 @@ mod tests {
         let facilities = paper_facilities([2, 2, 2]);
         let d = demand(300.0, 0.5, 1.0);
         let g = DynamicFederationGame::new(&facilities, &d);
-        let table = TableGame::try_from_game(&g).expect("3 facilities");
+        let table = TableGame::try_from_walk(&g, 1).expect("3 facilities");
         assert!(is_superadditive(&table, 1e-9));
     }
 
@@ -315,7 +315,7 @@ mod tests {
         let facilities = paper_facilities([1, 1, 1]);
         let d = demand(500.0, 1.0, 1.0);
         let g = DynamicFederationGame::new(&facilities, &d);
-        let table = TableGame::try_from_game(&g).expect("3 facilities");
+        let table = TableGame::try_from_walk(&g, 1).expect("3 facilities");
         let shares = shapley_normalized(&table);
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // Facility 3 (the only solo server) dominates, as in the static
@@ -397,7 +397,7 @@ mod per_location_tests {
         let facilities = small_facilities();
         let d = DynamicDemand::single(ExperimentClass::simple("e", 60.0, 1.0), 1.5, 0.5);
         let g = DynamicFederationGame::new(&facilities, &d).with_mode(ValueMode::PerLocation);
-        let table = TableGame::try_from_game(&g).expect("3 facilities");
+        let table = TableGame::try_from_walk(&g, 1).expect("3 facilities");
         let shares = shapley_normalized(&table);
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(shares.iter().all(|&s| s >= -1e-12));

@@ -6,9 +6,8 @@ use crate::facility::Facility;
 use crate::sharing;
 use crate::value::FederationGame;
 use fedval_coalition::{
-    analyze, is_core_nonempty, shapley, shapley_auto_wide, shapley_parallel, try_nucleolus,
-    ApproxConfig, Coalition, CoalitionError, GameProperties, ShapleyEstimate, TableGame, WideGame,
-    EXACT_SHAPLEY_MAX_PLAYERS,
+    analyze, is_core_nonempty, shapley, shapley_auto_wide, try_nucleolus, ApproxConfig, Coalition,
+    CoalitionError, GameProperties, ShapleyEstimate, TableGame, WideGame,
 };
 
 /// A measured game's player count disagrees with the facility list.
@@ -41,16 +40,17 @@ impl std::error::Error for PlayerCountMismatch {}
 /// A scenario is intentionally *not* `Sync` (the lazy table cell is
 /// single-threaded); parallel sweeps build one scenario per worker. The
 /// [`with_threads`](FederationScenario::with_threads) knob instead
-/// parallelizes *within* one scenario's Shapley computation — useful for
-/// larger player counts where the `O(2^n)` pass dominates.
+/// parallelizes *within* one scenario's `2^n` table fill — the cost that
+/// dominates at larger player counts; exact Shapley then reads the table.
 ///
 /// The infallible accessors (`game`, `value`, `grand_value`,
 /// `shapley_shares`, `nucleolus_shares`, `core_nonempty`, `properties`,
 /// `payoffs`) serve scenarios inside the exact caps — the coalition table
 /// holds 25 facilities, the least-core LP 16, the nucleolus 12 — and panic
-/// past them; [`try_game`](FederationScenario::try_game),
+/// past them or on a NaN or infinite coalition value;
+/// [`try_game`](FederationScenario::try_game),
 /// [`shapley_estimate`](FederationScenario::shapley_estimate) and
-/// `fedval_policy::try_policy_report` check the caps first.
+/// `fedval_policy::try_policy_report` check first.
 pub struct FederationScenario {
     facilities: Vec<Facility>,
     demand: Demand,
@@ -79,15 +79,16 @@ impl FederationScenario {
         self
     }
 
-    /// Sets the worker-thread count for the Shapley computation (builder
-    /// style). `1` (the default) keeps everything on the calling thread;
-    /// any value yields bit-identical shares (see DESIGN.md §9).
+    /// Sets the worker-thread count (builder style) for the table fill
+    /// ([`TableGame::try_from_walk`]) and the sampled estimator. `1` (the
+    /// default) keeps everything on the calling thread; any value yields
+    /// bit-identical tables, shares and estimates (see DESIGN.md §9).
     pub fn with_threads(mut self, threads: usize) -> FederationScenario {
         self.threads = threads.max(1);
         self
     }
 
-    /// The configured Shapley worker-thread count.
+    /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -164,18 +165,22 @@ impl FederationScenario {
     ///
     /// # Panics
     /// Panics where [`FederationScenario::try_game`] would return an error
-    /// (more facilities than a dense table supports).
+    /// (more facilities than a dense table supports, or a non-finite
+    /// coalition value).
     pub fn game(&self) -> &TableGame {
         solved("game", self.try_game())
     }
 
-    /// Materializes the coalition-value table on first call and caches it.
+    /// Materializes the coalition-value table on first call and caches it:
+    /// [`TableGame::try_from_walk`] on
+    /// [`threads`](FederationScenario::threads) walkers.
     ///
     /// # Errors
     /// [`CoalitionError::TooManyPlayers`] when the facility count exceeds
-    /// [`TableGame::MAX_PLAYERS`]; the scenario stays usable (the next
-    /// call retries) and the proportional/consumption benchmarks — which
-    /// never enumerate coalitions — keep working.
+    /// [`TableGame::MAX_PLAYERS`], [`CoalitionError::NonFiniteValue`] when a
+    /// coalition value overflows or is NaN; the scenario stays usable (the
+    /// next call retries) and the proportional/consumption benchmarks —
+    /// which never enumerate coalitions — keep working.
     pub fn try_game(&self) -> Result<&TableGame, CoalitionError> {
         if let Some(table) = self.table.get() {
             return Ok(table);
@@ -184,7 +189,10 @@ impl FederationScenario {
             let _span = fedval_obs::span_with("core.scenario.table_build", || {
                 format!("n={}", self.facilities.len())
             });
-            TableGame::try_from_game(&FederationGame::new(&self.facilities, &self.demand))?
+            TableGame::try_from_walk(
+                &FederationGame::new(&self.facilities, &self.demand),
+                self.threads,
+            )?
         };
         Ok(self.table.get_or_init(|| built))
     }
@@ -199,40 +207,36 @@ impl FederationScenario {
         self.game().grand_value()
     }
 
-    /// Normalized Shapley shares ϕ̂ (eq. 5).
-    ///
-    /// Runs on [`threads`](FederationScenario::threads) workers; the
-    /// result is bit-identical for every thread count.
+    /// Normalized Shapley shares ϕ̂ (eq. 5), read from the cached table.
     pub fn shapley_shares(&self) -> Vec<f64> {
         let table = self.game();
         let grand = table.grand_value();
         if grand.abs() < 1e-12 {
             return vec![0.0; table.n_players()];
         }
-        let phi = if self.threads > 1 {
-            shapley_parallel(table, self.threads)
-        } else {
-            shapley(table)
-        };
-        phi.into_iter().map(|p| p / grand).collect()
+        shapley(table).into_iter().map(|p| p / grand).collect()
     }
 
-    /// Shapley values through the solver-selection layer: exact below
-    /// [`EXACT_SHAPLEY_MAX_PLAYERS`] facilities, the seeded sampled
-    /// estimator (with its confidence-interval certificate) above it — the
-    /// entry point that makes a 200-authority scenario answerable instead
-    /// of a `TooManyPlayers` error.
+    /// Shapley values through the solver-selection rule
+    /// ([`ApproxConfig::selects_sampling`]): exact up to
+    /// [`fedval_coalition::EXACT_SHAPLEY_MAX_PLAYERS`] facilities, read
+    /// from the cached table ([`try_game`](FederationScenario::try_game)),
+    /// and the seeded sampled estimator (with its confidence-interval
+    /// certificate) past it or under `force` — the entry point that makes
+    /// a 200-authority scenario answerable instead of a `TooManyPlayers`
+    /// error.
     ///
-    /// Uses the measured table when one was supplied
-    /// ([`try_from_measured`](FederationScenario::try_from_measured)), the lazily
-    /// cached closed-form table below the cap, and the un-materialized
-    /// wide federation game above it. Sampling parameters come from
+    /// The estimator samples the measured table when one was supplied
+    /// ([`try_from_measured`](FederationScenario::try_from_measured)) or
+    /// already filled, and the un-materialized wide federation game
+    /// otherwise. Sampling parameters come from
     /// [`with_approx`](FederationScenario::with_approx); results are
     /// byte-identical per seed at any thread count.
     ///
     /// # Errors
     /// [`CoalitionError::NoPlayers`] / [`CoalitionError::NoSamples`] /
-    /// [`CoalitionError::BadConfidence`] for malformed inputs, and
+    /// [`CoalitionError::BadConfidence`] for malformed inputs, as
+    /// [`try_game`](FederationScenario::try_game) on the exact path, and
     /// [`CoalitionError::TooManyPlayers`] past the sampled path's own
     /// sanity cap ([`fedval_coalition::MAX_SAMPLED_PLAYERS`]).
     pub fn shapley_estimate(&self) -> Result<ShapleyEstimate, CoalitionError> {
@@ -240,17 +244,20 @@ impl FederationScenario {
             threads: self.threads,
             ..self.approx
         };
+        let n = self.facilities.len();
+        if !cfg.selects_sampling(n) {
+            if n == 0 {
+                return Err(CoalitionError::NoPlayers);
+            }
+            cfg.validate()?;
+            return Ok(ShapleyEstimate::Exact(shapley(self.try_game()?)));
+        }
         if let Some(table) = self.table.get() {
             // Measured scenarios must answer from their table: the
             // closed-form model does not reproduce measured values.
             return shapley_auto_wide(table, &cfg);
         }
-        let n = self.facilities.len();
-        if !cfg.force && n <= EXACT_SHAPLEY_MAX_PLAYERS {
-            return shapley_auto_wide(self.try_game()?, &cfg);
-        }
-        let game = FederationGame::new(&self.facilities, &self.demand);
-        shapley_auto_wide(&game, &cfg)
+        shapley_auto_wide(&FederationGame::new(&self.facilities, &self.demand), &cfg)
     }
 
     /// Normalized shares from [`shapley_estimate`]
@@ -466,6 +473,28 @@ mod tests {
         // Deterministic across repeat calls and thread counts.
         let again = s.shapley_estimate().expect("repeat");
         assert_eq!(est, again);
+    }
+
+    #[test]
+    fn try_game_rejects_non_finite_coalition_values() {
+        use crate::facility::Facility;
+        // d = 400 over 10 and 20 locations overflows every non-empty
+        // coalition's value to inf.
+        let s = FederationScenario::new(
+            vec![
+                Facility::uniform("a", 0, 10, 1),
+                Facility::uniform("b", 10, 20, 1),
+            ],
+            Demand::one_experiment(ExperimentClass::simple("e", 1.0, 400.0)),
+        )
+        .with_threads(2);
+        let err = s.try_game().expect_err("inf values must not make a table");
+        assert!(
+            matches!(err, CoalitionError::NonFiniteValue { coalition, value }
+                if coalition == Coalition::singleton(0) && value == f64::INFINITY),
+            "{err:?}"
+        );
+        assert_eq!(s.shapley_estimate().err(), Some(err));
     }
 
     #[test]

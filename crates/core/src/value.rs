@@ -17,7 +17,7 @@ use fedval_coalition::{WideGame, MAX_SAMPLED_PLAYERS};
 /// `value(S)` runs the allocation optimizer on the coalition's merged
 /// capacity profile. For repeated solution-concept computations,
 /// materialize it once with
-/// [`TableGame::try_from_game`](fedval_coalition::TableGame::try_from_game)
+/// [`TableGame::try_from_walk`](fedval_coalition::TableGame::try_from_walk)
 /// and use the table.
 ///
 /// It is a [`WideGame`] at any size up to [`MAX_SAMPLED_PLAYERS`]: the
@@ -153,7 +153,7 @@ mod tests {
         assert_eq!(game.value(Coalition::from_players([1, 2])), 1200.0);
         assert_eq!(game.grand_value(), 1300.0);
 
-        let table = TableGame::try_from_game(&game).expect("3 facilities");
+        let table = TableGame::try_from_walk(&game, 1).expect("3 facilities");
         let phi_hat = shapley_normalized(&table);
         assert!((phi_hat[1] - 2.0 / 13.0).abs() < 1e-12);
     }
@@ -164,7 +164,8 @@ mod tests {
         let facilities = paper_facilities([1, 1, 1]);
         let demand = Demand::one_experiment(ExperimentClass::simple("e", 0.0, 1.0));
         let game = FederationGame::new(&facilities, &demand);
-        let phi_hat = shapley_normalized(&TableGame::try_from_game(&game).expect("3 facilities"));
+        let phi_hat =
+            shapley_normalized(&TableGame::try_from_walk(&game, 1).expect("3 facilities"));
         assert!((phi_hat[0] - 100.0 / 1300.0).abs() < 1e-9);
         assert!((phi_hat[1] - 400.0 / 1300.0).abs() < 1e-9);
         assert!((phi_hat[2] - 800.0 / 1300.0).abs() < 1e-9);

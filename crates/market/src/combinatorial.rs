@@ -199,7 +199,7 @@ mod tests {
         let market = out.revenue_shares();
 
         let demand = Demand::one_experiment(ExperimentClass::simple("e", 1249.0, 1.0));
-        let game = TableGame::try_from_game(&FederationGame::new(&facilities, &demand))
+        let game = TableGame::try_from_walk(&FederationGame::new(&facilities, &demand), 1)
             .expect("3 facilities");
         let shapley = shapley_normalized(&game);
 

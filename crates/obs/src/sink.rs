@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Implementations must be cheap and must never panic: sinks are invoked
 /// from `Drop` impls (span guards) where a panic would abort the process
 /// during unwinding. They must also be internally synchronized
-/// (`Send + Sync`) — records arrive from worker threads (e.g.
-/// `shapley_parallel`).
+/// (`Send + Sync`) — records arrive from worker threads (e.g. the
+/// sampled Shapley estimator's block workers).
 pub trait Sink: Send + Sync {
     /// Delivers one record. Implementations must not panic.
     fn record(&self, r: &Record);

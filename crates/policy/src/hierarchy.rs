@@ -40,8 +40,9 @@ impl HierarchicalShares {
 /// site-level characteristic function `O(2^u · 2^b)` times per player).
 ///
 /// # Panics
-/// Panics if there are no sites, more than 16, or the demand is not
-/// supported by the allocation optimizer.
+/// Panics if there are no sites, more than 16, a coalition value is NaN
+/// or infinite, or the demand is not supported by the allocation
+/// optimizer.
 pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> HierarchicalShares {
     let flat: Vec<Facility> = site_groups.iter().flatten().cloned().collect();
     let n = flat.len();
@@ -65,7 +66,7 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
         Ok(tables) => tables,
         #[expect(
             clippy::panic,
-            reason = "unreachable: n ≤ 16 is asserted above, inside TableGame::MAX_PLAYERS"
+            reason = "documented `# Panics`: n ≤ 16 is asserted above, inside TableGame::MAX_PLAYERS, so only a non-finite coalition value fails the fill"
         )]
         Err(e) => panic!("hierarchical_shapley: {e}"),
     };
@@ -172,7 +173,7 @@ mod tests {
         assert!((h.authority_shares[0] - 1.0).abs() < 1e-9);
         let flat: Vec<Facility> = groups.concat();
         let plain = fedval_coalition::shapley_normalized(
-            &TableGame::try_from_game(&FederationGame::new(&flat, &d)).expect("2 sites"),
+            &TableGame::try_from_walk(&FederationGame::new(&flat, &d), 1).expect("2 sites"),
         );
         for (a, b) in h.site_shares[0].iter().zip(&plain) {
             assert!((a - b).abs() < 1e-9);

@@ -80,9 +80,11 @@ const DISTANCE_TIE: f64 = 1e-9;
 /// The exact report for all built-in schemes, behind
 /// [`try_policy_report`]'s cap check.
 ///
-/// The least core runs first, through the fallible calls: a game with
-/// non-finite values fails it with [`CoalitionError::MalformedLp`] before
-/// any of the scenario's infallible accessors could panic on it.
+/// The table fill and the least core run first, through the fallible
+/// calls: a closed-form game with non-finite values fails the fill with
+/// [`CoalitionError::NonFiniteValue`], and a measured one fails the least
+/// core with [`CoalitionError::MalformedLp`], before any of the
+/// scenario's infallible accessors could panic on it.
 fn exact_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
     let _report_span = fedval_obs::span("policy.report.build");
     let (props, core_nonempty) = {
@@ -121,9 +123,10 @@ fn exact_report(scenario: &FederationScenario) -> Result<PolicyReport, Coalition
 ///
 /// # Errors
 /// Propagates [`CoalitionError`]s from the estimator (malformed sampling
-/// configuration, or more players than even the sampled path supports),
-/// and [`CoalitionError::MalformedLp`] from the exact path's least core
-/// when a coalition value is NaN or infinite.
+/// configuration, or more players than even the sampled path supports);
+/// on the exact path, [`CoalitionError::NonFiniteValue`] from the
+/// scenario's table fill, and [`CoalitionError::MalformedLp`] from the
+/// least core, when a coalition value is NaN or infinite.
 pub fn try_policy_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
     let n = scenario.facilities().len();
     if !scenario.approx_config().force && n <= NUCLEOLUS_MAX_PLAYERS {

@@ -239,11 +239,12 @@ impl ServeState {
 
     /// True when share queries are answered by the sampled estimator:
     /// the resident scenario is past [`EXACT_SHAPLEY_MAX_PLAYERS`], or
-    /// the operator forced sampling with `--approx`. Mirrors the
-    /// dispatch guard in [`ServeState::execute`]; `stats` uses it so
-    /// the advertised method can never drift from the answering path.
+    /// the operator forced sampling with `--approx`. This is
+    /// [`ApproxConfig::selects_sampling`], the rule
+    /// [`ServeState::execute`] dispatches `shapley` queries by, so the
+    /// method `stats` advertises is the answering path.
     pub fn approx_active(&self) -> bool {
-        self.approx.force || self.n() > EXACT_SHAPLEY_MAX_PLAYERS
+        self.approx.selects_sampling(self.n())
     }
 
     /// The scenario spec being served.
@@ -390,9 +391,7 @@ impl ServeState {
     ) -> Result<String, QueryError> {
         let _span = fedval_obs::span_with("serve.state.solve", || format!("kind={kind}"));
         match which {
-            SolveWhich::Shapley
-                if self.approx.force || spec.n() > EXACT_SHAPLEY_MAX_PLAYERS =>
-            {
+            SolveWhich::Shapley if self.approx.selects_sampling(spec.n()) => {
                 // Solver selection: past the exact cap (or under
                 // `--approx`) the query is answered by the sampled
                 // estimator with its confidence-interval certificate.
@@ -837,6 +836,37 @@ mod tests {
             .expect_err("malformed LP");
         assert_eq!(err.code, "SOLVE_FAILED");
         assert!(err.detail.contains("nucleolus"), "{}", err.detail);
+    }
+
+    #[test]
+    fn non_finite_coalition_values_are_solve_failed() {
+        // d = 400 over 10 and 20 locations overflows every non-empty
+        // coalition's value to inf: the table fill refuses it, cold and
+        // warm, and each query that reads the table says so.
+        let spec = ScenarioSpec {
+            locations: vec![10, 20],
+            capacities: vec![1, 1],
+            threshold: 1.0,
+            shape: 400.0,
+            volume: Some(1),
+        };
+        for warm in [false, true] {
+            let s = ServeState::new(spec.clone(), 4);
+            if warm {
+                let report = s.warm(2);
+                assert!(!report.shapley_ok && !report.nucleolus_ok, "{report:?}");
+                assert_eq!(report.coalitions, 0);
+            }
+            for kind in [
+                QueryKind::Shapley,
+                QueryKind::Nucleolus,
+                QueryKind::CoalitionValue { coalition: vec![1] },
+            ] {
+                let err = s.execute(&kind).expect_err("an inf table must not be served");
+                assert_eq!(err.code, "SOLVE_FAILED", "{}: {}", kind.name(), err.detail);
+                assert!(err.detail.contains("non-finite"), "{}", err.detail);
+            }
+        }
     }
 
     #[test]

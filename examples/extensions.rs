@@ -42,11 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== availability discounts shares ==");
     let facilities = paper_facilities([1, 1, 1]);
     let base = FederationGame::new(&facilities, &demand);
-    let base_table = TableGame::try_from_game(&base)?;
+    let base_table = TableGame::try_from_walk(&base, 1)?;
     println!("{:>18} {:>26}", "T = (1, 1, 1)", "T = (1, 0.5, 1)");
     let reliable = shapley_normalized(&base_table);
     let flaky_game = AvailabilityGame::try_new(base_table.clone(), vec![1.0, 0.5, 1.0])?;
-    let flaky = shapley_normalized(&TableGame::try_from_game(&flaky_game)?);
+    let flaky = shapley_normalized(&TableGame::try_from_walk(&flaky_game, 1)?);
     for i in 0..3 {
         println!(
             "facility {}: {:>7.4} {:>26.4}",

@@ -55,9 +55,10 @@ fn usage() -> &'static str {
                                 'fill' for capacity-filling demand\n\
        --scheme     name        shapley|proportional|consumption|\n\
                                 nucleolus|equal          (default shapley)\n\
-       --threads    N           worker threads for the Shapley pass\n\
-                                (default: available hardware parallelism;\n\
-                                any N gives identical shares)\n\
+       --threads    N           worker threads for the 2^n coalition-table\n\
+                                fill and the sampled estimator (default:\n\
+                                available hardware parallelism; any N\n\
+                                gives identical output)\n\
        --trace      path        write a JSONL observability trace (spans,\n\
                                 counters, events) to this file\n\
        --metrics                print the run report (per-phase timings,\n\
@@ -375,13 +376,14 @@ fn execute(opts: &Options) -> Result<(), String> {
                      'report' — past the cap they answer from the sampled estimator"
                 ));
             }
+            let table = scenario.try_game().map_err(|e| e.to_string())?;
             println!("{:>16} {:>14}", "coalition", "V(S)");
             for c in Coalition::all(n).filter(|c| !c.is_empty()) {
                 let label: Vec<String> = c.players().map(|p| (p + 1).to_string()).collect();
                 println!(
                     "{:>16} {:>14.2}",
                     format!("{{{}}}", label.join(",")),
-                    scenario.game().value(c)
+                    table.value(c)
                 );
             }
         }
@@ -393,7 +395,12 @@ fn execute(opts: &Options) -> Result<(), String> {
                      (got {n}) and has no sampled fallback; use --scheme shapley"
                 ));
             }
-            let sampled = opts.approx.force || n > EXACT_SHAPLEY_MAX_PLAYERS;
+            let sampled = opts.approx.selects_sampling(n);
+            if !sampled || matches!(scheme, SharingScheme::Nucleolus) {
+                // The scheme reads the 2^n table: fill it fallibly first,
+                // since the infallible accessors panic on a game it refuses.
+                scenario.try_game().map_err(|e| e.to_string())?;
+            }
             match (&scheme, sampled) {
                 (SharingScheme::Shapley, true) => print_sampled_shapley(&scenario, n)?,
                 (_, true) => {

@@ -123,22 +123,26 @@ fn trace_flag_writes_valid_jsonl_with_pipeline_spans() {
         );
         assert!(line.contains("\"type\":"), "untyped record: {line}");
     }
-    // The §4.1 pipeline is visible: scenario build, every coalition LP
-    // evaluation (8 for 3 players), Shapley aggregation, report build.
+    // The §4.1 pipeline is visible: scenario build (one table fill that
+    // evaluates all 8 coalitions of 3 players), Shapley aggregation,
+    // report build.
     for span in [
         "core.scenario.table_build",
-        "coalition.game.eval",
         "coalition.shapley.exact",
         "policy.report.build",
         "fedval.cli.command",
     ] {
         assert!(text.contains(span), "trace is missing {span}");
     }
-    let evals = text
+    let evals: Vec<&str> = text
         .lines()
-        .filter(|l| l.contains("span_start") && l.contains("coalition.game.eval"))
-        .count();
-    assert_eq!(evals, 8, "one eval span per coalition of 3 players");
+        .filter(|l| l.contains("\"name\":\"coalition.game.evals\""))
+        .collect();
+    assert_eq!(
+        evals,
+        ["{\"type\":\"counter\",\"name\":\"coalition.game.evals\",\"delta\":8}"],
+        "one fill of the 8 coalitions of 3 players"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -207,22 +211,57 @@ fn exact_report_runs_at_the_nucleolus_cap() {
 #[test]
 fn non_finite_coalition_values_fail_the_report_cleanly() {
     // d = 400 over 30 locations overflows every coalition value to inf.
-    let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
-        .args([
-            "report",
-            "--shape",
-            "400",
-            "--locations",
-            "10,20",
-            "--threshold",
-            "1",
-        ])
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("least core"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    // The table fill refuses it, so the report and every other command
+    // that reads the table exits 1 naming the coalition, prints no inf
+    // or NaN, and does not panic.
+    for command in [
+        &["report"][..],
+        &["values"],
+        &["shares"],
+        &["shares", "--scheme", "nucleolus"],
+        &["shares", "--scheme", "proportional"],
+        &["shares", "--approx", "--scheme", "nucleolus"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
+            .args(command)
+            .args(["--shape", "400", "--locations", "10,20", "--threshold", "1"])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stdout}{stderr}");
+        assert!(
+            stderr.contains("coalition {0}") && stderr.contains("non-finite value inf"),
+            "{command:?}: {stderr}"
+        );
+        assert!(
+            !stdout.contains("inf") && !stdout.contains("NaN"),
+            "{command:?}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn one_walk_fills_the_sixteen_player_table() {
+    // 2^16 coalitions, each evaluated once by the scenario's one fill:
+    // no per-coalition span, and exact Shapley reads the table instead
+    // of filling a second one.
+    let (stdout, stderr, ok) =
+        fedval(&["shares", "--synthetic", "16", "--threads", "2", "--metrics"]);
+    assert!(ok, "{stderr}");
+    let counter = |name: &str| -> Option<u64> {
+        stdout.lines().find_map(|l| {
+            let mut words = l.split_whitespace();
+            (words.next() == Some(name)).then(|| words.next()?.parse().ok())?
+        })
+    };
+    assert_eq!(counter("coalition.game.evals"), Some(65_536), "{stdout}");
+    assert!(!stdout.contains("coalition.game.eval "), "{stdout}");
+    let builds = stdout
+        .lines()
+        .find(|l| l.starts_with("core.scenario.table_build"))
+        .expect("table_build span in the run report");
+    assert!(builds.contains("count=1 "), "{builds}");
 }
 
 #[test]

@@ -51,12 +51,12 @@ fn sampled_overlap_model_tracks_expectations() {
 fn availability_game_matches_hand_expectation_on_worked_example() {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = worked_demand();
-    let base =
-        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
+    let base = TableGame::try_from_walk(&FederationGame::new(&facilities, &demand), 1)
+        .expect("3 facilities");
     let game = AvailabilityGame::try_new(base, vec![1.0, 0.5, 1.0]).expect("valid");
     // V_T(N) = .5·V({1,2,3}) + .5·V({1,3}) = 650 + 450 = 1100.
     assert!((game.grand_value() - 1100.0).abs() < 1e-9);
-    let phi_hat = shapley_normalized(&TableGame::try_from_game(&game).expect("3 facilities"));
+    let phi_hat = shapley_normalized(&TableGame::try_from_walk(&game, 1).expect("3 facilities"));
     assert!((phi_hat[1] - 1.0 / 11.0).abs() < 1e-9);
 }
 
@@ -64,8 +64,8 @@ fn availability_game_matches_hand_expectation_on_worked_example() {
 fn weighted_shapley_biases_toward_user_heavy_facilities() {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = worked_demand();
-    let game =
-        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
+    let game = TableGame::try_from_walk(&FederationGame::new(&facilities, &demand), 1)
+        .expect("3 facilities");
     let unweighted = shapley(&game);
     // Facility 1 carries 10× the users of the others (the Uᵢ dimension).
     let weighted = weighted_shapley(&game, &[10.0, 1.0, 1.0]);
@@ -136,8 +136,8 @@ fn owen_on_federation_game_respects_union_structure() {
         Facility::uniform("c", 8, 6, 1),
     ];
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 9.0, 1.0));
-    let game =
-        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("3 facilities");
+    let game = TableGame::try_from_walk(&FederationGame::new(&facilities, &demand), 1)
+        .expect("3 facilities");
     let unions = [Coalition::from_players([0, 1]), Coalition::singleton(2)];
     let owen = owen_value(&game, &unions);
     let quotient = quotient_game(&game, &unions).expect("2 unions");

@@ -74,7 +74,7 @@ fn identical_seeded_runs_yield_byte_identical_snapshots() {
         "simplex.solver.pivots",
         "simplex.solver.solves",
         "coalition.nucleolus.lp_solves",
-        "coalition.game.eval",
+        "coalition.game.evals",
         "coalition.shapley.exact",
         "desim.engine.delivered",
         "testbed.simulate.runs",

@@ -1,48 +1,48 @@
 //! Parallel-vs-sequential equivalence guards (DESIGN.md §9).
 //!
 //! The determinism contract of this workspace's parallel paths is *bit
-//! equality*, not approximate equality: `shapley_parallel` must return
-//! exactly `shapley`'s floats for every thread count, and
-//! [`fedval_bench::run_sweep`]-generated figure data must render to
-//! identical bytes at threads=1 and threads=4. Anything weaker would let
-//! thread count leak into committed figure CSVs and
-//! BENCH_pipeline.json's deterministic section.
+//! equality*, not approximate equality: `TableGame::try_from_walk` must
+//! fill exactly the same table at every thread count (so exact Shapley,
+//! which reads it, does too), and [`fedval_bench::run_sweep`]-generated
+//! figure data must render to identical bytes at threads=1 and
+//! threads=4. Anything weaker would let thread count leak into committed
+//! figure CSVs and BENCH_pipeline.json's deterministic section.
 
 use fedval_bench::{run_sweep, set_sweep_threads};
-use fedval_coalition::{shapley, shapley_parallel, TableGame};
+use fedval_coalition::{Coalition, FnGame, TableGame};
 use proptest::prelude::*;
 
-/// Random small `TableGame`: 2–6 players, arbitrary finite values with
-/// `V(∅) = 0`. The vector strategy draws the max table size (64) and
-/// truncates to `2^n` (the vendored proptest has no `prop_flat_map`).
-fn table_game_strategy() -> impl Strategy<Value = TableGame> {
-    (
-        2usize..=6,
-        prop::collection::vec(-100.0f64..100.0, 64),
-    )
-        .prop_map(|(n, mut values)| {
-            values.truncate(1 << n);
-            values[0] = 0.0; // V(∅) = 0 convention
-            TableGame::from_values(n, values)
-        })
+/// Pseudo-random finite value in [−100, 100) per coalition, `V(∅) = 0`.
+fn hashed(c: Coalition, salt: u64) -> f64 {
+    if c.is_empty() {
+        return 0.0;
+    }
+    let bits = (c.0 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+    bits as f64 / (1u64 << 53) as f64 * 200.0 - 100.0
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// 2–12 players: from n = 9 up more than one walker runs (at most
+    /// one per 256 coalitions), and from n = 10 three threads split the
+    /// ranks unevenly.
     #[test]
-    fn shapley_parallel_is_bit_identical(game in table_game_strategy()) {
-        let sequential = shapley(&game);
-        for threads in 1..=8 {
-            let parallel = shapley_parallel(&game, threads);
-            // Bit-for-bit: each player's sum runs in the same order on
-            // exactly one worker, so even float rounding must agree.
-            prop_assert_eq!(
-                &sequential,
-                &parallel,
-                "threads={} diverged",
-                threads
-            );
+    fn walk_fill_is_bit_identical_at_any_thread_count(n in 2usize..=12, salt in any::<u64>()) {
+        let game = FnGame::new(n, move |c: Coalition| hashed(c, salt));
+        let bits = |threads: usize| -> Vec<u64> {
+            TableGame::try_from_walk(&game, threads)
+                .expect("n ≤ 12 fits a table")
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let sequential = bits(1);
+        for threads in 2..=8 {
+            // Bit-for-bit: every slot is written once, by whichever
+            // walker owns its Gray-code rank.
+            prop_assert_eq!(&sequential, &bits(threads), "threads={} diverged", threads);
         }
     }
 

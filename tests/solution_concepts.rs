@@ -3,7 +3,7 @@
 
 use fedval::coalition::{
     analyze, excess, harsanyi_dividends, is_in_core, shapley_from_dividends, values_from_dividends,
-    TableGame,
+    FnGame, TableGame,
 };
 use fedval::simplex::{LinearProgram, Objective, Relation, Status};
 use fedval::{
@@ -177,11 +177,11 @@ proptest! {
         contrib in 1u32..500,
         threshold in 0u32..1600,
     ) {
-        let game = TableGame::try_from_fn(3, move |c: Coalition| {
+        let game = FnGame::new(3, move |c: Coalition| {
             let total = contrib * u32::try_from(c.len()).unwrap();
             if total > threshold { f64::from(total) } else { 0.0 }
-        })
-        .expect("3 players");
+        });
+        let game = TableGame::try_from_walk(&game, 1).expect("3 players");
         let phi = shapley(&game);
         prop_assert!((phi[0] - phi[1]).abs() < 1e-9);
         prop_assert!((phi[1] - phi[2]).abs() < 1e-9);
