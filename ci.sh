@@ -27,7 +27,11 @@ cargo build --release --workspace
 echo "== cargo test -q (workspace; dev profile arms the lock-order checker)"
 # Tests run under debug_assertions, so every OrderedMutex/OrderedRwLock
 # acquisition is recorded in the runtime lock-order graph and any
-# witnessed cycle panics with its path (DESIGN.md §12).
+# witnessed cycle panics with its path (DESIGN.md §12). The run includes
+# fedval-obs's lockorder self-tests, which prove the checker still panics
+# on witnessed cycles: a silently disarmed checker would let the whole
+# suite vouch for nothing, so their failure fails this stage like any
+# other.
 cargo test -q --workspace
 
 echo "== clippy (workspace lint policy: every target, warnings denied)"
@@ -387,19 +391,6 @@ if ! cargo run -q -p fedval-lint --release; then
     echo "    // lint: allow(<rule>) — <reason>"
     echo "For the reasoning behind any rule, run:"
     echo "    cargo run -p fedval-lint --release -- --explain <rule>"
-    exit 1
-fi
-
-echo "== fedval-analyze runtime cross-check (lock-order checker self-tests)"
-# The static lock-order rules above pair with the dynamic checker in
-# fedval_obs::lockorder; its self-tests prove the checker still panics
-# on witnessed cycles (a silently disarmed checker would let the whole
-# debug-profile suite above vouch for nothing).
-if ! cargo test -q -p fedval-obs --lib lockorder; then
-    echo ""
-    echo "ci.sh: the runtime lock-order checker's self-tests failed — the"
-    echo "dynamic half of DESIGN.md §12 is broken, so debug-profile test"
-    echo "runs no longer witness acquisition-order violations."
     exit 1
 fi
 

@@ -447,8 +447,10 @@ fn permutation_estimate<G: WideGame + ?Sized>(
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::NoSamples`] /
-/// [`GameError::BadConfidence`] for a malformed config, and
-/// [`GameError::TooManyPlayers`] above [`MAX_SAMPLED_PLAYERS`].
+/// [`GameError::BadConfidence`] for a malformed config,
+/// [`GameError::TooManyPlayers`] above [`MAX_SAMPLED_PLAYERS`], and
+/// [`GameError::NonFiniteEstimate`] when `V(N)` or an estimate is NaN or
+/// infinite (any non-finite sampled value makes its player's sum so).
 pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
     game: &G,
     cfg: &ApproxConfig,
@@ -466,7 +468,22 @@ pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
     }
     cfg.validate()?;
     let z = z_for_confidence(cfg.confidence)?;
-    Ok(permutation_estimate(game, cfg, z))
+    let estimate = permutation_estimate(game, cfg, z);
+    let grand = estimate.grand_value;
+    if !grand.is_finite() {
+        return Err(GameError::NonFiniteEstimate {
+            player: None,
+            value: grand,
+        });
+    }
+    let mut players = estimate.phi.iter().enumerate();
+    if let Some((i, &value)) = players.find(|(_, v)| !v.is_finite()) {
+        return Err(GameError::NonFiniteEstimate {
+            player: Some(i),
+            value,
+        });
+    }
+    Ok(estimate)
 }
 
 /// The solver-selection layer over a [`WideGame`], by
@@ -478,9 +495,10 @@ pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::NoSamples`] /
 /// [`GameError::BadConfidence`] for a malformed config,
-/// [`GameError::TooManyPlayers`] above [`MAX_SAMPLED_PLAYERS`], and
-/// [`GameError::NonFiniteValue`] when an enumerated coalition value is
-/// NaN or infinite.
+/// [`GameError::TooManyPlayers`] above [`MAX_SAMPLED_PLAYERS`],
+/// [`GameError::NonFiniteEstimate`] when a sampled estimate is NaN or
+/// infinite, and [`GameError::NonFiniteValue`] when an enumerated
+/// coalition value is.
 pub fn shapley_auto_wide<G: WideGame + ?Sized>(
     game: &G,
     cfg: &ApproxConfig,
@@ -696,6 +714,56 @@ mod tests {
         assert!(matches!(
             try_approx_shapley_wide(&oversized, &ApproxConfig::default()),
             Err(GameError::TooManyPlayers { solver: "approx_shapley", .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_samples_are_typed_errors() {
+        let cfg = ApproxConfig {
+            samples: 16,
+            force: true,
+            ..ApproxConfig::default()
+        };
+        // Every non-empty coalition overflows: V(N) is named first.
+        let overflow = FnGame::new(
+            3,
+            |c: Coalition| {
+                if c.is_empty() {
+                    0.0
+                } else {
+                    f64::INFINITY
+                }
+            },
+        );
+        let err = try_approx_shapley_wide(&overflow, &cfg).unwrap_err();
+        assert!(
+            matches!(err, GameError::NonFiniteEstimate { player: None, value } if value == f64::INFINITY),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string()
+                .contains("V(N) has the non-finite value inf"),
+            "{err}"
+        );
+        // A finite V(N) over a NaN coalition: the first player whose
+        // marginals crossed it is named.
+        let poisoned = FnGame::new(3, |c: Coalition| {
+            if c == Coalition::singleton(1) {
+                f64::NAN
+            } else {
+                c.len() as f64
+            }
+        });
+        let err = shapley_auto_wide(&poisoned, &cfg).unwrap_err();
+        assert!(
+            matches!(err, GameError::NonFiniteEstimate { player: Some(_), value } if value.is_nan()),
+            "{err:?}"
+        );
+        // The same games pass unchanged through the exact path's table
+        // check instead.
+        assert!(matches!(
+            shapley_auto_wide(&poisoned, &ApproxConfig::default()),
+            Err(GameError::NonFiniteValue { .. })
         ));
     }
 

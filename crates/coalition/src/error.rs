@@ -9,7 +9,7 @@
 //! faulted simulation, degenerate stage LPs, ...) or too wide to
 //! enumerate. There is no panicking form beside them.
 
-use crate::coalition::Coalition;
+use crate::coalition::{Coalition, PlayerId};
 use fedval_simplex::{ProblemError, Status};
 use std::fmt;
 
@@ -74,6 +74,16 @@ pub enum GameError {
         /// Its value.
         value: f64,
     },
+    /// A sampled Shapley estimate is NaN or infinite (the sampled
+    /// characteristic function overflowed or failed). A bitset cannot name
+    /// a coalition past 64 players, so this names `V(N)` or a player.
+    NonFiniteEstimate {
+        /// The first player whose estimate is non-finite; `None` when
+        /// `V(N)` itself is.
+        player: Option<PlayerId>,
+        /// That value.
+        value: f64,
+    },
     /// An internal LP was rejected as malformed — in practice this means the
     /// characteristic function produced NaN or infinite values.
     MalformedLp {
@@ -127,6 +137,17 @@ impl fmt::Display for GameError {
                     "table_game: coalition {coalition} (player ids from 0) has the non-finite \
                      value {value}; every coalition value must be a finite number"
                 )
+            }
+            GameError::NonFiniteEstimate { player, value } => {
+                match player {
+                    None => write!(f, "approx_shapley: V(N) has the non-finite value {value}")?,
+                    Some(p) => write!(
+                        f,
+                        "approx_shapley: player {p} (ids from 0) has the non-finite estimate \
+                         {value}"
+                    )?,
+                }
+                write!(f, "; every coalition value must be a finite number")
             }
             GameError::MalformedLp { context, source } => {
                 write!(f, "{context}: internal LP malformed: {source}")

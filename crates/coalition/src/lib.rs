@@ -77,6 +77,6 @@ pub use owen::{owen_value, owen_value_normalized, quotient_game};
 pub use properties::{
     analyze, is_convex, is_essential, is_monotone, is_superadditive, GameProperties,
 };
-pub use shapley::{shapley, shapley_normalized};
+pub use shapley::{normalize, shapley, shapley_normalized};
 pub use tau::{minimal_rights, tau_value, utopia_payoffs};
 pub use weighted::{weighted_shapley, weighted_shapley_normalized};

@@ -57,7 +57,10 @@ pub fn shapley_normalized(table: &TableGame) -> Vec<f64> {
     normalize(shapley(table), table.grand_value())
 }
 
-pub(crate) fn normalize(phi: Vec<f64>, total: f64) -> Vec<f64> {
+/// Divides each of `phi` by `total`, the one share-normalization rule
+/// (ϕ̂ᵢ = ϕᵢ / V(N), eq. 5): all zeros when `|total| < 1e-12`, since a
+/// valueless federation has nothing to share.
+pub fn normalize(phi: Vec<f64>, total: f64) -> Vec<f64> {
     if total.abs() < 1e-12 {
         vec![0.0; phi.len()]
     } else {

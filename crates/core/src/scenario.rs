@@ -6,9 +6,11 @@ use crate::facility::Facility;
 use crate::sharing;
 use crate::value::FederationGame;
 use fedval_coalition::{
-    analyze, is_core_nonempty, shapley, shapley_auto_wide, try_nucleolus, ApproxConfig, Coalition,
-    CoalitionError, GameProperties, ShapleyEstimate, TableGame, WideGame,
+    analyze, is_core_nonempty, normalize, shapley, shapley_auto_wide, shapley_normalized,
+    try_nucleolus, ApproxConfig, Coalition, CoalitionError, GameProperties, ShapleyEstimate,
+    TableGame, WideGame,
 };
+use std::sync::OnceLock;
 
 /// A measured game's player count disagrees with the facility list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,14 +36,16 @@ impl std::error::Error for PlayerCountMismatch {}
 /// A complete federation scenario: facilities + demand (+ cost model),
 /// with every solution concept one call away.
 ///
-/// The coalition-value table is materialized lazily on first use and
-/// reused by every subsequent query.
+/// The coalition-value table is materialized lazily on first use, once:
+/// every later query, on any thread, reads the same table (or the same
+/// refusal). The scenario is `Sync`, so one instance can answer a whole
+/// server's queries. The
+/// [`with_threads`](FederationScenario::with_threads) knob parallelizes
+/// *within* the `2^n` table fill — the cost that dominates at larger
+/// player counts; exact Shapley then reads the table.
 ///
-/// A scenario is intentionally *not* `Sync` (the lazy table cell is
-/// single-threaded); parallel sweeps build one scenario per worker. The
-/// [`with_threads`](FederationScenario::with_threads) knob instead
-/// parallelizes *within* one scenario's `2^n` table fill — the cost that
-/// dominates at larger player counts; exact Shapley then reads the table.
+/// [`shapley_estimate`](FederationScenario::shapley_estimate) is the one
+/// place a scenario query picks exact or sampled Shapley.
 ///
 /// The infallible accessors (`game`, `value`, `grand_value`,
 /// `shapley_shares`, `nucleolus_shares`, `core_nonempty`, `properties`,
@@ -57,7 +61,7 @@ pub struct FederationScenario {
     cost: CostModel,
     threads: usize,
     approx: ApproxConfig,
-    table: std::cell::OnceCell<TableGame>,
+    table: OnceLock<Result<TableGame, CoalitionError>>,
 }
 
 impl FederationScenario {
@@ -69,7 +73,7 @@ impl FederationScenario {
             cost: CostModel::paper_default(),
             threads: 1,
             approx: ApproxConfig::default(),
-            table: std::cell::OnceCell::new(),
+            table: OnceLock::new(),
         }
     }
 
@@ -125,15 +129,13 @@ impl FederationScenario {
                 players: game.n_players(),
             });
         }
-        let table = std::cell::OnceCell::new();
-        let _ = table.set(game);
         Ok(FederationScenario {
             facilities,
             demand,
             cost: CostModel::paper_default(),
             threads: 1,
             approx: ApproxConfig::default(),
-            table,
+            table: OnceLock::from(Ok(game)),
         })
     }
 
@@ -145,15 +147,6 @@ impl FederationScenario {
     /// The demand profile.
     pub fn demand(&self) -> &Demand {
         &self.demand
-    }
-
-    /// `V(S)` for an arbitrary member subset (ascending player ids), at
-    /// any federation width — the enumeration-free
-    /// [`WideGame`](fedval_coalition::WideGame) view of the scenario.
-    /// This is the hook the formation engine (`fedval-form`) prices
-    /// candidate coalitions through: no `2^n` table is materialized.
-    pub fn value_of_members(&self, members: &[usize]) -> f64 {
-        FederationGame::new(&self.facilities, &self.demand).value_members(members)
     }
 
     /// The cost model.
@@ -171,30 +164,37 @@ impl FederationScenario {
         solved("game", self.try_game())
     }
 
-    /// Materializes the coalition-value table on first call and caches it:
-    /// [`TableGame::try_from_walk`] on
-    /// [`threads`](FederationScenario::threads) walkers.
+    /// Materializes the coalition-value table on first call and caches the
+    /// outcome: [`TableGame::try_from_walk`] on
+    /// [`threads`](FederationScenario::threads) walkers. Concurrent first
+    /// callers wait for one fill.
     ///
     /// # Errors
     /// [`CoalitionError::TooManyPlayers`] when the facility count exceeds
     /// [`TableGame::MAX_PLAYERS`], [`CoalitionError::NonFiniteValue`] when a
-    /// coalition value overflows or is NaN; the scenario stays usable (the
-    /// next call retries) and the proportional/consumption benchmarks —
-    /// which never enumerate coalitions — keep working.
+    /// coalition value overflows or is NaN. The refusal is cached like a
+    /// table; the proportional/consumption benchmarks — which never
+    /// enumerate coalitions — keep working.
     pub fn try_game(&self) -> Result<&TableGame, CoalitionError> {
-        if let Some(table) = self.table.get() {
-            return Ok(table);
-        }
-        let built = {
-            let _span = fedval_obs::span_with("core.scenario.table_build", || {
-                format!("n={}", self.facilities.len())
-            });
-            TableGame::try_from_walk(
-                &FederationGame::new(&self.facilities, &self.demand),
-                self.threads,
-            )?
-        };
-        Ok(self.table.get_or_init(|| built))
+        self.table
+            .get_or_init(|| {
+                let _span = fedval_obs::span_with("core.scenario.table_build", || {
+                    format!("n={}", self.facilities.len())
+                });
+                TableGame::try_from_walk(
+                    &FederationGame::new(&self.facilities, &self.demand),
+                    self.threads,
+                )
+            })
+            .as_ref()
+            .map_err(CoalitionError::clone)
+    }
+
+    /// The coalition-value table if a fill (or
+    /// [`try_from_measured`](FederationScenario::try_from_measured)) has
+    /// already produced it; never fills it.
+    pub fn cached_game(&self) -> Option<&TableGame> {
+        self.table.get()?.as_ref().ok()
     }
 
     /// `V(S)` for an explicit coalition.
@@ -209,12 +209,7 @@ impl FederationScenario {
 
     /// Normalized Shapley shares ϕ̂ (eq. 5), read from the cached table.
     pub fn shapley_shares(&self) -> Vec<f64> {
-        let table = self.game();
-        let grand = table.grand_value();
-        if grand.abs() < 1e-12 {
-            return vec![0.0; table.n_players()];
-        }
-        shapley(table).into_iter().map(|p| p / grand).collect()
+        shapley_normalized(self.game())
     }
 
     /// Shapley values through the solver-selection rule
@@ -252,7 +247,7 @@ impl FederationScenario {
             cfg.validate()?;
             return Ok(ShapleyEstimate::Exact(shapley(self.try_game()?)));
         }
-        if let Some(table) = self.table.get() {
+        if let Some(table) = self.cached_game() {
             // Measured scenarios must answer from their table: the
             // closed-form model does not reproduce measured values.
             return shapley_auto_wide(table, &cfg);
@@ -267,14 +262,8 @@ impl FederationScenario {
     /// As [`shapley_estimate`](FederationScenario::shapley_estimate).
     pub fn shapley_shares_estimated(&self) -> Result<Vec<f64>, CoalitionError> {
         match self.shapley_estimate()? {
-            ShapleyEstimate::Exact(phi) => {
-                // The exact path always has a table (it just used it).
-                let grand = self.try_game()?.grand_value();
-                if grand.abs() < 1e-12 {
-                    return Ok(vec![0.0; phi.len()]);
-                }
-                Ok(phi.into_iter().map(|v| v / grand).collect())
-            }
+            // The exact path always has a table (it just used it).
+            ShapleyEstimate::Exact(phi) => Ok(normalize(phi, self.try_game()?.grand_value())),
             ShapleyEstimate::Approx(a) => Ok(a.shares()),
         }
     }
@@ -291,14 +280,11 @@ impl FederationScenario {
 
     /// Nucleolus shares (allocation / V(N)).
     pub fn nucleolus_shares(&self) -> Vec<f64> {
-        let grand = self.grand_value();
-        if grand.abs() < 1e-12 {
-            return vec![0.0; self.facilities.len()];
-        }
-        solved("nucleolus_shares", try_nucleolus(self.game()))
-            .into_iter()
-            .map(|v| v / grand)
-            .collect()
+        let table = self.game();
+        normalize(
+            solved("nucleolus_shares", try_nucleolus(table)),
+            table.grand_value(),
+        )
     }
 
     /// Structural properties of the induced game (superadditivity,
@@ -495,6 +481,22 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(s.shapley_estimate().err(), Some(err));
+    }
+
+    #[test]
+    fn one_scenario_answers_every_thread() {
+        fn assert_sync<T: Sync>(_: &T) {}
+        let s = worked_example();
+        assert_sync(&s);
+        assert!(s.cached_game().is_none(), "peeking must not fill the table");
+        let values: Vec<f64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| s.game().grand_value()))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(values, vec![1300.0; 4]);
+        assert!(std::ptr::eq(s.cached_game().unwrap(), s.game()));
     }
 
     #[test]

@@ -14,11 +14,7 @@ use crate::location::{CapacityProfile, LocationOffer};
 /// Normalizes a non-negative vector to sum 1 (all zeros if the sum is ~0).
 pub fn normalized(raw: Vec<f64>) -> Vec<f64> {
     let total: f64 = raw.iter().sum();
-    if total.abs() < 1e-12 {
-        vec![0.0; raw.len()]
-    } else {
-        raw.into_iter().map(|v| v / total).collect()
-    }
+    fedval_coalition::normalize(raw, total)
 }
 
 /// Eq. 6 — proportionally fair shares by *contributed* resources:

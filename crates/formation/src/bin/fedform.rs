@@ -15,6 +15,7 @@ use fedval_coalition::ApproxConfig;
 use fedval_form::{ChurnSchedule, FormationConfig, FormationEngine, FormationGame};
 use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
 use fedval_policy::try_policy_report;
+use fedval_testbed::parse_synthetic;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -99,25 +100,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             .next()
             .ok_or_else(|| format!("{arg} needs a value\n{USAGE}"))?;
         match arg.as_str() {
-            "--synthetic" => {
-                let (n, seed) = match value.split_once(':') {
-                    Some((n, s)) => (
-                        n.parse().map_err(|_| format!("bad --synthetic N: {n}"))?,
-                        s.parse().map_err(|_| format!("bad --synthetic SEED: {s}"))?,
-                    ),
-                    None => (
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --synthetic N: {value}"))?,
-                        42,
-                    ),
-                };
-                if n == 0 {
-                    return Err("--synthetic N must be at least 1".to_string());
-                }
-                opts.n = n;
-                opts.scenario_seed = seed;
-            }
+            "--synthetic" => (opts.n, opts.scenario_seed) = parse_synthetic(value)?,
             "--seed" => opts.seed = value.parse().map_err(|_| format!("bad --seed: {value}"))?,
             "--rounds" => {
                 opts.rounds = value.parse().map_err(|_| format!("bad --rounds: {value}"))?;
@@ -310,6 +293,8 @@ mod tests {
             "--round-dt -5",
             "--round-dt 1e308 --rounds 32",
             "--synthetic 0",
+            "--synthetic 513",
+            "--synthetic 8:x",
             "--threads 0",
             "--frobnicate 1",
         ] {

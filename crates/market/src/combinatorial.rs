@@ -70,11 +70,7 @@ impl AuctionOutcome {
     /// Facility revenue shares (normalized; zeros if no revenue).
     pub fn revenue_shares(&self) -> Vec<f64> {
         let total: f64 = self.facility_revenue.iter().sum();
-        if total.abs() < 1e-12 {
-            vec![0.0; self.facility_revenue.len()]
-        } else {
-            self.facility_revenue.iter().map(|r| r / total).collect()
-        }
+        fedval_coalition::normalize(self.facility_revenue.clone(), total)
     }
 }
 

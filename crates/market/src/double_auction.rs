@@ -49,11 +49,7 @@ impl MarketOutcome {
     /// Normalized revenue shares across asks (zeros when no trade).
     pub fn revenue_shares(&self) -> Vec<f64> {
         let total: f64 = self.revenue.iter().sum();
-        if total.abs() < 1e-12 {
-            vec![0.0; self.revenue.len()]
-        } else {
-            self.revenue.iter().map(|r| r / total).collect()
-        }
+        fedval_coalition::normalize(self.revenue.clone(), total)
     }
 }
 

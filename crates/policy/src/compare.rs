@@ -1,7 +1,7 @@
 //! Scheme comparison metrics: stability, incentive alignment, distance.
 
 use crate::scheme::SharingScheme;
-use fedval_coalition::{excess, is_in_core, Coalition, WideGame};
+use fedval_coalition::{excess, is_in_core, normalize, Coalition, WideGame};
 use fedval_core::FederationScenario;
 
 /// How one scheme behaves on one scenario.
@@ -26,11 +26,7 @@ pub fn assess_tau(scenario: &FederationScenario) -> Option<SchemeAssessment> {
     let game = scenario.game();
     let grand = game.grand_value();
     let payoffs = fedval_coalition::tau_value(game)?;
-    let shares: Vec<f64> = if grand.abs() < 1e-12 {
-        vec![0.0; payoffs.len()]
-    } else {
-        payoffs.iter().map(|p| p / grand).collect()
-    };
+    let shares = normalize(payoffs.clone(), grand);
     let n = game.n_players();
     let grand_c = Coalition::grand(n);
     let max_excess = Coalition::all(n)

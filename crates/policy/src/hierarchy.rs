@@ -9,7 +9,9 @@
 //! property guarantees the two levels are consistent — each authority's
 //! sites jointly receive exactly the authority's top-level Shapley share.
 
-use fedval_coalition::{owen_value, quotient_game, shapley, Coalition, TableGame, WideGame};
+use fedval_coalition::{
+    normalize, owen_value, quotient_game, shapley, Coalition, TableGame, WideGame,
+};
 use fedval_core::{Demand, Facility, FederationGame};
 
 /// The two-level sharing result.
@@ -75,15 +77,8 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
     let owen = owen_value(&game, &unions);
     let authority_raw = shapley(&quotient);
 
-    let normalize = |v: Vec<f64>| -> Vec<f64> {
-        if grand_value.abs() < 1e-12 {
-            vec![0.0; v.len()]
-        } else {
-            v.into_iter().map(|x| x / grand_value).collect()
-        }
-    };
-    let owen_hat = normalize(owen);
-    let authority_shares = normalize(authority_raw);
+    let owen_hat = normalize(owen, grand_value);
+    let authority_shares = normalize(authority_raw, grand_value);
 
     let mut site_shares = Vec::with_capacity(site_groups.len());
     let mut idx = 0usize;

@@ -3,8 +3,8 @@
 use crate::compare::{compare_schemes, SchemeAssessment};
 use crate::scheme::SharingScheme;
 use fedval_coalition::{
-    is_core_nonempty, ApproxShapley, CoalitionError, GameDiagnostics, ShapleyEstimate, WideGame,
-    NUCLEOLUS_MAX_PLAYERS,
+    is_core_nonempty, normalize, ApproxShapley, CoalitionError, GameDiagnostics, ShapleyEstimate,
+    WideGame, NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::FederationScenario;
 use std::fmt::Write as _;
@@ -123,8 +123,9 @@ fn exact_report(scenario: &FederationScenario) -> Result<PolicyReport, Coalition
 ///
 /// # Errors
 /// Propagates [`CoalitionError`]s from the estimator (malformed sampling
-/// configuration, or more players than even the sampled path supports);
-/// on the exact path, [`CoalitionError::NonFiniteValue`] from the
+/// configuration, more players than even the sampled path supports, or
+/// [`CoalitionError::NonFiniteEstimate`] when a sampled value is NaN or
+/// infinite); on the exact path, [`CoalitionError::NonFiniteValue`] from the
 /// scenario's table fill, and [`CoalitionError::MalformedLp`] from the
 /// least core, when a coalition value is NaN or infinite.
 pub fn try_policy_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
@@ -160,12 +161,7 @@ fn approx_report(scenario: &FederationScenario) -> Result<PolicyReport, Coalitio
             // Exact selection past the nucleolus cap (13..=16 players):
             // the table exists, only the enumeration-heavy columns drop.
             let grand = scenario.try_game()?.grand_value();
-            let shares = if grand.abs() < 1e-12 {
-                vec![0.0; phi.len()]
-            } else {
-                phi.iter().map(|v| v / grand).collect()
-            };
-            (shares, None, grand)
+            (normalize(phi, grand), None, grand)
         }
         ShapleyEstimate::Approx(a) => (a.shares(), Some(a.clone()), a.grand_value),
     };

@@ -19,9 +19,9 @@
     reason = "a command-line tool reports on stdout and stderr"
 )]
 
-use fedval_coalition::{ApproxConfig, MAX_SAMPLED_PLAYERS};
-use fedval_serve::state::ScenarioSpec;
+use fedval_coalition::ApproxConfig;
 use fedval_serve::{Server, ServerConfig, ServeState};
+use fedval_testbed::ScenarioArgs;
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -40,8 +40,7 @@ struct Options {
     warm: bool,
     whatif_cache: usize,
     slow_trace_ms: u64,
-    spec: ScenarioSpec,
-    approx: ApproxConfig,
+    scenario: ScenarioArgs,
     trace: Option<String>,
 }
 
@@ -108,23 +107,20 @@ fn parse(args: &[String]) -> Result<Options, String> {
         warm: false,
         whatif_cache: 64,
         slow_trace_ms: 250,
-        spec: ScenarioSpec::paper_4_1(),
-        approx: ApproxConfig::default(),
+        scenario: ScenarioArgs::default(),
         trace: None,
     };
-    opts.spec.capacities = Vec::new(); // re-defaulted below to match --locations
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        if opts.scenario.parse_flag(flag, &mut it)? {
+            continue;
+        }
         if flag == "--warm" {
             opts.warm = true;
             continue;
         }
         if flag == "--chaos-harness" {
             opts.chaos_harness = true;
-            continue;
-        }
-        if flag == "--approx" {
-            opts.approx.force = true;
             continue;
         }
         if flag == "--help" || flag == "-h" {
@@ -186,99 +182,11 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--slow-trace-ms: {e}"))?;
             }
-            "--locations" => {
-                opts.spec.locations = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--locations: {e}"))?;
-            }
-            "--capacities" => {
-                opts.spec.capacities = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--capacities: {e}"))?;
-            }
-            "--threshold" => {
-                opts.spec.threshold =
-                    value.parse().map_err(|e| format!("--threshold: {e}"))?;
-            }
-            "--shape" => {
-                opts.spec.shape = value.parse().map_err(|e| format!("--shape: {e}"))?;
-            }
-            "--volume" => {
-                opts.spec.volume = if value == "fill" {
-                    None
-                } else {
-                    Some(value.parse().map_err(|e| format!("--volume: {e}"))?)
-                };
-            }
-            "--synthetic" => {
-                let (n, seed) = match value.split_once(':') {
-                    Some((n, seed)) => (
-                        n.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        seed.parse::<u64>().map_err(|e| format!("--synthetic: {e}"))?,
-                    ),
-                    None => (
-                        value.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        42,
-                    ),
-                };
-                if n == 0 || n > MAX_SAMPLED_PLAYERS {
-                    return Err(format!(
-                        "--synthetic: need between 1 and {MAX_SAMPLED_PLAYERS} authorities"
-                    ));
-                }
-                let (draws, threshold) = fedval_testbed::synthetic_profile(n, seed);
-                opts.spec.locations = draws.iter().map(|&(l, _)| l).collect();
-                opts.spec.capacities = draws.iter().map(|&(_, r)| r).collect();
-                opts.spec.threshold = threshold;
-                opts.spec.shape = 1.0;
-                opts.spec.volume = Some(1);
-            }
-            "--approx-samples" => {
-                opts.approx.samples = value
-                    .parse()
-                    .map_err(|e| format!("--approx-samples: {e}"))?;
-                if opts.approx.samples == 0 {
-                    return Err("--approx-samples must be at least 1".to_string());
-                }
-            }
-            "--approx-seed" => {
-                opts.approx.seed = value.parse().map_err(|e| format!("--approx-seed: {e}"))?;
-            }
-            "--confidence" => {
-                opts.approx.confidence =
-                    value.parse().map_err(|e| format!("--confidence: {e}"))?;
-                if !(opts.approx.confidence > 0.0 && opts.approx.confidence < 1.0) {
-                    return Err("--confidence must be strictly between 0 and 1".to_string());
-                }
-            }
             "--trace" => opts.trace = Some(value.clone()),
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
         }
     }
-    if opts.spec.locations.is_empty() || opts.spec.locations.len() > MAX_SAMPLED_PLAYERS {
-        return Err(format!(
-            "need between 1 and {MAX_SAMPLED_PLAYERS} facilities"
-        ));
-    }
-    if opts.spec.capacities.is_empty() {
-        opts.spec.capacities = vec![1; opts.spec.locations.len()];
-    }
-    if opts.spec.capacities.len() != opts.spec.locations.len() {
-        return Err("--capacities must match --locations in length".to_string());
-    }
-    if opts.spec.capacities.contains(&0) {
-        return Err("--capacities must each be at least 1".to_string());
-    }
-    if !(opts.spec.threshold.is_finite() && opts.spec.threshold >= 0.0) {
-        return Err("--threshold must be finite and at least 0".to_string());
-    }
-    if !(opts.spec.shape.is_finite() && opts.spec.shape > 0.0) {
-        return Err("--shape must be finite and positive".to_string());
-    }
+    opts.scenario.finish()?;
     Ok(opts)
 }
 
@@ -294,15 +202,15 @@ fn run() -> Result<(), String> {
 
     let approx = ApproxConfig {
         threads: opts.threads,
-        ..opts.approx
+        ..opts.scenario.approx
     };
-    let state = ServeState::new(opts.spec.clone(), opts.whatif_cache).with_approx(approx);
+    let state = ServeState::new(opts.scenario.spec.clone(), opts.whatif_cache).with_approx(approx);
     if opts.warm {
         let report = state.warm(opts.threads);
         println!(
             "warmed {} coalition values (n={}), shapley={}, nucleolus={}",
             report.coalitions,
-            opts.spec.n(),
+            state.n(),
             if report.shapley_ok { "ok" } else { "FAILED" },
             if report.nucleolus_ok { "ok" } else { "FAILED" },
         );
@@ -362,6 +270,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedval_testbed::ScenarioSpec;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -371,7 +280,7 @@ mod tests {
     fn defaults_serve_the_worked_example() {
         let opts = parse(&args(&[])).unwrap();
         assert_eq!(opts.addr, "127.0.0.1:7411");
-        assert_eq!(opts.spec, ScenarioSpec::paper_4_1());
+        assert_eq!(opts.scenario.spec, ScenarioSpec::paper_4_1());
         assert_eq!(opts.queue_depth, 1024);
         assert_eq!(opts.deadline_ms, 2_000);
         assert!(!opts.warm);
@@ -392,6 +301,9 @@ mod tests {
             "--warm",
             "--whatif-cache",
             "5",
+            "--synthetic",
+            "20:7",
+            "--approx",
         ]))
         .unwrap();
         assert_eq!(opts.addr, "127.0.0.1:0");
@@ -400,6 +312,9 @@ mod tests {
         assert_eq!(opts.deadline_ms, 250);
         assert!(opts.warm);
         assert_eq!(opts.whatif_cache, 5);
+        // Scenario and sampling flags go through the shared parser.
+        assert_eq!(opts.scenario.spec, ScenarioSpec::synthetic(20, 7));
+        assert!(opts.scenario.approx.force);
     }
 
     #[test]
@@ -407,27 +322,6 @@ mod tests {
         assert_eq!(parse(&args(&[])).unwrap().slow_trace_ms, 250);
         let opts = parse(&args(&["--slow-trace-ms", "0"])).unwrap();
         assert_eq!(opts.slow_trace_ms, 0, "0 traces every request");
-    }
-
-    #[test]
-    fn parses_scenario_flags() {
-        let opts = parse(&args(&[
-            "--locations",
-            "10,20",
-            "--capacities",
-            "2,3",
-            "--threshold",
-            "15",
-            "--shape",
-            "0.5",
-            "--volume",
-            "fill",
-        ]))
-        .unwrap();
-        assert_eq!(opts.spec.locations, vec![10, 20]);
-        assert_eq!(opts.spec.capacities, vec![2, 3]);
-        assert_eq!(opts.spec.threshold, 15.0);
-        assert_eq!(opts.spec.volume, None);
     }
 
     #[test]
@@ -459,74 +353,9 @@ mod tests {
         assert!(parse(&args(&["--queue-depth", "0"])).is_err());
         assert!(parse(&args(&["--max-connections", "0"])).is_err());
         assert!(parse(&args(&["--io-timeout-ms", "0"])).is_err());
-        assert!(parse(&args(&["--locations", "1,x"])).is_err());
-        assert!(parse(&args(&["--capacities", "1,2"])).is_err());
         assert!(parse(&args(&["--frobnicate", "1"])).is_err());
         assert!(parse(&args(&["--addr"])).is_err());
-        assert!(parse(&args(&["--approx-samples", "0"])).is_err());
-        assert!(parse(&args(&["--confidence", "1.5"])).is_err());
-        assert!(parse(&args(&["--confidence", "0"])).is_err());
-        assert!(parse(&args(&["--synthetic", "0"])).is_err());
-        assert!(parse(&args(&["--synthetic", "513"])).is_err());
-        assert!(parse(&args(&["--synthetic", "8:x"])).is_err());
-    }
-
-    #[test]
-    fn rejects_hostile_scenario_numbers() {
-        for bad in [
-            &["--threshold", "nan"][..],
-            &["--threshold", "inf"],
-            &["--threshold", "-5"],
-            &["--shape", "-1"],
-            &["--shape", "0"],
-            &["--shape", "nan"],
-            &["--capacities", "0,1,1"],
-        ] {
-            assert!(parse(&args(bad)).is_err(), "{bad:?} must be a usage error");
-        }
-        // The edge values stay valid.
-        let opts = parse(&args(&["--threshold", "0", "--capacities", "1,1,1"])).unwrap();
-        assert_eq!(opts.spec.threshold, 0.0);
-    }
-
-    #[test]
-    fn parses_approx_flags() {
-        let opts = parse(&args(&[
-            "--approx",
-            "--approx-samples",
-            "128",
-            "--approx-seed",
-            "9",
-            "--confidence",
-            "0.99",
-        ]))
-        .unwrap();
-        assert!(opts.approx.force);
-        assert_eq!(opts.approx.samples, 128);
-        assert_eq!(opts.approx.seed, 9);
-        assert!((opts.approx.confidence - 0.99).abs() < 1e-12);
-        // Approx is opt-in; defaults match the library's.
-        let plain = parse(&args(&[])).unwrap();
-        assert!(!plain.approx.force);
-        assert_eq!(plain.approx.samples, 256);
-    }
-
-    #[test]
-    fn synthetic_builds_the_seeded_large_federation() {
-        let opts = parse(&args(&["--synthetic", "200:7"])).unwrap();
-        assert_eq!(opts.spec.n(), 200);
-        assert_eq!(opts.spec.volume, Some(1));
-        // Deterministic: the same n:seed yields the same spec.
-        let again = parse(&args(&["--synthetic", "200:7"])).unwrap();
-        assert_eq!(opts.spec, again.spec);
-        // A different seed reshapes it; the default seed is 42.
-        let other = parse(&args(&["--synthetic", "200:8"])).unwrap();
-        assert_ne!(opts.spec, other.spec);
-        let default_seed = parse(&args(&["--synthetic", "200"])).unwrap();
-        let explicit = parse(&args(&["--synthetic", "200:42"])).unwrap();
-        assert_eq!(default_seed.spec, explicit.spec);
-        // Large plain --locations lists are accepted now too.
-        let many: Vec<&str> = vec!["4"; 100];
-        assert!(parse(&args(&["--locations", &many.join(",")])).is_ok());
+        // The shared parser's refusals end the parse too.
+        assert!(parse(&args(&["--warm", "--capacities", "1,2"])).is_err());
     }
 }

@@ -7,18 +7,20 @@
 //! scenario hundreds of times per second — "what is coalition {1,2}
 //! worth?", "what is provider 3's Shapley share?", "what happens if a
 //! fourth provider joins?". This crate keeps one
-//! [`FederationScenario`-derived game][crate::state::ScenarioGame]
-//! resident, fills its `2^n` coalition
-//! [`TableGame`](fedval_coalition::TableGame) plus the ϕ̂ and nucleolus
-//! share payloads at startup, and answers queries over a newline-framed
-//! JSON-ish TCP protocol — std-only, no external dependencies.
+//! [`FederationScenario`](fedval_core::FederationScenario), built from a
+//! [`ScenarioSpec`] exactly as `fedval` builds its own, resident; fills
+//! its `2^n` coalition [`TableGame`](fedval_coalition::TableGame) plus the
+//! ϕ̂ and nucleolus share payloads at startup; and answers queries over a
+//! newline-framed JSON-ish TCP protocol — std-only, no external
+//! dependencies. Shapley answers, exact or sampled, are the scenario's
+//! own [`shapley_estimate`](fedval_core::FederationScenario::shapley_estimate).
 //!
 //! Layout:
 //!
 //! * [`protocol`] — wire framing, request parsing (total and
 //!   panic-free over arbitrary bytes), response rendering.
-//! * [`state`] — scenario specification, the base coalition table and
-//!   rendered payloads, query execution, the bounded what-if LRU.
+//! * [`state`] — the resident scenario and its rendered payloads, query
+//!   execution, the what-if derivations and their bounded LRU.
 //! * [`lru`] — the deterministic bounded LRU map backing what-ifs.
 //! * [`metrics`] — the per-second time-series ring buffer and the
 //!   `metrics` query payload (JSON-escaped Prometheus-style exposition

@@ -1,21 +1,25 @@
-//! Warm query state: the scenario, its coalition table, pre-rendered
-//! share payloads, and the bounded what-if LRU.
+//! Warm query state: the scenario, pre-rendered share payloads, and the
+//! bounded what-if LRU.
 //!
 //! The serving model is the paper's policy loop (§4.3): the expensive
 //! coalitional solve happens once (at warm-up or on first demand), and
 //! every subsequent query is a lookup against immutable pre-rendered
-//! bytes. Three layers, coarsest first:
+//! bytes. Every answer comes from a [`FederationScenario`] built from the
+//! served [`ScenarioSpec`]: the scenario's one table fill and its one
+//! exact-or-sampled Shapley selection
+//! ([`FederationScenario::shapley_estimate`]), as in the `fedval` CLI.
+//! Three layers, coarsest first:
 //!
 //! 1. **Payloads** — `shapley` / `nucleolus` responses for the base
 //!    scenario are rendered exactly once (`OnceLock`) and reused
 //!    byte-for-byte. This is what makes identical queries return
 //!    byte-identical responses.
 //! 2. **Base table** — up to [`EXACT_SHAPLEY_MAX_PLAYERS`] players, the
-//!    base scenario's `2^n` coalition values are filled once into a
-//!    [`TableGame`] along a Gray-code walk (`OnceLock`): by `--warm` on
-//!    its threads, or else by the first query that needs it, on one.
-//!    The payloads and `coalition-value` read it; past the cap,
-//!    `coalition-value` evaluates the one coalition it names.
+//!    scenario's `2^n` coalition table ([`FederationScenario::try_game`])
+//!    is filled once, on the scenario's threads: by `--warm`, or else by
+//!    the first query that needs it. The payloads and `coalition-value`
+//!    read it; past the cap, `coalition-value` evaluates the one coalition
+//!    it names.
 //! 3. **What-if LRU** — derived scenarios (`what-if-join` /
 //!    `what-if-leave`) are re-solved once and the rendered payload kept
 //!    in a bounded [`Lru`]; the bound caps both memory and the blast
@@ -24,155 +28,14 @@
 use crate::lru::Lru;
 use crate::protocol::{render_f64_array, QueryError, QueryKind};
 use fedval_coalition::{
-    shapley, try_approx_shapley_wide, try_nucleolus, ApproxConfig, ApproxShapley, TableGame,
-    WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
+    normalize, try_nucleolus, ApproxConfig, ShapleyEstimate, TableGame, WideGame,
+    EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
 };
-use fedval_core::{Demand, ExperimentClass, Facility, FederationGame, Volume};
+use fedval_core::{FederationGame, FederationScenario};
 use fedval_obs::OrderedMutex;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Everything needed to (re)build a federation scenario. Kept separate
-/// from the built artifacts so what-if queries can derive modified
-/// copies cheaply.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpec {
-    /// Locations per facility.
-    pub locations: Vec<u32>,
-    /// Per-location capacity per facility.
-    pub capacities: Vec<u64>,
-    /// Diversity threshold ℓ of the single experiment class.
-    pub threshold: f64,
-    /// Utility exponent d.
-    pub shape: f64,
-    /// Number of experiments; `None` = capacity-filling demand.
-    pub volume: Option<u64>,
-}
-
-impl ScenarioSpec {
-    /// The paper's §4.1 worked example: L = (100, 400, 800), R = 1,
-    /// ℓ = 500, d = 1, one experiment.
-    pub fn paper_4_1() -> ScenarioSpec {
-        ScenarioSpec {
-            locations: vec![100, 400, 800],
-            capacities: vec![1, 1, 1],
-            threshold: 500.0,
-            shape: 1.0,
-            volume: Some(1),
-        }
-    }
-
-    /// Player count.
-    pub fn n(&self) -> usize {
-        self.locations.len()
-    }
-
-    /// Builds the facility list (disjoint location ranges, player
-    /// order = spec order).
-    pub fn facilities(&self) -> Vec<Facility> {
-        let mut start = 0u32;
-        self.locations
-            .iter()
-            .zip(&self.capacities)
-            .enumerate()
-            .map(|(i, (&l, &r))| {
-                let f = Facility::uniform(format!("facility-{}", i + 1), start, l, r);
-                start = start.saturating_add(l);
-                f
-            })
-            .collect()
-    }
-
-    /// Builds the demand profile.
-    pub fn demand(&self) -> Demand {
-        let class = ExperimentClass::simple("serve", self.threshold, self.shape);
-        match self.volume {
-            Some(1) => Demand::one_experiment(class),
-            Some(k) => Demand::single(class, Volume::Count(k)),
-            None => Demand::capacity_filling(class),
-        }
-    }
-
-    /// The spec with one facility appended (what-if-join).
-    ///
-    /// Joins past the exact-enumeration caps are fine — the solve falls
-    /// through to the sampled Shapley estimator — so the only bound is
-    /// the estimator's own [`MAX_SAMPLED_PLAYERS`].
-    ///
-    /// # Errors
-    /// `BAD_REQUEST` when the result would exceed the sampled-path
-    /// player bound.
-    pub fn join(&self, locations: u32, capacity: u64) -> Result<ScenarioSpec, QueryError> {
-        if self.n() + 1 > MAX_SAMPLED_PLAYERS {
-            return Err(QueryError::new(
-                "BAD_REQUEST",
-                format!(
-                    "cannot join: {MAX_SAMPLED_PLAYERS} players is the sampled-Shapley limit"
-                ),
-            ));
-        }
-        let mut spec = self.clone();
-        spec.locations.push(locations);
-        spec.capacities.push(capacity);
-        Ok(spec)
-    }
-
-    /// The spec with player `player` removed (what-if-leave).
-    ///
-    /// # Errors
-    /// `BAD_REQUEST` when `player` is out of range or the departure
-    /// would leave an empty federation.
-    pub fn leave(&self, player: usize) -> Result<ScenarioSpec, QueryError> {
-        if player >= self.n() {
-            return Err(QueryError::new(
-                "BAD_REQUEST",
-                format!("player {player} out of range (n={})", self.n()),
-            ));
-        }
-        if self.n() == 1 {
-            return Err(QueryError::new(
-                "BAD_REQUEST",
-                "cannot leave: the federation would be empty",
-            ));
-        }
-        let mut spec = self.clone();
-        spec.locations.remove(player);
-        spec.capacities.remove(player);
-        Ok(spec)
-    }
-}
-
-/// An owned [`WideGame`] over a spec's facilities and demand — the
-/// borrow-free form that lives inside shared server state.
-pub struct ScenarioGame {
-    facilities: Vec<Facility>,
-    demand: Demand,
-}
-
-impl ScenarioGame {
-    /// Builds the owned game for a spec.
-    pub fn new(spec: &ScenarioSpec) -> ScenarioGame {
-        ScenarioGame {
-            facilities: spec.facilities(),
-            demand: spec.demand(),
-        }
-    }
-}
-
-impl WideGame for ScenarioGame {
-    fn n_players(&self) -> usize {
-        self.facilities.len()
-    }
-
-    /// `V(S)` over member slices — what the sampled Shapley estimator
-    /// and `coalition-value` past [`EXACT_SHAPLEY_MAX_PLAYERS`] consume.
-    fn value_members(&self, members: &[usize]) -> f64 {
-        FederationGame::new(&self.facilities, &self.demand).value_members(members)
-    }
-
-    fn value_walk(&self, start: &[usize], toggles: &[usize]) -> Vec<f64> {
-        FederationGame::new(&self.facilities, &self.demand).value_walk(start, toggles)
-    }
-}
+pub use fedval_testbed::ScenarioSpec;
 
 /// Outcome of warming the state (reported by the daemon at startup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,13 +51,11 @@ pub struct WarmReport {
 /// Shared, thread-safe query state. One instance serves every worker.
 pub struct ServeState {
     spec: ScenarioSpec,
-    game: ScenarioGame,
-    /// The base scenario's `2^n` coalition values, filled once.
-    table: OnceLock<Result<TableGame, QueryError>>,
-    /// Sampled-Shapley parameters: budget, seed, confidence, method,
-    /// threads, and the `--approx` force flag. Per-seed deterministic,
-    /// so the pre-rendered payloads stay byte-identical.
-    approx: ApproxConfig,
+    /// The served federation: its coalition table, its Shapley selection
+    /// and its sampled-Shapley parameters (budget, seed, confidence,
+    /// threads, and the `--approx` force flag). Sampling is per-seed
+    /// deterministic, so the pre-rendered payloads stay byte-identical.
+    scenario: FederationScenario,
     shapley: OnceLock<Result<String, QueryError>>,
     nucleolus: OnceLock<Result<String, QueryError>>,
     /// Derived-scenario LRU behind an [`OrderedMutex`] so debug builds
@@ -215,36 +76,40 @@ impl ServeState {
     /// derived-scenario LRU.
     pub fn new(spec: ScenarioSpec, whatif_capacity: usize) -> ServeState {
         ServeState {
-            game: ScenarioGame::new(&spec),
+            scenario: spec.scenario(),
             spec,
-            table: OnceLock::new(),
-            approx: ApproxConfig::default(),
             shapley: OnceLock::new(),
             nucleolus: OnceLock::new(),
             whatif: OrderedMutex::new("serve.whatif", Lru::new(whatif_capacity)),
         }
     }
 
-    /// Sets the sampled-Shapley parameters (builder style). Must be set
+    /// Sets the sampled-Shapley parameters (builder style); their
+    /// `threads` also sets the scenario's table-fill threads. Must be set
     /// before the first query: the payload caches render exactly once.
-    pub fn with_approx(mut self, approx: ApproxConfig) -> ServeState {
-        self.approx = approx;
-        self
+    pub fn with_approx(self, approx: ApproxConfig) -> ServeState {
+        ServeState {
+            scenario: self
+                .scenario
+                .with_threads(approx.threads)
+                .with_approx(approx),
+            ..self
+        }
     }
 
     /// The sampled-Shapley parameters in effect.
     pub fn approx_config(&self) -> &ApproxConfig {
-        &self.approx
+        self.scenario.approx_config()
     }
 
     /// True when share queries are answered by the sampled estimator:
     /// the resident scenario is past [`EXACT_SHAPLEY_MAX_PLAYERS`], or
     /// the operator forced sampling with `--approx`. This is
     /// [`ApproxConfig::selects_sampling`], the rule
-    /// [`ServeState::execute`] dispatches `shapley` queries by, so the
-    /// method `stats` advertises is the answering path.
+    /// [`FederationScenario::shapley_estimate`] answers `shapley` queries
+    /// by, so the method `stats` advertises is the answering path.
     pub fn approx_active(&self) -> bool {
-        self.approx.selects_sampling(self.n())
+        self.approx_config().selects_sampling(self.n())
     }
 
     /// The scenario spec being served.
@@ -260,25 +125,25 @@ impl ServeState {
     /// Coalition values held in the base table: `2^n` once it is
     /// filled, 0 before.
     pub fn coalitions_cached(&self) -> usize {
-        match self.table.get() {
-            Some(Ok(table)) => table.values().len(),
-            _ => 0,
-        }
+        self.scenario
+            .cached_game()
+            .map_or(0, |table| table.values().len())
     }
 
-    /// Fills every layer: the base table of all `2^n` coalition values
-    /// (walked on `threads` threads), the ϕ̂ payload, and the nucleolus
-    /// payload.
+    /// Fills every layer: the base table of all `2^n` coalition values,
+    /// the ϕ̂ payload, and the nucleolus payload.
     ///
-    /// Past [`EXACT_SHAPLEY_MAX_PLAYERS`] the table is skipped (it would
-    /// never finish); only the payloads are rendered, which on that path
-    /// means one sampled-estimator run.
+    /// The table fill runs on the scenario's threads, set by
+    /// [`with_approx`](ServeState::with_approx); `threads` only labels the
+    /// `serve.state.warm` span. Past [`EXACT_SHAPLEY_MAX_PLAYERS`] the
+    /// table is skipped (it would never finish); only the payloads are
+    /// rendered, which on that path means one sampled-estimator run.
     pub fn warm(&self, threads: usize) -> WarmReport {
         let _span = fedval_obs::span_with("serve.state.warm", || {
             format!("n={} threads={threads}", self.n())
         });
         if self.n() <= EXACT_SHAPLEY_MAX_PLAYERS {
-            let _ = self.base_table(threads);
+            let _ = self.scenario.try_game();
         } else {
             fedval_obs::counter_add("serve.warm.prewarm_skipped", 1);
         }
@@ -297,7 +162,8 @@ impl ServeState {
     ///
     /// # Errors
     /// `BAD_REQUEST` for out-of-range players, `SOLVE_FAILED` when the
-    /// characteristic-function table cannot be materialized.
+    /// characteristic-function table cannot be materialized or a sampled
+    /// estimate is not finite.
     pub fn execute(&self, kind: &QueryKind) -> Result<String, QueryError> {
         match kind {
             QueryKind::CoalitionValue { coalition } => self.coalition_value(coalition),
@@ -310,9 +176,7 @@ impl ServeState {
                 locations: *locations,
                 capacity: *capacity,
             }),
-            QueryKind::WhatIfLeave { player } => {
-                self.what_if(WhatIfKey::Leave { player: *player })
-            }
+            QueryKind::WhatIfLeave { player } => self.what_if(WhatIfKey::Leave { player: *player }),
             #[expect(
                 clippy::panic,
                 reason = "chaos harness: this panic is the fault being injected"
@@ -347,15 +211,16 @@ impl ServeState {
         members.sort_unstable();
         members.dedup();
         let value = if n <= EXACT_SHAPLEY_MAX_PLAYERS {
-            self.base_table(1)
-                .as_ref()
-                .map_err(QueryError::clone)?
+            self.scenario
+                .try_game()
+                .map_err(solve_failed)?
                 .value_members(&members)
         } else {
             // Past the exact cap no table is built: evaluate the one
             // coalition asked for.
             fedval_obs::counter_add("serve.coalition.wide_evals", 1);
-            self.game.value_members(&members)
+            FederationGame::new(self.scenario.facilities(), self.scenario.demand())
+                .value_members(&members)
         };
         let members: Vec<String> = members.iter().map(|p| p.to_string()).collect();
         Ok(format!(
@@ -369,64 +234,25 @@ impl ServeState {
     /// identical string.
     fn shapley_payload(&self) -> &Result<String, QueryError> {
         self.shapley
-            .get_or_init(|| self.solve_shares("shapley", &self.spec, SolveWhich::Shapley))
+            .get_or_init(|| render_shapley("shapley", &self.scenario))
     }
 
     fn nucleolus_payload(&self) -> &Result<String, QueryError> {
-        self.nucleolus
-            .get_or_init(|| self.solve_shares("nucleolus", &self.spec, SolveWhich::Nucleolus))
-    }
-
-    /// The base scenario's table, walked on `threads` threads by the
-    /// first caller; later callers share its result.
-    fn base_table(&self, threads: usize) -> &Result<TableGame, QueryError> {
-        self.table.get_or_init(|| fill_table(&self.game, threads))
-    }
-
-    fn solve_shares(
-        &self,
-        kind: &str,
-        spec: &ScenarioSpec,
-        which: SolveWhich,
-    ) -> Result<String, QueryError> {
-        let _span = fedval_obs::span_with("serve.state.solve", || format!("kind={kind}"));
-        match which {
-            SolveWhich::Shapley if self.approx.selects_sampling(spec.n()) => {
-                // Solver selection: past the exact cap (or under
-                // `--approx`) the query is answered by the sampled
-                // estimator with its confidence-interval certificate.
-                return self.sampled_shares(kind, spec);
-            }
-            SolveWhich::Nucleolus if spec.n() > NUCLEOLUS_MAX_PLAYERS => {
+        self.nucleolus.get_or_init(|| {
+            let _span = fedval_obs::span_with("serve.state.solve", || "kind=nucleolus".into());
+            if self.n() > NUCLEOLUS_MAX_PLAYERS {
                 return Err(QueryError::new(
                     "SOLVE_FAILED",
                     format!(
                         "nucleolus: game has {} players but exact enumeration supports at \
                          most {NUCLEOLUS_MAX_PLAYERS}; the nucleolus has no sampled \
                          fallback — query shapley instead",
-                        spec.n()
+                        self.n()
                     ),
                 ));
             }
-            _ => {}
-        }
-        if spec == &self.spec {
-            let table = self.base_table(1).as_ref().map_err(QueryError::clone)?;
-            render_shares_payload(kind, table, which)
-        } else {
-            let table = fill_table(&ScenarioGame::new(spec), 1)?;
-            render_shares_payload(kind, &table, which)
-        }
-    }
-
-    /// Runs the seeded sampled-Shapley estimator on `spec` and renders
-    /// the approx payload (shares + CI + budget + seed). Byte-identical
-    /// per `(spec, approx config)` at any thread count.
-    fn sampled_shares(&self, kind: &str, spec: &ScenarioSpec) -> Result<String, QueryError> {
-        let game = ScenarioGame::new(spec);
-        let approx = try_approx_shapley_wide(&game, &self.approx)
-            .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))?;
-        Ok(render_approx_payload(kind, spec.n(), &approx))
+            render_nucleolus(self.scenario.try_game().map_err(solve_failed)?)
+        })
     }
 
     fn what_if(&self, key: WhatIfKey) -> Result<String, QueryError> {
@@ -446,10 +272,16 @@ impl ServeState {
             WhatIfKey::Join {
                 locations,
                 capacity,
-            } => ("what-if-join", self.spec.join(*locations, *capacity)),
-            WhatIfKey::Leave { player } => ("what-if-leave", self.spec.leave(*player)),
+            } => ("what-if-join", join(&self.spec, *locations, *capacity)),
+            WhatIfKey::Leave { player } => ("what-if-leave", leave(&self.spec, *player)),
         };
-        let result = derived.and_then(|spec| self.solve_shares(kind, &spec, SolveWhich::Shapley));
+        let result = derived.and_then(|spec| {
+            let scenario = spec
+                .scenario()
+                .with_threads(self.scenario.threads())
+                .with_approx(*self.approx_config());
+            render_shapley(kind, &scenario)
+        });
         // Deterministic outcomes (answers and request-shape rejections)
         // are cached; solver failures are NOT — pinning one would keep
         // serving a stale error after the condition clears (the bug that
@@ -469,61 +301,102 @@ impl ServeState {
     }
 }
 
-/// Which solution concept a share solve runs.
-#[derive(Debug, Clone, Copy)]
-enum SolveWhich {
-    Shapley,
-    Nucleolus,
+/// The spec with one facility appended (what-if-join).
+///
+/// Joins past the exact-enumeration caps are fine — the solve falls
+/// through to the sampled Shapley estimator — so the only bound is the
+/// estimator's own [`MAX_SAMPLED_PLAYERS`].
+///
+/// # Errors
+/// `BAD_REQUEST` when the result would exceed the sampled-path player
+/// bound.
+fn join(spec: &ScenarioSpec, locations: u32, capacity: u64) -> Result<ScenarioSpec, QueryError> {
+    if spec.n() + 1 > MAX_SAMPLED_PLAYERS {
+        return Err(QueryError::new(
+            "BAD_REQUEST",
+            format!("cannot join: {MAX_SAMPLED_PLAYERS} players is the sampled-Shapley limit"),
+        ));
+    }
+    let mut spec = spec.clone();
+    spec.locations.push(locations);
+    spec.capacities.push(capacity);
+    Ok(spec)
 }
 
-/// `game`'s `2^n` coalition table, walked on `threads` threads.
-fn fill_table(game: &ScenarioGame, threads: usize) -> Result<TableGame, QueryError> {
-    TableGame::try_from_walk(game, threads)
-        .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))
+/// The spec with player `player` removed (what-if-leave).
+///
+/// # Errors
+/// `BAD_REQUEST` when `player` is out of range or the departure would
+/// leave an empty federation.
+fn leave(spec: &ScenarioSpec, player: usize) -> Result<ScenarioSpec, QueryError> {
+    if player >= spec.n() {
+        return Err(QueryError::new(
+            "BAD_REQUEST",
+            format!("player {player} out of range (n={})", spec.n()),
+        ));
+    }
+    if spec.n() == 1 {
+        return Err(QueryError::new(
+            "BAD_REQUEST",
+            "cannot leave: the federation would be empty",
+        ));
+    }
+    let mut spec = spec.clone();
+    spec.locations.remove(player);
+    spec.capacities.remove(player);
+    Ok(spec)
 }
 
-/// Renders `which`'s normalized shares on `table` (zeros, unsolved, for a
-/// valueless game); `SOLVE_FAILED` when the nucleolus LP cascade fails.
-fn render_shares_payload(
-    kind: &str,
-    table: &TableGame,
-    which: SolveWhich,
-) -> Result<String, QueryError> {
+/// A solver-layer failure as the `SOLVE_FAILED` response it becomes.
+fn solve_failed(e: impl std::fmt::Display) -> QueryError {
+    QueryError::new("SOLVE_FAILED", e.to_string())
+}
+
+/// Renders `scenario`'s Shapley values as the `kind` payload, from
+/// whichever answer [`FederationScenario::shapley_estimate`] selected:
+/// exact values give the shares payload, a sampled estimate adds its
+/// certificate — `approx`, `method`, `samples`, `confidence`, `seed`, and
+/// the per-player CI half-widths normalized by `V(N)`. Byte-identical per
+/// `(scenario, approx config)` at any thread count.
+fn render_shapley(kind: &str, scenario: &FederationScenario) -> Result<String, QueryError> {
+    let _span = fedval_obs::span_with("serve.state.solve", || format!("kind={kind}"));
+    let n = scenario.facilities().len();
+    Ok(match scenario.shapley_estimate().map_err(solve_failed)? {
+        ShapleyEstimate::Exact(phi) => {
+            let grand = scenario.try_game().map_err(solve_failed)?.grand_value();
+            render_shares(kind, n, grand, &normalize(phi, grand))
+        }
+        ShapleyEstimate::Approx(approx) => format!(
+            "{},\"approx\":true,\"method\":\"permutation\",\"samples\":{},\
+             \"confidence\":{},\"seed\":{},\"ci\":{}",
+            render_shares(kind, n, approx.grand_value, &approx.shares()),
+            approx.samples,
+            fedval_obs::json_f64(approx.confidence),
+            approx.seed,
+            render_f64_array(&approx.ci_shares()),
+        ),
+    })
+}
+
+/// Renders the nucleolus payload of `table`; `SOLVE_FAILED` when the
+/// nucleolus LP cascade fails.
+fn render_nucleolus(table: &TableGame) -> Result<String, QueryError> {
     let grand = table.grand_value();
-    let shares = if grand.abs() < 1e-12 {
-        vec![0.0; table.n_players()]
-    } else {
-        let raw = match which {
-            SolveWhich::Shapley => shapley(table),
-            SolveWhich::Nucleolus => {
-                try_nucleolus(table).map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))?
-            }
-        };
-        raw.into_iter().map(|v| v / grand).collect()
-    };
-    Ok(format!(
-        "\"kind\":\"{kind}\",\"n\":{},\"grand_value\":{},\"shares\":{}",
+    let nucleolus = try_nucleolus(table).map_err(solve_failed)?;
+    Ok(render_shares(
+        "nucleolus",
         table.n_players(),
-        fedval_obs::json_f64(grand),
-        render_f64_array(&shares)
+        grand,
+        &normalize(nucleolus, grand),
     ))
 }
 
-/// Renders the sampled-estimator payload: the exact payload's prefix
-/// (`kind`/`n`/`grand_value`/`shares`) plus the certificate fields —
-/// `approx`, `method`, `samples`, `confidence`, `seed`, and the
-/// per-player CI half-widths normalized by `V(N)`.
-fn render_approx_payload(kind: &str, n: usize, approx: &ApproxShapley) -> String {
+/// The payload prefix every share answer starts with.
+fn render_shares(kind: &str, n: usize, grand: f64, shares: &[f64]) -> String {
     format!(
-        "\"kind\":\"{kind}\",\"n\":{n},\"grand_value\":{},\"shares\":{},\
-         \"approx\":true,\"method\":\"permutation\",\"samples\":{},\"confidence\":{},\
-         \"seed\":{},\"ci\":{}",
-        fedval_obs::json_f64(approx.grand_value),
-        render_f64_array(&approx.shares()),
-        approx.samples,
-        fedval_obs::json_f64(approx.confidence),
-        approx.seed,
-        render_f64_array(&approx.ci_shares()),
+        "\"kind\":\"{kind}\",\"n\":{n},\"grand_value\":{},\"shares\":{}",
+        fedval_obs::json_f64(grand),
+        render_f64_array(shares)
     )
 }
 
@@ -635,14 +508,7 @@ mod tests {
     fn warm_solves_the_nucleolus_at_its_cap() {
         // The 12-player synthetic federation sits exactly at
         // NUCLEOLUS_MAX_PLAYERS: warm-up must finish its nucleolus.
-        let (draws, threshold) = fedval_testbed::synthetic_profile(NUCLEOLUS_MAX_PLAYERS, 42);
-        let spec = ScenarioSpec {
-            locations: draws.iter().map(|&(l, _)| l).collect(),
-            capacities: draws.iter().map(|&(_, r)| r).collect(),
-            threshold,
-            shape: 1.0,
-            volume: Some(1),
-        };
+        let spec = ScenarioSpec::synthetic(NUCLEOLUS_MAX_PLAYERS, 42);
         let report = ServeState::new(spec, 4).warm(1);
         assert_eq!(report.coalitions, 1 << NUCLEOLUS_MAX_PLAYERS);
         assert!(report.shapley_ok && report.nucleolus_ok);
@@ -705,20 +571,20 @@ mod tests {
     #[test]
     fn spec_join_and_leave_validate() {
         let spec = ScenarioSpec::paper_4_1();
-        assert_eq!(spec.join(10, 1).unwrap().n(), 4);
-        assert_eq!(spec.leave(1).unwrap().n(), 2);
-        assert!(spec.leave(3).is_err());
+        assert_eq!(join(&spec, 10, 1).unwrap().n(), 4);
+        assert_eq!(leave(&spec, 1).unwrap().n(), 2);
+        assert!(leave(&spec, 3).is_err());
         let solo = ScenarioSpec {
             locations: vec![5],
             capacities: vec![1],
             ..ScenarioSpec::paper_4_1()
         };
-        assert!(solo.leave(0).is_err());
+        assert!(leave(&solo, 0).is_err());
         let mut big = spec.clone();
         big.locations = vec![1; MAX_SAMPLED_PLAYERS];
         big.capacities = vec![1; MAX_SAMPLED_PLAYERS];
         assert!(
-            big.join(1, 1).is_err(),
+            join(&big, 1, 1).is_err(),
             "joins past the sampled-path bound fail"
         );
         // Joins past the old dense-table cap succeed now: they fall
@@ -727,7 +593,7 @@ mod tests {
         wide.locations = vec![1; TableGame::MAX_PLAYERS];
         wide.capacities = vec![1; TableGame::MAX_PLAYERS];
         assert_eq!(
-            wide.join(1, 1).unwrap().n(),
+            join(&wide, 1, 1).unwrap().n(),
             TableGame::MAX_PLAYERS + 1,
             "joins may cross the exact caps"
         );
@@ -832,8 +698,7 @@ mod tests {
         // A NaN coalition value makes the nucleolus LP malformed: the
         // request gets a typed SOLVE_FAILED, not a worker panic.
         let table = TableGame::from_values(2, vec![0.0, f64::NAN, 1.0, 3.0]);
-        let err = render_shares_payload("nucleolus", &table, SolveWhich::Nucleolus)
-            .expect_err("malformed LP");
+        let err = render_nucleolus(&table).expect_err("malformed LP");
         assert_eq!(err.code, "SOLVE_FAILED");
         assert!(err.detail.contains("nucleolus"), "{}", err.detail);
     }
@@ -867,6 +732,109 @@ mod tests {
                 assert!(err.detail.contains("non-finite"), "{}", err.detail);
             }
         }
+    }
+
+    #[test]
+    fn non_finite_sampled_values_are_solve_failed() {
+        // d = 400 overflows every non-empty coalition of the 20-facility
+        // synthetic federation to inf; past the exact cap the sampled
+        // estimate refuses it instead of serving nulls, and the what-if
+        // refusal is not cached.
+        let s = ServeState::new(
+            ScenarioSpec {
+                shape: 400.0,
+                ..ScenarioSpec::synthetic(20, 42)
+            },
+            4,
+        )
+        .with_approx(ApproxConfig {
+            samples: 32,
+            ..ApproxConfig::default()
+        });
+        for kind in [QueryKind::Shapley, QueryKind::WhatIfLeave { player: 0 }] {
+            let err = s
+                .execute(&kind)
+                .expect_err("an inf estimate must not be served");
+            assert_eq!(err.code, "SOLVE_FAILED", "{}: {}", kind.name(), err.detail);
+            assert!(
+                err.detail.contains("V(N) has the non-finite value inf"),
+                "{}",
+                err.detail
+            );
+        }
+        assert_eq!(s.whatif.lock().len(), 0, "solver failures are not cached");
+        assert!(!s.warm(1).shapley_ok);
+    }
+
+    /// FNV-1a, 64-bit: a short stand-in for a payload's bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The payload bytes of two synthetic federations, pinned: n = 12 exact
+    /// (the nucleolus at its cap) and n = 20 sampled at 32 permutations.
+    #[test]
+    fn synthetic_payload_bytes_are_pinned() {
+        let queries = [
+            QueryKind::Shapley,
+            QueryKind::Nucleolus,
+            QueryKind::WhatIfJoin {
+                locations: 37,
+                capacity: 2,
+            },
+            QueryKind::WhatIfLeave { player: 0 },
+        ];
+        let exact = ServeState::new(ScenarioSpec::synthetic(12, 42), 4);
+        let sampled =
+            ServeState::new(ScenarioSpec::synthetic(20, 7), 4).with_approx(ApproxConfig {
+                samples: 32,
+                ..ApproxConfig::default()
+            });
+        let pinned: [(&ServeState, [u64; 4]); 2] = [
+            (
+                &exact,
+                [
+                    0x8bb0_8610_6e65_69ae,
+                    0x9356_df0a_9f3d_d325,
+                    0x529d_8b0c_a974_e606,
+                    0x30a2_eca0_18f1_7878,
+                ],
+            ),
+            (
+                &sampled,
+                [
+                    0x5ede_f51d_98cc_1403,
+                    0,
+                    0xa2eb_5e57_1f9c_8999,
+                    0xf40f_c0fd_696e_0192,
+                ],
+            ),
+        ];
+        for (state, fingerprints) in pinned {
+            for (kind, want) in queries.iter().zip(fingerprints) {
+                match state.execute(kind) {
+                    Ok(payload) => assert_eq!(
+                        fnv1a(payload.as_bytes()),
+                        want,
+                        "n={} {}: {payload}",
+                        state.n(),
+                        kind.name()
+                    ),
+                    // The 20-player nucleolus is refused, as before.
+                    Err(e) => assert!(want == 0 && e.code == "SOLVE_FAILED", "{e:?}"),
+                }
+            }
+        }
+        let head = exact.execute(&QueryKind::Shapley).unwrap();
+        assert!(head.starts_with("\"kind\":\"shapley\",\"n\":12,\"grand_value\":267,"));
+        let head = sampled.execute(&QueryKind::Shapley).unwrap();
+        assert!(head.starts_with("\"kind\":\"shapley\",\"n\":20,\"grand_value\":253,"));
+        assert!(
+            head.contains("\"approx\":true,\"method\":\"permutation\",\"samples\":32,"),
+            "{head}"
+        );
     }
 
     #[test]
@@ -933,7 +901,8 @@ mod tests {
             let cold = ServeState::new(spec.clone(), 4).with_approx(approx);
             let warm = ServeState::new(spec.clone(), 4).with_approx(approx);
             let _ = warm.warm(2);
-            let game = ScenarioGame::new(&spec);
+            let scenario = spec.scenario();
+            let game = FederationGame::new(scenario.facilities(), scenario.demand());
             for players in queries {
                 let mut members = players.clone();
                 members.sort_unstable();

@@ -50,7 +50,10 @@ mod workload;
 pub use authority::{synthetic_authority, Authority};
 pub use faults::{Fault, FaultPlan, RetryPolicy};
 pub use federation::{Credential, Federation, NodeRecord};
-pub use scale::{synthetic_federation, synthetic_profile, synthetic_scenario};
+pub use scale::{
+    parse_synthetic, synthetic_federation, synthetic_profile, synthetic_scenario, ScenarioArgs,
+    ScenarioSpec,
+};
 pub use selection::{satisfies_diversity, select, NodeQuery, Selection};
 pub use simulate::{
     empirical_game_diagnosed, run_coalition_faulted, Churn,

@@ -17,12 +17,12 @@
     reason = "a command-line tool reports on stdout and stderr"
 )]
 
-use fedval::coalition::{hoeffding_samples, NUCLEOLUS_MAX_PLAYERS};
+use fedval::coalition::{hoeffding_samples, normalize, NUCLEOLUS_MAX_PLAYERS};
 use fedval::policy::try_policy_report;
+use fedval::testbed::ScenarioArgs;
 use fedval::{
-    ApproxConfig, Coalition, Demand, ExperimentClass, Facility, FederationGame,
-    FederationScenario, ShapleyEstimate, SharingScheme, Volume, WideGame,
-    EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
+    ApproxShapley, Coalition, FederationGame, FederationScenario, ShapleyEstimate, SharingScheme,
+    WideGame, EXACT_SHAPLEY_MAX_PLAYERS,
 };
 use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
 use std::process::ExitCode;
@@ -31,16 +31,23 @@ use std::sync::Arc;
 #[derive(Debug)]
 struct Options {
     command: String,
-    locations: Vec<u32>,
-    capacities: Vec<u64>,
-    threshold: f64,
-    shape: f64,
-    volume: Option<u64>, // None = capacity-filling
+    /// The federation and the sampled-Shapley parameters.
+    scenario: ScenarioArgs,
     scheme: String,
     threads: usize,
-    approx: ApproxConfig,
     trace: Option<String>,
     metrics: bool,
+}
+
+impl Options {
+    /// The scenario the command answers from.
+    fn scenario(&self) -> FederationScenario {
+        self.scenario
+            .spec
+            .scenario()
+            .with_threads(self.threads)
+            .with_approx(self.scenario.approx)
+    }
 }
 
 fn usage() -> &'static str {
@@ -94,14 +101,9 @@ fn default_threads() -> usize {
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         command: args.first().cloned().ok_or_else(|| usage().to_string())?,
-        locations: vec![100, 400, 800],
-        capacities: Vec::new(),
-        threshold: 500.0,
-        shape: 1.0,
-        volume: Some(1),
+        scenario: ScenarioArgs::default(),
         scheme: "shapley".to_string(),
         threads: default_threads(),
-        approx: ApproxConfig::default(),
         trace: None,
         metrics: false,
     };
@@ -112,49 +114,20 @@ fn parse(args: &[String]) -> Result<Options, String> {
     // explicit `--approx-samples` wins; resolved after the flag loop so
     // order on the command line never matters.
     let mut epsilon: Option<f64> = None;
-    let mut samples_overridden = false;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
+        if opts.scenario.parse_flag(flag, &mut it)? {
+            continue;
+        }
         // Valueless switches are matched before the generic value grab.
         if flag == "--metrics" {
             opts.metrics = true;
-            continue;
-        }
-        if flag == "--approx" {
-            opts.approx.force = true;
             continue;
         }
         let value = it
             .next()
             .ok_or_else(|| format!("flag {flag} needs a value"))?;
         match flag.as_str() {
-            "--locations" => {
-                opts.locations = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--locations: {e}"))?;
-            }
-            "--capacities" => {
-                opts.capacities = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--capacities: {e}"))?;
-            }
-            "--threshold" => {
-                opts.threshold = value.parse().map_err(|e| format!("--threshold: {e}"))?;
-            }
-            "--shape" => {
-                opts.shape = value.parse().map_err(|e| format!("--shape: {e}"))?;
-            }
-            "--volume" => {
-                opts.volume = if value == "fill" {
-                    None
-                } else {
-                    Some(value.parse().map_err(|e| format!("--volume: {e}"))?)
-                };
-            }
             "--scheme" => {
                 opts.scheme = value.clone();
             }
@@ -168,38 +141,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--trace" => {
                 opts.trace = Some(value.clone());
             }
-            "--synthetic" => {
-                let (n, seed) = match value.split_once(':') {
-                    Some((n, seed)) => (
-                        n.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        seed.parse::<u64>().map_err(|e| format!("--synthetic: {e}"))?,
-                    ),
-                    None => (
-                        value.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        42,
-                    ),
-                };
-                if n == 0 || n > MAX_SAMPLED_PLAYERS {
-                    return Err(format!(
-                        "--synthetic: need between 1 and {MAX_SAMPLED_PLAYERS} authorities"
-                    ));
-                }
-                let (draws, threshold) = fedval::testbed::synthetic_profile(n, seed);
-                opts.locations = draws.iter().map(|&(l, _)| l).collect();
-                opts.capacities = draws.iter().map(|&(_, r)| r).collect();
-                opts.threshold = threshold;
-                opts.shape = 1.0;
-                opts.volume = Some(1);
-            }
-            "--approx-samples" => {
-                opts.approx.samples = value
-                    .parse()
-                    .map_err(|e| format!("--approx-samples: {e}"))?;
-                if opts.approx.samples == 0 {
-                    return Err("--approx-samples must be at least 1".to_string());
-                }
-                samples_overridden = true;
-            }
             "--epsilon" => {
                 let e: f64 = value.parse().map_err(|e| format!("--epsilon: {e}"))?;
                 if !(e > 0.0 && e.is_finite()) {
@@ -207,101 +148,42 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 }
                 epsilon = Some(e);
             }
-            "--approx-seed" => {
-                opts.approx.seed = value.parse().map_err(|e| format!("--approx-seed: {e}"))?;
-            }
-            "--confidence" => {
-                opts.approx.confidence =
-                    value.parse().map_err(|e| format!("--confidence: {e}"))?;
-                if !(opts.approx.confidence > 0.0 && opts.approx.confidence < 1.0) {
-                    return Err("--confidence must be strictly between 0 and 1".to_string());
-                }
-            }
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
         }
     }
-    if opts.locations.is_empty() || opts.locations.len() > MAX_SAMPLED_PLAYERS {
-        return Err(format!("need between 1 and {MAX_SAMPLED_PLAYERS} facilities"));
-    }
-    if opts.capacities.is_empty() {
-        opts.capacities = vec![1; opts.locations.len()];
-    }
-    if opts.capacities.len() != opts.locations.len() {
-        return Err("--capacities must match --locations in length".to_string());
-    }
-    if opts.capacities.contains(&0) {
-        return Err("--capacities must each be at least 1".to_string());
-    }
-    if !(opts.threshold.is_finite() && opts.threshold >= 0.0) {
-        return Err("--threshold must be finite and at least 0".to_string());
-    }
-    if !(opts.shape.is_finite() && opts.shape > 0.0) {
-        return Err("--shape must be finite and positive".to_string());
-    }
+    opts.scenario.finish()?;
     if let Some(epsilon) = epsilon {
-        if !samples_overridden {
+        if !opts.scenario.samples_given {
             // Normalized shares live in [0, 1], so `range = 1`; the
             // Hoeffding bound turns (ε, 1 − confidence) into the budget.
-            let delta = 1.0 - opts.approx.confidence;
-            let samples = hoeffding_samples(1.0, epsilon, delta);
+            let approx = &mut opts.scenario.approx;
+            let samples = hoeffding_samples(1.0, epsilon, 1.0 - approx.confidence);
             if samples == usize::MAX {
                 return Err(format!(
                     "--epsilon {epsilon} with --confidence {} needs an unbounded budget",
-                    opts.approx.confidence
+                    approx.confidence
                 ));
             }
             // The estimator's floor (32) still applies downstream.
-            opts.approx.samples = samples.max(1);
+            approx.samples = samples.max(1);
         }
     }
     Ok(opts)
 }
 
-fn build_scenario(opts: &Options) -> FederationScenario {
-    let mut start = 0u32;
-    let facilities: Vec<Facility> = opts
-        .locations
-        .iter()
-        .zip(&opts.capacities)
-        .enumerate()
-        .map(|(i, (&l, &r))| {
-            let f = Facility::uniform(format!("facility-{}", i + 1), start, l, r);
-            start += l;
-            f
-        })
-        .collect();
-    let class = ExperimentClass::simple("cli", opts.threshold, opts.shape);
-    let demand = match opts.volume {
-        Some(1) => Demand::one_experiment(class),
-        Some(k) => Demand::single(class, Volume::Count(k)),
-        None => Demand::capacity_filling(class),
-    };
-    FederationScenario::new(facilities, demand)
-        .with_threads(opts.threads)
-        .with_approx(opts.approx)
+/// Prints a scheme's `shares` table: each facility's share and its payoff
+/// `share × V(N)`.
+fn print_shares(scheme: &str, grand: f64, shares: &[f64]) {
+    println!("scheme: {scheme} — V(N) = {grand:.2}");
+    println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
+    for (i, share) in shares.iter().enumerate() {
+        println!("{:>10} {:>10.4} {:>14.2}", i + 1, share, share * grand);
+    }
 }
 
 /// Prints the `shares` table for a sampled Shapley estimate, with the
 /// per-facility CI half-width column and the certificate header.
-fn print_sampled_shapley(scenario: &FederationScenario, n: usize) -> Result<(), String> {
-    let estimate = scenario.shapley_estimate().map_err(|e| e.to_string())?;
-    let approx = match estimate {
-        ShapleyEstimate::Approx(a) => a,
-        // Only reachable if solver selection changes under us; render the
-        // exact result in the sampled format with zero-width intervals.
-        ShapleyEstimate::Exact(phi) => {
-            let grand: f64 = phi.iter().sum();
-            println!("scheme: shapley (exact) — V(N) = {grand:.2}");
-            println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
-            for (i, v) in phi.iter().enumerate() {
-                let share = if grand.abs() < 1e-12 { 0.0 } else { v / grand };
-                println!("{:>10} {:>10.4} {:>14.2}", i + 1, share, v);
-            }
-            return Ok(());
-        }
-    };
-    let shares = approx.shares();
-    let ci = approx.ci_shares();
+fn print_sampled_shapley(approx: &ApproxShapley) {
     println!(
         "scheme: shapley (sampled: permutation, {} samples, seed {}, {:.0}% CI) — V(N) = {:.2}",
         approx.samples,
@@ -313,16 +195,15 @@ fn print_sampled_shapley(scenario: &FederationScenario, n: usize) -> Result<(), 
         "{:>10} {:>10} {:>10} {:>14}",
         "facility", "share", "±ci", "payoff"
     );
-    for i in 0..n {
+    for (i, (share, ci)) in approx.shares().iter().zip(approx.ci_shares()).enumerate() {
         println!(
             "{:>10} {:>10.4} {:>10.4} {:>14.2}",
             i + 1,
-            shares[i],
-            ci[i],
-            shares[i] * approx.grand_value
+            share,
+            ci,
+            share * approx.grand_value
         );
     }
-    Ok(())
 }
 
 fn scheme_from_name(name: &str) -> Result<SharingScheme, String> {
@@ -362,7 +243,7 @@ fn install_observability(opts: &Options) -> Result<Option<RecordingSink>, String
 fn execute(opts: &Options) -> Result<(), String> {
     let scenario = {
         let _span = fedval_obs::span("fedval.cli.scenario");
-        build_scenario(opts)
+        opts.scenario()
     };
     let n = scenario.facilities().len();
     let _command_span = fedval_obs::span_with("fedval.cli.command", || opts.command.clone());
@@ -395,42 +276,43 @@ fn execute(opts: &Options) -> Result<(), String> {
                      (got {n}) and has no sampled fallback; use --scheme shapley"
                 ));
             }
-            let sampled = opts.approx.selects_sampling(n);
-            if !sampled || matches!(scheme, SharingScheme::Nucleolus) {
+            if matches!(scheme, SharingScheme::Shapley) {
+                match scenario.shapley_estimate().map_err(|e| e.to_string())? {
+                    ShapleyEstimate::Approx(approx) => print_sampled_shapley(&approx),
+                    ShapleyEstimate::Exact(phi) => {
+                        let grand = scenario
+                            .try_game()
+                            .map_err(|e| e.to_string())?
+                            .grand_value();
+                        print_shares(scheme.name(), grand, &normalize(phi, grand));
+                    }
+                }
+                return Ok(());
+            }
+            let grand = if opts.scenario.approx.selects_sampling(n)
+                && !matches!(scheme, SharingScheme::Nucleolus)
+            {
+                // Enumeration-free schemes at large n: V(N) comes from
+                // one wide-game evaluation instead of the 2^n table.
+                let all: Vec<usize> = (0..n).collect();
+                let grand = FederationGame::new(scenario.facilities(), scenario.demand())
+                    .value_members(&all);
+                if !grand.is_finite() {
+                    return Err(format!(
+                        "V(N) has the non-finite value {grand}; every coalition value must \
+                         be a finite number"
+                    ));
+                }
+                grand
+            } else {
                 // The scheme reads the 2^n table: fill it fallibly first,
                 // since the infallible accessors panic on a game it refuses.
-                scenario.try_game().map_err(|e| e.to_string())?;
-            }
-            match (&scheme, sampled) {
-                (SharingScheme::Shapley, true) => print_sampled_shapley(&scenario, n)?,
-                (_, true) => {
-                    // Enumeration-free schemes at large n: V(N) comes from
-                    // one wide-game evaluation instead of the 2^n table.
-                    let shares = scheme.shares(&scenario);
-                    let game =
-                        FederationGame::new(scenario.facilities(), scenario.demand());
-                    let all: Vec<usize> = (0..n).collect();
-                    let grand = game.value_members(&all);
-                    println!("scheme: {} — V(N) = {grand:.2}", scheme.name());
-                    println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
-                    for (i, s) in shares.iter().enumerate() {
-                        println!("{:>10} {:>10.4} {:>14.2}", i + 1, s, s * grand);
-                    }
-                }
-                (_, false) => {
-                    let shares = scheme.shares(&scenario);
-                    let payoffs = scenario.payoffs(&shares);
-                    println!(
-                        "scheme: {} — V(N) = {:.2}",
-                        scheme.name(),
-                        scenario.grand_value()
-                    );
-                    println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
-                    for i in 0..n {
-                        println!("{:>10} {:>10.4} {:>14.2}", i + 1, shares[i], payoffs[i]);
-                    }
-                }
-            }
+                scenario
+                    .try_game()
+                    .map_err(|e| e.to_string())?
+                    .grand_value()
+            };
+            print_shares(scheme.name(), grand, &scheme.shares(&scenario));
         }
         "report" => {
             let report = try_policy_report(&scenario).map_err(|e| e.to_string())?;
@@ -490,34 +372,37 @@ mod tests {
     #[test]
     fn defaults_reproduce_worked_example() {
         let opts = parse(&args(&["shares"])).unwrap();
-        let scenario = build_scenario(&opts);
+        let scenario = opts.scenario();
         assert_eq!(scenario.grand_value(), 1300.0);
         assert!((scenario.shapley_shares()[1] - 2.0 / 13.0).abs() < 1e-12);
     }
 
+    /// fedval's own flags mixed with the shared scenario and sampling
+    /// flags, whose values fedval-testbed's parser test pins.
     #[test]
     fn parses_all_flags() {
         let opts = parse(&args(&[
             "report",
             "--locations",
             "10,20,30",
+            "--scheme",
+            "nucleolus",
             "--capacities",
             "2,2,2",
             "--threshold",
             "25",
+            "--approx",
             "--shape",
             "0.8",
             "--volume",
             "fill",
-            "--scheme",
-            "nucleolus",
         ]))
         .unwrap();
-        assert_eq!(opts.locations, vec![10, 20, 30]);
-        assert_eq!(opts.capacities, vec![2, 2, 2]);
-        assert_eq!(opts.threshold, 25.0);
-        assert_eq!(opts.shape, 0.8);
-        assert_eq!(opts.volume, None);
+        let spec = &opts.scenario.spec;
+        assert_eq!(spec.locations, vec![10, 20, 30]);
+        assert_eq!(spec.capacities, vec![2, 2, 2]);
+        assert_eq!((spec.threshold, spec.shape, spec.volume), (25.0, 0.8, None));
+        assert!(opts.scenario.approx.force);
         assert!(scheme_from_name(&opts.scheme).is_ok());
     }
 
@@ -539,17 +424,11 @@ mod tests {
         .unwrap();
         assert!(opts.metrics);
         assert_eq!(opts.trace.as_deref(), Some("out.jsonl"));
-        assert_eq!(opts.threshold, 250.0);
+        assert_eq!(opts.scenario.spec.threshold, 250.0);
         // --metrics takes no value; --trace requires one.
         let bare = parse(&args(&["values", "--metrics"])).unwrap();
         assert!(bare.metrics && bare.trace.is_none());
         assert!(parse(&args(&["values", "--trace"])).is_err());
-    }
-
-    #[test]
-    fn capacity_default_matches_facility_count() {
-        let opts = parse(&args(&["values", "--locations", "5,6,7,8"])).unwrap();
-        assert_eq!(opts.capacities, vec![1; 4]);
     }
 
     #[test]
@@ -564,51 +443,38 @@ mod tests {
     }
 
     #[test]
-    fn parses_approx_and_synthetic_flags() {
-        let opts = parse(&args(&[
-            "shares",
-            "--approx",
-            "--approx-samples",
-            "64",
-            "--approx-seed",
-            "5",
-            "--confidence",
-            "0.9",
-        ]))
-        .unwrap();
-        assert!(opts.approx.force);
-        assert_eq!(opts.approx.samples, 64);
-        assert_eq!(opts.approx.seed, 5);
-        assert!((opts.approx.confidence - 0.9).abs() < 1e-12);
-        assert!(parse(&args(&["shares", "--approx-samples", "0"])).is_err());
-        assert!(parse(&args(&["shares", "--confidence", "1"])).is_err());
-
-        let syn = parse(&args(&["report", "--synthetic", "40:7"])).unwrap();
-        assert_eq!(syn.locations.len(), 40);
-        assert_eq!(syn.capacities.len(), 40);
-        let again = parse(&args(&["report", "--synthetic", "40:7"])).unwrap();
-        assert_eq!(syn.locations, again.locations);
-        assert!(parse(&args(&["report", "--synthetic", "0"])).is_err());
-        assert!(parse(&args(&["report", "--synthetic", "1000"])).is_err());
-        // The old 12-facility wall is gone.
-        let many: Vec<&str> = vec!["4"; 40];
-        assert!(parse(&args(&["shares", "--locations", &many.join(",")])).is_ok());
-    }
-
-    #[test]
     fn epsilon_plans_the_sampling_budget() {
         // ε = 0.1 at the default 95% confidence: ⌈ln(40)/0.02⌉ = 185.
         let opts = parse(&args(&["shares", "--epsilon", "0.1"])).unwrap();
-        assert_eq!(opts.approx.samples, hoeffding_samples(1.0, 0.1, 0.05));
-        assert_eq!(opts.approx.samples, 185);
+        assert_eq!(
+            opts.scenario.approx.samples,
+            hoeffding_samples(1.0, 0.1, 0.05)
+        );
+        assert_eq!(opts.scenario.approx.samples, 185);
 
         // Tighter confidence raises the planned budget; flag order on
         // the command line must not matter.
-        let tight = parse(&args(&["shares", "--confidence", "0.99", "--epsilon", "0.1"])).unwrap();
-        let tight_rev =
-            parse(&args(&["shares", "--epsilon", "0.1", "--confidence", "0.99"])).unwrap();
-        assert_eq!(tight.approx.samples, tight_rev.approx.samples);
-        assert!(tight.approx.samples > opts.approx.samples);
+        let tight = parse(&args(&[
+            "shares",
+            "--confidence",
+            "0.99",
+            "--epsilon",
+            "0.1",
+        ]))
+        .unwrap();
+        let tight_rev = parse(&args(&[
+            "shares",
+            "--epsilon",
+            "0.1",
+            "--confidence",
+            "0.99",
+        ]))
+        .unwrap();
+        assert_eq!(
+            tight.scenario.approx.samples,
+            tight_rev.scenario.approx.samples
+        );
+        assert!(tight.scenario.approx.samples > opts.scenario.approx.samples);
 
         // An explicit --approx-samples is the expert override and wins
         // over --epsilon regardless of position.
@@ -620,7 +486,7 @@ mod tests {
             "64",
         ]))
         .unwrap();
-        assert_eq!(explicit.approx.samples, 64);
+        assert_eq!(explicit.scenario.approx.samples, 64);
         let explicit_rev = parse(&args(&[
             "shares",
             "--approx-samples",
@@ -629,7 +495,7 @@ mod tests {
             "0.1",
         ]))
         .unwrap();
-        assert_eq!(explicit_rev.approx.samples, 64);
+        assert_eq!(explicit_rev.scenario.approx.samples, 64);
 
         assert!(parse(&args(&["shares", "--epsilon", "0"])).is_err());
         assert!(parse(&args(&["shares", "--epsilon", "-0.5"])).is_err());
@@ -641,18 +507,20 @@ mod tests {
     #[test]
     fn sampled_shares_and_report_run_on_large_federations() {
         let mut opts = parse(&args(&["shares", "--synthetic", "40:7"])).unwrap();
-        opts.approx.samples = 32;
-        let scenario = build_scenario(&opts);
-        assert!(print_sampled_shapley(&scenario, 40).is_ok());
+        opts.scenario.approx.samples = 32;
+        let scenario = opts.scenario();
+        let estimate = scenario.shapley_estimate().expect("sampled estimate");
+        print_sampled_shapley(estimate.as_approx().expect("n=40 samples"));
         let report = try_policy_report(&scenario).expect("degraded report");
         assert!(report.approx.is_some());
     }
 
     #[test]
     fn threads_do_not_change_cli_shares() {
-        let sequential = build_scenario(&parse(&args(&["shares"])).unwrap());
-        let parallel =
-            build_scenario(&parse(&args(&["shares", "--threads", "4"])).unwrap());
+        let sequential = parse(&args(&["shares"])).unwrap().scenario();
+        let parallel = parse(&args(&["shares", "--threads", "4"]))
+            .unwrap()
+            .scenario();
         assert_eq!(sequential.shapley_shares(), parallel.shapley_shares());
     }
 }

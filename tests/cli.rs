@@ -210,30 +210,53 @@ fn exact_report_runs_at_the_nucleolus_cap() {
 
 #[test]
 fn non_finite_coalition_values_fail_the_report_cleanly() {
-    // d = 400 over 30 locations overflows every coalition value to inf.
-    // The table fill refuses it, so the report and every other command
-    // that reads the table exits 1 naming the coalition, prints no inf
-    // or NaN, and does not panic.
-    for command in [
-        &["report"][..],
-        &["values"],
-        &["shares"],
-        &["shares", "--scheme", "nucleolus"],
-        &["shares", "--scheme", "proportional"],
-        &["shares", "--approx", "--scheme", "nucleolus"],
+    // d = 400 overflows every coalition value to inf. Each command exits 1
+    // naming what it refused, prints no inf or NaN, and does not panic:
+    // the table fill names coalition {0}; the sampled estimator and the
+    // enumeration-free schemes name V(N).
+    let overflow = ["--shape", "400", "--locations", "10,20", "--threshold", "1"];
+    let table = "coalition {0} (player ids from 0) has the non-finite value inf";
+    let sampled = "approx_shapley: V(N) has the non-finite value inf";
+    let wide = "V(N) has the non-finite value inf";
+    for (command, needle) in [
+        (&["report"][..], table),
+        (&["values"], table),
+        (&["shares"], table),
+        (&["shares", "--scheme", "nucleolus"], table),
+        (&["shares", "--scheme", "proportional"], table),
+        (&["shares", "--approx", "--scheme", "nucleolus"], table),
+        (&["shares", "--approx"], sampled),
+        (&["report", "--approx"], sampled),
+        (&["shares", "--approx", "--scheme", "proportional"], wide),
+        (&["shares", "--synthetic", "20", "--shape", "400"], sampled),
+        (&["report", "--synthetic", "20", "--shape", "400"], sampled),
+        (
+            &[
+                "shares",
+                "--synthetic",
+                "20",
+                "--shape",
+                "400",
+                "--scheme",
+                "equal",
+            ],
+            wide,
+        ),
     ] {
+        let args: &[&str] = if command.contains(&"--synthetic") {
+            &[]
+        } else {
+            &overflow
+        };
         let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
             .args(command)
-            .args(["--shape", "400", "--locations", "10,20", "--threshold", "1"])
+            .args(args)
             .output()
             .expect("binary runs");
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{command:?}: {stdout}{stderr}");
-        assert!(
-            stderr.contains("coalition {0}") && stderr.contains("non-finite value inf"),
-            "{command:?}: {stderr}"
-        );
+        assert!(stderr.contains(needle), "{command:?}: {stderr}");
         assert!(
             !stdout.contains("inf") && !stdout.contains("NaN"),
             "{command:?}: {stdout}"
