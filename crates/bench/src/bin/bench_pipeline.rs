@@ -3,8 +3,8 @@
 //! Runs the paper's §4.1 worked example (scenario build → Shapley →
 //! nucleolus → policy report), a seeded demand simulation for the desim
 //! event rate, and the full Fig. 4–9 sweep twice (threads=1 vs
-//! `--threads N`) — all under a [`RecordingSink`] — then writes the
-//! aggregate as JSON.
+//! `--threads N`) — all with observability on — then writes the metric
+//! fold and the phase summaries as JSON.
 //!
 //! ```text
 //! cargo run --release -p fedval-bench --bin bench_pipeline             # write
@@ -40,7 +40,7 @@
 use fedval_bench::{set_sweep_threads, Figure};
 use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, Coalition, TableGame};
 use fedval_core::{paper_facilities, Demand, ExperimentClass, FederationGame, FederationScenario};
-use fedval_obs::{RecordingSink, RunReport};
+use fedval_obs::MetricsFold;
 use fedval_policy::try_policy_report;
 use fedval_testbed::{
     run_coalition_faulted, synthetic_authority, synthetic_federation, FaultPlan, Federation,
@@ -330,12 +330,11 @@ fn run_sweep_legs(parallel_threads: usize) -> SweepSummary {
 }
 
 /// The aggregate of one pipeline run.
-type PipelineRun = (RunReport, SweepSummary, ApproxSummary, FormationSummary);
+type PipelineRun = (MetricsFold, SweepSummary, ApproxSummary, FormationSummary);
 
-/// Runs every phase under the installed sink and returns the aggregate.
+/// Runs every phase with observability on and returns the aggregate.
 fn run_pipeline(parallel_threads: usize) -> Result<PipelineRun, Box<dyn std::error::Error>> {
-    let recording = RecordingSink::new();
-    fedval_obs::install(std::sync::Arc::new(recording.clone()));
+    fedval_obs::ensure_enabled();
 
     let (sweep, approx, formation) = {
         let _total = fedval_obs::span("bench.pipeline.total");
@@ -398,17 +397,13 @@ fn run_pipeline(parallel_threads: usize) -> Result<PipelineRun, Box<dyn std::err
         (sweep, approx, formation)
     };
 
-    // Metrics live in the sharded fold; records carry only events and
-    // sampled span traces. `from_parts` reunites them without double
-    // counting the shutdown dump.
-    let fold = fedval_obs::metrics_fold();
     fedval_obs::shutdown();
-    Ok((
-        RunReport::from_parts(&fold, &recording.records()),
-        sweep,
-        approx,
-        formation,
-    ))
+    Ok((fedval_obs::metrics_fold(), sweep, approx, formation))
+}
+
+/// Total wall time of the named span across all occurrences, ns.
+fn span_total_ns(fold: &MetricsFold, name: &str) -> u64 {
+    fold.spans.get(name).map_or(0, |s| s.total_ns)
 }
 
 /// Wall-clock cost of the telemetry layer itself, measured on the §4.1
@@ -471,7 +466,7 @@ fn push_kv_f64(out: &mut String, key: &str, value: f64, last: bool) {
 
 /// The deterministic section: identical bytes on every run and machine.
 fn deterministic_section(
-    report: &RunReport,
+    fold: &MetricsFold,
     sweep: &SweepSummary,
     approx: &ApproxSummary,
     formation: &FormationSummary,
@@ -489,12 +484,12 @@ fn deterministic_section(
         "testbed.simulate.blocked",
         "testbed.simulate.requests",
     ] {
-        push_kv_u64(&mut out, key, report.counter(key), false);
+        push_kv_u64(&mut out, key, fold.counter(key), false);
     }
     push_kv_u64(
         &mut out,
         "testbed.simulate.runs",
-        report.counter("testbed.simulate.runs"),
+        fold.counter("testbed.simulate.runs"),
         false,
     );
     push_kv_u64(&mut out, "sweep.figures", sweep.totals.len() as u64, false);
@@ -567,7 +562,7 @@ fn deterministic_section(
         );
     }
     for key in ["form.round", "form.merge", "form.split"] {
-        push_kv_u64(&mut out, key, report.counter(key), false);
+        push_kv_u64(&mut out, key, fold.counter(key), false);
     }
     push_kv_u64(
         &mut out,
@@ -581,7 +576,7 @@ fn deterministic_section(
 
 /// The timing section: wall-clock, refreshed on every write.
 fn timing_section(
-    report: &RunReport,
+    fold: &MetricsFold,
     sweep: &SweepSummary,
     approx: &ApproxSummary,
     formation: &FormationSummary,
@@ -591,7 +586,7 @@ fn timing_section(
     push_kv_u64(
         &mut out,
         "total_wall_ns",
-        report.span_total_ns("bench.pipeline.total"),
+        span_total_ns(fold, "bench.pipeline.total"),
         false,
     );
     for phase in [
@@ -607,13 +602,16 @@ fn timing_section(
         push_kv_u64(
             &mut out,
             &format!("phase.{phase}_wall_ns"),
-            report.span_total_ns(&format!("bench.phase.{phase}")),
+            span_total_ns(fold, &format!("bench.phase.{phase}")),
             false,
         );
     }
-    let events_per_sec = report
-        .rate_per_sec("desim.engine.delivered", "testbed.simulate.run")
-        .unwrap_or(0.0);
+    let simulate_ns = span_total_ns(fold, "testbed.simulate.run");
+    let events_per_sec = if simulate_ns > 0 {
+        fold.counter("desim.engine.delivered") as f64 * 1e9 / simulate_ns as f64
+    } else {
+        0.0
+    };
     push_kv_f64(&mut out, "desim.events_per_sec", events_per_sec, false);
     push_kv_u64(
         &mut out,
@@ -679,7 +677,7 @@ fn timing_section(
 }
 
 fn render_json(
-    report: &RunReport,
+    fold: &MetricsFold,
     sweep: &SweepSummary,
     approx: &ApproxSummary,
     formation: &FormationSummary,
@@ -687,8 +685,8 @@ fn render_json(
 ) -> String {
     format!(
         "{{\n  \"bench\": \"pipeline\",\n  \"example\": \"section-4.1 worked example + seeded demand simulation + fig4-9 sweep + sampled shapley + formation ladder\",\n{},\n{}\n}}\n",
-        deterministic_section(report, sweep, approx, formation),
-        timing_section(report, sweep, approx, formation, overhead),
+        deterministic_section(fold, sweep, approx, formation),
+        timing_section(fold, sweep, approx, formation, overhead),
     )
 }
 
@@ -711,7 +709,7 @@ fn main() -> ExitCode {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
     };
-    let (report, sweep, approx, formation) = match run_pipeline(threads) {
+    let (fold, sweep, approx, formation) = match run_pipeline(threads) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("bench_pipeline: {e}");
@@ -743,7 +741,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let expected = deterministic_section(&report, &sweep, &approx, &formation);
+        let expected = deterministic_section(&fold, &sweep, &approx, &formation);
         if !existing.contains(&expected) {
             eprintln!(
                 "bench_pipeline --check: deterministic section of {} is stale.\n\
@@ -782,7 +780,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         let overhead = measure_obs_overhead();
-        let json = render_json(&report, &sweep, &approx, &formation, &overhead);
+        let json = render_json(&fold, &sweep, &approx, &formation, &overhead);
         match std::fs::write(&path, &json) {
             Ok(()) => {
                 print!("{json}");

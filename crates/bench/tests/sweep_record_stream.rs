@@ -7,8 +7,21 @@
 
 use fedval_bench::run_sweep;
 use fedval_bench::sweep::span_sampled;
-use fedval_obs::{MetricsSnapshot, RecordingSink};
+use fedval_obs::{Record, RecordingSink};
 use std::sync::Arc;
+
+/// The `p=…` payloads of the `t.sweep.done` event records, in stream order.
+fn done_payloads(records: &[Record]) -> Vec<String> {
+    records
+        .iter()
+        .filter_map(|r| match r {
+            Record::Event { name, fields } if name == "t.sweep.done" => {
+                Some(fields.iter().map(|(k, v)| format!("{k}={v}")).collect())
+            }
+            _ => None,
+        })
+        .collect()
+}
 
 #[test]
 fn record_stream_is_thread_count_invariant() {
@@ -48,39 +61,34 @@ fn record_stream_is_thread_count_invariant() {
         seq_fold.histogram("bench.sweep.point_ns").map(|h| h.count),
         Some(16)
     );
-    let seq_snap = MetricsSnapshot::from_parts(&seq_fold, &seq_records);
+    assert_eq!(seq_fold.events.get("t.sweep.done"), Some(&16));
     // Events replay in input order, not completion order.
     let payloads: Vec<String> = (0..16).map(|p| format!("p={p}")).collect();
-    assert_eq!(seq_snap.events["t.sweep.done"], payloads);
+    assert_eq!(done_payloads(&seq_records), payloads);
     // Only the sampled points contributed span-trace records; the
     // shutdown dump emits each counter exactly once.
     let point_span_ends = seq_records
         .iter()
-        .filter(
-            |r| matches!(r, fedval_obs::Record::SpanEnd { name, .. } if name == "t.sweep.point"),
-        )
+        .filter(|r| matches!(r, Record::SpanEnd { name, .. } if name == "t.sweep.point"))
         .count();
     assert_eq!(point_span_ends, sampled_points.len());
     let eval_counter_emissions = seq_records
         .iter()
-        .filter(
-            |r| matches!(r, fedval_obs::Record::Counter { name, .. } if name == "t.sweep.evals"),
-        )
+        .filter(|r| matches!(r, Record::Counter { name, .. } if name == "t.sweep.evals"))
         .count();
     assert_eq!(eval_counter_emissions, 1, "one dump emission per counter");
 
     // Timing-free shape of the record stream: kind + name, in order.
-    let shape = |records: &[fedval_obs::Record]| -> Vec<String> {
+    let shape = |records: &[Record]| -> Vec<String> {
         records
             .iter()
             .map(|r| {
                 let kind = match r {
-                    fedval_obs::Record::SpanStart { .. } => "start",
-                    fedval_obs::Record::SpanEnd { .. } => "end",
-                    fedval_obs::Record::Counter { .. } => "counter",
-                    fedval_obs::Record::Gauge { .. } => "gauge",
-                    fedval_obs::Record::Observe { .. } => "observe",
-                    fedval_obs::Record::Event { .. } => "event",
+                    Record::SpanStart { .. } => "start",
+                    Record::SpanEnd { .. } => "end",
+                    Record::Counter { .. } => "counter",
+                    Record::Gauge { .. } => "gauge",
+                    Record::Event { .. } => "event",
                 };
                 format!("{kind}:{}", r.name())
             })
@@ -96,11 +104,11 @@ fn record_stream_is_thread_count_invariant() {
             seq_shape,
             "sampled record stream must be schedule-independent at threads={threads}"
         );
-        let snap = MetricsSnapshot::from_parts(&fold, &records);
+        assert_eq!(done_payloads(&records), payloads, "threads={threads}");
         assert_eq!(
-            snap.to_text(),
-            seq_snap.to_text(),
-            "snapshot must be identical at threads={threads}"
+            fold.to_json(),
+            seq_fold.to_json(),
+            "timing-free fold must be identical at threads={threads}"
         );
     }
 }

@@ -13,9 +13,9 @@
 
 use fedval_coalition::ApproxConfig;
 use fedval_form::{ChurnSchedule, FormationConfig, FormationEngine, FormationGame};
-use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
+use fedval_obs::FileSink;
 use fedval_policy::try_policy_report;
-use fedval_testbed::parse_synthetic;
+use fedval_testbed::{parse_synthetic, ScenarioSpec};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -160,29 +160,23 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Wires `--trace`/`--metrics` sinks, mirroring the `fedval` CLI.
-fn install_observability(opts: &Options) -> Result<Option<RecordingSink>, String> {
-    let recording = opts.metrics.then(RecordingSink::new);
-    let file = match &opts.trace {
-        Some(path) => Some(FileSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?),
-        None => None,
-    };
-    let sink: Option<Arc<dyn Sink>> = match (file, recording.clone()) {
-        (Some(f), Some(r)) => Some(Arc::new(TeeSink::new(f, r))),
-        (Some(f), None) => Some(Arc::new(f)),
-        (None, Some(r)) => Some(Arc::new(r)),
-        (None, None) => None,
-    };
-    if let Some(sink) = sink {
-        fedval_obs::install(sink);
+/// Turns on observability for `--trace` and `--metrics`, as the `fedval`
+/// CLI does.
+fn install_observability(opts: &Options) -> Result<(), String> {
+    if let Some(path) = &opts.trace {
+        let sink = FileSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
+        fedval_obs::install(Arc::new(sink));
     }
-    Ok(recording)
+    if opts.metrics {
+        fedval_obs::ensure_enabled();
+    }
+    Ok(())
 }
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
-    let recording = install_observability(&opts)?;
+    install_observability(&opts)?;
 
     let n = opts.n;
     let initial = opts.initial.unwrap_or(n.div_ceil(2)).min(n);
@@ -224,7 +218,8 @@ split-budget={} neutral-budget={} initial={initial} departures={departures}",
         // Force the enumeration-free report path: formation targets
         // federations where 2^n tables (and the nucleolus LP) are off
         // the table, and the exact n=12 nucleolus alone takes minutes.
-        let scenario = fedval_testbed::synthetic_scenario(n, opts.scenario_seed)
+        let scenario = ScenarioSpec::synthetic(n, opts.scenario_seed)
+            .scenario()
             .with_threads(opts.threads)
             .with_approx(ApproxConfig {
                 samples: opts.approx_samples.max(1),
@@ -241,15 +236,9 @@ split-budget={} neutral-budget={} initial={initial} departures={departures}",
         let (hits, misses) = engine.cache_stats();
         eprintln!("fedform: value cache hits={hits} misses={misses}");
     }
-    let fold = (opts.trace.is_some() || opts.metrics).then(fedval_obs::metrics_fold);
-    if fold.is_some() {
-        fedval_obs::shutdown();
-    }
-    if let (Some(recording), Some(fold)) = (recording, fold) {
-        eprint!(
-            "{}",
-            RunReport::from_parts(&fold, &recording.records()).render()
-        );
+    fedval_obs::shutdown();
+    if opts.metrics {
+        eprint!("{}", fedval_obs::metrics_fold().render());
     }
     Ok(())
 }

@@ -1039,7 +1039,7 @@ mod tests {
     #[test]
     fn formation_game_matches_scenario_bytes() {
         let game = FormationGame::synthetic(12, 7);
-        let scenario = fedval_testbed::synthetic_scenario(12, 7);
+        let scenario = fedval_testbed::ScenarioSpec::synthetic(12, 7).scenario();
         let from_scenario = FormationGame::from_scenario(&scenario);
         let members: Vec<PlayerId> = (0..12).collect();
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Fixed-bucket latency histograms.
 //!
-//! [`Record::Observe`](crate::Record::Observe) values are aggregated into
-//! a fixed decade ladder from 1 µs to 10 s plus an overflow bucket. Fixed
+//! Latency observations ([`observe_ns`](crate::observe_ns)) are aggregated
+//! into a fixed decade ladder from 1 µs to 10 s plus an overflow bucket. Fixed
 //! boundaries keep aggregation allocation-free and — more importantly —
 //! make bucket counts *comparable across runs and machines*: two traces
 //! of the same workload bucket identically unless the latencies really

@@ -12,21 +12,25 @@
 //!   (the default) each call is a single relaxed atomic load, so hot
 //!   loops — simplex pivots, desim event dispatch — stay permanently
 //!   instrumented at zero practical cost.
-//! * **Sharded metrics.** Enabled counters, gauges, and latency
-//!   observations accumulate into per-thread shards merged on demand
-//!   ([`metrics_fold`]) — a thread-local map bump, not a global lock —
-//!   and [`shutdown`] dumps the merged totals into the record stream so
+//! * **Sharded metrics.** Enabled counters, gauges, latency
+//!   observations, span aggregates and event counts accumulate into
+//!   per-thread shards merged on demand ([`metrics_fold`]) — a
+//!   thread-local map bump, not a global lock — and [`shutdown`] dumps
+//!   the merged counter and gauge totals into the record stream so
 //!   recorded traces stay complete (DESIGN.md §13).
 //! * **Records, not strings.** Spans and events are typed [`Record`]s;
-//!   rendering (JSONL for `--trace`, aggregation for reports) happens in
-//!   the sink, off the instrumented path.
-//! * **Determinism split.** [`MetricsSnapshot`] is the timing-free view
-//!   (byte-identical across identical seeded runs); [`RunReport`] is the
-//!   timing-full view for humans and benches.
+//!   rendering them (JSONL for `--trace`) happens in the sink, off the
+//!   instrumented path.
+//! * **One aggregate, three renderings.** [`MetricsFold`] is the only
+//!   aggregate: [`MetricsFold::render`] is the timing-full run report
+//!   for humans (`fedval --metrics`), [`MetricsFold::to_json`] the
+//!   timing-free dump (`fedload --metrics`), and
+//!   [`MetricsFold::to_prometheus`] the live exposition
+//!   (`fedval-serve`'s `metrics` query).
 //! * **Capture/replay.** Parallel coordinators divert each worker's
 //!   records into a thread-local buffer ([`capture`]) and [`replay`]
-//!   them in a scheduling-independent order, so traces and snapshots
-//!   stay deterministic regardless of thread count (DESIGN.md §9).
+//!   them in a scheduling-independent order, so traces stay
+//!   deterministic regardless of thread count (DESIGN.md §9).
 //!
 //! ## Naming convention
 //!
@@ -37,19 +41,18 @@
 //! ## Example
 //!
 //! ```
-//! use std::sync::Arc;
-//!
-//! let sink = fedval_obs::RecordingSink::new();
-//! fedval_obs::install(Arc::new(sink.clone()));
+//! fedval_obs::ensure_enabled();
 //! {
 //!     let _run = fedval_obs::span("example.demo.run");
 //!     fedval_obs::counter_add("example.demo.items", 3);
+//!     fedval_obs::event("example.demo.done", Vec::new);
 //! }
+//! let fold = fedval_obs::metrics_fold();
 //! fedval_obs::shutdown();
 //!
-//! let snap = fedval_obs::MetricsSnapshot::from_records(&sink.records());
-//! assert_eq!(snap.counter("example.demo.items"), 3);
-//! assert_eq!(snap.spans("example.demo.run"), 1);
+//! assert_eq!(fold.counter("example.demo.items"), 3);
+//! assert_eq!(fold.span_count("example.demo.run"), 1);
+//! assert!(fold.render().contains("-- events --\nexample.demo.done  1\n"));
 //! ```
 
 #![deny(missing_docs)]
@@ -62,7 +65,6 @@ mod registry;
 mod report;
 mod shard;
 mod sink;
-mod snapshot;
 
 pub use histogram::{bucket_index, bucket_labels, Histogram, BUCKET_BOUNDS_NS, BUCKET_COUNT};
 pub use lockorder::{OrderedMutex, OrderedRwLock};
@@ -72,7 +74,6 @@ pub use registry::{
     observe_ns, replay, shutdown, span, span_with, time_ns, with_span_records_suppressed,
     SpanGuard,
 };
-pub use report::{fmt_ns, RunReport, SpanStat};
+pub use report::{fmt_ns, SpanStat};
 pub use shard::{metrics_fold, MetricsFold};
-pub use sink::{FileSink, NullSink, RecordingSink, Sink, TeeSink};
-pub use snapshot::MetricsSnapshot;
+pub use sink::{FileSink, NullSink, RecordingSink, Sink};

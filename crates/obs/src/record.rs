@@ -1,9 +1,11 @@
 //! The observability record vocabulary and its JSONL rendering.
 //!
-//! Every instrumentation point in the workspace reduces to one of six
-//! record shapes, delivered to the installed [`crate::Sink`]. Records are
-//! plain data: rendering (JSONL for traces, aggregation for reports) is
-//! the sink's business, which is what keeps the hot path cheap.
+//! Spans and events reach the installed [`crate::Sink`] as records when
+//! they happen; counters and gauges become records only in
+//! [`crate::shutdown`]'s dump of their merged totals, and latency
+//! observations never do (they live in the metric shards). Records are
+//! plain data: rendering (JSONL for traces) is the sink's business, which
+//! is what keeps the hot path cheap.
 
 use std::fmt::Write as _;
 
@@ -38,26 +40,19 @@ pub enum Record {
         /// Wall-clock duration of the span in nanoseconds.
         dur_ns: u64,
     },
-    /// A monotonic counter increment.
+    /// A monotonic counter's total, as [`crate::shutdown`] dumps it.
     Counter {
         /// Counter name.
         name: String,
         /// Amount added (counters only ever go up).
         delta: u64,
     },
-    /// A gauge set to an instantaneous value.
+    /// A gauge's last value, as [`crate::shutdown`] dumps it.
     Gauge {
         /// Gauge name.
         name: String,
         /// The recorded value.
         value: f64,
-    },
-    /// A latency observation feeding a fixed-bucket histogram.
-    Observe {
-        /// Histogram name (conventionally suffixed `_ns`).
-        name: String,
-        /// Observed duration in nanoseconds.
-        value_ns: u64,
     },
     /// A discrete structured event (fault injected, fallback taken, …).
     Event {
@@ -76,7 +71,6 @@ impl Record {
             | Record::SpanEnd { name, .. }
             | Record::Counter { name, .. }
             | Record::Gauge { name, .. }
-            | Record::Observe { name, .. }
             | Record::Event { name, .. } => name,
         }
     }
@@ -134,13 +128,6 @@ impl Record {
                     "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
                     escape_json(name),
                     json_f64(*value)
-                );
-            }
-            Record::Observe { name, value_ns } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"observe\",\"name\":\"{}\",\"value_ns\":{value_ns}}}",
-                    escape_json(name)
                 );
             }
             Record::Event { name, fields } => {
@@ -243,14 +230,6 @@ mod tests {
             value: 1.5,
         };
         assert_eq!(g.to_jsonl(), "{\"type\":\"gauge\",\"name\":\"g\",\"value\":1.5}");
-        let o = Record::Observe {
-            name: "l_ns".into(),
-            value_ns: 1234,
-        };
-        assert_eq!(
-            o.to_jsonl(),
-            "{\"type\":\"observe\",\"name\":\"l_ns\",\"value_ns\":1234}"
-        );
         let e = Record::Event {
             name: "ev".into(),
             fields: vec![("k".into(), "v\"q".into()), ("n".into(), "2".into())],

@@ -11,11 +11,11 @@
 //! The *enabled* paths split by kind (DESIGN.md §13): counters, gauges,
 //! and latency observations accumulate into per-thread shards
 //! ([`crate::shard`]) — a thread-local map bump, no record, no sink —
-//! while spans and events still emit typed [`Record`]s (they carry the
-//! structure traces are made of). [`shutdown`] bridges the two worlds:
-//! before detaching the sink it dumps the merged counter totals and
-//! final gauge values as ordered records, so a recorded stream remains a
-//! complete picture of the run.
+//! while spans and events are counted in the shards *and* emit typed
+//! [`Record`]s (they carry the structure traces are made of).
+//! [`shutdown`] bridges the two worlds: before detaching the sink it
+//! dumps the merged counter totals and final gauge values as ordered
+//! records, so a recorded stream remains a complete picture of the run.
 //!
 //! Span nesting is tracked per thread: a [`SpanGuard`] pushes its id on a
 //! thread-local stack at creation and pops it on drop, so `parent` links
@@ -335,8 +335,9 @@ fn span_records_suppressed() -> bool {
         .unwrap_or(false)
 }
 
-/// Emits a structured event. `fields` is only invoked when collection is
-/// enabled, so building the key/value vector costs nothing by default.
+/// Counts a structured event in this thread's shard and emits it as a
+/// record. `fields` is only invoked when collection is enabled, so
+/// building the key/value vector costs nothing by default.
 #[inline]
 pub fn event<F>(name: &'static str, fields: F)
 where
@@ -345,6 +346,7 @@ where
     if !is_enabled() {
         return;
     }
+    shard::with_shard(|s| s.event(name));
     emit(Record::Event {
         name: name.to_string(),
         fields: fields(),
@@ -486,8 +488,9 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Times `f` and records its duration as an [`Record::Observe`] under
-/// `name`. When disabled this is exactly `f()` plus one atomic load.
+/// Times `f` and records its duration as a latency observation
+/// ([`observe_ns`]) under `name`. When disabled this is exactly `f()`
+/// plus one atomic load.
 #[inline]
 pub fn time_ns<T, F: FnOnce() -> T>(name: &'static str, f: F) -> T {
     if !is_enabled() {

@@ -1,12 +1,12 @@
-//! Run reports: the human-facing aggregation of one traced run.
-//!
-//! Where [`MetricsSnapshot`](crate::MetricsSnapshot) deliberately drops
-//! timing for determinism, [`RunReport`] keeps it: per-span wall time,
-//! latency histograms, and derived rates (events per second). This is
-//! what `fedval --metrics` prints after a run.
+//! The three renderings of a [`MetricsFold`]: the human run report
+//! `fedval --metrics` prints ([`MetricsFold::render`], timing included),
+//! the timing-free JSON dump of `fedload`/`fedchaos --metrics`
+//! ([`MetricsFold::to_json`]), and the Prometheus exposition
+//! `fedval-serve` answers a `metrics` query with
+//! ([`MetricsFold::to_prometheus`]).
 
-use crate::histogram::Histogram;
-use crate::record::Record;
+use crate::histogram::BUCKET_BOUNDS_NS;
+use crate::record::{escape_json, json_f64};
 use crate::shard::MetricsFold;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,161 +27,166 @@ impl SpanStat {
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
+
+    /// Folds `other` into this aggregate: counts and totals add, the
+    /// maximum widens.
+    pub(crate) fn merge(&mut self, other: &SpanStat) {
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
 }
 
-/// Aggregation of a full record stream, timing included.
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Span name → timing stats.
-    pub spans: BTreeMap<String, SpanStat>,
-    /// Counter name → summed deltas.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge name → last value.
-    pub gauges: BTreeMap<String, f64>,
-    /// Observation name → latency histogram.
-    pub histograms: BTreeMap<String, Histogram>,
-    /// Event name → occurrence count.
-    pub event_counts: BTreeMap<String, u64>,
+/// Writes one run-report section: its `-- title --` header, then one
+/// `name  rest` line per entry with names padded to the longest. Empty
+/// maps write nothing.
+fn section<V>(
+    out: &mut String,
+    title: &str,
+    map: &BTreeMap<String, V>,
+    rest: impl Fn(&V) -> String,
+) {
+    if map.is_empty() {
+        return;
+    }
+    let _ = writeln!(out, "-- {title} --");
+    let width = map.keys().map(String::len).max().unwrap_or(0);
+    for (name, value) in map {
+        let _ = writeln!(out, "{name:width$}  {}", rest(value));
+    }
 }
 
-impl RunReport {
-    /// Builds a report from a captured record stream.
-    pub fn from_records(records: &[Record]) -> RunReport {
-        let mut report = RunReport::default();
-        for r in records {
-            match r {
-                Record::SpanStart { .. } => {}
-                Record::SpanEnd { name, dur_ns, .. } => {
-                    let stat = report.spans.entry(name.clone()).or_default();
-                    stat.count += 1;
-                    stat.total_ns = stat.total_ns.saturating_add(*dur_ns);
-                    if *dur_ns > stat.max_ns {
-                        stat.max_ns = *dur_ns;
+/// Writes `{"name":value,...}` with names JSON-escaped.
+fn json_object<V>(out: &mut String, map: &BTreeMap<String, V>, value: impl Fn(&V) -> String) {
+    out.push('{');
+    for (i, (name, v)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{}\":{}", escape_json(name), value(v));
+    }
+    out.push('}');
+}
+
+impl MetricsFold {
+    /// Renders the fold as the aligned, human-readable run report:
+    /// per-span wall time, counters, gauges, latency histograms and event
+    /// counts, each section alphabetical and omitted when empty.
+    pub fn render(&self) -> String {
+        let mut out = String::from("== run report ==\n");
+        section(&mut out, "spans (wall time)", &self.spans, |stat| {
+            format!(
+                "count={:<6} total={:<12} mean={:<10} max={}",
+                stat.count,
+                fmt_ns(stat.total_ns),
+                fmt_ns(stat.mean_ns()),
+                fmt_ns(stat.max_ns),
+            )
+        });
+        section(&mut out, "counters", &self.counters, u64::to_string);
+        section(&mut out, "gauges", &self.gauges, f64::to_string);
+        section(&mut out, "latency histograms", &self.histograms, |h| {
+            format!(
+                "count={:<6} mean={:<10} p50={:<10} p95={:<10} p99={:<10} max={:<10} {}",
+                h.count,
+                fmt_ns(h.mean_ns()),
+                fmt_ns(h.p50_ns()),
+                fmt_ns(h.p95_ns()),
+                fmt_ns(h.p99_ns()),
+                fmt_ns(h.max_ns),
+                h.render_buckets(),
+            )
+        });
+        section(&mut out, "events", &self.events, u64::to_string);
+        out
+    }
+
+    /// Renders the timing-free part of the fold as one JSON object —
+    /// counter totals, gauge values, span counts, observation counts and
+    /// event counts (durations and latencies excluded) — the
+    /// `--metrics <path>` dump format of `fedload` and `fedchaos`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\"counters\":");
+        json_object(&mut out, &self.counters, u64::to_string);
+        out.push_str(",\"gauges\":");
+        json_object(&mut out, &self.gauges, |v| json_f64(*v));
+        out.push_str(",\"spans\":");
+        json_object(&mut out, &self.spans, |s| s.count.to_string());
+        out.push_str(",\"observations\":");
+        json_object(&mut out, &self.histograms, |h| h.count.to_string());
+        out.push_str(",\"events\":");
+        json_object(&mut out, &self.events, u64::to_string);
+        out.push('}');
+        out
+    }
+
+    /// Renders the fold as Prometheus-style text exposition.
+    ///
+    /// Metric names are sanitized (`.` and any other non-alphanumeric
+    /// byte become `_`). Counters and gauges render directly; spans
+    /// render as a `<name>_count` / `<name>_time_ns_total` counter pair;
+    /// histograms render as cumulative `<name>_bucket{le="…"}` series
+    /// with `_sum` and `_count`, closing with `le="+Inf"`. Ordering is
+    /// alphabetical per section, so the exposition is deterministic for
+    /// a given fold. Event counts are not exposed.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::new();
+        for (name, value) in &self.counters {
+            let name = sanitize_metric_name(name);
+            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
+        }
+        for (name, value) in &self.gauges {
+            if !value.is_finite() {
+                continue;
+            }
+            let name = sanitize_metric_name(name);
+            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", json_f64(*value));
+        }
+        for (name, stat) in &self.spans {
+            let name = sanitize_metric_name(name);
+            let _ = writeln!(
+                out,
+                "# TYPE {name}_spans counter\n{name}_spans_count {}\n{name}_spans_time_ns_total {}",
+                stat.count, stat.total_ns
+            );
+        }
+        for (name, h) in &self.histograms {
+            let name = sanitize_metric_name(name);
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            let mut cumulative = 0u64;
+            for (i, &n) in h.buckets.iter().enumerate() {
+                cumulative += n;
+                match BUCKET_BOUNDS_NS.get(i) {
+                    Some(bound) => {
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+                    }
+                    None => {
+                        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
                     }
                 }
-                Record::Counter { name, delta } => {
-                    *report.counters.entry(name.clone()).or_insert(0) += delta;
-                }
-                Record::Gauge { name, value } => {
-                    report.gauges.insert(name.clone(), *value);
-                }
-                Record::Observe { name, value_ns } => {
-                    report
-                        .histograms
-                        .entry(name.clone())
-                        .or_default()
-                        .observe(*value_ns);
-                }
-                Record::Event { name, .. } => {
-                    *report.event_counts.entry(name.clone()).or_insert(0) += 1;
-                }
             }
-        }
-        report
-    }
-
-    /// Builds a report from a metric fold plus the run's record stream:
-    /// spans, counters, gauges, and histograms come from the sharded
-    /// fold (timing included, exact regardless of span-record sampling);
-    /// event counts come from the records. `Counter`/`Gauge`/`Observe`
-    /// records — including the totals [`crate::shutdown`] dumps — are
-    /// ignored to avoid double counting, and `SpanEnd` records are
-    /// ignored because the fold's aggregates already cover every span.
-    pub fn from_parts(fold: &MetricsFold, records: &[Record]) -> RunReport {
-        let mut report = RunReport {
-            spans: fold.spans.clone(),
-            counters: fold.counters.clone(),
-            gauges: fold.gauges.clone(),
-            histograms: fold.histograms.clone(),
-            event_counts: BTreeMap::new(),
-        };
-        for r in records {
-            if let Record::Event { name, .. } = r {
-                *report.event_counts.entry(name.clone()).or_insert(0) += 1;
-            }
-        }
-        report
-    }
-
-    /// Counter value, defaulting to 0.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Total wall time of the named span across all occurrences, ns.
-    pub fn span_total_ns(&self, name: &str) -> u64 {
-        self.spans.get(name).map(|s| s.total_ns).unwrap_or(0)
-    }
-
-    /// Rate of `counter_name` per second of `span_name` wall time, e.g.
-    /// desim events/sec over the simulation span. `None` when the span
-    /// never completed or took no measurable time.
-    pub fn rate_per_sec(&self, counter_name: &str, span_name: &str) -> Option<f64> {
-        let total_ns = self.span_total_ns(span_name);
-        if total_ns == 0 {
-            return None;
-        }
-        Some(self.counter(counter_name) as f64 * 1e9 / total_ns as f64)
-    }
-
-    /// Renders the report as aligned human-readable text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== run report ==\n");
-        if !self.spans.is_empty() {
-            out.push_str("-- spans (wall time) --\n");
-            let width = self.spans.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, stat) in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "{name:width$}  count={:<6} total={:<12} mean={:<10} max={}",
-                    stat.count,
-                    fmt_ns(stat.total_ns),
-                    fmt_ns(stat.mean_ns()),
-                    fmt_ns(stat.max_ns),
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            out.push_str("-- counters --\n");
-            let width = self.counters.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, value) in &self.counters {
-                let _ = writeln!(out, "{name:width$}  {value}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("-- gauges --\n");
-            let width = self.gauges.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, value) in &self.gauges {
-                let _ = writeln!(out, "{name:width$}  {value}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("-- latency histograms --\n");
-            let width = self.histograms.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "{name:width$}  count={:<6} mean={:<10} p50={:<10} p95={:<10} p99={:<10} max={:<10} {}",
-                    h.count,
-                    fmt_ns(h.mean_ns()),
-                    fmt_ns(h.p50_ns()),
-                    fmt_ns(h.p95_ns()),
-                    fmt_ns(h.p99_ns()),
-                    fmt_ns(h.max_ns),
-                    h.render_buckets(),
-                );
-            }
-        }
-        if !self.event_counts.is_empty() {
-            out.push_str("-- events --\n");
-            let width = self.event_counts.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, count) in &self.event_counts {
-                let _ = writeln!(out, "{name:width$}  {count}");
-            }
+            let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum_ns, h.count);
         }
         out
     }
+}
+
+/// Maps a `crate.subsystem.name` metric name onto the Prometheus
+/// `[a-zA-Z_][a-zA-Z0-9_]*` grammar.
+fn sanitize_metric_name(name: &str) -> String {
+    let mut out: String = name
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    if out
+        .chars()
+        .next()
+        .map(|c| c.is_ascii_digit())
+        .unwrap_or(true)
+    {
+        out.insert(0, '_');
+    }
+    out
 }
 
 /// Formats nanoseconds with an adaptive unit: `812ns`, `4.23us`,
@@ -201,66 +206,44 @@ pub fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::Histogram;
 
-    fn records() -> Vec<Record> {
-        vec![
-            Record::SpanEnd {
-                id: 1,
-                name: "p.phase.a".into(),
-                t_ns: 100,
-                dur_ns: 40,
+    /// A fold with every map populated.
+    fn fold() -> MetricsFold {
+        let mut fold = MetricsFold::default();
+        fold.counters.insert("serve.req.ok".into(), 42);
+        fold.gauges.insert("serve.queue.depth".into(), 3.0);
+        fold.gauges.insert("serve.bad".into(), f64::NAN);
+        fold.spans.insert(
+            "serve.request".into(),
+            SpanStat {
+                count: 2,
+                total_ns: 10,
+                max_ns: 7,
             },
-            Record::SpanEnd {
-                id: 2,
-                name: "p.phase.a".into(),
-                t_ns: 200,
-                dur_ns: 60,
-            },
-            Record::Counter {
-                name: "form.value.hit".into(),
-                delta: 30,
-            },
-            Record::Counter {
-                name: "desim.engine.delivered".into(),
-                delta: 1_000,
-            },
-            Record::SpanEnd {
-                id: 3,
-                name: "testbed.simulate.run".into(),
-                t_ns: 500,
-                dur_ns: 2_000_000_000,
-            },
-            Record::Observe {
-                name: "simplex.solver.solve_ns".into(),
-                value_ns: 5_000,
-            },
-            Record::Event {
-                name: "testbed.faults.apply".into(),
-                fields: vec![],
-            },
-        ]
+        );
+        let mut h = Histogram::new();
+        h.observe(500);
+        h.observe(5_000);
+        fold.histograms.insert("serve.request_ns".into(), h);
+        fold.events.insert("serve.trace.exemplar".into(), 3);
+        fold
     }
 
     #[test]
-    fn span_stats_accumulate() {
-        let report = RunReport::from_records(&records());
-        let stat = &report.spans["p.phase.a"];
+    fn span_stats_merge() {
+        let mut stat = SpanStat::default();
+        for dur_ns in [40, 60] {
+            stat.merge(&SpanStat {
+                count: 1,
+                total_ns: dur_ns,
+                max_ns: dur_ns,
+            });
+        }
         assert_eq!(stat.count, 2);
         assert_eq!(stat.total_ns, 100);
         assert_eq!(stat.max_ns, 60);
         assert_eq!(stat.mean_ns(), 50);
-    }
-
-    #[test]
-    fn derived_metrics() {
-        let report = RunReport::from_records(&records());
-        assert_eq!(report.counter("form.value.hit"), 30);
-        assert_eq!(report.counter("no.such"), 0);
-        let rate = report
-            .rate_per_sec("desim.engine.delivered", "testbed.simulate.run")
-            .unwrap();
-        assert!((rate - 500.0).abs() < 1e-9, "rate = {rate}");
-        assert_eq!(report.rate_per_sec("x", "missing.span"), None);
     }
 
     #[test]
@@ -273,10 +256,53 @@ mod tests {
 
     #[test]
     fn render_contains_all_sections() {
-        let text = RunReport::from_records(&records()).render();
+        let text = fold().render();
+        assert!(text.starts_with("== run report ==\n"));
         assert!(text.contains("-- spans (wall time) --"));
-        assert!(text.contains("-- counters --"));
+        assert!(text.contains("-- counters --\nserve.req.ok  42\n"));
+        assert!(text.contains("-- gauges --"));
         assert!(text.contains("-- latency histograms --"));
-        assert!(text.contains("-- events --"));
+        assert!(text.contains("-- events --\nserve.trace.exemplar  3\n"));
+        assert_eq!(MetricsFold::default().render(), "== run report ==\n");
+    }
+
+    #[test]
+    fn json_dump_is_ordered_and_timing_free() {
+        assert_eq!(
+            fold().to_json(),
+            "{\"counters\":{\"serve.req.ok\":42},\
+             \"gauges\":{\"serve.bad\":null,\"serve.queue.depth\":3},\
+             \"spans\":{\"serve.request\":2},\
+             \"observations\":{\"serve.request_ns\":2},\
+             \"events\":{\"serve.trace.exemplar\":3}}"
+        );
+        assert_eq!(
+            MetricsFold::default().to_json(),
+            "{\"counters\":{},\"gauges\":{},\"spans\":{},\"observations\":{},\"events\":{}}"
+        );
+    }
+
+    #[test]
+    fn sanitize_follows_prometheus_grammar() {
+        assert_eq!(sanitize_metric_name("serve.req.ok"), "serve_req_ok");
+        assert_eq!(sanitize_metric_name("a-b c"), "a_b_c");
+        assert_eq!(sanitize_metric_name("9lives"), "_9lives");
+        assert_eq!(sanitize_metric_name(""), "_");
+    }
+
+    #[test]
+    fn fold_exposition_is_well_formed() {
+        let text = fold().to_prometheus();
+        assert!(text.contains("# TYPE serve_req_ok counter\nserve_req_ok 42\n"));
+        assert!(text.contains("# TYPE serve_queue_depth gauge\nserve_queue_depth 3\n"));
+        assert!(!text.contains("serve_bad"), "non-finite gauges are skipped");
+        assert!(text.contains("serve_request_spans_count 2"));
+        assert!(text.contains("serve_request_spans_time_ns_total 10"));
+        assert!(text.contains("serve_request_ns_bucket{le=\"1000\"} 1"));
+        assert!(text.contains("serve_request_ns_bucket{le=\"10000\"} 2"));
+        assert!(text.contains("serve_request_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("serve_request_ns_sum 5500"));
+        assert!(text.contains("serve_request_ns_count 2"));
+        assert!(!text.contains("exemplar"), "event counts are not exposed");
     }
 }

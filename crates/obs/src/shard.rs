@@ -1,14 +1,14 @@
 //! Per-thread sharded metric accumulation (DESIGN.md §13).
 //!
-//! Counters, gauges, latency histograms, and span aggregates do not
-//! travel through the record stream: each thread owns a *shard* — a
-//! small map bundle behind an uncontended `Mutex` — registered with a
-//! process-global registry on first use. An enabled `counter_add` is a
-//! thread-local map bump (one uncontended lock, no allocation for the
-//! `&'static str` key), not a global `RwLock` read plus a sink mutex.
-//! Merging happens only on demand: [`metrics_fold`] locks the registry,
-//! then each shard one at a time, and sums everything into a
-//! [`MetricsFold`].
+//! Counters, gauges, latency histograms, span aggregates and event
+//! counts do not travel through the record stream: each thread owns a
+//! *shard* — a small map bundle behind an uncontended `Mutex` —
+//! registered with a process-global registry on first use. An enabled
+//! `counter_add` is a thread-local map bump (one uncontended lock, no
+//! allocation for the `&'static str` key), not a global `RwLock` read
+//! plus a sink mutex. Merging happens only on demand: [`metrics_fold`]
+//! locks the registry, then each shard one at a time, and sums
+//! everything into a [`MetricsFold`].
 //!
 //! Thread exit flushes: a shard's owning thread drains it into the
 //! registry's `retired` accumulator when the thread's locals are torn
@@ -24,10 +24,8 @@
 
 use crate::histogram::Histogram;
 use crate::lockorder::OrderedMutex;
-use crate::record::json_f64;
 use crate::report::SpanStat;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -47,6 +45,8 @@ pub(crate) struct ShardData {
     spans: BTreeMap<&'static str, SpanStat>,
     /// Observation name → latency histogram.
     histograms: BTreeMap<&'static str, Histogram>,
+    /// Event name → occurrences.
+    events: BTreeMap<&'static str, u64>,
 }
 
 impl ShardData {
@@ -56,6 +56,7 @@ impl ShardData {
             gauges: BTreeMap::new(),
             spans: BTreeMap::new(),
             histograms: BTreeMap::new(),
+            events: BTreeMap::new(),
         }
     }
 
@@ -77,72 +78,39 @@ impl ShardData {
 
     /// Folds one completed span into the named aggregate.
     pub(crate) fn span_end(&mut self, name: &'static str, dur_ns: u64) {
-        let stat = self.spans.entry(name).or_default();
-        stat.count += 1;
-        stat.total_ns = stat.total_ns.saturating_add(dur_ns);
-        if dur_ns > stat.max_ns {
-            stat.max_ns = dur_ns;
-        }
+        self.spans.entry(name).or_default().merge(&SpanStat {
+            count: 1,
+            total_ns: dur_ns,
+            max_ns: dur_ns,
+        });
     }
 
-    /// Moves everything out of `self` into `other` (thread-exit flush).
-    fn drain_into(&mut self, other: &mut ShardData) {
-        for (name, delta) in std::mem::take(&mut self.counters) {
-            *other.counters.entry(name).or_insert(0) += delta;
+    /// Counts one occurrence of the named event.
+    pub(crate) fn event(&mut self, name: &'static str) {
+        *self.events.entry(name).or_insert(0) += 1;
+    }
+
+    /// Sums `other` into `self`: counters, span aggregates, histograms
+    /// and event counts add; each gauge keeps its highest-sequence write.
+    fn absorb(&mut self, other: &ShardData) {
+        for (&name, &delta) in &other.counters {
+            *self.counters.entry(name).or_insert(0) += delta;
         }
-        for (name, (seq, value)) in std::mem::take(&mut self.gauges) {
-            let slot = other.gauges.entry(name).or_insert((0, 0.0));
+        for (&name, &(seq, value)) in &other.gauges {
+            let slot = self.gauges.entry(name).or_insert((0, 0.0));
             if seq >= slot.0 {
                 *slot = (seq, value);
             }
         }
-        for (name, stat) in std::mem::take(&mut self.spans) {
-            let slot = other.spans.entry(name).or_default();
-            slot.count += stat.count;
-            slot.total_ns = slot.total_ns.saturating_add(stat.total_ns);
-            if stat.max_ns > slot.max_ns {
-                slot.max_ns = stat.max_ns;
-            }
+        for (&name, stat) in &other.spans {
+            self.spans.entry(name).or_default().merge(stat);
         }
-        for (name, h) in std::mem::take(&mut self.histograms) {
-            other.histograms.entry(name).or_default().merge(&h);
+        for (&name, h) in &other.histograms {
+            self.histograms.entry(name).or_default().merge(h);
         }
-    }
-
-    /// Sums this shard into a fold under construction. `gauge_seqs`
-    /// carries the winning write sequence per gauge name across shards.
-    fn merge_into(&self, fold: &mut MetricsFold, gauge_seqs: &mut BTreeMap<String, u64>) {
-        for (&name, &delta) in &self.counters {
-            *fold.counters.entry(name.to_string()).or_insert(0) += delta;
+        for (&name, &count) in &other.events {
+            *self.events.entry(name).or_insert(0) += count;
         }
-        for (&name, &(seq, value)) in &self.gauges {
-            let best = gauge_seqs.entry(name.to_string()).or_insert(0);
-            if seq >= *best {
-                *best = seq;
-                fold.gauges.insert(name.to_string(), value);
-            }
-        }
-        for (&name, stat) in &self.spans {
-            let slot = fold.spans.entry(name.to_string()).or_default();
-            slot.count += stat.count;
-            slot.total_ns = slot.total_ns.saturating_add(stat.total_ns);
-            if stat.max_ns > slot.max_ns {
-                slot.max_ns = stat.max_ns;
-            }
-        }
-        for (&name, h) in &self.histograms {
-            fold.histograms
-                .entry(name.to_string())
-                .or_default()
-                .merge(h);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.spans.clear();
-        self.histograms.clear();
     }
 }
 
@@ -188,9 +156,8 @@ impl Drop for LocalShard {
     fn drop(&mut self) {
         // Registry first, then the shard — same order as the merge path.
         let mut reg = SHARDS.lock();
-        lock_shard(&self.data).drain_into(&mut reg.retired);
-        let data = Arc::clone(&self.data);
-        reg.live.retain(|s| !Arc::ptr_eq(s, &data));
+        reg.retired.absorb(&lock_shard(&self.data));
+        reg.live.retain(|s| !Arc::ptr_eq(s, &self.data));
     }
 }
 
@@ -212,28 +179,44 @@ pub(crate) fn with_shard(f: impl FnOnce(&mut ShardData)) {
 /// reset performed by [`install`](crate::install).
 pub(crate) fn reset() {
     let mut reg = SHARDS.lock();
-    reg.retired.clear();
-    let live: Vec<Arc<Mutex<ShardData>>> = reg.live.clone();
-    for shard in &live {
-        lock_shard(shard).clear();
+    reg.retired = ShardData::new();
+    for shard in &reg.live {
+        *lock_shard(shard) = ShardData::new();
     }
 }
 
 /// Merges every thread's shard (live and retired) into one
 /// [`MetricsFold`]. Non-destructive: shards keep accumulating.
 pub fn metrics_fold() -> MetricsFold {
-    let reg = SHARDS.lock();
-    let mut fold = MetricsFold::default();
-    let mut gauge_seqs = BTreeMap::new();
-    reg.retired.merge_into(&mut fold, &mut gauge_seqs);
-    for shard in &reg.live {
-        lock_shard(shard).merge_into(&mut fold, &mut gauge_seqs);
+    let mut all = ShardData::new();
+    {
+        let reg = SHARDS.lock();
+        all.absorb(&reg.retired);
+        for shard in &reg.live {
+            all.absorb(&lock_shard(shard));
+        }
     }
-    fold
+    fn owned<V>(map: BTreeMap<&'static str, V>) -> BTreeMap<String, V> {
+        map.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+    }
+    MetricsFold {
+        counters: owned(all.counters),
+        gauges: all
+            .gauges
+            .into_iter()
+            .map(|(k, (_, v))| (k.to_string(), v))
+            .collect(),
+        spans: owned(all.spans),
+        histograms: owned(all.histograms),
+        events: owned(all.events),
+    }
 }
 
 /// The on-demand merge of all metric shards: counter totals, last-write
-/// gauge values, span aggregates, and latency histograms.
+/// gauge values, span aggregates, latency histograms and event counts —
+/// the one aggregate every report, dump and exposition renders from
+/// ([`MetricsFold::render`], [`MetricsFold::to_json`],
+/// [`MetricsFold::to_prometheus`]).
 ///
 /// This is the process's *current* metric state — cheap to produce
 /// (one registry lock plus one uncontended lock per live thread) and
@@ -249,6 +232,8 @@ pub struct MetricsFold {
     pub spans: BTreeMap<String, SpanStat>,
     /// Observation name → merged latency histogram.
     pub histograms: BTreeMap<String, Histogram>,
+    /// Event name → occurrences.
+    pub events: BTreeMap<String, u64>,
 }
 
 impl MetricsFold {
@@ -283,113 +268,5 @@ impl MetricsFold {
         } else {
             Some(hits as f64 / total as f64)
         }
-    }
-
-    /// Renders the fold as Prometheus-style text exposition.
-    ///
-    /// Metric names are sanitized (`.` and any other non-alphanumeric
-    /// byte become `_`). Counters and gauges render directly; spans
-    /// render as a `<name>_count` / `<name>_time_ns_total` counter pair;
-    /// histograms render as cumulative `<name>_bucket{le="…"}` series
-    /// with `_sum` and `_count`, closing with `le="+Inf"`. Ordering is
-    /// alphabetical per section, so the exposition is deterministic for
-    /// a given fold.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let name = sanitize_metric_name(name);
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-        }
-        for (name, value) in &self.gauges {
-            if !value.is_finite() {
-                continue;
-            }
-            let name = sanitize_metric_name(name);
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", json_f64(*value));
-        }
-        for (name, stat) in &self.spans {
-            let name = sanitize_metric_name(name);
-            let _ = writeln!(
-                out,
-                "# TYPE {name}_spans counter\n{name}_spans_count {}\n{name}_spans_time_ns_total {}",
-                stat.count, stat.total_ns
-            );
-        }
-        for (name, h) in &self.histograms {
-            let name = sanitize_metric_name(name);
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cumulative = 0u64;
-            for (i, &n) in h.buckets.iter().enumerate() {
-                cumulative += n;
-                match crate::histogram::BUCKET_BOUNDS_NS.get(i) {
-                    Some(bound) => {
-                        let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
-                    }
-                    None => {
-                        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-                    }
-                }
-            }
-            let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum_ns, h.count);
-        }
-        out
-    }
-}
-
-/// Maps a `crate.subsystem.name` metric name onto the Prometheus
-/// `[a-zA-Z_][a-zA-Z0-9_]*` grammar.
-fn sanitize_metric_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if out.chars().next().map(|c| c.is_ascii_digit()).unwrap_or(true) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sanitize_follows_prometheus_grammar() {
-        assert_eq!(sanitize_metric_name("serve.req.ok"), "serve_req_ok");
-        assert_eq!(sanitize_metric_name("a-b c"), "a_b_c");
-        assert_eq!(sanitize_metric_name("9lives"), "_9lives");
-        assert_eq!(sanitize_metric_name(""), "_");
-    }
-
-    #[test]
-    fn fold_exposition_is_well_formed() {
-        let mut fold = MetricsFold::default();
-        fold.counters.insert("serve.req.ok".into(), 42);
-        fold.gauges.insert("serve.queue.depth".into(), 3.0);
-        fold.gauges.insert("serve.bad".into(), f64::NAN);
-        fold.spans.insert(
-            "serve.request".into(),
-            SpanStat {
-                count: 2,
-                total_ns: 10,
-                max_ns: 7,
-            },
-        );
-        let mut h = Histogram::new();
-        h.observe(500);
-        h.observe(5_000);
-        fold.histograms.insert("serve.request_ns".into(), h);
-
-        let text = fold.to_prometheus();
-        assert!(text.contains("# TYPE serve_req_ok counter\nserve_req_ok 42\n"));
-        assert!(text.contains("# TYPE serve_queue_depth gauge\nserve_queue_depth 3\n"));
-        assert!(!text.contains("serve_bad"), "non-finite gauges are skipped");
-        assert!(text.contains("serve_request_spans_count 2"));
-        assert!(text.contains("serve_request_spans_time_ns_total 10"));
-        assert!(text.contains("serve_request_ns_bucket{le=\"1000\"} 1"));
-        assert!(text.contains("serve_request_ns_bucket{le=\"10000\"} 2"));
-        assert!(text.contains("serve_request_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("serve_request_ns_sum 5500"));
-        assert!(text.contains("serve_request_ns_count 2"));
     }
 }

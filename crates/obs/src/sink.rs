@@ -9,12 +9,13 @@
 //!   is a single relaxed atomic load and the null sink itself is only
 //!   reachable through explicit installation (useful for overhead tests).
 //! * [`RecordingSink`] — appends records to an in-memory vector; the
-//!   substrate for metric snapshots, run reports, and determinism tests.
+//!   record substrate of the workspace's tests.
 //! * [`FileSink`] — renders each record as one JSONL line into a
 //!   buffered file; the `fedval --trace <path>` backend.
 //!
-//! A [`TeeSink`] combinator fans one record stream out to two sinks
-//! (e.g. trace to disk *and* aggregate a run report in memory).
+//! Reports never read a sink: they render the metric fold
+//! ([`crate::metrics_fold`]), which counts every span and event whatever
+//! sink is installed.
 
 use crate::record::Record;
 use std::fs::File;
@@ -144,31 +145,6 @@ impl Drop for FileSink {
     }
 }
 
-/// Fans each record out to two sinks, in order.
-pub struct TeeSink<A: Sink, B: Sink> {
-    a: A,
-    b: B,
-}
-
-impl<A: Sink, B: Sink> TeeSink<A, B> {
-    /// Combines two sinks; `a` sees each record before `b`.
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: Sink, B: Sink> Sink for TeeSink<A, B> {
-    fn record(&self, r: &Record) {
-        self.a.record(r);
-        self.b.record(r);
-    }
-
-    fn flush(&self) {
-        self.a.flush();
-        self.b.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,18 +201,5 @@ mod tests {
         assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
         assert!(lines[1].contains("\"type\":\"event\""));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tee_sink_delivers_to_both() {
-        let a = RecordingSink::new();
-        let b = RecordingSink::new();
-        let tee = TeeSink::new(a.clone(), b.clone());
-        tee.record(&Record::Counter {
-            name: "c".into(),
-            delta: 1,
-        });
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

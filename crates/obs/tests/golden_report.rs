@@ -1,9 +1,10 @@
 //! Golden-file test for the run-report format.
 //!
-//! `RunReport::render` is user-facing (`fedval --metrics`) and parsed by
-//! eyeballs and scripts alike, so its shape is pinned byte-for-byte
-//! against a committed golden file built from synthetic fixed-timestamp
-//! records. To regenerate after an intentional format change:
+//! `MetricsFold::render` is user-facing (`fedval --metrics`) and parsed
+//! by eyeballs and scripts alike, so its shape is pinned byte-for-byte
+//! against a committed golden file rendered from a fixed fold (synthetic
+//! span timings, no clock). To regenerate after an intentional format
+//! change:
 //!
 //! ```sh
 //! cargo test -q -p fedval-obs --test golden_report -- --ignored regenerate
@@ -11,93 +12,47 @@
 //!
 //! then inspect the diff of `tests/golden/run_report.txt`.
 
-use fedval_obs::{MetricsSnapshot, Record, RunReport};
+use fedval_obs::{Histogram, MetricsFold, SpanStat};
 use std::path::PathBuf;
 
-/// A synthetic record stream with fixed timestamps: every section of the
-/// report is exercised.
-fn fixture_records() -> Vec<Record> {
-    vec![
-        Record::SpanStart {
-            id: 1,
-            parent: None,
-            name: "fedval.phase.scenario".into(),
-            detail: Some("n=3".into()),
-            t_ns: 0,
+/// A fold with fixed timings: every section of the report is exercised.
+fn fixture_fold() -> MetricsFold {
+    let mut fold = MetricsFold::default();
+    fold.spans.insert(
+        "fedval.phase.scenario".into(),
+        SpanStat {
+            count: 1,
+            total_ns: 1_500_000,
+            max_ns: 1_500_000,
         },
-        Record::SpanEnd {
-            id: 1,
-            name: "fedval.phase.scenario".into(),
-            t_ns: 1_500_000,
-            dur_ns: 1_500_000,
+    );
+    // Two spans of 250 µs and 350 µs.
+    fold.spans.insert(
+        "coalition.game.eval".into(),
+        SpanStat {
+            count: 2,
+            total_ns: 600_000,
+            max_ns: 350_000,
         },
-        Record::SpanStart {
-            id: 2,
-            parent: None,
-            name: "coalition.game.eval".into(),
-            detail: Some("mask=7".into()),
-            t_ns: 1_600_000,
-        },
-        Record::SpanEnd {
-            id: 2,
-            name: "coalition.game.eval".into(),
-            t_ns: 1_850_000,
-            dur_ns: 250_000,
-        },
-        Record::SpanStart {
-            id: 3,
-            parent: None,
-            name: "coalition.game.eval".into(),
-            detail: Some("mask=5".into()),
-            t_ns: 1_900_000,
-        },
-        Record::SpanEnd {
-            id: 3,
-            name: "coalition.game.eval".into(),
-            t_ns: 2_250_000,
-            dur_ns: 350_000,
-        },
-        Record::Counter {
-            name: "simplex.solver.pivots".into(),
-            delta: 42,
-        },
-        Record::Counter {
-            name: "simplex.solver.solves".into(),
-            delta: 9,
-        },
-        Record::Counter {
-            name: "form.value.hit".into(),
-            delta: 12,
-        },
-        Record::Counter {
-            name: "form.value.miss".into(),
-            delta: 4,
-        },
-        Record::Gauge {
-            name: "testbed.simulate.utilization".into(),
-            value: 0.8125,
-        },
-        Record::Observe {
-            name: "simplex.solver.solve_ns".into(),
-            value_ns: 8_000,
-        },
-        Record::Observe {
-            name: "simplex.solver.solve_ns".into(),
-            value_ns: 95_000,
-        },
-        Record::Observe {
-            name: "simplex.solver.solve_ns".into(),
-            value_ns: 110_000,
-        },
-        Record::Event {
-            name: "testbed.faults.apply".into(),
-            fields: vec![("kind".into(), "node_crash".into()), ("site".into(), "1".into())],
-        },
-        Record::Event {
-            name: "testbed.faults.apply".into(),
-            fields: vec![("kind".into(), "site_outage".into()), ("site".into(), "2".into())],
-        },
-    ]
+    );
+    for (name, value) in [
+        ("simplex.solver.pivots", 42),
+        ("simplex.solver.solves", 9),
+        ("form.value.hit", 12),
+        ("form.value.miss", 4),
+    ] {
+        fold.counters.insert(name.into(), value);
+    }
+    fold.gauges
+        .insert("testbed.simulate.utilization".into(), 0.8125);
+    let mut solve = Histogram::new();
+    for value_ns in [8_000, 95_000, 110_000] {
+        solve.observe(value_ns);
+    }
+    fold.histograms
+        .insert("simplex.solver.solve_ns".into(), solve);
+    fold.events.insert("testbed.faults.apply".into(), 2);
+    fold
 }
 
 fn golden_path() -> PathBuf {
@@ -109,7 +64,7 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn run_report_render_matches_golden() {
-    let rendered = RunReport::from_records(&fixture_records()).render();
+    let rendered = fixture_fold().render();
     let golden = std::fs::read_to_string(golden_path())
         .expect("golden file missing; run the ignored `regenerate` test");
     assert_eq!(
@@ -120,23 +75,22 @@ fn run_report_render_matches_golden() {
 }
 
 #[test]
-fn snapshot_of_fixture_is_stable() {
-    // The same fixture through the timing-free path: spot-check that the
-    // snapshot agrees with the report on everything deterministic.
-    let records = fixture_records();
-    let snap = MetricsSnapshot::from_records(&records);
-    let report = RunReport::from_records(&records);
-    assert_eq!(snap.counter("simplex.solver.pivots"), report.counter("simplex.solver.pivots"));
-    assert_eq!(snap.spans("coalition.game.eval"), 2);
+fn json_dump_of_fixture_is_timing_free() {
+    // The same fold through the timing-free rendering: counts only, no
+    // durations or latencies.
     assert_eq!(
-        snap.counter("form.value.hit"),
-        report.counter("form.value.hit")
+        fixture_fold().to_json(),
+        "{\"counters\":{\"form.value.hit\":12,\"form.value.miss\":4,\
+         \"simplex.solver.pivots\":42,\"simplex.solver.solves\":9},\
+         \"gauges\":{\"testbed.simulate.utilization\":0.8125},\
+         \"spans\":{\"coalition.game.eval\":2,\"fedval.phase.scenario\":1},\
+         \"observations\":{\"simplex.solver.solve_ns\":3},\
+         \"events\":{\"testbed.faults.apply\":2}}"
     );
 }
 
 #[test]
 #[ignore = "writes the golden file; run explicitly after intentional format changes"]
 fn regenerate() {
-    let rendered = RunReport::from_records(&fixture_records()).render();
-    std::fs::write(golden_path(), rendered).expect("write golden");
+    std::fs::write(golden_path(), fixture_fold().render()).expect("write golden");
 }

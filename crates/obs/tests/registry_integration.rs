@@ -5,9 +5,10 @@
 //! test function (integration tests may run in parallel threads; a
 //! shared registry would interleave records across tests otherwise).
 //! Each scenario installs a fresh `RecordingSink` and shuts down before
-//! the next.
+//! the next; the metric fold of the run stays readable after shutdown
+//! until the next install.
 
-use fedval_obs::{MetricsSnapshot, Record, RecordingSink, SpanGuard};
+use fedval_obs::{Record, RecordingSink, SpanGuard};
 use std::sync::Arc;
 
 fn with_fresh_sink<F: FnOnce()>(f: F) -> Vec<Record> {
@@ -16,6 +17,33 @@ fn with_fresh_sink<F: FnOnce()>(f: F) -> Vec<Record> {
     f();
     fedval_obs::shutdown();
     sink.records()
+}
+
+/// `SpanEnd` records named `name`.
+fn span_ends(records: &[Record], name: &str) -> usize {
+    records
+        .iter()
+        .filter(|r| matches!(r, Record::SpanEnd { .. }) && r.name() == name)
+        .count()
+}
+
+/// `Event` records named `name`.
+fn events(records: &[Record], name: &str) -> usize {
+    records
+        .iter()
+        .filter(|r| matches!(r, Record::Event { .. }) && r.name() == name)
+        .count()
+}
+
+/// `(name, delta)` of every `Counter` record, in stream order.
+fn counter_records(records: &[Record]) -> Vec<(&str, u64)> {
+    records
+        .iter()
+        .filter_map(|r| match r {
+            Record::Counter { name, delta } => Some((name.as_str(), *delta)),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -83,10 +111,15 @@ fn panic_inside_span_still_closes_it_and_does_not_poison() {
         let _after = fedval_obs::span("t.panic.after");
         fedval_obs::counter_add("t.panic.survived", 1);
     });
-    let snap = MetricsSnapshot::from_records(&records);
-    assert_eq!(snap.spans("t.panic.victim"), 1, "span must close on unwind");
-    assert_eq!(snap.spans("t.panic.after"), 1);
-    assert_eq!(snap.counter("t.panic.survived"), 1);
+    assert_eq!(
+        span_ends(&records, "t.panic.victim"),
+        1,
+        "span must close on unwind"
+    );
+    assert_eq!(span_ends(&records, "t.panic.after"), 1);
+    let fold = fedval_obs::metrics_fold();
+    assert_eq!(fold.span_count("t.panic.victim"), 1);
+    assert_eq!(fold.counter("t.panic.survived"), 1);
     for r in &records {
         if let Record::SpanStart { name, parent, .. } = r {
             if name == "t.panic.after" {
@@ -135,13 +168,16 @@ fn spans_open_across_shutdown_are_harmless() {
     assert!(guard.is_recording());
     fedval_obs::shutdown();
     drop(guard); // must not panic, must not emit
-    let snap = MetricsSnapshot::from_records(&sink.records());
-    assert_eq!(snap.spans("t.shutdown.orphan"), 0);
+    assert_eq!(span_ends(&sink.records(), "t.shutdown.orphan"), 0);
+    assert_eq!(
+        fedval_obs::metrics_fold().span_count("t.shutdown.orphan"),
+        0
+    );
     // And a fresh install still works afterwards.
     let records = with_fresh_sink(|| {
         let _s = fedval_obs::span("t.shutdown.fresh");
     });
-    assert_eq!(MetricsSnapshot::from_records(&records).spans("t.shutdown.fresh"), 1);
+    assert_eq!(span_ends(&records, "t.shutdown.fresh"), 1);
 }
 
 fn capture_diverts_this_thread_only_and_replay_forwards() {
@@ -160,21 +196,16 @@ fn capture_diverts_this_thread_only_and_replay_forwards() {
         assert_eq!(captured.len(), 2, "span start+end only: {captured:?}");
         fedval_obs::replay(captured);
     });
-    let snap = MetricsSnapshot::from_records(&records);
-    assert_eq!(snap.counter("t.capture.before"), 1);
-    assert_eq!(snap.counter("t.capture.diverted"), 2);
-    assert_eq!(snap.counter("t.capture.other_thread"), 1);
-    assert_eq!(snap.spans("t.capture.inner"), 1);
+    assert_eq!(span_ends(&records, "t.capture.inner"), 1);
     // Counter records exist only as the shutdown dump: exactly one per
-    // name, ordered by name.
-    let names: Vec<&str> = records
-        .iter()
-        .filter(|r| matches!(r, Record::Counter { .. }))
-        .map(|r| r.name())
-        .collect();
+    // name, ordered by name, carrying the total.
     assert_eq!(
-        names,
-        vec!["t.capture.before", "t.capture.diverted", "t.capture.other_thread"]
+        counter_records(&records),
+        vec![
+            ("t.capture.before", 1),
+            ("t.capture.diverted", 2),
+            ("t.capture.other_thread", 1)
+        ]
     );
 }
 
@@ -204,14 +235,18 @@ fn capture_scopes_nest_and_survive_unwind() {
         fedval_obs::counter_add("t.nestcap.after_panic", 1);
         fedval_obs::replay(outer);
     });
-    let snap = MetricsSnapshot::from_records(&records);
-    assert_eq!(snap.events["t.nestcap.outer"].len(), 1);
-    assert_eq!(snap.events["t.nestcap.inner"].len(), 1);
+    assert_eq!(events(&records, "t.nestcap.outer"), 1);
+    assert_eq!(events(&records, "t.nestcap.inner"), 1);
     assert_eq!(
-        snap.counter("t.nestcap.after_panic"),
-        1,
+        counter_records(&records),
+        vec![("t.nestcap.after_panic", 1)],
         "captures must not stay active after an unwind"
     );
+    // The fold counts each event once, when emitted: capturing and
+    // replaying the record does not count it again.
+    let fold = fedval_obs::metrics_fold();
+    assert_eq!(fold.events.get("t.nestcap.outer"), Some(&1));
+    assert_eq!(fold.events.get("t.nestcap.inner"), Some(&1));
 }
 
 fn capture_when_disabled_is_free() {

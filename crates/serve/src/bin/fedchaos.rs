@@ -58,7 +58,7 @@ fn usage() -> &'static str {
                                (use with tight --io-timeout-ms servers)\n\
        --stats                 print the server's stats payload after the run\n\
        --metrics PATH          dump the harness's merged metric registry\n\
-                               (MetricsSnapshot JSON) at exit\n\
+                               (timing-free JSON) at exit\n\
        --shutdown              send a shutdown query when the campaign ends\n"
 }
 
@@ -148,28 +148,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn send_shutdown(addr: &str, timeout: Duration) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Write};
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| format!("set_write_timeout: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    writer
-        .write_all(b"{\"id\":0,\"kind\":\"shutdown\"}\n")
-        .map_err(|e| format!("send shutdown: {e}"))?;
-    let mut line = String::new();
-    let _ = BufReader::new(stream).read_line(&mut line);
-    if line.contains("\"draining\":true") {
-        Ok(())
-    } else {
-        Err(format!("unexpected shutdown response: {}", line.trim_end()))
-    }
-}
-
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
@@ -206,18 +184,20 @@ fn run() -> Result<(), String> {
     }
 
     if opts.stats {
-        let stats = chaos::fetch_stats(&opts.addr, opts.config.client_timeout)?;
-        println!("{stats}");
+        let stats = "{\"id\":0,\"kind\":\"stats\"}";
+        println!(
+            "{}",
+            chaos::query(&opts.addr, opts.config.client_timeout, stats)?
+        );
     }
     if let Some(path) = &opts.metrics {
         // Written even for failed campaigns: the dump is the evidence.
-        let fold = fedval_obs::metrics_fold();
-        let snapshot = fedval_obs::MetricsSnapshot::from_parts(&fold, &[]);
-        std::fs::write(path, format!("{}\n", snapshot.to_json()))
-            .map_err(|e| format!("--metrics {path}: {e}"))?;
+        let json = fedval_obs::metrics_fold().to_json();
+        std::fs::write(path, format!("{json}\n")).map_err(|e| format!("--metrics {path}: {e}"))?;
     }
     if opts.shutdown {
-        send_shutdown(&opts.addr, opts.config.client_timeout)?;
+        let shutdown = "{\"id\":0,\"kind\":\"shutdown\"}";
+        chaos::query(&opts.addr, opts.config.client_timeout, shutdown)?;
     }
     if failed {
         return Err("chaos campaign failed; rerun with the printed seed to reproduce".to_string());

@@ -43,7 +43,7 @@
 )]
 
 use fedval_obs::Histogram;
-use fedval_serve::chaos::ChaosRng;
+use fedval_serve::chaos::{self, ChaosRng};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
@@ -85,7 +85,7 @@ fn usage() -> &'static str {
                              (open loop; default 1000)\n\
        --out PATH            write the JSON report here (e.g. BENCH_serve.json)\n\
        --metrics PATH        dump the client's merged metric registry\n\
-                             (MetricsSnapshot JSON) at exit\n\
+                             (timing-free JSON) at exit\n\
        --scrape PATH         after the run, issue one `metrics` query and\n\
                              write the raw response line here (CI scrapes it)\n\
        --shutdown            send a shutdown query when the run completes\n"
@@ -269,15 +269,11 @@ fn classify(trimmed: &str) -> Outcome {
     }
 }
 
+/// Read and write deadline of every fedload socket.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
+
 fn connect_to(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    stream
-        .set_write_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("set_write_timeout: {e}"))?;
-    let _ = stream.set_nodelay(true);
+    let stream = chaos::connect(addr, CLIENT_TIMEOUT)?;
     let writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     Ok((BufReader::new(stream), writer))
 }
@@ -498,37 +494,6 @@ fn drive_open_loop(
     Ok(report)
 }
 
-/// Issues one `metrics` query and writes the raw response line to
-/// `path` — the CI smoke stage greps it for a well-formed exposition.
-fn scrape_metrics(addr: &str, path: &str) -> Result<(), String> {
-    let (mut reader, mut writer) = connect_to(addr)?;
-    writer
-        .write_all(b"{\"id\":0,\"kind\":\"metrics\"}\n")
-        .map_err(|e| format!("send metrics: {e}"))?;
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("recv metrics: {e}"))?;
-    if !line.contains("\"ok\":true") || !line.contains("\"kind\":\"metrics\"") {
-        return Err(format!("unexpected metrics response: {}", line.trim_end()));
-    }
-    std::fs::write(path, &line).map_err(|e| format!("--scrape {path}: {e}"))
-}
-
-fn send_shutdown(addr: &str) -> Result<(), String> {
-    let (mut reader, mut writer) = connect_to(addr)?;
-    writer
-        .write_all(b"{\"id\":0,\"kind\":\"shutdown\"}\n")
-        .map_err(|e| format!("send shutdown: {e}"))?;
-    let mut line = String::new();
-    let _ = reader.read_line(&mut line);
-    if line.contains("\"draining\":true") {
-        Ok(())
-    } else {
-        Err(format!("unexpected shutdown response: {}", line.trim_end()))
-    }
-}
-
 fn render_report(opts: &Options, total: &ConnReport, wall: Duration) -> String {
     let h = &total.histogram;
     let issued = total.ok + total.busy + total.deadline + total.protocol_errors + total.mismatches;
@@ -636,10 +601,20 @@ fn run() -> Result<(), String> {
     let wall = started.elapsed();
 
     if let Some(path) = &opts.scrape {
-        scrape_metrics(&opts.addr, path)?;
+        // One `metrics` query; the raw response line is what CI greps.
+        let line = chaos::query(
+            &opts.addr,
+            CLIENT_TIMEOUT,
+            "{\"id\":0,\"kind\":\"metrics\"}",
+        )?;
+        std::fs::write(path, format!("{line}\n")).map_err(|e| format!("--scrape {path}: {e}"))?;
     }
     if opts.shutdown {
-        send_shutdown(&opts.addr)?;
+        chaos::query(
+            &opts.addr,
+            CLIENT_TIMEOUT,
+            "{\"id\":0,\"kind\":\"shutdown\"}",
+        )?;
     }
 
     let report = render_report(&opts, &total, wall);
@@ -657,10 +632,8 @@ fn run() -> Result<(), String> {
         fedval_obs::counter_add("load.req.fatal", total.protocol_errors + total.mismatches);
         fedval_obs::counter_add("load.req.lost", total.lost);
         fedval_obs::counter_add("load.retries", total.retries);
-        let fold = fedval_obs::metrics_fold();
-        let snapshot = fedval_obs::MetricsSnapshot::from_parts(&fold, &[]);
-        std::fs::write(path, format!("{}\n", snapshot.to_json()))
-            .map_err(|e| format!("--metrics {path}: {e}"))?;
+        let json = fedval_obs::metrics_fold().to_json();
+        std::fs::write(path, format!("{json}\n")).map_err(|e| format!("--metrics {path}: {e}"))?;
     }
 
     let failures = failures.lock().map(|f| f.clone()).unwrap_or_default();

@@ -225,8 +225,13 @@ fn fault_index(kind: FaultKind) -> usize {
     }
 }
 
-/// Opens one injector socket with both deadlines armed.
-fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+/// Opens one client socket to `addr` with both deadlines armed and
+/// Nagle off — the one way the serving toolchain's clients (`fedload`,
+/// `fedchaos` and the injector itself) connect.
+///
+/// # Errors
+/// Connection or socket-option failures, rendered as strings.
+pub fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(timeout))
@@ -280,13 +285,20 @@ pub fn json_u64_field(line: &str, name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Fetches the server's `stats` payload over a fresh connection.
+/// Sends one request line over a fresh [`connect`]ion and returns the
+/// server's successful response line (newline stripped) — the one-shot
+/// form of the `stats`, `metrics` and `shutdown` queries.
 ///
 /// # Errors
-/// Connection, send, or receive failures, rendered as strings.
-pub fn fetch_stats(addr: &str, timeout: Duration) -> Result<String, String> {
-    let mut stream = connect(addr, timeout)?;
-    roundtrip(&mut stream, "{\"id\":0,\"kind\":\"stats\"}")
+/// Connection, send, or receive failures, or a response that is not
+/// `"ok":true`, rendered as strings.
+pub fn query(addr: &str, timeout: Duration, request: &str) -> Result<String, String> {
+    let response = roundtrip(&mut connect(addr, timeout)?, request)?;
+    if response.contains("\"ok\":true") {
+        Ok(response)
+    } else {
+        Err(format!("{request} was answered {response}"))
+    }
 }
 
 /// A well-behaved probe: health must answer, shapley must be

@@ -29,6 +29,7 @@
 //! echoes on the wire, so clients can switch on it without string
 //! matching free-form detail text.
 
+use fedval_testbed::{MAX_FACILITY_CAPACITY, MAX_FACILITY_LOCATIONS};
 use std::fmt;
 
 /// Hard upper bound on a single request or response frame, bytes
@@ -36,18 +37,6 @@ use std::fmt;
 /// [`ProtocolError::FrameTooLarge`] and the connection is closed —
 /// there is no reliable way to resynchronize mid-frame.
 pub const MAX_FRAME: usize = 16 * 1024;
-
-/// Most locations a `what-if-join` facility may bring. A join's cost
-/// grows linearly with its locations and is paid while the what-if cache
-/// is locked, so the parser bounds it: 2¹⁶ is over 80× the paper's largest
-/// facility (800 locations) and well above load generators' 100–800.
-pub const MAX_JOIN_LOCATIONS: u32 = 1 << 16;
-
-/// Largest per-location `capacity` a `what-if-join` may ask for
-/// (`u32::MAX`). With [`MAX_JOIN_LOCATIONS`] it keeps a joining
-/// facility below 2⁴⁸ slots, so even 2⁹ of them (`MAX_SAMPLED_PLAYERS`)
-/// sum inside a `u64`.
-pub const MAX_JOIN_CAPACITY: u64 = u32::MAX as u64;
 
 /// A typed protocol-level failure. Conversion to the wire code is
 /// total: see [`ProtocolError::code`].
@@ -261,19 +250,21 @@ pub fn parse_request(frame: &[u8]) -> Result<Request, ProtocolError> {
             }
             let locations = u32::try_from(locations)
                 .ok()
-                .filter(|&l| l <= MAX_JOIN_LOCATIONS)
+                .filter(|&l| l <= MAX_FACILITY_LOCATIONS)
                 .ok_or_else(|| ProtocolError::BadField {
                     field: "locations",
-                    detail: format!("{locations} exceeds the limit of {MAX_JOIN_LOCATIONS}"),
+                    detail: format!("{locations} exceeds the limit of {MAX_FACILITY_LOCATIONS}"),
                 })?;
             let capacity = match lookup(&fields, "capacity") {
                 None => 1,
                 Some(_) => take_uint(&fields, "capacity")?,
             };
-            if capacity == 0 || capacity > MAX_JOIN_CAPACITY {
+            if capacity == 0 || capacity > MAX_FACILITY_CAPACITY {
                 return Err(ProtocolError::BadField {
                     field: "capacity",
-                    detail: format!("capacity must be in 1..={MAX_JOIN_CAPACITY}, got {capacity}"),
+                    detail: format!(
+                        "capacity must be in 1..={MAX_FACILITY_CAPACITY}, got {capacity}"
+                    ),
                 });
             }
             QueryKind::WhatIfJoin {
@@ -759,8 +750,8 @@ mod tests {
             )
             .map(|r| r.kind),
             Ok(QueryKind::WhatIfJoin {
-                locations: MAX_JOIN_LOCATIONS,
-                capacity: MAX_JOIN_CAPACITY,
+                locations: MAX_FACILITY_LOCATIONS,
+                capacity: MAX_FACILITY_CAPACITY,
             })
         );
     }

@@ -162,8 +162,8 @@ impl ServeState {
     ///
     /// # Errors
     /// `BAD_REQUEST` for out-of-range players, `SOLVE_FAILED` when the
-    /// characteristic-function table cannot be materialized or a sampled
-    /// estimate is not finite.
+    /// characteristic-function table cannot be materialized, a coalition
+    /// value past the exact cap or a sampled estimate is not finite.
     pub fn execute(&self, kind: &QueryKind) -> Result<String, QueryError> {
         match kind {
             QueryKind::CoalitionValue { coalition } => self.coalition_value(coalition),
@@ -223,6 +223,18 @@ impl ServeState {
                 .value_members(&members)
         };
         let members: Vec<String> = members.iter().map(|p| p.to_string()).collect();
+        if !value.is_finite() {
+            // The table fill refuses such a game; the wide evaluation
+            // refuses the one coalition in the same words.
+            return Err(QueryError::new(
+                "SOLVE_FAILED",
+                format!(
+                    "coalition {{{}}} (player ids from 0) has the non-finite value {value}; \
+                     every coalition value must be a finite number",
+                    members.join(", ")
+                ),
+            ));
+        }
         Ok(format!(
             "\"kind\":\"coalition-value\",\"coalition\":[{}],\"value\":{}",
             members.join(","),
@@ -764,6 +776,35 @@ mod tests {
         }
         assert_eq!(s.whatif.lock().len(), 0, "solver failures are not cached");
         assert!(!s.warm(1).shapley_ok);
+    }
+
+    #[test]
+    fn wide_non_finite_coalition_values_are_solve_failed() {
+        // `--synthetic 20 --shape 400`: past the exact cap each coalition
+        // is evaluated alone, and an overflowed value is refused the way
+        // the table fill refuses it, instead of answering `null`.
+        let s = ServeState::new(
+            ScenarioSpec {
+                shape: 400.0,
+                ..ScenarioSpec::synthetic(20, 42)
+            },
+            4,
+        );
+        let err = s
+            .execute(&QueryKind::CoalitionValue {
+                coalition: vec![19, 0, 1, 5],
+            })
+            .expect_err("an inf coalition value must not be served");
+        assert_eq!(err.code, "SOLVE_FAILED");
+        assert_eq!(
+            err.detail,
+            "coalition {0, 1, 5, 19} (player ids from 0) has the non-finite value inf; \
+             every coalition value must be a finite number"
+        );
+        let empty = s
+            .execute(&QueryKind::CoalitionValue { coalition: vec![] })
+            .expect("the empty coalition is worth 0");
+        assert!(empty.ends_with("\"coalition\":[],\"value\":0"), "{empty}");
     }
 
     /// FNV-1a, 64-bit: a short stand-in for a payload's bytes.

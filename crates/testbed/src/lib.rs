@@ -51,8 +51,8 @@ pub use authority::{synthetic_authority, Authority};
 pub use faults::{Fault, FaultPlan, RetryPolicy};
 pub use federation::{Credential, Federation, NodeRecord};
 pub use scale::{
-    parse_synthetic, synthetic_federation, synthetic_profile, synthetic_scenario, ScenarioArgs,
-    ScenarioSpec,
+    parse_synthetic, synthetic_federation, synthetic_profile, ScenarioArgs, ScenarioSpec,
+    MAX_FACILITY_CAPACITY, MAX_FACILITY_LOCATIONS,
 };
 pub use selection::{satisfies_diversity, select, NodeQuery, Selection};
 pub use simulate::{

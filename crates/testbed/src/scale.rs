@@ -30,6 +30,17 @@ use std::str::FromStr;
 /// Smallest location block an authority contributes.
 const MIN_LOCATIONS: u32 = 4;
 
+/// Most locations one facility may bring, on the command line
+/// (`--locations`) or in a `fedval-serve` `what-if-join`: 2¹⁶, over 80×
+/// the paper's largest facility (800 locations). A facility's cost grows
+/// linearly with its locations.
+pub const MAX_FACILITY_LOCATIONS: u32 = 1 << 16;
+
+/// Largest per-location capacity one facility may bring (`u32::MAX`).
+/// With [`MAX_FACILITY_LOCATIONS`] it keeps a facility below 2⁴⁸ slots,
+/// so even [`MAX_SAMPLED_PLAYERS`] (2⁹) of them sum inside a `u64`.
+pub const MAX_FACILITY_CAPACITY: u64 = u32::MAX as u64;
+
 /// SplitMix64 — the same seeded stream discipline as `fedval-serve`'s
 /// chaos injector; deterministic and dependency-free.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -41,9 +52,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The raw `(locations, capacity)` draw per authority plus the demand
-/// threshold — the spec-level form of [`synthetic_federation`], for
-/// consumers (like `fedval-serve --synthetic`) that build their own
-/// facility objects from location/capacity vectors.
+/// threshold, from which [`ScenarioSpec::synthetic`] (and so
+/// [`synthetic_federation`]) builds the federation.
 ///
 /// # Panics
 /// Panics if `n == 0` (a federation needs at least one authority).
@@ -72,7 +82,7 @@ pub fn synthetic_profile(n: usize, seed: u64) -> (Vec<(u32, u64)>, f64) {
 /// Generates a synthetic federation of `n` authorities from `seed`.
 ///
 /// Each authority contributes a contiguous block of locations whose size is
-/// drawn from a skewed distribution (mostly [`MIN_LOCATIONS`]..20, with
+/// drawn from a skewed distribution (mostly `MIN_LOCATIONS`..20, with
 /// ~1-in-8 "large" authorities up to ~64 — the PlanetLab site-size skew)
 /// and a per-location sliver capacity in 1..=4. The demand is a single
 /// threshold experiment whose threshold sits at 30% of the federation's
@@ -81,32 +91,16 @@ pub fn synthetic_profile(n: usize, seed: u64) -> (Vec<(u32, u64)>, f64) {
 /// contribute nothing, later members tip the coalition over.
 ///
 /// The output is a pure function of `(n, seed)` — same inputs, same
-/// facilities, same demand, same downstream Shapley bytes.
+/// facilities, same demand, same downstream Shapley bytes. It is the
+/// federation of [`ScenarioSpec::synthetic`]; use
+/// `ScenarioSpec::synthetic(n, seed).scenario()` for a ready-to-query
+/// [`FederationScenario`].
 ///
 /// # Panics
 /// Panics if `n == 0` (a federation needs at least one authority).
 pub fn synthetic_federation(n: usize, seed: u64) -> (Vec<Facility>, Demand) {
-    let (draws, threshold) = synthetic_profile(n, seed);
-    let mut facilities = Vec::with_capacity(n);
-    let mut start: u32 = 0;
-    for (i, &(locations, capacity)) in draws.iter().enumerate() {
-        facilities.push(Facility::uniform(
-            format!("authority-{i}"),
-            start,
-            locations,
-            capacity,
-        ));
-        start += locations;
-    }
-    let demand = Demand::one_experiment(ExperimentClass::simple("scale", threshold, 1.0));
-    (facilities, demand)
-}
-
-/// [`synthetic_federation`] packaged as a ready-to-query
-/// [`FederationScenario`].
-pub fn synthetic_scenario(n: usize, seed: u64) -> FederationScenario {
-    let (facilities, demand) = synthetic_federation(n, seed);
-    FederationScenario::new(facilities, demand)
+    let spec = ScenarioSpec::synthetic(n, seed);
+    (spec.facilities(), spec.demand())
 }
 
 /// A federation as the command line describes it: facility `i` brings
@@ -163,15 +157,12 @@ impl ScenarioSpec {
         self.locations.len()
     }
 
-    /// Builds the scenario: facility `i` is `facility-{i+1}` and owns the
-    /// next `locations[i]` location ids, so offers never overlap and player
-    /// order is spec order. Threads and sampling parameters are the
-    /// caller's ([`FederationScenario::with_threads`],
-    /// [`FederationScenario::with_approx`]).
-    pub fn scenario(&self) -> FederationScenario {
+    /// The facilities: facility `i` is `facility-{i+1}` and owns the next
+    /// `locations[i]` location ids, so offers never overlap and player
+    /// order is spec order.
+    pub fn facilities(&self) -> Vec<Facility> {
         let mut start = 0u32;
-        let facilities = self
-            .locations
+        self.locations
             .iter()
             .zip(&self.capacities)
             .enumerate()
@@ -180,14 +171,26 @@ impl ScenarioSpec {
                 start = start.saturating_add(l);
                 f
             })
-            .collect();
+            .collect()
+    }
+
+    /// The demand: one experiment class (threshold ℓ, exponent d) at the
+    /// spec's volume.
+    pub fn demand(&self) -> Demand {
         let class = ExperimentClass::simple("scenario", self.threshold, self.shape);
-        let demand = match self.volume {
+        match self.volume {
             Some(1) => Demand::one_experiment(class),
             Some(k) => Demand::single(class, Volume::Count(k)),
             None => Demand::capacity_filling(class),
-        };
-        FederationScenario::new(facilities, demand)
+        }
+    }
+
+    /// Builds the scenario of [`ScenarioSpec::facilities`] and
+    /// [`ScenarioSpec::demand`]. Threads and sampling parameters are the
+    /// caller's ([`FederationScenario::with_threads`],
+    /// [`FederationScenario::with_approx`]).
+    pub fn scenario(&self) -> FederationScenario {
+        FederationScenario::new(self.facilities(), self.demand())
     }
 }
 
@@ -285,13 +288,19 @@ impl ScenarioArgs {
     ///
     /// # Errors
     /// A usage message unless there are 1 to [`MAX_SAMPLED_PLAYERS`]
-    /// facilities, one capacity of at least 1 per facility, a finite
-    /// threshold ≥ 0 and a finite shape > 0.
+    /// facilities of at most [`MAX_FACILITY_LOCATIONS`] locations each,
+    /// one capacity in 1..=[`MAX_FACILITY_CAPACITY`] per facility, a
+    /// finite threshold ≥ 0 and a finite shape > 0.
     pub fn finish(&mut self) -> Result<(), String> {
         let spec = &mut self.spec;
         if spec.locations.is_empty() || spec.locations.len() > MAX_SAMPLED_PLAYERS {
             return Err(format!(
                 "need between 1 and {MAX_SAMPLED_PLAYERS} facilities"
+            ));
+        }
+        if spec.locations.iter().any(|&l| l > MAX_FACILITY_LOCATIONS) {
+            return Err(format!(
+                "--locations must each be at most {MAX_FACILITY_LOCATIONS}"
             ));
         }
         if spec.capacities.is_empty() {
@@ -302,6 +311,11 @@ impl ScenarioArgs {
         }
         if spec.capacities.contains(&0) {
             return Err("--capacities must each be at least 1".to_string());
+        }
+        if spec.capacities.iter().any(|&r| r > MAX_FACILITY_CAPACITY) {
+            return Err(format!(
+                "--capacities must each be at most {MAX_FACILITY_CAPACITY}"
+            ));
         }
         if !(spec.threshold.is_finite() && spec.threshold >= 0.0) {
             return Err("--threshold must be finite and at least 0".to_string());
@@ -506,7 +520,7 @@ mod tests {
             );
         }
         let synthetic_range = "--synthetic: need between 1 and 512 authorities";
-        let rejected: [(&[&str], &str); 21] = [
+        let rejected: [(&[&str], &str); 24] = [
             (&["--locations"], "flag --locations needs a value"),
             (&["--approx-seed"], "flag --approx-seed needs a value"),
             (
@@ -529,6 +543,18 @@ mod tests {
             (
                 &["--capacities", "0,1,1"],
                 "--capacities must each be at least 1",
+            ),
+            (
+                &["--locations", "10,65537"],
+                "--locations must each be at most 65536",
+            ),
+            (
+                &["--capacities", "1,4294967296,1"],
+                "--capacities must each be at most 4294967295",
+            ),
+            (
+                &["--capacities", "18446744073709551615,1,1"],
+                "--capacities must each be at most 4294967295",
             ),
             (
                 &["--threshold", "nan"],
@@ -571,6 +597,10 @@ mod tests {
         for (line, message) in rejected {
             assert_eq!(parse(line).unwrap_err(), message, "{line:?}");
         }
+        // The per-facility bounds themselves are accepted.
+        let largest = parse(&["--locations", "65536,1", "--capacities", "4294967295,1"]).unwrap();
+        assert_eq!(largest.spec.locations, [MAX_FACILITY_LOCATIONS, 1]);
+        assert_eq!(largest.spec.capacities, [MAX_FACILITY_CAPACITY, 1]);
         // The facility count is bounded by the sampled path, not the exact
         // caps.
         let wide = |n: usize| vec!["4"; n].join(",");
@@ -602,12 +632,13 @@ mod tests {
             "the default seed is 42"
         );
         assert_eq!(parse_synthetic("512:3"), Ok((512, 3)));
-        // The spec's scenario is the generator's federation: the same
-        // coalition values, under position names.
+        // The generator's federation is the spec's: the same coalition
+        // values, under the same position names.
         let built = ScenarioSpec::synthetic(6, 7).scenario();
-        let generated = synthetic_scenario(6, 7);
+        let (facilities, demand) = synthetic_federation(6, 7);
+        assert_eq!(facilities[5].name, "facility-6");
+        let generated = FederationScenario::new(facilities, demand);
         assert_eq!(built.game().values(), generated.game().values());
-        assert_eq!(built.facilities()[5].name, "facility-6");
     }
 
     #[test]

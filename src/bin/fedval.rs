@@ -24,7 +24,7 @@ use fedval::{
     ApproxShapley, Coalition, FederationGame, FederationScenario, ShapleyEstimate, SharingScheme,
     WideGame, EXACT_SHAPLEY_MAX_PLAYERS,
 };
-use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
+use fedval_obs::FileSink;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -217,27 +217,17 @@ fn scheme_from_name(name: &str) -> Result<SharingScheme, String> {
     })
 }
 
-/// Installs the observability sink combination requested on the command
-/// line. Returns the recording handle when `--metrics` asked for a run
-/// report, so `run` can aggregate after the command finishes.
-fn install_observability(opts: &Options) -> Result<Option<RecordingSink>, String> {
-    let recording = opts.metrics.then(RecordingSink::new);
-    let file = match &opts.trace {
-        Some(path) => {
-            Some(FileSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?)
-        }
-        None => None,
-    };
-    let sink: Option<Arc<dyn Sink>> = match (file, recording.clone()) {
-        (Some(f), Some(r)) => Some(Arc::new(TeeSink::new(f, r))),
-        (Some(f), None) => Some(Arc::new(f)),
-        (None, Some(r)) => Some(Arc::new(r)),
-        (None, None) => None,
-    };
-    if let Some(sink) = sink {
-        fedval_obs::install(sink);
+/// Turns on observability for `--trace` (a JSONL file sink) and
+/// `--metrics` (the metric fold alone, when no trace file is written).
+fn install_observability(opts: &Options) -> Result<(), String> {
+    if let Some(path) = &opts.trace {
+        let sink = FileSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
+        fedval_obs::install(Arc::new(sink));
     }
-    Ok(recording)
+    if opts.metrics {
+        fedval_obs::ensure_enabled();
+    }
+    Ok(())
 }
 
 fn execute(opts: &Options) -> Result<(), String> {
@@ -330,23 +320,16 @@ fn execute(opts: &Options) -> Result<(), String> {
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
-    let recording = install_observability(&opts)?;
+    install_observability(&opts)?;
 
     let outcome = execute(&opts);
 
-    // Disable and flush before aggregating so the trace file is complete
-    // and the recording contains every span-end. The metric fold is read
-    // first: shutdown dumps counter/gauge totals into the record stream
-    // for trace files, but the report sources metrics from the shards.
-    let fold = (opts.trace.is_some() || opts.metrics).then(fedval_obs::metrics_fold);
-    if fold.is_some() {
-        fedval_obs::shutdown();
-    }
-    if let (Some(recording), Some(fold)) = (recording, fold) {
-        print!(
-            "{}",
-            RunReport::from_parts(&fold, &recording.records()).render()
-        );
+    // Shutdown flushes the trace file, ending it with the counter and
+    // gauge totals; the run report renders the metric fold, which
+    // shutdown leaves in place.
+    fedval_obs::shutdown();
+    if opts.metrics {
+        print!("{}", fedval_obs::metrics_fold().render());
     }
     outcome
 }

@@ -75,6 +75,11 @@ fn hostile_numbers_are_usage_errors() {
         (&["report", "--threshold", "inf"], "--threshold"),
         (&["shares", "--shape", "-1"], "--shape"),
         (&["values", "--capacities", "0,1,1"], "--capacities"),
+        (&["values", "--locations", "10,65537"], "--locations"),
+        (
+            &["report", "--capacities", "18446744073709551615,1,1"],
+            "--capacities",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
             .args(args)
@@ -191,6 +196,48 @@ fn metrics_flag_appends_run_report() {
     let report_at = stdout.find("== run report ==").unwrap();
     let shares_at = stdout.find("V(N)").unwrap();
     assert!(shares_at < report_at, "report must follow the command output");
+}
+
+/// The `name  value` lines of a run report's counters section.
+fn report_counters(stdout: &str) -> Vec<&str> {
+    stdout
+        .lines()
+        .skip_while(|l| *l != "-- counters --")
+        .skip(1)
+        .take_while(|l| !l.starts_with("-- "))
+        .collect()
+}
+
+#[test]
+fn trace_and_metrics_together_write_trace_and_report() {
+    let path = std::env::temp_dir().join("fedval_cli_trace_metrics_test.jsonl");
+    let path_arg = path.to_str().expect("temp path is utf-8");
+    let (stdout, stderr, ok) = fedval(&["report", "--trace", path_arg, "--metrics"]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    for kind in ["span_start", "span_end"] {
+        let tag = format!("\"type\":\"{kind}\"");
+        assert!(text.lines().any(|l| l.contains(&tag)), "no {kind}: {text}");
+    }
+    let evals: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"type\":\"counter\",\"name\":\"coalition.game.evals\""))
+        .collect();
+    assert_eq!(evals.len(), 1, "{text}");
+    // The command output, then the run report, which ends stdout and
+    // lists the counters `--metrics` alone lists.
+    let report_at = stdout.find("== run report ==").expect("run report printed");
+    assert!(stdout[..report_at].contains("recommended:"), "{stdout}");
+    assert!(!stdout[report_at..].contains("recommended:"), "{stdout}");
+    let (alone, stderr, ok) = fedval(&["report", "--metrics"]);
+    assert!(ok, "{stderr}");
+    let counters = report_counters(&stdout[report_at..]);
+    assert!(
+        counters.contains(&"coalition.game.evals           8"),
+        "{stdout}"
+    );
+    assert_eq!(counters, report_counters(&alone));
 }
 
 #[test]

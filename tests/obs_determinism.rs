@@ -1,13 +1,15 @@
 //! Nondeterministic-output guard for the observability layer.
 //!
 //! Two identical seeded runs of the full pipeline (scenario → Shapley →
-//! nucleolus → policy report → faulted testbed simulation) recorded under
-//! a [`RecordingSink`] must produce *byte-identical* metric snapshots.
-//! [`MetricsSnapshot`] deliberately excludes every timing field, so any
-//! difference here means a counter, span count, gauge, or event payload
-//! depends on something other than the inputs and the seed — exactly the
-//! kind of nondeterminism that would silently corrupt BENCH_pipeline.json
-//! and cross-machine comparisons.
+//! nucleolus → policy report → faulted testbed simulation) must produce
+//! *byte-identical* timing-free views: the metric fold's JSON dump
+//! ([`MetricsFold::to_json`](fedval_obs::MetricsFold::to_json) — counters,
+//! gauges, span, observation and event counts, no durations) followed by
+//! every event record a [`RecordingSink`] received, payload included. Any
+//! difference here means a count, gauge, or event payload depends on
+//! something other than the inputs and the seed — exactly the kind of
+//! nondeterminism that would silently corrupt BENCH_pipeline.json and
+//! cross-machine comparisons.
 //!
 //! The whole check lives in one `#[test]` because the obs registry is
 //! process-global: parallel test threads would interleave their records.
@@ -16,10 +18,10 @@ use fedval::{
     empirical_game_diagnosed, paper_facilities, synthetic_authority, try_policy_report, Demand,
     ExperimentClass, FaultPlan, Federation, FederationScenario, SimConfig, Workload,
 };
-use fedval_obs::{MetricsSnapshot, RecordingSink};
+use fedval_obs::{Record, RecordingSink};
 use std::sync::Arc;
 
-/// One full observed pipeline run; returns the deterministic snapshot text.
+/// One full observed pipeline run; returns its timing-free view.
 #[expect(
     clippy::expect_used,
     reason = "test helper: a 2-authority game that cannot be measured fails the calling test"
@@ -57,7 +59,14 @@ fn traced_run() -> String {
         .expect("2-authority game is measurable");
 
     fedval_obs::shutdown();
-    MetricsSnapshot::from_records(&sink.records()).to_text()
+    let mut view = fedval_obs::metrics_fold().to_json();
+    for record in sink.records() {
+        if let Record::Event { .. } = record {
+            view.push('\n');
+            view.push_str(&record.to_jsonl());
+        }
+    }
+    view
 }
 
 #[test]
