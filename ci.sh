@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate + clippy lint policy + fedval-lint static analysis.
 #
-#   ./ci.sh            build, test, clippy, bench --check, sweep
-#                      invariance, serve smoke, sampled-Shapley smoke,
-#                      fedchaos, perfbench smoke, fedval-lint
+#   ./ci.sh            build, test, clippy, rustdoc, rustfmt, bench
+#                      --check, sweep invariance, serve smoke,
+#                      sampled-Shapley smoke, fedchaos, perfbench smoke,
+#                      fedval-lint
 #
 # The clippy stage lints every target of every package (tests, benches
 # and examples included) under the lint levels declared once in the root
@@ -36,6 +37,13 @@ cargo test -q --workspace
 
 echo "== clippy (workspace lint policy: every target, warnings denied)"
 cargo clippy --workspace --all-targets --release -- -D warnings
+
+echo "== cargo doc (rustdoc warnings denied: every intra-doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "== cargo fmt --check (the workspace is rustfmt's output)"
+# perfbench/ is a workspace of its own, so --all leaves it alone.
+cargo fmt --all --check
 
 echo "== bench_pipeline --check (deterministic section + sweep speedup gate)"
 # --threads 4 arms the ratcheted sweep.speedup floor: at >= 4 requested

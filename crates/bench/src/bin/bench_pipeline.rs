@@ -19,9 +19,9 @@
 //! wall-clock measurements and derived rates — the sequential vs parallel
 //! sweep walls and their speedup, next to the workers the parallel leg
 //! actually ran and the host's core count (`host.cores`, from
-//! `available_parallelism`), plus an `obs_overhead` probe timing the
-//! worked example enabled-into-NullSink vs fully disabled — refreshed on
-//! each write. `--check` re-runs the pipeline and fails unless the
+//! `fedval_coalition::available_threads`), plus an `obs_overhead` probe
+//! timing the worked example enabled-into-NullSink vs fully disabled —
+//! refreshed on each write. `--check` re-runs the pipeline and fails unless the
 //! committed file contains the regenerated deterministic section byte for
 //! byte — timing drift is fine, a logic change that shifts pivot or event
 //! counts (or breaks sweep thread-invariance) is not — and additionally
@@ -323,7 +323,7 @@ fn run_sweep_legs(parallel_threads: usize) -> SweepSummary {
         points: sequential.iter().map(fig_points).sum(),
         thread_invariant,
         parallel_threads,
-        parallel_workers: parallel_threads.min(fedval_bench::available_threads()).max(1),
+        parallel_workers: parallel_threads.min(fedval_coalition::available_threads()).max(1),
         sequential_wall_ns,
         parallel_wall_ns,
     }
@@ -635,7 +635,7 @@ fn timing_section(
     push_kv_u64(
         &mut out,
         "host.cores",
-        fedval_bench::available_threads() as u64,
+        fedval_coalition::available_threads() as u64,
         false,
     );
     push_kv_f64(&mut out, "sweep.speedup", sweep.speedup(), false);
@@ -705,9 +705,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        None => fedval_coalition::available_threads(),
     };
     let (fold, sweep, approx, formation) = match run_pipeline(threads) {
         Ok(run) => run,
@@ -775,7 +773,7 @@ fn main() -> ExitCode {
              at {} threads: {} workers on {} host cores; the speedup gate needs 4 workers)",
             sweep.parallel_threads,
             sweep.parallel_workers,
-            fedval_bench::available_threads()
+            fedval_coalition::available_threads()
         );
         ExitCode::SUCCESS
     } else {

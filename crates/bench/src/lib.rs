@@ -31,7 +31,7 @@ pub use figures::{
     fig8_volume, fig9_incentives, table_e1, WorkedExample, FIG7_TOTAL_DEMAND,
 };
 pub use series::{Figure, Series};
-pub use sweep::{available_threads, run_sweep, set_sweep_threads, sweep_threads};
+pub use sweep::{run_sweep, set_sweep_threads, sweep_threads};
 
 #[cfg(test)]
 mod tests {

@@ -3,14 +3,14 @@
 //! Every figure of the paper's evaluation is a *sweep*: ~20–50 scenario
 //! points, each materializing a dense `TableGame` (`2^n` LP-backed
 //! characteristic-function evaluations) and running the share
-//! computations. The points are independent, so [`run_sweep`] shards
-//! them across scoped worker threads — but the emitted figure data and
-//! the observability output must be **identical regardless of thread
+//! computations. The points are independent, so [`run_sweep`] maps
+//! them with [`par_map`] — but the emitted figure data and the
+//! observability output must be **identical regardless of thread
 //! count** (DESIGN.md §9). Three mechanisms deliver that:
 //!
-//! 1. **Input-order merge.** Workers tag each result with its point
-//!    index; the coordinator sorts by index before returning, so the
-//!    output `Vec` is positionally identical to a sequential loop.
+//! 1. **Input-order merge.** [`par_map`] returns each point's result at
+//!    its index, so the output `Vec` is positionally identical to a
+//!    sequential loop.
 //! 2. **Sharded metrics.** Counters, gauges, and latency observations
 //!    go straight from worker threads into their per-thread metric
 //!    shards — summation is commutative, so the merged fold is
@@ -30,20 +30,12 @@
 //! `threads = 1` runs the *same* capture/replay path on the calling
 //! thread, so sequential and parallel runs emit identical streams.
 
+use fedval_coalition::{available_threads, par_map};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Process-wide default worker count for figure sweeps; `0` means "use
 /// [`available_threads`]". Set from `--threads N` by the bins.
 static SWEEP_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Worker threads the hardware offers (`available_parallelism`), with a
-/// floor of 1 when the hint is unavailable.
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// Sets the process-wide default sweep worker count (`0` restores the
 /// "available parallelism" default). This is what `--threads N` wires up.
@@ -78,18 +70,8 @@ pub fn span_sampled(index: usize) -> bool {
     (z ^ (z >> 31)).is_multiple_of(SPAN_SAMPLE_MODULUS)
 }
 
-/// One worker's finished point: input index, result, captured records
-/// (events plus sampled span traces), and wall time (for the per-point
-/// histogram).
-struct Finished<T> {
-    index: usize,
-    result: T,
-    records: Vec<fedval_obs::Record>,
-    dur_ns: u64,
-}
-
-/// Evaluates `eval` on every point, sharding across up to `threads`
-/// scoped workers, and returns the results **in input order**.
+/// Evaluates `eval` on every point with [`par_map`] and returns the
+/// results **in input order**.
 ///
 /// The output — both the returned `Vec` and the observability record
 /// stream — is byte-identical for every `threads` value (see the module
@@ -98,7 +80,8 @@ struct Finished<T> {
 /// ([`available_threads`]) — oversubscribing a CPU-bound sweep buys
 /// nothing but context-switch and cache-thrash loss, so `--threads 4` on
 /// a single-core host degrades gracefully to the sequential path. Pass
-/// [`sweep_threads`] to honor the process-wide `--threads` setting.
+/// [`sweep_threads`] to honor the process-wide `--threads` setting. A
+/// panicking point re-raises its own panic payload.
 ///
 /// Observability: the whole call runs under a `bench.sweep` span, each
 /// point contributes a `bench.sweep.point_ns` observation (in input
@@ -112,21 +95,13 @@ where
     if points.is_empty() {
         return Vec::new();
     }
-    let threads = threads.clamp(1, points.len()).min(available_threads()).max(1);
+    let threads = threads.min(available_threads());
     let _sweep = fedval_obs::span_with("bench.sweep", || {
-        format!("points={} threads={}", points.len(), threads)
+        format!("points={} threads={threads}", points.len())
     });
-
-    let finished: Mutex<Vec<Finished<T>>> = Mutex::new(Vec::with_capacity(points.len()));
-    let next: AtomicUsize = AtomicUsize::new(0);
-    let worker = |_: ()| loop {
-        // Relaxed suffices: work-index uniqueness needs only the RMW's
-        // atomicity, and result publication synchronizes through the
-        // `finished` mutex.
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        if index >= points.len() {
-            return;
-        }
+    // Each point's result, captured records (events plus sampled span
+    // traces) and wall time, in input order.
+    let finished = par_map(points.len(), threads, |index| {
         let start = fedval_obs::now_ns();
         let (result, records) = fedval_obs::capture(|| {
             if span_sampled(index) {
@@ -135,51 +110,17 @@ where
                 fedval_obs::with_span_records_suppressed(|| eval(&points[index]))
             }
         });
-        let dur_ns = fedval_obs::now_ns().saturating_sub(start);
-        let mut done = match finished.lock() {
-            Ok(guard) => guard,
-            // A panicking sibling poisons the lock but the Vec only ever
-            // holds complete entries; recover and keep collecting (the
-            // panic itself still propagates through the scope join).
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        done.push(Finished {
-            index,
-            result,
-            records,
-            dur_ns,
-        });
-    };
-
-    if threads == 1 {
-        worker(());
-    } else {
-        let joined = crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-        if let Err(payload) = joined {
-            // A worker panicked: surface the original panic instead of a
-            // generic poisoned-state error.
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    let mut finished = match finished.into_inner() {
-        Ok(done) => done,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    finished.sort_by_key(|f| f.index);
+        (result, records, fedval_obs::now_ns().saturating_sub(start))
+    });
 
     // Replay the per-point buffers (events + sampled span traces) in
     // input order. Counters and observations never entered the buffers —
     // they accumulated in the workers' metric shards as they happened.
     let mut results = Vec::with_capacity(finished.len());
-    for f in finished {
-        fedval_obs::replay(f.records);
-        fedval_obs::observe_ns("bench.sweep.point_ns", f.dur_ns);
-        results.push(f.result);
+    for (result, records, dur_ns) in finished {
+        fedval_obs::replay(records);
+        fedval_obs::observe_ns("bench.sweep.point_ns", dur_ns);
+        results.push(result);
     }
     fedval_obs::counter_add("bench.sweep.points", results.len() as u64);
     results
@@ -200,13 +141,16 @@ mod tests {
         assert!(run_sweep(&Vec::<u64>::new(), |&p: &u64| p, 4).is_empty());
     }
 
+    /// The sweep re-raises the failing point's own panic, not a generic
+    /// "a scoped thread panicked".
     #[test]
     fn worker_panics_propagate() {
         let points: Vec<u64> = (0..8).collect();
         let unwound = std::panic::catch_unwind(|| {
             run_sweep(&points, |&p| if p == 5 { panic!("point 5 fails") } else { p }, 4)
-        });
-        assert!(unwound.is_err(), "a panicking point must fail the sweep");
+        })
+        .expect_err("a panicking point must fail the sweep");
+        assert_eq!(unwound.downcast_ref::<&str>(), Some(&"point 5 fails"));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! The permutation estimator is **byte-identical for a fixed `(seed,
 //! samples)` at any thread count**. It draws whole player orderings in
 //! fixed-size blocks of [`PERMUTATION_BLOCK`]; block `b` owns the RNG
-//! stream `derive_seed(seed, b)` and its partial sums are folded in block
-//! order after the workers join, so the f64 addition order never depends
-//! on scheduling. This mirrors the sweep engine's capture/replay model
+//! stream `derive_seed(seed, b)`, [`par_map`] returns
+//! the blocks' partial sums in block order, and they are folded in that
+//! order, so the f64 addition order never depends on scheduling
 //! (DESIGN.md §9); obs counters are folded by the sharded registry and
 //! never feed back into results.
 //!
@@ -42,6 +42,7 @@
 use crate::coalition::PlayerId;
 use crate::error::GameError;
 use crate::game::{TableGame, WideGame};
+use crate::par::par_map;
 use crate::shapley::{normalize, player_sums};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -332,18 +333,17 @@ pub fn hoeffding_epsilon(range: f64, samples: usize, delta: f64) -> f64 {
 
 /// Runs one permutation block: `count` whole orderings drawn from the
 /// block's own RNG stream, marginal contributions accumulated into the
-/// block-local `sum`/`sum_sq`.
+/// block's own `(sum, sum_sq)` pair.
 fn permutation_block<G: WideGame + ?Sized>(
     game: &G,
     n: usize,
     seed: u64,
     block: usize,
     count: usize,
-    sum: &mut [f64],
-    sum_sq: &mut [f64],
-) {
+) -> (Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, block as u64));
     let mut order: Vec<PlayerId> = (0..n).collect();
+    let (mut sum, mut sum_sq) = (vec![0.0; n], vec![0.0; n]);
     let v_empty = game.value_members(&[]);
     for _ in 0..count {
         order.shuffle(&mut rng);
@@ -357,6 +357,7 @@ fn permutation_block<G: WideGame + ?Sized>(
     }
     fedval_obs::counter_add("coalition.approx.permutations", count as u64);
     fedval_obs::counter_add("coalition.approx.evals", (count * n) as u64);
+    (sum, sum_sq)
 }
 
 /// Permutation estimator over a [`WideGame`], block-parallel and
@@ -369,45 +370,19 @@ fn permutation_estimate<G: WideGame + ?Sized>(
     let n = game.n_players();
     let samples = cfg.samples;
     let blocks = samples.div_ceil(PERMUTATION_BLOCK);
-    let threads = cfg.threads.clamp(1, blocks);
     let _span = fedval_obs::span_with("coalition.shapley.approx", || {
         format!(
-            "method=permutation n={n} samples={samples} seed={} threads={threads}",
-            cfg.seed
+            "method=permutation n={n} samples={samples} seed={} threads={}",
+            cfg.seed, cfg.threads
         )
     });
 
     // One partial-sum pair per block, folded in block order below — the
     // fold order (hence the f64 result) is a function of `blocks` alone.
-    let mut partials: Vec<(Vec<f64>, Vec<f64>)> =
-        (0..blocks).map(|_| (vec![0.0; n], vec![0.0; n])).collect();
-    let count_of = |b: usize| {
-        if b + 1 == blocks {
-            samples - (blocks - 1) * PERMUTATION_BLOCK
-        } else {
-            PERMUTATION_BLOCK
-        }
-    };
-    let outcome = crossbeam::thread::scope(|scope| {
-        let per = blocks.div_ceil(threads);
-        let mut base = 0usize;
-        for chunk in partials.chunks_mut(per) {
-            let start = base;
-            base += chunk.len();
-            scope.spawn(move |_| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let b = start + k;
-                    permutation_block(game, n, cfg.seed, b, count_of(b), &mut slot.0, &mut slot.1);
-                }
-            });
-        }
+    let partials = par_map(blocks, cfg.threads, |b| {
+        let count = PERMUTATION_BLOCK.min(samples - b * PERMUTATION_BLOCK);
+        permutation_block(game, n, cfg.seed, b, count)
     });
-    if let Err(payload) = outcome {
-        // A worker panicked (characteristic function blew up): propagate
-        // the original panic rather than masking it with a new one.
-        std::panic::resume_unwind(payload);
-    }
-
     let mut sum = vec![0.0; n];
     let mut sum_sq = vec![0.0; n];
     for (s, q) in &partials {

@@ -13,11 +13,6 @@ use crate::coalition::{Coalition, PlayerId};
 use fedval_simplex::{ProblemError, Status};
 use std::fmt;
 
-/// Alias for [`GameError`] emphasizing its role as the crate-wide error
-/// type — construction failures (`TableGame::try_from_walk`) and solution
-/// concepts share the same variants.
-pub type CoalitionError = GameError;
-
 /// Why a coalition solution concept could not be computed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GameError {

@@ -3,6 +3,7 @@
 
 use crate::coalition::{Coalition, PlayerId};
 use crate::error::GameError;
+use crate::par::par_map;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,14 +125,15 @@ impl TableGame {
 
     /// Materializes any [`WideGame`] into a dense table — the one `2^n`
     /// builder. Every coalition is evaluated once along a Gray-code walk:
-    /// the ranks `0..2^n` split into contiguous ranges, the first walked
-    /// on the calling thread and each other on a crossbeam scoped worker,
-    /// each through [`WideGame::value_walk`] so consecutive coalitions
-    /// differ by one player. `threads` is clamped to `1..=n` and to one
-    /// walker per 256 ranks, so a table of at most 256 coalitions never
-    /// spawns. Each slot holds `value_members`' bits for its coalition at
-    /// every thread count. Adds `2^n` to the `coalition.game.evals`
-    /// counter.
+    /// the ranks `0..2^n` split into fixed blocks of 256, and
+    /// [`par_map`] walks the blocks on up to `threads`
+    /// workers, one [`WideGame::value_walk`] per block, so consecutive
+    /// coalitions differ by one player and `value_walk` runs
+    /// `⌈2^n / 256⌉` times at any thread count. A table of at most 256
+    /// coalitions is one block, walked on the calling thread. Each value
+    /// goes straight into its slot of the one `2^n` table, which holds
+    /// `value_members`' bits for every coalition at every thread count.
+    /// Adds `2^n` to the `coalition.game.evals` counter.
     ///
     /// # Errors
     /// [`GameError::TooManyPlayers`] when the game exceeds
@@ -152,21 +154,9 @@ impl TableGame {
         }
         let size = 1usize << n;
         let slots: Vec<AtomicU64> = (0..size).map(|_| AtomicU64::new(0)).collect();
-        let walkers = threads.clamp(1, n.max(1)).min(size.div_ceil(WALK_BLOCK));
-        let per = size.div_ceil(walkers);
-        let walk = |lo: usize| walk_ranks(game, &slots, lo, (lo + per).min(size));
-        let walk = &walk;
-        let outcome = crossbeam::thread::scope(|scope| {
-            for lo in (per..size).step_by(per) {
-                scope.spawn(move |_| walk(lo));
-            }
-            walk(0);
+        par_map(size.div_ceil(WALK_BLOCK), threads, |block| {
+            walk_block(game, &slots, block);
         });
-        if let Err(payload) = outcome {
-            // A worker panicked (characteristic function blew up): propagate
-            // the original panic rather than masking it with a new one.
-            std::panic::resume_unwind(payload);
-        }
         fedval_obs::counter_add("coalition.game.evals", size as u64);
         let values: Vec<f64> = slots
             .into_iter()
@@ -233,31 +223,25 @@ impl WideGame for TableGame {
 /// per block.
 const WALK_BLOCK: usize = 256;
 
-/// Stores `V` of the coalitions at Gray-code ranks `lo..hi` (rank `r` is
-/// mask `r ⊕ (r ≫ 1)`) into their slots, in blocks of [`WALK_BLOCK`]:
-/// rank `r` differs from rank `r − 1` in player `trailing_zeros(r)`
-/// alone, so a block is one `value_walk` from the coalition just before
-/// it. Ranges of different callers are disjoint, so every slot is
-/// written once. `Relaxed` suffices: a slot publishes only its own
-/// value, and joining the workers orders every store before the table is
-/// read.
-fn walk_ranks<G: WideGame + ?Sized>(game: &G, slots: &[AtomicU64], lo: usize, hi: usize) {
+/// Stores `V` of the coalitions at Gray-code ranks `block · WALK_BLOCK`
+/// up to the next block (rank `r` is mask `r ⊕ (r ≫ 1)`) into their
+/// slots with one `value_walk`: rank `r` differs from rank `r − 1` in
+/// player `trailing_zeros(r)` alone, so the walk starts at the coalition
+/// just before the block (block 0 stores `V(∅)` and starts there).
+/// Blocks are disjoint, so every slot is written once. `Relaxed`
+/// suffices: a slot publishes only its own value, and joining the
+/// workers orders every store before the table is read.
+fn walk_block<G: WideGame + ?Sized>(game: &G, slots: &[AtomicU64], block: usize) {
     let gray = |rank: usize| rank ^ (rank >> 1);
-    let mut rank = lo;
-    if rank == 0 {
+    let lo = (block * WALK_BLOCK).max(1);
+    let hi = ((block + 1) * WALK_BLOCK).min(slots.len());
+    if block == 0 {
         slots[0].store(game.value_members(&[]).to_bits(), Ordering::Relaxed);
-        rank = 1;
     }
-    while rank < hi {
-        let end = (rank + WALK_BLOCK).min(hi);
-        let start: Vec<PlayerId> = Coalition(gray(rank - 1) as u64).players().collect();
-        let toggles: Vec<PlayerId> = (rank..end)
-            .map(|r| r.trailing_zeros() as PlayerId)
-            .collect();
-        for (r, v) in (rank..end).zip(game.value_walk(&start, &toggles)) {
-            slots[gray(r)].store(v.to_bits(), Ordering::Relaxed);
-        }
-        rank = end;
+    let start: Vec<PlayerId> = Coalition(gray(lo - 1) as u64).players().collect();
+    let toggles: Vec<PlayerId> = (lo..hi).map(|r| r.trailing_zeros() as PlayerId).collect();
+    for (r, v) in (lo..hi).zip(game.value_walk(&start, &toggles)) {
+        slots[gray(r)].store(v.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -374,6 +358,60 @@ pub(crate) mod tests {
                 }
             );
             assert!(err.to_string().contains(&n.to_string()), "{err}");
+        }
+    }
+
+    /// Counts the fill's `value_walk` calls and the coalitions it
+    /// evaluates; `V(S) = |S|`.
+    #[derive(Default)]
+    struct CountingWalks {
+        n: usize,
+        walks: AtomicU64,
+        evals: AtomicU64,
+    }
+
+    impl WideGame for CountingWalks {
+        fn n_players(&self) -> usize {
+            self.n
+        }
+        fn value_members(&self, members: &[PlayerId]) -> f64 {
+            self.evals.fetch_add(1, Ordering::Relaxed);
+            members.len() as f64
+        }
+        fn value_walk(&self, start: &[PlayerId], toggles: &[PlayerId]) -> Vec<f64> {
+            self.walks.fetch_add(1, Ordering::Relaxed);
+            self.evals
+                .fetch_add(toggles.len() as u64, Ordering::Relaxed);
+            let mut inside: Vec<bool> = (0..self.n).map(|p| start.contains(&p)).collect();
+            toggles
+                .iter()
+                .map(|&p| {
+                    inside[p] = !inside[p];
+                    inside.iter().filter(|&&m| m).count() as f64
+                })
+                .collect()
+        }
+    }
+
+    /// The fill walks fixed 256-rank blocks: `⌈2^n / 256⌉` `value_walk`
+    /// calls and `2^n` evaluations whatever the thread count.
+    #[test]
+    fn fill_walks_one_block_per_256_coalitions_at_any_thread_count() {
+        for n in 1..=12 {
+            let size = 1u64 << n;
+            for threads in [1, 2, 3, 8] {
+                let game = CountingWalks {
+                    n,
+                    ..CountingWalks::default()
+                };
+                let table = TableGame::try_from_walk(&game, threads).expect("n ≤ 12 fits");
+                let label = format!("n={n} threads={threads}");
+                assert_eq!(game.walks.into_inner(), size.div_ceil(256), "{label}");
+                assert_eq!(game.evals.into_inner(), size, "{label}");
+                for c in Coalition::all(n) {
+                    assert_eq!(table.value(c), c.len() as f64, "{label}");
+                }
+            }
         }
     }
 

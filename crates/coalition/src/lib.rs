@@ -50,6 +50,7 @@ mod game;
 pub mod games;
 mod nucleolus;
 mod owen;
+mod par;
 mod properties;
 mod shapley;
 mod tau;
@@ -67,13 +68,14 @@ pub use core_solution::{
     CORE_TOL, LEAST_CORE_MAX_PLAYERS,
 };
 pub use diagnostics::{CoalitionDiagnostics, GameDiagnostics, ValueSource};
-pub use error::{CoalitionError, GameError};
+pub use error::GameError;
 pub use dividends::{
     harsanyi_dividends, shapley_from_dividends, top_synergies, values_from_dividends,
 };
 pub use game::{check_zero_normalized_empty, FnGame, TableGame, WideGame};
 pub use nucleolus::{try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
 pub use owen::{owen_value, owen_value_normalized, quotient_game};
+pub use par::{available_threads, par_map};
 pub use properties::{
     analyze, is_convex, is_essential, is_monotone, is_superadditive, GameProperties,
 };

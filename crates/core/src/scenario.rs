@@ -7,8 +7,8 @@ use crate::sharing;
 use crate::value::FederationGame;
 use fedval_coalition::{
     analyze, is_core_nonempty, normalize, shapley, shapley_auto_wide, shapley_normalized,
-    try_nucleolus, ApproxConfig, Coalition, CoalitionError, GameProperties, ShapleyEstimate,
-    TableGame, WideGame,
+    try_nucleolus, ApproxConfig, Coalition, GameError, GameProperties, ShapleyEstimate, TableGame,
+    WideGame,
 };
 use std::sync::OnceLock;
 
@@ -61,7 +61,7 @@ pub struct FederationScenario {
     cost: CostModel,
     threads: usize,
     approx: ApproxConfig,
-    table: OnceLock<Result<TableGame, CoalitionError>>,
+    table: OnceLock<Result<TableGame, GameError>>,
 }
 
 impl FederationScenario {
@@ -170,12 +170,12 @@ impl FederationScenario {
     /// callers wait for one fill.
     ///
     /// # Errors
-    /// [`CoalitionError::TooManyPlayers`] when the facility count exceeds
-    /// [`TableGame::MAX_PLAYERS`], [`CoalitionError::NonFiniteValue`] when a
+    /// [`GameError::TooManyPlayers`] when the facility count exceeds
+    /// [`TableGame::MAX_PLAYERS`], [`GameError::NonFiniteValue`] when a
     /// coalition value overflows or is NaN. The refusal is cached like a
     /// table; the proportional/consumption benchmarks — which never
     /// enumerate coalitions — keep working.
-    pub fn try_game(&self) -> Result<&TableGame, CoalitionError> {
+    pub fn try_game(&self) -> Result<&TableGame, GameError> {
         self.table
             .get_or_init(|| {
                 let _span = fedval_obs::span_with("core.scenario.table_build", || {
@@ -187,7 +187,7 @@ impl FederationScenario {
                 )
             })
             .as_ref()
-            .map_err(CoalitionError::clone)
+            .map_err(GameError::clone)
     }
 
     /// The coalition-value table if a fill (or
@@ -229,12 +229,12 @@ impl FederationScenario {
     /// byte-identical per seed at any thread count.
     ///
     /// # Errors
-    /// [`CoalitionError::NoPlayers`] / [`CoalitionError::NoSamples`] /
-    /// [`CoalitionError::BadConfidence`] for malformed inputs, as
+    /// [`GameError::NoPlayers`] / [`GameError::NoSamples`] /
+    /// [`GameError::BadConfidence`] for malformed inputs, as
     /// [`try_game`](FederationScenario::try_game) on the exact path, and
-    /// [`CoalitionError::TooManyPlayers`] past the sampled path's own
+    /// [`GameError::TooManyPlayers`] past the sampled path's own
     /// sanity cap ([`fedval_coalition::MAX_SAMPLED_PLAYERS`]).
-    pub fn shapley_estimate(&self) -> Result<ShapleyEstimate, CoalitionError> {
+    pub fn shapley_estimate(&self) -> Result<ShapleyEstimate, GameError> {
         let cfg = ApproxConfig {
             threads: self.threads,
             ..self.approx
@@ -242,7 +242,7 @@ impl FederationScenario {
         let n = self.facilities.len();
         if !cfg.selects_sampling(n) {
             if n == 0 {
-                return Err(CoalitionError::NoPlayers);
+                return Err(GameError::NoPlayers);
             }
             cfg.validate()?;
             return Ok(ShapleyEstimate::Exact(shapley(self.try_game()?)));
@@ -255,12 +255,12 @@ impl FederationScenario {
         shapley_auto_wide(&FederationGame::new(&self.facilities, &self.demand), &cfg)
     }
 
-    /// Normalized shares from [`shapley_estimate`]
+    /// Normalized shares from [`shapley_estimate`](Self::shapley_estimate)
     /// (ϕ̂ᵢ = ϕᵢ / V(N), eq. 5), exact or sampled.
     ///
     /// # Errors
     /// As [`shapley_estimate`](FederationScenario::shapley_estimate).
-    pub fn shapley_shares_estimated(&self) -> Result<Vec<f64>, CoalitionError> {
+    pub fn shapley_shares_estimated(&self) -> Result<Vec<f64>, GameError> {
         match self.shapley_estimate()? {
             // The exact path always has a table (it just used it).
             ShapleyEstimate::Exact(phi) => Ok(normalize(phi, self.try_game()?.grand_value())),
@@ -307,7 +307,7 @@ impl FederationScenario {
 
 /// The one panic point of the scenario's infallible accessors: their
 /// callers stay inside the exact caps named on [`FederationScenario`].
-fn solved<T>(accessor: &str, result: Result<T, CoalitionError>) -> T {
+fn solved<T>(accessor: &str, result: Result<T, GameError>) -> T {
     match result {
         Ok(value) => value,
         #[expect(
@@ -476,7 +476,7 @@ mod tests {
         .with_threads(2);
         let err = s.try_game().expect_err("inf values must not make a table");
         assert!(
-            matches!(err, CoalitionError::NonFiniteValue { coalition, value }
+            matches!(err, GameError::NonFiniteValue { coalition, value }
                 if coalition == Coalition::singleton(0) && value == f64::INFINITY),
             "{err:?}"
         );
@@ -510,7 +510,7 @@ mod tests {
             Demand::one_experiment(ExperimentClass::simple("e", 1.0, 1.0)),
         );
         let err = s.try_game().expect_err("26 facilities must not materialize");
-        assert!(matches!(err, CoalitionError::TooManyPlayers { n: 26, .. }));
+        assert!(matches!(err, GameError::TooManyPlayers { n: 26, .. }));
         // Non-enumerating benchmarks keep working on the same scenario.
         let pi = s.proportional_shares();
         assert_eq!(pi.len(), 26);

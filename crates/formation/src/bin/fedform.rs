@@ -11,7 +11,7 @@
     reason = "a command-line tool reports on stdout and stderr"
 )]
 
-use fedval_coalition::ApproxConfig;
+use fedval_coalition::{available_threads, ApproxConfig};
 use fedval_form::{ChurnSchedule, FormationConfig, FormationEngine, FormationGame};
 use fedval_obs::FileSink;
 use fedval_policy::try_policy_report;
@@ -50,17 +50,13 @@ impl Default for Options {
             neutral_budget: 32,
             initial: None,
             departures: None,
-            threads: default_threads(),
+            threads: available_threads(),
             approx_samples: 64,
             report: false,
             trace: None,
             metrics: false,
         }
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 const USAGE: &str = "usage: fedform [options]

@@ -2,16 +2,15 @@
 //!
 //! Merge/split rounds ask for many coalition values at once. The oracle
 //! wraps any [`WideGame`] with a `BTreeMap` memo (keyed by the sorted
-//! member list) behind an [`OrderedMutex`], and evaluates batches across
-//! worker threads with the PR 4 fold discipline: each query owns a
-//! disjoint output slot indexed by its input position, so the returned
-//! vector — and every decision made from it — is a pure function of the
-//! queries, independent of thread count and scheduling. Cache hit/miss
-//! *counters* are scheduling-dependent (two threads may race to the same
-//! miss) and are therefore only ever reported through observability,
-//! never folded into deterministic output.
+//! member list) behind an [`OrderedMutex`], and evaluates batches with
+//! [`par_map`], which returns each query's value at its input position,
+//! so the returned vector — and every decision made from it — is a pure
+//! function of the queries, independent of thread count and scheduling.
+//! Cache hit/miss *counters* are scheduling-dependent (two threads may
+//! race to the same miss) and are therefore only ever reported through
+//! observability, never folded into deterministic output.
 
-use fedval_coalition::{PlayerId, WideGame};
+use fedval_coalition::{par_map, PlayerId, WideGame};
 use fedval_obs::lockorder::OrderedMutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,35 +61,11 @@ impl<'g, G: WideGame + ?Sized> ValueOracle<'g, G> {
     }
 
     /// Evaluates every query, returning values in **input order** — the
-    /// deterministic contract. Work is chunked across up to `threads`
-    /// workers writing disjoint slots; a worker panic (characteristic
-    /// function blew up) is propagated, not masked.
+    /// deterministic contract — on up to `threads` workers through
+    /// [`par_map`]. A query whose characteristic function panics re-raises
+    /// that panic's own payload.
     pub fn eval_batch(&self, queries: &[Vec<PlayerId>], threads: usize) -> Vec<f64> {
-        let mut out = vec![0.0_f64; queries.len()];
-        if queries.is_empty() {
-            return out;
-        }
-        let workers = threads.clamp(1, queries.len());
-        if workers == 1 {
-            for (slot, q) in out.iter_mut().zip(queries) {
-                *slot = self.value(q);
-            }
-            return out;
-        }
-        let per = queries.len().div_ceil(workers);
-        let outcome = crossbeam::thread::scope(|scope| {
-            for (slots, qs) in out.chunks_mut(per).zip(queries.chunks(per)) {
-                scope.spawn(move |_| {
-                    for (slot, q) in slots.iter_mut().zip(qs) {
-                        *slot = self.value(q);
-                    }
-                });
-            }
-        });
-        if let Err(payload) = outcome {
-            std::panic::resume_unwind(payload);
-        }
-        out
+        par_map(queries.len(), threads, |i| self.value(&queries[i]))
     }
 
     /// `(hits, misses)` so far. Scheduling-dependent under parallel

@@ -20,7 +20,7 @@
 //! println!("{}", report.render());
 //! let phi = SharingScheme::Shapley.shares(&scenario);
 //! assert!((phi[1] - 2.0 / 13.0).abs() < 1e-12);
-//! # Ok::<(), fedval_coalition::CoalitionError>(())
+//! # Ok::<(), fedval_coalition::GameError>(())
 //! ```
 
 mod compare;

@@ -3,7 +3,7 @@
 use crate::compare::{compare_schemes, SchemeAssessment};
 use crate::scheme::SharingScheme;
 use fedval_coalition::{
-    is_core_nonempty, normalize, ApproxShapley, CoalitionError, GameDiagnostics, ShapleyEstimate,
+    is_core_nonempty, normalize, ApproxShapley, GameDiagnostics, GameError, ShapleyEstimate,
     WideGame, NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::FederationScenario;
@@ -82,10 +82,10 @@ const DISTANCE_TIE: f64 = 1e-9;
 ///
 /// The table fill and the least core run first, through the fallible
 /// calls: a closed-form game with non-finite values fails the fill with
-/// [`CoalitionError::NonFiniteValue`], and a measured one fails the least
-/// core with [`CoalitionError::MalformedLp`], before any of the
+/// [`GameError::NonFiniteValue`], and a measured one fails the least
+/// core with [`GameError::MalformedLp`], before any of the
 /// scenario's infallible accessors could panic on it.
-fn exact_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
+fn exact_report(scenario: &FederationScenario) -> Result<PolicyReport, GameError> {
     let _report_span = fedval_obs::span("policy.report.build");
     let (props, core_nonempty) = {
         let _span = fedval_obs::span("policy.report.properties");
@@ -122,13 +122,13 @@ fn exact_report(scenario: &FederationScenario) -> Result<PolicyReport, Coalition
 /// is omitted (its LP is exponential in `n`).
 ///
 /// # Errors
-/// Propagates [`CoalitionError`]s from the estimator (malformed sampling
+/// Propagates [`GameError`]s from the estimator (malformed sampling
 /// configuration, more players than even the sampled path supports, or
-/// [`CoalitionError::NonFiniteEstimate`] when a sampled value is NaN or
-/// infinite); on the exact path, [`CoalitionError::NonFiniteValue`] from the
-/// scenario's table fill, and [`CoalitionError::MalformedLp`] from the
+/// [`GameError::NonFiniteEstimate`] when a sampled value is NaN or
+/// infinite); on the exact path, [`GameError::NonFiniteValue`] from the
+/// scenario's table fill, and [`GameError::MalformedLp`] from the
 /// least core, when a coalition value is NaN or infinite.
-pub fn try_policy_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
+pub fn try_policy_report(scenario: &FederationScenario) -> Result<PolicyReport, GameError> {
     let n = scenario.facilities().len();
     if !scenario.approx_config().force && n <= NUCLEOLUS_MAX_PLAYERS {
         return exact_report(scenario);
@@ -146,14 +146,14 @@ pub fn try_policy_report(scenario: &FederationScenario) -> Result<PolicyReport, 
 pub fn try_policy_report_measured(
     scenario: &FederationScenario,
     diagnostics: GameDiagnostics,
-) -> Result<PolicyReport, CoalitionError> {
+) -> Result<PolicyReport, GameError> {
     let mut report = try_policy_report(scenario)?;
     report.measurement = Some(diagnostics);
     Ok(report)
 }
 
 /// The degraded (no-enumeration) report path.
-fn approx_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
+fn approx_report(scenario: &FederationScenario) -> Result<PolicyReport, GameError> {
     let _report_span = fedval_obs::span("policy.report.build_approx");
     let n = scenario.facilities().len();
     let (shapley_shares, approx, grand_value) = match scenario.shapley_estimate()? {

@@ -96,7 +96,7 @@ fn usage() -> &'static str {
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         addr: "127.0.0.1:7411".to_string(),
-        threads: fedval_serve::server::available_threads(),
+        threads: fedval_coalition::available_threads(),
         queue_depth: 1024,
         deadline_ms: 2_000,
         max_connections: 256,

@@ -97,7 +97,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            threads: available_threads(),
+            threads: fedval_coalition::available_threads(),
             queue_depth: 1024,
             deadline: Duration::from_millis(2_000),
             max_connections: 256,
@@ -108,13 +108,6 @@ impl Default for ServerConfig {
             slow_trace: Duration::from_millis(250),
         }
     }
-}
-
-/// Worker threads the hardware offers, floor 1.
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Samples the ring holds (~2 minutes at the 1 Hz sample interval).
@@ -948,38 +941,31 @@ fn process(shared: &Shared, job: Job) {
     fedval_obs::observe_ns("serve.request_ns", total_ns);
 }
 
-/// Bumps the per-kind request counter (static names: `counter_add`
-/// requires `&'static str`).
-fn counter_for_kind(kind: &QueryKind) {
-    let name = match kind {
-        QueryKind::CoalitionValue { .. } => "serve.req.coalition_value",
-        QueryKind::Shapley => "serve.req.shapley",
-        QueryKind::Nucleolus => "serve.req.nucleolus",
-        QueryKind::WhatIfJoin { .. } => "serve.req.what_if_join",
-        QueryKind::WhatIfLeave { .. } => "serve.req.what_if_leave",
-        QueryKind::Health => "serve.req.health",
-        QueryKind::Stats => "serve.req.stats",
-        QueryKind::Metrics => "serve.req.metrics",
-        QueryKind::Shutdown => "serve.req.shutdown",
-        QueryKind::ChaosPanic => "serve.req.chaos_panic",
-    };
-    fedval_obs::counter_add(name, 1);
-}
-
-/// Per-kind request-counter names, in payload order. One list shared
-/// by [`stats_payload`] so adding a kind cannot silently drop it from
-/// `stats`.
-const REQ_KIND_COUNTERS: [(&str, &str); 9] = [
-    ("coalition_value", "serve.req.coalition_value"),
+/// The per-kind request counters, by wire name. `stats` lists every
+/// one but `chaos-panic`'s, in this order, labelled by the counter name
+/// past `serve.req.`.
+const REQ_KIND_COUNTERS: [(&str, &str); 10] = [
+    ("coalition-value", "serve.req.coalition_value"),
     ("shapley", "serve.req.shapley"),
     ("nucleolus", "serve.req.nucleolus"),
-    ("what_if_join", "serve.req.what_if_join"),
-    ("what_if_leave", "serve.req.what_if_leave"),
+    ("what-if-join", "serve.req.what_if_join"),
+    ("what-if-leave", "serve.req.what_if_leave"),
     ("health", "serve.req.health"),
     ("stats", "serve.req.stats"),
     ("metrics", "serve.req.metrics"),
     ("shutdown", "serve.req.shutdown"),
+    ("chaos-panic", "serve.req.chaos_panic"),
 ];
+
+/// Bumps the per-kind request counter.
+fn counter_for_kind(kind: &QueryKind) {
+    if let Some((_, counter)) = REQ_KIND_COUNTERS
+        .iter()
+        .find(|(name, _)| *name == kind.name())
+    {
+        fedval_obs::counter_add(counter, 1);
+    }
+}
 
 fn stats_payload(shared: &Shared) -> String {
     let stats = &shared.stats;
@@ -993,7 +979,11 @@ fn stats_payload(shared: &Shared) -> String {
     let fold = fedval_obs::metrics_fold();
     let per_kind: Vec<String> = REQ_KIND_COUNTERS
         .iter()
-        .map(|(label, counter)| format!("\"{label}\":{}", fold.counter(counter)))
+        .filter(|(name, _)| *name != QueryKind::ChaosPanic.name())
+        .map(|(_, counter)| {
+            let label = counter.trim_start_matches("serve.req.");
+            format!("\"{label}\":{}", fold.counter(counter))
+        })
         .collect();
     // Past the exact cap (or under `--approx`) share queries run the
     // sampled estimator; stats must say so, with the budget actually
@@ -1074,6 +1064,31 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).expect("recv");
         line.trim_end().to_string()
+    }
+
+    /// Each query kind's wire name has a request counter, so none goes
+    /// uncounted.
+    #[test]
+    fn every_query_kind_has_a_request_counter() {
+        let kinds = [
+            QueryKind::CoalitionValue {
+                coalition: Vec::new(),
+            },
+            QueryKind::Shapley,
+            QueryKind::Nucleolus,
+            QueryKind::WhatIfJoin {
+                locations: 1,
+                capacity: 1,
+            },
+            QueryKind::WhatIfLeave { player: 0 },
+            QueryKind::Health,
+            QueryKind::Stats,
+            QueryKind::Metrics,
+            QueryKind::Shutdown,
+            QueryKind::ChaosPanic,
+        ];
+        let names: Vec<&str> = REQ_KIND_COUNTERS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, kinds.iter().map(QueryKind::name).collect::<Vec<_>>());
     }
 
     #[test]

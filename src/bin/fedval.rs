@@ -17,7 +17,7 @@
     reason = "a command-line tool reports on stdout and stderr"
 )]
 
-use fedval::coalition::{hoeffding_samples, normalize, NUCLEOLUS_MAX_PLAYERS};
+use fedval::coalition::{available_threads, hoeffding_samples, normalize, NUCLEOLUS_MAX_PLAYERS};
 use fedval::policy::try_policy_report;
 use fedval::testbed::ScenarioArgs;
 use fedval::{
@@ -88,22 +88,14 @@ fn usage() -> &'static str {
                                 wins over --epsilon when both are given\n"
 }
 
-/// Default worker-thread count: the available hardware parallelism
-/// (floor 1). Shares are identical for any thread count — the repro
-/// suite diffs t=1 against t=4 to enforce it — so defaulting to the
-/// hardware is free throughput. `--threads` overrides.
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         command: args.first().cloned().ok_or_else(|| usage().to_string())?,
         scenario: ScenarioArgs::default(),
         scheme: "shapley".to_string(),
-        threads: default_threads(),
+        // Shares are identical at any thread count, so the hardware's
+        // parallelism is a free default; `--threads` overrides it.
+        threads: available_threads(),
         trace: None,
         metrics: false,
     };
@@ -416,8 +408,8 @@ mod tests {
 
     #[test]
     fn parses_threads_flag() {
-        assert_eq!(parse(&args(&["shares"])).unwrap().threads, default_threads());
-        assert!(default_threads() >= 1);
+        assert_eq!(parse(&args(&["shares"])).unwrap().threads, available_threads());
+        assert!(available_threads() >= 1);
         let opts = parse(&args(&["shares", "--threads", "4"])).unwrap();
         assert_eq!(opts.threads, 4);
         assert!(parse(&args(&["shares", "--threads", "0"])).is_err());
