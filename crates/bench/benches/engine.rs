@@ -262,7 +262,13 @@ fn bench_market(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(1500));
     let facilities = paper_facilities([4, 4, 4]);
     let bids: Vec<Bid> = (0..200)
-        .map(|i| Bid::new(format!("b{i}"), 1 + (i * 13) % 700, 10.0 + (i * 7 % 90) as f64))
+        .map(|i| {
+            Bid::new(
+                format!("b{i}"),
+                1 + (i * 13) % 700,
+                10.0 + (i * 7 % 90) as f64,
+            )
+        })
         .collect();
     group.bench_function("combinatorial_200_bids", |b| {
         b.iter(|| black_box(run_combinatorial_auction(&facilities, &bids)))

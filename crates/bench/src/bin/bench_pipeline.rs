@@ -278,7 +278,11 @@ fn sweep_figures() -> Vec<Figure> {
 /// six series come in ϕ/π pairs, one pair per threshold).
 fn fig_points(fig: &Figure) -> u64 {
     let xs = fig.series.first().map_or(0, |s| s.points.len());
-    let curves = if fig.id == "fig9" { fig.series.len() / 2 } else { 1 };
+    let curves = if fig.id == "fig9" {
+        fig.series.len() / 2
+    } else {
+        1
+    };
     (xs * curves) as u64
 }
 
@@ -323,7 +327,9 @@ fn run_sweep_legs(parallel_threads: usize) -> SweepSummary {
         points: sequential.iter().map(fig_points).sum(),
         thread_invariant,
         parallel_threads,
-        parallel_workers: parallel_threads.min(fedval_coalition::available_threads()).max(1),
+        parallel_workers: parallel_threads
+            .min(fedval_coalition::available_threads())
+            .max(1),
         sequential_wall_ns,
         parallel_wall_ns,
     }
@@ -619,7 +625,12 @@ fn timing_section(
         sweep.sequential_wall_ns,
         false,
     );
-    push_kv_u64(&mut out, "sweep.parallel_wall_ns", sweep.parallel_wall_ns, false);
+    push_kv_u64(
+        &mut out,
+        "sweep.parallel_wall_ns",
+        sweep.parallel_wall_ns,
+        false,
+    );
     push_kv_u64(
         &mut out,
         "sweep.parallel_threads",
@@ -735,7 +746,10 @@ fn main() -> ExitCode {
         let existing = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) => {
-                eprintln!("bench_pipeline --check: cannot read {}: {e}", path.display());
+                eprintln!(
+                    "bench_pipeline --check: cannot read {}: {e}",
+                    path.display()
+                );
                 return ExitCode::FAILURE;
             }
         };

@@ -43,14 +43,11 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
     // --csv DIR: additionally write every generated figure as CSV.
-    let csv_dir: Option<String> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .map(|pos| {
-            let dir = args.get(pos + 1).cloned().unwrap_or_else(|| ".".into());
-            args.drain(pos..=(pos + 1).min(args.len() - 1));
-            dir
-        });
+    let csv_dir: Option<String> = args.iter().position(|a| a == "--csv").map(|pos| {
+        let dir = args.get(pos + 1).cloned().unwrap_or_else(|| ".".into());
+        args.drain(pos..=(pos + 1).min(args.len() - 1));
+        dir
+    });
     // --svg DIR: additionally render every generated figure as SVG.
     let svg_dir: Option<String> = args.iter().position(|a| a == "--svg").map(|pos| {
         let dir = args.get(pos + 1).cloned().unwrap_or_else(|| ".".into());
@@ -100,8 +97,7 @@ fn main() -> ExitCode {
         }
         // Extension experiments print when asked for explicitly or with
         // "extras"/"all".
-        let want_extras =
-            |id: &str| args.iter().any(|a| a == id || a == "extras" || a == "all");
+        let want_extras = |id: &str| args.iter().any(|a| a == id || a == "extras" || a == "all");
         for fig in fedval_bench::all_extras() {
             if want_extras(fig.id) {
                 println!("{}", fig.render());

@@ -115,7 +115,9 @@ pub fn check_table_e1(t: &WorkedExample) -> CheckResult {
     r.assert("V(N) = 1300", close_opt(v("{1,2,3}"), 1300.0, 1e-12));
     r.assert(
         "phi_hat_2 = 2/13 (the paper's headline number)",
-        t.shapley_hat.get(1).is_some_and(|&x| close(x, 2.0 / 13.0, 1e-12)),
+        t.shapley_hat
+            .get(1)
+            .is_some_and(|&x| close(x, 2.0 / 13.0, 1e-12)),
     );
     r.assert(
         "pi_hat_2 = 4/13",
@@ -243,9 +245,7 @@ pub fn check_fig6(fig: &Figure) -> CheckResult {
     );
     r.assert(
         "the diversity-rich facility 3 gains most at high thresholds",
-        phi(3, 600.0)
-            .zip(phi(1, 600.0))
-            .is_some_and(|(a, b)| a > b),
+        phi(3, 600.0).zip(phi(1, 600.0)).is_some_and(|(a, b)| a > b),
     );
     r
 }

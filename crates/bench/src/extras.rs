@@ -87,12 +87,8 @@ pub fn ext3_dynamic_multiplexing() -> Figure {
     let mut phi3 = Series::new("dynamic phi_hat_3");
     let mut blocking = Series::new("grand blocking");
     for &scale in &[4.0, 2.0, 1.0, 0.5, 0.25, 0.125] {
-        let demand = DynamicDemand::single(
-            ExperimentClass::simple("e", 500.0, 1.0),
-            2.0,
-            1.0,
-        )
-        .with_holding_scale(scale);
+        let demand = DynamicDemand::single(ExperimentClass::simple("e", 500.0, 1.0), 2.0, 1.0)
+            .with_holding_scale(scale);
         let game = DynamicFederationGame::new(&facilities, &demand);
         let table = TableGame::try_from_walk(&game, 1).expect("3 facilities");
         let shares = shapley_normalized(&table);
@@ -171,10 +167,8 @@ pub fn ext5_static_vs_measured() -> Figure {
 
     // Static route (same slot geometry).
     let facilities = paper_facilities_with_locations([8, 5, 3], [6, 4, 2]);
-    let static_scenario = FederationScenario::new(
-        facilities,
-        Demand::capacity_filling(class.clone()),
-    );
+    let static_scenario =
+        FederationScenario::new(facilities, Demand::capacity_filling(class.clone()));
     let static_phi = static_scenario.shapley_shares();
 
     let mut series: Vec<Series> = (1..=3)
@@ -264,11 +258,7 @@ mod tests {
         let fig = ext5_static_vs_measured();
         for i in 1..=3 {
             let measured = fig.series(&format!("measured phi_hat_{i}")).unwrap();
-            let expected = fig
-                .series(&format!("static phi_hat_{i}"))
-                .unwrap()
-                .points[0]
-                .1;
+            let expected = fig.series(&format!("static phi_hat_{i}")).unwrap().points[0].1;
             for &(seed, y) in &measured.points {
                 assert!(
                     (y - expected).abs() < 0.25,
@@ -276,8 +266,8 @@ mod tests {
                 );
             }
             // And on average across seeds, tighter agreement.
-            let mean: f64 = measured.points.iter().map(|&(_, y)| y).sum::<f64>()
-                / measured.points.len() as f64;
+            let mean: f64 =
+                measured.points.iter().map(|&(_, y)| y).sum::<f64>() / measured.points.len() as f64;
             assert!(
                 (mean - expected).abs() < 0.15,
                 "facility {i}: mean {mean} vs static {expected}"

@@ -70,7 +70,9 @@ impl Figure {
         let _ = writeln!(
             out,
             r#"<text x="{}" y="24" font-family="sans-serif" font-size="16" font-weight="bold">{} — {}</text>"#,
-            MARGIN_LEFT, self.id, xml_escape(self.title)
+            MARGIN_LEFT,
+            self.id,
+            xml_escape(self.title)
         );
 
         let plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT;
@@ -161,7 +163,9 @@ impl Figure {
 }
 
 fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 fn format_tick(v: f64) -> String {

@@ -147,7 +147,11 @@ mod tests {
     fn worker_panics_propagate() {
         let points: Vec<u64> = (0..8).collect();
         let unwound = std::panic::catch_unwind(|| {
-            run_sweep(&points, |&p| if p == 5 { panic!("point 5 fails") } else { p }, 4)
+            run_sweep(
+                &points,
+                |&p| if p == 5 { panic!("point 5 fails") } else { p },
+                4,
+            )
         })
         .expect_err("a panicking point must fail the sweep");
         assert_eq!(unwound.downcast_ref::<&str>(), Some(&"point 5 fails"));

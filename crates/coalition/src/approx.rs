@@ -163,9 +163,10 @@ impl ApproxShapley {
     /// zero-variance players).
     pub fn contains(&self, exact: &[f64], tol: f64) -> bool {
         exact.len() == self.phi.len()
-            && exact.iter().enumerate().all(|(i, &e)| {
-                (e - self.phi[i]).abs() <= self.ci_half_width[i] + tol
-            })
+            && exact
+                .iter()
+                .enumerate()
+                .all(|(i, &e)| (e - self.phi[i]).abs() <= self.ci_half_width[i] + tol)
     }
 
     /// Largest per-player CI half-width — the headline error number.
@@ -688,7 +689,10 @@ mod tests {
         let oversized = WideAdditive(MAX_SAMPLED_PLAYERS + 1);
         assert!(matches!(
             try_approx_shapley_wide(&oversized, &ApproxConfig::default()),
-            Err(GameError::TooManyPlayers { solver: "approx_shapley", .. })
+            Err(GameError::TooManyPlayers {
+                solver: "approx_shapley",
+                ..
+            })
         ));
     }
 

@@ -304,7 +304,10 @@ mod tests {
         let g = FnGame::new(3, |c: Coalition| if c.len() == 2 { f64::NAN } else { 1.0 });
         assert!(matches!(
             try_least_core(&g),
-            Err(GameError::MalformedLp { context: "least core", .. })
+            Err(GameError::MalformedLp {
+                context: "least core",
+                ..
+            })
         ));
     }
 

@@ -84,7 +84,10 @@ impl CoalitionDiagnostics {
             fields.push(("fallback_mask".to_string(), t.0.to_string()));
         }
         if self.faults_injected > 0 {
-            fields.push(("faults_injected".to_string(), self.faults_injected.to_string()));
+            fields.push((
+                "faults_injected".to_string(),
+                self.faults_injected.to_string(),
+            ));
         }
         if self.credential_retries > 0 {
             fields.push((
@@ -139,9 +142,9 @@ impl GameDiagnostics {
 
     /// Whether every value was measured with no faults and no retries.
     pub fn is_clean(&self) -> bool {
-        self.per_coalition.iter().all(|d| {
-            !d.source.is_fallback() && d.faults_injected == 0 && d.credential_retries == 0
-        })
+        self.per_coalition
+            .iter()
+            .all(|d| !d.source.is_fallback() && d.faults_injected == 0 && d.credential_retries == 0)
     }
 
     /// One-line human-readable summary, e.g. for a policy report.
@@ -163,7 +166,9 @@ mod tests {
     #[test]
     fn clean_record_is_clean() {
         let d = GameDiagnostics {
-            per_coalition: (0..4u64).map(|m| CoalitionDiagnostics::clean(Coalition(m))).collect(),
+            per_coalition: (0..4u64)
+                .map(|m| CoalitionDiagnostics::clean(Coalition(m)))
+                .collect(),
         };
         assert!(d.is_clean());
         assert_eq!(d.fallbacks_used(), 0);
@@ -172,8 +177,9 @@ mod tests {
 
     #[test]
     fn fallbacks_and_counters_are_tallied() {
-        let mut records: Vec<CoalitionDiagnostics> =
-            (0..4u64).map(|m| CoalitionDiagnostics::clean(Coalition(m))).collect();
+        let mut records: Vec<CoalitionDiagnostics> = (0..4u64)
+            .map(|m| CoalitionDiagnostics::clean(Coalition(m)))
+            .collect();
         records[3].source = ValueSource::SubCoalitionFallback(Coalition(1));
         records[3].error = Some("simulation wedged".into());
         records[2].faults_injected = 2;

@@ -148,10 +148,16 @@ impl fmt::Display for GameError {
                 write!(f, "{context}: internal LP malformed: {source}")
             }
             GameError::LpNotOptimal { context, status } => {
-                write!(f, "{context}: internal LP ended {status:?} instead of optimal")
+                write!(
+                    f,
+                    "{context}: internal LP ended {status:?} instead of optimal"
+                )
             }
             GameError::NumericallyStuck { context } => {
-                write!(f, "{context}: no progress between iterations (numerical degeneracy)")
+                write!(
+                    f,
+                    "{context}: no progress between iterations (numerical degeneracy)"
+                )
             }
         }
     }

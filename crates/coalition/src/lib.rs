@@ -64,14 +64,14 @@ pub use approx::{
 pub use balancedness::{is_balanced, try_balancedness, Balancedness};
 pub use coalition::{Coalition, PlayerId, Players, Subsets, MAX_PLAYERS};
 pub use core_solution::{
-    excess, is_core_nonempty, is_in_core, is_in_epsilon_core, try_least_core, LeastCore,
-    CORE_TOL, LEAST_CORE_MAX_PLAYERS,
+    excess, is_core_nonempty, is_in_core, is_in_epsilon_core, try_least_core, LeastCore, CORE_TOL,
+    LEAST_CORE_MAX_PLAYERS,
 };
 pub use diagnostics::{CoalitionDiagnostics, GameDiagnostics, ValueSource};
-pub use error::GameError;
 pub use dividends::{
     harsanyi_dividends, shapley_from_dividends, top_synergies, values_from_dividends,
 };
+pub use error::GameError;
 pub use game::{check_zero_normalized_empty, FnGame, TableGame, WideGame};
 pub use nucleolus::{try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
 pub use owen::{owen_value, owen_value_normalized, quotient_game};

@@ -244,10 +244,16 @@ mod tests {
 
     #[test]
     fn try_nucleolus_reports_nonfinite_games() {
-        let g = FnGame::new(3, |c: Coalition| if c.len() == 1 { f64::INFINITY } else { 0.0 });
+        let g = FnGame::new(
+            3,
+            |c: Coalition| if c.len() == 1 { f64::INFINITY } else { 0.0 },
+        );
         assert!(matches!(
             try_nucleolus(&g),
-            Err(GameError::MalformedLp { context: "nucleolus stage", .. })
+            Err(GameError::MalformedLp {
+                context: "nucleolus stage",
+                ..
+            })
         ));
     }
 

@@ -127,7 +127,10 @@ impl std::fmt::Display for SolveError {
             }
             SolveError::SearchTooLarge => write!(f, "admission grid search too large"),
             SolveError::TooManyLocations { n, max } => {
-                write!(f, "instance has {n} locations; exhaustive solver supports {max}")
+                write!(
+                    f,
+                    "instance has {n} locations; exhaustive solver supports {max}"
+                )
             }
             SolveError::ExperimentBudgetExceeded { requested, max } => {
                 write!(

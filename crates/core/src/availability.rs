@@ -42,7 +42,10 @@ impl fmt::Display for AvailabilityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AvailabilityError::LengthMismatch { expected, actual } => {
-                write!(f, "availability vector has {actual} entries for {expected} players")
+                write!(
+                    f,
+                    "availability vector has {actual} entries for {expected} players"
+                )
             }
             AvailabilityError::OutOfRange { index, value } => {
                 write!(f, "availability[{index}] = {value} is outside (0, 1]")

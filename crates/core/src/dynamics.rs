@@ -168,7 +168,10 @@ impl<'a> DynamicFederationGame<'a> {
         }
         let profile = coalition_profile(members);
         let locations = profile.n_locations();
-        assert!(locations <= 512, "PerLocation mode limited to 512 locations");
+        assert!(
+            locations <= 512,
+            "PerLocation mode limited to 512 locations"
+        );
         // One link per location, largest capacities first (routes take
         // prefixes of this list).
         let mut capacities: Vec<u64> = Vec::with_capacity(locations as usize);

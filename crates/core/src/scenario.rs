@@ -509,7 +509,9 @@ mod tests {
             facilities,
             Demand::one_experiment(ExperimentClass::simple("e", 1.0, 1.0)),
         );
-        let err = s.try_game().expect_err("26 facilities must not materialize");
+        let err = s
+            .try_game()
+            .expect_err("26 facilities must not materialize");
         assert!(matches!(err, GameError::TooManyPlayers { n: 26, .. }));
         // Non-enumerating benchmarks keep working on the same scenario.
         let pi = s.proportional_shares();

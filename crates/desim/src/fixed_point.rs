@@ -114,13 +114,7 @@ pub fn erlang_fixed_point(capacities: &[u64], routes: &[Route]) -> FixedPoint {
     }
     let route_blocking = routes
         .iter()
-        .map(|r| {
-            1.0 - r
-                .links
-                .iter()
-                .map(|&l| 1.0 - blocking[l])
-                .product::<f64>()
-        })
+        .map(|r| 1.0 - r.links.iter().map(|&l| 1.0 - blocking[l]).product::<f64>())
         .collect();
     FixedPoint {
         link_blocking: blocking,
@@ -153,10 +147,7 @@ mod tests {
     fn longer_routes_block_more() {
         // Same load, uniform links: a 3-link route sees ≈ 3× the blocking
         // of a 1-link route at small B.
-        let routes = vec![
-            Route::new(vec![0], 1.0),
-            Route::new(vec![1, 2, 3], 1.0),
-        ];
+        let routes = vec![Route::new(vec![0], 1.0), Route::new(vec![1, 2, 3], 1.0)];
         let fp = erlang_fixed_point(&[3, 3, 3, 3], &routes);
         assert!(fp.route_blocking[1] > fp.route_blocking[0]);
     }
@@ -182,10 +173,7 @@ mod tests {
         use crate::rng::{Distribution, Exponential, SimRng};
         use crate::Simulator;
         let capacities = [3u64, 4, 3];
-        let routes = [
-            Route::new(vec![0, 1], 1.2),
-            Route::new(vec![1, 2], 1.5),
-        ];
+        let routes = [Route::new(vec![0, 1], 1.2), Route::new(vec![1, 2], 1.5)];
         let fp = erlang_fixed_point(&capacities, &routes);
         assert!(fp.converged);
 

@@ -99,7 +99,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--synthetic" => (opts.n, opts.scenario_seed) = parse_synthetic(value)?,
             "--seed" => opts.seed = value.parse().map_err(|_| format!("bad --seed: {value}"))?,
             "--rounds" => {
-                opts.rounds = value.parse().map_err(|_| format!("bad --rounds: {value}"))?;
+                opts.rounds = value
+                    .parse()
+                    .map_err(|_| format!("bad --rounds: {value}"))?;
             }
             "--round-dt" => {
                 opts.round_dt = value
@@ -122,7 +124,11 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| format!("bad --neutral-budget: {value}"))?;
             }
             "--initial" => {
-                opts.initial = Some(value.parse().map_err(|_| format!("bad --initial: {value}"))?);
+                opts.initial = Some(
+                    value
+                        .parse()
+                        .map_err(|_| format!("bad --initial: {value}"))?,
+                );
             }
             "--departures" => {
                 opts.departures = Some(
@@ -132,7 +138,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--threads" => {
-                let t: usize = value.parse().map_err(|_| format!("bad --threads: {value}"))?;
+                let t: usize = value
+                    .parse()
+                    .map_err(|_| format!("bad --threads: {value}"))?;
                 if t == 0 {
                     return Err("--threads must be at least 1".to_string());
                 }

@@ -487,8 +487,10 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
                             fedval_obs::counter_add("form.leave", 1);
                         }
                     }
-                    let mut rng =
-                        SimRng::seed_from(derive_seed(self.cfg.seed, ROUND_STREAM ^ round_no as u64));
+                    let mut rng = SimRng::seed_from(derive_seed(
+                        self.cfg.seed,
+                        ROUND_STREAM ^ round_no as u64,
+                    ));
                     let merges = self.merge_pass(&mut partition, &mut rng);
                     let splits = self.split_pass(&mut partition, &mut rng);
                     total_merges += merges;
@@ -579,7 +581,10 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
                 (gain, a, b)
             })
             .collect();
-        scored.sort_by(|x, y| y.0.total_cmp(&x.0).then_with(|| (x.1, x.2).cmp(&(y.1, y.2))));
+        scored.sort_by(|x, y| {
+            y.0.total_cmp(&x.0)
+                .then_with(|| (x.1, x.2).cmp(&(y.1, y.2)))
+        });
         let mut consumed: BTreeSet<u32> = BTreeSet::new();
         let mut merges = 0usize;
         let mut neutral_left = self.cfg.neutral_budget;
@@ -634,11 +639,8 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
             queries.push(u);
         }
         let vals = self.oracle.eval_batch(&queries, self.cfg.threads);
-        let block_values: std::collections::BTreeMap<u32, f64> = involved
-            .iter()
-            .copied()
-            .zip(vals.iter().copied())
-            .collect();
+        let block_values: std::collections::BTreeMap<u32, f64> =
+            involved.iter().copied().zip(vals.iter().copied()).collect();
         (block_values, vals[involved.len()..].to_vec())
     }
 
@@ -667,8 +669,10 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
             queries.push(b.clone());
         }
         let side_vals = self.oracle.eval_batch(&queries, self.cfg.threads);
-        let whole_queries: Vec<Vec<PlayerId>> =
-            ids.iter().map(|&id| partition.members(id).to_vec()).collect();
+        let whole_queries: Vec<Vec<PlayerId>> = ids
+            .iter()
+            .map(|&id| partition.members(id).to_vec())
+            .collect();
         let whole_vals = self.oracle.eval_batch(&whole_queries, self.cfg.threads);
         let whole: std::collections::BTreeMap<u32, f64> = ids
             .iter()
@@ -720,9 +724,10 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
             pairs.sort_unstable();
         }
         let (values, union_values) = self.pair_values(partition, &pairs);
-        let merge_stable = pairs.iter().enumerate().all(|(k, &(a, b))| {
-            union_values[k] - values[&a] - values[&b] <= self.cfg.gain_epsilon
-        });
+        let merge_stable = pairs
+            .iter()
+            .enumerate()
+            .all(|(k, &(a, b))| union_values[k] - values[&a] - values[&b] <= self.cfg.gain_epsilon);
 
         // Split probe: exhaustive for small blocks, a larger-than-round
         // seeded sample for big ones.
@@ -747,8 +752,10 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
             queries.push(b.clone());
         }
         let side_vals = self.oracle.eval_batch(&queries, self.cfg.threads);
-        let whole_queries: Vec<Vec<PlayerId>> =
-            ids.iter().map(|&id| partition.members(id).to_vec()).collect();
+        let whole_queries: Vec<Vec<PlayerId>> = ids
+            .iter()
+            .map(|&id| partition.members(id).to_vec())
+            .collect();
         let whole_vals = self.oracle.eval_batch(&whole_queries, self.cfg.threads);
         let whole: std::collections::BTreeMap<u32, f64> = ids
             .iter()
@@ -801,7 +808,8 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
             members: grand.clone(),
         };
         let promised_phi = shapley_auto_wide(&promised_game, &approx)?.phi().to_vec();
-        let mut promised: std::collections::BTreeMap<PlayerId, f64> = std::collections::BTreeMap::new();
+        let mut promised: std::collections::BTreeMap<PlayerId, f64> =
+            std::collections::BTreeMap::new();
         for (i, &p) in grand.iter().enumerate() {
             promised.insert(p, promised_phi[i]);
         }

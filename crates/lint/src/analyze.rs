@@ -121,8 +121,7 @@ impl<'m> Workspace<'m> {
         let lockish = |kind: LockKind| matches!(kind, LockKind::Mutex | LockKind::RwLock);
         let resolve = |m: &FileModel, f: &FnModel, name: &str| -> Option<String> {
             if let Some(l) = f.locals.iter().find(|l| l.name == name) {
-                return lockish(l.kind)
-                    .then(|| format!("{}::{}().{}", m.krate, f.name, name));
+                return lockish(l.kind).then(|| format!("{}::{}().{}", m.krate, f.name, name));
             }
             if let Some(l) = m.locks.iter().find(|l| l.name == name) {
                 return lockish(l.kind).then(|| format!("{}::{}", m.krate, name));
@@ -234,9 +233,7 @@ impl<'m> Workspace<'m> {
         let mut edges: BTreeMap<(String, String), Witness> = BTreeMap::new();
         let mut add_edge = |from: &str, to: &str, w: Witness| {
             if from != to {
-                edges
-                    .entry((from.to_string(), to.to_string()))
-                    .or_insert(w);
+                edges.entry((from.to_string(), to.to_string())).or_insert(w);
             }
         };
         for fi in &self.fns {
@@ -363,8 +360,7 @@ impl<'m> Workspace<'m> {
                 if offending.is_empty() {
                     continue;
                 }
-                let mut locks: Vec<String> =
-                    offending.iter().map(|a| a.lock.clone()).collect();
+                let mut locks: Vec<String> = offending.iter().map(|a| a.lock.clone()).collect();
                 locks.sort();
                 locks.dedup();
                 if !reported.insert(locks.clone()) {
@@ -599,7 +595,10 @@ mod tests {
         let src = "struct S { m: Mutex<bool>, cv: Condvar }\n\
                    impl S { fn f(&self) { let mut g = self.m.lock(); g = self.cv.wait(g); } }";
         let fs = run(&[(src, "crates/x/src/lib.rs", "x")]);
-        assert!(rules_of(&fs).iter().all(|r| *r != "guard-across-blocking"), "{fs:?}");
+        assert!(
+            rules_of(&fs).iter().all(|r| *r != "guard-across-blocking"),
+            "{fs:?}"
+        );
     }
 
     #[test]
@@ -670,7 +669,9 @@ mod tests {
         let src = "fn f(stream: &mut TcpStream, m: &Mutex<u64>) { let g = m.lock(); stream.write_all(b\"x\"); }";
         let fs = run(&[(src, "crates/x/src/lib.rs", "x")]);
         assert_eq!(fs.len(), 1);
-        assert!(fs[0].id.starts_with("guard-across-blocking:crates/x/src/lib.rs:"));
+        assert!(fs[0]
+            .id
+            .starts_with("guard-across-blocking:crates/x/src/lib.rs:"));
         // Same content → same id on a second run.
         let fs2 = run(&[(src, "crates/x/src/lib.rs", "x")]);
         assert_eq!(fs[0].id, fs2[0].id);

@@ -237,7 +237,11 @@ pub fn lex(source: &str) -> Vec<Tok> {
                     while i < n && (b[i].is_ascii_digit() || b[i] == '_') {
                         i += 1;
                     }
-                } else if i < n && b[i] == '.' && (i + 1 >= n || !matches!(b[i + 1], '.' | '0'..='9') && !is_ident_start(b[i + 1])) {
+                } else if i < n
+                    && b[i] == '.'
+                    && (i + 1 >= n
+                        || !matches!(b[i + 1], '.' | '0'..='9') && !is_ident_start(b[i + 1]))
+                {
                     // Trailing-dot float `1.` (not a range, not a method).
                     is_float = true;
                     i += 1;
@@ -269,7 +273,11 @@ pub fn lex(source: &str) -> Vec<Tok> {
             }
             let text: String = b[start..i].iter().collect();
             toks.push(Tok::new(
-                if is_float { TokKind::Float } else { TokKind::Int },
+                if is_float {
+                    TokKind::Float
+                } else {
+                    TokKind::Int
+                },
                 text,
                 line,
             ));
@@ -425,7 +433,11 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
                     pending_attr_test = true;
                 }
                 let in_test = !regions.is_empty();
-                for m in mask.iter_mut().take(j.min(toks.len() - 1) + 1).skip(attr_start) {
+                for m in mask
+                    .iter_mut()
+                    .take(j.min(toks.len() - 1) + 1)
+                    .skip(attr_start)
+                {
                     *m = in_test;
                 }
                 i = j + 1;
@@ -434,10 +446,7 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
         }
         // `mod tests` / `mod test` headers.
         if t.is_ident("mod") {
-            if let Some(next) = toks[i + 1..]
-                .iter()
-                .find(|x| x.kind != TokKind::Comment)
-            {
+            if let Some(next) = toks[i + 1..].iter().find(|x| x.kind != TokKind::Comment) {
                 if next.kind == TokKind::Ident && (next.text == "tests" || next.text == "test") {
                     pending_mod_tests = true;
                 }
@@ -477,10 +486,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src)
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -498,7 +504,9 @@ mod tests {
         assert!(toks
             .iter()
             .any(|(k, t)| *k == TokKind::Str && t.contains("unwrap")));
-        assert!(!toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "unwrap"));
+        assert!(!toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Ident && t == "unwrap"));
     }
 
     #[test]
@@ -541,7 +549,9 @@ mod tests {
     #[test]
     fn lifetimes_are_not_chars() {
         let toks = kinds("fn f<'a>(x: &'a str) -> char { 'x' }");
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Lifetime && t == "'a"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Lifetime && t == "'a"));
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Char && t == "'x'"));
     }
 
@@ -566,7 +576,9 @@ mod tests {
     #[test]
     fn raw_identifiers() {
         let toks = kinds("let r#type = 1;");
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "type"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Ident && t == "type"));
     }
 
     #[test]

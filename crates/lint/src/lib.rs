@@ -51,8 +51,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         models.push(model::FileModel::parse(&text, &src.rel, &src.krate));
     }
     findings.extend(analyze::analyze(&models));
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(findings)
 }

@@ -112,8 +112,7 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or("no [workspace] Cargo.toml found above the working directory; pass --root")?
         }
     };
-    let findings =
-        lint_workspace(&root).map_err(|e| format!("linting {}: {e}", root.display()))?;
+    let findings = lint_workspace(&root).map_err(|e| format!("linting {}: {e}", root.display()))?;
 
     if opts.json {
         emit(&report::json(&findings));

@@ -462,9 +462,7 @@ fn collect_decl(s: &Scan, ci: usize, locks: &mut Vec<LockDecl>, atomics: &mut Ve
         } else if tj.kind == TokKind::Ident && depth <= 2 {
             let ty = tj.text.as_str();
             // Initializer form requires `LockType::new`.
-            if nx.is_punct("=")
-                && !(j + 1 < n && s.t(j + 1).is_punct("::"))
-            {
+            if nx.is_punct("=") && !(j + 1 < n && s.t(j + 1).is_punct("::")) {
                 j += 1;
                 continue;
             }
@@ -589,10 +587,7 @@ fn build_fn(s: &Scan, f: &FnItem, idx: usize, all: &[FnItem]) -> FnModel {
         // Dotted calls on *other* receivers (`conn.shutdown(..)`,
         // `cv.wait(..)`) are std/foreign methods that would otherwise be
         // conflated with same-named fns in this crate.
-        let self_call = prev_dot
-            && ci
-                .checked_sub(2)
-                .is_some_and(|p| s.t(p).is_ident("self"));
+        let self_call = prev_dot && ci.checked_sub(2).is_some_and(|p| s.t(p).is_ident("self"));
         if !prev_dot || self_call {
             calls.push(CallSite {
                 callee: t.text.clone(),
@@ -643,7 +638,9 @@ fn build_fn(s: &Scan, f: &FnItem, idx: usize, all: &[FnItem]) -> FnModel {
             || (nm == "write" && prev_dot && !empty_args && close != NONE)
             || (nm == "connect"
                 && prev_path
-                && ci.checked_sub(2).is_some_and(|p| s.t(p).is_ident("TcpStream")));
+                && ci
+                    .checked_sub(2)
+                    .is_some_and(|p| s.t(p).is_ident("TcpStream")));
         if blocking_hit {
             blocking.push(BlockingSite {
                 what: t.text.clone(),
@@ -843,11 +840,8 @@ mod tests {
              static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);\n\
              static ENABLED: AtomicBool = AtomicBool::new(false);",
         );
-        let names: Vec<(&str, LockKind)> = m
-            .locks
-            .iter()
-            .map(|l| (l.name.as_str(), l.kind))
-            .collect();
+        let names: Vec<(&str, LockKind)> =
+            m.locks.iter().map(|l| (l.name.as_str(), l.kind)).collect();
         assert!(names.contains(&("cache", LockKind::Mutex)));
         assert!(names.contains(&("ready", LockKind::Condvar)));
         assert!(names.contains(&("SINK", LockKind::RwLock)));
@@ -1015,7 +1009,15 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_do_not_panic() {
-        for src in ["", "fn", "fn (", "{{{", "}}}", "fn f( { ; }", "let x: Mutex<"] {
+        for src in [
+            "",
+            "fn",
+            "fn (",
+            "{{{",
+            "}}}",
+            "fn f( { ; }",
+            "let x: Mutex<",
+        ] {
             let _ = FileModel::parse(src, "x.rs", "x");
         }
     }

@@ -59,8 +59,16 @@ pub fn json(findings: &[Finding]) -> String {
             escape(&f.message)
         );
     }
-    out.push_str(if findings.is_empty() { "],\n" } else { "\n  ],\n" });
-    let _ = write!(out, "  \"summary\": {{\"total\": {}}}\n}}\n", findings.len());
+    out.push_str(if findings.is_empty() {
+        "],\n"
+    } else {
+        "\n  ],\n"
+    });
+    let _ = write!(
+        out,
+        "  \"summary\": {{\"total\": {}}}\n}}\n",
+        findings.len()
+    );
     out
 }
 

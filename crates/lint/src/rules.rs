@@ -174,9 +174,9 @@ pub(crate) struct Marker {
 /// nothing.
 pub(crate) fn apply_markers(findings: &mut Vec<Finding>, markers: &[Marker]) {
     findings.retain(|f| {
-        !markers.iter().any(|m| {
-            m.rule == f.rule && m.target == f.line && m.reason.len() >= MIN_REASON_LEN
-        })
+        !markers
+            .iter()
+            .any(|m| m.rule == f.rule && m.target == f.line && m.reason.len() >= MIN_REASON_LEN)
     });
 }
 
@@ -232,13 +232,7 @@ impl Lexed {
     }
 }
 
-fn finding(
-    rule: &'static str,
-    file: &str,
-    krate: &str,
-    line: u32,
-    message: String,
-) -> Finding {
+fn finding(rule: &'static str, file: &str, krate: &str, line: u32, message: String) -> Finding {
     Finding::new(rule, file, line, krate, message)
 }
 
@@ -304,7 +298,9 @@ fn socket_timeouts(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) 
             "set_read_timeout" => has_read = true,
             "set_write_timeout" => has_write = true,
             "connect" => {
-                let colons = ci.checked_sub(1).is_some_and(|p| lx.code_tok(p).is_punct("::"));
+                let colons = ci
+                    .checked_sub(1)
+                    .is_some_and(|p| lx.code_tok(p).is_punct("::"));
                 let on_tcp = ci
                     .checked_sub(2)
                     .is_some_and(|p| lx.code_tok(p).is_ident("TcpStream"));
@@ -313,8 +309,13 @@ fn socket_timeouts(lx: &Lexed, file: &str, krate: &str, out: &mut Vec<Finding>) 
                 }
             }
             "accept" | "incoming" => {
-                let dotted = ci.checked_sub(1).is_some_and(|p| lx.code_tok(p).is_punct("."));
-                let called = lx.code.get(ci + 1).is_some_and(|&i| lx.tokens[i].is_punct("("));
+                let dotted = ci
+                    .checked_sub(1)
+                    .is_some_and(|p| lx.code_tok(p).is_punct("."));
+                let called = lx
+                    .code
+                    .get(ci + 1)
+                    .is_some_and(|&i| lx.tokens[i].is_punct("("));
                 if dotted && called {
                     sites.push((t.line, format!(".{}()", t.text)));
                 }
@@ -451,10 +452,7 @@ mod tests {
     fn socket_timeouts_covers_accept_and_incoming() {
         let src = "fn serve(l: &TcpListener) { let c = l.accept(); for s in l.incoming() {} }";
         let hits = rules_of(src, "serve");
-        assert_eq!(
-            hits,
-            vec![("socket-timeouts", 1), ("socket-timeouts", 1)]
-        );
+        assert_eq!(hits, vec![("socket-timeouts", 1), ("socket-timeouts", 1)]);
         // Test code is exempt like every other rule.
         let in_test = "#[cfg(test)]\nmod tests { fn t() { let c = TcpStream::connect(a); } }";
         assert!(rules_of(in_test, "serve").is_empty());

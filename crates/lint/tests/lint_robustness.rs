@@ -15,11 +15,54 @@ use proptest::prelude::*;
 /// fences, lock/atomic vocabulary, and unbalanced delimiters.
 fn fragment(which: usize) -> &'static str {
     const FRAGMENTS: &[&str] = &[
-        "fn ", "f(", "{", "}", "(", ")", "<", ">", "\"", "\\\"", "'", "'a ", "'x'", "// c\n",
-        "/* b", "*/", "#[cfg(test)]", "mod ", "tests", "Mutex<", "RwLock<", "AtomicBool",
-        "Ordering::Relaxed", ".lock()", ".write(", ".unwrap()", "panic!(", "Instant::now()",
-        "let ", "static ", "= ", "; ", ": ", "&self", "self.", "drop(", "Condvar", ".wait(",
-        "b\"", "r#\"", "\u{0}", "\u{7f}", "é", "𝕏", "\n", "\t", "1e9", "0x_",
+        "fn ",
+        "f(",
+        "{",
+        "}",
+        "(",
+        ")",
+        "<",
+        ">",
+        "\"",
+        "\\\"",
+        "'",
+        "'a ",
+        "'x'",
+        "// c\n",
+        "/* b",
+        "*/",
+        "#[cfg(test)]",
+        "mod ",
+        "tests",
+        "Mutex<",
+        "RwLock<",
+        "AtomicBool",
+        "Ordering::Relaxed",
+        ".lock()",
+        ".write(",
+        ".unwrap()",
+        "panic!(",
+        "Instant::now()",
+        "let ",
+        "static ",
+        "= ",
+        "; ",
+        ": ",
+        "&self",
+        "self.",
+        "drop(",
+        "Condvar",
+        ".wait(",
+        "b\"",
+        "r#\"",
+        "\u{0}",
+        "\u{7f}",
+        "é",
+        "𝕏",
+        "\n",
+        "\t",
+        "1e9",
+        "0x_",
     ];
     FRAGMENTS[which % FRAGMENTS.len()]
 }

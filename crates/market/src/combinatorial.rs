@@ -81,7 +81,12 @@ pub fn run_combinatorial_auction(facilities: &[Facility], bids: &[Bid]) -> Aucti
 
     // Greedy admission by density, ties broken by input order.
     let mut order: Vec<usize> = (0..bids.len()).collect();
-    order.sort_by(|&a, &b| bids[b].density().total_cmp(&bids[a].density()).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| {
+        bids[b]
+            .density()
+            .total_cmp(&bids[a].density())
+            .then(a.cmp(&b))
+    });
 
     let mut winners: Vec<usize> = Vec::new();
     let mut sizes: Vec<u64> = Vec::new();
@@ -145,9 +150,9 @@ mod tests {
         // 3 locations capacity 1: a dense small bid beats a cheap big one.
         let facilities = vec![Facility::uniform("f", 0, 3, 1)];
         let bids = vec![
-            Bid::new("cheap-big", 3, 3.0), // density 1
+            Bid::new("cheap-big", 3, 3.0),   // density 1
             Bid::new("dense-small", 1, 5.0), // density 5
-            Bid::new("mid", 2, 4.0),       // density 2
+            Bid::new("mid", 2, 4.0),         // density 2
         ];
         let out = run_combinatorial_auction(&facilities, &bids);
         // dense-small (1 loc) + mid (2 locs) fill capacity; cheap-big loses.

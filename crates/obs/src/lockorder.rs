@@ -26,8 +26,7 @@ use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Process-global acquisition-order graph: `from → to` means some thread
 /// acquired `to` while holding `from`.
-static GRAPH: Mutex<BTreeMap<&'static str, BTreeSet<&'static str>>> =
-    Mutex::new(BTreeMap::new());
+static GRAPH: Mutex<BTreeMap<&'static str, BTreeSet<&'static str>>> = Mutex::new(BTreeMap::new());
 
 thread_local! {
     /// Locks currently held by this thread, in acquisition order.
@@ -85,9 +84,7 @@ fn on_acquire(name: &'static str) {
     // thread-exit metric-shard flush); once this thread's held-stack is
     // torn down there is nothing left to order against, so checking
     // degrades to a no-op instead of panicking mid-teardown.
-    let held: Vec<&'static str> = HELD
-        .try_with(|h| h.borrow().clone())
-        .unwrap_or_default();
+    let held: Vec<&'static str> = HELD.try_with(|h| h.borrow().clone()).unwrap_or_default();
     if held.contains(&name) {
         panic!("lock-order: thread re-acquiring `{name}` while already holding it");
     }
@@ -350,10 +347,7 @@ mod tests {
             let _ga = a.lock();
         }));
         let err = caught.expect_err("reversed acquisition must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("lock-order cycle witnessed"), "{msg}");
         assert!(msg.contains("t2.alpha"), "{msg}");
         assert!(msg.contains("t2.beta"), "{msg}");
@@ -367,10 +361,7 @@ mod tests {
             let _g2 = a.lock();
         }));
         let err = caught.expect_err("self-relock must panic, not deadlock");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("re-acquiring"), "{msg}");
     }
 
@@ -392,10 +383,7 @@ mod tests {
             let _ga = a.lock();
         }));
         let err = caught.expect_err("transitive reversal must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("t4.alpha → t4.beta → t4.gamma"), "{msg}");
     }
 

@@ -224,12 +224,18 @@ mod tests {
             name: "x.y.n".into(),
             delta: 7,
         };
-        assert_eq!(c.to_jsonl(), "{\"type\":\"counter\",\"name\":\"x.y.n\",\"delta\":7}");
+        assert_eq!(
+            c.to_jsonl(),
+            "{\"type\":\"counter\",\"name\":\"x.y.n\",\"delta\":7}"
+        );
         let g = Record::Gauge {
             name: "g".into(),
             value: 1.5,
         };
-        assert_eq!(g.to_jsonl(), "{\"type\":\"gauge\",\"name\":\"g\",\"value\":1.5}");
+        assert_eq!(
+            g.to_jsonl(),
+            "{\"type\":\"gauge\",\"name\":\"g\",\"value\":1.5}"
+        );
         let e = Record::Event {
             name: "ev".into(),
             fields: vec![("k".into(), "v\"q".into()), ("n".into(), "2".into())],

@@ -313,7 +313,10 @@ fn suppressed_spans_count_without_records() {
         .iter()
         .all(|r| r.name() != "t.suppress.span" && r.name() != "t.suppress.detail"));
     assert_eq!(
-        records.iter().filter(|r| r.name() == "t.suppress.visible").count(),
+        records
+            .iter()
+            .filter(|r| r.name() == "t.suppress.visible")
+            .count(),
         2
     );
 }

@@ -104,7 +104,9 @@ fn real_registry_threads_match_unsharded() {
     }
     let per_thread_values = |t: u64| -> Vec<u64> {
         let mut state = 0xfed5_0000 + t;
-        (0..500).map(|_| splitmix(&mut state) % 30_000_000).collect()
+        (0..500)
+            .map(|_| splitmix(&mut state) % 30_000_000)
+            .collect()
     };
 
     let threads: Vec<_> = (0..6u64)
@@ -136,8 +138,13 @@ fn real_registry_threads_match_unsharded() {
     let fold = fedval_obs::metrics_fold();
     assert_eq!(fold.counter("t.equiv.count"), count);
     assert_eq!(fold.counter("t.equiv.weight"), weight);
-    let h = fold.histogram("t.equiv.lat_ns").expect("histogram recorded");
-    assert_eq!(h, &reference, "fold histogram must equal sequential reference");
+    let h = fold
+        .histogram("t.equiv.lat_ns")
+        .expect("histogram recorded");
+    assert_eq!(
+        h, &reference,
+        "fold histogram must equal sequential reference"
+    );
     for p in [50.0, 95.0, 99.0] {
         assert_eq!(h.percentile_ns(p), reference.percentile_ns(p));
     }

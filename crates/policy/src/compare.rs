@@ -41,11 +41,7 @@ pub fn assess_tau(scenario: &FederationScenario) -> Option<SchemeAssessment> {
             .core_nonempty()
             .then(|| is_in_core(game, &payoffs, 1e-7)),
         max_excess,
-        distance_from_proportional: shares
-            .iter()
-            .zip(&pi)
-            .map(|(a, b)| (a - b).abs())
-            .sum(),
+        distance_from_proportional: shares.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum(),
     })
 }
 

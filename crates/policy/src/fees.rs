@@ -53,11 +53,7 @@ impl FeePool {
 
     /// Per-authority transfer the redistribution implies relative to the
     /// status quo (positive = receives, negative = pays in).
-    pub fn transfers(
-        &self,
-        scenario: &FederationScenario,
-        scheme: &SharingScheme,
-    ) -> Vec<f64> {
+    pub fn transfers(&self, scenario: &FederationScenario, scheme: &SharingScheme) -> Vec<f64> {
         self.redistribute(scenario, scheme)
             .iter()
             .zip(&self.collected)
@@ -144,6 +140,9 @@ mod tests {
     fn empty_pool_is_harmless() {
         let pool = FeePool::new(vec![0.0; 3]);
         assert_eq!(pool.total(), 0.0);
-        assert_eq!(pool.status_quo_distance(&scenario(), &SharingScheme::Equal), 0.0);
+        assert_eq!(
+            pool.status_quo_distance(&scenario(), &SharingScheme::Equal),
+            0.0
+        );
     }
 }

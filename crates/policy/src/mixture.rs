@@ -9,9 +9,7 @@
 //! `SharingScheme::Fixed` input the paper recommends deriving off-line.
 
 use crate::scheme::SharingScheme;
-use fedval_core::{
-    Demand, DemandComponent, ExperimentClass, Facility, FederationScenario, Volume,
-};
+use fedval_core::{Demand, DemandComponent, ExperimentClass, Facility, FederationScenario, Volume};
 
 /// A demand category: requests whose required diversity falls in
 /// `[min_locations, max_locations)` are counted here, and the category is

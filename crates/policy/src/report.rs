@@ -166,9 +166,7 @@ fn approx_report(scenario: &FederationScenario) -> Result<PolicyReport, GameErro
         ShapleyEstimate::Approx(a) => (a.shares(), Some(a.clone()), a.grand_value),
     };
     let pi = scenario.proportional_shares();
-    let dist = |shares: &[f64]| -> f64 {
-        shares.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum()
-    };
+    let dist = |shares: &[f64]| -> f64 { shares.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum() };
     let rows: [(&str, Vec<f64>); 4] = [
         ("shapley", shapley_shares),
         ("proportional", pi.clone()),
@@ -440,7 +438,10 @@ mod tests {
         assert_eq!(r.recommended(), "shapley");
         let text = r.render();
         assert!(text.contains("structure not enumerated"), "{text}");
-        assert!(text.contains("sampled (permutation, 64 samples, seed 7)"), "{text}");
+        assert!(
+            text.contains("sampled (permutation, 64 samples, seed 7)"),
+            "{text}"
+        );
         assert!(text.contains("+32 more"), "{text}");
         assert!(text.contains("n/a"), "{text}");
         // Determinism: the whole report is a pure function of the config.
@@ -465,10 +466,7 @@ mod tests {
         let shares = &r.assessments[0].shares;
         let ci = a.ci_shares();
         for ((s_hat, e), half) in shares.iter().zip(exact).zip(&ci) {
-            assert!(
-                (s_hat - e).abs() <= half + 1e-9,
-                "|{s_hat} - {e}| > {half}"
-            );
+            assert!((s_hat - e).abs() <= half + 1e-9, "|{s_hat} - {e}| > {half}");
         }
     }
 

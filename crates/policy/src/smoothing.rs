@@ -40,8 +40,7 @@ pub fn threshold_smoothed_shares(
         } else {
             spread * (i as f64 - half_points as f64) / half_points as f64
         };
-        let scenario =
-            FederationScenario::new(facilities.to_vec(), demand_at(center + offset));
+        let scenario = FederationScenario::new(facilities.to_vec(), demand_at(center + offset));
         let shares = scenario.shapley_shares();
         for (a, s) in acc.iter_mut().zip(&shares) {
             *a += s / samples as f64;

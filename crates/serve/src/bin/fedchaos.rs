@@ -167,7 +167,11 @@ fn run() -> Result<(), String> {
         fedval_obs::counter_add("chaos.seeds", 1);
         fedval_obs::counter_add("chaos.probe_mismatches", report.probe_mismatches);
         fedval_obs::counter_add("chaos.invariant_failures", report.failures.len() as u64);
-        println!("{{\"seed\":{},\"report\":{}}}", config.seed, report.to_json());
+        println!(
+            "{{\"seed\":{},\"report\":{}}}",
+            config.seed,
+            report.to_json()
+        );
         if !report.passed() {
             eprintln!(
                 "seed {} FAILED: {} probe mismatches, {} invariant violations:",

@@ -213,7 +213,9 @@ fn request_line(kind: &str, id: u64, rng: &mut ChaosRng) -> String {
 /// the run's RNG so synchronized clients desynchronize deterministically.
 fn backoff(attempt: u32, rng: &mut ChaosRng) -> Duration {
     let ceiling: u64 = 200;
-    let base = 4u64.saturating_mul(1 << attempt.min(16).saturating_sub(1)).min(ceiling);
+    let base = 4u64
+        .saturating_mul(1 << attempt.min(16).saturating_sub(1))
+        .min(ceiling);
     Duration::from_millis(base / 2 + rng.below(base / 2 + 1))
 }
 
@@ -422,15 +424,13 @@ fn drive_open_loop(
                 Ok(_) => {}
             }
             let trimmed = line.trim_end();
-            let scheduled = id_of(trimmed).and_then(|id| {
-                reader_pending.lock().ok().and_then(|mut p| p.remove(&id))
-            });
+            let scheduled = id_of(trimmed)
+                .and_then(|id| reader_pending.lock().ok().and_then(|mut p| p.remove(&id)));
             let Some(scheduled) = scheduled else {
                 report.mismatches += 1;
                 continue;
             };
-            let elapsed_ns =
-                u64::try_from(scheduled.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let elapsed_ns = u64::try_from(scheduled.elapsed().as_nanos()).unwrap_or(u64::MAX);
             report.histogram.observe(elapsed_ns);
             fedval_obs::observe_ns("load.request_ns", elapsed_ns);
             match classify(trimmed) {
@@ -498,8 +498,16 @@ fn render_report(opts: &Options, total: &ConnReport, wall: Duration) -> String {
     let h = &total.histogram;
     let issued = total.ok + total.busy + total.deadline + total.protocol_errors + total.mismatches;
     let secs = wall.as_secs_f64();
-    let rps = if secs > 0.0 { issued as f64 / secs } else { 0.0 };
-    let mode = if opts.open_loop { "open-loop" } else { "closed-loop" };
+    let rps = if secs > 0.0 {
+        issued as f64 / secs
+    } else {
+        0.0
+    };
+    let mode = if opts.open_loop {
+        "open-loop"
+    } else {
+        "closed-loop"
+    };
     format!(
         "{{\n  \"kind\": \"{}\",\n  \"mode\": \"{}\",\n  \"offered_rps\": {},\n  \"connections\": {},\n  \"requests_per_connection\": {},\n  \"seed\": {},\n  \"issued\": {},\n  \"ok\": {},\n  \"busy\": {},\n  \"deadline\": {},\n  \"protocol_errors\": {},\n  \"mismatches\": {},\n  \"lost\": {},\n  \"retry\": {{\n    \"max\": {},\n    \"attempts\": {},\n    \"recovered\": {},\n    \"exhausted\": {}\n  }},\n  \"wall_s\": {},\n  \"throughput_rps\": {},\n  \"latency_ns\": {{\n    \"mean\": {},\n    \"p50\": {},\n    \"p95\": {},\n    \"p99\": {},\n    \"max\": {}\n  }}\n}}",
         opts.kind,
@@ -736,7 +744,9 @@ mod tests {
         let stream_a: Vec<String> = (0..50)
             .map(|id| request_line("mixed", id, &mut ChaosRng::new(42 + id)))
             .collect();
-        let stream_c: Vec<String> = (0..50).map(|id| request_line("mixed", id, &mut c)).collect();
+        let stream_c: Vec<String> = (0..50)
+            .map(|id| request_line("mixed", id, &mut c))
+            .collect();
         assert_ne!(stream_a, stream_c, "different seeds, different streams");
     }
 

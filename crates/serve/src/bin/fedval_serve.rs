@@ -20,7 +20,7 @@
 )]
 
 use fedval_coalition::ApproxConfig;
-use fedval_serve::{Server, ServerConfig, ServeState};
+use fedval_serve::{ServeState, Server, ServerConfig};
 use fedval_testbed::ScenarioArgs;
 use std::io::Write;
 use std::process::ExitCode;
@@ -178,9 +178,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opts.whatif_cache = value.parse().map_err(|e| format!("--whatif-cache: {e}"))?;
             }
             "--slow-trace-ms" => {
-                opts.slow_trace_ms = value
-                    .parse()
-                    .map_err(|e| format!("--slow-trace-ms: {e}"))?;
+                opts.slow_trace_ms = value.parse().map_err(|e| format!("--slow-trace-ms: {e}"))?;
             }
             "--trace" => opts.trace = Some(value.clone()),
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
@@ -195,8 +193,8 @@ fn run() -> Result<(), String> {
     let opts = parse(&args)?;
 
     if let Some(path) = &opts.trace {
-        let sink = fedval_obs::FileSink::create(path)
-            .map_err(|e| format!("--trace {path}: {e}"))?;
+        let sink =
+            fedval_obs::FileSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
         fedval_obs::install(std::sync::Arc::new(sink));
     }
 
@@ -227,8 +225,8 @@ fn run() -> Result<(), String> {
         chaos_panic: opts.chaos_harness,
         slow_trace: Duration::from_millis(opts.slow_trace_ms),
     };
-    let server = Server::start(state, &opts.addr, config)
-        .map_err(|e| format!("bind {}: {e}", opts.addr))?;
+    let server =
+        Server::start(state, &opts.addr, config).map_err(|e| format!("bind {}: {e}", opts.addr))?;
 
     // Scripts (ci.sh, fedload wrappers) parse this exact line for the
     // resolved ephemeral port; flush so they see it before any queries.

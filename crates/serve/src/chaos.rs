@@ -281,7 +281,10 @@ fn read_response(stream: &mut TcpStream) -> Result<String, String> {
 pub fn json_u64_field(line: &str, name: &str) -> Option<u64> {
     let needle = format!("\"{name}\":");
     let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..].chars().take_while(char::is_ascii_digit).collect();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
     digits.parse().ok()
 }
 
@@ -303,7 +306,12 @@ pub fn query(addr: &str, timeout: Duration, request: &str) -> Result<String, Str
 
 /// A well-behaved probe: health must answer, shapley must be
 /// byte-identical to (or establish) the canonical response body.
-fn probe(addr: &str, config: &ChaosConfig, canonical: &mut Option<String>, report: &mut ChaosReport) {
+fn probe(
+    addr: &str,
+    config: &ChaosConfig,
+    canonical: &mut Option<String>,
+    report: &mut ChaosReport,
+) {
     // Retries absorb the small deregistration lag after fault rounds
     // (a dropped fault socket frees its connection-cap slot only once
     // the server reaps the reader), so probes never flake on BUSY.
@@ -321,7 +329,9 @@ fn probe(addr: &str, config: &ChaosConfig, canonical: &mut Option<String>, repor
             }
         }
     }
-    report.failures.push(format!("probe never got through: {last_err}"));
+    report
+        .failures
+        .push(format!("probe never got through: {last_err}"));
 }
 
 fn probe_once(
@@ -360,11 +370,15 @@ fn probe_once(
 
 /// Whether a response line is a well-formed answer (ok or typed error).
 fn is_valid_response(line: &str) -> bool {
-    line.starts_with("{\"id\":")
-        && (line.contains("\"ok\":true") || line.contains("\"ok\":false"))
+    line.starts_with("{\"id\":") && (line.contains("\"ok\":true") || line.contains("\"ok\":false"))
 }
 
-fn inject_slow_drip(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &mut ChaosReport) {
+fn inject_slow_drip(
+    addr: &str,
+    config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    report: &mut ChaosReport,
+) {
     let mut stream = match connect(addr, config.client_timeout) {
         Ok(s) => s,
         Err(e) => {
@@ -376,19 +390,30 @@ fn inject_slow_drip(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report
     let frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}\n");
     for byte in frame.as_bytes() {
         if stream.write_all(std::slice::from_ref(byte)).is_err() {
-            report.failures.push("slow-drip: server closed a live (dripping) frame".to_string());
+            report
+                .failures
+                .push("slow-drip: server closed a live (dripping) frame".to_string());
             return;
         }
         std::thread::sleep(config.drip_delay);
     }
     match read_response(&mut stream) {
         Ok(line) if is_valid_response(&line) => report.answered += 1,
-        Ok(line) => report.failures.push(format!("slow-drip: invalid response: {line}")),
-        Err(e) => report.failures.push(format!("slow-drip: no response to a completed frame: {e}")),
+        Ok(line) => report
+            .failures
+            .push(format!("slow-drip: invalid response: {line}")),
+        Err(e) => report
+            .failures
+            .push(format!("slow-drip: no response to a completed frame: {e}")),
     }
 }
 
-fn inject_slow_stall(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &mut ChaosReport) {
+fn inject_slow_stall(
+    addr: &str,
+    config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    report: &mut ChaosReport,
+) {
     let mut stream = match connect(addr, config.client_timeout) {
         Ok(s) => s,
         Err(e) => {
@@ -447,9 +472,9 @@ fn inject_truncate(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report:
         Ok(line) => report
             .failures
             .push(format!("truncate: expected a typed error, got: {line}")),
-        Err(e) => report
-            .failures
-            .push(format!("truncate: no error response for a truncated frame: {e}")),
+        Err(e) => report.failures.push(format!(
+            "truncate: no error response for a truncated frame: {e}"
+        )),
     }
 }
 
@@ -495,14 +520,21 @@ fn inject_mangle(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &
         // A lucky mangle can still parse (e.g. inside the id digits):
         // an ok response is then legitimate.
         Ok(line) if line.contains("\"ok\":true") => report.answered += 1,
-        Ok(line) => report.failures.push(format!("mangle: invalid response: {line}")),
+        Ok(line) => report
+            .failures
+            .push(format!("mangle: invalid response: {line}")),
         Err(e) => report
             .failures
             .push(format!("mangle: no response to a mangled frame: {e}")),
     }
 }
 
-fn inject_stall_read(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &mut ChaosReport) {
+fn inject_stall_read(
+    addr: &str,
+    config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    report: &mut ChaosReport,
+) {
     let mut stream = match connect(addr, config.client_timeout) {
         Ok(s) => s,
         Err(e) => {
@@ -513,7 +545,10 @@ fn inject_stall_read(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, repor
     let base = rng.below(10_000);
     let mut burst = String::new();
     for i in 0..config.pipeline {
-        burst.push_str(&format!("{{\"id\":{},\"kind\":\"shapley\"}}\n", base + i as u64));
+        burst.push_str(&format!(
+            "{{\"id\":{},\"kind\":\"shapley\"}}\n",
+            base + i as u64
+        ));
     }
     if stream.write_all(burst.as_bytes()).is_err() {
         return;
@@ -552,7 +587,9 @@ fn inject_connect_flood(addr: &str, config: &ChaosConfig, report: &mut ChaosRepo
         match roundtrip(&mut stream, "{\"id\":2,\"kind\":\"health\"}") {
             Ok(line) if line.contains("\"error\":\"BUSY\"") => report.shed_observed += 1,
             Ok(line) if line.contains("\"kind\":\"health\"") => report.answered += 1,
-            Ok(line) => report.failures.push(format!("flood: invalid response: {line}")),
+            Ok(line) => report
+                .failures
+                .push(format!("flood: invalid response: {line}")),
             // A shed socket may already carry the BUSY line + FIN; a
             // failed send/recv after shed is a clean refusal too.
             Err(_) => report.shed_observed += 1,
@@ -569,7 +606,10 @@ fn inject_panic(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &m
         }
     };
     let id = rng.below(1000);
-    match roundtrip(&mut stream, &format!("{{\"id\":{id},\"kind\":\"chaos-panic\"}}")) {
+    match roundtrip(
+        &mut stream,
+        &format!("{{\"id\":{id},\"kind\":\"chaos-panic\"}}"),
+    ) {
         Ok(line) if line.contains("\"error\":\"INTERNAL\"") => {
             report.internal_answers += 1;
             report.answered += 1;
@@ -581,9 +621,9 @@ fn inject_panic(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &m
         Ok(line) => report
             .failures
             .push(format!("panic-injection: unexpected response: {line}")),
-        Err(e) => report
-            .failures
-            .push(format!("panic-injection: worker panic lost the request: {e}")),
+        Err(e) => report.failures.push(format!(
+            "panic-injection: worker panic lost the request: {e}"
+        )),
     }
 }
 

@@ -485,7 +485,11 @@ impl Parser<'_> {
                 detail: "nested objects are not valid in requests".to_string(),
             }),
             Some(c) => Err(ProtocolError::Malformed {
-                detail: format!("expected a value at offset {}, got {:?}", self.pos, char::from(c)),
+                detail: format!(
+                    "expected a value at offset {}, got {:?}",
+                    self.pos,
+                    char::from(c)
+                ),
             }),
             None => Err(self.truncated("a value")),
         }
@@ -619,7 +623,9 @@ pub fn render_ok(id: Option<u64>, payload: &str) -> String {
 pub fn render_err(id: Option<u64>, code: &str, detail: &str) -> String {
     let detail = fedval_obs::escape_json(detail);
     match id {
-        Some(id) => format!("{{\"id\":{id},\"ok\":false,\"error\":\"{code}\",\"detail\":\"{detail}\"}}"),
+        Some(id) => {
+            format!("{{\"id\":{id},\"ok\":false,\"error\":\"{code}\",\"detail\":\"{detail}\"}}")
+        }
         None => format!("{{\"ok\":false,\"error\":\"{code}\",\"detail\":\"{detail}\"}}"),
     }
 }
@@ -638,14 +644,20 @@ mod tests {
     #[test]
     fn parses_minimal_and_full_requests() {
         let r = parse_request(b"{\"kind\":\"health\"}").unwrap();
-        assert_eq!(r, Request { id: None, kind: QueryKind::Health });
+        assert_eq!(
+            r,
+            Request {
+                id: None,
+                kind: QueryKind::Health
+            }
+        );
 
         let r = parse_request(b"{\"id\":7,\"kind\":\"shapley\"}").unwrap();
         assert_eq!(r.id, Some(7));
         assert_eq!(r.kind, QueryKind::Shapley);
 
-        let r = parse_request(b"{\"id\":8,\"kind\":\"coalition-value\",\"coalition\":[0,2]}")
-            .unwrap();
+        let r =
+            parse_request(b"{\"id\":8,\"kind\":\"coalition-value\",\"coalition\":[0,2]}").unwrap();
         assert_eq!(
             r.kind,
             QueryKind::CoalitionValue {
@@ -653,8 +665,8 @@ mod tests {
             }
         );
 
-        let r = parse_request(b"{\"kind\":\"what-if-join\",\"locations\":200,\"capacity\":3}")
-            .unwrap();
+        let r =
+            parse_request(b"{\"kind\":\"what-if-join\",\"locations\":200,\"capacity\":3}").unwrap();
         assert_eq!(
             r.kind,
             QueryKind::WhatIfJoin {
@@ -709,7 +721,10 @@ mod tests {
         ));
         assert!(matches!(
             parse_request(b"{\"kind\":\"coalition-value\",\"coalition\":3}"),
-            Err(ProtocolError::BadField { field: "coalition", .. })
+            Err(ProtocolError::BadField {
+                field: "coalition",
+                ..
+            })
         ));
         assert!(matches!(
             parse_request(b"{\"kind\":\"coalition-value\"}"),
@@ -717,18 +732,27 @@ mod tests {
         ));
         assert!(matches!(
             parse_request(b"{\"kind\":\"what-if-join\",\"locations\":0}"),
-            Err(ProtocolError::BadField { field: "locations", .. })
+            Err(ProtocolError::BadField {
+                field: "locations",
+                ..
+            })
         ));
         assert!(matches!(
             parse_request(b"{\"kind\":\"what-if-join\",\"locations\":1,\"capacity\":0}"),
-            Err(ProtocolError::BadField { field: "capacity", .. })
+            Err(ProtocolError::BadField {
+                field: "capacity",
+                ..
+            })
         ));
         for locations in ["65537", "2000000", "4294967296", "18446744073709551615"] {
             let frame = format!("{{\"kind\":\"what-if-join\",\"locations\":{locations}}}");
             assert!(
                 matches!(
                     parse_request(frame.as_bytes()),
-                    Err(ProtocolError::BadField { field: "locations", .. })
+                    Err(ProtocolError::BadField {
+                        field: "locations",
+                        ..
+                    })
                 ),
                 "{frame}"
             );
@@ -739,7 +763,10 @@ mod tests {
             assert!(
                 matches!(
                     parse_request(frame.as_bytes()),
-                    Err(ProtocolError::BadField { field: "capacity", .. })
+                    Err(ProtocolError::BadField {
+                        field: "capacity",
+                        ..
+                    })
                 ),
                 "{frame}"
             );
@@ -777,7 +804,10 @@ mod tests {
             b"\x00\x01\x02",
         ] {
             let out = parse_request(frame);
-            assert!(out.is_err(), "frame {frame:?} must be rejected, got {out:?}");
+            assert!(
+                out.is_err(),
+                "frame {frame:?} must be rejected, got {out:?}"
+            );
         }
         // `{}` specifically is a MissingField, not Malformed.
         assert_eq!(
@@ -788,7 +818,10 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_typed() {
-        assert_eq!(parse_request(b"{\"kind\":\"\xff\"}"), Err(ProtocolError::InvalidUtf8));
+        assert_eq!(
+            parse_request(b"{\"kind\":\"\xff\"}"),
+            Err(ProtocolError::InvalidUtf8)
+        );
     }
 
     #[test]
@@ -804,14 +837,20 @@ mod tests {
     fn long_arrays_are_capped() {
         let over = fedval_coalition::MAX_SAMPLED_PLAYERS + 16;
         let ids: Vec<String> = (0..over).map(|i| i.to_string()).collect();
-        let frame = format!("{{\"kind\":\"coalition-value\",\"coalition\":[{}]}}", ids.join(","));
+        let frame = format!(
+            "{{\"kind\":\"coalition-value\",\"coalition\":[{}]}}",
+            ids.join(",")
+        );
         assert!(matches!(
             parse_request(frame.as_bytes()),
             Err(ProtocolError::Malformed { .. })
         ));
         // Arrays sized for wide (sampled-path) federations parse fine.
         let ids: Vec<String> = (0..80).map(|i| i.to_string()).collect();
-        let frame = format!("{{\"kind\":\"coalition-value\",\"coalition\":[{}]}}", ids.join(","));
+        let frame = format!(
+            "{{\"kind\":\"coalition-value\",\"coalition\":[{}]}}",
+            ids.join(",")
+        );
         assert!(parse_request(frame.as_bytes()).is_ok());
     }
 
@@ -823,8 +862,10 @@ mod tests {
 
     #[test]
     fn response_rendering_is_stable() {
-        assert_eq!(render_ok(Some(3), "\"kind\":\"health\",\"status\":\"ok\""),
-            "{\"id\":3,\"ok\":true,\"kind\":\"health\",\"status\":\"ok\"}");
+        assert_eq!(
+            render_ok(Some(3), "\"kind\":\"health\",\"status\":\"ok\""),
+            "{\"id\":3,\"ok\":true,\"kind\":\"health\",\"status\":\"ok\"}"
+        );
         assert_eq!(render_ok(None, "\"a\":1"), "{\"ok\":true,\"a\":1}");
         assert_eq!(
             render_err(Some(4), "BUSY", "queue full"),
@@ -834,16 +875,25 @@ mod tests {
             render_err(None, "MALFORMED", "ctrl \n char"),
             "{\"ok\":false,\"error\":\"MALFORMED\",\"detail\":\"ctrl \\n char\"}"
         );
-        assert_eq!(render_f64_array(&[0.5, 1.0 / 3.0]), "[0.5,0.3333333333333333]");
+        assert_eq!(
+            render_f64_array(&[0.5, 1.0 / 3.0]),
+            "[0.5,0.3333333333333333]"
+        );
     }
 
     #[test]
     fn error_codes_are_stable() {
         assert_eq!(
-            ProtocolError::Malformed { detail: String::new() }.code(),
+            ProtocolError::Malformed {
+                detail: String::new()
+            }
+            .code(),
             "MALFORMED"
         );
-        assert_eq!(ProtocolError::MissingField { field: "x" }.code(), "MISSING_FIELD");
+        assert_eq!(
+            ProtocolError::MissingField { field: "x" }.code(),
+            "MISSING_FIELD"
+        );
         assert_eq!(
             ProtocolError::UnknownKind { kind: "x".into() }.code(),
             "UNKNOWN_KIND"

@@ -126,13 +126,11 @@ fn sampler_loop(shared: &Shared) {
         {
             let mut flagged = lock_recover(&shared.shutdown_signal);
             while !*flagged {
-                let (guard, timeout) = match shared
-                    .shutdown_cv
-                    .wait_timeout(flagged, SAMPLE_INTERVAL)
-                {
-                    Ok(pair) => pair,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let (guard, timeout) =
+                    match shared.shutdown_cv.wait_timeout(flagged, SAMPLE_INTERVAL) {
+                        Ok(pair) => pair,
+                        Err(poisoned) => poisoned.into_inner(),
+                    };
                 flagged = guard;
                 if timeout.timed_out() {
                     break;
@@ -649,7 +647,11 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 fedval_obs::counter_add("serve.protocol.errors", 1);
                 let err = ProtocolError::FrameTooLarge { len: MAX_FRAME + 1 };
-                respond(shared, &writer, &render_err(None, err.code(), &err.to_string()));
+                respond(
+                    shared,
+                    &writer,
+                    &render_err(None, err.code(), &err.to_string()),
+                );
                 // Unrecoverable mid-frame: close rather than misparse
                 // the remainder of the oversized frame as new frames.
                 return;
@@ -771,7 +773,10 @@ fn local_addr_of(shared: &Shared) -> SocketAddr {
 
 fn enqueue(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Request) {
     if shared.shutting_down.load(Ordering::SeqCst) {
-        shared.stats.refused_draining.fetch_add(1, Ordering::Relaxed);
+        shared
+            .stats
+            .refused_draining
+            .fetch_add(1, Ordering::Relaxed);
         respond(
             shared,
             writer,
@@ -856,7 +861,10 @@ fn process(shared: &Shared, job: Job) {
     } = job;
     let waited = enqueued.elapsed();
     if waited > shared.config.deadline {
-        shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
+        shared
+            .stats
+            .deadline_expired
+            .fetch_add(1, Ordering::Relaxed);
         fedval_obs::counter_add("serve.deadline_expired", 1);
         fedval_obs::counter_add("serve.req.error", 1);
         respond(
@@ -1106,7 +1114,10 @@ mod tests {
         );
 
         let a = roundtrip(&mut reader, &mut stream, "{\"id\":2,\"kind\":\"shapley\"}");
-        assert!(a.contains("\"ok\":true") && a.contains("\"grand_value\":1300"), "{a}");
+        assert!(
+            a.contains("\"ok\":true") && a.contains("\"grand_value\":1300"),
+            "{a}"
+        );
         let b = roundtrip(&mut reader, &mut stream, "{\"id\":2,\"kind\":\"shapley\"}");
         assert_eq!(a, b, "identical queries must be byte-identical");
 
@@ -1129,7 +1140,10 @@ mod tests {
         let (mut reader, mut stream) = client(server.local_addr());
 
         let err = roundtrip(&mut reader, &mut stream, "this is not json");
-        assert!(err.contains("\"ok\":false") && err.contains("MALFORMED"), "{err}");
+        assert!(
+            err.contains("\"ok\":false") && err.contains("MALFORMED"),
+            "{err}"
+        );
 
         // Same connection still answers real queries.
         let ok = roundtrip(&mut reader, &mut stream, "{\"kind\":\"health\"}");
@@ -1179,7 +1193,10 @@ mod tests {
         assert!(stats.contains("\"queue_capacity\":7"), "{stats}");
         assert!(stats.contains("\"coalitions_cached\":8"), "{stats}");
         assert!(stats.contains("\"uptime_s\":"), "{stats}");
-        assert!(stats.contains("\"requests\":{\"coalition_value\":"), "{stats}");
+        assert!(
+            stats.contains("\"requests\":{\"coalition_value\":"),
+            "{stats}"
+        );
         // The paper scenario (n=3) is far under the exact cap: stats
         // must advertise the exact path, with no sampling parameters.
         assert!(stats.contains("\"approx\":false"), "{stats}");
@@ -1202,7 +1219,10 @@ mod tests {
         let (mut reader, mut stream) = client(server.local_addr());
         let stats = roundtrip(&mut reader, &mut stream, "{\"kind\":\"stats\"}");
         assert!(stats.contains("\"approx\":true"), "{stats}");
-        assert!(stats.contains("\"approx_method\":\"permutation\""), "{stats}");
+        assert!(
+            stats.contains("\"approx_method\":\"permutation\""),
+            "{stats}"
+        );
         assert!(stats.contains("\"approx_samples\":48"), "{stats}");
         assert!(stats.contains("\"approx_confidence\":0.95"), "{stats}");
         assert!(stats.contains("\"approx_seed\":42"), "{stats}");
@@ -1215,7 +1235,10 @@ mod tests {
         let (mut reader, mut stream) = client(server.local_addr());
         let _ = roundtrip(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"shapley\"}");
         let m = roundtrip(&mut reader, &mut stream, "{\"id\":2,\"kind\":\"metrics\"}");
-        assert!(m.starts_with("{\"id\":2,\"ok\":true,\"kind\":\"metrics\""), "{m}");
+        assert!(
+            m.starts_with("{\"id\":2,\"ok\":true,\"kind\":\"metrics\""),
+            "{m}"
+        );
         assert!(m.contains("\"uptime_s\":"), "{m}");
         // The exposition is the JSON-escaped Prometheus text; the
         // scrape's own success was counted before folding, so

@@ -479,9 +479,7 @@ mod tests {
     fn out_of_range_players_are_bad_requests() {
         let s = state();
         let err = s
-            .execute(&QueryKind::CoalitionValue {
-                coalition: vec![7],
-            })
+            .execute(&QueryKind::CoalitionValue { coalition: vec![7] })
             .unwrap_err();
         assert_eq!(err.code, "BAD_REQUEST");
     }
@@ -544,9 +542,7 @@ mod tests {
     #[test]
     fn what_if_leave_drops_a_player() {
         let s = state();
-        let p = s
-            .execute(&QueryKind::WhatIfLeave { player: 0 })
-            .unwrap();
+        let p = s.execute(&QueryKind::WhatIfLeave { player: 0 }).unwrap();
         assert!(p.starts_with("\"kind\":\"what-if-leave\",\"n\":2,"), "{p}");
         // Removing facility 1 (L=100) leaves L=(400,800): with ℓ=500
         // the pair still clears the diversity threshold.
@@ -564,7 +560,11 @@ mod tests {
             .execute(&QueryKind::WhatIfLeave { player: 9 })
             .unwrap_err();
         assert_eq!(again, err, "the cached error must be served verbatim");
-        assert_eq!(s.whatif.lock().len(), 1, "errors are cached, not re-derived");
+        assert_eq!(
+            s.whatif.lock().len(),
+            1,
+            "errors are cached, not re-derived"
+        );
     }
 
     #[test]
@@ -739,7 +739,9 @@ mod tests {
                 QueryKind::Nucleolus,
                 QueryKind::CoalitionValue { coalition: vec![1] },
             ] {
-                let err = s.execute(&kind).expect_err("an inf table must not be served");
+                let err = s
+                    .execute(&kind)
+                    .expect_err("an inf table must not be served");
                 assert_eq!(err.code, "SOLVE_FAILED", "{}: {}", kind.name(), err.detail);
                 assert!(err.detail.contains("non-finite"), "{}", err.detail);
             }
@@ -897,7 +899,10 @@ mod tests {
             p.starts_with("\"kind\":\"coalition-value\",\"coalition\":[0,1,69],"),
             "{p}"
         );
-        assert!(p.contains("\"value\":15"), "three facilities × 5 locations: {p}");
+        assert!(
+            p.contains("\"value\":15"),
+            "three facilities × 5 locations: {p}"
+        );
         let err = s
             .execute(&QueryKind::CoalitionValue {
                 coalition: vec![70],
@@ -977,6 +982,9 @@ mod tests {
     #[test]
     fn non_compute_kinds_are_rejected_by_execute() {
         let s = state();
-        assert_eq!(s.execute(&QueryKind::Health).unwrap_err().code, "BAD_REQUEST");
+        assert_eq!(
+            s.execute(&QueryKind::Health).unwrap_err().code,
+            "BAD_REQUEST"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! 24 distinct seeds; a proptest extends the claim to arbitrary seeds.
 
 use fedval_serve::chaos::{self, ChaosConfig};
-use fedval_serve::{ScenarioSpec, Server, ServerConfig, ServeState};
+use fedval_serve::{ScenarioSpec, ServeState, Server, ServerConfig};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -65,7 +65,9 @@ fn chaos_config(seed: u64, rounds: u32) -> ChaosConfig {
 }
 
 fn open_fds() -> usize {
-    std::fs::read_dir("/proc/self/fd").map(|d| d.count()).unwrap_or(0)
+    std::fs::read_dir("/proc/self/fd")
+        .map(|d| d.count())
+        .unwrap_or(0)
 }
 
 #[expect(
@@ -117,8 +119,7 @@ fn chaos_campaign_survives_24_distinct_seeds() {
         );
         assert!(report.probes >= 3, "seed {seed}: probes must keep landing");
         assert_eq!(
-            report.internal_answers,
-            report.injected[7],
+            report.internal_answers, report.injected[7],
             "seed {seed}: every injected panic must come back as a typed INTERNAL"
         );
 
@@ -137,7 +138,10 @@ fn chaos_campaign_survives_24_distinct_seeds() {
         // fails the test by hanging it, an unserved job by abandoned.
         let drain = server.shutdown();
         assert_eq!(drain.abandoned, 0, "seed {seed}: drain left queued work");
-        assert_eq!(drain.open_conns, 0, "seed {seed}: drain leaked a connection");
+        assert_eq!(
+            drain.open_conns, 0,
+            "seed {seed}: drain leaked a connection"
+        );
     }
     // fd hygiene: after every server drained, the process must be back
     // to its baseline descriptor count (kernel cleanup can lag a tick).
@@ -191,7 +195,11 @@ fn injected_panic_yields_internal_then_health_degrades_and_recovers() {
     let canonical = ask(&mut reader, &mut stream, "{\"id\":5,\"kind\":\"shapley\"}");
     assert!(canonical.contains("\"ok\":true"), "{canonical}");
 
-    let internal = ask(&mut reader, &mut stream, "{\"id\":6,\"kind\":\"chaos-panic\"}");
+    let internal = ask(
+        &mut reader,
+        &mut stream,
+        "{\"id\":6,\"kind\":\"chaos-panic\"}",
+    );
     assert!(
         internal.contains("\"error\":\"INTERNAL\""),
         "panic must surface as a typed error, got: {internal}"
@@ -209,7 +217,10 @@ fn injected_panic_yields_internal_then_health_degrades_and_recovers() {
     );
 
     let again = ask(&mut reader, &mut stream, "{\"id\":5,\"kind\":\"shapley\"}");
-    assert_eq!(canonical, again, "a worker panic must not perturb cached bytes");
+    assert_eq!(
+        canonical, again,
+        "a worker panic must not perturb cached bytes"
+    );
 
     // Counters surface in the stats payload (the operator's view).
     let stats = ask(&mut reader, &mut stream, "{\"id\":9,\"kind\":\"stats\"}");
@@ -236,7 +247,11 @@ fn chaos_panic_is_refused_when_harness_mode_is_off() {
         ..tight_config()
     });
     let (mut reader, mut stream) = connect(&server);
-    let refused = ask(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"chaos-panic\"}");
+    let refused = ask(
+        &mut reader,
+        &mut stream,
+        "{\"id\":1,\"kind\":\"chaos-panic\"}",
+    );
     assert!(refused.contains("\"error\":\"BAD_REQUEST\""), "{refused}");
     let drain = server.shutdown();
     assert_eq!(drain.worker_restarts, 0, "no panic may reach a worker");
@@ -278,7 +293,11 @@ fn connection_cap_sheds_with_busy() {
     let stats = ask(&mut r1, &mut s1, "{\"id\":2,\"kind\":\"stats\"}");
     let shed_after = chaos::json_u64_field(&stats, "shed").expect("shed in stats");
     assert_eq!(shed_after - shed_before, 1, "{stats}");
-    assert_eq!(chaos::json_u64_field(&stats, "max_connections"), Some(2), "{stats}");
+    assert_eq!(
+        chaos::json_u64_field(&stats, "max_connections"),
+        Some(2),
+        "{stats}"
+    );
 
     let drain = server.shutdown();
     assert_eq!(drain.shed, 1);

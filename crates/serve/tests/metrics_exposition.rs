@@ -8,7 +8,7 @@
 
 use fedval_obs::{Record, RecordingSink};
 use fedval_serve::state::ScenarioSpec;
-use fedval_serve::{Server, ServerConfig, ServeState};
+use fedval_serve::{ServeState, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;

@@ -23,7 +23,11 @@ fn valid_frames() -> Vec<&'static [u8]> {
 fn known_code(err: &ProtocolError) -> bool {
     matches!(
         err.code(),
-        "FRAME_TOO_LARGE" | "INVALID_UTF8" | "MALFORMED" | "MISSING_FIELD" | "BAD_FIELD"
+        "FRAME_TOO_LARGE"
+            | "INVALID_UTF8"
+            | "MALFORMED"
+            | "MISSING_FIELD"
+            | "BAD_FIELD"
             | "UNKNOWN_KIND"
     )
 }

@@ -2,7 +2,7 @@
 //! connections, `BUSY` backpressure under saturation, and the
 //! never-drop-without-a-response guarantee.
 
-use fedval_serve::{ScenarioSpec, Server, ServerConfig, ServeState};
+use fedval_serve::{ScenarioSpec, ServeState, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -120,7 +120,10 @@ fn saturation_yields_busy_and_every_request_gets_a_response() {
 
     let report = server.shutdown();
     assert_eq!(report.busy, busy, "server-side BUSY tally must match");
-    assert_eq!(report.abandoned, 0, "drain must leave no queued work behind");
+    assert_eq!(
+        report.abandoned, 0,
+        "drain must leave no queued work behind"
+    );
 }
 
 #[test]

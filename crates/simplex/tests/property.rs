@@ -26,7 +26,14 @@ fn brute_force_max(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Option<f64> {
 
     // All n-subsets of planes (n ≤ 3, m small: fine).
     let mut index = vec![0usize; n];
-    fn combos(m: usize, k: usize, start: usize, index: &mut Vec<usize>, pos: usize, out: &mut Vec<Vec<usize>>) {
+    fn combos(
+        m: usize,
+        k: usize,
+        start: usize,
+        index: &mut Vec<usize>,
+        pos: usize,
+        out: &mut Vec<Vec<usize>>,
+    ) {
         if pos == k {
             out.push(index.clone());
             return;

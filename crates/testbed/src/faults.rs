@@ -214,7 +214,13 @@ impl FaultPlan {
     }
 
     /// Adds a correlated site-wide outage (see [`Fault::SiteOutage`]).
-    pub fn site_outage(mut self, authority: usize, site: usize, at: f64, duration: f64) -> FaultPlan {
+    pub fn site_outage(
+        mut self,
+        authority: usize,
+        site: usize,
+        at: f64,
+        duration: f64,
+    ) -> FaultPlan {
         self.events.push(Fault::SiteOutage {
             authority,
             site,
@@ -226,7 +232,8 @@ impl FaultPlan {
 
     /// Adds a permanent mid-trace authority departure.
     pub fn authority_departure(mut self, authority: usize, at: f64) -> FaultPlan {
-        self.events.push(Fault::AuthorityDeparture { authority, at });
+        self.events
+            .push(Fault::AuthorityDeparture { authority, at });
         self
     }
 
@@ -308,7 +315,8 @@ impl FaultPlan {
             let pick = rng.below(remaining.len() as u64) as usize;
             let authority = remaining.swap_remove(pick);
             let at = horizon * (0.3 + 0.7 * rng.uniform01());
-            self.events.push(Fault::AuthorityDeparture { authority, at });
+            self.events
+                .push(Fault::AuthorityDeparture { authority, at });
         }
         self
     }
@@ -406,6 +414,8 @@ mod tests {
         let c = FaultPlan::new().sampled_crashes(10, 12, 100.0, 5, 4.0);
         assert_ne!(a, c);
         // Zero nodes: nothing sampled, no panic.
-        assert!(FaultPlan::new().sampled_crashes(9, 0, 100.0, 5, 4.0).is_empty());
+        assert!(FaultPlan::new()
+            .sampled_crashes(9, 0, 100.0, 5, 4.0)
+            .is_empty());
     }
 }

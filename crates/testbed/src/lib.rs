@@ -43,8 +43,8 @@ mod federation;
 mod scale;
 mod selection;
 mod simulate;
-mod slice;
 mod site;
+mod slice;
 mod workload;
 
 pub use authority::{synthetic_authority, Authority};
@@ -56,8 +56,8 @@ pub use scale::{
 };
 pub use selection::{satisfies_diversity, select, NodeQuery, Selection};
 pub use simulate::{
-    empirical_game_diagnosed, run_coalition_faulted, Churn,
-    FaultedRun, MeasuredGame, SimConfig, SimError, SimReport,
+    empirical_game_diagnosed, run_coalition_faulted, Churn, FaultedRun, MeasuredGame, SimConfig,
+    SimError, SimReport,
 };
 pub use site::{Node, Site};
 pub use slice::{Slice, SliceError, SliceManager, Sliver};

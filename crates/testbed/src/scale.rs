@@ -382,9 +382,8 @@ mod tests {
         }
         // A different seed reshapes the federation.
         let (c, _) = synthetic_federation(50, 8);
-        let sizes = |fs: &[Facility]| -> Vec<usize> {
-            fs.iter().map(|f| f.offer.n_locations()).collect()
-        };
+        let sizes =
+            |fs: &[Facility]| -> Vec<usize> { fs.iter().map(|f| f.offer.n_locations()).collect() };
         assert_ne!(sizes(&a), sizes(&c));
     }
 

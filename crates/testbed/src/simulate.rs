@@ -26,9 +26,7 @@
 use crate::faults::{Fault, FaultPlan};
 use crate::federation::Federation;
 use crate::workload::{SliceRequest, Workload};
-use fedval_coalition::{
-    Coalition, CoalitionDiagnostics, GameDiagnostics, TableGame, ValueSource,
-};
+use fedval_coalition::{Coalition, CoalitionDiagnostics, GameDiagnostics, TableGame, ValueSource};
 use fedval_core::{LocationId, Utility};
 use fedval_desim::{ScheduleError, SimRng, Simulator, TimeWeighted};
 use std::collections::BTreeMap;
@@ -146,10 +144,16 @@ impl fmt::Display for SimError {
                 "fault targets site {site} of authority {authority}, which has {n_sites}"
             ),
             SimError::BadCredentialWindow { at, duration } => {
-                write!(f, "credential outage window [{at}, {at}+{duration}) is malformed")
+                write!(
+                    f,
+                    "credential outage window [{at}, {at}+{duration}) is malformed"
+                )
             }
             SimError::TooManyAuthorities { n, max } => {
-                write!(f, "{n} authorities exceed the 2^n measurement limit of {max}")
+                write!(
+                    f,
+                    "{n} authorities exceed the 2^n measurement limit of {max}"
+                )
             }
         }
     }
@@ -503,7 +507,10 @@ pub fn run_coalition_faulted(
         fedval_obs::counter_add("testbed.simulate.admitted", admitted.iter().sum());
         fedval_obs::counter_add("testbed.simulate.blocked", blocked.iter().sum());
         fedval_obs::counter_add("testbed.simulate.disrupted_slivers", disrupted);
-        fedval_obs::counter_add("testbed.simulate.faults_injected", u64::from(faults_injected));
+        fedval_obs::counter_add(
+            "testbed.simulate.faults_injected",
+            u64::from(faults_injected),
+        );
         fedval_obs::counter_add(
             "testbed.simulate.credential_retries",
             u64::from(credential_retries),
@@ -663,7 +670,10 @@ pub fn empirical_game_diagnosed(
     const MAX_PLAYERS: usize = 16;
     let n = federation.len();
     if n > MAX_PLAYERS {
-        return Err(SimError::TooManyAuthorities { n, max: MAX_PLAYERS });
+        return Err(SimError::TooManyAuthorities {
+            n,
+            max: MAX_PLAYERS,
+        });
     }
     let size = 1usize << n;
     let _game_span = fedval_obs::span_with("testbed.empirical.game", || {
@@ -891,16 +901,12 @@ mod resource_tests {
         let fed = Federation::new(vec![synthetic_authority("A", 0, 4, 2, 3, 0)]);
         let wl = Workload {
             classes: vec![
+                ClassLoad::external(ExperimentClass::simple("light", 1.0, 1.0), 3.0, 1.0),
                 ClassLoad::external(
-                ExperimentClass::simple("light", 1.0, 1.0),
-                3.0,
-                1.0,
-            ),
-                ClassLoad::external(
-                ExperimentClass::simple("heavy", 1.0, 1.0).with_resources(3),
-                3.0,
-                1.0,
-            ),
+                    ExperimentClass::simple("heavy", 1.0, 1.0).with_resources(3),
+                    3.0,
+                    1.0,
+                ),
             ],
         };
         let cfg = SimConfig {
@@ -1081,9 +1087,14 @@ mod fault_tests {
     #[test]
     fn empty_plan_matches_plain_run() {
         let plain = run_clean(&fed(), Coalition::grand(2), &wl(), &cfg());
-        let faulted =
-            run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &FaultPlan::new())
-                .unwrap();
+        let faulted = run_coalition_faulted(
+            &fed(),
+            Coalition::grand(2),
+            &wl(),
+            &cfg(),
+            &FaultPlan::new(),
+        )
+        .unwrap();
         assert_eq!(plain.total_utility, faulted.report.total_utility);
         assert_eq!(faulted.faults_injected, 0);
         assert_eq!(faulted.credential_retries, 0);
@@ -1095,17 +1106,21 @@ mod fault_tests {
         for node in 0..16 {
             plan = plan.node_crash(node, 0.0, None);
         }
-        let run =
-            run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &plan).unwrap();
+        let run = run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &plan).unwrap();
         assert_eq!(run.report.total_utility, 0.0);
         assert_eq!(run.faults_injected, 16);
     }
 
     #[test]
     fn site_outage_costs_utility_and_is_reproducible() {
-        let clean =
-            run_coalition_faulted(&fed(), Coalition::grand(2), &wl(), &cfg(), &FaultPlan::new())
-                .unwrap();
+        let clean = run_coalition_faulted(
+            &fed(),
+            Coalition::grand(2),
+            &wl(),
+            &cfg(),
+            &FaultPlan::new(),
+        )
+        .unwrap();
         // Down one site of each authority for most of the trace.
         let plan = FaultPlan::new()
             .site_outage(0, 0, 50.0, 300.0)
@@ -1211,8 +1226,7 @@ mod fault_tests {
 
     #[test]
     fn diagnosed_game_with_clean_plan_is_clean() {
-        let measured =
-            empirical_game_diagnosed(&fed(), &wl(), &cfg(), &FaultPlan::new()).unwrap();
+        let measured = empirical_game_diagnosed(&fed(), &wl(), &cfg(), &FaultPlan::new()).unwrap();
         assert!(measured.diagnostics.is_clean());
         for c in Coalition::all(2).filter(|c| !c.is_empty()) {
             use fedval_coalition::WideGame;

@@ -16,9 +16,7 @@
 )]
 
 use fedval::market::{clear_double_auction, run_combinatorial_auction, Ask, Bid, Order};
-use fedval::{
-    paper_facilities, Demand, ExperimentClass, FederationScenario,
-};
+use fedval::{paper_facilities, Demand, ExperimentClass, FederationScenario};
 
 fn main() {
     let facilities = paper_facilities([1, 1, 1]);

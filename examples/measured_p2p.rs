@@ -11,7 +11,7 @@
     reason = "an example narrates its walkthrough on stdout"
 )]
 
-use fedval::testbed::{ClassLoad, Churn};
+use fedval::testbed::{Churn, ClassLoad};
 use fedval::{
     run_coalition_faulted, synthetic_authority, Coalition, ExperimentClass, FaultPlan, Federation,
     SimConfig, Workload,
@@ -40,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("== utility delivered to each authority's users ==");
-    println!("{:>6} {:>12} {:>12} {:>10}", "", "alone", "federated", "gain");
+    println!(
+        "{:>6} {:>12} {:>12} {:>10}",
+        "", "alone", "federated", "gain"
+    );
     let clean = FaultPlan::new();
     let run = |coalition, config: &SimConfig| {
         run_coalition_faulted(&federation, coalition, &workload, config, &clean)

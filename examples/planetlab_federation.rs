@@ -53,21 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // measurement experiment only the full federation can host.
     let workload = Workload {
         classes: vec![
-            ClassLoad::external(
-                ExperimentClass::simple("p2p", 30.0, 1.0),
-                2.0,
-                0.2,
-            ),
+            ClassLoad::external(ExperimentClass::simple("p2p", 30.0, 1.0), 2.0, 0.2),
             ClassLoad::external(
                 ExperimentClass::simple("cdn", 80.0, 1.0).with_max_locations(100),
                 1.0,
                 2.0,
             ),
-            ClassLoad::external(
-                ExperimentClass::simple("measurement", 100.0, 1.0),
-                1.0,
-                0.8,
-            ),
+            ClassLoad::external(ExperimentClass::simple("measurement", 100.0, 1.0), 1.0, 0.8),
         ],
     };
 

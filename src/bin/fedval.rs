@@ -394,7 +394,12 @@ mod tests {
     #[test]
     fn parses_observability_flags() {
         let opts = parse(&args(&[
-            "report", "--metrics", "--trace", "out.jsonl", "--threshold", "250",
+            "report",
+            "--metrics",
+            "--trace",
+            "out.jsonl",
+            "--threshold",
+            "250",
         ]))
         .unwrap();
         assert!(opts.metrics);
@@ -408,7 +413,10 @@ mod tests {
 
     #[test]
     fn parses_threads_flag() {
-        assert_eq!(parse(&args(&["shares"])).unwrap().threads, available_threads());
+        assert_eq!(
+            parse(&args(&["shares"])).unwrap().threads,
+            available_threads()
+        );
         assert!(available_threads() >= 1);
         let opts = parse(&args(&["shares", "--threads", "4"])).unwrap();
         assert_eq!(opts.threads, 4);

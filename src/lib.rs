@@ -50,9 +50,8 @@ pub use fedval_testbed as testbed;
 
 pub use fedval_coalition::{
     harsanyi_dividends, is_core_nonempty, shapley, shapley_auto_wide, shapley_normalized,
-    try_approx_shapley_wide, try_least_core, try_nucleolus, ApproxConfig, ApproxShapley,
-    Coalition, ShapleyEstimate, TableGame, WideGame, EXACT_SHAPLEY_MAX_PLAYERS,
-    MAX_SAMPLED_PLAYERS,
+    try_approx_shapley_wide, try_least_core, try_nucleolus, ApproxConfig, ApproxShapley, Coalition,
+    ShapleyEstimate, TableGame, WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
 };
 pub use fedval_core::{
     p2p_allocate, paper_facilities, paper_facilities_with_locations, CostModel, Demand,

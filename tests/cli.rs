@@ -50,7 +50,13 @@ fn report_includes_all_schemes_and_recommendation() {
         "40",
     ]);
     assert!(ok);
-    for scheme in ["shapley", "proportional", "consumption", "nucleolus", "equal"] {
+    for scheme in [
+        "shapley",
+        "proportional",
+        "consumption",
+        "nucleolus",
+        "equal",
+    ] {
         assert!(stdout.contains(scheme), "missing {scheme}: {stdout}");
     }
     assert!(stdout.contains("recommended:"));
@@ -109,7 +115,10 @@ fn nucleolus_scheme_via_cli() {
         .filter_map(|l| l.split_whitespace().last())
         .filter_map(|v| v.parse::<f64>().ok())
         .sum();
-    assert!((total - 1300.0).abs() < 1.0, "payoff column sums to {total}");
+    assert!(
+        (total - 1300.0).abs() < 1.0,
+        "payoff column sums to {total}"
+    );
 }
 
 #[test]
@@ -179,7 +188,10 @@ fn report_span_names(threads: &str) -> Vec<String> {
 #[test]
 fn trace_span_names_do_not_depend_on_threads() {
     let one = report_span_names("1");
-    assert!(one.iter().any(|n| n == "coalition.shapley.exact"), "{one:?}");
+    assert!(
+        one.iter().any(|n| n == "coalition.shapley.exact"),
+        "{one:?}"
+    );
     assert_eq!(one, report_span_names("4"));
 }
 
@@ -195,7 +207,10 @@ fn metrics_flag_appends_run_report() {
     assert!(stdout.contains("coalition.nucleolus.lp_solves"), "{stdout}");
     let report_at = stdout.find("== run report ==").unwrap();
     let shares_at = stdout.find("V(N)").unwrap();
-    assert!(shares_at < report_at, "report must follow the command output");
+    assert!(
+        shares_at < report_at,
+        "report must follow the command output"
+    );
 }
 
 /// The `name  value` lines of a run report's counters section.

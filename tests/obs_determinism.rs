@@ -91,6 +91,9 @@ fn identical_seeded_runs_yield_byte_identical_snapshots() {
         "policy.report.build",
         "core.scenario.table_build",
     ] {
-        assert!(first.contains(needle), "snapshot is missing {needle}:\n{first}");
+        assert!(
+            first.contains(needle),
+            "snapshot is missing {needle}:\n{first}"
+        );
     }
 }

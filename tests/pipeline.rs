@@ -19,16 +19,8 @@ fn measured_shapley_shares_are_a_probability_vector() {
     ]);
     let workload = Workload {
         classes: vec![
-            ClassLoad::external(
-                ExperimentClass::simple("p2p", 4.0, 1.0),
-                1.0,
-                0.5,
-            ),
-            ClassLoad::external(
-                ExperimentClass::simple("wide", 13.0, 1.0),
-                0.5,
-                0.5,
-            ),
+            ClassLoad::external(ExperimentClass::simple("p2p", 4.0, 1.0), 1.0, 0.5),
+            ClassLoad::external(ExperimentClass::simple("wide", 13.0, 1.0), 0.5, 0.5),
         ],
     };
     let config = SimConfig {
