@@ -23,11 +23,11 @@
 //! The permutation estimator is **byte-identical for a fixed `(seed,
 //! samples)` at any thread count**. It draws whole player orderings in
 //! fixed-size blocks of [`PERMUTATION_BLOCK`]; block `b` owns the RNG
-//! stream `derive_seed(seed, b)`, [`par_map`] returns
-//! the blocks' partial sums in block order, and they are folded in that
-//! order, so the f64 addition order never depends on scheduling
-//! (DESIGN.md §9); obs counters are folded by the sharded registry and
-//! never feed back into results.
+//! stream `derive_seed(seed, b)`, [`par_map`] returns the blocks' partial
+//! sums in block order, and they are folded in that order, so the f64
+//! addition order never depends on scheduling (DESIGN.md §9); obs
+//! counters are folded by the sharded registry and never feed back into
+//! results.
 //!
 //! # Error bounds
 //!
@@ -465,7 +465,7 @@ pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
 /// The solver-selection layer over a [`WideGame`], by
 /// [`ApproxConfig::selects_sampling`]: the sampled estimator, or exact
 /// enumeration — the game's table filled by [`TableGame::try_from_walk`]
-/// on `cfg.threads` walkers, then each player's sum, all under one
+/// on up to `cfg.threads` workers, then each player's sum, all under one
 /// `coalition.shapley.exact` span.
 ///
 /// # Errors

@@ -125,15 +125,15 @@ impl TableGame {
 
     /// Materializes any [`WideGame`] into a dense table — the one `2^n`
     /// builder. Every coalition is evaluated once along a Gray-code walk:
-    /// the ranks `0..2^n` split into fixed blocks of 256, and
-    /// [`par_map`] walks the blocks on up to `threads`
-    /// workers, one [`WideGame::value_walk`] per block, so consecutive
-    /// coalitions differ by one player and `value_walk` runs
-    /// `⌈2^n / 256⌉` times at any thread count. A table of at most 256
-    /// coalitions is one block, walked on the calling thread. Each value
-    /// goes straight into its slot of the one `2^n` table, which holds
-    /// `value_members`' bits for every coalition at every thread count.
-    /// Adds `2^n` to the `coalition.game.evals` counter.
+    /// the ranks `0..2^n` split into fixed blocks of 256, and [`par_map`]
+    /// walks the blocks on up to `threads` workers, one
+    /// [`WideGame::value_walk`] per block, so consecutive coalitions
+    /// differ by one player and `value_walk` runs `⌈2^n / 256⌉` times at
+    /// any thread count. A table of at most 256 coalitions is one block,
+    /// walked on the calling thread. Each value goes straight into its
+    /// slot of the one `2^n` table, which holds `value_members`' bits for
+    /// every coalition at every thread count. Adds `2^n` to the
+    /// `coalition.game.evals` counter.
     ///
     /// # Errors
     /// [`GameError::TooManyPlayers`] when the game exceeds
@@ -155,7 +155,7 @@ impl TableGame {
         let size = 1usize << n;
         let slots: Vec<AtomicU64> = (0..size).map(|_| AtomicU64::new(0)).collect();
         par_map(size.div_ceil(WALK_BLOCK), threads, |block| {
-            walk_block(game, &slots, block);
+            walk_block(game, &slots, block)
         });
         fedval_obs::counter_add("coalition.game.evals", size as u64);
         let values: Vec<f64> = slots
@@ -416,7 +416,7 @@ pub(crate) mod tests {
     }
 
     /// A NaN or infinite coalition value fails the fill, naming the
-    /// lowest such mask, at every walker count.
+    /// lowest such mask, at every thread count.
     #[test]
     fn try_from_walk_rejects_non_finite_values() {
         for (bad, value) in [
@@ -496,7 +496,7 @@ mod proptests {
         /// Every game that overrides the bitset fast path answers it with
         /// the same bits as the member path, on random member sets, and
         /// the walk fills the per-coalition table bit for bit at 1–3
-        /// walkers (n ≥ 10 at 3 threads splits the ranks unevenly).
+        /// threads (from n = 9 the fill has more than one walk block).
         #[test]
         fn bitset_fast_path_matches_the_member_path(
             n in 1usize..=11,

@@ -93,6 +93,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use std::thread::{self, ThreadId};
 
     /// Item `i`'s result after a busy loop whose length varies with `i`,
@@ -134,11 +135,20 @@ mod tests {
         }
     }
 
+    /// Four items meet at a barrier, so no worker can take a second item
+    /// before every item has started: they run on four distinct workers,
+    /// the caller and three spawned threads.
     #[test]
-    fn parallel_maps_put_the_caller_to_work() {
-        let caller = thread::current().id();
-        let seen = par_map(64, 4, |i| (uneven(i), thread::current().id()));
-        assert!(seen.iter().any(|&(_, id)| id == caller));
+    fn the_caller_is_one_of_the_workers() {
+        let barrier = Barrier::new(4);
+        let seen = par_map(4, 4, |_| {
+            barrier.wait();
+            thread::current().id()
+        });
+        assert!(seen.contains(&thread::current().id()));
+        for (i, id) in seen.iter().enumerate() {
+            assert!(!seen[i + 1..].contains(id), "{seen:?}");
+        }
     }
 
     /// The payload `par_map` re-raised, as a string.
@@ -179,10 +189,5 @@ mod tests {
             .expect_err("panicking items must fail the map");
             assert_eq!(payload_of(unwound), "item 7 fails", "threads={threads}");
         }
-    }
-
-    #[test]
-    fn available_threads_has_a_floor_of_one() {
-        assert!(available_threads() >= 1);
     }
 }

@@ -210,9 +210,8 @@ mod tests {
     }
 
     /// The walk fill evaluates each of the `2^n` coalitions exactly once
-    /// at every walker count (n = 10 at 3 threads splits the ranks
-    /// unevenly), and exact Shapley on it has the per-coalition table's
-    /// bits.
+    /// at every thread count (n = 10 is four walk blocks), and exact
+    /// Shapley on it has the per-coalition table's bits.
     #[test]
     fn exact_shapley_evaluates_each_coalition_once() {
         use std::sync::atomic::Ordering;

@@ -165,8 +165,8 @@ impl FederationScenario {
     }
 
     /// Materializes the coalition-value table on first call and caches the
-    /// outcome: [`TableGame::try_from_walk`] on
-    /// [`threads`](FederationScenario::threads) walkers. Concurrent first
+    /// outcome: [`TableGame::try_from_walk`] on up to
+    /// [`threads`](FederationScenario::threads) workers. Concurrent first
     /// callers wait for one fill.
     ///
     /// # Errors

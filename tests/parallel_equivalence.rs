@@ -24,9 +24,8 @@ fn hashed(c: Coalition, salt: u64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// 2–12 players: from n = 9 up more than one walker runs (at most
-    /// one per 256 coalitions), and from n = 10 three threads split the
-    /// ranks unevenly.
+    /// 2–12 players: from n = 9 up the fill has more than one walk block
+    /// (one per 256 coalitions), so several workers share it.
     #[test]
     fn walk_fill_is_bit_identical_at_any_thread_count(n in 2usize..=12, salt in any::<u64>()) {
         let game = FnGame::new(n, move |c: Coalition| hashed(c, salt));
