@@ -293,6 +293,24 @@ if ! ./target/release/fedchaos --addr "$addr" --seed 3 --rounds 12 \
     kill "$chaos_pid" 2>/dev/null || true
     exit 1
 fi
+# Every stdout line (the seed's report, then the stats payload) must be
+# one JSON value, and the seed line's report must say it passed.
+if ! python3 - "$chaos_tmp/chaos.json" <<'PY'
+import json
+import sys
+
+lines = [json.loads(line) for line in open(sys.argv[1])]
+seeds = [line for line in lines if isinstance(line, dict) and "seed" in line]
+sys.exit(0 if len(seeds) == 1 and seeds[0]["report"]["passed"] is True else 1)
+PY
+then
+    echo ""
+    echo "ci.sh: fedchaos printed a line that is not JSON, or no seed line"
+    echo "whose report passed:"
+    cat "$chaos_tmp/chaos.json"
+    kill "$chaos_pid" 2>/dev/null || true
+    exit 1
+fi
 sleep 1
 fds_after=$(ls "/proc/$chaos_pid/fd" | wc -l)
 if [ "$fds_after" -gt $((fds_before + 4)) ]; then

@@ -25,6 +25,7 @@
 )]
 
 use fedval_serve::chaos::{self, ChaosConfig};
+use fedval_serve::client;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -191,7 +192,7 @@ fn run() -> Result<(), String> {
         let stats = "{\"id\":0,\"kind\":\"stats\"}";
         println!(
             "{}",
-            chaos::query(&opts.addr, opts.config.client_timeout, stats)?
+            client::query(&opts.addr, opts.config.client_timeout, stats)?
         );
     }
     if let Some(path) = &opts.metrics {
@@ -201,7 +202,7 @@ fn run() -> Result<(), String> {
     }
     if opts.shutdown {
         let shutdown = "{\"id\":0,\"kind\":\"shutdown\"}";
-        chaos::query(&opts.addr, opts.config.client_timeout, shutdown)?;
+        client::query(&opts.addr, opts.config.client_timeout, shutdown)?;
     }
     if failed {
         return Err("chaos campaign failed; rerun with the printed seed to reproduce".to_string());

@@ -43,10 +43,10 @@
 )]
 
 use fedval_obs::Histogram;
-use fedval_serve::chaos::{self, ChaosRng};
+use fedval_serve::chaos::ChaosRng;
+use fedval_serve::client::{self, Client};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::Shutdown;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -257,12 +257,12 @@ enum Outcome {
     Fatal,
 }
 
-fn classify(trimmed: &str) -> Outcome {
-    if trimmed.contains("\"ok\":true") {
+fn classify(line: &str) -> Outcome {
+    if line.contains("\"ok\":true") {
         Outcome::Ok
-    } else if trimmed.contains("\"error\":\"BUSY\"") {
+    } else if line.contains("\"error\":\"BUSY\"") {
         Outcome::Busy
-    } else if trimmed.contains("\"error\":\"DEADLINE\"") {
+    } else if line.contains("\"error\":\"DEADLINE\"") {
         Outcome::Deadline
     } else {
         // Any other failure (protocol error, SOLVE_FAILED, …) is a
@@ -274,22 +274,16 @@ fn classify(trimmed: &str) -> Outcome {
 /// Read and write deadline of every fedload socket.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn connect_to(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), String> {
-    let stream = chaos::connect(addr, CLIENT_TIMEOUT)?;
-    let writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    Ok((BufReader::new(stream), writer))
-}
-
 /// Checks a successful shapley body against the run-wide canonical
 /// bytes, establishing them on first sight.
 fn check_canonical(
     request: &str,
-    trimmed: &str,
+    line: &str,
     canonical_shapley: &Arc<OnceLock<String>>,
     report: &mut ConnReport,
 ) {
-    if request.contains("\"kind\":\"shapley\"") || trimmed.contains("\"kind\":\"shapley\"") {
-        let body = body_of(trimmed).to_string();
+    if request.contains("\"kind\":\"shapley\"") || line.contains("\"kind\":\"shapley\"") {
+        let body = body_of(line).to_string();
         let canonical = canonical_shapley.get_or_init(|| body.clone());
         if *canonical != body {
             report.mismatches += 1;
@@ -302,60 +296,45 @@ fn drive_connection(
     conn_index: usize,
     canonical_shapley: &Arc<OnceLock<String>>,
 ) -> Result<ConnReport, String> {
-    let (mut reader, mut writer) = connect_to(&opts.addr)?;
+    let mut client = Client::connect(&opts.addr, CLIENT_TIMEOUT)?;
     let mut rng = ChaosRng::new(
         opts.seed
             .wrapping_add(conn_index as u64)
             .wrapping_mul(0x9E37_79B9),
     );
     let mut report = ConnReport::default();
-    let mut line = String::new();
     for i in 0..opts.requests {
         let id = (conn_index * opts.requests + i) as u64;
         let request = request_line(&opts.kind, id, &mut rng);
         let started = Instant::now();
         let mut attempt: u32 = 0;
         loop {
-            let sent = writer
-                .write_all(request.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"));
-            let received = match sent {
-                Err(e) => Err(format!("send: {e}")),
-                Ok(()) => {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Err(e) => Err(format!("recv: {e}")),
-                        Ok(0) => Err("server closed the connection mid-run".to_string()),
-                        Ok(_) => Ok(()),
+            let line = match client.ask(&request) {
+                Ok(line) => line,
+                Err(transport) => {
+                    // Reset/EOF: retryable via a fresh connection.
+                    if attempt >= opts.retry {
+                        return Err(transport);
                     }
+                    attempt += 1;
+                    report.retries += 1;
+                    std::thread::sleep(backoff(attempt, &mut rng));
+                    client = Client::connect(&opts.addr, CLIENT_TIMEOUT)?;
+                    continue;
                 }
             };
-            if let Err(transport) = received {
-                // Reset/EOF: retryable via a fresh connection.
-                if attempt >= opts.retry {
-                    return Err(transport);
-                }
-                attempt += 1;
-                report.retries += 1;
-                std::thread::sleep(backoff(attempt, &mut rng));
-                let (r, w) = connect_to(&opts.addr)?;
-                reader = r;
-                writer = w;
-                continue;
-            }
-            let trimmed = line.trim_end();
             let expected_id = format!("{{\"id\":{id},");
-            if !trimmed.starts_with(&expected_id) {
+            if !line.starts_with(&expected_id) {
                 report.mismatches += 1;
                 break;
             }
-            match classify(trimmed) {
+            match classify(&line) {
                 Outcome::Ok => {
                     report.ok += 1;
                     if attempt > 0 {
                         report.recovered += 1;
                     }
-                    check_canonical(&request, trimmed, canonical_shapley, &mut report);
+                    check_canonical(&request, &line, canonical_shapley, &mut report);
                     break;
                 }
                 Outcome::Busy | Outcome::Deadline => {
@@ -368,7 +347,7 @@ fn drive_connection(
                     if opts.retry > 0 {
                         report.exhausted += 1;
                     }
-                    if matches!(classify(trimmed), Outcome::Busy) {
+                    if matches!(classify(&line), Outcome::Busy) {
                         report.busy += 1;
                     } else {
                         report.deadline += 1;
@@ -390,8 +369,8 @@ fn drive_connection(
 }
 
 /// Extracts the numeric id from a `{"id":N,...` response line.
-fn id_of(trimmed: &str) -> Option<u64> {
-    let rest = trimmed.strip_prefix("{\"id\":")?;
+fn id_of(line: &str) -> Option<u64> {
+    let rest = line.strip_prefix("{\"id\":")?;
     let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
     digits.parse().ok()
 }
@@ -401,7 +380,8 @@ fn drive_open_loop(
     conn_index: usize,
     canonical_shapley: &Arc<OnceLock<String>>,
 ) -> Result<ConnReport, String> {
-    let (reader, mut writer) = connect_to(&opts.addr)?;
+    let mut sender = Client::connect(&opts.addr, CLIENT_TIMEOUT)?;
+    let mut receiver = sender.try_clone()?;
     let mut rng = ChaosRng::new(
         opts.seed
             .wrapping_add(conn_index as u64)
@@ -414,17 +394,9 @@ fn drive_open_loop(
     let reader_pending = Arc::clone(&pending);
     let reader_canonical = Arc::clone(canonical_shapley);
     let collector = std::thread::spawn(move || {
-        let mut reader = reader;
         let mut report = ConnReport::default();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim_end();
-            let scheduled = id_of(trimmed)
+        while let Ok(line) = receiver.recv() {
+            let scheduled = id_of(&line)
                 .and_then(|id| reader_pending.lock().ok().and_then(|mut p| p.remove(&id)));
             let Some(scheduled) = scheduled else {
                 report.mismatches += 1;
@@ -433,10 +405,10 @@ fn drive_open_loop(
             let elapsed_ns = u64::try_from(scheduled.elapsed().as_nanos()).unwrap_or(u64::MAX);
             report.histogram.observe(elapsed_ns);
             fedval_obs::observe_ns("load.request_ns", elapsed_ns);
-            match classify(trimmed) {
+            match classify(&line) {
                 Outcome::Ok => {
                     report.ok += 1;
-                    check_canonical("", trimmed, &reader_canonical, &mut report);
+                    check_canonical("", &line, &reader_canonical, &mut report);
                 }
                 Outcome::Busy => report.busy += 1,
                 Outcome::Deadline => report.deadline += 1,
@@ -464,11 +436,8 @@ fn drive_open_loop(
         if let Ok(mut p) = pending.lock() {
             p.insert(id, scheduled);
         }
-        if let Err(e) = writer
-            .write_all(request.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-        {
-            send_failure = Some(format!("send: {e}"));
+        if let Err(e) = sender.send(&request) {
+            send_failure = Some(e);
             if let Ok(mut p) = pending.lock() {
                 p.remove(&id);
             }
@@ -485,7 +454,7 @@ fn drive_open_loop(
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    let _ = writer.shutdown(Shutdown::Both);
+    let _ = sender.socket().shutdown(Shutdown::Both);
     let mut report = collector.join().unwrap_or_default();
     report.lost += pending.lock().map(|p| p.len() as u64).unwrap_or(0);
     if let Some(failure) = send_failure {
@@ -551,19 +520,7 @@ fn merge(total: &mut ConnReport, part: &ConnReport) {
     total.recovered += part.recovered;
     total.exhausted += part.exhausted;
     total.lost += part.lost;
-    for (i, &n) in part.histogram.buckets.iter().enumerate() {
-        total.histogram.buckets[i] += n;
-    }
-    if part.histogram.count > 0 {
-        if total.histogram.count == 0 || part.histogram.min_ns < total.histogram.min_ns {
-            total.histogram.min_ns = part.histogram.min_ns;
-        }
-        if part.histogram.max_ns > total.histogram.max_ns {
-            total.histogram.max_ns = part.histogram.max_ns;
-        }
-        total.histogram.count += part.histogram.count;
-        total.histogram.sum_ns = total.histogram.sum_ns.saturating_add(part.histogram.sum_ns);
-    }
+    total.histogram.merge(&part.histogram);
 }
 
 fn run() -> Result<(), String> {
@@ -610,7 +567,7 @@ fn run() -> Result<(), String> {
 
     if let Some(path) = &opts.scrape {
         // One `metrics` query; the raw response line is what CI greps.
-        let line = chaos::query(
+        let line = client::query(
             &opts.addr,
             CLIENT_TIMEOUT,
             "{\"id\":0,\"kind\":\"metrics\"}",
@@ -618,7 +575,7 @@ fn run() -> Result<(), String> {
         std::fs::write(path, format!("{line}\n")).map_err(|e| format!("--scrape {path}: {e}"))?;
     }
     if opts.shutdown {
-        chaos::query(
+        client::query(
             &opts.addr,
             CLIENT_TIMEOUT,
             "{\"id\":0,\"kind\":\"shutdown\"}",

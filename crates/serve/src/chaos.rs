@@ -20,9 +20,13 @@
 //! is used three ways: from the `fedchaos` binary (against a daemon),
 //! from the `chaos_robustness` integration suite (against an in-process
 //! [`Server`](crate::Server)), and as a library for future harnesses.
+//! Every connection it opens, probe or fault, is a [`Client`]; the
+//! faults that are not whole frames write raw bytes through
+//! [`Client::socket`].
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use crate::client::Client;
+use std::io::Write;
+use std::net::Shutdown;
 use std::time::Duration;
 
 /// xorshift64* — tiny, seeded, deterministic; no external RNG dep.
@@ -94,6 +98,54 @@ pub enum FaultKind {
     /// A `chaos-panic` query (server started with `--chaos-harness`):
     /// the worker must panic, recover, and answer `INTERNAL`.
     PanicInjection,
+}
+
+/// A fault injector that runs on one fresh connection.
+type Injector = fn(Client, &ChaosConfig, &mut ChaosRng, &mut ChaosReport);
+
+impl FaultKind {
+    /// Every fault, in declaration order: the order of
+    /// [`ChaosReport::injected`] and of a run's fault menu.
+    const ALL: [FaultKind; 8] = [
+        FaultKind::SlowDrip,
+        FaultKind::SlowStall,
+        FaultKind::Truncate,
+        FaultKind::Reset,
+        FaultKind::Mangle,
+        FaultKind::StallRead,
+        FaultKind::ConnectFlood,
+        FaultKind::PanicInjection,
+    ];
+
+    /// The name that prefixes the fault's failures; the report's JSON
+    /// spells it with underscores.
+    fn name(self) -> &'static str {
+        match self {
+            FaultKind::SlowDrip => "slow-drip",
+            FaultKind::SlowStall => "slow-stall",
+            FaultKind::Truncate => "truncate",
+            FaultKind::Reset => "reset",
+            FaultKind::Mangle => "mangle",
+            FaultKind::StallRead => "stall-read",
+            FaultKind::ConnectFlood => "connect-flood",
+            FaultKind::PanicInjection => "panic-injection",
+        }
+    }
+
+    /// The injector run on one fresh connection; `None` for the connect
+    /// flood, which opens its own.
+    fn injector(self) -> Option<Injector> {
+        match self {
+            FaultKind::SlowDrip => Some(inject_slow_drip),
+            FaultKind::SlowStall => Some(inject_slow_stall),
+            FaultKind::Truncate => Some(inject_truncate),
+            FaultKind::Reset => Some(inject_reset),
+            FaultKind::Mangle => Some(inject_mangle),
+            FaultKind::StallRead => Some(inject_stall_read),
+            FaultKind::ConnectFlood => None,
+            FaultKind::PanicInjection => Some(inject_panic),
+        }
+    }
 }
 
 /// Tunables for one chaos run.
@@ -178,25 +230,15 @@ impl ChaosReport {
     /// Renders the report as one JSON object (stable field order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let names = [
-            "slow_drip",
-            "slow_stall",
-            "truncate",
-            "reset",
-            "mangle",
-            "stall_read",
-            "connect_flood",
-            "panic_injection",
-        ];
-        let injected: Vec<String> = names
+        let injected: Vec<String> = FaultKind::ALL
             .iter()
             .zip(self.injected.iter())
-            .map(|(n, c)| format!("\"{n}\":{c}"))
+            .map(|(kind, c)| format!("\"{}\":{c}", kind.name().replace('-', "_")))
             .collect();
         let failures: Vec<String> = self
             .failures
             .iter()
-            .map(|f| format!("\"{}\"", f.replace('\\', "\\\\").replace('"', "\\\"")))
+            .map(|f| format!("\"{}\"", fedval_obs::escape_json(f)))
             .collect();
         format!(
             "{{\"passed\":{},\"injected\":{{{}}},\"probes\":{},\"probe_mismatches\":{},\"internal_answers\":{},\"shed_observed\":{},\"answered\":{},\"failures\":[{}]}}",
@@ -212,68 +254,6 @@ impl ChaosReport {
     }
 }
 
-fn fault_index(kind: FaultKind) -> usize {
-    match kind {
-        FaultKind::SlowDrip => 0,
-        FaultKind::SlowStall => 1,
-        FaultKind::Truncate => 2,
-        FaultKind::Reset => 3,
-        FaultKind::Mangle => 4,
-        FaultKind::StallRead => 5,
-        FaultKind::ConnectFlood => 6,
-        FaultKind::PanicInjection => 7,
-    }
-}
-
-/// Opens one client socket to `addr` with both deadlines armed and
-/// Nagle off — the one way the serving toolchain's clients (`fedload`,
-/// `fedchaos` and the injector itself) connect.
-///
-/// # Errors
-/// Connection or socket-option failures, rendered as strings.
-pub fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| format!("set_write_timeout: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    Ok(stream)
-}
-
-/// Sends `line` + newline and reads one response line.
-fn roundtrip(stream: &mut TcpStream, line: &str) -> Result<String, String> {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .map_err(|e| format!("send: {e}"))?;
-    read_response(stream)
-}
-
-/// Reads one newline-terminated line from the socket (own tiny loop so
-/// the caller keeps the raw `TcpStream`).
-fn read_response(stream: &mut TcpStream) -> Result<String, String> {
-    let mut out = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err("server closed before a full line".to_string()),
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return String::from_utf8(out).map_err(|e| format!("non-utf8 response: {e}"));
-                }
-                out.push(byte[0]);
-                if out.len() > 1 << 20 {
-                    return Err("unterminated response beyond 1 MiB".to_string());
-                }
-            }
-            Err(e) => return Err(format!("recv: {e}")),
-        }
-    }
-}
-
 /// Extracts a `"name":123` unsigned field from a single-line JSON
 /// payload (the server's own renderer emits no whitespace, so a plain
 /// scan suffices). Returns `None` when absent or malformed.
@@ -286,22 +266,6 @@ pub fn json_u64_field(line: &str, name: &str) -> Option<u64> {
         .take_while(char::is_ascii_digit)
         .collect();
     digits.parse().ok()
-}
-
-/// Sends one request line over a fresh [`connect`]ion and returns the
-/// server's successful response line (newline stripped) — the one-shot
-/// form of the `stats`, `metrics` and `shutdown` queries.
-///
-/// # Errors
-/// Connection, send, or receive failures, or a response that is not
-/// `"ok":true`, rendered as strings.
-pub fn query(addr: &str, timeout: Duration, request: &str) -> Result<String, String> {
-    let response = roundtrip(&mut connect(addr, timeout)?, request)?;
-    if response.contains("\"ok\":true") {
-        Ok(response)
-    } else {
-        Err(format!("{request} was answered {response}"))
-    }
 }
 
 /// A well-behaved probe: health must answer, shapley must be
@@ -340,15 +304,15 @@ fn probe_once(
     canonical: &mut Option<String>,
     report: &mut ChaosReport,
 ) -> Result<(), String> {
-    let mut stream = connect(addr, config.client_timeout)?;
-    let health = roundtrip(&mut stream, "{\"id\":1,\"kind\":\"health\"}")?;
+    let mut client = Client::connect(addr, config.client_timeout)?;
+    let health = client.ask("{\"id\":1,\"kind\":\"health\"}")?;
     if health.contains("\"error\":\"BUSY\"") {
         return Err(format!("BUSY: {health}"));
     }
     if !health.contains("\"kind\":\"health\"") {
         return Err(format!("unexpected health response: {health}"));
     }
-    let shapley = roundtrip(&mut stream, "{\"id\":1,\"kind\":\"shapley\"}")?;
+    let shapley = client.ask("{\"id\":1,\"kind\":\"shapley\"}")?;
     if shapley.contains("\"error\":\"BUSY\"") {
         return Err(format!("BUSY: {shapley}"));
     }
@@ -364,7 +328,7 @@ fn probe_once(
         }
     }
     report.probes += 1;
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = client.socket().shutdown(Shutdown::Both);
     Ok(())
 }
 
@@ -374,22 +338,19 @@ fn is_valid_response(line: &str) -> bool {
 }
 
 fn inject_slow_drip(
-    addr: &str,
+    mut client: Client,
     config: &ChaosConfig,
     rng: &mut ChaosRng,
     report: &mut ChaosReport,
 ) {
-    let mut stream = match connect(addr, config.client_timeout) {
-        Ok(s) => s,
-        Err(e) => {
-            report.failures.push(format!("slow-drip: {e}"));
-            return;
-        }
-    };
     let id = 100 + rng.below(100);
     let frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}\n");
     for byte in frame.as_bytes() {
-        if stream.write_all(std::slice::from_ref(byte)).is_err() {
+        if client
+            .socket()
+            .write_all(std::slice::from_ref(byte))
+            .is_err()
+        {
             report
                 .failures
                 .push("slow-drip: server closed a live (dripping) frame".to_string());
@@ -397,7 +358,7 @@ fn inject_slow_drip(
         }
         std::thread::sleep(config.drip_delay);
     }
-    match read_response(&mut stream) {
+    match client.recv() {
         Ok(line) if is_valid_response(&line) => report.answered += 1,
         Ok(line) => report
             .failures
@@ -409,21 +370,14 @@ fn inject_slow_drip(
 }
 
 fn inject_slow_stall(
-    addr: &str,
+    mut client: Client,
     config: &ChaosConfig,
     rng: &mut ChaosRng,
     report: &mut ChaosReport,
 ) {
-    let mut stream = match connect(addr, config.client_timeout) {
-        Ok(s) => s,
-        Err(e) => {
-            report.failures.push(format!("slow-stall: {e}"));
-            return;
-        }
-    };
     let id = rng.below(1000);
     let partial = format!("{{\"id\":{id},\"kind\":\"shap");
-    if stream.write_all(partial.as_bytes()).is_err() {
+    if client.socket().write_all(partial.as_bytes()).is_err() {
         return; // already closed: acceptable under load
     }
     std::thread::sleep(config.hold);
@@ -432,14 +386,12 @@ fn inject_slow_stall(
     }
     // The server must have closed (or be about to close) this
     // connection: either a SLOW_CLIENT line then EOF, or a bare EOF.
-    let mut tail = Vec::new();
-    match stream.read_to_end(&mut tail) {
-        Ok(_) => {
-            let text = String::from_utf8_lossy(&tail);
-            if !(tail.is_empty() || text.contains("SLOW_CLIENT")) {
+    match client.recv_to_eof() {
+        Ok(tail) => {
+            if !(tail.is_empty() || tail.contains("SLOW_CLIENT")) {
                 report
                     .failures
-                    .push(format!("slow-stall: unexpected close payload: {text}"));
+                    .push(format!("slow-stall: unexpected close payload: {tail}"));
             }
         }
         Err(e) => report.failures.push(format!(
@@ -448,14 +400,12 @@ fn inject_slow_stall(
     }
 }
 
-fn inject_truncate(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &mut ChaosReport) {
-    let mut stream = match connect(addr, config.client_timeout) {
-        Ok(s) => s,
-        Err(e) => {
-            report.failures.push(format!("truncate: {e}"));
-            return;
-        }
-    };
+fn inject_truncate(
+    mut client: Client,
+    _config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    report: &mut ChaosReport,
+) {
     let id = rng.below(1000);
     let frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}");
     #[expect(
@@ -463,11 +413,11 @@ fn inject_truncate(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report:
         reason = "below(n) < n, and n came from a usize"
     )]
     let cut = 1 + (rng.below(frame.len() as u64 - 1) as usize);
-    if stream.write_all(&frame.as_bytes()[..cut]).is_err() {
+    if client.socket().write_all(&frame.as_bytes()[..cut]).is_err() {
         return;
     }
-    let _ = stream.shutdown(Shutdown::Write); // FIN mid-frame
-    match read_response(&mut stream) {
+    let _ = client.socket().shutdown(Shutdown::Write); // FIN mid-frame
+    match client.recv() {
         Ok(line) if line.contains("\"ok\":false") => report.answered += 1,
         Ok(line) => report
             .failures
@@ -478,44 +428,39 @@ fn inject_truncate(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report:
     }
 }
 
-fn inject_reset(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &mut ChaosReport) {
-    let mut stream = match connect(addr, config.client_timeout) {
-        Ok(s) => s,
-        Err(e) => {
-            report.failures.push(format!("reset: {e}"));
-            return;
-        }
-    };
+fn inject_reset(
+    mut client: Client,
+    _config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    _report: &mut ChaosReport,
+) {
     let id = rng.below(1000);
-    let _ = stream.write_all(format!("{{\"id\":{id},\"kind\":\"shapley\"}}\n").as_bytes());
+    let _ = client.send(&format!("{{\"id\":{id},\"kind\":\"shapley\"}}"));
     // Drop with the response unread: on loopback the pending receive
     // data turns the close into an RST, so the server's write path sees
     // a hard connection failure (counted in `write_failed`).
-    drop(stream);
+    drop(client);
 }
 
-fn inject_mangle(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &mut ChaosReport) {
-    let mut stream = match connect(addr, config.client_timeout) {
-        Ok(s) => s,
-        Err(e) => {
-            report.failures.push(format!("mangle: {e}"));
-            return;
-        }
-    };
+fn inject_mangle(
+    mut client: Client,
+    _config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    report: &mut ChaosReport,
+) {
     let id = rng.below(1000);
-    let mut frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}").into_bytes();
+    let mut frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}");
     // Corrupt one byte strictly inside the frame (never the newline).
     #[expect(
         clippy::cast_possible_truncation,
         reason = "below(n) < n, and n came from a usize"
     )]
     let at = 1 + (rng.below(frame.len() as u64 - 2) as usize);
-    frame[at] = b'#';
-    frame.push(b'\n');
-    if stream.write_all(&frame).is_err() {
+    frame.replace_range(at..=at, "#");
+    if client.send(&frame).is_err() {
         return;
     }
-    match read_response(&mut stream) {
+    match client.recv() {
         Ok(line) if line.contains("\"ok\":false") => report.answered += 1,
         // A lucky mangle can still parse (e.g. inside the id digits):
         // an ok response is then legitimate.
@@ -530,18 +475,11 @@ fn inject_mangle(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &
 }
 
 fn inject_stall_read(
-    addr: &str,
+    mut client: Client,
     config: &ChaosConfig,
     rng: &mut ChaosRng,
     report: &mut ChaosReport,
 ) {
-    let mut stream = match connect(addr, config.client_timeout) {
-        Ok(s) => s,
-        Err(e) => {
-            report.failures.push(format!("stall-read: {e}"));
-            return;
-        }
-    };
     let base = rng.below(10_000);
     let mut burst = String::new();
     for i in 0..config.pipeline {
@@ -550,41 +488,42 @@ fn inject_stall_read(
             base + i as u64
         ));
     }
-    if stream.write_all(burst.as_bytes()).is_err() {
+    if client.socket().write_all(burst.as_bytes()).is_err() {
         return;
     }
     // Refuse to read while the server answers the whole burst.
     std::thread::sleep(config.hold);
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
     for _ in 0..config.pipeline {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // server gave up on the lazy reader: acceptable
-            Ok(_) if is_valid_response(line.trim_end()) => report.answered += 1,
-            Ok(_) => {
+        match client.recv() {
+            Ok(line) if is_valid_response(&line) => report.answered += 1,
+            Ok(line) => {
                 report
                     .failures
-                    .push(format!("stall-read: invalid response: {}", line.trim_end()));
+                    .push(format!("stall-read: invalid response: {line}"));
                 return;
             }
-            Err(_) => return, // timeout draining the tail: acceptable
+            // The server gave up on the lazy reader, or the tail timed
+            // out: acceptable.
+            Err(_) => return,
         }
     }
 }
 
 fn inject_connect_flood(addr: &str, config: &ChaosConfig, report: &mut ChaosReport) {
-    let mut held: Vec<TcpStream> = Vec::new();
+    let mut held: Vec<Client> = Vec::new();
     for _ in 0..config.flood {
-        match connect(addr, config.client_timeout) {
-            Ok(s) => held.push(s),
+        match Client::connect(addr, config.client_timeout) {
+            Ok(client) => held.push(client),
             Err(_) => break, // backlog exhausted: the flood did its job
         }
     }
     // Each connection either serves a health probe or was shed with one
     // BUSY line at accept time; both are clean outcomes. Hangs are not.
-    for mut stream in held {
-        match roundtrip(&mut stream, "{\"id\":2,\"kind\":\"health\"}") {
+    // Every connection stays open until all have been asked: closing one
+    // mid-flood frees a slot, and a reader that answers faster than the
+    // acceptor accepts would then let the whole burst in unshed.
+    for client in &mut held {
+        match client.ask("{\"id\":2,\"kind\":\"health\"}") {
             Ok(line) if line.contains("\"error\":\"BUSY\"") => report.shed_observed += 1,
             Ok(line) if line.contains("\"kind\":\"health\"") => report.answered += 1,
             Ok(line) => report
@@ -597,19 +536,14 @@ fn inject_connect_flood(addr: &str, config: &ChaosConfig, report: &mut ChaosRepo
     }
 }
 
-fn inject_panic(addr: &str, config: &ChaosConfig, rng: &mut ChaosRng, report: &mut ChaosReport) {
-    let mut stream = match connect(addr, config.client_timeout) {
-        Ok(s) => s,
-        Err(e) => {
-            report.failures.push(format!("panic-injection: {e}"));
-            return;
-        }
-    };
+fn inject_panic(
+    mut client: Client,
+    _config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    report: &mut ChaosReport,
+) {
     let id = rng.below(1000);
-    match roundtrip(
-        &mut stream,
-        &format!("{{\"id\":{id},\"kind\":\"chaos-panic\"}}"),
-    ) {
+    match client.ask(&format!("{{\"id\":{id},\"kind\":\"chaos-panic\"}}")) {
         Ok(line) if line.contains("\"error\":\"INTERNAL\"") => {
             report.internal_answers += 1;
             report.answered += 1;
@@ -639,35 +573,24 @@ pub fn run(addr: &str, config: &ChaosConfig) -> ChaosReport {
     // Establish the canonical shapley bytes before any fault lands.
     probe(addr, config, &mut canonical, &mut report);
 
-    let mut menu = vec![
-        FaultKind::SlowDrip,
-        FaultKind::SlowStall,
-        FaultKind::Truncate,
-        FaultKind::Reset,
-        FaultKind::Mangle,
-        FaultKind::StallRead,
-        FaultKind::ConnectFlood,
-    ];
-    if config.panic_injection {
-        menu.push(FaultKind::PanicInjection);
-    }
-
+    let menu = if config.panic_injection {
+        &FaultKind::ALL[..]
+    } else {
+        &FaultKind::ALL[..7]
+    };
     for round in 0..config.rounds {
         #[expect(
             clippy::cast_possible_truncation,
             reason = "below(n) < n, and n came from a usize"
         )]
         let kind = menu[rng.below(menu.len() as u64) as usize];
-        report.injected[fault_index(kind)] += 1;
-        match kind {
-            FaultKind::SlowDrip => inject_slow_drip(addr, config, &mut rng, &mut report),
-            FaultKind::SlowStall => inject_slow_stall(addr, config, &mut rng, &mut report),
-            FaultKind::Truncate => inject_truncate(addr, config, &mut rng, &mut report),
-            FaultKind::Reset => inject_reset(addr, config, &mut rng, &mut report),
-            FaultKind::Mangle => inject_mangle(addr, config, &mut rng, &mut report),
-            FaultKind::StallRead => inject_stall_read(addr, config, &mut rng, &mut report),
-            FaultKind::ConnectFlood => inject_connect_flood(addr, config, &mut report),
-            FaultKind::PanicInjection => inject_panic(addr, config, &mut rng, &mut report),
+        report.injected[kind as usize] += 1;
+        match kind.injector() {
+            None => inject_connect_flood(addr, config, &mut report),
+            Some(inject) => match Client::connect(addr, config.client_timeout) {
+                Ok(client) => inject(client, config, &mut rng, &mut report),
+                Err(e) => report.failures.push(format!("{}: {e}", kind.name())),
+            },
         }
         if config.probe_every > 0 && (round + 1) % config.probe_every == 0 {
             probe(addr, config, &mut canonical, &mut report);
@@ -725,7 +648,25 @@ mod tests {
         r.failures.push("bad \"quote\"".to_string());
         let json = r.to_json();
         assert!(json.contains("\"passed\":false"));
-        assert!(json.contains("\"slow_drip\":2"));
+        assert!(json.contains(
+            "\"injected\":{\"slow_drip\":2,\"slow_stall\":0,\"truncate\":0,\"reset\":0,\"mangle\":0,\"stall_read\":0,\"connect_flood\":0,\"panic_injection\":0}"
+        ));
         assert!(json.contains("bad \\\"quote\\\""));
+    }
+
+    /// A failure that quotes server bytes (slow-stall's close payload)
+    /// may hold newlines and control characters; the report must stay
+    /// one line of valid JSON.
+    #[test]
+    fn report_json_escapes_control_characters_in_failures() {
+        let mut r = ChaosReport::default();
+        r.failures
+            .push("slow-stall: unexpected close payload: a\nb\u{1}c".to_string());
+        let json = r.to_json();
+        assert!(
+            json.contains("unexpected close payload: a\\nb\\u0001c"),
+            "{json}"
+        );
+        assert!(!json.chars().any(char::is_control), "{json:?}");
     }
 }

@@ -34,6 +34,9 @@
 //!   truncation, resets, mangling, stalled reads, connect floods,
 //!   deliberate worker panics) used by the `fedchaos` harness and the
 //!   chaos robustness suite.
+//! * [`client`] — the one client: a socket with both deadlines armed
+//!   that sends frames and reads response lines, used by `fedload`,
+//!   `fedchaos`, the injector and the loopback tests.
 //!
 //! Three binaries ship with the crate: `fedval-serve` (the daemon),
 //! `fedload` (a seeded load generator — closed-loop or open-loop
@@ -44,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod client;
 pub mod lru;
 pub mod metrics;
 pub mod protocol;
@@ -51,6 +55,7 @@ pub mod server;
 pub mod state;
 
 pub use chaos::{ChaosConfig, ChaosReport, ChaosRng, FaultKind};
+pub use client::Client;
 pub use metrics::{MetricsRing, RingSample};
 pub use protocol::{parse_request, ProtocolError, QueryKind, Request, MAX_FRAME};
 pub use server::{DrainReport, Server, ServerConfig, ServerStats};

@@ -222,6 +222,9 @@ struct Job {
 struct Shared {
     state: ServeState,
     config: ServerConfig,
+    /// The bound listener address: what [`Server::local_addr`] reports
+    /// and what the drain's self-connect pokes.
+    local_addr: SocketAddr,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutting_down: AtomicBool,
@@ -252,7 +255,6 @@ struct Shared {
 /// threads; call [`Server::shutdown`] (or send a `shutdown` query and
 /// [`Server::wait`]).
 pub struct Server {
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -272,11 +274,11 @@ impl Server {
         // still accumulate).
         fedval_obs::ensure_enabled();
         let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let threads = config.threads.max(1);
         let shared = Arc::new(Shared {
             state,
             config: ServerConfig { threads, ..config },
+            local_addr: listener.local_addr()?,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutting_down: AtomicBool::new(false),
@@ -310,7 +312,6 @@ impl Server {
         };
 
         Ok(Server {
-            local_addr,
             shared,
             acceptor: Some(acceptor),
             workers,
@@ -320,7 +321,7 @@ impl Server {
 
     /// The bound address (with the real port when `:0` was requested).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// Live operational counters.
@@ -331,7 +332,7 @@ impl Server {
     /// Initiates a graceful drain without blocking: stops the
     /// acceptor, half-closes connections, releases the workers.
     pub fn initiate_shutdown(&self) {
-        initiate_shutdown(&self.shared, self.local_addr);
+        initiate_shutdown(&self.shared);
     }
 
     /// Blocks until a drain is initiated (by [`Server::initiate_shutdown`]
@@ -350,7 +351,7 @@ impl Server {
         // The flag is set before the signal, but the acceptor may not
         // have been poked if the drain came from a client request on a
         // reader thread; poke it (idempotent).
-        initiate_shutdown(&self.shared, self.local_addr);
+        initiate_shutdown(&self.shared);
 
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -393,7 +394,7 @@ impl Server {
     }
 }
 
-fn initiate_shutdown(shared: &Shared, local_addr: SocketAddr) {
+fn initiate_shutdown(shared: &Shared) {
     let first = !shared.shutting_down.swap(true, Ordering::SeqCst);
     {
         let mut flagged = lock_recover(&shared.shutdown_signal);
@@ -405,7 +406,7 @@ fn initiate_shutdown(shared: &Shared, local_addr: SocketAddr) {
         fedval_obs::event("serve.server.drain", Vec::new);
         // Unblock the acceptor with a throwaway self-connection; it
         // re-checks the flag after every accept.
-        let _ = TcpStream::connect(local_addr);
+        let _ = TcpStream::connect(shared.local_addr);
         // Half-close every connection for reads: blocked readers wake
         // with EOF while queued responses can still be written.
         for conn in lock_recover(&shared.conns).values() {
@@ -734,7 +735,7 @@ fn dispatch(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Reque
             // reads the response, no later connection can be served
             // normally. This also half-closes our own socket; the next
             // read_frame sees EOF and the reader thread exits.
-            initiate_shutdown(shared, local_addr_of(shared));
+            initiate_shutdown(shared);
             respond(
                 shared,
                 writer,
@@ -756,19 +757,6 @@ fn dispatch(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Reque
         }
         _ => enqueue(shared, writer, request),
     }
-}
-
-/// The acceptor's address, recovered from any registered conn (used by
-/// the reader-thread shutdown path); falls back to an unspecified
-/// address — the self-connect poke then fails silently, and the
-/// acceptor still exits on its next accepted connection or via
-/// [`Server::wait`]'s idempotent re-poke.
-fn local_addr_of(shared: &Shared) -> SocketAddr {
-    lock_recover(&shared.conns)
-        .values()
-        .next()
-        .and_then(|c| c.local_addr().ok())
-        .unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)))
 }
 
 fn enqueue(shared: &Arc<Shared>, writer: &Arc<Mutex<TcpStream>>, request: Request) {
@@ -943,8 +931,10 @@ fn process(shared: &Shared, job: Job) {
         });
         fedval_obs::replay(captured);
     }
-    respond(shared, &writer, &line);
+    // Count before responding: a client that has read its reply must
+    // see it in the next `stats`.
     shared.stats.answered.fetch_add(1, Ordering::Relaxed);
+    respond(shared, &writer, &line);
     let total_ns = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
     fedval_obs::observe_ns("serve.request_ns", total_ns);
 }
@@ -1043,35 +1033,16 @@ fn stats_payload(shared: &Shared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use crate::state::ScenarioSpec;
-    use std::io::BufRead;
+
+    /// Read and write deadline of the test clients.
+    const TIMEOUT: Duration = Duration::from_secs(10);
 
     fn start_test_server(config: ServerConfig) -> Server {
         let state = ServeState::new(ScenarioSpec::paper_4_1(), 8);
         state.warm(1);
         Server::start(state, "127.0.0.1:0", config).expect("bind loopback")
-    }
-
-    fn client(addr: SocketAddr) -> (std::io::BufReader<TcpStream>, TcpStream) {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-        (reader, stream)
-    }
-
-    fn roundtrip(
-        reader: &mut std::io::BufReader<TcpStream>,
-        stream: &mut TcpStream,
-        request: &str,
-    ) -> String {
-        stream
-            .write_all(format!("{request}\n").as_bytes())
-            .expect("send");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("recv");
-        line.trim_end().to_string()
     }
 
     /// Each query kind's wire name has a request counter, so none goes
@@ -1105,27 +1076,25 @@ mod tests {
             threads: 2,
             ..ServerConfig::default()
         });
-        let (mut reader, mut stream) = client(server.local_addr());
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
 
-        let health = roundtrip(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"health\"}");
+        let health = client.ask("{\"id\":1,\"kind\":\"health\"}").unwrap();
         assert_eq!(
             health,
             "{\"id\":1,\"ok\":true,\"kind\":\"health\",\"status\":\"ok\"}"
         );
 
-        let a = roundtrip(&mut reader, &mut stream, "{\"id\":2,\"kind\":\"shapley\"}");
+        let a = client.ask("{\"id\":2,\"kind\":\"shapley\"}").unwrap();
         assert!(
             a.contains("\"ok\":true") && a.contains("\"grand_value\":1300"),
             "{a}"
         );
-        let b = roundtrip(&mut reader, &mut stream, "{\"id\":2,\"kind\":\"shapley\"}");
+        let b = client.ask("{\"id\":2,\"kind\":\"shapley\"}").unwrap();
         assert_eq!(a, b, "identical queries must be byte-identical");
 
-        let v = roundtrip(
-            &mut reader,
-            &mut stream,
-            "{\"id\":3,\"kind\":\"coalition-value\",\"coalition\":[1,2]}",
-        );
+        let v = client
+            .ask("{\"id\":3,\"kind\":\"coalition-value\",\"coalition\":[1,2]}")
+            .unwrap();
         assert!(v.contains("\"value\":1200"), "{v}");
 
         let report = server.shutdown();
@@ -1137,16 +1106,16 @@ mod tests {
     #[test]
     fn malformed_frames_get_typed_errors_and_connection_survives() {
         let server = start_test_server(ServerConfig::default());
-        let (mut reader, mut stream) = client(server.local_addr());
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
 
-        let err = roundtrip(&mut reader, &mut stream, "this is not json");
+        let err = client.ask("this is not json").unwrap();
         assert!(
             err.contains("\"ok\":false") && err.contains("MALFORMED"),
             "{err}"
         );
 
         // Same connection still answers real queries.
-        let ok = roundtrip(&mut reader, &mut stream, "{\"kind\":\"health\"}");
+        let ok = client.ask("{\"kind\":\"health\"}").unwrap();
         assert!(ok.contains("\"status\":\"ok\""), "{ok}");
 
         let report = server.shutdown();
@@ -1156,18 +1125,13 @@ mod tests {
     #[test]
     fn oversized_frame_is_answered_then_closed() {
         let server = start_test_server(ServerConfig::default());
-        let (mut reader, mut stream) = client(server.local_addr());
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
 
-        let huge = "x".repeat(MAX_FRAME + 10);
-        stream.write_all(huge.as_bytes()).expect("send body");
-        stream.write_all(b"\n").expect("send newline");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("recv");
+        let line = client.ask(&"x".repeat(MAX_FRAME + 10)).unwrap();
         assert!(line.contains("FRAME_TOO_LARGE"), "{line}");
-        // The server closes after the fatal error: next read is EOF.
-        line.clear();
-        let n = reader.read_line(&mut line).expect("eof read");
-        assert_eq!(n, 0, "connection must be closed, got {line:?}");
+        // The server closes after the fatal error: nothing else arrives.
+        let tail = client.recv_to_eof().unwrap();
+        assert!(tail.is_empty(), "connection must be closed, got {tail:?}");
 
         server.shutdown();
     }
@@ -1175,8 +1139,8 @@ mod tests {
     #[test]
     fn shutdown_query_drains_cleanly() {
         let server = start_test_server(ServerConfig::default());
-        let (mut reader, mut stream) = client(server.local_addr());
-        let bye = roundtrip(&mut reader, &mut stream, "{\"id\":9,\"kind\":\"shutdown\"}");
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        let bye = client.ask("{\"id\":9,\"kind\":\"shutdown\"}").unwrap();
         assert!(bye.contains("\"draining\":true"), "{bye}");
         let report = server.wait();
         assert_eq!(report.abandoned, 0);
@@ -1188,8 +1152,8 @@ mod tests {
             queue_depth: 7,
             ..ServerConfig::default()
         });
-        let (mut reader, mut stream) = client(server.local_addr());
-        let stats = roundtrip(&mut reader, &mut stream, "{\"kind\":\"stats\"}");
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        let stats = client.ask("{\"kind\":\"stats\"}").unwrap();
         assert!(stats.contains("\"queue_capacity\":7"), "{stats}");
         assert!(stats.contains("\"coalitions_cached\":8"), "{stats}");
         assert!(stats.contains("\"uptime_s\":"), "{stats}");
@@ -1201,6 +1165,26 @@ mod tests {
         // must advertise the exact path, with no sampling parameters.
         assert!(stats.contains("\"approx\":false"), "{stats}");
         assert!(!stats.contains("\"approx_method\""), "{stats}");
+        server.shutdown();
+    }
+
+    /// `answered` counts a compute reply before it is written, so a
+    /// client that has read a reply finds it counted in its next
+    /// `stats`. Counting after the write loses that race only now and
+    /// then, hence the 500 rounds.
+    #[test]
+    fn stats_counts_every_reply_the_client_has_read() {
+        let server = start_test_server(ServerConfig::default());
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        for answered in 1..=500 {
+            let shapley = client.ask("{\"id\":1,\"kind\":\"shapley\"}").unwrap();
+            assert!(shapley.contains("\"ok\":true"), "{shapley}");
+            let stats = client.ask("{\"id\":2,\"kind\":\"stats\"}").unwrap();
+            assert!(
+                stats.contains(&format!("\"answered\":{answered},")),
+                "{stats}"
+            );
+        }
         server.shutdown();
     }
 
@@ -1216,8 +1200,8 @@ mod tests {
         state.warm(1);
         let server =
             Server::start(state, "127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
-        let (mut reader, mut stream) = client(server.local_addr());
-        let stats = roundtrip(&mut reader, &mut stream, "{\"kind\":\"stats\"}");
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        let stats = client.ask("{\"kind\":\"stats\"}").unwrap();
         assert!(stats.contains("\"approx\":true"), "{stats}");
         assert!(
             stats.contains("\"approx_method\":\"permutation\""),
@@ -1232,9 +1216,9 @@ mod tests {
     #[test]
     fn metrics_query_returns_exposition_and_ring() {
         let server = start_test_server(ServerConfig::default());
-        let (mut reader, mut stream) = client(server.local_addr());
-        let _ = roundtrip(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"shapley\"}");
-        let m = roundtrip(&mut reader, &mut stream, "{\"id\":2,\"kind\":\"metrics\"}");
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        let _ = client.ask("{\"id\":1,\"kind\":\"shapley\"}").unwrap();
+        let m = client.ask("{\"id\":2,\"kind\":\"metrics\"}").unwrap();
         assert!(
             m.starts_with("{\"id\":2,\"ok\":true,\"kind\":\"metrics\""),
             "{m}"
@@ -1254,12 +1238,12 @@ mod tests {
             slow_trace: Duration::ZERO, // every compute request is "slow"
             ..ServerConfig::default()
         });
-        let (mut reader, mut stream) = client(server.local_addr());
-        let a = roundtrip(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"shapley\"}");
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        let a = client.ask("{\"id\":1,\"kind\":\"shapley\"}").unwrap();
         assert!(a.contains(",\"trace_id\":"), "{a}");
         // Inline kinds never go through the worker path, so they are
         // never tagged.
-        let h = roundtrip(&mut reader, &mut stream, "{\"kind\":\"health\"}");
+        let h = client.ask("{\"kind\":\"health\"}").unwrap();
         assert!(!h.contains("trace_id"), "{h}");
         server.shutdown();
     }
@@ -1270,8 +1254,8 @@ mod tests {
             slow_trace: Duration::from_secs(3600),
             ..ServerConfig::default()
         });
-        let (mut reader, mut stream) = client(server.local_addr());
-        let a = roundtrip(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"shapley\"}");
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        let a = client.ask("{\"id\":1,\"kind\":\"shapley\"}").unwrap();
         assert!(!a.contains("trace_id"), "{a}");
         server.shutdown();
     }

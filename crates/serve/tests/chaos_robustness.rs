@@ -5,10 +5,9 @@
 //! 24 distinct seeds; a proptest extends the claim to arbitrary seeds.
 
 use fedval_serve::chaos::{self, ChaosConfig};
-use fedval_serve::{ScenarioSpec, ServeState, Server, ServerConfig};
+use fedval_serve::{Client, ScenarioSpec, ServeState, Server, ServerConfig};
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -70,34 +69,8 @@ fn open_fds() -> usize {
         .unwrap_or(0)
 }
 
-#[expect(
-    clippy::expect_used,
-    reason = "test helper: a failed connect, send or receive fails the calling test"
-)]
-fn connect(server: &Server) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    stream
-        .set_write_timeout(Some(Duration::from_secs(10)))
-        .expect("write timeout");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (reader, stream)
-}
-
-#[expect(
-    clippy::expect_used,
-    reason = "test helper: a failed connect, send or receive fails the calling test"
-)]
-fn ask(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, line: &str) -> String {
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("send");
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("recv");
-    response.trim_end().to_string()
-}
+/// Read and write deadline of the test clients.
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The acceptance sweep: 24 distinct seeds, each a full chaos campaign
 /// against a fresh server. Every run must end with zero panics, zero
@@ -190,40 +163,36 @@ proptest! {
 fn injected_panic_yields_internal_then_health_degrades_and_recovers() {
     let _guard = serial();
     let server = start_server(tight_config());
-    let (mut reader, mut stream) = connect(&server);
+    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
 
-    let canonical = ask(&mut reader, &mut stream, "{\"id\":5,\"kind\":\"shapley\"}");
+    let canonical = client.ask("{\"id\":5,\"kind\":\"shapley\"}").unwrap();
     assert!(canonical.contains("\"ok\":true"), "{canonical}");
 
-    let internal = ask(
-        &mut reader,
-        &mut stream,
-        "{\"id\":6,\"kind\":\"chaos-panic\"}",
-    );
+    let internal = client.ask("{\"id\":6,\"kind\":\"chaos-panic\"}").unwrap();
     assert!(
         internal.contains("\"error\":\"INTERNAL\""),
         "panic must surface as a typed error, got: {internal}"
     );
 
-    let degraded = ask(&mut reader, &mut stream, "{\"id\":7,\"kind\":\"health\"}");
+    let degraded = client.ask("{\"id\":7,\"kind\":\"health\"}").unwrap();
     assert!(
         degraded.contains("\"status\":\"degraded\"") && degraded.contains("\"worker_restarts\":"),
         "first probe after a restart must degrade, got: {degraded}"
     );
-    let recovered = ask(&mut reader, &mut stream, "{\"id\":8,\"kind\":\"health\"}");
+    let recovered = client.ask("{\"id\":8,\"kind\":\"health\"}").unwrap();
     assert!(
         recovered.contains("\"status\":\"ok\""),
         "second probe must acknowledge and recover, got: {recovered}"
     );
 
-    let again = ask(&mut reader, &mut stream, "{\"id\":5,\"kind\":\"shapley\"}");
+    let again = client.ask("{\"id\":5,\"kind\":\"shapley\"}").unwrap();
     assert_eq!(
         canonical, again,
         "a worker panic must not perturb cached bytes"
     );
 
     // Counters surface in the stats payload (the operator's view).
-    let stats = ask(&mut reader, &mut stream, "{\"id\":9,\"kind\":\"stats\"}");
+    let stats = client.ask("{\"id\":9,\"kind\":\"stats\"}").unwrap();
     assert!(
         chaos::json_u64_field(&stats, "worker_restarts").unwrap_or(0) >= 1,
         "{stats}"
@@ -246,12 +215,8 @@ fn chaos_panic_is_refused_when_harness_mode_is_off() {
         chaos_panic: false,
         ..tight_config()
     });
-    let (mut reader, mut stream) = connect(&server);
-    let refused = ask(
-        &mut reader,
-        &mut stream,
-        "{\"id\":1,\"kind\":\"chaos-panic\"}",
-    );
+    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    let refused = client.ask("{\"id\":1,\"kind\":\"chaos-panic\"}").unwrap();
     assert!(refused.contains("\"error\":\"BAD_REQUEST\""), "{refused}");
     let drain = server.shutdown();
     assert_eq!(drain.worker_restarts, 0, "no panic may reach a worker");
@@ -266,31 +231,28 @@ fn connection_cap_sheds_with_busy() {
         max_connections: 2,
         ..tight_config()
     });
-    let (mut r1, mut s1) = connect(&server);
-    let ok = ask(&mut r1, &mut s1, "{\"id\":1,\"kind\":\"health\"}");
+    let mut c1 = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    let ok = c1.ask("{\"id\":1,\"kind\":\"health\"}").unwrap();
     assert!(ok.contains("\"kind\":\"health\""), "{ok}");
     // The stats payload sources shed counts from the process-global
     // metric registry, which earlier tests in this binary also fed;
     // assert on the delta across the shed, not the absolute value.
-    let before = ask(&mut r1, &mut s1, "{\"id\":10,\"kind\":\"stats\"}");
+    let before = c1.ask("{\"id\":10,\"kind\":\"stats\"}").unwrap();
     let shed_before = chaos::json_u64_field(&before, "shed").expect("shed in stats");
-    let (_r2, _s2) = connect(&server);
+    let _c2 = Client::connect(server.local_addr(), TIMEOUT).unwrap();
 
     // Third connection: over the cap, must get BUSY then EOF without
     // sending a byte.
-    let over = TcpStream::connect(server.local_addr()).expect("connect");
-    over.set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    let mut response = String::new();
-    BufReader::new(over)
-        .read_to_string(&mut response)
+    let response = Client::connect(server.local_addr(), Duration::from_secs(5))
+        .unwrap()
+        .recv_to_eof()
         .expect("shed line then EOF");
     assert!(
         response.contains("\"error\":\"BUSY\"") && response.contains("connection limit"),
         "expected an accept-time shed, got: {response:?}"
     );
 
-    let stats = ask(&mut r1, &mut s1, "{\"id\":2,\"kind\":\"stats\"}");
+    let stats = c1.ask("{\"id\":2,\"kind\":\"stats\"}").unwrap();
     let shed_after = chaos::json_u64_field(&stats, "shed").expect("shed in stats");
     assert_eq!(shed_after - shed_before, 1, "{stats}");
     assert_eq!(
@@ -310,19 +272,15 @@ fn connection_cap_sheds_with_busy() {
 fn stalled_mid_frame_connection_is_closed() {
     let _guard = serial();
     let server = start_server(tight_config());
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    let mut writer = stream.try_clone().expect("clone");
-    writer
+    let mut stalled = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
+    stalled
+        .socket()
         .write_all(b"{\"id\":1,\"kind\":\"shap")
         .expect("send partial frame");
     // Stop sending. After one full io_timeout window with no progress
     // the server must close with SLOW_CLIENT (or a bare EOF).
-    let mut tail = String::new();
-    BufReader::new(stream)
-        .read_to_string(&mut tail)
+    let tail = stalled
+        .recv_to_eof()
         .expect("server must close the stalled connection");
     assert!(
         tail.is_empty() || tail.contains("SLOW_CLIENT"),
@@ -330,8 +288,8 @@ fn stalled_mid_frame_connection_is_closed() {
     );
 
     // The slow-close is counted where operators can see it.
-    let (mut reader, mut probe) = connect(&server);
-    let stats = ask(&mut reader, &mut probe, "{\"id\":2,\"kind\":\"stats\"}");
+    let mut probe = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    let stats = probe.ask("{\"id\":2,\"kind\":\"stats\"}").unwrap();
     assert!(
         chaos::json_u64_field(&stats, "slow_closed").unwrap_or(0) >= 1,
         "{stats}"
@@ -347,22 +305,15 @@ fn stalled_mid_frame_connection_is_closed() {
 fn slow_drip_inside_the_deadline_is_served() {
     let _guard = serial();
     let server = start_server(tight_config());
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    stream
-        .set_write_timeout(Some(Duration::from_secs(5)))
-        .expect("write timeout");
-    let mut writer = stream.try_clone().expect("clone");
+    let mut client = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
     for byte in b"{\"id\":3,\"kind\":\"health\"}\n" {
-        writer
+        client
+            .socket()
             .write_all(std::slice::from_ref(byte))
             .expect("drip byte");
         std::thread::sleep(Duration::from_millis(2));
     }
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).expect("recv");
+    let line = client.recv().unwrap();
     assert!(line.contains("\"kind\":\"health\""), "{line}");
     server.shutdown();
 }

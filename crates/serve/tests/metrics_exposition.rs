@@ -8,24 +8,9 @@
 
 use fedval_obs::{Record, RecordingSink};
 use fedval_serve::state::ScenarioSpec;
-use fedval_serve::{ServeState, Server, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use fedval_serve::{Client, ServeState, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
-
-#[expect(
-    clippy::expect_used,
-    reason = "test helper: a failed connect, send or receive fails the calling test"
-)]
-fn roundtrip(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, request: &str) -> String {
-    stream
-        .write_all(format!("{request}\n").as_bytes())
-        .expect("send");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("recv");
-    line.trim_end().to_string()
-}
 
 /// Pulls the JSON-escaped exposition text out of a metrics response and
 /// un-escapes the newlines.
@@ -60,15 +45,11 @@ fn metrics_query_and_exemplar_trace_agree_on_the_trace_id() {
     )
     .expect("bind loopback");
 
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut client = Client::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
 
     // A slow (threshold zero) compute request must carry its trace id
     // in the response…
-    let shapley = roundtrip(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"shapley\"}");
+    let shapley = client.ask("{\"id\":1,\"kind\":\"shapley\"}").unwrap();
     assert!(shapley.contains("\"ok\":true"), "{shapley}");
     let trace_id: u64 = shapley
         .split(",\"trace_id\":")
@@ -78,7 +59,7 @@ fn metrics_query_and_exemplar_trace_agree_on_the_trace_id() {
 
     // …and the metrics query must return a well-formed exposition plus
     // the ring buffer.
-    let metrics = roundtrip(&mut reader, &mut stream, "{\"id\":2,\"kind\":\"metrics\"}");
+    let metrics = client.ask("{\"id\":2,\"kind\":\"metrics\"}").unwrap();
     assert!(
         metrics.starts_with("{\"id\":2,\"ok\":true,\"kind\":\"metrics\",\"uptime_s\":"),
         "{metrics}"

@@ -2,36 +2,13 @@
 //! connections, `BUSY` backpressure under saturation, and the
 //! never-drop-without-a-response guarantee.
 
-use fedval_serve::{ScenarioSpec, ServeState, Server, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use fedval_serve::{Client, ScenarioSpec, ServeState, Server, ServerConfig};
+use std::io::Write;
 use std::time::Duration;
 
-#[expect(
-    clippy::expect_used,
-    reason = "test helper: a failed connect, send or receive fails the calling test"
-)]
-fn connect(server: &Server) -> (BufReader<TcpStream>, TcpStream) {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("timeout");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (reader, stream)
-}
-
-#[expect(
-    clippy::expect_used,
-    reason = "test helper: a failed connect, send or receive fails the calling test"
-)]
-fn ask(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, line: &str) -> String {
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("send");
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("recv");
-    response.trim_end().to_string()
-}
+/// Read and write deadline of the test clients: long enough for the
+/// saturation test's uncached 12-player what-ifs.
+const TIMEOUT: Duration = Duration::from_secs(60);
 
 #[test]
 fn responses_are_byte_identical_across_connections() {
@@ -49,13 +26,13 @@ fn responses_are_byte_identical_across_connections() {
     ];
     // Same id on purpose: with the id pinned, the whole response line
     // must be byte-identical, across repeats and across connections.
-    let (mut r1, mut s1) = connect(&server);
-    let first: Vec<String> = queries.iter().map(|q| ask(&mut r1, &mut s1, q)).collect();
-    let repeat: Vec<String> = queries.iter().map(|q| ask(&mut r1, &mut s1, q)).collect();
+    let mut c1 = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    let first: Vec<String> = queries.iter().map(|q| c1.ask(q).unwrap()).collect();
+    let repeat: Vec<String> = queries.iter().map(|q| c1.ask(q).unwrap()).collect();
     assert_eq!(first, repeat, "same connection, same bytes");
 
-    let (mut r2, mut s2) = connect(&server);
-    let other: Vec<String> = queries.iter().map(|q| ask(&mut r2, &mut s2, q)).collect();
+    let mut c2 = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    let other: Vec<String> = queries.iter().map(|q| c2.ask(q).unwrap()).collect();
     assert_eq!(first, other, "different connection, same bytes");
 
     for line in &first {
@@ -88,7 +65,7 @@ fn saturation_yields_busy_and_every_request_gets_a_response() {
         ..ServerConfig::default()
     };
     let server = Server::start(state, "127.0.0.1:0", config).expect("start server");
-    let (mut reader, mut stream) = connect(&server);
+    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
 
     // One pipelined burst of six distinct (uncached) what-ifs.
     let total = 6usize;
@@ -99,20 +76,23 @@ fn saturation_yields_busy_and_every_request_gets_a_response() {
             20 + i
         ));
     }
-    stream.write_all(burst.as_bytes()).expect("send burst");
+    client
+        .socket()
+        .write_all(burst.as_bytes())
+        .expect("send burst");
 
     let mut ok = 0u64;
     let mut busy = 0u64;
     for _ in 0..total {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("recv");
-        assert_ne!(n, 0, "connection dropped before every request was answered");
+        // An error here is a connection dropped before every request
+        // was answered.
+        let line = client.recv().unwrap();
         if line.contains("\"ok\":true") {
             ok += 1;
         } else if line.contains("\"error\":\"BUSY\"") {
             busy += 1;
         } else {
-            panic!("unexpected response under saturation: {}", line.trim_end());
+            panic!("unexpected response under saturation: {line}");
         }
     }
     assert!(ok >= 1, "the in-flight request must complete");
@@ -132,22 +112,18 @@ fn drain_answers_inflight_then_refuses_new_work() {
     state.warm(1);
     let server =
         Server::start(state, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-    let (mut reader, mut stream) = connect(&server);
+    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
 
-    let bye = ask(&mut reader, &mut stream, "{\"id\":1,\"kind\":\"shutdown\"}");
+    let bye = client.ask("{\"id\":1,\"kind\":\"shutdown\"}").unwrap();
     assert!(bye.contains("\"draining\":true"), "{bye}");
 
     // A fresh connection during/after drain is either refused outright
     // or answered with SHUTTING_DOWN — never silently hung.
-    if let Ok(late) = TcpStream::connect(server.local_addr()) {
-        late.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut w = late.try_clone().expect("clone");
-        let _ = w.write_all(b"{\"id\":2,\"kind\":\"shapley\"}\n");
-        let mut r = BufReader::new(late);
-        let mut line = String::new();
-        // EOF (0 bytes) and SHUTTING_DOWN are both clean refusals.
-        if r.read_line(&mut line).unwrap_or(0) > 0 {
+    if let Ok(mut late) = Client::connect(server.local_addr(), Duration::from_secs(10)) {
+        let _ = late.send("{\"id\":2,\"kind\":\"shapley\"}");
+        // A failed send or an EOF and SHUTTING_DOWN are all clean
+        // refusals.
+        if let Ok(line) = late.recv() {
             assert!(line.contains("SHUTTING_DOWN"), "{line}");
         }
     }
