@@ -24,7 +24,7 @@
 //! faults that are not whole frames write raw bytes through
 //! [`Client::socket`].
 
-use crate::client::Client;
+use crate::client::{Client, CLOSED_MID_LINE};
 use std::io::Write;
 use std::net::Shutdown;
 use std::time::Duration;
@@ -100,9 +100,6 @@ pub enum FaultKind {
     PanicInjection,
 }
 
-/// A fault injector that runs on one fresh connection.
-type Injector = fn(Client, &ChaosConfig, &mut ChaosRng, &mut ChaosReport);
-
 impl FaultKind {
     /// Every fault, in declaration order: the order of
     /// [`ChaosReport::injected`] and of a run's fault menu.
@@ -129,21 +126,6 @@ impl FaultKind {
             FaultKind::StallRead => "stall-read",
             FaultKind::ConnectFlood => "connect-flood",
             FaultKind::PanicInjection => "panic-injection",
-        }
-    }
-
-    /// The injector run on one fresh connection; `None` for the connect
-    /// flood, which opens its own.
-    fn injector(self) -> Option<Injector> {
-        match self {
-            FaultKind::SlowDrip => Some(inject_slow_drip),
-            FaultKind::SlowStall => Some(inject_slow_stall),
-            FaultKind::Truncate => Some(inject_truncate),
-            FaultKind::Reset => Some(inject_reset),
-            FaultKind::Mangle => Some(inject_mangle),
-            FaultKind::StallRead => Some(inject_stall_read),
-            FaultKind::ConnectFlood => None,
-            FaultKind::PanicInjection => Some(inject_panic),
         }
     }
 }
@@ -400,12 +382,7 @@ fn inject_slow_stall(
     }
 }
 
-fn inject_truncate(
-    mut client: Client,
-    _config: &ChaosConfig,
-    rng: &mut ChaosRng,
-    report: &mut ChaosReport,
-) {
+fn inject_truncate(mut client: Client, rng: &mut ChaosRng, report: &mut ChaosReport) {
     let id = rng.below(1000);
     let frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}");
     #[expect(
@@ -428,12 +405,7 @@ fn inject_truncate(
     }
 }
 
-fn inject_reset(
-    mut client: Client,
-    _config: &ChaosConfig,
-    rng: &mut ChaosRng,
-    _report: &mut ChaosReport,
-) {
+fn inject_reset(mut client: Client, rng: &mut ChaosRng) {
     let id = rng.below(1000);
     let _ = client.send(&format!("{{\"id\":{id},\"kind\":\"shapley\"}}"));
     // Drop with the response unread: on loopback the pending receive
@@ -442,12 +414,7 @@ fn inject_reset(
     drop(client);
 }
 
-fn inject_mangle(
-    mut client: Client,
-    _config: &ChaosConfig,
-    rng: &mut ChaosRng,
-    report: &mut ChaosReport,
-) {
+fn inject_mangle(mut client: Client, rng: &mut ChaosRng, report: &mut ChaosReport) {
     let id = rng.below(1000);
     let mut frame = format!("{{\"id\":{id},\"kind\":\"shapley\"}}");
     // Corrupt one byte strictly inside the frame (never the newline).
@@ -502,6 +469,10 @@ fn inject_stall_read(
                     .push(format!("stall-read: invalid response: {line}"));
                 return;
             }
+            Err(e) if e.starts_with(CLOSED_MID_LINE) => {
+                report.failures.push(format!("stall-read: {e}"));
+                return;
+            }
             // The server gave up on the lazy reader, or the tail timed
             // out: acceptable.
             Err(_) => return,
@@ -534,14 +505,42 @@ fn inject_connect_flood(addr: &str, config: &ChaosConfig, report: &mut ChaosRepo
             Err(_) => report.shed_observed += 1,
         }
     }
+    // A closed connection frees its slot only once the server's reader
+    // has seen the close, so right after the flood closes the server can
+    // still be at its cap and shed the next fault's connection.
+    drop(held);
+    if let Err(e) = await_free_slot(addr, config) {
+        report.failures.push(format!("connect-flood: {e}"));
+    }
 }
 
-fn inject_panic(
-    mut client: Client,
-    _config: &ChaosConfig,
-    rng: &mut ChaosRng,
-    report: &mut ChaosReport,
-) {
+/// Asks `stats` on fresh connections until one is answered with fewer
+/// open connections, itself included, than the server's cap: the next
+/// connection is then admitted even if this one's slot is not yet free.
+fn await_free_slot(addr: &str, config: &ChaosConfig) -> Result<(), String> {
+    let mut last = String::new();
+    for _ in 0..40 {
+        match Client::connect(addr, config.client_timeout)
+            .and_then(|mut client| client.ask("{\"id\":3,\"kind\":\"stats\"}"))
+        {
+            Ok(stats) => {
+                let open = json_u64_field(&stats, "open_conns");
+                let cap = json_u64_field(&stats, "max_connections");
+                if matches!((open, cap), (Some(open), Some(cap)) if open < cap) {
+                    return Ok(());
+                }
+                last = stats;
+            }
+            Err(e) => last = e,
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    Err(format!(
+        "the server kept its cap full after the flood: {last}"
+    ))
+}
+
+fn inject_panic(mut client: Client, rng: &mut ChaosRng, report: &mut ChaosReport) {
     let id = rng.below(1000);
     match client.ask(&format!("{{\"id\":{id},\"kind\":\"chaos-panic\"}}")) {
         Ok(line) if line.contains("\"error\":\"INTERNAL\"") => {
@@ -561,6 +560,34 @@ fn inject_panic(
     }
 }
 
+/// Runs one fault round: the connect flood opens its own connections,
+/// every other fault runs on one fresh [`Client`].
+fn inject(
+    addr: &str,
+    kind: FaultKind,
+    config: &ChaosConfig,
+    rng: &mut ChaosRng,
+    report: &mut ChaosReport,
+) {
+    let client = match kind {
+        FaultKind::ConnectFlood => return inject_connect_flood(addr, config, report),
+        _ => match Client::connect(addr, config.client_timeout) {
+            Ok(client) => client,
+            Err(e) => return report.failures.push(format!("{}: {e}", kind.name())),
+        },
+    };
+    match kind {
+        FaultKind::SlowDrip => inject_slow_drip(client, config, rng, report),
+        FaultKind::SlowStall => inject_slow_stall(client, config, rng, report),
+        FaultKind::Truncate => inject_truncate(client, rng, report),
+        FaultKind::Reset => inject_reset(client, rng),
+        FaultKind::Mangle => inject_mangle(client, rng, report),
+        FaultKind::StallRead => inject_stall_read(client, config, rng, report),
+        FaultKind::PanicInjection => inject_panic(client, rng, report),
+        FaultKind::ConnectFlood => {} // flooded above
+    }
+}
+
 /// Runs one full seeded chaos campaign against `addr` and reports what
 /// it observed. Never panics and never hangs (every injector socket
 /// carries both deadlines).
@@ -573,11 +600,10 @@ pub fn run(addr: &str, config: &ChaosConfig) -> ChaosReport {
     // Establish the canonical shapley bytes before any fault lands.
     probe(addr, config, &mut canonical, &mut report);
 
-    let menu = if config.panic_injection {
-        &FaultKind::ALL[..]
-    } else {
-        &FaultKind::ALL[..7]
-    };
+    let menu: Vec<FaultKind> = FaultKind::ALL
+        .into_iter()
+        .filter(|kind| config.panic_injection || *kind != FaultKind::PanicInjection)
+        .collect();
     for round in 0..config.rounds {
         #[expect(
             clippy::cast_possible_truncation,
@@ -585,13 +611,7 @@ pub fn run(addr: &str, config: &ChaosConfig) -> ChaosReport {
         )]
         let kind = menu[rng.below(menu.len() as u64) as usize];
         report.injected[kind as usize] += 1;
-        match kind.injector() {
-            None => inject_connect_flood(addr, config, &mut report),
-            Some(inject) => match Client::connect(addr, config.client_timeout) {
-                Ok(client) => inject(client, config, &mut rng, &mut report),
-                Err(e) => report.failures.push(format!("{}: {e}", kind.name())),
-            },
-        }
+        inject(addr, kind, config, &mut rng, &mut report);
         if config.probe_every > 0 && (round + 1) % config.probe_every == 0 {
             probe(addr, config, &mut canonical, &mut report);
         }
@@ -629,6 +649,15 @@ mod tests {
             assert!((0.0..1.0).contains(&u), "{u}");
         }
         assert!(ChaosRng::new(5).below(0) == 0);
+    }
+
+    /// `injected[kind as usize]` counts a round, and `to_json` names
+    /// the counts in `ALL` order: both must be declaration order.
+    #[test]
+    fn all_lists_every_fault_in_declaration_order() {
+        for (i, kind) in FaultKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]

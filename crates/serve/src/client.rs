@@ -10,6 +10,11 @@ use std::time::Duration;
 /// Longest response line [`Client::recv`] accepts, newline excluded.
 const MAX_RESPONSE: u64 = 1 << 20;
 
+/// How [`Client::recv`]'s error starts when the server closed the
+/// connection in the middle of a line; a close between lines is a
+/// different error.
+pub const CLOSED_MID_LINE: &str = "server closed mid-line";
+
 /// One connection to a `fedval-serve` daemon: both socket deadlines
 /// armed, Nagle off, responses read through one buffered reader.
 #[derive(Debug)]
@@ -76,21 +81,22 @@ impl Client {
     ///
     /// # Errors
     /// The read failed or timed out, the server closed the connection
-    /// before a full line, the line is not UTF-8, or it runs past 1 MiB.
+    /// (between lines, or mid-line: [`CLOSED_MID_LINE`]), the line is
+    /// not UTF-8, or it runs past 1 MiB.
     pub fn recv(&mut self) -> Result<String, String> {
         let mut line = Vec::new();
         let read = (&mut self.reader)
             .take(MAX_RESPONSE + 1)
             .read_until(b'\n', &mut line)
             .map_err(|e| format!("recv: {e}"))?;
-        if line.pop() != Some(b'\n') {
-            return Err(if read as u64 > MAX_RESPONSE {
-                "unterminated response beyond 1 MiB".to_string()
-            } else {
-                "server closed before a full line".to_string()
-            });
+        match line.pop() {
+            Some(b'\n') => String::from_utf8(line).map_err(|e| format!("non-utf8 response: {e}")),
+            _ if read as u64 > MAX_RESPONSE => {
+                Err("unterminated response beyond 1 MiB".to_string())
+            }
+            None => Err("server closed the connection".to_string()),
+            Some(_) => Err(format!("{CLOSED_MID_LINE} after {read} bytes")),
         }
-        String::from_utf8(line).map_err(|e| format!("non-utf8 response: {e}"))
     }
 
     /// [`send`](Client::send) then [`recv`](Client::recv).
@@ -162,7 +168,7 @@ mod tests {
             [
                 Ok("{\"id\":1}".to_string()),
                 Ok("{\"id\":2}".to_string()),
-                Err("server closed before a full line".to_string()),
+                Err("server closed the connection".to_string()),
             ]
         );
         let rest = reading(b"{\"id\":3}\npartial", |c| (c.recv(), c.recv_to_eof()));
@@ -176,7 +182,7 @@ mod tests {
     fn recv_rejects_cut_non_utf8_and_overlong_lines() {
         assert_eq!(
             reading(b"{\"id\":1", Client::recv),
-            Err("server closed before a full line".to_string())
+            Err("server closed mid-line after 7 bytes".to_string())
         );
         let garbled = reading(b"{\"id\":\xff}\n", Client::recv);
         assert!(garbled.unwrap_err().starts_with("non-utf8 response"));

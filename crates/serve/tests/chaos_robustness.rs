@@ -8,6 +8,7 @@ use fedval_serve::chaos::{self, ChaosConfig};
 use fedval_serve::{Client, ScenarioSpec, ServeState, Server, ServerConfig};
 use proptest::prelude::*;
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -97,10 +98,7 @@ fn chaos_campaign_survives_24_distinct_seeds() {
         );
 
         // Worker supervision: restarts cover at least the injected panics.
-        let restarts = server
-            .stats()
-            .worker_restarts
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let restarts = server.stats().worker_restarts.load(Ordering::Relaxed);
         assert!(
             restarts >= report.injected[7],
             "seed {seed}: {restarts} restarts < {} injected panics",
@@ -130,6 +128,50 @@ fn chaos_campaign_survives_24_distinct_seeds() {
         fds_after <= fds_before + 2,
         "fd leak across chaos sweep: {fds_before} before, {fds_after} after"
     );
+}
+
+/// A flood leaves the server at its connection cap, and a closed
+/// connection frees its slot only once the server's reader has seen the
+/// close. Seed 1533 floods right before a panic injection, a slow drip
+/// and a slow stall, with probes off so nothing runs in between; spinning
+/// threads keep the cores busy so the readers lag. Over four campaigns
+/// each of those faults must still be admitted, not shed.
+#[test]
+fn faults_right_after_a_flood_are_admitted() {
+    let _guard = serial();
+    let server = start_server(tight_config());
+    let addr = server.local_addr().to_string();
+    let config = ChaosConfig {
+        probe_every: 0,
+        ..chaos_config(1533, 6)
+    };
+    /// Stops the spinners when dropped, so a panicking campaign fails
+    /// the test instead of leaving the scope waiting on them.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(false, Ordering::Relaxed);
+        }
+    }
+    let spinning = AtomicBool::new(true);
+    let reports: Vec<chaos::ChaosReport> = std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                while spinning.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let _stop = StopOnDrop(&spinning);
+        (0..4).map(|_| chaos::run(&addr, &config)).collect()
+    });
+    for report in reports {
+        assert!(report.passed(), "{:?}", report.failures);
+        // slow-drip, slow-stall, connect-flood ×3, panic-injection.
+        assert_eq!(report.injected, [1, 1, 0, 0, 0, 0, 3, 1]);
+        assert_eq!(report.internal_answers, 1);
+    }
+    assert_eq!(server.shutdown().abandoned, 0);
 }
 
 proptest! {

@@ -121,10 +121,13 @@ fn drain_answers_inflight_then_refuses_new_work() {
     // or answered with SHUTTING_DOWN — never silently hung.
     if let Ok(mut late) = Client::connect(server.local_addr(), Duration::from_secs(10)) {
         let _ = late.send("{\"id\":2,\"kind\":\"shapley\"}");
-        // A failed send or an EOF and SHUTTING_DOWN are all clean
-        // refusals.
-        if let Ok(line) = late.recv() {
-            assert!(line.contains("SHUTTING_DOWN"), "{line}");
+        // A failed send or read, a bare EOF and SHUTTING_DOWN are all
+        // clean refusals; any other bytes, a cut line too, are not.
+        if let Ok(tail) = late.recv_to_eof() {
+            assert!(
+                tail.is_empty() || tail.contains("SHUTTING_DOWN"),
+                "{tail:?}"
+            );
         }
     }
 
