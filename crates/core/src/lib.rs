@@ -77,7 +77,3 @@ pub use fedval_coalition as coalition;
 // for the model/testbed/policy layers.
 pub use fedval_simplex::approx;
 pub use fedval_simplex::approx::{approx_eq, is_zero, NOISE_EPS};
-
-// Lock-order-validated mutex wrappers (DESIGN.md §12): the canonical
-// path for model-layer code that needs a named, checkable lock.
-pub use fedval_obs::{lockorder, OrderedMutex, OrderedRwLock};

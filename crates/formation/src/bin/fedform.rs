@@ -200,7 +200,6 @@ fn run() -> Result<(), String> {
             samples: opts.approx_samples.max(1),
             ..ApproxConfig::default()
         },
-        ..FormationConfig::default()
     };
 
     println!(

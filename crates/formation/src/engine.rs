@@ -5,7 +5,7 @@
 //! most one merge per round), then let blocks **split** along the best
 //! strictly-gaining bipartition found within a seeded candidate budget.
 //! Because every operation strictly increases the potential
-//! `Σ_blocks V(B)` by more than `gain_epsilon`, the dynamics cannot
+//! `Σ_blocks V(B)` by more than `GAIN_EPSILON`, the dynamics cannot
 //! cycle; the round cap bounds the run regardless.
 //!
 //! Determinism: candidate enumeration follows block-id order, sampling
@@ -23,7 +23,7 @@ use fedval_coalition::{
 };
 use fedval_core::{Demand, Facility, FederationGame, FederationScenario};
 use fedval_desim::{SimRng, Simulator};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Stream selector for round rule RNGs.
 const ROUND_STREAM: u64 = 0x00F0_4444;
@@ -31,6 +31,14 @@ const ROUND_STREAM: u64 = 0x00F0_4444;
 const STABILITY_STREAM: u64 = 0x0057_AB1E;
 /// FNV-1a offset basis (64-bit), re-stated for trajectory folding.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// Max pairs examined by the final merge-stability probe.
+const STABILITY_PAIR_BUDGET: usize = 4096;
+/// Strict-improvement tolerance: an operation fires only when its gain
+/// exceeds this (guards float noise from counting as gain).
+const GAIN_EPSILON: f64 = 1e-9;
+
+/// A priced bipartition: `(block, side A, side B, V(A) + V(B) − V(block))`.
+type Cut = (u32, Vec<PlayerId>, Vec<PlayerId>, f64);
 
 /// An owned federation characteristic function — the glue between
 /// [`FederationScenario`] / the synthetic generator and the engine's
@@ -129,11 +137,6 @@ pub struct FormationConfig {
     /// threshold; strictly harmful merges never fire. Set 0 to restore
     /// the strict-only rule.
     pub neutral_budget: usize,
-    /// Max pairs examined by the final merge-stability probe.
-    pub stability_pair_budget: usize,
-    /// Strict-improvement tolerance: an operation fires only when its
-    /// gain exceeds this (guards float noise from counting as gain).
-    pub gain_epsilon: f64,
     /// Worker threads for value evaluation (results are invariant).
     pub threads: usize,
     /// Sampled-Shapley settings for the payoff table past the exact cap.
@@ -149,8 +152,6 @@ impl Default for FormationConfig {
             pair_budget: 128,
             split_budget: 2,
             neutral_budget: 32,
-            stability_pair_budget: 4096,
-            gain_epsilon: 1e-9,
             threads: 1,
             approx: ApproxConfig {
                 samples: 64,
@@ -554,33 +555,12 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
         }
     }
 
-    /// One merge round: examine up to `pair_budget` block pairs, fire the
-    /// strictly-gaining ones greedily by descending gain, each block in
-    /// at most one merge.
+    /// One merge round: fire the strictly-gaining pairs among up to
+    /// `pair_budget` examined ones greedily by descending gain, each
+    /// block in at most one merge; up to `neutral_budget` zero-gain
+    /// pairs fire too.
     fn merge_pass(&self, partition: &mut Partition, rng: &mut SimRng) -> usize {
-        let ids = partition.block_ids();
-        if ids.len() < 2 {
-            return 0;
-        }
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (i, &a) in ids.iter().enumerate() {
-            for &b in &ids[i + 1..] {
-                pairs.push((a, b));
-            }
-        }
-        if pairs.len() > self.cfg.pair_budget && self.cfg.pair_budget > 0 {
-            sample_prefix(&mut pairs, self.cfg.pair_budget, rng);
-            pairs.sort_unstable();
-        }
-        let (values, union_values) = self.pair_values(partition, &pairs);
-        let mut scored: Vec<(f64, u32, u32)> = pairs
-            .iter()
-            .enumerate()
-            .map(|(k, &(a, b))| {
-                let gain = union_values[k] - values[&a] - values[&b];
-                (gain, a, b)
-            })
-            .collect();
+        let (mut scored, _) = self.merge_gains(partition, self.cfg.pair_budget, rng);
         scored.sort_by(|x, y| {
             y.0.total_cmp(&x.0)
                 .then_with(|| (x.1, x.2).cmp(&(y.1, y.2)))
@@ -589,11 +569,11 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
         let mut merges = 0usize;
         let mut neutral_left = self.cfg.neutral_budget;
         for (gain, a, b) in scored {
-            if gain < -self.cfg.gain_epsilon {
+            if gain < -GAIN_EPSILON {
                 // Descending order: everything past here strictly loses.
                 break;
             }
-            let strict = gain > self.cfg.gain_epsilon;
+            let strict = gain > GAIN_EPSILON;
             if !strict && neutral_left == 0 {
                 // Descending order: no strict gains remain either.
                 break;
@@ -615,90 +595,17 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
         merges
     }
 
-    /// Values for every block named in `pairs` plus every pairwise union,
-    /// evaluated as one deterministic batch. Returns
-    /// `(block_id -> value, union value per pair in pair order)`.
-    fn pair_values(
-        &self,
-        partition: &Partition,
-        pairs: &[(u32, u32)],
-    ) -> (std::collections::BTreeMap<u32, f64>, Vec<f64>) {
-        let involved: BTreeSet<u32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-        let mut queries: Vec<Vec<PlayerId>> = Vec::with_capacity(involved.len() + pairs.len());
-        for &id in &involved {
-            queries.push(partition.members(id).to_vec());
-        }
-        for &(a, b) in pairs {
-            let mut u: Vec<PlayerId> = partition
-                .members(a)
-                .iter()
-                .chain(partition.members(b))
-                .copied()
-                .collect();
-            u.sort_unstable();
-            queries.push(u);
-        }
-        let vals = self.oracle.eval_batch(&queries, self.cfg.threads);
-        let block_values: std::collections::BTreeMap<u32, f64> =
-            involved.iter().copied().zip(vals.iter().copied()).collect();
-        (block_values, vals[involved.len()..].to_vec())
-    }
-
-    /// One split round: for each multi-member block, enumerate (small
-    /// blocks) or sample (large blocks) bipartitions; fire the best
-    /// strictly-gaining one per block.
+    /// One split round: fire the best strictly-gaining bipartition per
+    /// block (the first generated wins ties), in block-id order.
     fn split_pass(&self, partition: &mut Partition, rng: &mut SimRng) -> usize {
-        let ids = partition.block_ids();
-        // (block id, side_a, side_b) in deterministic generation order.
-        let mut candidates: Vec<(u32, Vec<PlayerId>, Vec<PlayerId>)> = Vec::new();
-        for &id in &ids {
-            let members = partition.members(id).to_vec();
-            if members.len() < 2 {
-                continue;
-            }
-            generate_bipartitions(&members, self.cfg.split_budget, rng, &mut |a, b| {
-                candidates.push((id, a, b));
-            });
-        }
-        if candidates.is_empty() {
-            return 0;
-        }
-        let mut queries: Vec<Vec<PlayerId>> = Vec::with_capacity(candidates.len() * 2);
-        for (_, a, b) in &candidates {
-            queries.push(a.clone());
-            queries.push(b.clone());
-        }
-        let side_vals = self.oracle.eval_batch(&queries, self.cfg.threads);
-        let whole_queries: Vec<Vec<PlayerId>> = ids
-            .iter()
-            .map(|&id| partition.members(id).to_vec())
-            .collect();
-        let whole_vals = self.oracle.eval_batch(&whole_queries, self.cfg.threads);
-        let whole: std::collections::BTreeMap<u32, f64> = ids
-            .iter()
-            .copied()
-            .zip(whole_vals.iter().copied())
-            .collect();
-
-        // Best strictly-gaining candidate per block, first-listed wins ties.
-        let mut best: std::collections::BTreeMap<u32, (f64, usize)> =
-            std::collections::BTreeMap::new();
-        for (k, (id, _, _)) in candidates.iter().enumerate() {
-            let gain = side_vals[2 * k] + side_vals[2 * k + 1] - whole[id];
-            if gain > self.cfg.gain_epsilon {
-                let better = match best.get(id) {
-                    Some(&(g, _)) => gain > g,
-                    None => true,
-                };
-                if better {
-                    best.insert(*id, (gain, k));
-                }
-            }
-        }
+        let (mut scored, _) = self.split_gains(partition, self.cfg.split_budget, rng);
+        scored.retain(|row| row.3 > GAIN_EPSILON);
+        // Stable: equal gains keep generation order.
+        scored.sort_by(|x, y| x.0.cmp(&y.0).then_with(|| y.3.total_cmp(&x.3)));
+        scored.dedup_by_key(|row| row.0);
         let mut splits = 0usize;
-        for (&id, &(_, k)) in &best {
-            let (_, a, b) = &candidates[k];
-            if partition.split(id, a.clone(), b.clone()).is_some() {
+        for (id, a, b, _) in scored {
+            if partition.split(id, a, b).is_some() {
                 splits += 1;
                 fedval_obs::counter_add("form.split", 1);
             }
@@ -706,11 +613,34 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
         splits
     }
 
-    /// Probes the final partition for merge- and split-stability, within
-    /// the stability budgets; `exhaustive` says whether the probe covered
-    /// the full candidate space.
+    /// Probes the final partition with the round scorers at larger
+    /// budgets: merge-stable (split-stable) when no examined pair
+    /// (bipartition) gains more than [`GAIN_EPSILON`]; `exhaustive` says
+    /// whether both probes covered every candidate.
     fn check_stability(&self, partition: &Partition) -> StabilityReport {
         let mut rng = SimRng::seed_from(derive_seed(self.cfg.seed, STABILITY_STREAM));
+        let (pairs, all_pairs) = self.merge_gains(partition, STABILITY_PAIR_BUDGET, &mut rng);
+        let probe_budget = self.cfg.split_budget.max(16);
+        let (cuts, all_cuts) = self.split_gains(partition, probe_budget, &mut rng);
+        StabilityReport {
+            merge_stable: pairs.iter().all(|row| row.0 <= GAIN_EPSILON),
+            split_stable: cuts.iter().all(|row| row.3 <= GAIN_EPSILON),
+            exhaustive: all_pairs && all_cuts,
+            pairs_checked: pairs.len(),
+            bipartitions_checked: cuts.len(),
+        }
+    }
+
+    /// `(V(A∪B) − V(A) − V(B), A, B)` for every block pair `A < B` in
+    /// lexicographic order, or for `budget` seeded samples of them
+    /// (re-sorted) when there are more than `budget > 0`; all priced in
+    /// one batch. The flag says whether every pair was examined.
+    fn merge_gains(
+        &self,
+        partition: &Partition,
+        budget: usize,
+        rng: &mut SimRng,
+    ) -> (Vec<(f64, u32, u32)>, bool) {
         let ids = partition.block_ids();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (i, &a) in ids.iter().enumerate() {
@@ -718,61 +648,65 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
                 pairs.push((a, b));
             }
         }
-        let pairs_exhaustive = pairs.len() <= self.cfg.stability_pair_budget;
-        if !pairs_exhaustive {
-            sample_prefix(&mut pairs, self.cfg.stability_pair_budget, &mut rng);
+        let all = budget == 0 || pairs.len() <= budget;
+        if !all {
+            sample_prefix(&mut pairs, budget, rng);
             pairs.sort_unstable();
         }
-        let (values, union_values) = self.pair_values(partition, &pairs);
-        let merge_stable = pairs
-            .iter()
-            .enumerate()
-            .all(|(k, &(a, b))| union_values[k] - values[&a] - values[&b] <= self.cfg.gain_epsilon);
-
-        // Split probe: exhaustive for small blocks, a larger-than-round
-        // seeded sample for big ones.
-        let probe_budget = self.cfg.split_budget.max(16);
-        let mut split_exhaustive = true;
-        let mut candidates: Vec<(u32, Vec<PlayerId>, Vec<PlayerId>)> = Vec::new();
-        for &id in &ids {
-            let members = partition.members(id).to_vec();
-            if members.len() < 2 {
-                continue;
-            }
-            if !exhaustive_below(&members, probe_budget) {
-                split_exhaustive = false;
-            }
-            generate_bipartitions(&members, probe_budget, &mut rng, &mut |a, b| {
-                candidates.push((id, a, b));
-            });
-        }
-        let mut queries: Vec<Vec<PlayerId>> = Vec::with_capacity(candidates.len() * 2);
-        for (_, a, b) in &candidates {
-            queries.push(a.clone());
-            queries.push(b.clone());
-        }
-        let side_vals = self.oracle.eval_batch(&queries, self.cfg.threads);
-        let whole_queries: Vec<Vec<PlayerId>> = ids
+        let involved: BTreeSet<u32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        let mut queries: Vec<Vec<PlayerId>> = involved
             .iter()
             .map(|&id| partition.members(id).to_vec())
             .collect();
-        let whole_vals = self.oracle.eval_batch(&whole_queries, self.cfg.threads);
-        let whole: std::collections::BTreeMap<u32, f64> = ids
-            .iter()
-            .copied()
-            .zip(whole_vals.iter().copied())
-            .collect();
-        let split_stable = candidates.iter().enumerate().all(|(k, (id, _, _))| {
-            side_vals[2 * k] + side_vals[2 * k + 1] - whole[id] <= self.cfg.gain_epsilon
-        });
-
-        StabilityReport {
-            merge_stable,
-            split_stable,
-            exhaustive: pairs_exhaustive && split_exhaustive,
-            pairs_checked: pairs.len(),
-            bipartitions_checked: candidates.len(),
+        for &(a, b) in &pairs {
+            let mut union = [partition.members(a), partition.members(b)].concat();
+            union.sort_unstable();
+            queries.push(union);
         }
+        let vals = self.oracle.eval_batch(&queries, self.cfg.threads);
+        let (block_vals, union_vals) = vals.split_at(involved.len());
+        let value: BTreeMap<u32, f64> = involved
+            .into_iter()
+            .zip(block_vals.iter().copied())
+            .collect();
+        let scored = pairs
+            .iter()
+            .zip(union_vals)
+            .map(|(&(a, b), &union)| (union - value[&a] - value[&b], a, b))
+            .collect();
+        (scored, all)
+    }
+
+    /// A [`Cut`] for each bipartition [`generate_bipartitions`] draws
+    /// from each multi-member block under `budget`, in block-id then
+    /// generation order, all priced in one batch. The flag says whether
+    /// every block was enumerated.
+    fn split_gains(
+        &self,
+        partition: &Partition,
+        budget: usize,
+        rng: &mut SimRng,
+    ) -> (Vec<Cut>, bool) {
+        let blocks: Vec<(u32, &[PlayerId])> =
+            partition.blocks().filter(|(_, m)| m.len() >= 2).collect();
+        let mut cuts: Vec<(usize, Vec<PlayerId>, Vec<PlayerId>)> = Vec::new();
+        let mut all = true;
+        for (k, &(_, members)) in blocks.iter().enumerate() {
+            all &= generate_bipartitions(members, budget, rng, &mut |a, b| cuts.push((k, a, b)));
+        }
+        let mut queries: Vec<Vec<PlayerId>> = blocks.iter().map(|(_, m)| m.to_vec()).collect();
+        for (_, a, b) in &cuts {
+            queries.push(a.clone());
+            queries.push(b.clone());
+        }
+        let vals = self.oracle.eval_batch(&queries, self.cfg.threads);
+        let (whole, sides) = vals.split_at(blocks.len());
+        let scored = cuts
+            .into_iter()
+            .zip(sides.chunks_exact(2))
+            .map(|((k, a, b), side)| (blocks[k].0, a, b, side[0] + side[1] - whole[k]))
+            .collect();
+        (scored, all)
     }
 
     /// The payoff table: promised (Shapley in the survivors' grand
@@ -808,8 +742,7 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
             members: grand.clone(),
         };
         let promised_phi = shapley_auto_wide(&promised_game, &approx)?.phi().to_vec();
-        let mut promised: std::collections::BTreeMap<PlayerId, f64> =
-            std::collections::BTreeMap::new();
+        let mut promised: BTreeMap<PlayerId, f64> = BTreeMap::new();
         for (i, &p) in grand.iter().enumerate() {
             promised.insert(p, promised_phi[i]);
         }
@@ -848,26 +781,21 @@ impl<'g, G: WideGame + ?Sized> FormationEngine<'g, G> {
     }
 }
 
-/// Whether [`generate_bipartitions`] will enumerate `members`
-/// exhaustively under `budget` (vs. falling back to seeded sampling).
-fn exhaustive_below(members: &[PlayerId], budget: usize) -> bool {
-    let m = members.len();
-    m >= 2 && m - 1 < usize::BITS as usize && (1usize << (m - 1)) - 1 <= budget.max(7)
-}
-
 /// Emits proper bipartitions of `members` (first member always on side
 /// A, so each unordered bipartition appears once): every one of the
 /// `2^(m-1) - 1` candidates when that fits the budget (with slack — tiny
 /// blocks are always enumerated), otherwise `budget` seeded draws.
+/// Returns whether it enumerated (a block under two members has nothing
+/// to enumerate).
 fn generate_bipartitions(
     members: &[PlayerId],
     budget: usize,
     rng: &mut SimRng,
     emit: &mut dyn FnMut(Vec<PlayerId>, Vec<PlayerId>),
-) {
+) -> bool {
     let m = members.len();
     if m < 2 {
-        return;
+        return true;
     }
     let by_mask = |mask: u64, emit: &mut dyn FnMut(Vec<PlayerId>, Vec<PlayerId>)| {
         let mut a = vec![members[0]];
@@ -881,11 +809,13 @@ fn generate_bipartitions(
         }
         emit(a, b);
     };
-    if exhaustive_below(members, budget) {
+    if m - 1 < usize::BITS as usize && (1usize << (m - 1)) - 1 <= budget.max(7) {
         for mask in 1..(1u64 << (m - 1)) {
             by_mask(mask, emit);
         }
-    } else if m - 1 < 64 {
+        return true;
+    }
+    if m - 1 < 64 {
         let count = (1u64 << (m - 1)) - 1;
         for _ in 0..budget {
             by_mask(1 + rng.below(count), emit);
@@ -911,6 +841,7 @@ fn generate_bipartitions(
             emit(a, b);
         }
     }
+    false
 }
 
 /// Moves a uniformly-drawn `k`-subset of `items` (partial Fisher-Yates)

@@ -1,7 +1,7 @@
 //! Property tests for the hedonic merge/split dynamics (ISSUE 10,
 //! satellite 3; DESIGN.md §15).
 //!
-//! Three guarantees the engine advertises:
+//! Four guarantees the engine advertises:
 //!
 //! (a) **thread invariance** — the rendered outcome (trajectory, payoff
 //!     table, fingerprints) is byte-identical at any `threads`;
@@ -10,7 +10,10 @@
 //!     cap bounds everything else);
 //! (c) **superadditive convergence** — on strictly superadditive games
 //!     the grand coalition must win: the dynamics converge to a
-//!     merge/split-stable partition with a single block.
+//!     merge/split-stable partition with a single block;
+//! (d) **probe agreement** — the stability probe prices candidates with
+//!     the round scorers, so where both examine every candidate a
+//!     converged run reports an exhaustive, stable partition.
 
 use fedval_coalition::{ApproxConfig, PlayerId, WideGame};
 use fedval_form::{fnv1a, ChurnSchedule, FormationConfig, FormationEngine};
@@ -149,6 +152,37 @@ proptest! {
         prop_assert!(outcome.converged_round.is_some(), "did not converge");
         prop_assert_eq!(outcome.final_partition.n_blocks(), 1, "grand coalition must win");
         prop_assert_eq!(outcome.final_partition.n_members(), n);
+        prop_assert!(outcome.stability.merge_stable, "not merge-stable");
+        prop_assert!(outcome.stability.split_stable, "not split-stable");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// (d) At `pair_budget: 0` every round scores every block pair, and
+    /// at `split_budget: 64` every bipartition of a block of up to 7
+    /// members; the probe's budgets cover the same candidates. A
+    /// converged run ended on a round that fired nothing, so the probe
+    /// must find nothing either.
+    #[test]
+    fn converged_runs_pass_an_exhaustive_probe(
+        n in 2usize..=7,
+        seed in 0u64..1_000_000,
+        neutral in prop::bool::ANY,
+    ) {
+        let game = HashGame { n, seed };
+        let cfg = FormationConfig {
+            seed,
+            pair_budget: 0,
+            split_budget: 64,
+            neutral_budget: if neutral { 32 } else { 0 },
+            ..test_config(1, 24)
+        };
+        let schedule = ChurnSchedule::seeded(n, seed, 240.0, n / 2, n / 4);
+        let outcome = FormationEngine::new(&game, cfg).run(&schedule);
+        prop_assume!(outcome.converged_round.is_some());
+        prop_assert!(outcome.stability.exhaustive, "probe sampled");
         prop_assert!(outcome.stability.merge_stable, "not merge-stable");
         prop_assert!(outcome.stability.split_stable, "not split-stable");
     }

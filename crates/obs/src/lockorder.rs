@@ -10,10 +10,8 @@
 //! first interleaving that *could* deadlock, not the one that does.
 //! Release builds skip all bookkeeping; the wrappers cost one branch.
 //!
-//! The witnessed graph is dumpable ([`edges`], [`dump`]) so CI can diff
-//! dynamic reality against the static model's acquisition-order graph:
-//! an edge seen at runtime but absent statically means the analyzer's
-//! resolution missed a site.
+//! [`edges`] lists the witnessed graph, for tests that check which
+//! orders actually ran.
 //!
 //! Poisoning is absorbed (`into_inner`) like everywhere else in this
 //! workspace: observability and caching state stay usable after a
@@ -129,15 +127,6 @@ pub fn edges() -> Vec<(&'static str, &'static str)> {
     graph_guard()
         .iter()
         .flat_map(|(&from, tos)| tos.iter().map(move |&to| (from, to)))
-        .collect()
-}
-
-/// The witnessed graph as `from → to` lines, one per edge, sorted — the
-/// CI artifact for diffing against the static model.
-pub fn dump() -> String {
-    edges()
-        .into_iter()
-        .map(|(from, to)| format!("{from} → {to}\n"))
         .collect()
 }
 
@@ -331,7 +320,6 @@ mod tests {
             assert_eq!(*ga + *gb, 3);
         }
         assert!(edges().contains(&("t1.alpha", "t1.beta")));
-        assert!(dump().contains("t1.alpha → t1.beta"));
     }
 
     #[test]

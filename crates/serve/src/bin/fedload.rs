@@ -22,6 +22,9 @@
 //! jitter; protocol errors and mismatches stay fatal. This is the
 //! client half of the serving stack's overload contract: the server
 //! sheds with typed errors, the client backs off deterministically.
+//! A connection over the server's cap is shed at accept with an
+//! id-less `BUSY` line and closed; that counts as `busy` too, and the
+//! next attempt or request reconnects.
 //!
 //! The query stream, arrival process, and retry jitter all derive from
 //! one [`ChaosRng`] seed, so two runs with the same seed issue the same
@@ -271,6 +274,13 @@ fn classify(line: &str) -> Outcome {
     }
 }
 
+/// Whether `line` is the acceptor's shed: an id-less `BUSY` written to
+/// a connection over the server's cap, which the server then closes
+/// without reading a request.
+fn shed_at_accept(line: &str) -> bool {
+    line.starts_with("{\"ok\":false,\"error\":\"BUSY\"")
+}
+
 /// Read and write deadline of every fedload socket.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -296,7 +306,8 @@ fn drive_connection(
     conn_index: usize,
     canonical_shapley: &Arc<OnceLock<String>>,
 ) -> Result<ConnReport, String> {
-    let mut client = Client::connect(&opts.addr, CLIENT_TIMEOUT)?;
+    // `None` after a reset or a shed: the next attempt reconnects.
+    let mut client = Some(Client::connect(&opts.addr, CLIENT_TIMEOUT)?);
     let mut rng = ChaosRng::new(
         opts.seed
             .wrapping_add(conn_index as u64)
@@ -309,7 +320,11 @@ fn drive_connection(
         let started = Instant::now();
         let mut attempt: u32 = 0;
         loop {
-            let line = match client.ask(&request) {
+            let live = match client.as_mut() {
+                Some(live) => live,
+                None => client.insert(Client::connect(&opts.addr, CLIENT_TIMEOUT)?),
+            };
+            let line = match live.ask(&request) {
                 Ok(line) => line,
                 Err(transport) => {
                     // Reset/EOF: retryable via a fresh connection.
@@ -319,12 +334,14 @@ fn drive_connection(
                     attempt += 1;
                     report.retries += 1;
                     std::thread::sleep(backoff(attempt, &mut rng));
-                    client = Client::connect(&opts.addr, CLIENT_TIMEOUT)?;
+                    client = None;
                     continue;
                 }
             };
             let expected_id = format!("{{\"id\":{id},");
-            if !line.starts_with(&expected_id) {
+            if shed_at_accept(&line) {
+                client = None;
+            } else if !line.starts_with(&expected_id) {
                 report.mismatches += 1;
                 break;
             }
@@ -396,6 +413,12 @@ fn drive_open_loop(
     let collector = std::thread::spawn(move || {
         let mut report = ConnReport::default();
         while let Ok(line) = receiver.recv() {
+            if shed_at_accept(&line) {
+                // Refused before any request was read: every request
+                // sent on this connection goes unanswered (`lost`).
+                report.busy += 1;
+                continue;
+            }
             let scheduled = id_of(&line)
                 .and_then(|id| reader_pending.lock().ok().and_then(|mut p| p.remove(&id)));
             let Some(scheduled) = scheduled else {
@@ -731,6 +754,45 @@ mod tests {
         assert_eq!(id_of("{\"id\":42,\"ok\":true}"), Some(42));
         assert_eq!(id_of("{\"id\":null,\"ok\":false}"), None);
         assert_eq!(id_of("garbage"), None);
+    }
+
+    /// The acceptor sheds a connection over the cap with an id-less
+    /// `BUSY` line and closes it: `busy`, never a mismatch, and a
+    /// retrying run reconnects until the slot frees.
+    #[test]
+    fn accept_time_shed_is_busy_and_retries_reconnect() {
+        use fedval_serve::{ScenarioSpec, ServeState, Server, ServerConfig};
+        let state = ServeState::new(ScenarioSpec::paper_4_1(), 8);
+        let config = ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(state, "127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().to_string();
+        let run = |retry: &str| {
+            let opts = parse(&args(&[
+                "--addr",
+                &addr,
+                "--requests",
+                "3",
+                "--kind",
+                "shapley",
+                "--retry",
+                retry,
+            ]))
+            .unwrap();
+            let report = drive_connection(&opts, 0, &Arc::new(OnceLock::new())).unwrap();
+            (report.ok, report.busy, report.mismatches)
+        };
+        let mut held = Client::connect(&addr, CLIENT_TIMEOUT).unwrap();
+        // Answered, so the held connection owns the one slot.
+        let health = held.ask("{\"id\":0,\"kind\":\"health\"}").unwrap();
+        assert!(health.contains("\"ok\":true"), "{health}");
+        assert_eq!(run("0"), (0, 3, 0));
+        assert_eq!(run("2"), (0, 3, 0));
+        drop(held);
+        assert_eq!(run("16"), (3, 0, 0));
+        server.shutdown();
     }
 
     #[test]
