@@ -162,6 +162,17 @@ if ! cmp "$approx_tmp/shares_t1.txt" "$approx_tmp/shares_t2.txt"; then
     echo "The permutation estimator leaked scheduling order into its fold."
     exit 1
 fi
+# The bytes themselves are pinned too: a faster value walk or estimator
+# must print the same shares, CIs and V(N) as the one that recorded
+# this digest.
+shares_sha=$(sha256sum < "$approx_tmp/shares_t1.txt" | cut -d' ' -f1)
+if [ "$shares_sha" != "dce3420b93ab4a9f6a1ab4559185cbfa405570b3c07a440410054b022da97276" ]; then
+    echo ""
+    echo "ci.sh: fedval shares --synthetic 200:7 printed different bytes (sha256 $shares_sha)."
+    echo "The sampled Shapley output changed; it must stay byte-identical."
+    head -5 "$approx_tmp/shares_t1.txt"
+    exit 1
+fi
 # A 200-authority synthetic federation is far past every exact cap; the
 # daemon must answer shapley queries via the sampled path, and fedload's
 # canonical-bytes check proves every response in the run is

@@ -10,7 +10,6 @@
 //! which the whole analytic allocation theory rests.
 
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Identifier of a geographic/network location.
@@ -116,19 +115,38 @@ impl CapacityProfile {
                 *by_cap.entry(cap).or_insert(0) += count;
             }
         }
-        CapacityProfile::from_histogram(&by_cap)
-    }
-
-    /// Builds from a capacity → location-count histogram whose keys and
-    /// counts are all positive (already the sorted, distinct groups).
-    fn from_histogram(histogram: &BTreeMap<u64, u64>) -> CapacityProfile {
-        let groups: Vec<(u64, u64)> = histogram.iter().map(|(&c, &n)| (c, n)).collect();
+        let groups: Vec<(u64, u64)> = by_cap.into_iter().collect();
         let n_locations = groups.iter().map(|&(_, n)| n).sum();
         let total_slots = groups.iter().map(|&(c, n)| c * n).sum();
         CapacityProfile {
             groups,
             n_locations,
             total_slots,
+        }
+    }
+
+    /// Moves one location from capacity `from` to capacity `to`, where
+    /// capacity 0 means not held: the in-place update behind
+    /// [`ProfileAccumulator`]. A group that empties is dropped, so the
+    /// groups stay sorted, distinct and positive.
+    fn move_location(&mut self, from: u64, to: u64) {
+        if from > 0 {
+            if let Ok(pos) = self.groups.binary_search_by_key(&from, |&(c, _)| c) {
+                self.groups[pos].1 -= 1;
+                if self.groups[pos].1 == 0 {
+                    self.groups.remove(pos);
+                }
+                self.n_locations -= 1;
+                self.total_slots -= from;
+            }
+        }
+        if to > 0 {
+            match self.groups.binary_search_by_key(&to, |&(c, _)| c) {
+                Ok(pos) => self.groups[pos].1 += 1,
+                Err(pos) => self.groups.insert(pos, (to, 1)),
+            }
+            self.n_locations += 1;
+            self.total_slots += to;
         }
     }
 
@@ -188,72 +206,111 @@ impl CapacityProfile {
     }
 }
 
+/// A dense numbering of the locations a fixed list of offers uses: the
+/// distinct location ids, sorted, become slots `0..m`, and each offer is
+/// kept as its `(slot, capacity)` entries, one flat run per offer. A
+/// walk over those offers then indexes an `m`-long array instead of an
+/// ordered map. Nothing is sized by a raw [`LocationId`], which may be
+/// any `u32`; zero-capacity entries are dropped, as
+/// [`LocationOffer::add`] drops them.
+#[derive(Debug)]
+pub(crate) struct SlotIndex {
+    /// Every offer's entries as `(slot, capacity)`, offer after offer.
+    entries: Vec<(usize, u64)>,
+    /// Offer `p`'s entries are `entries[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+    /// Number of distinct locations across the offers.
+    slots: usize,
+}
+
+impl SlotIndex {
+    /// Numbers the locations of `offers`, in offer order.
+    pub(crate) fn new<'a, I>(offers: I) -> SlotIndex
+    where
+        I: IntoIterator<Item = &'a LocationOffer>,
+        I::IntoIter: Clone,
+    {
+        let offers = offers.into_iter();
+        let held = |offer: &'a LocationOffer| offer.iter().filter(|&(_, r)| r > 0);
+        let mut ids: Vec<LocationId> = offers.clone().flat_map(held).map(|(l, _)| l).collect();
+        let mut entries = Vec::with_capacity(ids.len());
+        ids.sort_unstable();
+        ids.dedup();
+        let mut starts = vec![0];
+        for offer in offers {
+            entries.extend(held(offer).map(|(l, r)| (ids.partition_point(|&id| id < l), r)));
+            starts.push(entries.len());
+        }
+        SlotIndex {
+            entries,
+            starts,
+            slots: ids.len(),
+        }
+    }
+
+    /// Offer `p`'s `(slot, capacity)` entries.
+    pub(crate) fn offer(&self, p: usize) -> &[(usize, u64)] {
+        &self.entries[self.starts[p]..self.starts[p + 1]]
+    }
+
+    /// Number of slots (distinct locations).
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+}
+
 /// The capacity profile of a changing coalition, updated one facility
 /// offer at a time — the incremental form of
 /// [`coalition_profile`](crate::coalition_profile).
 ///
-/// Holds the merged capacity of every location currently held plus a
-/// histogram of how many locations sit at each capacity level, so an
-/// [`add`](ProfileAccumulator::add) or a
+/// Holds the merged capacity of every slot of a [`SlotIndex`] and the
+/// profile itself. An [`add`](ProfileAccumulator::add) or a
 /// [`remove`](ProfileAccumulator::remove) touches only that offer's
-/// locations. A location whose capacity drops to zero leaves the map, and
-/// a level that empties leaves the histogram, so both always hold exactly
-/// what a fresh merge would. Capacities are integers, so after any
-/// sequence of adds and removes [`profile`](ProfileAccumulator::profile)
-/// equals `coalition_profile` of the offers currently held exactly, in
-/// whatever order they came and went.
-#[derive(Debug, Default)]
+/// slots, moving each location from its old capacity group to its new
+/// one in place; a group that empties leaves the profile, so it always
+/// holds exactly what a fresh merge would. Capacities are integers, so
+/// after any sequence of adds and removes
+/// [`profile`](ProfileAccumulator::profile) equals `coalition_profile`
+/// of the offers currently held exactly, in whatever order they came
+/// and went.
+#[derive(Debug)]
 pub(crate) struct ProfileAccumulator {
-    capacity: BTreeMap<LocationId, u64>,
-    histogram: BTreeMap<u64, u64>,
+    capacity: Vec<u64>,
+    profile: CapacityProfile,
 }
 
 impl ProfileAccumulator {
-    /// Adds one facility's offer, summing capacity where it overlaps
-    /// locations already held (zero-capacity entries add nothing, as in
-    /// [`LocationOffer::merge`]).
-    pub(crate) fn add(&mut self, offer: &LocationOffer) {
-        for (location, r) in offer.iter().filter(|&(_, r)| r > 0) {
-            let cap = self.capacity.entry(location).or_insert(0);
-            // Move the location off its old level (a new one has none).
-            leave_level(&mut self.histogram, *cap);
-            *cap += r;
-            *self.histogram.entry(*cap).or_insert(0) += 1;
+    /// Holds nothing, over `slots` slots.
+    pub(crate) fn new(slots: usize) -> ProfileAccumulator {
+        ProfileAccumulator {
+            capacity: vec![0; slots],
+            profile: CapacityProfile::empty(),
         }
     }
 
-    /// Removes one facility's offer, previously added: the inverse of
+    /// Adds one offer's [`SlotIndex::offer`] entries, summing capacity
+    /// where it overlaps slots already held.
+    pub(crate) fn add(&mut self, entries: &[(usize, u64)]) {
+        for &(slot, r) in entries {
+            let held = self.capacity[slot];
+            self.capacity[slot] = held + r;
+            self.profile.move_location(held, held + r);
+        }
+    }
+
+    /// Removes one offer's entries, previously added: the inverse of
     /// [`add`](ProfileAccumulator::add).
-    pub(crate) fn remove(&mut self, offer: &LocationOffer) {
-        for (location, r) in offer.iter().filter(|&(_, r)| r > 0) {
-            if let Entry::Occupied(mut held) = self.capacity.entry(location) {
-                leave_level(&mut self.histogram, *held.get());
-                let left = *held.get() - r;
-                if left == 0 {
-                    held.remove();
-                } else {
-                    held.insert(left);
-                    *self.histogram.entry(left).or_insert(0) += 1;
-                }
-            }
+    pub(crate) fn remove(&mut self, entries: &[(usize, u64)]) {
+        for &(slot, r) in entries {
+            let held = self.capacity[slot];
+            self.capacity[slot] = held - r;
+            self.profile.move_location(held, held - r);
         }
     }
 
-    /// The profile of everything currently held, read straight off the
-    /// histogram, which never keeps an empty level.
-    pub(crate) fn profile(&self) -> CapacityProfile {
-        CapacityProfile::from_histogram(&self.histogram)
-    }
-}
-
-/// Takes one location off capacity level `cap`, dropping the level when
-/// it empties (level 0, a location not yet held, has no entry).
-fn leave_level(histogram: &mut BTreeMap<u64, u64>, cap: u64) {
-    if let Entry::Occupied(mut level) = histogram.entry(cap) {
-        *level.get_mut() -= 1;
-        if *level.get() == 0 {
-            level.remove();
-        }
+    /// The profile of everything currently held.
+    pub(crate) fn profile(&self) -> &CapacityProfile {
+        &self.profile
     }
 }
 
@@ -261,8 +318,8 @@ fn leave_level(histogram: &mut BTreeMap<u64, u64>, cap: u64) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn accumulator_matches_the_merged_profile_in_any_order() {
+    /// Four overlapping offers, two reaching out to `u32::MAX`.
+    fn overlapping_offers() -> [LocationOffer; 4] {
         let mut offers = [
             LocationOffer::contiguous(0, 10, 3),
             LocationOffer::contiguous(5, 10, 2),
@@ -271,15 +328,36 @@ mod tests {
         ];
         offers[3].add(9, 6);
         offers[3].add(40, 2);
+        offers[3].add(u32::MAX, 4);
+        offers[2].add(u32::MAX, 1);
+        offers
+    }
+
+    #[test]
+    fn slot_index_numbers_distinct_locations_in_id_order() {
+        let offers = overlapping_offers();
+        let index = SlotIndex::new(&offers);
+        // 0..15, 40 and u32::MAX.
+        assert_eq!(index.slots(), 17);
+        let first: Vec<(usize, u64)> = (0..10).map(|s| (s, 3)).collect();
+        assert_eq!(index.offer(0), &first[..]);
+        assert_eq!(index.offer(3), &[(9, 6), (15, 2), (16, 4)]);
+        assert_eq!(index.offer(2).last(), Some(&(16, 1)));
+    }
+
+    #[test]
+    fn accumulator_matches_the_merged_profile_in_any_order() {
+        let offers = overlapping_offers();
+        let index = SlotIndex::new(&offers);
         for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
-            let mut acc = ProfileAccumulator::default();
-            assert_eq!(acc.profile(), CapacityProfile::empty());
+            let mut acc = ProfileAccumulator::new(index.slots());
+            assert_eq!(acc.profile(), &CapacityProfile::empty());
             for (k, &i) in order.iter().enumerate() {
-                acc.add(&offers[i]);
+                acc.add(index.offer(i));
                 let merged = LocationOffer::merge(order[..=k].iter().map(|&j| &offers[j]));
                 assert_eq!(
                     acc.profile(),
-                    CapacityProfile::from_offer(&merged),
+                    &CapacityProfile::from_offer(&merged),
                     "{order:?} @ {k}"
                 );
             }
@@ -288,14 +366,15 @@ mod tests {
 
     #[test]
     fn accumulator_tracks_adds_and_removes_down_to_empty() {
-        let mut offers = [
-            LocationOffer::contiguous(0, 10, 3),
-            LocationOffer::contiguous(5, 10, 2),
-            LocationOffer::contiguous(8, 4, 1),
-            LocationOffer::new(),
-        ];
-        offers[3].add(9, 6);
-        offers[3].add(40, 2);
+        let offers = overlapping_offers();
+        let index = SlotIndex::new(&offers);
+        // Slot `s` holds the `s`-th smallest id any offer holds.
+        let mut ids: Vec<LocationId> = offers
+            .iter()
+            .flat_map(|o| o.iter().filter(|&(_, r)| r > 0).map(|(l, _)| l))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
         // Each step toggles one facility: a held one is removed, any
         // other added. Every sequence ends with nothing held.
         let sequences: [&[usize]; 3] = [
@@ -304,28 +383,28 @@ mod tests {
             &[1, 0, 1, 2, 1, 0, 2, 1],
         ];
         for steps in sequences {
-            let mut acc = ProfileAccumulator::default();
+            let mut acc = ProfileAccumulator::new(index.slots());
             let mut held: Vec<usize> = Vec::new();
             for (k, &i) in steps.iter().enumerate() {
                 if held.contains(&i) {
-                    acc.remove(&offers[i]);
+                    acc.remove(index.offer(i));
                     held.retain(|&j| j != i);
                 } else {
-                    acc.add(&offers[i]);
+                    acc.add(index.offer(i));
                     held.push(i);
                 }
                 let merged = LocationOffer::merge(held.iter().map(|&j| &offers[j]));
-                let want = CapacityProfile::from_offer(&merged);
-                // The profile is read off the histogram as is, so an
-                // emptied level left behind shows here.
-                assert_eq!(acc.profile(), want, "{steps:?} @ {k}");
-                // An emptied location left behind shows here.
-                let locations: Vec<(LocationId, u64)> =
-                    acc.capacity.iter().map(|(&l, &c)| (l, c)).collect();
-                let merged: Vec<(LocationId, u64)> = merged.iter().collect();
-                assert_eq!(locations, merged, "{steps:?} @ {k}");
+                // An emptied group left behind shows here.
+                assert_eq!(
+                    acc.profile(),
+                    &CapacityProfile::from_offer(&merged),
+                    "{steps:?} @ {k}"
+                );
+                // A capacity left behind on an emptied slot shows here.
+                let want: Vec<u64> = ids.iter().map(|&l| merged.capacity_at(l)).collect();
+                assert_eq!(acc.capacity, want, "{steps:?} @ {k}");
             }
-            assert_eq!(acc.profile(), CapacityProfile::empty());
+            assert_eq!(acc.profile(), &CapacityProfile::empty());
         }
     }
 

@@ -8,8 +8,10 @@
 use crate::allocation::{solve, ProfileSolution, SolveError};
 use crate::experiment::Demand;
 use crate::facility::{coalition_profile, Facility};
-use crate::location::ProfileAccumulator;
+use crate::location::{ProfileAccumulator, SlotIndex};
 use fedval_coalition::{WideGame, MAX_SAMPLED_PLAYERS};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// The coalitional game induced by a set of facilities facing a demand
 /// profile (commercial scenario).
@@ -24,35 +26,58 @@ use fedval_coalition::{WideGame, MAX_SAMPLED_PLAYERS};
 /// exact solution concepts read it through bitset coalitions (up to 64
 /// facilities), and the sampled Shapley estimators
 /// ([`fedval_coalition::shapley_auto_wide`]) walk member slices.
+///
+/// The game borrows its facilities and demand ([`FederationGame::new`])
+/// or owns them ([`FederationGame::owned`], for a game that outlives
+/// its inputs). Its first [`WideGame::value_walk`] numbers the
+/// facilities' locations once; every later walk on the same game, on
+/// any thread, reuses that numbering.
 pub struct FederationGame<'a> {
-    facilities: &'a [Facility],
-    demand: &'a Demand,
+    facilities: Cow<'a, [Facility]>,
+    demand: Cow<'a, Demand>,
+    slots: OnceLock<SlotIndex>,
 }
 
 impl<'a> FederationGame<'a> {
-    /// Creates the game.
+    /// Creates the game over borrowed facilities and demand.
     ///
     /// # Panics
     /// Panics if there are no facilities or more than
     /// [`MAX_SAMPLED_PLAYERS`]. (Beyond 64 facilities only the member-slice
     /// methods of [`WideGame`] apply — bitset coalitions cap at 64.)
     pub fn new(facilities: &'a [Facility], demand: &'a Demand) -> FederationGame<'a> {
+        FederationGame::from_cow(Cow::Borrowed(facilities), Cow::Borrowed(demand))
+    }
+
+    /// Creates the game over facilities and demand it owns.
+    ///
+    /// # Panics
+    /// As [`FederationGame::new`].
+    pub fn owned(facilities: Vec<Facility>, demand: Demand) -> FederationGame<'static> {
+        FederationGame::from_cow(Cow::Owned(facilities), Cow::Owned(demand))
+    }
+
+    fn from_cow(facilities: Cow<'a, [Facility]>, demand: Cow<'a, Demand>) -> FederationGame<'a> {
         assert!(!facilities.is_empty(), "need at least one facility");
         assert!(
             facilities.len() <= MAX_SAMPLED_PLAYERS,
             "at most {MAX_SAMPLED_PLAYERS} facilities"
         );
-        FederationGame { facilities, demand }
+        FederationGame {
+            facilities,
+            demand,
+            slots: OnceLock::new(),
+        }
     }
 
     /// The facilities (players), in player-id order.
     pub fn facilities(&self) -> &[Facility] {
-        self.facilities
+        &self.facilities
     }
 
     /// The demand profile.
     pub fn demand(&self) -> &Demand {
-        self.demand
+        &self.demand
     }
 
     /// Full allocation solution (not just its value) for the coalition
@@ -65,7 +90,7 @@ impl<'a> FederationGame<'a> {
     pub fn solve_members(&self, members: &[usize]) -> Result<ProfileSolution, SolveError> {
         let members: Vec<&Facility> = members.iter().map(|&p| &self.facilities[p]).collect();
         let profile = coalition_profile(members);
-        solve(&profile, self.demand)
+        solve(&profile, &self.demand)
     }
 }
 
@@ -94,31 +119,35 @@ impl WideGame for FederationGame<'_> {
 
     /// Walk values with one facility added or removed per step: the
     /// coalition's capacity profile is updated in place instead of
-    /// re-merged from every member, so a step costs `O(Lₚ)` location
-    /// updates rather than `O(Σ_{i∈S} Lᵢ)`. The updated profile equals
-    /// `coalition_profile` of the current members (integer capacities),
-    /// so the solver sees the same input and every value keeps its bits.
+    /// re-merged from every member, so a step costs `O(Lₚ)` updates of
+    /// a flat per-location array rather than `O(Σ_{i∈S} Lᵢ)` map
+    /// inserts. The locations are numbered densely on the game's first
+    /// walk. The updated profile equals `coalition_profile` of the
+    /// current members (integer capacities), so the solver sees the same
+    /// input and every value keeps its bits.
     ///
     /// # Panics
     /// As [`WideGame::value_members`] on this game.
     fn value_walk(&self, start: &[usize], toggles: &[usize]) -> Vec<f64> {
-        let mut acc = ProfileAccumulator::default();
+        let index = self
+            .slots
+            .get_or_init(|| SlotIndex::new(self.facilities.iter().map(|f| &f.offer)));
+        let mut acc = ProfileAccumulator::new(index.slots());
         let mut held = vec![false; self.facilities.len()];
         for &p in start {
-            acc.add(&self.facilities[p].offer);
+            acc.add(index.offer(p));
             held[p] = true;
         }
         toggles
             .iter()
             .map(|&p| {
-                let offer = &self.facilities[p].offer;
                 if held[p] {
-                    acc.remove(offer);
+                    acc.remove(index.offer(p));
                 } else {
-                    acc.add(offer);
+                    acc.add(index.offer(p));
                 }
                 held[p] = !held[p];
-                match solve(&acc.profile(), self.demand) {
+                match solve(acc.profile(), &self.demand) {
                     Ok(solution) => solution.total_utility,
                     #[expect(
                         clippy::panic,

@@ -6,9 +6,8 @@
 //! function of the flags (no wall-clock, no thread-count artifacts), so
 //! two runs — at any `--threads` — diff clean; CI relies on that.
 #![expect(
-    clippy::print_stdout,
     clippy::print_stderr,
-    reason = "a command-line tool reports on stdout and stderr"
+    reason = "a command-line tool reports errors and telemetry on stderr"
 )]
 
 use fedval_coalition::{available_threads, ApproxConfig};
@@ -16,6 +15,7 @@ use fedval_form::{ChurnSchedule, FormationConfig, FormationEngine, FormationGame
 use fedval_obs::FileSink;
 use fedval_policy::try_policy_report;
 use fedval_testbed::{parse_synthetic, ScenarioSpec};
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -177,7 +177,8 @@ fn install_observability(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+/// Runs the command line, appending what it prints to `out`.
+fn run(out: &mut String) -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
     install_observability(&opts)?;
@@ -202,9 +203,9 @@ fn run() -> Result<(), String> {
         },
     };
 
-    println!(
+    *out += &format!(
         "fedform: n={n} scenario-seed={} seed={} rounds<={} round-dt={} pair-budget={} \
-split-budget={} neutral-budget={} initial={initial} departures={departures}",
+split-budget={} neutral-budget={} initial={initial} departures={departures}\n",
         opts.scenario_seed,
         opts.seed,
         opts.rounds,
@@ -215,7 +216,7 @@ split-budget={} neutral-budget={} initial={initial} departures={departures}",
     );
     let engine = FormationEngine::new(&game, cfg);
     let outcome = engine.run(&schedule);
-    print!("{}", outcome.render());
+    *out += &outcome.render();
 
     if opts.report {
         // Force the enumeration-free report path: formation targets
@@ -232,7 +233,7 @@ split-budget={} neutral-budget={} initial={initial} departures={departures}",
         let report = try_policy_report(&scenario)
             .map_err(|e| format!("fedform: policy report unavailable: {e}"))?
             .with_formation(outcome.policy_section());
-        print!("{}", report.render());
+        *out += &report.render();
     }
 
     if opts.metrics {
@@ -246,8 +247,24 @@ split-budget={} neutral-budget={} initial={initial} departures={departures}",
     Ok(())
 }
 
+/// Writes the run's stdout in one piece. A reader that has gone away
+/// (`fedform | head -1`) ends the run quietly; any other write error
+/// fails it.
+fn write_stdout(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
-    match run() {
+    let mut out = String::new();
+    let outcome = run(&mut out);
+    match outcome.and(write_stdout(&out)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");

@@ -21,7 +21,7 @@ use crate::partition::{fnv1a, Partition};
 use fedval_coalition::{
     derive_seed, shapley_auto_wide, ApproxConfig, GameError, PlayerId, WideGame,
 };
-use fedval_core::{Demand, Facility, FederationGame, FederationScenario};
+use fedval_core::{Facility, FederationGame, FederationScenario};
 use fedval_desim::{SimRng, Simulator};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,19 +42,18 @@ type Cut = (u32, Vec<PlayerId>, Vec<PlayerId>, f64);
 
 /// An owned federation characteristic function — the glue between
 /// [`FederationScenario`] / the synthetic generator and the engine's
-/// [`WideGame`] interface (the borrowed [`FederationGame`] cannot
-/// outlive its scenario; formation runs want an owned game).
+/// [`WideGame`] interface: one owned [`FederationGame`] for the whole
+/// run, so its location numbering is built on the first walk and
+/// reused by every later one.
 pub struct FormationGame {
-    facilities: Vec<Facility>,
-    demand: Demand,
+    game: FederationGame<'static>,
 }
 
 impl FormationGame {
     /// Clones a scenario's facilities and demand into an owned game.
     pub fn from_scenario(scenario: &FederationScenario) -> FormationGame {
         FormationGame {
-            facilities: scenario.facilities().to_vec(),
-            demand: scenario.demand().clone(),
+            game: FederationGame::owned(scenario.facilities().to_vec(), scenario.demand().clone()),
         }
     }
 
@@ -65,24 +64,26 @@ impl FormationGame {
     /// Panics if `n == 0` (propagated from the generator).
     pub fn synthetic(n: usize, seed: u64) -> FormationGame {
         let (facilities, demand) = fedval_testbed::synthetic_federation(n, seed);
-        FormationGame { facilities, demand }
+        FormationGame {
+            game: FederationGame::owned(facilities, demand),
+        }
     }
 
     /// The facilities, in player-id order.
     pub fn facilities(&self) -> &[Facility] {
-        &self.facilities
+        self.game.facilities()
     }
 }
 
 impl WideGame for FormationGame {
     fn n_players(&self) -> usize {
-        self.facilities.len()
+        self.game.n_players()
     }
     fn value_members(&self, members: &[PlayerId]) -> f64 {
-        FederationGame::new(&self.facilities, &self.demand).value_members(members)
+        self.game.value_members(members)
     }
     fn value_walk(&self, start: &[PlayerId], toggles: &[PlayerId]) -> Vec<f64> {
-        FederationGame::new(&self.facilities, &self.demand).value_walk(start, toggles)
+        self.game.value_walk(start, toggles)
     }
 }
 
@@ -986,5 +987,53 @@ mod tests {
             from_scenario.value_members(&members).to_bits()
         );
         assert_eq!(game.n_players(), 12);
+    }
+
+    #[test]
+    fn one_game_walks_like_value_members_on_one_and_two_threads() {
+        use fedval_coalition::par_map;
+        use fedval_core::{Demand, ExperimentClass};
+        // Overlapping ranges, so walks add and take back shared capacity.
+        let facilities: Vec<Facility> = (0..10u32)
+            .map(|i| Facility::uniform(format!("f{i}"), i * 7, 12 + i, 1 + u64::from(i % 3)))
+            .collect();
+        let demand = Demand::capacity_filling(ExperimentClass::simple("e", 20.0, 1.0));
+        let scenario = FederationScenario::new(facilities, demand);
+        let n = scenario.facilities().len();
+        let mut rng = SimRng::seed_from(11);
+        let mut draw =
+            |below: usize| usize::try_from(rng.below(u64::try_from(below).unwrap())).unwrap();
+        let walks: Vec<(Vec<PlayerId>, Vec<PlayerId>)> = (0..64)
+            .map(|_| {
+                let start = (0..n).filter(|_| draw(2) == 1).collect();
+                let toggles = (0..24).map(|_| draw(n)).collect();
+                (start, toggles)
+            })
+            .collect();
+        for threads in [1, 2] {
+            // A fresh game per thread count: its first walks race to
+            // number the locations, and every walk after reuses them.
+            let game = FormationGame::from_scenario(&scenario);
+            let walked = par_map(walks.len(), threads, |w| {
+                game.value_walk(&walks[w].0, &walks[w].1)
+            });
+            assert!(walked.iter().flatten().any(|&v| v > 0.0));
+            for ((start, toggles), values) in walks.iter().zip(&walked) {
+                let mut held = vec![false; n];
+                for &p in start {
+                    held[p] = true;
+                }
+                assert_eq!(values.len(), toggles.len());
+                for (v, &p) in values.iter().zip(toggles) {
+                    held[p] = !held[p];
+                    let members: Vec<PlayerId> = (0..n).filter(|&q| held[q]).collect();
+                    assert_eq!(
+                        v.to_bits(),
+                        game.value_members(&members).to_bits(),
+                        "threads={threads} start {start:?} at {members:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -301,11 +301,14 @@ fn check_canonical(
     }
 }
 
+/// Drives one closed-loop connection, tallying into `report` as it
+/// goes, so a connection that fails keeps what it counted.
 fn drive_connection(
     opts: &Options,
     conn_index: usize,
     canonical_shapley: &Arc<OnceLock<String>>,
-) -> Result<ConnReport, String> {
+    report: &mut ConnReport,
+) -> Result<(), String> {
     // `None` after a reset or a shed: the next attempt reconnects.
     let mut client = Some(Client::connect(&opts.addr, CLIENT_TIMEOUT)?);
     let mut rng = ChaosRng::new(
@@ -313,7 +316,6 @@ fn drive_connection(
             .wrapping_add(conn_index as u64)
             .wrapping_mul(0x9E37_79B9),
     );
-    let mut report = ConnReport::default();
     for i in 0..opts.requests {
         let id = (conn_index * opts.requests + i) as u64;
         let request = request_line(&opts.kind, id, &mut rng);
@@ -351,7 +353,7 @@ fn drive_connection(
                     if attempt > 0 {
                         report.recovered += 1;
                     }
-                    check_canonical(&request, &line, canonical_shapley, &mut report);
+                    check_canonical(&request, &line, canonical_shapley, report);
                     break;
                 }
                 Outcome::Busy | Outcome::Deadline => {
@@ -382,7 +384,7 @@ fn drive_connection(
         // Also lands in this thread's metric shard for `--metrics`.
         fedval_obs::observe_ns("load.request_ns", elapsed_ns);
     }
-    Ok(report)
+    Ok(())
 }
 
 /// Extracts the numeric id from a `{"id":N,...` response line.
@@ -392,11 +394,14 @@ fn id_of(line: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// Drives one open-loop connection and leaves its tallies in `report`,
+/// also when a send fails.
 fn drive_open_loop(
     opts: &Options,
     conn_index: usize,
     canonical_shapley: &Arc<OnceLock<String>>,
-) -> Result<ConnReport, String> {
+    report: &mut ConnReport,
+) -> Result<(), String> {
     let mut sender = Client::connect(&opts.addr, CLIENT_TIMEOUT)?;
     let mut receiver = sender.try_clone()?;
     let mut rng = ChaosRng::new(
@@ -468,9 +473,11 @@ fn drive_open_loop(
         }
     }
     // Drain: give the server a grace window to answer the tail, then
-    // close the read half so the collector unblocks.
+    // close the read half so the collector unblocks. A collector that
+    // has already stopped (the server closed the connection) reads no
+    // more answers, so whatever is still pending is lost at once.
     let drain_deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < drain_deadline {
+    while Instant::now() < drain_deadline && !collector.is_finished() {
         let outstanding = pending.lock().map(|p| p.len()).unwrap_or(0);
         if outstanding == 0 {
             break;
@@ -478,12 +485,12 @@ fn drive_open_loop(
         std::thread::sleep(Duration::from_millis(5));
     }
     let _ = sender.socket().shutdown(Shutdown::Both);
-    let mut report = collector.join().unwrap_or_default();
+    *report = collector.join().unwrap_or_default();
     report.lost += pending.lock().map(|p| p.len() as u64).unwrap_or(0);
-    if let Some(failure) = send_failure {
-        return Err(failure);
+    match send_failure {
+        Some(failure) => Err(failure),
+        None => Ok(()),
     }
-    Ok(report)
 }
 
 fn render_report(opts: &Options, total: &ConnReport, wall: Duration) -> String {
@@ -564,25 +571,23 @@ fn run() -> Result<(), String> {
         let canonical = Arc::clone(&canonical_shapley);
         let failures = Arc::clone(&failures);
         handles.push(std::thread::spawn(move || {
+            let mut report = ConnReport::default();
             let outcome = if opts.open_loop {
-                drive_open_loop(&opts, conn_index, &canonical)
+                drive_open_loop(&opts, conn_index, &canonical, &mut report)
             } else {
-                drive_connection(&opts, conn_index, &canonical)
+                drive_connection(&opts, conn_index, &canonical, &mut report)
             };
-            match outcome {
-                Ok(report) => Some(report),
-                Err(message) => {
-                    if let Ok(mut sink) = failures.lock() {
-                        sink.push(format!("connection {conn_index}: {message}"));
-                    }
-                    None
+            if let Err(message) = outcome {
+                if let Ok(mut sink) = failures.lock() {
+                    sink.push(format!("connection {conn_index}: {message}"));
                 }
             }
+            report
         }));
     }
     let mut total = ConnReport::default();
     for handle in handles {
-        if let Ok(Some(part)) = handle.join() {
+        if let Ok(part) = handle.join() {
             merge(&mut total, &part);
         }
     }
@@ -781,7 +786,8 @@ mod tests {
                 retry,
             ]))
             .unwrap();
-            let report = drive_connection(&opts, 0, &Arc::new(OnceLock::new())).unwrap();
+            let mut report = ConnReport::default();
+            drive_connection(&opts, 0, &Arc::new(OnceLock::new()), &mut report).unwrap();
             (report.ok, report.busy, report.mismatches)
         };
         let mut held = Client::connect(&addr, CLIENT_TIMEOUT).unwrap();
@@ -792,6 +798,60 @@ mod tests {
         assert_eq!(run("2"), (0, 3, 0));
         drop(held);
         assert_eq!(run("16"), (3, 0, 0));
+        server.shutdown();
+    }
+
+    /// An open-loop connection the acceptor sheds: its collector stops
+    /// at the server's close, so the drain ends at once rather than
+    /// after its 30 s grace, and the unanswered request is `lost`. A
+    /// later send that fails on the closed connection still leaves the
+    /// connection's tallies behind.
+    #[test]
+    fn shed_open_loop_connection_drains_at_once_and_keeps_its_tallies() {
+        use fedval_serve::{ScenarioSpec, ServeState, Server, ServerConfig};
+        let state = ServeState::new(ScenarioSpec::paper_4_1(), 8);
+        let config = ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(state, "127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().to_string();
+        let run = |requests: &str| {
+            let opts = parse(&args(&[
+                "--addr",
+                &addr,
+                "--open-loop",
+                "--rate",
+                "200",
+                "--connections",
+                "1",
+                "--requests",
+                requests,
+                "--kind",
+                "shapley",
+            ]))
+            .unwrap();
+            let mut report = ConnReport::default();
+            let started = Instant::now();
+            let outcome = drive_open_loop(&opts, 0, &Arc::new(OnceLock::new()), &mut report);
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(10), "drain took {took:?}");
+            (outcome, report)
+        };
+        let mut held = Client::connect(&addr, CLIENT_TIMEOUT).unwrap();
+        // Answered, so the held connection owns the one slot.
+        let health = held.ask("{\"id\":0,\"kind\":\"health\"}").unwrap();
+        assert!(health.contains("\"ok\":true"), "{health}");
+        let (outcome, report) = run("1");
+        assert!(outcome.is_ok(), "{outcome:?}");
+        assert_eq!((report.busy, report.lost), (1, 1));
+        // The send after the server's reset fails; the shed and the
+        // request sent before it are still counted.
+        let (outcome, report) = run("3");
+        assert!(outcome.is_err(), "{report:?}");
+        assert_eq!(report.busy, 1);
+        assert!(report.lost >= 1, "{report:?}");
+        drop(held);
         server.shutdown();
     }
 

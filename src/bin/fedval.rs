@@ -12,9 +12,8 @@
 //!
 //! Defaults reproduce the paper's §4.1 worked example.
 #![expect(
-    clippy::print_stdout,
     clippy::print_stderr,
-    reason = "a command-line tool reports on stdout and stderr"
+    reason = "a command-line tool reports errors on stderr"
 )]
 
 use fedval::coalition::{available_threads, hoeffding_samples, normalize, NUCLEOLUS_MAX_PLAYERS};
@@ -25,6 +24,7 @@ use fedval::{
     WideGame, EXACT_SHAPLEY_MAX_PLAYERS,
 };
 use fedval_obs::FileSink;
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -163,39 +163,44 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Prints a scheme's `shares` table: each facility's share and its payoff
+/// A scheme's `shares` table: each facility's share and its payoff
 /// `share × V(N)`.
-fn print_shares(scheme: &str, grand: f64, shares: &[f64]) {
-    println!("scheme: {scheme} — V(N) = {grand:.2}");
-    println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
+fn shares_table(scheme: &str, grand: f64, shares: &[f64]) -> String {
+    let mut text = format!(
+        "scheme: {scheme} — V(N) = {grand:.2}\n{:>10} {:>10} {:>14}\n",
+        "facility", "share", "payoff"
+    );
     for (i, share) in shares.iter().enumerate() {
-        println!("{:>10} {:>10.4} {:>14.2}", i + 1, share, share * grand);
+        text += &format!("{:>10} {:>10.4} {:>14.2}\n", i + 1, share, share * grand);
     }
+    text
 }
 
-/// Prints the `shares` table for a sampled Shapley estimate, with the
+/// The `shares` table for a sampled Shapley estimate, with the
 /// per-facility CI half-width column and the certificate header.
-fn print_sampled_shapley(approx: &ApproxShapley) {
-    println!(
-        "scheme: shapley (sampled: permutation, {} samples, seed {}, {:.0}% CI) — V(N) = {:.2}",
+fn sampled_shapley_table(approx: &ApproxShapley) -> String {
+    let mut text = format!(
+        "scheme: shapley (sampled: permutation, {} samples, seed {}, {:.0}% CI) — V(N) = {:.2}\n\
+         {:>10} {:>10} {:>10} {:>14}\n",
         approx.samples,
         approx.seed,
         approx.confidence * 100.0,
-        approx.grand_value
-    );
-    println!(
-        "{:>10} {:>10} {:>10} {:>14}",
-        "facility", "share", "±ci", "payoff"
+        approx.grand_value,
+        "facility",
+        "share",
+        "±ci",
+        "payoff"
     );
     for (i, (share, ci)) in approx.shares().iter().zip(approx.ci_shares()).enumerate() {
-        println!(
-            "{:>10} {:>10.4} {:>10.4} {:>14.2}",
+        text += &format!(
+            "{:>10} {:>10.4} {:>10.4} {:>14.2}\n",
             i + 1,
             share,
             ci,
             share * approx.grand_value
         );
     }
+    text
 }
 
 fn scheme_from_name(name: &str) -> Result<SharingScheme, String> {
@@ -222,7 +227,8 @@ fn install_observability(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn execute(opts: &Options) -> Result<(), String> {
+/// Runs the command, appending what it prints to `out`.
+fn execute(opts: &Options, out: &mut String) -> Result<(), String> {
     let scenario = {
         let _span = fedval_obs::span("fedval.cli.scenario");
         opts.scenario()
@@ -240,11 +246,11 @@ fn execute(opts: &Options) -> Result<(), String> {
                 ));
             }
             let table = scenario.try_game().map_err(|e| e.to_string())?;
-            println!("{:>16} {:>14}", "coalition", "V(S)");
+            *out += &format!("{:>16} {:>14}\n", "coalition", "V(S)");
             for c in Coalition::all(n).filter(|c| !c.is_empty()) {
                 let label: Vec<String> = c.players().map(|p| (p + 1).to_string()).collect();
-                println!(
-                    "{:>16} {:>14.2}",
+                *out += &format!(
+                    "{:>16} {:>14.2}\n",
                     format!("{{{}}}", label.join(",")),
                     table.value(c)
                 );
@@ -260,13 +266,13 @@ fn execute(opts: &Options) -> Result<(), String> {
             }
             if matches!(scheme, SharingScheme::Shapley) {
                 match scenario.shapley_estimate().map_err(|e| e.to_string())? {
-                    ShapleyEstimate::Approx(approx) => print_sampled_shapley(&approx),
+                    ShapleyEstimate::Approx(approx) => *out += &sampled_shapley_table(&approx),
                     ShapleyEstimate::Exact(phi) => {
                         let grand = scenario
                             .try_game()
                             .map_err(|e| e.to_string())?
                             .grand_value();
-                        print_shares(scheme.name(), grand, &normalize(phi, grand));
+                        *out += &shares_table(scheme.name(), grand, &normalize(phi, grand));
                     }
                 }
                 return Ok(());
@@ -294,11 +300,11 @@ fn execute(opts: &Options) -> Result<(), String> {
                     .map_err(|e| e.to_string())?
                     .grand_value()
             };
-            print_shares(scheme.name(), grand, &scheme.shares(&scenario));
+            *out += &shares_table(scheme.name(), grand, &scheme.shares(&scenario));
         }
         "report" => {
             let report = try_policy_report(&scenario).map_err(|e| e.to_string())?;
-            print!("{}", report.render());
+            *out += &report.render();
         }
         #[expect(
             clippy::unreachable,
@@ -309,25 +315,42 @@ fn execute(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+/// Runs the command line, appending what it prints to `out`.
+fn run(out: &mut String) -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
     install_observability(&opts)?;
 
-    let outcome = execute(&opts);
+    let outcome = execute(&opts, out);
 
     // Shutdown flushes the trace file, ending it with the counter and
     // gauge totals; the run report renders the metric fold, which
     // shutdown leaves in place.
     fedval_obs::shutdown();
     if opts.metrics {
-        print!("{}", fedval_obs::metrics_fold().render());
+        *out += &fedval_obs::metrics_fold().render();
     }
     outcome
 }
 
+/// Writes the run's stdout in one piece. A reader that has gone away
+/// (`fedval shares --synthetic 200 | head -1`) ends the run quietly;
+/// any other write error fails it.
+fn write_stdout(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
-    match run() {
+    let mut out = String::new();
+    let outcome = run(&mut out);
+    match outcome.and(write_stdout(&out)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
@@ -493,7 +516,8 @@ mod tests {
         opts.scenario.approx.samples = 32;
         let scenario = opts.scenario();
         let estimate = scenario.shapley_estimate().expect("sampled estimate");
-        print_sampled_shapley(estimate.as_approx().expect("n=40 samples"));
+        let table = sampled_shapley_table(estimate.as_approx().expect("n=40 samples"));
+        assert_eq!(table.lines().count(), 2 + 40);
         let report = try_policy_report(&scenario).expect("degraded report");
         assert!(report.approx.is_some());
     }

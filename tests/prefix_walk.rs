@@ -8,7 +8,9 @@
 //! equality with `value_members` on the current sorted member set. The
 //! synthetic federations give every facility its own location range, so
 //! the generated facilities here overlap on purpose: shared locations are
-//! where accumulated capacities must add up and come back down.
+//! where accumulated capacities must add up and come back down. Some
+//! also sit far apart in the `u32` id space, up to `u32::MAX`, which the
+//! walk's dense location numbering must absorb.
 
 use fedval::coalition::{try_approx_shapley_wide, ApproxConfig, ApproxShapley, PlayerId};
 use fedval::core::LocationOffer;
@@ -25,6 +27,33 @@ fn facility_strategy() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
     prop::collection::vec((0u32..48, 1u32..=16, 1u64..=5), 1..=3)
 }
 
+/// One facility whose segments start anywhere in the `u32` id space,
+/// half of them among its top 16 ids, where they overlap and run up to
+/// `u32::MAX` (a segment stops there). An index sized by the raw id
+/// would need gigabytes for these.
+fn wide_facility_strategy() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
+    let start = (prop::bool::ANY, any::<u32>(), 0u32..16).prop_map(|(top, anywhere, below)| {
+        if top {
+            u32::MAX - below
+        } else {
+            anywhere
+        }
+    });
+    prop::collection::vec((start, 1u32..=16, 1u64..=5), 1..=3)
+}
+
+/// A federation of up to 12 facilities, each on the 64-location space
+/// or spread over the whole id range.
+fn federation_strategy() -> impl Strategy<Value = Vec<Vec<(u32, u32, u64)>>> {
+    let facility = (
+        prop::bool::ANY,
+        facility_strategy(),
+        wide_facility_strategy(),
+    )
+        .prop_map(|(wide, narrow, spread)| if wide { spread } else { narrow });
+    prop::collection::vec(facility, 1..=12)
+}
+
 fn build_facilities(specs: &[Vec<(u32, u32, u64)>]) -> Vec<Facility> {
     specs
         .iter()
@@ -32,7 +61,7 @@ fn build_facilities(specs: &[Vec<(u32, u32, u64)>]) -> Vec<Facility> {
         .map(|(i, segments)| {
             let mut offer = LocationOffer::new();
             for &(start, len, r) in segments {
-                for l in start..start + len {
+                for l in start..=start.saturating_add(len - 1) {
                     offer.add(l, r);
                 }
             }
@@ -80,7 +109,7 @@ proptest! {
 
     #[test]
     fn prefix_walk_matches_value_members_bit_for_bit(
-        specs in prop::collection::vec(facility_strategy(), 1..=12),
+        specs in federation_strategy(),
         threshold in 0.0f64..60.0,
         volume in 0u8..3,
         shape in 0usize..3,
@@ -110,7 +139,7 @@ proptest! {
 
     #[test]
     fn walk_with_leaves_and_rejoins_matches_value_members_bit_for_bit(
-        specs in prop::collection::vec(facility_strategy(), 1..=12),
+        specs in federation_strategy(),
         threshold in 0.0f64..60.0,
         volume in 0u8..3,
         shape in 0usize..3,
