@@ -26,9 +26,9 @@ echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "== cargo test -q (workspace; dev profile arms the lock-order checker)"
-# Tests run under debug_assertions, so every OrderedMutex/OrderedRwLock
-# acquisition is recorded in the runtime lock-order graph and any
-# witnessed cycle panics with its path (DESIGN.md §12). The run includes
+# Tests run under debug_assertions, so every OrderedMutex acquisition is
+# recorded in the runtime lock-order graph and any witnessed cycle
+# panics with its path (DESIGN.md §12). The run includes
 # fedval-obs's lockorder self-tests, which prove the checker still panics
 # on witnessed cycles: a silently disarmed checker would let the whole
 # suite vouch for nothing, so their failure fails this stage like any
@@ -63,9 +63,11 @@ fi
 echo "== sweep thread-invariance (repro --csv at --threads 1 vs 4)"
 sweep_tmp=$(mktemp -d)
 trap 'rm -rf "$sweep_tmp" "${smoke_tmp:-}"' EXIT
-mkdir -p "$sweep_tmp/t1" "$sweep_tmp/t4"
+mkdir -p "$sweep_tmp/t1" "$sweep_tmp/t4" "$sweep_tmp/svg"
+# The --threads 1 run also renders the SVGs, into their own directory:
+# the data/ diff below needs a directory holding the CSVs alone.
 cargo run -q -p fedval-bench --release --bin repro -- all \
-    --csv "$sweep_tmp/t1" --threads 1 > /dev/null
+    --csv "$sweep_tmp/t1" --svg "$sweep_tmp/svg" --threads 1 > /dev/null
 cargo run -q -p fedval-bench --release --bin repro -- all \
     --csv "$sweep_tmp/t4" --threads 4 > /dev/null
 if ! diff -r "$sweep_tmp/t1" "$sweep_tmp/t4"; then
@@ -80,6 +82,15 @@ fi
 if ! diff -r data "$sweep_tmp/t1"; then
     echo ""
     echo "ci.sh: repro all --csv no longer reproduces the committed data/."
+    echo "A change moved a paper figure. If the move is intended, regenerate"
+    echo "with:  cargo run --release -p fedval-bench --bin repro -- all --csv data --svg figures"
+    exit 1
+fi
+# The committed SVGs are pinned the same way: a change to the renderer
+# or to a figure's data must show up in figures/ too.
+if ! diff -r figures "$sweep_tmp/svg"; then
+    echo ""
+    echo "ci.sh: repro all --svg no longer reproduces the committed figures/."
     echo "A change moved a paper figure. If the move is intended, regenerate"
     echo "with:  cargo run --release -p fedval-bench --bin repro -- all --csv data --svg figures"
     exit 1
@@ -418,6 +429,23 @@ then
     echo "operations (or no workload ran):"
     cat "$perf_tmp/perfbench.txt"
     exit 1
+fi
+# Building the benchmark must not rewrite it: dropping a dependency edge
+# (a workspace crate that no longer lists some dependency) makes cargo
+# rewrite perfbench/Cargo.lock on every build, and perfbench/ is the
+# benchmark's own tree. Outside a git work tree there is nothing to
+# compare against.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    perf_changed=$(git status --porcelain -- perfbench)
+    if [ -n "$perf_changed" ]; then
+        echo ""
+        echo "ci.sh: building and running perfbench changed files under perfbench/:"
+        echo "$perf_changed"
+        echo "perfbench/ is the benchmark's own tree: a change that rewrites it"
+        echo "(such as a dependency edge that cargo drops from perfbench/Cargo.lock)"
+        echo "belongs in a change to the benchmark."
+        exit 1
+    fi
 fi
 
 echo "== fedval-lint (the checks clippy cannot make)"

@@ -14,9 +14,9 @@
 //! invent findings:
 //!
 //! * A receiver only counts as a lock when its final path segment
-//!   resolves to a known `Mutex`/`RwLock`/`OrderedMutex`/`OrderedRwLock`
-//!   declaration, and only for argument-less `.lock()`/`.read()`/
-//!   `.write()` calls (so `io::Read::read(&mut buf)` never matches).
+//!   resolves to a known `Mutex`/`RwLock`/`OrderedMutex` declaration,
+//!   and only for argument-less `.lock()`/`.read()`/`.write()` calls
+//!   (so `io::Read::read(&mut buf)` never matches).
 //! * Guard liveness: a `let`-bound guard lives to the end of its
 //!   enclosing block (or an explicit `drop(guard)`); a temporary guard
 //!   lives to the end of its statement (the whole loop for `for`, the
@@ -30,7 +30,7 @@ use crate::lexer::{self, Tok, TokKind};
 const NONE: usize = usize::MAX;
 
 /// Lock-like types recognized in declarations.
-const LOCK_TYPES: [&str; 4] = ["Mutex", "RwLock", "OrderedMutex", "OrderedRwLock"];
+const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "OrderedMutex"];
 
 /// Atomic types recognized in declarations (`bool` flags vs. counters).
 const ATOMIC_BOOL: &str = "AtomicBool";
@@ -71,7 +71,7 @@ const WAIT_METHODS: [&str; 3] = ["wait", "wait_timeout", "wait_while"];
 pub enum LockKind {
     /// `std::sync::Mutex` or `OrderedMutex`.
     Mutex,
-    /// `std::sync::RwLock` or `OrderedRwLock`.
+    /// `std::sync::RwLock`.
     RwLock,
     /// `std::sync::Condvar` (never a guard source; kept for completeness).
     Condvar,
@@ -474,7 +474,7 @@ fn collect_decl(s: &Scan, ci: usize, locks: &mut Vec<LockDecl>, atomics: &mut Ve
                 });
                 return;
             }
-            if ty == "RwLock" || ty == "OrderedRwLock" {
+            if ty == "RwLock" {
                 locks.push(LockDecl {
                     name: name.clone(),
                     kind: LockKind::RwLock,

@@ -52,8 +52,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              fedval-analyze builds the workspace acquisition-order graph (guard of A live \
              while B is acquired, directly or through the call graph) and reports every \
              cycle with a witness path. Fix by picking one global order; the runtime \
-             OrderedMutex/OrderedRwLock checker panics if a test witnesses a cycle the \
-             static model missed."
+             OrderedMutex checker panics if a test witnesses a cycle the static model \
+             missed."
         }
         "guard-across-blocking" => {
             "A guard held across socket I/O, thread::sleep, recv, join, or a Condvar wait on \

@@ -7,11 +7,14 @@
 //!
 //! ## Design (see DESIGN.md §8)
 //!
-//! * **One global registry.** Instrumentation sites call free functions
-//!   ([`span`], [`counter_add`], [`event`], …). With no sink installed
-//!   (the default) each call is a single relaxed atomic load, so hot
-//!   loops — simplex pivots, desim event dispatch — stay permanently
-//!   instrumented at zero practical cost.
+//! * **One global registry, one switch.** Instrumentation sites call
+//!   free functions ([`span`], [`counter_add`], [`event`], …). With
+//!   collection off (the default) each call is a single relaxed atomic
+//!   load, so hot loops — simplex pivots, desim event dispatch — stay
+//!   permanently instrumented at zero practical cost. [`install`] turns
+//!   collection on and sends records to a [`Sink`]; [`ensure_enabled`]
+//!   turns it on for the metrics alone, with no sink; [`shutdown`]
+//!   turns it off.
 //! * **Sharded metrics.** Enabled counters, gauges, latency
 //!   observations, span aggregates and event counts accumulate into
 //!   per-thread shards merged on demand ([`metrics_fold`]) — a
@@ -67,7 +70,7 @@ mod shard;
 mod sink;
 
 pub use histogram::{bucket_index, bucket_labels, Histogram, BUCKET_BOUNDS_NS, BUCKET_COUNT};
-pub use lockorder::{OrderedMutex, OrderedRwLock};
+pub use lockorder::OrderedMutex;
 pub use record::{escape_json, json_f64, Record};
 pub use registry::{
     capture, counter_add, ensure_enabled, event, flush, gauge_set, install, is_enabled, now_ns,
@@ -76,4 +79,4 @@ pub use registry::{
 };
 pub use report::{fmt_ns, SpanStat};
 pub use shard::{metrics_fold, MetricsFold};
-pub use sink::{FileSink, NullSink, RecordingSink, Sink};
+pub use sink::{FileSink, RecordingSink, Sink};

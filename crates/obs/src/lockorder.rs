@@ -1,14 +1,14 @@
 //! Runtime lock-order validation: the dynamic counterpart of the
 //! `fedval-analyze` `lock-order-cycle` rule (DESIGN.md §12).
 //!
-//! [`OrderedMutex`] and [`OrderedRwLock`] wrap their `std::sync`
-//! namesakes with a `&'static str` name. Under `debug_assertions`
-//! (i.e. in every `cargo test` run) each acquisition records
-//! *held-lock → acquired-lock* edges into a process-global order graph
-//! and panics with a witness path the moment an acquisition would close
-//! a cycle — turning a latent deadlock into a loud test failure at the
-//! first interleaving that *could* deadlock, not the one that does.
-//! Release builds skip all bookkeeping; the wrappers cost one branch.
+//! [`OrderedMutex`], the one lock wrapper, gives a `std::sync::Mutex` a
+//! `&'static str` name. Under `debug_assertions` (i.e. in every
+//! `cargo test` run) each acquisition records *held-lock →
+//! acquired-lock* edges into a process-global order graph and panics
+//! with a witness path the moment an acquisition would close a cycle —
+//! turning a latent deadlock into a loud test failure at the first
+//! interleaving that *could* deadlock, not the one that does. Release
+//! builds skip all bookkeeping; the wrapper costs one branch.
 //!
 //! [`edges`] lists the witnessed graph, for tests that check which
 //! orders actually ran.
@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Deref, DerefMut};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Process-global acquisition-order graph: `from → to` means some thread
 /// acquired `to` while holding `from`.
@@ -197,106 +197,6 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// An [`RwLock`] that participates in runtime lock-order validation.
-/// Read and write acquisitions share one node in the order graph: a
-/// read/write cycle can still deadlock, so the conservative merge is the
-/// sound one.
-pub struct OrderedRwLock<T> {
-    name: &'static str,
-    inner: RwLock<T>,
-}
-
-impl<T> OrderedRwLock<T> {
-    /// Wraps `value` under the global order name `name`.
-    pub const fn new(name: &'static str, value: T) -> OrderedRwLock<T> {
-        OrderedRwLock {
-            name,
-            inner: RwLock::new(value),
-        }
-    }
-
-    /// Shared lock, poison-recovering, order-checked.
-    pub fn read(&self) -> OrderedReadGuard<'_, T> {
-        on_acquire(self.name);
-        let inner = match self.inner.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        push_held(self.name);
-        OrderedReadGuard {
-            inner,
-            name: self.name,
-        }
-    }
-
-    /// Exclusive lock, poison-recovering, order-checked.
-    pub fn write(&self) -> OrderedWriteGuard<'_, T> {
-        on_acquire(self.name);
-        let inner = match self.inner.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        push_held(self.name);
-        OrderedWriteGuard {
-            inner,
-            name: self.name,
-        }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for OrderedRwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrderedRwLock")
-            .field("name", &self.name)
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-/// Guard returned by [`OrderedRwLock::read`].
-pub struct OrderedReadGuard<'a, T> {
-    inner: RwLockReadGuard<'a, T>,
-    name: &'static str,
-}
-
-impl<T> Deref for OrderedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> Drop for OrderedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        pop_held(self.name);
-    }
-}
-
-/// Guard returned by [`OrderedRwLock::write`].
-pub struct OrderedWriteGuard<'a, T> {
-    inner: RwLockWriteGuard<'a, T>,
-    name: &'static str,
-}
-
-impl<T> Deref for OrderedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> DerefMut for OrderedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> Drop for OrderedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        pop_held(self.name);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,31 +288,5 @@ mod tests {
         let _ga = a.lock();
         assert!(edges().contains(&("t5.beta", "t5.alpha")));
         assert!(!edges().contains(&("t5.alpha", "t5.beta")));
-    }
-
-    #[test]
-    fn rwlock_read_and_write_share_one_node() {
-        let r = OrderedRwLock::new("t7.reg", 5u32);
-        {
-            let g = r.read();
-            assert_eq!(*g, 5);
-        }
-        {
-            let mut g = r.write();
-            *g = 6;
-        }
-        let a = OrderedMutex::new("t7.alpha", 0u32);
-        {
-            let _gr = r.read();
-            let _ga = a.lock();
-        }
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ga = a.lock();
-            let _gw = r.write();
-        }));
-        assert!(
-            caught.is_err(),
-            "write after read-established order must close the cycle"
-        );
     }
 }

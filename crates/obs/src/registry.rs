@@ -2,11 +2,13 @@
 //!
 //! Instrumentation sites call free functions ([`counter_add`], [`span`],
 //! [`event`], …) that consult a single global state: an enabled flag and
-//! an installed [`Sink`]. With nothing installed (the default) every
+//! an optional [`Sink`] slot. With collection off (the default) every
 //! entry point reduces to one relaxed atomic load and an immediate
 //! return — no allocation, no locking, no time query — which is what
 //! lets hot loops (simplex pivots, desim event dispatch) stay
-//! instrumented permanently.
+//! instrumented permanently. [`install`] turns collection on with a
+//! sink for the records; [`ensure_enabled`] turns it on for the metric
+//! shards alone, with an empty slot that drops every record.
 //!
 //! The *enabled* paths split by kind (DESIGN.md §13): counters, gauges,
 //! and latency observations accumulate into per-thread shards
@@ -32,21 +34,22 @@
     reason = "the registry owns the sanctioned monotonic clock behind now_ns"
 )]
 
-use crate::lockorder::OrderedRwLock;
+use crate::lockorder::OrderedMutex;
 use crate::record::Record;
 use crate::shard;
-use crate::sink::{NullSink, Sink};
+use crate::sink::Sink;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Fast-path switch: true iff a sink is installed.
+/// Fast-path switch: true while collection is on.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// The installed sink, if any. An [`OrderedRwLock`] so tests witness any
+/// The installed sink; `None` while collection is off and in a
+/// metrics-only run. An [`OrderedMutex`] so tests witness any
 /// acquisition-order violation involving the registry (DESIGN.md §12).
-static SINK: OrderedRwLock<Option<Arc<dyn Sink>>> = OrderedRwLock::new("obs.sink", None);
+static SINK: OrderedMutex<Option<Arc<dyn Sink>>> = OrderedMutex::new("obs.sink", None);
 
 /// Next span id; ids are process-unique and monotonically increasing.
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
@@ -79,7 +82,8 @@ pub fn now_ns() -> u64 {
     u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// True iff a sink is installed and records are being collected.
+/// True while collection is on: from [`install`] or [`ensure_enabled`]
+/// until [`shutdown`], whether or not a sink takes the records.
 ///
 /// Use to guard instrumentation whose *inputs* are expensive to gather
 /// (string formatting, sums over vectors); the emitting functions
@@ -95,10 +99,7 @@ pub fn is_enabled() -> bool {
 /// resets the metric shards, so each installed sink observes a fresh
 /// run.
 pub fn install(sink: Arc<dyn Sink>) {
-    let previous = {
-        let mut slot = write_sink();
-        slot.replace(sink)
-    };
+    let previous = SINK.lock().replace(sink);
     shard::reset();
     ENABLED.store(true, Ordering::SeqCst);
     if let Some(prev) = previous {
@@ -106,24 +107,19 @@ pub fn install(sink: Arc<dyn Sink>) {
     }
 }
 
-/// Enables collection with a [`NullSink`] if nothing is installed yet;
-/// a no-op when a sink is already present.
+/// Turns collection on without a sink, if it is off; a no-op while it
+/// is on, so an installed sink keeps its records and the shards their
+/// counts.
 ///
 /// This is the switch for consumers that only want the sharded metric
-/// fold (`fedval-serve`'s `metrics` query, `fedload --metrics`) without
-/// caring where trace records go. Like [`install`], a fresh enablement
+/// fold (`fedval-serve`'s `metrics` query, `fedload --metrics`): span
+/// and event records are dropped. Like [`install`], a fresh enablement
 /// resets the shards.
 pub fn ensure_enabled() {
-    let installed_now = {
-        let mut slot = write_sink();
-        if slot.is_some() {
-            false
-        } else {
-            *slot = Some(Arc::new(NullSink));
-            true
-        }
-    };
-    if installed_now {
+    // Holding the slot serializes concurrent first calls, so exactly
+    // one of them resets the shards.
+    let _slot = SINK.lock();
+    if !is_enabled() {
         shard::reset();
         ENABLED.store(true, Ordering::SeqCst);
     }
@@ -131,7 +127,7 @@ pub fn ensure_enabled() {
 
 /// Disables collection, flushes, and removes the installed sink.
 ///
-/// Before detaching, the merged shard state is dumped into the record
+/// Before disabling, the merged shard state is dumped into the record
 /// stream as one ordered [`Record::Counter`] per counter total and one
 /// [`Record::Gauge`] per final gauge value — so sinks that only see
 /// records (trace files, recording sinks) still carry the run's metric
@@ -139,9 +135,9 @@ pub fn ensure_enabled() {
 /// callers read [`crate::metrics_fold`] *after* shutdown to build
 /// reports.
 ///
-/// Returns `true` if a sink was installed. Span guards still open keep
-/// working — their `Drop` just finds collection disabled and emits
-/// nothing.
+/// Returns `true` if collection was on, with or without a sink. Span
+/// guards still open keep working — their `Drop` just finds collection
+/// disabled and emits nothing.
 pub fn shutdown() -> bool {
     if is_enabled() {
         let fold = shard::metrics_fold();
@@ -158,18 +154,12 @@ pub fn shutdown() -> bool {
             });
         }
     }
-    ENABLED.store(false, Ordering::SeqCst);
-    let previous = {
-        let mut slot = write_sink();
-        slot.take()
-    };
-    match previous {
-        Some(sink) => {
-            sink.flush();
-            true
-        }
-        None => false,
+    let was_on = ENABLED.swap(false, Ordering::SeqCst);
+    let previous = SINK.lock().take();
+    if let Some(sink) = previous {
+        sink.flush();
     }
+    was_on
 }
 
 /// Flushes the installed sink, if any.
@@ -179,18 +169,11 @@ pub fn flush() {
     }
 }
 
-fn write_sink() -> crate::lockorder::OrderedWriteGuard<'static, Option<Arc<dyn Sink>>> {
-    // Poison recovery happens inside OrderedRwLock: the slot only ever
-    // holds an Arc swap, so a poisoned lock still holds coherent data.
-    SINK.write()
-}
-
 fn current_sink() -> Option<Arc<dyn Sink>> {
     if !is_enabled() {
         return None;
     }
-    let guard = SINK.read();
-    guard.clone()
+    SINK.lock().clone()
 }
 
 fn emit(r: Record) {
@@ -245,7 +228,7 @@ impl Drop for CaptureRestore {
 /// buffers in a scheduling-independent order (e.g. sweep-point input
 /// order), so the record stream the sink sees does not depend on thread
 /// interleaving. Capture scopes nest; records emitted by *other* threads
-/// during the scope are not captured. With no sink installed this is
+/// during the scope are not captured. With collection off this is
 /// exactly `f()` plus one atomic load, and the buffer comes back empty.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<Record>) {
     if !is_enabled() {
@@ -262,8 +245,9 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<Record>) {
     (out, captured.unwrap_or_default())
 }
 
-/// Forwards previously [`capture`]d records to the installed sink (or to
-/// the enclosing capture scope, when replaying inside one), in order.
+/// Forwards previously [`capture`]d records to the installed sink, if
+/// any (or to the enclosing capture scope, when replaying inside one),
+/// in order.
 pub fn replay<I: IntoIterator<Item = Record>>(records: I) {
     if !is_enabled() {
         return;
@@ -466,8 +450,8 @@ impl Drop for SpanGuard {
             });
         }
         if !is_enabled() {
-            // Sink was shut down while the span was open: nesting state
-            // is cleaned up above, but there is nowhere to report to.
+            // Collection was shut down while the span was open: nesting
+            // state is cleaned up above, but there is nowhere to report to.
             return;
         }
         let t_ns = now_ns();

@@ -5,8 +5,8 @@
 //! *shard* — a small map bundle behind an uncontended `Mutex` —
 //! registered with a process-global registry on first use. An enabled
 //! `counter_add` is a thread-local map bump (one uncontended lock, no
-//! allocation for the `&'static str` key), not a global `RwLock` read
-//! plus a sink mutex. Merging happens only on demand: [`metrics_fold`]
+//! allocation for the `&'static str` key), not a trip through the
+//! global sink slot. Merging happens only on demand: [`metrics_fold`]
 //! locks the registry, then each shard one at a time, and sums
 //! everything into a [`MetricsFold`].
 //!
@@ -176,7 +176,8 @@ pub(crate) fn with_shard(f: impl FnOnce(&mut ShardData)) {
 }
 
 /// Clears every live shard and the retired accumulator — the fresh-run
-/// reset performed by [`install`](crate::install).
+/// reset performed by [`install`](crate::install) and by an
+/// [`ensure_enabled`](crate::ensure_enabled) that turns collection on.
 pub(crate) fn reset() {
     let mut reg = SHARDS.lock();
     reg.retired = ShardData::new();

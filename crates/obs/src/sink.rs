@@ -1,21 +1,22 @@
 //! Sink implementations: where records go once emitted.
 //!
 //! The registry holds at most one installed [`Sink`]; instrumentation
-//! sites never talk to sinks directly. Three implementations cover the
-//! three operating modes of the workspace:
+//! sites never talk to sinks directly. Two implementations cover the
+//! workspace's traced runs:
 //!
-//! * [`NullSink`] — discards everything; the default. The registry's
-//!   enabled flag stays `false` with no sink installed, so the hot path
-//!   is a single relaxed atomic load and the null sink itself is only
-//!   reachable through explicit installation (useful for overhead tests).
 //! * [`RecordingSink`] — appends records to an in-memory vector; the
 //!   record substrate of the workspace's tests.
 //! * [`FileSink`] — renders each record as one JSONL line into a
 //!   buffered file; the `fedval --trace <path>` backend.
 //!
+//! A run that wants metrics without a trace installs no sink: it calls
+//! [`crate::ensure_enabled`], and the registry drops every span and
+//! event record it emits. With collection off (the default) nothing is
+//! emitted at all.
+//!
 //! Reports never read a sink: they render the metric fold
-//! ([`crate::metrics_fold`]), which counts every span and event whatever
-//! sink is installed.
+//! ([`crate::metrics_fold`]), which counts every span and event whether
+//! or not a sink is installed.
 
 use crate::record::Record;
 use std::fs::File;
@@ -36,14 +37,6 @@ pub trait Sink: Send + Sync {
 
     /// Flushes any buffered output. Default: no-op.
     fn flush(&self) {}
-}
-
-/// Discards every record.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _r: &Record) {}
 }
 
 /// Recovers a mutex guard even if a previous holder panicked.

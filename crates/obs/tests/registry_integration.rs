@@ -59,7 +59,8 @@ fn registry_scenarios() {
     capture_when_disabled_is_free();
     sharded_fold_merges_threads_and_flushes_exits();
     suppressed_spans_count_without_records();
-    ensure_enabled_installs_a_null_sink_once();
+    ensure_enabled_turns_collection_on_once();
+    ensure_enabled_keeps_an_installed_sink_and_installs_none();
 }
 
 fn nesting_links_parents() {
@@ -321,7 +322,7 @@ fn suppressed_spans_count_without_records() {
     );
 }
 
-fn ensure_enabled_installs_a_null_sink_once() {
+fn ensure_enabled_turns_collection_on_once() {
     assert!(!fedval_obs::is_enabled());
     fedval_obs::ensure_enabled();
     assert!(fedval_obs::is_enabled());
@@ -331,6 +332,44 @@ fn ensure_enabled_installs_a_null_sink_once() {
     assert_eq!(fedval_obs::metrics_fold().counter("t.ensure.count"), 1);
     assert!(fedval_obs::shutdown());
     assert!(!fedval_obs::is_enabled());
+}
+
+fn ensure_enabled_keeps_an_installed_sink_and_installs_none() {
+    // (a) Called under an installed sink, ensure_enabled changes
+    // nothing: the sink keeps receiving records, and the shards keep the
+    // bump made before the call.
+    let sink = RecordingSink::new();
+    fedval_obs::install(Arc::new(sink.clone()));
+    fedval_obs::counter_add("t.lifecycle.before", 2);
+    fedval_obs::ensure_enabled();
+    {
+        let _s = fedval_obs::span("t.lifecycle.span");
+        fedval_obs::event("t.lifecycle.event", Vec::new);
+    }
+    assert!(fedval_obs::shutdown());
+    let records = sink.records();
+    assert_eq!(span_ends(&records, "t.lifecycle.span"), 1);
+    assert_eq!(events(&records, "t.lifecycle.event"), 1);
+    assert_eq!(counter_records(&records), vec![("t.lifecycle.before", 2)]);
+
+    // (b) With nothing installed, ensure_enabled collects metrics alone:
+    // its records go nowhere, and the next installed sink starts from
+    // fresh shards.
+    fedval_obs::ensure_enabled();
+    assert!(fedval_obs::is_enabled());
+    fedval_obs::counter_add("t.lifecycle.metrics_only", 1);
+    fedval_obs::event("t.lifecycle.dropped", Vec::new);
+    assert!(fedval_obs::shutdown());
+    assert_eq!(
+        fedval_obs::metrics_fold().counter("t.lifecycle.metrics_only"),
+        1
+    );
+    let records = with_fresh_sink(|| {});
+    assert!(
+        counter_records(&records).is_empty(),
+        "a metrics-only run must leave no counts for the next sink: {records:?}"
+    );
+    assert_eq!(events(&records, "t.lifecycle.dropped"), 0);
 }
 
 fn threads_get_independent_span_stacks() {

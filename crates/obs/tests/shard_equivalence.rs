@@ -91,7 +91,7 @@ proptest! {
 /// races it.
 #[test]
 fn real_registry_threads_match_unsharded() {
-    fedval_obs::install(std::sync::Arc::new(fedval_obs::NullSink));
+    fedval_obs::ensure_enabled();
     // A deterministic pseudo-random workload: each thread walks its own
     // splitmix64 stream, so the value multiset is fixed but the
     // cross-thread interleaving is whatever the scheduler does.

@@ -153,7 +153,7 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
     if opts.metrics.is_some() {
-        // Enable the sharded registry (NullSink) so the campaign's
+        // Turn on metric collection (no trace sink) so the campaign's
         // client-side telemetry accumulates for the exit dump.
         fedval_obs::ensure_enabled();
     }

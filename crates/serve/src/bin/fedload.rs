@@ -557,7 +557,7 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
     if opts.metrics.is_some() {
-        // Enable the sharded registry (NullSink) so per-connection
+        // Turn on metric collection (no trace sink) so per-connection
         // threads accumulate latency shards for the exit dump.
         fedval_obs::ensure_enabled();
     }

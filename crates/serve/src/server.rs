@@ -270,8 +270,8 @@ impl Server {
     pub fn start(state: ServeState, addr: &str, config: ServerConfig) -> io::Result<Server> {
         // The metrics exposition and fold-sourced stats read the global
         // registry; make sure it is collecting even when the binary did
-        // not install a trace sink (NullSink: records dropped, shards
-        // still accumulate).
+        // not install a trace sink (then records are dropped and the
+        // shards still accumulate).
         fedval_obs::ensure_enabled();
         let listener = TcpListener::bind(addr)?;
         let threads = config.threads.max(1);
