@@ -156,7 +156,7 @@ if ! grep -q "protocol_errors=0" "$smoke_tmp/serve.log"; then
     exit 1
 fi
 
-echo "== sampled Shapley (n<=16 validation + deterministic n=200 serve smoke)"
+echo "== sampled Shapley (n<=16 validation, pinned n=200 sampled and n=16 exact shares, n=200 serve smoke)"
 # Release-mode re-run of the estimator-vs-exact validation suite: the
 # sampled phi must sit within its own certified CI of the 2^n solver on
 # games small enough to enumerate (DESIGN.md §14).
@@ -182,6 +182,26 @@ if [ "$shares_sha" != "dce3420b93ab4a9f6a1ab4559185cbfa405570b3c07a440410054b022
     echo "ci.sh: fedval shares --synthetic 200:7 printed different bytes (sha256 $shares_sha)."
     echo "The sampled Shapley output changed; it must stay byte-identical."
     head -5 "$approx_tmp/shares_t1.txt"
+    exit 1
+fi
+# The exact walk is pinned the same way: `fedval shares --synthetic 16`
+# fills its 2^16 coalition table along Gray-code blocks (DESIGN.md §9),
+# so the digest covers every value the walk computes, at 1 and 2
+# threads.
+./target/release/fedval shares --synthetic 16 --threads 1 > "$approx_tmp/exact_t1.txt"
+./target/release/fedval shares --synthetic 16 --threads 2 > "$approx_tmp/exact_t2.txt"
+if ! cmp "$approx_tmp/exact_t1.txt" "$approx_tmp/exact_t2.txt"; then
+    echo ""
+    echo "ci.sh: fedval shares --synthetic 16 differs between --threads 1 and 2."
+    echo "The table fill leaked scheduling order into its values."
+    exit 1
+fi
+exact_sha=$(sha256sum < "$approx_tmp/exact_t1.txt" | cut -d' ' -f1)
+if [ "$exact_sha" != "52fce133d688324eae47bbbf53ce7ba9d6d84add37e1516198d78e372f9fdfb1" ]; then
+    echo ""
+    echo "ci.sh: fedval shares --synthetic 16 printed different bytes (sha256 $exact_sha)."
+    echo "The exact Shapley output changed; it must stay byte-identical."
+    head -5 "$approx_tmp/exact_t1.txt"
     exit 1
 fi
 # A 200-authority synthetic federation is far past every exact cap; the

@@ -136,7 +136,8 @@ pub struct ApproxShapley {
     pub samples: usize,
     /// Seed that reproduces these exact bytes.
     pub seed: u64,
-    /// `V(N)`, evaluated exactly once — the normalization denominator.
+    /// `V(N)`, the normalization denominator: the last prefix value of
+    /// the first permutation block's walk, not a separate evaluation.
     pub grand_value: f64,
 }
 
@@ -332,6 +333,17 @@ pub fn hoeffding_epsilon(range: f64, samples: usize, delta: f64) -> f64 {
     range * ((2.0 / delta).ln() / (2.0 * samples as f64)).sqrt()
 }
 
+/// One permutation block's marginal sums, and `V(N)` as its walks
+/// reached it.
+struct BlockSums {
+    sum: Vec<f64>,
+    sum_sq: Vec<f64>,
+    /// The last prefix value of the block's last ordering: `V(N)`, the
+    /// same bits as `value_members` of every player by the walk contract
+    /// ([`WideGame::value_walk`]).
+    grand_value: f64,
+}
+
 /// Runs one permutation block: `count` whole orderings drawn from the
 /// block's own RNG stream, marginal contributions accumulated into the
 /// block's own `(sum, sum_sq)` pair.
@@ -341,11 +353,12 @@ fn permutation_block<G: WideGame + ?Sized>(
     seed: u64,
     block: usize,
     count: usize,
-) -> (Vec<f64>, Vec<f64>) {
+) -> BlockSums {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, block as u64));
     let mut order: Vec<PlayerId> = (0..n).collect();
     let (mut sum, mut sum_sq) = (vec![0.0; n], vec![0.0; n]);
     let v_empty = game.value_members(&[]);
+    let mut grand_value = v_empty;
     for _ in 0..count {
         order.shuffle(&mut rng);
         let mut prev = v_empty;
@@ -355,10 +368,15 @@ fn permutation_block<G: WideGame + ?Sized>(
             sum_sq[p] += delta * delta;
             prev = cur;
         }
+        grand_value = prev;
     }
     fedval_obs::counter_add("coalition.approx.permutations", count as u64);
     fedval_obs::counter_add("coalition.approx.evals", (count * n) as u64);
-    (sum, sum_sq)
+    BlockSums {
+        sum,
+        sum_sq,
+        grand_value,
+    }
 }
 
 /// Permutation estimator over a [`WideGame`], block-parallel and
@@ -386,10 +404,10 @@ fn permutation_estimate<G: WideGame + ?Sized>(
     });
     let mut sum = vec![0.0; n];
     let mut sum_sq = vec![0.0; n];
-    for (s, q) in &partials {
+    for block in &partials {
         for i in 0..n {
-            sum[i] += s[i];
-            sum_sq[i] += q[i];
+            sum[i] += block.sum[i];
+            sum_sq[i] += block.sum_sq[i];
         }
     }
     let m = samples as f64;
@@ -405,7 +423,6 @@ fn permutation_estimate<G: WideGame + ?Sized>(
         })
         .collect();
     let ci_half_width: Vec<f64> = std_error.iter().map(|e| z * e).collect();
-    let members: Vec<PlayerId> = (0..n).collect();
     ApproxShapley {
         phi,
         std_error,
@@ -413,7 +430,10 @@ fn permutation_estimate<G: WideGame + ?Sized>(
         confidence: cfg.confidence,
         samples,
         seed: cfg.seed,
-        grand_value: game.value_members(&members),
+        // Block 0 always runs (`samples ≥ 1`) and walks to the grand
+        // coalition, so V(N) needs no evaluation of its own and is the
+        // same at every thread count.
+        grand_value: partials[0].grand_value,
     }
 }
 

@@ -21,7 +21,7 @@
 //! mixtures are the exact solver's and the simulator's job (see DESIGN.md).
 
 use super::feasibility::{balanced_partition, is_realizable, max_total_sizes};
-use crate::experiment::Demand;
+use crate::experiment::{Demand, ExperimentClass, Volume};
 use crate::location::CapacityProfile;
 
 /// The admission decision and sizes for one demand class.
@@ -191,17 +191,20 @@ pub fn solve(profile: &CapacityProfile, demand: &Demand) -> Result<ProfileSoluti
         return Ok(ProfileSolution::zero(classes.len()));
     }
 
-    // Fast path: one class, one experiment (Figs. 4–5).
+    // Fast path: one class, one experiment (Figs. 4–5). A count caps
+    // admission by itself; only capacity filling needs the saturation
+    // bound's binary search.
     if classes.len() == 1 {
         let class = &classes[0].class;
-        let cap = classes[0]
-            .volume
-            .cap(saturation_bound(profile, class.min_size()));
+        let cap = match classes[0].volume {
+            Volume::Count(k) => k,
+            Volume::CapacityFilling => saturation_bound(profile, class.min_size()),
+        };
         if cap == 0 {
             return Ok(ProfileSolution::zero(1));
         }
         if cap == 1 {
-            return Ok(solve_single_experiment(profile, demand));
+            return Ok(solve_single_experiment(profile, class));
         }
         return solve_single_class(profile, demand, d, cap);
     }
@@ -242,14 +245,45 @@ fn saturation_bound(profile: &CapacityProfile, min_size: u64) -> u64 {
     lo
 }
 
-/// One experiment of one class: give it everything useful.
-fn solve_single_experiment(profile: &CapacityProfile, demand: &Demand) -> ProfileSolution {
-    let class = &demand.components[0].class;
+/// The optimal value of eq. 2 on `profile` for `demand`: exactly
+/// `solve(profile, demand).map(|s| s.total_utility)`, bit for bit and
+/// error for error, without building the allocation. One experiment of
+/// one class at `r = 1` (every synthetic federation, the §4.1 worked
+/// example) is answered here with no allocation at all; every other
+/// demand goes through [`solve`].
+///
+/// # Errors
+/// As [`solve`].
+pub fn value(profile: &CapacityProfile, demand: &Demand) -> Result<f64, SolveError> {
+    match demand.components.as_slice() {
+        [one] if one.volume == Volume::Count(1) && one.class.resources_per_location == 1 => {
+            Ok(single_experiment(profile, &one.class).map_or(0.0, |(_, utility)| utility))
+        }
+        _ => solve(profile, demand).map(|solution| solution.total_utility),
+    }
+}
+
+/// One experiment of `class` on `profile` takes every useful location:
+/// its size and utility, or `None` when that is worth nothing (no
+/// locations, or not past the threshold). [`solve`] and [`value`] share
+/// this arithmetic.
+fn single_experiment(profile: &CapacityProfile, class: &ExperimentClass) -> Option<(u64, f64)> {
+    if profile.n_locations() == 0 {
+        return None;
+    }
     let size = class.max_size(profile.n_locations());
     let utility = class.utility_of(size);
     if utility <= 0.0 {
-        return ProfileSolution::zero(1);
+        return None;
     }
+    Some((size, utility))
+}
+
+/// One experiment of one class: give it everything useful.
+fn solve_single_experiment(profile: &CapacityProfile, class: &ExperimentClass) -> ProfileSolution {
+    let Some((size, utility)) = single_experiment(profile, class) else {
+        return ProfileSolution::zero(1);
+    };
     ProfileSolution {
         total_utility: utility,
         per_class: vec![ClassAllocation {
@@ -538,7 +572,7 @@ fn assemble(
     }
 }
 
-impl crate::experiment::ExperimentClass {
+impl ExperimentClass {
     /// Utility of an experiment of this class assigned `x` locations.
     pub fn utility_of(&self, x: u64) -> f64 {
         use crate::utility::Utility;
@@ -549,8 +583,6 @@ impl crate::experiment::ExperimentClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{ExperimentClass, Volume};
-    use crate::location::CapacityProfile;
 
     fn profile(groups: &[(u64, u64)]) -> CapacityProfile {
         CapacityProfile::from_groups(groups.to_vec())
@@ -739,5 +771,60 @@ mod tests {
         let s = solve(&p, &Demand::one_experiment(class)).unwrap();
         assert_eq!(s.total_utility, 5.0);
         assert_eq!(s.per_class[0].sizes, vec![5]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A demand of kind `kind`: one experiment, three experiments or
+    /// capacity filling of one class (threshold `l`, shape `d`, `r`
+    /// resources per location); a two-class `d = 1` mixture (thresholds
+    /// 0 and `other`); or a mixture whose classes differ in shape.
+    fn demand(kind: u8, l: f64, d: f64, r: u64, other: f64) -> Demand {
+        let class = ExperimentClass::simple("x", l, d).with_resources(r);
+        let mixed = |shape| {
+            Demand::mixture(
+                ExperimentClass::simple("a", 0.0, 1.0),
+                ExperimentClass::simple("b", other, shape),
+                6,
+                0.5,
+            )
+        };
+        match kind {
+            0 => Demand::one_experiment(class),
+            1 => Demand::single(class, Volume::Count(3)),
+            2 => Demand::capacity_filling(class),
+            3 => mixed(1.0),
+            _ => mixed(0.5),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `value` is `solve`'s total utility, in bits and in error, on
+        /// the branch it answers itself and on every one it hands over.
+        #[test]
+        fn value_is_solve_total_utility_bit_for_bit(
+            groups in prop::collection::vec((0u64..=6, 1u64..=40), 1..=6),
+            kind in 0u8..5,
+            l in 0.0f64..120.0,
+            d in 0usize..3,
+            r in 1u64..=2,
+            other in 0.0f64..240.0,
+        ) {
+            // Capacity-0 groups drop out, so some profiles are empty.
+            let profile = CapacityProfile::from_groups(groups);
+            let demand = demand(kind, l, [0.5, 1.0, 2.0][d], r, other);
+            let solved = solve(&profile, &demand).map(|s| s.total_utility.to_bits());
+            prop_assert_eq!(value(&profile, &demand).map(f64::to_bits), solved.clone());
+            // An empty profile is worth 0 before any demand check.
+            if kind == 4 && profile.n_locations() > 0 {
+                prop_assert_eq!(solved, Err(SolveError::MixedShapes));
+            }
+        }
     }
 }

@@ -125,28 +125,28 @@ impl CapacityProfile {
         }
     }
 
-    /// Moves one location from capacity `from` to capacity `to`, where
-    /// capacity 0 means not held: the in-place update behind
+    /// Moves `count` locations from capacity `from` to capacity `to`,
+    /// where capacity 0 means not held: the in-place update behind
     /// [`ProfileAccumulator`]. A group that empties is dropped, so the
     /// groups stay sorted, distinct and positive.
-    fn move_location(&mut self, from: u64, to: u64) {
+    fn move_locations(&mut self, from: u64, to: u64, count: u64) {
         if from > 0 {
             if let Ok(pos) = self.groups.binary_search_by_key(&from, |&(c, _)| c) {
-                self.groups[pos].1 -= 1;
+                self.groups[pos].1 -= count;
                 if self.groups[pos].1 == 0 {
                     self.groups.remove(pos);
                 }
-                self.n_locations -= 1;
-                self.total_slots -= from;
+                self.n_locations -= count;
+                self.total_slots -= from * count;
             }
         }
         if to > 0 {
             match self.groups.binary_search_by_key(&to, |&(c, _)| c) {
-                Ok(pos) => self.groups[pos].1 += 1,
-                Err(pos) => self.groups.insert(pos, (to, 1)),
+                Ok(pos) => self.groups[pos].1 += count,
+                Err(pos) => self.groups.insert(pos, (to, count)),
             }
-            self.n_locations += 1;
-            self.total_slots += to;
+            self.n_locations += count;
+            self.total_slots += to * count;
         }
     }
 
@@ -267,7 +267,9 @@ impl SlotIndex {
 /// profile itself. An [`add`](ProfileAccumulator::add) or a
 /// [`remove`](ProfileAccumulator::remove) touches only that offer's
 /// slots, moving each location from its old capacity group to its new
-/// one in place; a group that empties leaves the profile, so it always
+/// one in place; consecutive entries that move between the same two
+/// capacities move as one group update (a disjoint uniform offer is one
+/// update in all). A group that empties leaves the profile, so it always
 /// holds exactly what a fresh merge would. Capacities are integers, so
 /// after any sequence of adds and removes
 /// [`profile`](ProfileAccumulator::profile) equals `coalition_profile`
@@ -291,21 +293,34 @@ impl ProfileAccumulator {
     /// Adds one offer's [`SlotIndex::offer`] entries, summing capacity
     /// where it overlaps slots already held.
     pub(crate) fn add(&mut self, entries: &[(usize, u64)]) {
-        for &(slot, r) in entries {
-            let held = self.capacity[slot];
-            self.capacity[slot] = held + r;
-            self.profile.move_location(held, held + r);
-        }
+        self.update(entries, |held, r| held + r);
     }
 
     /// Removes one offer's entries, previously added: the inverse of
     /// [`add`](ProfileAccumulator::add).
     pub(crate) fn remove(&mut self, entries: &[(usize, u64)]) {
+        self.update(entries, |held, r| held - r);
+    }
+
+    /// Sets each entry's slot to `step(held, r)` and moves its location
+    /// to the new capacity group. An offer's slots are distinct, so a run
+    /// of consecutive entries from one capacity to one other moves that
+    /// many locations at once, with the same result as one by one.
+    fn update(&mut self, entries: &[(usize, u64)], step: impl Fn(u64, u64) -> u64) {
+        // The pending run (from, to, locations); (0, 0, 0) moves nothing.
+        let mut run = (0, 0, 0);
         for &(slot, r) in entries {
             let held = self.capacity[slot];
-            self.capacity[slot] = held - r;
-            self.profile.move_location(held, held - r);
+            let next = step(held, r);
+            self.capacity[slot] = next;
+            if (held, next) == (run.0, run.1) {
+                run.2 += 1;
+            } else {
+                self.profile.move_locations(run.0, run.1, run.2);
+                run = (held, next, 1);
+            }
         }
+        self.profile.move_locations(run.0, run.1, run.2);
     }
 
     /// The profile of everything currently held.

@@ -54,14 +54,15 @@ impl ThresholdPower {
     }
 
     /// The smallest *integer* number of locations with positive utility:
-    /// `min { x ∈ ℕ : x > l }`.
+    /// `min { x ∈ ℕ : x > l }`, or `u64::MAX` when `l ≥ 2⁶⁴ − 1` (no
+    /// location count clears such a threshold).
     #[expect(
         clippy::cast_possible_truncation,
         clippy::cast_sign_loss,
         reason = "the threshold is asserted finite and non-negative in new(); `as` saturates"
     )]
     pub fn min_admissible(&self) -> u64 {
-        (self.threshold.floor() as u64) + 1
+        (self.threshold.floor() as u64).saturating_add(1)
     }
 }
 
@@ -114,6 +115,8 @@ mod tests {
         assert_eq!(ThresholdPower::linear(50.5).min_admissible(), 51);
         assert_eq!(ThresholdPower::linear(499.999).min_admissible(), 500);
         assert_eq!(ThresholdPower::linear(500.0).min_admissible(), 501);
+        // Past u64::MAX the cast saturates and the + 1 must too.
+        assert_eq!(ThresholdPower::linear(1e30).min_admissible(), u64::MAX);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! profit `P = µ·ΣU`; since µ only rescales every sharing vector we take
 //! µ = 1 as the paper does in §4.
 
-use crate::allocation::{solve, ProfileSolution, SolveError};
+use crate::allocation::{solve, value, ProfileSolution, SolveError};
 use crate::experiment::Demand;
 use crate::facility::{coalition_profile, Facility};
 use crate::location::{ProfileAccumulator, SlotIndex};
@@ -123,8 +123,10 @@ impl WideGame for FederationGame<'_> {
     /// a flat per-location array rather than `O(Σ_{i∈S} Lᵢ)` map
     /// inserts. The locations are numbered densely on the game's first
     /// walk. The updated profile equals `coalition_profile` of the
-    /// current members (integer capacities), so the solver sees the same
-    /// input and every value keeps its bits.
+    /// current members (integer capacities), and
+    /// [`value`](crate::allocation::value) returns `solve`'s optimum
+    /// without building its allocation, so every value keeps the bits
+    /// `value_members` gives it.
     ///
     /// # Panics
     /// As [`WideGame::value_members`] on this game.
@@ -147,8 +149,8 @@ impl WideGame for FederationGame<'_> {
                     acc.add(index.offer(p));
                 }
                 held[p] = !held[p];
-                match solve(acc.profile(), &self.demand) {
-                    Ok(solution) => solution.total_utility,
+                match value(acc.profile(), &self.demand) {
+                    Ok(v) => v,
                     #[expect(
                         clippy::panic,
                         reason = "the WideGame trait is infallible; `# Panics` documents this, and callers validate via solve_members"

@@ -39,6 +39,21 @@ fn values_lists_every_coalition() {
 }
 
 #[test]
+fn threshold_past_u64_admits_nothing() {
+    // No location count clears l = 1e30: the smallest admissible size
+    // saturates at u64::MAX instead of overflowing, and every coalition
+    // is worth nothing.
+    let (stdout, stderr, ok) = fedval(&["values", "--threshold", "1e30"]);
+    assert!(ok, "{stderr}");
+    let values: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().last())
+        .collect();
+    assert_eq!(values, ["0.00"; 7], "{stdout}");
+}
+
+#[test]
 fn report_includes_all_schemes_and_recommendation() {
     let (stdout, _, ok) = fedval(&[
         "report",

@@ -6,6 +6,10 @@
 //! `FederationGame` overrides the walk with a capacity profile updated
 //! one facility at a time, added or removed; the contract is bit
 //! equality with `value_members` on the current sorted member set. The
+//! walk values each profile with `allocation::value` and
+//! `value_members` with the full `allocation::solve`, so the demands
+//! here include those `value` hands to `solve` (two resources per
+//! location, a two-class mixture) beside the one it answers itself. The
 //! synthetic federations give every facility its own location range, so
 //! the generated facilities here overlap on purpose: shared locations are
 //! where accumulated capacities must add up and come back down. Some
@@ -70,14 +74,23 @@ fn build_facilities(specs: &[Vec<(u32, u32, u64)>]) -> Vec<Facility> {
         .collect()
 }
 
-/// A single-class demand of one of the three volumes the solver's
-/// analytic paths take.
-fn build_demand(volume: u8, threshold: f64, shape: f64) -> Demand {
+/// A demand of kind `kind`: one class at one of the three volumes the
+/// solver's analytic paths take, one experiment needing two resources
+/// per location, or a two-class `d = 1` mixture. The last two are
+/// valued by the full solver, not the one-experiment shortcut.
+fn build_demand(kind: u8, threshold: f64, shape: f64) -> Demand {
     let class = ExperimentClass::simple("e", threshold, shape);
-    match volume {
+    match kind {
         0 => Demand::one_experiment(class),
         1 => Demand::single(class, Volume::Count(3)),
-        _ => Demand::capacity_filling(class),
+        2 => Demand::capacity_filling(class),
+        3 => Demand::one_experiment(class.with_resources(2)),
+        _ => Demand::mixture(
+            ExperimentClass::simple("a", 0.0, 1.0),
+            ExperimentClass::simple("b", threshold, 1.0),
+            6,
+            0.5,
+        ),
     }
 }
 
@@ -111,12 +124,12 @@ proptest! {
     fn prefix_walk_matches_value_members_bit_for_bit(
         specs in federation_strategy(),
         threshold in 0.0f64..60.0,
-        volume in 0u8..3,
+        kind in 0u8..5,
         shape in 0usize..3,
         order_seed in any::<u64>(),
     ) {
         let facilities = build_facilities(&specs);
-        let demand = build_demand(volume, threshold, [0.5, 1.0, 2.0][shape]);
+        let demand = build_demand(kind, threshold, [0.5, 1.0, 2.0][shape]);
         let game = FederationGame::new(&facilities, &demand);
         let mut order: Vec<PlayerId> = (0..facilities.len()).collect();
         order.shuffle(&mut StdRng::seed_from_u64(order_seed));
@@ -141,14 +154,14 @@ proptest! {
     fn walk_with_leaves_and_rejoins_matches_value_members_bit_for_bit(
         specs in federation_strategy(),
         threshold in 0.0f64..60.0,
-        volume in 0u8..3,
+        kind in 0u8..5,
         shape in 0usize..3,
         start_mask in any::<u64>(),
         toggle_draws in prop::collection::vec(any::<usize>(), 1..=40),
     ) {
         let facilities = build_facilities(&specs);
         let n = facilities.len();
-        let demand = build_demand(volume, threshold, [0.5, 1.0, 2.0][shape]);
+        let demand = build_demand(kind, threshold, [0.5, 1.0, 2.0][shape]);
         let game = FederationGame::new(&facilities, &demand);
         let start: Vec<PlayerId> = (0..n).filter(|&p| start_mask >> p & 1 == 1).collect();
         // Draws repeat players, so members leave and rejoin mid-walk.
@@ -168,13 +181,17 @@ proptest! {
     }
 }
 
-#[test]
-fn sampled_shapley_bytes_do_not_depend_on_the_prefix_path() {
-    // 70 facilities: past the 64-player bitset, on overlapping ranges.
+/// 70 facilities: past the 64-player bitset, on overlapping ranges.
+fn seventy_overlapping() -> Vec<Facility> {
     let specs: Vec<Vec<(u32, u32, u64)>> = (0..70u32)
         .map(|i| vec![((i * 7) % 90, 4 + i % 13, 1 + u64::from(i % 4))])
         .collect();
-    let facilities = build_facilities(&specs);
+    build_facilities(&specs)
+}
+
+#[test]
+fn sampled_shapley_bytes_do_not_depend_on_the_prefix_path() {
+    let facilities = seventy_overlapping();
     let demand = build_demand(0, 60.0, 1.0);
     let game = FederationGame::new(&facilities, &demand);
     for threads in [1, 2] {
@@ -197,5 +214,43 @@ fn sampled_shapley_bytes_do_not_depend_on_the_prefix_path() {
             estimate_bits(&per_member),
             "threads={threads}"
         );
+    }
+}
+
+#[test]
+fn sampled_grand_value_is_value_members_of_every_player() {
+    // The estimator reads V(N) off its first block's walk instead of
+    // evaluating the grand coalition again; by the walk contract the
+    // bits are those of `value_members`, whatever the thread count and
+    // however the samples fill the last block.
+    let (synthetic, synthetic_demand) = fedval::testbed::synthetic_federation(200, 7);
+    let overlapping = seventy_overlapping();
+    let overlapping_demand = build_demand(0, 60.0, 1.0);
+    for (facilities, demand) in [
+        (&synthetic, &synthetic_demand),
+        (&overlapping, &overlapping_demand),
+    ] {
+        let game = FederationGame::new(facilities, demand);
+        let n = game.n_players();
+        let all: Vec<PlayerId> = (0..n).collect();
+        let want = game.value_members(&all);
+        assert!(want > 0.0, "n={n}: V(N) = {want}");
+        for threads in [1, 2, 3] {
+            for samples in [1, 16, 17] {
+                let cfg = ApproxConfig {
+                    samples,
+                    seed: 5,
+                    threads,
+                    force: true,
+                    ..ApproxConfig::default()
+                };
+                let est = try_approx_shapley_wide(&game, &cfg).expect("valid config");
+                assert_eq!(
+                    est.grand_value.to_bits(),
+                    want.to_bits(),
+                    "n={n} threads={threads} samples={samples}"
+                );
+            }
+        }
     }
 }
